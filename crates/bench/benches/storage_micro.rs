@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pregelix::common::frame::{keyed_tuple, Frame};
 use pregelix::common::stats::ClusterCounters;
-use pregelix::dataflow::groupby::{GroupByKind, LocalGroupBy, TupleCombiner};
+use pregelix::dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix::storage::btree::BTree;
 use pregelix::storage::cache::BufferCache;
 use pregelix::storage::file::{FileManager, TempDir};
@@ -17,7 +17,6 @@ use pregelix::storage::sort::{CombineFn, ExternalSorter};
 use rand::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::Arc;
 
 fn make_cache(pages: usize) -> (BufferCache, TempDir) {
     let dir = TempDir::new("bench").unwrap();
@@ -84,15 +83,6 @@ fn bench_sort_groupby(c: &mut Criterion) {
     let dir = TempDir::new("bench-gb").unwrap();
     let fm = FileManager::new(dir.path(), 4096, ClusterCounters::new()).unwrap();
 
-    let combiner: TupleCombiner = Arc::new(|a: &[u8], b: &[u8]| {
-        let pa = f64::from_le_bytes(a[8..16].try_into().unwrap());
-        let pb = f64::from_le_bytes(b[8..16].try_into().unwrap());
-        keyed_tuple(
-            pregelix::common::frame::tuple_vid(a).unwrap(),
-            &(pa + pb).to_le_bytes(),
-        )
-    });
-
     let mut tuples = Vec::with_capacity(100_000);
     let mut rng = StdRng::seed_from_u64(2);
     for _ in 0..100_000 {
@@ -102,7 +92,8 @@ fn bench_sort_groupby(c: &mut Criterion) {
     for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
         group.bench_function(format!("{kind:?}_100k_msgs_10k_groups"), |b| {
             b.iter(|| {
-                let mut gb = LocalGroupBy::new(kind, &fm, "bench", 1 << 20, Some(&combiner));
+                let mut gb =
+                    LocalGroupBy::with_fold(kind, &fm, "bench", 1 << 20, Some(sum_combiner()));
                 for t in &tuples {
                     gb.add(t).unwrap();
                 }
@@ -221,10 +212,7 @@ impl VecSorter {
                 let mut out: Vec<Vec<u8>> = Vec::new();
                 for t in buffer {
                     match out.last_mut() {
-                        Some(prev) if Self::same_key(prev, &t) => {
-                            let merged = comb(prev, &t);
-                            *prev = merged;
-                        }
+                        Some(prev) if Self::same_key(prev, &t) => comb(prev, &t),
                         _ => out.push(t),
                     }
                 }
@@ -306,10 +294,7 @@ impl VecSortedStream {
             self.refill(src);
             match (&mut self.pending, &mut self.combiner) {
                 (None, _) => self.pending = Some(t),
-                (Some(p), Some(c)) if VecSorter::same_key(p, &t) => {
-                    let merged = c(p, &t);
-                    *p = merged;
-                }
+                (Some(p), Some(c)) if VecSorter::same_key(p, &t) => c(p, &t),
                 (Some(_), _) => {
                     let done = self.pending.replace(t);
                     return done;
@@ -328,13 +313,10 @@ impl Drop for VecSortedStream {
 }
 
 fn sum_combiner() -> CombineFn {
-    Box::new(|a: &[u8], b: &[u8]| {
-        let pa = f64::from_le_bytes(a[8..16].try_into().unwrap());
-        let pb = f64::from_le_bytes(b[8..16].try_into().unwrap());
-        keyed_tuple(
-            pregelix::common::frame::tuple_vid(a).unwrap(),
-            &(pa + pb).to_le_bytes(),
-        )
+    Box::new(|acc: &mut Vec<u8>, t: &[u8]| {
+        let pa = f64::from_le_bytes(acc[8..16].try_into().unwrap());
+        let pb = f64::from_le_bytes(t[8..16].try_into().unwrap());
+        acc[8..16].copy_from_slice(&(pa + pb).to_le_bytes());
     })
 }
 

@@ -70,9 +70,12 @@ pub fn tuple_payload(tuple: &[u8]) -> Result<&[u8]> {
 /// keyed tuples the prefix *is* the vid, so prefix order is vid order.
 #[inline]
 pub fn key_prefix(t: &[u8]) -> u64 {
+    // Keyed tuples (all but the odd short one) take the fixed-width load.
+    if let Some(head) = t.first_chunk::<8>() {
+        return u64::from_be_bytes(*head);
+    }
     let mut p = [0u8; 8];
-    let n = t.len().min(8);
-    p[..n].copy_from_slice(&t[..n]);
+    p[..t.len()].copy_from_slice(t);
     u64::from_be_bytes(p)
 }
 
@@ -625,6 +628,15 @@ impl Eq for SharedFrame {}
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn key_prefix_zero_pads_short_tuples_and_reads_the_first_eight_bytes() {
+        assert_eq!(key_prefix(&[]), 0);
+        assert_eq!(key_prefix(&[1, 2]), 0x0102_0000_0000_0000);
+        assert_eq!(key_prefix(&[0, 0, 0, 0, 0, 0, 1]), 0x100);
+        assert_eq!(key_prefix(&keyed_tuple(7, b"payload")), 7);
+        assert_eq!(key_prefix(&[0xFF; 8]), u64::MAX);
+    }
 
     #[test]
     fn append_and_read_back() {

@@ -194,14 +194,13 @@ fn replay_superstep<P: VertexProgram>(
         join: resolved,
         ..job.plan
     };
-    let combiner = msg_tuple_combiner(program);
     let superstep = gs.superstep;
     let mut tasks = Vec::with_capacity(dead.len());
     for &p in dead {
         let state = Arc::clone(&partitions[p]);
         let program_c = Arc::clone(program);
         let gs_c = gs.clone();
-        let combiner_c = Arc::clone(&combiner);
+        let combiner_c = msg_tuple_combiner(program);
         let job_tag = job.id.tag().to_string();
         // Owned slices of the logged flows bound for partition p, in
         // ascending src order.

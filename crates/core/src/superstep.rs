@@ -39,7 +39,7 @@ use crate::api::{ComputeContext, Mutation, Resolution, VertexProgram};
 use crate::gs::GlobalState;
 use crate::plan::{JoinStrategy, PlanConfig};
 use crate::store::VertexStore;
-use crate::vertex::{decode_msg_list, encode_msg_list, VertexData};
+use crate::vertex::{decode_msg_list_into, VertexData};
 use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
@@ -55,10 +55,11 @@ use pregelix_dataflow::connector::{
     PartitioningSender,
 };
 use pregelix_dataflow::transport::{StreamRx, StreamTx};
-use pregelix_dataflow::groupby::{combine_fn, LocalGroupBy, TupleCombiner};
+use pregelix_dataflow::groupby::LocalGroupBy;
 use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec};
 use pregelix_storage::btree::BTree;
-use pregelix_storage::runfile::{RunHandle, RunWriter};
+use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter};
+use pregelix_storage::sort::CombineFn;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -81,30 +82,49 @@ pub struct PartitionState {
     pub msg_run: Option<RunHandle>,
 }
 
-/// Build the message-list tuple combiner for a program: with a user
-/// combiner, lists stay at one element; without one, lists concatenate (the
-/// default combine of §3, footnote 4).
-pub(crate) fn msg_tuple_combiner<P: VertexProgram>(program: &Arc<P>) -> TupleCombiner {
-    let user = program.combiner();
-    Arc::new(move |a: &[u8], b: &[u8]| -> Vec<u8> {
-        let vid = tuple_vid(a).expect("keyed msg tuple");
-        let mut la: Vec<P::Message> =
-            decode_msg_list(tuple_payload(a).expect("msg payload")).expect("msg list");
-        let lb: Vec<P::Message> =
-            decode_msg_list(tuple_payload(b).expect("msg payload")).expect("msg list");
-        match &user {
-            Some(c) => {
-                let mut iter = la.into_iter().chain(lb);
-                let first = iter.next().expect("combining empty lists");
-                let folded = iter.fold(first, |acc, m| c(&acc, &m));
-                keyed_tuple(vid, &encode_msg_list(&[folded]))
+/// Byte range of a `Msg` tuple's list count (`u32` LE, right after the key).
+const MSG_COUNT: std::ops::Range<usize> = 8..12;
+
+fn msg_count(tuple: &[u8]) -> u32 {
+    u32::from_le_bytes(
+        tuple[MSG_COUNT]
+            .try_into()
+            .expect("msg tuple carries a list count"),
+    )
+}
+
+/// Build the message-list tuple combiner for a program, as an in-place fold
+/// straight on the message-list codec (`vid key | u32 count | messages`):
+/// with a user combiner the accumulator's list stays at one element — the
+/// messages are read out of both tuples, folded in stream order, and the
+/// result overwrites the accumulator's payload; without one, lists
+/// concatenate (the default combine of §3, footnote 4) by adding the counts
+/// and appending the incoming message bytes, no decode. Single-use: every
+/// sorter, hash table and merge gets its own.
+pub(crate) fn msg_tuple_combiner<P: VertexProgram>(program: &Arc<P>) -> CombineFn {
+    match program.combiner() {
+        Some(user) => Box::new(move |acc: &mut Vec<u8>, incoming: &[u8]| {
+            let mut folded: Option<P::Message> = None;
+            for tuple in [acc.as_slice(), incoming] {
+                let mut list = &tuple[MSG_COUNT.end..];
+                for _ in 0..msg_count(tuple) {
+                    let m = P::Message::read(&mut list).expect("msg list");
+                    folded = Some(match folded {
+                        Some(f) => user(&f, &m),
+                        None => m,
+                    });
+                }
             }
-            None => {
-                la.extend(lb);
-                keyed_tuple(vid, &encode_msg_list(&la))
-            }
-        }
-    })
+            acc.truncate(MSG_COUNT.start);
+            1u32.write(acc);
+            folded.expect("combining empty lists").write(acc);
+        }),
+        None => Box::new(|acc: &mut Vec<u8>, incoming: &[u8]| {
+            let total = msg_count(acc) + msg_count(incoming);
+            acc[MSG_COUNT].copy_from_slice(&total.to_le_bytes());
+            acc.extend_from_slice(&incoming[MSG_COUNT.end..]);
+        }),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -386,7 +406,6 @@ pub fn run_superstep_window<P: VertexProgram>(
     };
 
     let cap = cluster.channel_capacity();
-    let combiner = msg_tuple_combiner(program);
     // Sender-side message-log tee (confined recovery): every compute task
     // buckets its post-combine output by destination and persists it to the
     // DFS at its superstep boundary. Written byte counts accumulate in the
@@ -536,7 +555,7 @@ pub fn run_superstep_window<P: VertexProgram>(
             let gs_end = gs_tx[p].take().expect("gs endpoint claimed once");
             let live_tx = live_tx_iter.next().expect("one live sender per partition");
             let sticky_c = sticky.to_vec();
-            let combiner_c = Arc::clone(&combiner);
+            let combiner_c = msg_tuple_combiner(program);
             let log_to = log_dfs.clone();
             tasks.push(Task::new(
                 format!("compute[{p}]@{superstep}"),
@@ -554,7 +573,7 @@ pub fn run_superstep_window<P: VertexProgram>(
                 std::mem::replace(&mut msg_rx[p], MsgReceiverEnds::Pipelined(Vec::new()));
             let sink = msg_sink_iter.next().expect("one sink per partition");
             let gs_end = gs_tx[p_count + p].take().expect("gs endpoint claimed once");
-            let combiner_c = Arc::clone(&combiner);
+            let combiner_c = msg_tuple_combiner(program);
             let gb_kind = plan.groupby.kind();
             let job_tag = job.tag().to_string();
             tasks.push(Task::new(
@@ -663,35 +682,45 @@ pub fn run_superstep_window<P: VertexProgram>(
 // compute[p]
 // ---------------------------------------------------------------------
 
-/// A sorted reader over `Msg_i[p]`: yields `(vid, message list)`.
+/// A sorted cursor over `Msg_i[p]`: after each [`advance`](Self::advance)
+/// it sits on one `(vid, message list)` row, borrowed in place from the run
+/// reader's frame and decoded into one reused message buffer — nothing is
+/// allocated per row.
 struct MsgStream<P: VertexProgram> {
-    reader: Option<pregelix_storage::runfile::RunReader>,
-    _marker: std::marker::PhantomData<fn() -> P>,
+    reader: Option<RunReader>,
+    /// Vid of the current row; `None` once the run is exhausted.
+    vid: Option<Vid>,
+    /// The current row's messages (stale when `vid` is `None`).
+    msgs: Vec<P::Message>,
 }
 
 impl<P: VertexProgram> MsgStream<P> {
+    /// Open positioned on the first row.
     fn open(run: Option<&RunHandle>, w: &WorkerHandle) -> Result<Self> {
         let reader = match run {
             Some(h) => Some(h.open(w.counters().clone())?),
             None => None,
         };
-        Ok(MsgStream {
+        let mut stream = MsgStream {
             reader,
-            _marker: std::marker::PhantomData,
-        })
+            vid: None,
+            msgs: Vec::new(),
+        };
+        stream.advance()?;
+        Ok(stream)
     }
 
-    fn next(&mut self) -> Result<Option<(Vid, Vec<P::Message>)>> {
-        let Some(r) = self.reader.as_mut() else {
-            return Ok(None);
-        };
-        match r.next_tuple()? {
-            Some(t) => Ok(Some((
-                tuple_vid(&t)?,
-                decode_msg_list(tuple_payload(&t)?)?,
-            ))),
-            None => Ok(None),
+    /// Move to the next row.
+    fn advance(&mut self) -> Result<()> {
+        self.vid = None;
+        if let Some(r) = self.reader.as_mut() {
+            if r.advance()? {
+                let t = r.current().expect("advance reported a tuple");
+                decode_msg_list_into(tuple_payload(t)?, &mut self.msgs)?;
+                self.vid = Some(tuple_vid(t)?);
+            }
         }
+        Ok(())
     }
 }
 
@@ -826,7 +855,7 @@ fn compute_task<P: VertexProgram>(
     p: usize,
     log_to: Option<(SimDfs, JobId, Arc<AtomicU64>)>,
     sticky: Vec<usize>,
-    combiner: TupleCombiner,
+    combiner: CombineFn,
     gs_worker: usize,
 ) -> Result<()> {
     // Resolve the gate BEFORE touching the partition: a gated compute may
@@ -887,12 +916,12 @@ fn compute_task<P: VertexProgram>(
         program,
         gs,
         agg_prev,
-        local_gb: Some(LocalGroupBy::new(
+        local_gb: Some(LocalGroupBy::with_fold(
             plan.groupby.kind(),
             w.file_manager(),
             "msg-local",
             w.groupby_budget(),
-            Some(&combiner),
+            Some(combiner),
         )),
         mutation_tx: MutationSink::Wire(
             PartitioningSender::new(
@@ -1042,7 +1071,6 @@ fn join_and_compute<P: VertexProgram>(
     msgs: &mut MsgStream<P>,
     join: JoinStrategy,
 ) -> Result<()> {
-    let mut m_next = msgs.next()?;
     match join {
         JoinStrategy::Adaptive => {
             return Err(PregelixError::plan(
@@ -1076,36 +1104,31 @@ fn join_and_compute<P: VertexProgram>(
                 };
                 if chunk.is_empty() {
                     // Left-outer remainder: messages to nonexistent vids.
-                    while let Some((mvid, mlist)) = m_next.take() {
-                        side.process(&mut st.store, VertexData::missing(mvid), &mlist, true)?;
-                        m_next = msgs.next()?;
+                    while let Some(mvid) = msgs.vid {
+                        side.process(&mut st.store, VertexData::missing(mvid), &msgs.msgs, true)?;
+                        msgs.advance()?;
                     }
                     break 'outer;
                 }
                 let last_vid = chunk.last().expect("nonempty").0;
                 for (vid, stored) in chunk {
                     // Messages for vids before this vertex: missing rows.
-                    while m_next.as_ref().is_some_and(|(mvid, _)| *mvid < vid) {
-                        let (mvid, mlist) = m_next.take().expect("peeked");
-                        side.process(&mut st.store, VertexData::missing(mvid), &mlist, true)?;
-                        m_next = msgs.next()?;
+                    while let Some(mvid) = msgs.vid.filter(|&mvid| mvid < vid) {
+                        side.process(&mut st.store, VertexData::missing(mvid), &msgs.msgs, true)?;
+                        msgs.advance()?;
                     }
-                    let matched = if m_next.as_ref().map(|(mvid, _)| *mvid) == Some(vid) {
-                        let (_, mlist) = m_next.take().expect("peeked");
-                        m_next = msgs.next()?;
-                        Some(mlist)
-                    } else {
-                        None
-                    };
+                    let matched = msgs.vid == Some(vid);
                     let vertex = VertexData::<P>::decode(vid, &stored)?;
                     // σ(V.halt = false || M.payload != NULL); superstep 1
                     // activates everything (a fresh Pregel job starts with
                     // every vertex active, which also powers pipelined jobs
                     // over a carried-over graph, §5.6).
-                    let active = !vertex.halt || matched.is_some() || superstep == 1;
-                    if active {
-                        let mlist = matched.unwrap_or_default();
-                        side.process(&mut st.store, vertex, &mlist, false)?;
+                    if !vertex.halt || matched || superstep == 1 {
+                        let mlist: &[P::Message] = if matched { &msgs.msgs } else { &[] };
+                        side.process(&mut st.store, vertex, mlist, false)?;
+                    }
+                    if matched {
+                        msgs.advance()?;
                     }
                 }
                 if last_vid == Vid::MAX {
@@ -1143,7 +1166,7 @@ fn join_and_compute<P: VertexProgram>(
                         Some((vk, _)) => Some(tuple_vid(vk)?),
                         None => None,
                     };
-                    let m_vid = m_next.as_ref().map(|(mvid, _)| *mvid);
+                    let m_vid = msgs.vid;
                     let (vid, mlist) = match (v_vid, m_vid) {
                         (None, None) => break,
                         (Some(vv), None) => {
@@ -1154,14 +1177,15 @@ fn join_and_compute<P: VertexProgram>(
                             v_next = vid_scan.next_entry()?;
                             (vv, Vec::new())
                         }
-                        (vv, Some(_)) => {
+                        (vv, Some(mv)) => {
                             // choose(): on a duplicate vid, take the Msg
-                            // tuple and drop the Vid one.
+                            // tuple and drop the Vid one. The chunk outlives
+                            // the cursor's row, so it takes the list.
                             if vv == m_vid {
                                 v_next = vid_scan.next_entry()?;
                             }
-                            let (mv, ml) = m_next.take().expect("peeked");
-                            m_next = msgs.next()?;
+                            let ml = std::mem::take(&mut msgs.msgs);
+                            msgs.advance()?;
                             (mv, ml)
                         }
                     };
@@ -1272,7 +1296,7 @@ fn msgwrite_task(
     recv_ends: MsgReceiverEnds,
     sink: MsgRunSink,
     gs_end: StreamTx,
-    combiner: TupleCombiner,
+    combiner: CombineFn,
     gs_worker: usize,
 ) -> Result<()> {
     // Straggler stand-in (Site::Stall): a deterministic CPU spin pinned to
@@ -1322,14 +1346,14 @@ fn msgwrite_task(
             // Re-group at the receiver (upper strategies of Figure 7): the
             // fully pipelined connector does not preserve order.
             let mut rx = PartitionReceiver::new(ins, w.counters().clone());
-            let mut gb = LocalGroupBy::new(
+            let mut gb = LocalGroupBy::with_fold(
                 // The receiver-side group-by uses the same kind as the
                 // sender side (Figure 7 pairs them).
                 gb_kind,
                 w.file_manager(),
                 "msg-recv",
                 w.groupby_budget(),
-                Some(&combiner),
+                Some(combiner),
             );
             let mut seen = 0u64;
             while let Some(t) = rx.next_tuple()? {
@@ -1349,7 +1373,7 @@ fn msgwrite_task(
             // One-pass preclustered combine over the merged sorted streams
             // (lower strategies of Figure 7).
             let rx = MergingReceiver::new(ins, w.counters().clone());
-            let mut stream = rx.into_stream(Some(combine_fn(&combiner)))?;
+            let mut stream = rx.into_stream(Some(combiner))?;
             while let Some(t) = stream.next_tuple()? {
                 if combined % 4096 == 0 {
                     w.check_alive()?;
@@ -1651,7 +1675,7 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
     job_tag: &str,
     msg_tuples: Vec<Vec<Vec<u8>>>,
     mut_tuples: Vec<Vec<u8>>,
-    combiner: TupleCombiner,
+    combiner: CombineFn,
 ) -> Result<()> {
     let superstep = gs.superstep;
     let p_count = msg_tuples.len();
@@ -1687,12 +1711,12 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
         drop(msg_run);
     }
     // --- msgwrite-replay ---
-    let mut gb = LocalGroupBy::new(
+    let mut gb = LocalGroupBy::with_fold(
         plan.groupby.kind(),
         w.file_manager(),
         "msg-replay",
         w.groupby_budget(),
-        Some(&combiner),
+        Some(combiner),
     );
     let mut fed_runs = 0u64;
     for tuples in &msg_tuples {
@@ -1742,4 +1766,122 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
     }
     apply_mutation_groups(w, &state, &program, groups)?;
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{tests_support::NoopProgram, MessageCombiner};
+    use crate::vertex::{decode_msg_list, encode_msg_list};
+    use pregelix_common::stats::ClusterCounters;
+    use pregelix_dataflow::groupby::{GroupByKind, TupleCombiner};
+    use pregelix_storage::file::{FileManager, TempDir};
+
+    /// `f64` messages under a sum combiner: float addition is not
+    /// associative, so any change in fold order shows in the bits.
+    struct SumProgram;
+
+    impl VertexProgram for SumProgram {
+        type VertexValue = f64;
+        type EdgeValue = f64;
+        type Message = f64;
+        type Aggregate = ();
+
+        fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+            ctx.vote_to_halt();
+            Ok(())
+        }
+
+        fn init_vertex(&self, vid: Vid, _edges: Vec<(Vid, f64)>) -> VertexData<Self> {
+            VertexData::new(vid, 0.0, Vec::new())
+        }
+
+        fn combiner(&self) -> Option<MessageCombiner<f64>> {
+            Some(Arc::new(|a, b| a + b))
+        }
+    }
+
+    /// The combiner this module built before the fold form: decode both
+    /// lists, combine, re-encode into a fresh tuple. Kept as the reference
+    /// the in-place fold must match byte for byte.
+    fn byte_pair_combiner<P: VertexProgram>(program: &Arc<P>) -> TupleCombiner {
+        let user = program.combiner();
+        Arc::new(move |a: &[u8], b: &[u8]| -> Vec<u8> {
+            let vid = tuple_vid(a).unwrap();
+            let mut la: Vec<P::Message> = decode_msg_list(tuple_payload(a).unwrap()).unwrap();
+            let lb: Vec<P::Message> = decode_msg_list(tuple_payload(b).unwrap()).unwrap();
+            match &user {
+                Some(c) => {
+                    let mut iter = la.into_iter().chain(lb);
+                    let first = iter.next().unwrap();
+                    let folded = iter.fold(first, |acc, m| c(&acc, &m));
+                    keyed_tuple(vid, &encode_msg_list(&[folded]))
+                }
+                None => {
+                    la.extend(lb);
+                    keyed_tuple(vid, &encode_msg_list(&la))
+                }
+            }
+        })
+    }
+
+    /// 20 000 single-message tuples over 300 destinations, every value
+    /// different, in a fixed scrambled order.
+    fn duplicate_heavy_messages() -> Vec<Vec<u8>> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..20_000)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let m = (x >> 11) as f64 / (1u64 << 40) as f64 - 4096.0;
+                keyed_tuple((x >> 33) % 300, &encode_msg_list(&[m]))
+            })
+            .collect()
+    }
+
+    /// Output stream, bytes spilled and runs spilled of one group-by.
+    fn group(mut gb: LocalGroupBy, fm: &FileManager) -> (Vec<Vec<u8>>, u64, u64) {
+        for t in duplicate_heavy_messages() {
+            gb.add(&t).unwrap();
+        }
+        let out = gb.finish().unwrap().collect_all().unwrap();
+        let c = fm.counters();
+        (out, c.sort_bytes_spilled(), c.sort_runs_spilled())
+    }
+
+    fn fold_matches_byte_pair<P: VertexProgram>(program: P) {
+        let program = Arc::new(program);
+        let fresh = || {
+            let dir = TempDir::new("fold-eq").unwrap();
+            let fm = FileManager::new(dir.path(), 4096, ClusterCounters::new()).unwrap();
+            (fm, dir)
+        };
+        for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
+            for budget in [1 << 20, 2048] {
+                let (fm, _d) = fresh();
+                let pair = byte_pair_combiner(&program);
+                let legacy = group(LocalGroupBy::new(kind, &fm, "l", budget, Some(&pair)), &fm);
+                let (fm, _d) = fresh();
+                let fold = msg_tuple_combiner(&program);
+                let folded = group(
+                    LocalGroupBy::with_fold(kind, &fm, "f", budget, Some(fold)),
+                    &fm,
+                );
+                assert_eq!(legacy.0.len(), 300);
+                assert_eq!(folded, legacy, "{kind:?}, budget {budget}");
+                assert_eq!(folded.1 > 0, budget == 2048, "budget {budget} spills");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_combiner_matches_the_byte_pair_combiner_with_a_user_combiner() {
+        fold_matches_byte_pair(SumProgram);
+    }
+
+    #[test]
+    fn fold_combiner_matches_the_byte_pair_combiner_concatenating_lists() {
+        fold_matches_byte_pair(NoopProgram);
+    }
 }

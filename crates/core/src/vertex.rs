@@ -152,14 +152,23 @@ pub fn encode_msg_list<M: Writable>(msgs: &[M]) -> Vec<u8> {
 }
 
 /// Decode a `Msg` tuple payload.
-pub fn decode_msg_list<M: Writable>(mut payload: &[u8]) -> Result<Vec<M>> {
+pub fn decode_msg_list<M: Writable>(payload: &[u8]) -> Result<Vec<M>> {
+    let mut msgs = Vec::new();
+    decode_msg_list_into(payload, &mut msgs)?;
+    Ok(msgs)
+}
+
+/// Decode a `Msg` tuple payload into `msgs` (cleared first), so a reader
+/// walking a message run reuses one buffer for every row.
+pub fn decode_msg_list_into<M: Writable>(mut payload: &[u8], msgs: &mut Vec<M>) -> Result<()> {
     let buf = &mut payload;
     let n = u32::read(buf)? as usize;
-    let mut msgs = Vec::with_capacity(n.min(1 << 16));
+    msgs.clear();
+    msgs.reserve(n.min(1 << 16));
     for _ in 0..n {
         msgs.push(M::read(buf)?);
     }
-    Ok(msgs)
+    Ok(())
 }
 
 #[cfg(test)]

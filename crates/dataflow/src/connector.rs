@@ -664,10 +664,10 @@ mod tests {
         let ins = std::mem::take(&mut recvs[0]);
         tasks.push(Task::new("recv", 0, move |w| {
             let rx = MergingReceiver::new(ins, w.counters().clone());
-            let combine: CombineFn = Box::new(|a, b| {
-                let pa = u64::from_le_bytes(a[8..16].try_into().unwrap());
-                let pb = u64::from_le_bytes(b[8..16].try_into().unwrap());
-                keyed_tuple(tuple_vid(a).unwrap(), &(pa + pb).to_le_bytes())
+            let combine: CombineFn = Box::new(|acc, t| {
+                let pa = u64::from_le_bytes(acc[8..16].try_into().unwrap());
+                let pb = u64::from_le_bytes(t[8..16].try_into().unwrap());
+                acc[8..16].copy_from_slice(&(pa + pb).to_le_bytes());
             });
             let mut stream = rx.into_stream(Some(combine))?;
             let mut count = 0;

@@ -7,14 +7,19 @@
 //! * **HashSort** ([`HashSortGroupBy`]) — hash-based grouping for the
 //!   in-memory phase (a win when the number of distinct destinations is
 //!   small), sorted runs + merging beyond memory;
-//! * **preclustered** ([`PreclusteredGroupBy`]) — a single streaming pass
-//!   over input already clustered by the grouping key.
+//! * **preclustered** — a single streaming pass over input already
+//!   clustered by the grouping key. There is no separate operator for it:
+//!   the merging receiver's [`SortedStream`] with a combiner *is* that pass
+//!   (`MergingReceiver::into_stream`).
 //!
 //! Figure 7 composes these with the two connectors into four parallel
 //! strategies ([`GroupByStrategy`]): a local (sender-side) group-by feeds
 //! either the fully pipelined partitioning connector — requiring a full
 //! receiver-side re-group — or the merging connector — requiring only a
 //! one-pass preclustered group-by at the receiver.
+//!
+//! Every operator here combines through one shape, the in-place fold
+//! [`CombineFn`] (see its contract in `storage::sort`).
 //!
 //! All grouping is on the tuple's 8-byte big-endian vid prefix, the only
 //! grouping key Pregelix ever needs (message combination, mutation
@@ -30,16 +35,17 @@ use pregelix_storage::sort::{CombineFn, ExternalSorter, SortedStream};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A shareable, re-instantiable tuple combiner. The same logical combiner
-/// is used at the sender-side group-by, the receiver-side group-by, and the
-/// merge phases of both, so it must be cloneable — unlike the single-use
-/// [`CombineFn`] consumed by a sort.
+/// A combiner in byte-pair form: `(accumulated, incoming) -> merged`, one
+/// fresh tuple per combine. The engine itself never combines this way; the
+/// type exists for callers outside it that hold such a closure, and is
+/// adapted onto the fold form by [`combine_fn`].
 pub type TupleCombiner = Arc<dyn Fn(&[u8], &[u8]) -> Vec<u8> + Send + Sync>;
 
-/// Adapt a [`TupleCombiner`] into a single-use [`CombineFn`].
+/// Adapt a [`TupleCombiner`] into a [`CombineFn`] (the merged tuple
+/// replaces the accumulator).
 pub fn combine_fn(c: &TupleCombiner) -> CombineFn {
     let c = Arc::clone(c);
-    Box::new(move |a, b| c(a, b))
+    Box::new(move |acc, t| *acc = c(acc, t))
 }
 
 /// Which local group-by implementation to run on each side.
@@ -109,11 +115,11 @@ impl SortGroupBy {
         fm: &FileManager,
         label: &str,
         budget: usize,
-        combiner: Option<&TupleCombiner>,
+        combiner: Option<CombineFn>,
     ) -> SortGroupBy {
         let mut sorter = ExternalSorter::new(fm.clone(), label, budget);
         if let Some(c) = combiner {
-            sorter = sorter.with_combiner(combine_fn(c));
+            sorter = sorter.with_combiner(c);
         }
         SortGroupBy { sorter }
     }
@@ -142,7 +148,7 @@ pub struct HashSortGroupBy {
     fm: FileManager,
     label: String,
     budget: usize,
-    combiner: Option<TupleCombiner>,
+    combiner: Option<CombineFn>,
     map: HashMap<u64, Vec<u8>>,
     bytes: usize,
     runs: Vec<RunHandle>,
@@ -167,14 +173,14 @@ impl HashSortGroupBy {
         fm: &FileManager,
         label: &str,
         budget: usize,
-        combiner: Option<&TupleCombiner>,
+        combiner: Option<CombineFn>,
     ) -> HashSortGroupBy {
         let counters = fm.counters().clone();
         HashSortGroupBy {
             fm: fm.clone(),
             label: label.to_string(),
             budget: budget.max(1024),
-            combiner: combiner.map(Arc::clone),
+            combiner,
             map: HashMap::new(),
             bytes: 0,
             runs: Vec::new(),
@@ -190,20 +196,19 @@ impl HashSortGroupBy {
     /// allocates, so allocation count is O(distinct keys), not O(tuples).
     pub fn add(&mut self, tuple: &[u8]) -> Result<()> {
         let vid = pregelix_common::frame::tuple_vid(tuple)?;
-        match (self.map.get_mut(&vid), &self.combiner) {
+        match (self.map.get_mut(&vid), &mut self.combiner) {
             (Some(existing), Some(c)) => {
-                let merged = c(existing, tuple);
-                self.bytes = self.bytes + merged.len() - existing.len();
-                *existing = merged;
+                let before = existing.len();
+                c(existing, tuple);
+                self.bytes = self.bytes + existing.len() - before;
             }
             (Some(existing), None) => {
-                // No combiner: keep group members concatenated is wrong;
-                // fall back to treating each tuple as its own unit by
-                // spilling through the sort path. Simplest correct move:
-                // push the existing entry to a run and replace.
+                // No combiner: a table slot holds one tuple, so the tuple it
+                // held goes out as a run of its own and the new one takes
+                // the slot.
                 let old = std::mem::replace(existing, tuple.to_vec());
-                self.bytes += existing.len();
-                self.spill_single(old)?;
+                self.bytes = self.bytes + tuple.len() - old.len();
+                self.spill_single(&old)?;
             }
             (None, _) => {
                 self.bytes += tuple.len() + 48;
@@ -251,13 +256,14 @@ impl HashSortGroupBy {
         Ok(())
     }
 
-    fn spill_single(&mut self, tuple: Vec<u8>) -> Result<()> {
+    fn spill_single(&mut self, tuple: &[u8]) -> Result<()> {
         let mut w = RunWriter::create(
             self.fm.temp_file_path(&self.label),
             self.counters.clone(),
         )?;
-        w.write_tuple(&tuple)?;
+        w.write_tuple(tuple)?;
         self.runs.push(w.finish()?);
+        self.counters.add_sort_runs(1);
         self.counters.add_sort_bytes_spilled(tuple.len() as u64);
         Ok(())
     }
@@ -273,7 +279,7 @@ impl HashSortGroupBy {
             arena,
             refs,
             std::mem::take(&mut self.runs),
-            self.combiner.as_ref().map(combine_fn),
+            self.combiner.take(),
             self.counters.clone(),
         )
     }
@@ -289,13 +295,13 @@ pub enum LocalGroupBy {
 }
 
 impl LocalGroupBy {
-    /// Instantiate the chosen kind.
-    pub fn new(
+    /// Instantiate the chosen kind around a fold combiner.
+    pub fn with_fold(
         kind: GroupByKind,
         fm: &FileManager,
         label: &str,
         budget: usize,
-        combiner: Option<&TupleCombiner>,
+        combiner: Option<CombineFn>,
     ) -> LocalGroupBy {
         match kind {
             GroupByKind::Sort => LocalGroupBy::Sort(SortGroupBy::new(fm, label, budget, combiner)),
@@ -303,6 +309,18 @@ impl LocalGroupBy {
                 LocalGroupBy::HashSort(HashSortGroupBy::new(fm, label, budget, combiner))
             }
         }
+    }
+
+    /// [`LocalGroupBy::with_fold`] for callers holding a byte-pair
+    /// [`TupleCombiner`].
+    pub fn new(
+        kind: GroupByKind,
+        fm: &FileManager,
+        label: &str,
+        budget: usize,
+        combiner: Option<&TupleCombiner>,
+    ) -> LocalGroupBy {
+        Self::with_fold(kind, fm, label, budget, combiner.map(combine_fn))
     }
 
     /// Feed one tuple (borrowed; implementations copy into their own
@@ -323,46 +341,6 @@ impl LocalGroupBy {
     }
 }
 
-/// Preclustered group-by: one streaming pass over key-clustered input.
-/// Push tuples in order; completed groups pop out.
-pub struct PreclusteredGroupBy {
-    combiner: TupleCombiner,
-    acc: Option<Vec<u8>>,
-}
-
-impl PreclusteredGroupBy {
-    /// Create with the group combiner.
-    pub fn new(combiner: TupleCombiner) -> PreclusteredGroupBy {
-        PreclusteredGroupBy {
-            combiner,
-            acc: None,
-        }
-    }
-
-    /// Feed the next tuple (must be key-clustered). Returns the previous
-    /// group's result when this tuple starts a new group. Tuples are
-    /// borrowed: only group boundaries copy (one allocation per group).
-    pub fn push(&mut self, tuple: &[u8]) -> Option<Vec<u8>> {
-        match &mut self.acc {
-            Some(acc) if acc[..8] == tuple[..8] => {
-                let merged = (self.combiner)(acc, tuple);
-                *acc = merged;
-                None
-            }
-            Some(_) => self.acc.replace(tuple.to_vec()),
-            None => {
-                self.acc = Some(tuple.to_vec());
-                None
-            }
-        }
-    }
-
-    /// Flush the final group.
-    pub fn finish(self) -> Option<Vec<u8>> {
-        self.acc
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,11 +354,11 @@ mod tests {
         (f, d)
     }
 
-    fn sum_combiner() -> TupleCombiner {
-        Arc::new(|a: &[u8], b: &[u8]| {
-            let pa = u64::from_le_bytes(tuple_payload(a).unwrap().try_into().unwrap());
-            let pb = u64::from_le_bytes(tuple_payload(b).unwrap().try_into().unwrap());
-            keyed_tuple(tuple_vid(a).unwrap(), &(pa + pb).to_le_bytes())
+    fn sum_combiner() -> CombineFn {
+        Box::new(|acc, t| {
+            let a = u64::from_le_bytes(acc[8..16].try_into().unwrap());
+            let b = u64::from_le_bytes(tuple_payload(t).unwrap().try_into().unwrap());
+            acc[8..16].copy_from_slice(&(a + b).to_le_bytes());
         })
     }
 
@@ -410,8 +388,7 @@ mod tests {
     #[test]
     fn sort_groupby_combines_and_sorts() {
         let (f, _d) = fm();
-        let c = sum_combiner();
-        let g = LocalGroupBy::new(GroupByKind::Sort, &f, "s", 1 << 20, Some(&c));
+        let g = LocalGroupBy::with_fold(GroupByKind::Sort, &f, "s", 1 << 20, Some(sum_combiner()));
         let out = feed_and_collect(g, 50, 20);
         assert_eq!(out.len(), 50);
         for (i, (vid, sum)) in out.iter().enumerate() {
@@ -423,9 +400,8 @@ mod tests {
     #[test]
     fn hashsort_groupby_combines_and_sorts_with_spills() {
         let (f, _d) = fm();
-        let c = sum_combiner();
         // Tiny budget forces run spills mid-stream.
-        let g = LocalGroupBy::new(GroupByKind::HashSort, &f, "h", 2048, Some(&c));
+        let g = LocalGroupBy::with_fold(GroupByKind::HashSort, &f, "h", 2048, Some(sum_combiner()));
         let out = feed_and_collect(g, 200, 30);
         assert_eq!(out.len(), 200);
         for (i, (vid, sum)) in out.iter().enumerate() {
@@ -438,49 +414,17 @@ mod tests {
     #[test]
     fn sort_and_hashsort_agree() {
         let (f, _d) = fm();
-        let c = sum_combiner();
         let sort = feed_and_collect(
-            LocalGroupBy::new(GroupByKind::Sort, &f, "a", 4096, Some(&c)),
+            LocalGroupBy::with_fold(GroupByKind::Sort, &f, "a", 4096, Some(sum_combiner())),
             123,
             7,
         );
         let hash = feed_and_collect(
-            LocalGroupBy::new(GroupByKind::HashSort, &f, "b", 4096, Some(&c)),
+            LocalGroupBy::with_fold(GroupByKind::HashSort, &f, "b", 4096, Some(sum_combiner())),
             123,
             7,
         );
         assert_eq!(sort, hash);
-    }
-
-    #[test]
-    fn preclustered_streaming_pass() {
-        let c = sum_combiner();
-        let mut g = PreclusteredGroupBy::new(c);
-        let mut out = Vec::new();
-        for vid in [1u64, 1, 1, 2, 3, 3] {
-            if let Some(done) = g.push(&keyed_tuple(vid, &1u64.to_le_bytes())) {
-                out.push(done);
-            }
-        }
-        if let Some(done) = g.finish() {
-            out.push(done);
-        }
-        let sums: Vec<(u64, u64)> = out
-            .iter()
-            .map(|t| {
-                (
-                    tuple_vid(t).unwrap(),
-                    u64::from_le_bytes(tuple_payload(t).unwrap().try_into().unwrap()),
-                )
-            })
-            .collect();
-        assert_eq!(sums, vec![(1, 3), (2, 1), (3, 2)]);
-    }
-
-    #[test]
-    fn preclustered_empty_input() {
-        let g = PreclusteredGroupBy::new(sum_combiner());
-        assert!(g.finish().is_none());
     }
 
     #[test]
@@ -498,8 +442,7 @@ mod tests {
     #[test]
     fn hashsort_drain_recycles_arena_chunks_across_spills() {
         let (f, _d) = fm();
-        let c = sum_combiner();
-        let mut g = HashSortGroupBy::new(&f, "rc", 2048, Some(&c));
+        let mut g = HashSortGroupBy::new(&f, "rc", 2048, Some(sum_combiner()));
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..20_000 {
             let vid = rng.gen_range(0..500u64);
@@ -527,12 +470,37 @@ mod tests {
         for vid in [3u64, 1, 3, 2, 1, 1] {
             g.add(&keyed_tuple(vid, &vid.to_le_bytes())).unwrap();
         }
+        // Three distinct keys resident (16-byte tuple + 48 bookkeeping
+        // each); a replaced duplicate leaves the table's footprint as it was.
+        assert_eq!(g.bytes, 3 * (16 + 48), "replaced tuples must be subtracted");
+        // Each of the three duplicates went out as a run of its own.
+        assert_eq!(f.counters().sort_runs_spilled(), 3);
+        assert_eq!(f.counters().sort_bytes_spilled(), 3 * 16);
         let mut stream = g.finish().unwrap();
         let mut vids = Vec::new();
         while let Some(t) = stream.next_tuple().unwrap() {
             vids.push(tuple_vid(t).unwrap());
         }
-        vids.sort_unstable();
         assert_eq!(vids, vec![1, 1, 1, 2, 3, 3]);
+    }
+
+    #[test]
+    fn byte_pair_combiner_adapts_onto_the_fold_path() {
+        let pair: TupleCombiner = Arc::new(|a: &[u8], b: &[u8]| {
+            let pa = u64::from_le_bytes(tuple_payload(a).unwrap().try_into().unwrap());
+            let pb = u64::from_le_bytes(tuple_payload(b).unwrap().try_into().unwrap());
+            keyed_tuple(tuple_vid(a).unwrap(), &(pa + pb).to_le_bytes())
+        });
+        for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
+            let (f, _d) = fm();
+            let adapted =
+                feed_and_collect(LocalGroupBy::new(kind, &f, "p", 2048, Some(&pair)), 97, 9);
+            let folded = feed_and_collect(
+                LocalGroupBy::with_fold(kind, &f, "f", 2048, Some(sum_combiner())),
+                97,
+                9,
+            );
+            assert_eq!(adapted, folded, "{kind:?}");
+        }
     }
 }

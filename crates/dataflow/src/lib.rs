@@ -38,6 +38,6 @@ pub use connector::{
     partition_channels, AggregatorReceiver, MaterializedPartitioner, MergingReceiver,
     PartitionReceiver, PartitioningSender,
 };
-pub use groupby::{GroupByStrategy, HashSortGroupBy, PreclusteredGroupBy, SortGroupBy};
+pub use groupby::{GroupByStrategy, HashSortGroupBy, SortGroupBy};
 pub use scheduler::{LocationConstraint, Schedule};
 pub use transport::{ReliableReceiver, ReliableSender, StreamRx, StreamTx, TransportConfig};

@@ -42,6 +42,19 @@ pub struct BTree {
     sidecar_head: PageId,
     /// Byte length of the sidecar blob.
     sidecar_len: u64,
+    /// The leaf the last [`BTree::update`] descended to, with the first and
+    /// last key it held then (in-memory only). Any key in that range lives
+    /// on that leaf or nowhere, so the ascending upserts of a scan-ordered
+    /// pass skip the descent, and a key outside the range is recognised
+    /// without pinning anything. Valid only while the leaf's key set is
+    /// unchanged: cleared by insert, delete, split and bulk load.
+    last_leaf: Option<LeafMemo>,
+}
+
+struct LeafMemo {
+    page: PageId,
+    first: Vec<u8>,
+    last: Vec<u8>,
 }
 
 impl BTree {
@@ -80,6 +93,7 @@ impl BTree {
             free_overflow: Vec::new(),
             sidecar_head: NO_PAGE,
             sidecar_len: 0,
+            last_leaf: None,
         };
         {
             let mut buf = meta.write();
@@ -110,6 +124,7 @@ impl BTree {
             free_overflow: Vec::new(),
             sidecar_head,
             sidecar_len,
+            last_leaf: None,
         })
     }
 
@@ -445,8 +460,9 @@ impl BTree {
         if key.len() + 8 > self.max_inline_entry() {
             return Err(PregelixError::storage("key too large for page"));
         }
+        self.last_leaf = None;
         let stored = self.encode_value(key.len(), value)?;
-        if let Some((sep, right)) = self.insert_rec(self.root, key, &stored, false)? {
+        if let Some((sep, right)) = self.insert_rec(self.root, key, &stored)? {
             self.grow_root(sep, right)?;
         }
         Ok(())
@@ -461,40 +477,63 @@ impl BTree {
     }
 
     /// Replace the value of an existing key. Returns `false` when absent.
+    ///
+    /// One descent (none when the key falls in the remembered leaf's range)
+    /// and one pin; an inline value of unchanged length — every update of a
+    /// fixed-width vertex value, §5.2 — is overwritten in place without a
+    /// copy. Only a value that grows, shrinks or spills takes the
+    /// split-capable path.
     pub fn update(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        let leaf = self.find_leaf(key)?;
-        // Read the old stored value first so overflow pages can be recycled
-        // and so a failed in-page replace can fall back to a split-insert.
-        let old_stored = {
-            let guard = self.cache.pin(self.file, leaf)?;
+        let remembered = self
+            .last_leaf
+            .as_ref()
+            .filter(|m| m.first.as_slice() <= key && key <= m.last.as_slice())
+            .map(|m| m.page);
+        let leaf = match remembered {
+            Some(page) => page,
+            None => self.find_leaf(key)?,
+        };
+        let guard = self.cache.pin(self.file, leaf)?;
+        // Looked up under the read lock, so a miss does not dirty the page.
+        // `resized` is the old stored value when it cannot be overwritten in
+        // place (copied out so its overflow chain can be recycled).
+        let (i, resized) = {
             let buf = guard.read();
             let r = PageRef::new(&buf);
-            match r.search(key) {
-                Ok(i) => r.value(i).to_vec(),
-                Err(_) => return Ok(false),
+            let Ok(i) = r.search(key) else {
+                return Ok(false);
+            };
+            if remembered.is_none() {
+                self.last_leaf = Some(LeafMemo {
+                    page: leaf,
+                    first: r.key(0).to_vec(),
+                    last: r.key(r.len() - 1).to_vec(),
+                });
             }
+            let old = r.value(i);
+            let in_place = old.first() == Some(&TAG_INLINE) && old.len() == 1 + value.len();
+            (i, (!in_place).then(|| old.to_vec()))
         };
+        let Some(old_stored) = resized else {
+            let mut buf = guard.write();
+            PageMut::new(&mut buf).value_mut(i)[1..].copy_from_slice(value);
+            return Ok(true);
+        };
+        // Neither call touches this leaf (overflow pages only), so slot `i`
+        // still names the entry.
         self.free_value(&old_stored)?;
         let stored = self.encode_value(key.len(), value)?;
-        let guard = self.cache.pin(self.file, leaf)?;
         let replaced = {
             let mut buf = guard.write();
-            let mut p = PageMut::new(&mut buf);
-            match p.as_ref().search(key) {
-                Ok(i) => p.replace_value(i, &stored),
-                Err(_) => {
-                    return Err(PregelixError::internal(
-                        "key vanished between pins (single-writer discipline violated)",
-                    ))
-                }
-            }
+            PageMut::new(&mut buf).replace_value(i, &stored)
         };
         drop(guard);
         if !replaced {
             // The entry was removed inside `replace_value`; re-insert via
             // the split-capable path. `stored` is already encoded, so use
             // the raw insertion routine.
-            if let Some((sep, right)) = self.insert_rec(self.root, key, &stored, true)? {
+            self.last_leaf = None;
+            if let Some((sep, right)) = self.insert_rec(self.root, key, &stored)? {
                 self.grow_root(sep, right)?;
             }
         }
@@ -504,6 +543,7 @@ impl BTree {
     /// Remove a key. Returns `false` when absent. Pages are never merged;
     /// empty leaves remain in the sibling chain and scans skip them.
     pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
+        self.last_leaf = None;
         let leaf = self.find_leaf(key)?;
         let old_stored = {
             let guard = self.cache.pin(self.file, leaf)?;
@@ -522,15 +562,12 @@ impl BTree {
         Ok(true)
     }
 
-    /// Recursive insert of an already-encoded value. `allow_replace` is used
-    /// by the update fallback (the key is known absent then, so it is moot,
-    /// but kept for clarity of the two call sites).
+    /// Recursive insert of an already-encoded value.
     fn insert_rec(
         &mut self,
         page: PageId,
         key: &[u8],
         stored: &[u8],
-        _allow_replace: bool,
     ) -> Result<Option<(Vec<u8>, PageId)>> {
         let (ptype, level) = {
             let guard = self.cache.pin(self.file, page)?;
@@ -541,7 +578,7 @@ impl BTree {
         match ptype {
             PageType::Leaf => self.leaf_insert(page, key, stored),
             PageType::Interior => {
-                let (idx, child) = {
+                let child = {
                     let guard = self.cache.pin(self.file, page)?;
                     let buf = guard.read();
                     let r = PageRef::new(&buf);
@@ -550,13 +587,9 @@ impl BTree {
                         Err(0) => 0,
                         Err(i) => i - 1,
                     };
-                    (
-                        idx,
-                        u64::from_le_bytes(r.value(idx).try_into().expect("child pointer")),
-                    )
+                    u64::from_le_bytes(r.value(idx).try_into().expect("child pointer"))
                 };
-                let _ = idx;
-                if let Some((sep, right)) = self.insert_rec(child, key, stored, _allow_replace)? {
+                if let Some((sep, right)) = self.insert_rec(child, key, stored)? {
                     return self.interior_insert(page, level, &sep, right);
                 }
                 Ok(None)
@@ -702,6 +735,7 @@ impl BTree {
             self.cache.counters().add_faults_injected(1);
             return Err(fault::injected_error(Site::BtreeOp, "bulk_load"));
         }
+        self.last_leaf = None;
         let fill = fill.clamp(0.1, 1.0);
         let budget = ((self.cache.page_size() - HEADER_LEN) as f64 * fill) as usize;
         // Current leaf being filled = the initial empty root leaf.
@@ -1153,6 +1187,153 @@ mod tests {
         }
         assert_eq!(t.count().unwrap(), 500);
         assert!(!t.update(&k(10_000), b"x").unwrap());
+    }
+
+    /// A bulk-loaded multi-leaf tree of fixed-width values, plus the model.
+    fn loaded(n: u64, width: usize) -> (BTree, BTreeMap<u64, Vec<u8>>, TempDir) {
+        let (cache, d) = make_cache(256, 256);
+        let mut t = BTree::create(cache).unwrap();
+        t.bulk_load((0..n).map(|v| (k(v), vec![v as u8; width])), 0.7)
+            .unwrap();
+        let model = (0..n).map(|v| (v, vec![v as u8; width])).collect();
+        (t, model, d)
+    }
+
+    fn assert_matches(t: &BTree, model: &BTreeMap<u64, Vec<u8>>) {
+        let mut scan = t.scan().unwrap();
+        for (v, val) in model {
+            let (key, got) = scan.next_entry().unwrap().expect("scan ended early");
+            assert_eq!((key, &got), (k(*v), val));
+        }
+        assert!(scan.next_entry().unwrap().is_none());
+    }
+
+    #[test]
+    fn same_length_update_pins_once_and_skips_the_descent_within_a_leaf() {
+        let (mut t, mut model, _d) = loaded(600, 8);
+        assert!(t.height() >= 2);
+        let counters = t.cache().counters().clone();
+        let pins = |c: &ClusterCounters| c.cache_hits() + c.cache_misses();
+        // Ascending pass, the full-outer scan order: one pin per update plus
+        // one descent per leaf, not per key.
+        let before = pins(&counters);
+        for v in 0..600u64 {
+            let val = vec![(v + 1) as u8; 8];
+            assert!(t.update(&k(v), &val).unwrap());
+            model.insert(v, val);
+        }
+        let spent = pins(&counters) - before;
+        assert!(
+            spent < 600 + 600 / 2,
+            "ascending updates must amortise the descent, pinned {spent} pages"
+        );
+        // A miss inside the remembered range costs its one leaf pin; a miss
+        // outside it descends — neither finds the key, neither dirties state.
+        assert!(!t.update(&k(10_000), &[0; 8]).unwrap());
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn updates_alternating_between_leaves_stay_correct() {
+        let (mut t, mut model, _d) = loaded(600, 8);
+        // Every update lands on another leaf than the one remembered.
+        for round in 0..3u8 {
+            for i in 0..300u64 {
+                for v in [i, 599 - i] {
+                    let val = vec![round ^ v as u8; 8];
+                    assert!(t.update(&k(v), &val).unwrap());
+                    model.insert(v, val);
+                }
+            }
+        }
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn grown_and_shrunk_values_take_the_split_capable_path() {
+        let (mut t, mut model, _d) = loaded(600, 8);
+        for v in 0..600u64 {
+            // Remember the leaf through an in-place update first, so the
+            // resize below runs against a live memo.
+            assert!(t.update(&k(v), &[1; 8]).unwrap());
+            let val = if v % 2 == 0 {
+                vec![v as u8; 40]
+            } else {
+                vec![v as u8; 3]
+            };
+            assert!(t.update(&k(v), &val).unwrap());
+            model.insert(v, val);
+        }
+        assert_matches(&t, &model);
+        // And back to one width, in place again.
+        for v in 0..600u64 {
+            let val = vec![7; model[&v].len()];
+            assert!(t.update(&k(v), &val).unwrap());
+            model.insert(v, val);
+        }
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn overflow_values_update_through_the_single_pin_path() {
+        let (mut t, mut model, _d) = loaded(200, 8);
+        let big = |b: u8, n: usize| vec![b; n];
+        for (v, val) in [
+            (5u64, big(1, 5_000)), // inline -> overflow
+            (5, big(2, 5_000)),    // overflow -> overflow, same length
+            (5, big(3, 9_000)),    // overflow -> longer overflow
+            (6, big(4, 8)),        // neighbour on the same leaf, in place
+            (5, big(5, 8)),        // overflow -> inline
+        ] {
+            assert!(t.update(&k(v), &val).unwrap());
+            model.insert(v, val);
+            assert_eq!(t.search(&k(v)).unwrap().as_ref(), Some(&model[&v]));
+        }
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn leaf_memo_is_dropped_when_the_leaf_splits_or_loses_keys() {
+        let (mut t, mut model, _d) = loaded(300, 8);
+        // Remember the leaf of key 10 000 in a tree of spaced-out keys, then
+        // split that leaf with inserts that land inside its range.
+        let (cache, _d2) = make_cache(256, 256);
+        let mut sparse = BTree::create(cache).unwrap();
+        sparse
+            .bulk_load((0..300u64).map(|v| (k(v * 100), vec![0u8; 8])), 1.0)
+            .unwrap();
+        assert!(sparse.update(&k(10_000), &[1; 8]).unwrap());
+        for v in 10_001..10_060u64 {
+            sparse.insert(&k(v), &[2; 8]).unwrap();
+        }
+        // The remembered page now holds only part of the old range; a stale
+        // memo would miss the keys that moved to the new sibling.
+        for v in 10_001..10_060u64 {
+            assert!(sparse.update(&k(v), &[3; 8]).unwrap(), "key {v} lost");
+            assert_eq!(sparse.search(&k(v)).unwrap().unwrap(), vec![3; 8]);
+        }
+        assert!(sparse.update(&k(10_100), &[4; 8]).unwrap());
+
+        // Delete inside the remembered range, then upsert the key back.
+        assert!(t.update(&k(50), &[9; 8]).unwrap());
+        assert!(t.delete(&k(50)).unwrap());
+        assert!(!t.update(&k(50), &[8; 8]).unwrap(), "deleted key must miss");
+        t.upsert(&k(50), &[8; 8]).unwrap();
+        model.insert(50, vec![8; 8]);
+        // A growing update that splits its own leaf.
+        for v in 40..60u64 {
+            assert!(t.update(&k(v), &[v as u8; 60]).unwrap());
+            model.insert(v, vec![v as u8; 60]);
+            assert!(t.update(&k(v + 1), &model[&(v + 1)].clone()).unwrap());
+        }
+        assert_matches(&t, &model);
+        // Rebuilding in place forgets the old tree's leaves.
+        let mut t = t.recreate().unwrap();
+        assert!(!t.update(&k(50), &[0; 8]).unwrap());
+        t.bulk_load((0..50u64).map(|v| (k(v), vec![1u8; 8])), 1.0)
+            .unwrap();
+        assert!(t.update(&k(49), &[2; 8]).unwrap());
+        assert_eq!(t.search(&k(49)).unwrap().unwrap(), vec![2; 8]);
     }
 
     #[test]

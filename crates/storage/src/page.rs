@@ -294,17 +294,23 @@ impl<'a> PageMut<'a> {
         put_u16(self.buf, 2, (n - 1) as u16);
     }
 
+    /// The value bytes of entry `i`, for overwriting in place.
+    pub fn value_mut(&mut self, i: usize) -> &mut [u8] {
+        let off = self.as_ref().slot(i);
+        let klen = get_u16(self.buf, off) as usize;
+        let vlen = get_u16(self.buf, off + 2) as usize;
+        let vstart = off + 4 + klen;
+        &mut self.buf[vstart..vstart + vlen]
+    }
+
     /// Replace the value of entry `i`. Fast path: identical length →
     /// in-place overwrite (the PageRank case: fixed-width vertex values,
     /// §5.2). Otherwise remove + reinsert. Returns `false` if the new value
     /// does not fit.
     pub fn replace_value(&mut self, i: usize, value: &[u8]) -> bool {
-        let off = self.as_ref().slot(i);
-        let klen = get_u16(self.buf, off) as usize;
-        let vlen = get_u16(self.buf, off + 2) as usize;
-        if vlen == value.len() {
-            let vstart = off + 4 + klen;
-            self.buf[vstart..vstart + value.len()].copy_from_slice(value);
+        let old = self.value_mut(i);
+        if old.len() == value.len() {
+            old.copy_from_slice(value);
             return true;
         }
         let key = self.as_ref().key(i).to_vec();

@@ -21,30 +21,40 @@
 //! paper's byte-oriented frame design buys (§5.4). Spilling a sorted run is
 //! a sequential walk over the arena chunks into a [`RunWriter`]. The merge
 //! phase is equally allocation-free:
-//! a manual binary heap orders *source indices* whose current tuples are
-//! borrowed in place from the residual arena or from each run reader's
-//! current frame, and [`SortedStream::next_tuple`] lends `&[u8]` slices to
-//! the consumer instead of handing out owned vectors.
+//! a manual binary heap orders `(key prefix, source index)` entries whose
+//! current tuples are borrowed in place from the residual arena or from each
+//! run reader's current frame — ordering and same-group detection are integer
+//! compares on the cached prefix, tuple bytes are read only on equal
+//! prefixes — and [`SortedStream::next_tuple`] lends `&[u8]` slices to the
+//! consumer instead of handing out owned vectors.
 //!
-//! An optional *combiner* is applied to adjacent equal-key tuples in **both**
-//! the in-memory phase and the merge phase, exactly as the paper describes
-//! for the sort-based group-by ("pushes group-by aggregations into both the
-//! in-memory sort phase and the merge phase of an external sort operator").
-//! Combining before spilling is what keeps message-intensive workloads like
-//! PageRank from writing the full message volume to disk.
+//! An optional *combiner* ([`CombineFn`]) folds adjacent equal-key tuples
+//! into one accumulator in **both** the in-memory phase and the merge phase,
+//! exactly as the paper describes for the sort-based group-by ("pushes
+//! group-by aggregations into both the in-memory sort phase and the merge
+//! phase of an external sort operator"). Combining before spilling is what
+//! keeps message-intensive workloads like PageRank from writing the full
+//! message volume to disk.
 
 use crate::file::FileManager;
 use crate::radix::{SortMode, TupleRadixSorter};
 use crate::runfile::{RunHandle, RunReader, RunWriter};
 use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
-use pregelix_common::frame::{key_prefix, tuple_vid};
+use pregelix_common::frame::key_prefix;
 use std::cmp::Ordering;
 
-/// Combines two tuples that share the same 8-byte key prefix into one.
-/// Receives the accumulated tuple and the incoming tuple; returns the merged
-/// tuple (which must keep the same key prefix).
-pub type CombineFn = Box<dyn FnMut(&[u8], &[u8]) -> Vec<u8> + Send>;
+/// Folds an incoming tuple into its group's accumulator, in place. Both
+/// tuples are at least 8 bytes long and share their 8-byte key prefix.
+///
+/// The contract every call site relies on:
+/// * the accumulator keeps its key prefix (bytes `0..8` are never changed);
+/// * the accumulator is the *earlier* tuple of the stream and the incoming
+///   tuple the later one, so a non-commutative fold sees stream order;
+/// * nothing but the accumulator is written — a fold over fixed-width
+///   payloads therefore never allocates once the accumulator has grown to
+///   its working size.
+pub type CombineFn = Box<dyn FnMut(&mut Vec<u8>, &[u8]) + Send>;
 
 /// Per-buffered-tuple bookkeeping cost charged against the memory budget
 /// (the size of one sort entry: key prefix + [`TupleRef`]).
@@ -192,7 +202,7 @@ impl ExternalSorter {
             memory_pos: 0,
             readers,
             heap: Vec::new(),
-            last: None,
+            root_consumed: false,
             runs: self.runs,
             combiner: self.combiner,
             acc: Vec::new(),
@@ -202,9 +212,12 @@ impl ExternalSorter {
     }
 }
 
+/// Whether two tuples with equal key prefixes belong to one group: tuples
+/// shorter than a key never combine (their zero-padded prefix may collide
+/// with a real key's).
 #[inline]
-fn same_key(a: &[u8], b: &[u8]) -> bool {
-    a.len() >= 8 && b.len() >= 8 && a[..8] == b[..8]
+fn same_group(a: &[u8], b: &[u8]) -> bool {
+    a.len() >= 8 && b.len() >= 8
 }
 
 /// Walk `refs` (which must be sorted) group-by-group, folding equal-key
@@ -218,21 +231,21 @@ fn fold_groups(
     mut emit: impl FnMut(&[u8]) -> Result<()>,
 ) -> Result<()> {
     let mut acc: Vec<u8> = Vec::new();
-    let mut have = false;
-    for &(_, r) in refs {
+    let mut group: Option<u64> = None;
+    for &(prefix, r) in refs {
         let t = arena.get(r);
-        if have && same_key(&acc, t) {
-            acc = comb(&acc, t);
+        if group == Some(prefix) && same_group(&acc, t) {
+            comb(&mut acc, t);
         } else {
-            if have {
+            if group.is_some() {
                 emit(&acc)?;
             }
             acc.clear();
             acc.extend_from_slice(t);
-            have = true;
+            group = Some(prefix);
         }
     }
-    if have {
+    if group.is_some() {
         emit(&acc)?;
     }
     Ok(())
@@ -253,13 +266,16 @@ pub struct SortedStream {
     /// Index of the memory source's *current* tuple.
     memory_pos: usize,
     readers: Vec<RunReader>,
-    /// Manual binary min-heap of live source indices, ordered by each
-    /// source's current tuple (ties by source index). Heap entries never
-    /// own tuple bytes — comparisons borrow from the sources in place.
-    heap: Vec<usize>,
-    /// Source whose current tuple was lent out by the previous
-    /// `next_tuple` call; it is advanced and re-pushed on the next call.
-    last: Option<usize>,
+    /// Manual binary min-heap of `(key prefix of the source's current tuple,
+    /// source index)`, one entry per live source, ordered by (prefix, tuple
+    /// bytes, source index). Entries never own tuple bytes: the cached
+    /// prefix decides almost every comparison, and only equal prefixes
+    /// borrow the tuples from the sources in place.
+    heap: Vec<(u64, usize)>,
+    /// Whether the heap root's current tuple was consumed by the previous
+    /// `next_tuple` call (lent out or folded); its source is advanced and
+    /// the root re-seated on the next call.
+    root_consumed: bool,
     runs: Vec<RunHandle>,
     combiner: Option<CombineFn>,
     /// Scratch accumulator for combined groups (reused across calls).
@@ -310,7 +326,7 @@ impl SortedStream {
             memory_pos: 0,
             readers,
             heap: Vec::new(),
-            last: None,
+            root_consumed: false,
             runs,
             combiner,
             acc: Vec::new(),
@@ -332,33 +348,37 @@ impl SortedStream {
     }
 
     /// The current tuple of a live source.
-    fn src_current(&self, s: usize) -> Option<&[u8]> {
-        if s == MEMORY_SOURCE {
-            self.memory_refs
-                .get(self.memory_pos)
-                .map(|r| self.memory_arena.get(*r))
-        } else {
-            self.readers[s].current()
-        }
+    fn src_current(&self, s: usize) -> &[u8] {
+        current_of(
+            &self.memory_arena,
+            &self.memory_refs,
+            self.memory_pos,
+            &self.readers,
+            s,
+        )
     }
 
-    /// Strict ordering of two live sources by (current tuple, source id).
-    fn src_less(&self, a: usize, b: usize) -> bool {
-        let ta = self.src_current(a).expect("heap source must be live");
-        let tb = self.src_current(b).expect("heap source must be live");
-        match ta.cmp(tb) {
+    /// Strict ordering of two heap entries by (prefix, current tuple,
+    /// source id) — the same order as (current tuple, source id), see
+    /// [`key_prefix`].
+    fn entry_less(&self, a: (u64, usize), b: (u64, usize)) -> bool {
+        if a.0 != b.0 {
+            return a.0 < b.0;
+        }
+        match self.src_current(a.1).cmp(self.src_current(b.1)) {
             Ordering::Less => true,
             Ordering::Greater => false,
-            Ordering::Equal => a < b,
+            Ordering::Equal => a.1 < b.1,
         }
     }
 
+    /// Add live source `s` to the heap under its current tuple's prefix.
     fn heap_push(&mut self, s: usize) {
-        self.heap.push(s);
+        self.heap.push((key_prefix(self.src_current(s)), s));
         let mut i = self.heap.len() - 1;
         while i > 0 {
             let parent = (i - 1) / 2;
-            if self.src_less(self.heap[i], self.heap[parent]) {
+            if self.entry_less(self.heap[i], self.heap[parent]) {
                 self.heap.swap(i, parent);
                 i = parent;
             } else {
@@ -367,13 +387,8 @@ impl SortedStream {
         }
     }
 
-    fn heap_pop(&mut self) -> Option<usize> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let n = self.heap.len();
-        self.heap.swap(0, n - 1);
-        let s = self.heap.pop().expect("nonempty");
+    /// Restore the heap property below a root whose entry changed.
+    fn sift_down_root(&mut self) {
         let mut i = 0;
         loop {
             let l = 2 * i + 1;
@@ -382,25 +397,26 @@ impl SortedStream {
             }
             let r = l + 1;
             let mut min = l;
-            if r < self.heap.len() && self.src_less(self.heap[r], self.heap[l]) {
+            if r < self.heap.len() && self.entry_less(self.heap[r], self.heap[l]) {
                 min = r;
             }
-            if self.src_less(self.heap[min], self.heap[i]) {
+            if self.entry_less(self.heap[min], self.heap[i]) {
                 self.heap.swap(i, min);
                 i = min;
             } else {
                 break;
             }
         }
-        Some(s)
     }
 
-    /// Advance (and re-queue if still live) the source whose tuple was lent
-    /// out by the previous `next_tuple` call.
-    fn advance_last(&mut self) -> Result<()> {
-        let Some(s) = self.last.take() else {
+    /// If the root's current tuple was consumed, advance its source and
+    /// re-seat it in place (one sift-down instead of a pop and a push), or
+    /// drop it from the heap when the source is exhausted.
+    fn settle_root(&mut self) -> Result<()> {
+        if !std::mem::take(&mut self.root_consumed) {
             return Ok(());
-        };
+        }
+        let s = self.heap[0].1;
         let live = if s == MEMORY_SOURCE {
             self.memory_pos += 1;
             self.memory_pos < self.memory_refs.len()
@@ -408,64 +424,60 @@ impl SortedStream {
             self.readers[s].advance()?
         };
         if live {
-            self.heap_push(s);
+            self.heap[0].0 = key_prefix(self.src_current(s));
+        } else {
+            self.heap.swap_remove(0);
         }
+        self.sift_down_root();
         Ok(())
     }
 
     /// The next tuple in sorted order, or `None` when exhausted. The slice
     /// borrows from the stream and is valid until the next call.
     pub fn next_tuple(&mut self) -> Result<Option<&[u8]>> {
-        self.advance_last()?;
-        let Some(s) = self.heap_pop() else {
+        self.settle_root()?;
+        let Some(&(prefix, s)) = self.heap.first() else {
             return Ok(None);
         };
-        self.last = Some(s);
+        self.root_consumed = true;
         if self.combiner.is_none() {
-            return Ok(self.src_current(s));
+            return Ok(Some(self.src_current(s)));
         }
-        // Combining: seed the scratch accumulator from the popped tuple,
-        // then fold while the heap root shares its key.
-        {
-            let Self {
-                acc,
-                memory_arena,
-                memory_refs,
-                memory_pos,
-                readers,
-                ..
-            } = self;
-            let cur = current_of(memory_arena, memory_refs, *memory_pos, readers, s)
-                .expect("popped source is live");
-            acc.clear();
-            acc.extend_from_slice(cur);
-        }
+        // Combining: seed the scratch accumulator from the root's tuple,
+        // then fold while the next root shares its key.
+        let seed = current_of(
+            &self.memory_arena,
+            &self.memory_refs,
+            self.memory_pos,
+            &self.readers,
+            s,
+        );
+        self.acc.clear();
+        self.acc.extend_from_slice(seed);
         loop {
-            self.advance_last()?;
-            let Some(&root) = self.heap.first() else {
-                break;
-            };
-            {
-                let cur = self.src_current(root).expect("heap source must be live");
-                if !same_key(&self.acc, cur) {
-                    break;
-                }
-            }
-            let s2 = self.heap_pop().expect("root observed above");
-            self.last = Some(s2);
+            self.settle_root()?;
             let Self {
                 acc,
                 combiner,
+                heap,
                 memory_arena,
                 memory_refs,
                 memory_pos,
                 readers,
                 ..
             } = self;
-            let cur = current_of(memory_arena, memory_refs, *memory_pos, readers, s2)
-                .expect("popped source is live");
-            let merged = (combiner.as_mut().expect("combining path"))(acc.as_slice(), cur);
-            *acc = merged;
+            let Some(&(next_prefix, s2)) = heap.first() else {
+                break;
+            };
+            if next_prefix != prefix {
+                break;
+            }
+            let cur = current_of(memory_arena, memory_refs, *memory_pos, readers, s2);
+            if !same_group(acc, cur) {
+                break;
+            }
+            (combiner.as_mut().expect("combining path"))(acc, cur);
+            self.root_consumed = true;
         }
         Ok(Some(&self.acc))
     }
@@ -480,19 +492,19 @@ impl SortedStream {
     }
 }
 
-/// Field-disjoint variant of [`SortedStream::src_current`], callable while
-/// the combiner (another field) is mutably borrowed.
+/// The current tuple of live source `s`, over the stream's source fields
+/// only — callable while the combiner (another field) is mutably borrowed.
 fn current_of<'a>(
     arena: &'a TupleArena,
     refs: &[TupleRef],
     pos: usize,
     readers: &'a [RunReader],
     s: usize,
-) -> Option<&'a [u8]> {
+) -> &'a [u8] {
     if s == MEMORY_SOURCE {
-        refs.get(pos).copied().map(|r| arena.get(r))
+        arena.get(refs[pos])
     } else {
-        readers[s].current()
+        readers[s].current().expect("heap source must be live")
     }
 }
 
@@ -504,15 +516,11 @@ impl Drop for SortedStream {
     }
 }
 
-/// Convenience: the vid of a keyed tuple (first 8 bytes, big-endian).
-pub fn sort_key_vid(tuple: &[u8]) -> u64 {
-    tuple_vid(tuple).expect("keyed tuple")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::file::{FileManager, TempDir};
+    use crate::runfile::RunWriter;
     use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid};
     use pregelix_common::stats::ClusterCounters;
     use rand::prelude::*;
@@ -521,6 +529,15 @@ mod tests {
         let dir = TempDir::new("sort").unwrap();
         let f = FileManager::new(dir.path(), 4096, ClusterCounters::new()).unwrap();
         (f, dir)
+    }
+
+    /// Sum-combiner over u64 payloads, folding in place.
+    fn sum_fold() -> CombineFn {
+        Box::new(|acc, t| {
+            let a = u64::from_le_bytes(acc[8..16].try_into().unwrap());
+            let b = u64::from_le_bytes(tuple_payload(t).unwrap().try_into().unwrap());
+            acc[8..16].copy_from_slice(&(a + b).to_le_bytes());
+        })
     }
 
     #[test]
@@ -560,12 +577,7 @@ mod tests {
     fn combiner_applied_within_and_across_runs() {
         let (f, _d) = fm();
         // Sum-combiner over u64 payloads.
-        let combine: CombineFn = Box::new(|a, b| {
-            let va = u64::from_le_bytes(tuple_payload(a).unwrap().try_into().unwrap());
-            let vb = u64::from_le_bytes(tuple_payload(b).unwrap().try_into().unwrap());
-            keyed_tuple(tuple_vid(a).unwrap(), &(va + vb).to_le_bytes())
-        });
-        let mut s = ExternalSorter::new(f, "c", 2048).with_combiner(combine);
+        let mut s = ExternalSorter::new(f, "c", 2048).with_combiner(sum_fold());
         // 100 keys, 200 contributions of 1 each, interleaved to cross runs.
         for round in 0..200u64 {
             for vid in 0..100u64 {
@@ -581,6 +593,163 @@ mod tests {
             let sum = u64::from_le_bytes(tuple_payload(t).unwrap().try_into().unwrap());
             assert_eq!(sum, 200);
         }
+    }
+
+    /// Order-sensitive combiner: appends the incoming payload to the
+    /// accumulator's, so the output spells out the fold order.
+    fn concat_fold() -> CombineFn {
+        Box::new(|acc, t| acc.extend_from_slice(&t[8..]))
+    }
+
+    /// Sort, then fold equal 8-byte keys in sorted order — the stream every
+    /// combining path must reproduce byte for byte.
+    fn model(mut tuples: Vec<Vec<u8>>, comb: &mut CombineFn) -> Vec<Vec<u8>> {
+        tuples.sort();
+        let mut out: Vec<Vec<u8>> = Vec::new();
+        for t in tuples {
+            match out.last_mut() {
+                Some(acc) if acc.len() >= 8 && t.len() >= 8 && acc[..8] == t[..8] => comb(acc, &t),
+                _ => out.push(t),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn merge_orders_equal_prefixes_by_the_bytes_behind_them() {
+        let (f, _d) = fm();
+        let run = |tuples: &[Vec<u8>]| {
+            let mut w = RunWriter::create(f.temp_file_path("order"), f.counters().clone()).unwrap();
+            for t in tuples {
+                w.write_tuple(t).unwrap();
+            }
+            w.finish().unwrap()
+        };
+        // Three sources whose tuples share prefixes (vids 1 and 2) and differ
+        // only behind them, interleaved so no source holds a contiguous range.
+        let sources: [Vec<Vec<u8>>; 3] = [
+            vec![
+                keyed_tuple(1, b"b"),
+                keyed_tuple(1, b"e"),
+                keyed_tuple(2, b"a"),
+            ],
+            vec![
+                keyed_tuple(1, b"a"),
+                keyed_tuple(1, b"e"),
+                keyed_tuple(2, b"c"),
+            ],
+            vec![
+                keyed_tuple(1, b"c"),
+                keyed_tuple(1, b"d"),
+                keyed_tuple(2, b"b"),
+            ],
+        ];
+        let all: Vec<Vec<u8>> = sources.iter().flatten().cloned().collect();
+        let parts = || (sources[2].clone(), vec![run(&sources[0]), run(&sources[1])]);
+
+        let (memory, runs) = parts();
+        let plain = SortedStream::from_parts(memory, runs, None, f.counters().clone())
+            .unwrap()
+            .collect_all()
+            .unwrap();
+        let mut sorted = all.clone();
+        sorted.sort();
+        assert_eq!(plain, sorted);
+
+        // With an order-sensitive fold the suffix order shows in the output:
+        // vid 1 folds a,b,c,d,e,e and vid 2 folds a,b,c.
+        let (memory, runs) = parts();
+        let folded =
+            SortedStream::from_parts(memory, runs, Some(concat_fold()), f.counters().clone())
+                .unwrap()
+                .collect_all()
+                .unwrap();
+        assert_eq!(
+            folded,
+            vec![keyed_tuple(1, b"abcdee"), keyed_tuple(2, b"abc")]
+        );
+        assert_eq!(folded, model(all, &mut concat_fold()));
+    }
+
+    #[test]
+    fn tuples_shorter_than_a_key_never_combine() {
+        // [0,0,0] zero-pads to the prefix of vid 0, and so does [0; 8] cut
+        // short anywhere: none of them may fold, into each other or into
+        // the real key.
+        let mut tuples = Vec::new();
+        for _ in 0..40 {
+            tuples.push(vec![0u8, 0, 0]);
+            tuples.push(vec![0u8; 7]);
+            tuples.push(Vec::new());
+            tuples.push(keyed_tuple(0, &1u64.to_le_bytes()));
+            tuples.push(keyed_tuple(3, &1u64.to_le_bytes()));
+        }
+        for budget in [1 << 20, 1024] {
+            let (f, _d) = fm();
+            let mut s = ExternalSorter::new(f, "short", budget).with_combiner(sum_fold());
+            for t in &tuples {
+                s.add(t).unwrap();
+            }
+            assert_eq!(s.spilled_runs() > 0, budget == 1024);
+            let got = s.finish().unwrap().collect_all().unwrap();
+            assert_eq!(
+                got,
+                model(tuples.clone(), &mut sum_fold()),
+                "budget {budget}"
+            );
+            assert_eq!(got.len(), 3 * 40 + 2);
+        }
+    }
+
+    #[test]
+    fn fixed_width_folds_never_move_the_accumulator() {
+        use std::sync::{Arc, Mutex};
+        // Every call records where the accumulator lives and how much it
+        // holds; fixed-width folds must leave both alone.
+        let seen: Arc<Mutex<Vec<(usize, usize)>>> = Arc::default();
+        let recording = |seen: &Arc<Mutex<Vec<(usize, usize)>>>| -> CombineFn {
+            let seen = Arc::clone(seen);
+            let mut sum = sum_fold();
+            Box::new(move |acc, t| {
+                sum(acc, t);
+                seen.lock()
+                    .unwrap()
+                    .push((acc.as_ptr() as usize, acc.capacity()));
+            })
+        };
+        // In-memory phase: one group of 5000 tuples folded at `finish`.
+        let (f, _d) = fm();
+        let mut s = ExternalSorter::new(f, "acc", 1 << 20).with_combiner(recording(&seen));
+        for _ in 0..5_000 {
+            s.add(&keyed_tuple(9, &1u64.to_le_bytes())).unwrap();
+        }
+        let out = s.finish().unwrap().collect_all().unwrap();
+        assert_eq!(out, vec![keyed_tuple(9, &5_000u64.to_le_bytes())]);
+        let calls = std::mem::take(&mut *seen.lock().unwrap());
+        assert_eq!(calls.len(), 4_999);
+        assert!(
+            calls.iter().all(|c| *c == calls[0]),
+            "in-memory fold reallocated"
+        );
+
+        // Merge phase: many runs, every one holding the same few keys.
+        let (f, _d) = fm();
+        let mut s = ExternalSorter::new(f, "acc", 1024).with_combiner(recording(&seen));
+        for i in 0..5_000u64 {
+            s.add(&keyed_tuple(i % 4, &1u64.to_le_bytes())).unwrap();
+        }
+        let runs = s.spilled_runs();
+        assert!(runs > 20);
+        let stream = s.finish().unwrap();
+        seen.lock().unwrap().clear(); // spill-time folds used their own scratch
+        let out = stream.collect_all().unwrap();
+        assert_eq!(out.len(), 4);
+        let calls = std::mem::take(&mut *seen.lock().unwrap());
+        assert!(calls.len() >= 4 * (runs - 1));
+        assert!(
+            calls.iter().all(|c| *c == calls[0]),
+            "merge fold reallocated"
+        );
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! threads and check the counter invariant that every pin is classified as
 //! exactly one hit or one miss.
 
-use pregelix::common::frame::{keyed_tuple, tuple_payload, tuple_vid};
+use pregelix::common::frame::{keyed_tuple, tuple_payload};
 use pregelix::common::stats::ClusterCounters;
 use pregelix::storage::cache::BufferCache;
 use pregelix::storage::file::{FileManager, TempDir};
@@ -26,10 +26,10 @@ fn fm(label: &str) -> (FileManager, TempDir) {
 }
 
 fn sum_combiner() -> CombineFn {
-    Box::new(|a: &[u8], b: &[u8]| {
-        let va = u64::from_le_bytes(tuple_payload(a).unwrap().try_into().unwrap());
-        let vb = u64::from_le_bytes(tuple_payload(b).unwrap().try_into().unwrap());
-        keyed_tuple(tuple_vid(a).unwrap(), &(va + vb).to_le_bytes())
+    Box::new(|acc: &mut Vec<u8>, t: &[u8]| {
+        let va = u64::from_le_bytes(acc[8..16].try_into().unwrap());
+        let vb = u64::from_le_bytes(tuple_payload(t).unwrap().try_into().unwrap());
+        acc[8..16].copy_from_slice(&(va + vb).to_le_bytes());
     })
 }
 
@@ -44,10 +44,7 @@ fn reference(mut tuples: Vec<Vec<u8>>, combine: bool) -> Vec<Vec<u8>> {
     let mut out: Vec<Vec<u8>> = Vec::new();
     for t in tuples {
         match out.last_mut() {
-            Some(prev) if prev[..8] == t[..8] => {
-                let merged = comb(prev, &t);
-                *prev = merged;
-            }
+            Some(prev) if prev[..8] == t[..8] => comb(prev, &t),
             _ => out.push(t),
         }
     }
