@@ -39,8 +39,11 @@ use std::sync::Arc;
 // CRC32 (IEEE, reflected 0xEDB88320)
 // ---------------------------------------------------------------------
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `T[0]` is the classic byte-at-a-time table and
+/// `T[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so eight
+/// input bytes fold into the state with eight independent lookups.
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -49,13 +52,23 @@ const fn build_crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
 /// Streaming CRC32 hasher. The frame path computes each frame's CRC exactly
 /// once (at freeze); receivers stream the same polynomial over slab slices —
@@ -79,9 +92,22 @@ impl Crc32 {
     /// Absorb `bytes`.
     #[inline]
     pub fn update(&mut self, bytes: &[u8]) -> &mut Self {
+        let t = &CRC_TABLES;
         let mut c = self.0;
-        for &b in bytes {
-            c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][w[4] as usize]
+                ^ t[2][w[5] as usize]
+                ^ t[1][w[6] as usize]
+                ^ t[0][w[7] as usize];
+        }
+        for &b in words.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
         }
         self.0 = c;
         self
@@ -356,6 +382,30 @@ impl std::hash::Hash for BytesSlice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The byte-at-a-time table loop `Crc32::update` replaced.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn sliced_crc_equals_the_bytewise_loop_at_every_length_and_split() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let data: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..=64 {
+            let want = crc32_bytewise(&data[..len]);
+            assert_eq!(crc32(&data[..len]), want, "len {len}");
+            for split in 0..=len {
+                let mut h = Crc32::new();
+                h.update(&data[..split]).update(&data[split..len]);
+                assert_eq!(h.finish(), want, "len {len} split {split}");
+            }
+        }
+    }
 
     fn seal(slab: &BytesSlab, bytes: &[u8]) -> BytesSlice {
         slab.seal_with(bytes.len(), |b| b.extend_from_slice(bytes))

@@ -163,10 +163,28 @@ pub struct ComputeContext<'a, P: VertexProgram> {
     pub(crate) num_vertices: u64,
     pub(crate) global_agg: &'a P::Aggregate,
     pub(crate) voted_halt: bool,
-    pub(crate) out_messages: Vec<(Vid, P::Message)>,
-    pub(crate) agg_contrib: Vec<P::Aggregate>,
-    pub(crate) mutations: Vec<(Vid, Mutation<P>)>,
+    pub(crate) out: OutputBuffers<P>,
     pub(crate) edges_dirty: bool,
+}
+
+/// The vectors one `compute` call fills (messages D3, aggregate
+/// contributions D5, mutations D6). The runtime hands the same, emptied
+/// vectors to every call of a partition's superstep, so a call that stays
+/// within their capacity allocates nothing.
+pub(crate) struct OutputBuffers<P: VertexProgram> {
+    pub messages: Vec<(Vid, P::Message)>,
+    pub agg: Vec<P::Aggregate>,
+    pub mutations: Vec<(Vid, Mutation<P>)>,
+}
+
+impl<P: VertexProgram> Default for OutputBuffers<P> {
+    fn default() -> Self {
+        OutputBuffers {
+            messages: Vec::new(),
+            agg: Vec::new(),
+            mutations: Vec::new(),
+        }
+    }
 }
 
 impl<'a, P: VertexProgram> ComputeContext<'a, P> {
@@ -176,6 +194,7 @@ impl<'a, P: VertexProgram> ComputeContext<'a, P> {
         superstep: Superstep,
         num_vertices: u64,
         global_agg: &'a P::Aggregate,
+        out: OutputBuffers<P>,
     ) -> Self {
         ComputeContext {
             vid: vertex.vid,
@@ -186,9 +205,7 @@ impl<'a, P: VertexProgram> ComputeContext<'a, P> {
             num_vertices,
             global_agg,
             voted_halt: false,
-            out_messages: Vec::new(),
-            agg_contrib: Vec::new(),
-            mutations: Vec::new(),
+            out,
             edges_dirty: false,
         }
     }
@@ -265,7 +282,7 @@ impl<'a, P: VertexProgram> ComputeContext<'a, P> {
     /// Send a message to `dest`, delivered at superstep S+1. Sending a
     /// message reactivates a halted destination (§2.1).
     pub fn send_message(&mut self, dest: Vid, msg: P::Message) {
-        self.out_messages.push((dest, msg));
+        self.out.messages.push((dest, msg));
     }
 
     /// Send `msg` along every outgoing edge.
@@ -275,7 +292,7 @@ impl<'a, P: VertexProgram> ComputeContext<'a, P> {
     {
         for i in 0..self.edges.len() {
             let dest = self.edges[i].dest;
-            self.out_messages.push((dest, msg.clone()));
+            self.out.messages.push((dest, msg.clone()));
         }
     }
 
@@ -285,19 +302,19 @@ impl<'a, P: VertexProgram> ComputeContext<'a, P> {
     /// partition first and then across partitions (the two-stage strategy
     /// of §5.3.3).
     pub fn aggregate(&mut self, contribution: P::Aggregate) {
-        self.agg_contrib.push(contribution);
+        self.out.agg.push(contribution);
     }
 
     /// Request creation of a vertex (takes effect next superstep, after
     /// `resolve`).
     pub fn add_vertex(&mut self, vertex: VertexData<P>) {
-        self.mutations.push((vertex.vid, Mutation::Insert(vertex)));
+        self.out.mutations.push((vertex.vid, Mutation::Insert(vertex)));
     }
 
     /// Request deletion of a vertex (takes effect next superstep, after
     /// `resolve`).
     pub fn delete_vertex(&mut self, vid: Vid) {
-        self.mutations.push((vid, Mutation::Delete));
+        self.out.mutations.push((vid, Mutation::Delete));
     }
 
     /// Vote to halt: deactivate this vertex until a message arrives.
@@ -307,7 +324,7 @@ impl<'a, P: VertexProgram> ComputeContext<'a, P> {
 }
 
 impl<P: VertexProgram> ComputeContext<'_, P> {
-    /// Runtime hook: drain the outputs of one `compute` call.
+    /// Runtime hook: the outputs of one `compute` call.
     pub(crate) fn into_outputs(self) -> ComputeOutputs<P> {
         ComputeOutputs {
             vertex: VertexData {
@@ -316,9 +333,8 @@ impl<P: VertexProgram> ComputeContext<'_, P> {
                 value: self.value,
                 edges: self.edges,
             },
-            messages: self.out_messages,
-            agg: self.agg_contrib,
-            mutations: self.mutations,
+            edges_dirty: self.edges_dirty,
+            buffers: self.out,
         }
     }
 }
@@ -327,9 +343,11 @@ impl<P: VertexProgram> ComputeContext<'_, P> {
 /// tuple described in §3).
 pub(crate) struct ComputeOutputs<P: VertexProgram> {
     pub vertex: VertexData<P>,
-    pub messages: Vec<(Vid, P::Message)>,
-    pub agg: Vec<P::Aggregate>,
-    pub mutations: Vec<(Vid, Mutation<P>)>,
+    /// Whether the call changed the edge list (else only the row's head,
+    /// `halt | value`, needs writing back).
+    pub edges_dirty: bool,
+    /// The output vectors the call was lent, filled.
+    pub buffers: OutputBuffers<P>,
 }
 
 /// Minimal programs used by unit tests across the crate.
@@ -371,7 +389,7 @@ mod tests {
         msgs: &'a [f64],
         agg: &'a (),
     ) -> ComputeContext<'a, NoopProgram> {
-        ComputeContext::new(vertex, msgs, 3, 100, agg)
+        ComputeContext::new(vertex, msgs, 3, 100, agg, OutputBuffers::default())
     }
 
     #[test]
@@ -402,8 +420,9 @@ mod tests {
         assert!(out.vertex.halt);
         assert_eq!(out.vertex.value, 9.0);
         assert_eq!(out.vertex.edges.len(), 1);
-        assert_eq!(out.messages.len(), 2);
-        assert_eq!(out.mutations.len(), 1);
+        assert!(out.edges_dirty);
+        assert_eq!(out.buffers.messages.len(), 2);
+        assert_eq!(out.buffers.mutations.len(), 1);
     }
 
     #[test]
@@ -417,7 +436,7 @@ mod tests {
         let mut c = ctx(v, &msgs, &());
         c.send_message_to_all_edges(7.0);
         let out = c.into_outputs();
-        let dests: Vec<Vid> = out.messages.iter().map(|(d, _)| *d).collect();
+        let dests: Vec<Vid> = out.buffers.messages.iter().map(|(d, _)| *d).collect();
         assert_eq!(dests, vec![2, 3, 4]);
     }
 

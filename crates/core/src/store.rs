@@ -5,8 +5,8 @@
 use crate::plan::VertexStorageKind;
 use pregelix_common::error::Result;
 use pregelix_dataflow::cluster::WorkerHandle;
-use pregelix_storage::btree::{BTree, BTreeScanner, ProbeCursor};
-use pregelix_storage::lsm::{LsmBTree, LsmProbeCursor, LsmScanner};
+use pregelix_storage::btree::{self, BTree, BTreeScanner, ProbeCursor};
+use pregelix_storage::lsm::{LsmBTree, LsmProbeCursor, LsmRowCursor, LsmScanner};
 
 /// One partition of the `Vertex` relation.
 pub enum VertexStore {
@@ -92,10 +92,7 @@ impl VertexStore {
         }
     }
 
-    /// Ordered scan over live entries with key `>= from`. This is what lets
-    /// the fused scan-compute-update operator process the partition in
-    /// bounded-memory chunks: read a chunk, release the scanner, apply the
-    /// updates, re-seek past the last processed key.
+    /// Ordered scan over live entries with key `>= from`.
     pub fn scan_from(&self, from: &[u8]) -> Result<VertexScan<'_>> {
         match self {
             VertexStore::B(t) => Ok(VertexScan::B(t.scan_from(from)?)),
@@ -112,15 +109,110 @@ impl VertexStore {
         }
     }
 
+    /// Forward-only read-write row cursor: the access path of the fused
+    /// scan/compute/update operator (§5.3.2) under both join plans.
+    pub fn cursor(&mut self) -> RowCursor<'_> {
+        match self {
+            VertexStore::B(t) => RowCursor::B(t.cursor()),
+            VertexStore::L(t) => RowCursor::L(t.cursor()),
+        }
+    }
+
     /// Sorted-probe cursor: point lookups for monotonically non-decreasing
-    /// keys with amortised O(1) page pins per probe. This is the left-outer
-    /// join's access path (§5.2); the shared borrow freezes the store for
-    /// the cursor's lifetime, so callers probe a chunk of keys, drop the
-    /// cursor, then apply updates.
+    /// keys with amortised O(1) page pins per probe. Read-only — the shared
+    /// borrow freezes the store for the cursor's lifetime.
     pub fn probe_cursor(&self) -> VertexProbe<'_> {
         match self {
             VertexStore::B(t) => VertexProbe::B(t.probe_cursor()),
             VertexStore::L(t) => VertexProbe::L(t.probe_cursor()),
+        }
+    }
+}
+
+/// Forward-only read-write cursor over a [`VertexStore`]'s rows.
+///
+/// [`RowCursor::next`] moves to the smallest key greater than the position
+/// in the store as it is now (the full-outer scan); [`RowCursor::seek`]
+/// moves to a key at or after the position (the left-outer sorted probe).
+/// The current row's key and value are lent from the cursor's own buffers,
+/// so reading a row allocates nothing. Results go back *at the cursor*: on
+/// the B-tree a same-length inline value, or just its head, is overwritten
+/// in its slot under the leaf pin already held, and only a resized or
+/// overflowing value, an [`RowCursor::insert`] of another key or a
+/// [`RowCursor::delete`] takes the by-key path and makes the cursor find its
+/// place again; the LSM store turns every write into a memtable insert and
+/// reads ahead in bounded runs (see the two implementations).
+pub enum RowCursor<'a> {
+    /// B-tree row cursor.
+    B(btree::RowCursor<'a>),
+    /// LSM row cursor.
+    L(LsmRowCursor<'a>),
+}
+
+impl RowCursor<'_> {
+    /// Move to the next row in key order; `false` at the end.
+    // Not `Iterator::next`: the row is lent from the cursor's own buffers.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<bool> {
+        match self {
+            RowCursor::B(c) => c.next(),
+            RowCursor::L(c) => c.next(),
+        }
+    }
+
+    /// Move to `key` (not before the position); whether a row is there.
+    pub fn seek(&mut self, key: &[u8]) -> Result<bool> {
+        match self {
+            RowCursor::B(c) => c.seek(key),
+            RowCursor::L(c) => c.seek(key),
+        }
+    }
+
+    /// Key of the position: the current row's, or the last key sought.
+    pub fn key(&self) -> &[u8] {
+        match self {
+            RowCursor::B(c) => c.key(),
+            RowCursor::L(c) => c.key(),
+        }
+    }
+
+    /// Value of the current row.
+    pub fn value(&self) -> &[u8] {
+        match self {
+            RowCursor::B(c) => c.value(),
+            RowCursor::L(c) => c.value(),
+        }
+    }
+
+    /// Overwrite the first `head.len()` bytes of the current row's value.
+    pub fn write_head(&mut self, head: &[u8]) -> Result<()> {
+        match self {
+            RowCursor::B(c) => c.write_head(head),
+            RowCursor::L(c) => c.write_head(head),
+        }
+    }
+
+    /// Replace the current row's value.
+    pub fn write(&mut self, value: &[u8]) -> Result<()> {
+        match self {
+            RowCursor::B(c) => c.write(value),
+            RowCursor::L(c) => c.write(value),
+        }
+    }
+
+    /// Insert or replace the row under `key`; the current row stays current.
+    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        match self {
+            RowCursor::B(c) => c.insert(key, value),
+            RowCursor::L(c) => c.insert(key, value),
+        }
+    }
+
+    /// Delete the current row; the cursor stays at its key, between rows.
+    pub fn delete(&mut self) -> Result<()> {
+        match self {
+            RowCursor::B(c) => c.delete(),
+            RowCursor::L(c) => c.delete(),
         }
     }
 }

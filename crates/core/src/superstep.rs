@@ -35,11 +35,13 @@
 //! barrier mode of §5.1; the driver (`runtime.rs`) picks the window from
 //! the job's `ExecutionMode`.
 
-use crate::api::{ComputeContext, Mutation, Resolution, VertexProgram};
+use crate::api::{ComputeContext, Mutation, OutputBuffers, Resolution, VertexProgram};
 use crate::gs::GlobalState;
 use crate::plan::{JoinStrategy, PlanConfig};
-use crate::store::VertexStore;
-use crate::vertex::{decode_msg_list_into, VertexData};
+use crate::store::{RowCursor, VertexStore};
+use crate::vertex::{
+    decode_into, decode_msg_list_into, encode_edges, encode_head, is_halted, Edge, VertexData,
+};
 use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
@@ -65,12 +67,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
 
-/// Chunk limits for the scan-compute-update pipeline: the operator holds at
-/// most this much decoded vertex data before applying updates and
-/// re-seeking, keeping the fused operator's footprint bounded regardless of
-/// partition size.
-const CHUNK_MAX_BYTES: usize = 256 * 1024;
-const CHUNK_MAX_ROWS: usize = 1024;
+/// Rows the join loop handles between two aliveness checks (which double as
+/// the worker's heartbeat).
+const ROWS_PER_HEARTBEAT: u64 = 1024;
 
 /// Runtime state of one vertex partition, owned across supersteps.
 pub struct PartitionState {
@@ -774,27 +773,74 @@ struct ComputeSide<P: VertexProgram> {
     /// fast path performs no heap allocation (the group-by copies the tuple
     /// into its own arena/table storage).
     msg_scratch: Vec<u8>,
+    /// Reused per-row buffers — the decoded edge list, the output vectors
+    /// lent to each `ComputeContext` and the row encoding written back —
+    /// so a steady-state row allocates nothing.
+    edges: Vec<Edge<P::EdgeValue>>,
+    out: OutputBuffers<P>,
+    row_scratch: Vec<u8>,
 }
 
 impl<P: VertexProgram> ComputeSide<P> {
-    /// Run `compute` on one joined row and route every output flow.
-    fn process(
+    /// Run `compute` on the cursor's current row and write the result back
+    /// at the cursor (D2): only the row's head when the edge list is
+    /// untouched and the head kept its length, else the whole row.
+    fn process_row(
         &mut self,
-        store: &mut VertexStore,
-        vertex: VertexData<P>,
+        cur: &mut RowCursor<'_>,
+        vid: Vid,
         msgs: &[P::Message],
-        newly_created: bool,
     ) -> Result<()> {
+        let (halt, value, head_len) = decode_into::<P>(cur.value(), &mut self.edges)?;
+        let vertex = VertexData {
+            vid,
+            halt,
+            value,
+            edges: std::mem::take(&mut self.edges),
+        };
+        let edges_dirty = self.compute(vertex, msgs)?;
+        if edges_dirty {
+            encode_edges(&self.edges, &mut self.row_scratch);
+        } else if self.row_scratch.len() == head_len {
+            return cur.write_head(&self.row_scratch);
+        } else {
+            self.row_scratch.extend_from_slice(&cur.value()[head_len..]);
+        }
+        cur.write(&self.row_scratch)
+    }
+
+    /// Run `compute` on the default vertex materialised for a message whose
+    /// vid has no `Vertex` row (the left-outer case, §3) and insert it.
+    fn process_missing(
+        &mut self,
+        cur: &mut RowCursor<'_>,
+        vid: Vid,
+        msgs: &[P::Message],
+    ) -> Result<()> {
+        self.stats.created += 1;
+        self.compute(VertexData::missing(vid), msgs)?;
+        encode_edges(&self.edges, &mut self.row_scratch);
+        cur.insert(&vid_to_key(vid), &self.row_scratch)
+    }
+
+    /// Call `compute` on one joined row and route every output flow but the
+    /// vertex update: that is left as the row's new head in `row_scratch`
+    /// and its edge list in `edges`. Returns whether the edge list changed.
+    fn compute(&mut self, vertex: VertexData<P>, msgs: &[P::Message]) -> Result<bool> {
         self.stats.compute_calls += 1;
         self.counters.add_compute_calls(1);
-        if newly_created {
-            self.stats.created += 1;
-        }
         let vid = vertex.vid;
-        let mut ctx =
-            ComputeContext::new(vertex, msgs, self.gs.superstep, self.gs.vertex_count, &self.agg_prev);
+        let mut ctx = ComputeContext::new(
+            vertex,
+            msgs,
+            self.gs.superstep,
+            self.gs.vertex_count,
+            &self.agg_prev,
+            std::mem::take(&mut self.out),
+        );
         self.program.compute(&mut ctx)?;
-        let out = ctx.into_outputs();
+        let done = ctx.into_outputs();
+        let mut out = done.buffers;
         // D3: messages through the sender-side group-by. The tuple
         // (vid key + singleton message list) is staged in the reusable
         // scratch buffer, not a fresh allocation per message. Replay runs
@@ -811,32 +857,36 @@ impl<P: VertexProgram> ComputeSide<P> {
         }
         self.stats.msgs_sent += out.messages.len() as u64;
         self.counters.add_messages_sent(out.messages.len() as u64);
+        out.messages.clear();
         // D6: mutations to their owning partitions, tee'd into the message
         // log (same destination bucketing as the connector) when confined
         // recovery is on.
-        for (mvid, m) in &out.mutations {
-            let t = keyed_tuple(*mvid, &encode_mutation(m));
+        for (mvid, m) in out.mutations.drain(..) {
+            let t = keyed_tuple(mvid, &encode_mutation(&m));
             if let Some(log) = self.log.as_mut() {
-                log.add_mut(hash_partition(*mvid, self.p_count), &t);
+                log.add_mut(hash_partition(mvid, self.p_count), &t);
             }
             self.mutation_tx.send(&t)?;
         }
         // D5: aggregate contributions (stage one).
-        for a in out.agg {
+        for a in out.agg.drain(..) {
             self.agg_partial = Some(match self.agg_partial.take() {
                 None => a,
                 Some(acc) => self.program.combine_aggregates(acc, a),
             });
         }
-        // D2 / D4: vertex update + halt contribution.
-        if !out.vertex.halt {
+        self.out = out;
+        // D4: halt contribution.
+        if !done.vertex.halt {
             self.stats.live += 1;
             if self.track_live_vids {
                 self.live_vids.push(vid);
             }
         }
-        store.upsert(&vid_to_key(vid), &out.vertex.encode_value())?;
-        Ok(())
+        self.row_scratch.clear();
+        encode_head::<P>(done.vertex.halt, &done.vertex.value, &mut self.row_scratch);
+        self.edges = done.vertex.edges;
+        Ok(done.edges_dirty)
     }
 }
 
@@ -942,6 +992,9 @@ fn compute_task<P: VertexProgram>(
         log,
         p_count: sticky.len(),
         msg_scratch: Vec::new(),
+        edges: Vec::new(),
+        out: OutputBuffers::default(),
+        row_scratch: Vec::new(),
     };
 
     join_and_compute(&w, st, &mut side, &mut msgs, plan.join)?;
@@ -1078,142 +1131,84 @@ fn join_and_compute<P: VertexProgram>(
             ))
         }
         JoinStrategy::FullOuter => {
-            // Index full outer join: chunked merge of Msg with a full
-            // Vertex scan.
+            // Index full outer join: one pass of the row cursor over the
+            // Vertex index, merged with Msg.
             let superstep = side.gs.superstep;
-            let mut resume: Option<Vid> = None;
-            'outer: loop {
-                w.check_alive()?;
-                let chunk: Vec<(Vid, Vec<u8>)> = {
-                    let mut scan = match resume {
-                        None => st.store.scan()?,
-                        Some(v) => st.store.scan_from(&vid_to_key(v))?,
-                    };
-                    let mut chunk = Vec::new();
-                    let mut bytes = 0usize;
-                    while bytes < CHUNK_MAX_BYTES && chunk.len() < CHUNK_MAX_ROWS {
-                        match scan.next_entry()? {
-                            Some((k, v)) => {
-                                bytes += v.len() + 16;
-                                chunk.push((tuple_vid(&k)?, v));
-                            }
-                            None => break,
-                        }
-                    }
-                    chunk
-                };
-                if chunk.is_empty() {
-                    // Left-outer remainder: messages to nonexistent vids.
-                    while let Some(mvid) = msgs.vid {
-                        side.process(&mut st.store, VertexData::missing(mvid), &msgs.msgs, true)?;
-                        msgs.advance()?;
-                    }
-                    break 'outer;
+            let mut cur = st.store.cursor();
+            let mut rows = 0u64;
+            while cur.next()? {
+                if rows % ROWS_PER_HEARTBEAT == 0 {
+                    w.check_alive()?;
                 }
-                let last_vid = chunk.last().expect("nonempty").0;
-                for (vid, stored) in chunk {
-                    // Messages for vids before this vertex: missing rows.
-                    while let Some(mvid) = msgs.vid.filter(|&mvid| mvid < vid) {
-                        side.process(&mut st.store, VertexData::missing(mvid), &msgs.msgs, true)?;
-                        msgs.advance()?;
-                    }
-                    let matched = msgs.vid == Some(vid);
-                    let vertex = VertexData::<P>::decode(vid, &stored)?;
-                    // σ(V.halt = false || M.payload != NULL); superstep 1
-                    // activates everything (a fresh Pregel job starts with
-                    // every vertex active, which also powers pipelined jobs
-                    // over a carried-over graph, §5.6).
-                    if !vertex.halt || matched || superstep == 1 {
-                        let mlist: &[P::Message] = if matched { &msgs.msgs } else { &[] };
-                        side.process(&mut st.store, vertex, mlist, false)?;
-                    }
-                    if matched {
-                        msgs.advance()?;
-                    }
+                rows += 1;
+                let vid = tuple_vid(cur.key())?;
+                // Messages for vids before this vertex: missing rows.
+                while let Some(mvid) = msgs.vid.filter(|&mvid| mvid < vid) {
+                    side.process_missing(&mut cur, mvid, &msgs.msgs)?;
+                    msgs.advance()?;
                 }
-                if last_vid == Vid::MAX {
-                    break 'outer;
+                let matched = msgs.vid == Some(vid);
+                // σ(V.halt = false || M.payload != NULL), decided before
+                // the row is decoded; superstep 1 activates everything (a
+                // fresh Pregel job starts with every vertex active, which
+                // also powers pipelined jobs over a carried-over graph,
+                // §5.6).
+                if !is_halted(cur.value()) || matched || superstep == 1 {
+                    let mlist: &[P::Message] = if matched { &msgs.msgs } else { &[] };
+                    side.process_row(&mut cur, vid, mlist)?;
                 }
-                resume = Some(last_vid + 1);
+                if matched {
+                    msgs.advance()?;
+                }
+            }
+            // Left-outer remainder: messages to nonexistent vids.
+            while let Some(mvid) = msgs.vid {
+                side.process_missing(&mut cur, mvid, &msgs.msgs)?;
+                msgs.advance()?;
             }
         }
         JoinStrategy::LeftOuter => {
             // Merge Msg with the Vid live-vertex index (choose() prefers
-            // Msg on duplicates), then probe the Vertex index through a
-            // sorted-probe cursor: the merge yields strictly ascending
-            // vids, so consecutive probes land on the same leaf and skip
-            // the per-key root-to-leaf descent. The cursor holds a shared
-            // borrow of the store while compute needs a mutable one, so
-            // the loop alternates: gather a chunk of the merge, probe it,
-            // drop the cursor, then compute/update the chunk. Batching
-            // probes ahead of the updates is safe because the merged vids
-            // are distinct and ascending — compute only upserts the row
-            // it is processing, never a later one.
+            // Msg on duplicates), then seek the Vertex index's row cursor
+            // to each merged vid: the merge yields strictly ascending vids,
+            // so consecutive seeks land on the same pinned leaf and skip
+            // the per-key root-to-leaf descent, and the row is updated
+            // right where the seek found it.
             let PartitionState {
                 store, vid_index, ..
             } = st;
-            let vid_tree = vid_index.as_ref().ok_or_else(|| {
+            let vid_tree = vid_index.as_mut().ok_or_else(|| {
                 PregelixError::plan("left-outer join plan requires a Vid index")
             })?;
-            let mut vid_scan = vid_tree.scan()?;
-            let mut v_next = vid_scan.next_entry()?;
-            'outer_loj: loop {
-                w.check_alive()?;
-                let mut chunk: Vec<(Vid, Vec<P::Message>)> =
-                    Vec::with_capacity(CHUNK_MAX_ROWS.min(64));
-                while chunk.len() < CHUNK_MAX_ROWS {
-                    let v_vid = match &v_next {
-                        Some((vk, _)) => Some(tuple_vid(vk)?),
-                        None => None,
-                    };
-                    let m_vid = msgs.vid;
-                    let (vid, mlist) = match (v_vid, m_vid) {
-                        (None, None) => break,
-                        (Some(vv), None) => {
-                            v_next = vid_scan.next_entry()?;
-                            (vv, Vec::new())
-                        }
-                        (Some(vv), Some(mv)) if vv < mv => {
-                            v_next = vid_scan.next_entry()?;
-                            (vv, Vec::new())
-                        }
-                        (vv, Some(mv)) => {
-                            // choose(): on a duplicate vid, take the Msg
-                            // tuple and drop the Vid one. The chunk outlives
-                            // the cursor's row, so it takes the list.
-                            if vv == m_vid {
-                                v_next = vid_scan.next_entry()?;
-                            }
-                            let ml = std::mem::take(&mut msgs.msgs);
-                            msgs.advance()?;
-                            (mv, ml)
-                        }
-                    };
-                    chunk.push((vid, mlist));
+            let mut vids = vid_tree.cursor();
+            let mut v_vid = vids.next()?.then(|| tuple_vid(vids.key())).transpose()?;
+            let mut cur = store.cursor();
+            let mut rows = 0u64;
+            loop {
+                // choose(): on a duplicate vid, take the Msg tuple and drop
+                // the Vid one.
+                let (vid, matched) = match (v_vid, msgs.vid) {
+                    (None, None) => break,
+                    (Some(vv), None) => (vv, false),
+                    (Some(vv), Some(mv)) if vv < mv => (vv, false),
+                    (_, Some(mv)) => (mv, true),
+                };
+                if rows % ROWS_PER_HEARTBEAT == 0 {
+                    w.check_alive()?;
                 }
-                if chunk.is_empty() {
-                    break 'outer_loj;
+                rows += 1;
+                if v_vid == Some(vid) {
+                    v_vid = vids.next()?.then(|| tuple_vid(vids.key())).transpose()?;
                 }
-                let mut probed: Vec<Option<Vec<u8>>> = Vec::with_capacity(chunk.len());
-                {
-                    let mut cursor = store.probe_cursor();
-                    for (vid, _) in &chunk {
-                        probed.push(cursor.probe(&vid_to_key(*vid))?);
-                    }
+                let mlist: &[P::Message] = if matched { &msgs.msgs } else { &[] };
+                if cur.seek(&vid_to_key(vid))? {
+                    side.process_row(&mut cur, vid, mlist)?;
+                } else if matched {
+                    side.process_missing(&mut cur, vid, mlist)?;
                 }
-                for ((vid, mlist), stored) in chunk.into_iter().zip(probed) {
-                    match stored {
-                        Some(stored) => {
-                            let vertex = VertexData::<P>::decode(vid, &stored)?;
-                            side.process(store, vertex, &mlist, false)?;
-                        }
-                        None => {
-                            if !mlist.is_empty() {
-                                side.process(store, VertexData::missing(vid), &mlist, true)?;
-                            }
-                            // A stale Vid with no row (deleted vertex): skip.
-                        }
-                    }
+                // Else a stale Vid with no row (deleted vertex): skip.
+                if matched {
+                    msgs.advance()?;
                 }
             }
         }
@@ -1704,6 +1699,9 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
             log: None,
             p_count,
             msg_scratch: Vec::new(),
+            edges: Vec::new(),
+            out: OutputBuffers::default(),
+            row_scratch: Vec::new(),
         };
         join_and_compute(w, st, &mut side, &mut msgs, plan.join)?;
         side.mutation_tx.finish()?;

@@ -6,7 +6,7 @@
 //! `halt (1 byte) | value (V) | edge count (u32) | edges (dest u64 LE, E)*`.
 
 use crate::api::VertexProgram;
-use pregelix_common::error::Result;
+use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::writable::Writable;
 use pregelix_common::Vid;
 
@@ -101,28 +101,15 @@ impl<P: VertexProgram> VertexData<P> {
     /// Encode the non-key fields (the stored B-tree value).
     pub fn encode_value(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.edges.len() * 12);
-        self.halt.write(&mut out);
-        self.value.write(&mut out);
-        (self.edges.len() as u32).write(&mut out);
-        for e in &self.edges {
-            e.dest.write(&mut out);
-            e.value.write(&mut out);
-        }
+        encode_head::<P>(self.halt, &self.value, &mut out);
+        encode_edges(&self.edges, &mut out);
         out
     }
 
     /// Decode from a stored value plus its key.
-    pub fn decode(vid: Vid, mut stored: &[u8]) -> Result<Self> {
-        let buf = &mut stored;
-        let halt = bool::read(buf)?;
-        let value = P::VertexValue::read(buf)?;
-        let n = u32::read(buf)? as usize;
-        let mut edges = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let dest = Vid::read(buf)?;
-            let value = P::EdgeValue::read(buf)?;
-            edges.push(Edge { dest, value });
-        }
+    pub fn decode(vid: Vid, stored: &[u8]) -> Result<Self> {
+        let mut edges = Vec::new();
+        let (halt, value, _) = decode_into::<P>(stored, &mut edges)?;
         Ok(VertexData {
             vid,
             halt,
@@ -136,6 +123,58 @@ impl<P: VertexProgram> VertexData<P> {
     pub fn approx_bytes(&self) -> usize {
         self.encode_value().len() + 8
     }
+}
+
+/// Append a row's head, `halt | value`: the part of a stored row `compute`
+/// rewrites when it leaves the edge list alone.
+pub(crate) fn encode_head<P: VertexProgram>(halt: bool, value: &P::VertexValue, out: &mut Vec<u8>) {
+    halt.write(out);
+    value.write(out);
+}
+
+/// Append a row's tail, `edge count | edges`.
+pub(crate) fn encode_edges<E: Writable>(edges: &[Edge<E>], out: &mut Vec<u8>) {
+    (edges.len() as u32).write(out);
+    for e in edges {
+        e.dest.write(out);
+        e.value.write(out);
+    }
+}
+
+/// Whether a stored row's halt flag (its first byte) is set, without
+/// decoding the rest.
+pub(crate) fn is_halted(stored: &[u8]) -> bool {
+    stored.first() == Some(&1)
+}
+
+/// Decode a stored row into `(halt, value)` and `edges` (cleared first, so
+/// one buffer serves every row of a scan), also returning the byte length of
+/// the row's head. The row must be exactly `halt | value | n | edges`: the
+/// head-only write-back relies on that layout.
+pub(crate) fn decode_into<P: VertexProgram>(
+    stored: &[u8],
+    edges: &mut Vec<Edge<P::EdgeValue>>,
+) -> Result<(bool, P::VertexValue, usize)> {
+    let mut rest = stored;
+    let buf = &mut rest;
+    let halt = bool::read(buf)?;
+    let value = P::VertexValue::read(buf)?;
+    let head_len = stored.len() - buf.len();
+    let n = u32::read(buf)? as usize;
+    edges.clear();
+    edges.reserve(n.min(1 << 16));
+    for _ in 0..n {
+        let dest = Vid::read(buf)?;
+        let value = P::EdgeValue::read(buf)?;
+        edges.push(Edge { dest, value });
+    }
+    if !buf.is_empty() {
+        return Err(PregelixError::corrupt(format!(
+            "{} trailing bytes after a vertex row",
+            buf.len()
+        )));
+    }
+    Ok((halt, value, head_len))
 }
 
 /// Encode a list of messages as a `Msg` tuple payload. The uniform wire
@@ -187,6 +226,7 @@ mod tests {
         let bytes = v.encode_value();
         let back = VertexData::<NoopProgram>::decode(42, &bytes).unwrap();
         assert_eq!(back, v);
+        assert!(is_halted(&bytes));
     }
 
     #[test]
@@ -208,6 +248,30 @@ mod tests {
             decode_msg_list::<f64>(&encode_msg_list(&empty)).unwrap(),
             empty
         );
+    }
+
+    #[test]
+    fn trailing_bytes_after_a_row_are_corruption() {
+        let v: VertexData<NoopProgram> = VertexData::new(1, 1.0, vec![Edge::new(2, 3.0)]);
+        let mut bytes = v.encode_value();
+        bytes.push(0);
+        let err = VertexData::<NoopProgram>::decode(1, &bytes).unwrap_err();
+        assert!(matches!(err, PregelixError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn head_and_edges_compose_the_row_and_decode_into_reuses_the_buffer() {
+        let v: VertexData<NoopProgram> =
+            VertexData::new(1, 1.5, vec![Edge::new(2, 3.0), Edge::new(4, 5.0)]);
+        let row = v.encode_value();
+        let mut head = Vec::new();
+        encode_head::<NoopProgram>(v.halt, &v.value, &mut head);
+        assert_eq!(head, row[..head.len()]);
+        let mut edges = vec![Edge::new(99, 9.0); 7];
+        let (halt, value, head_len) = decode_into::<NoopProgram>(&row, &mut edges).unwrap();
+        assert_eq!((halt, value, head_len), (false, 1.5, head.len()));
+        assert!(!is_halted(&row));
+        assert_eq!(edges, v.edges);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! rebuild); graph-mutation-heavy workloads are steered to the LSM B-tree
 //! instead, exactly as §5.2 advises.
 
-use crate::cache::BufferCache;
+use crate::cache::{BufferCache, PageGuard};
 use crate::file::{FileId, PageId};
 use crate::page::{PageMut, PageRef, PageType, HEADER_LEN, NO_PAGE};
 use pregelix_common::error::{PregelixError, Result};
@@ -226,10 +226,17 @@ impl BTree {
         Ok(next)
     }
 
-    /// Read back an overflow chain written by [`BTree::write_overflow_chain`].
-    fn read_overflow_chain(&self, head: PageId, total: usize) -> Result<Vec<u8>> {
+    /// Read back an overflow chain written by [`BTree::write_overflow_chain`]
+    /// into `out` (cleared first).
+    fn read_overflow_chain_into(
+        &self,
+        head: PageId,
+        total: usize,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
         let mut page = head;
-        let mut out = Vec::with_capacity(total);
+        out.clear();
+        out.reserve(total);
         while page != NO_PAGE {
             let guard = self.cache.pin(self.file, page)?;
             let buf = guard.read();
@@ -247,7 +254,7 @@ impl BTree {
                 out.len()
             )));
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Recycle an overflow chain's pages into the free list.
@@ -265,11 +272,16 @@ impl BTree {
         Ok(())
     }
 
+    /// Whether a value of `value_len` bytes under a key of `key_len` bytes is
+    /// stored inline in its leaf entry (otherwise it spills to a chain).
+    fn inlines(&self, key_len: usize, value_len: usize) -> bool {
+        PageMut::entry_size(key_len, 1 + value_len) <= self.max_inline_entry()
+    }
+
     /// Encode `value` for storage in a leaf: inline when small, otherwise
     /// spilled to an overflow chain.
     fn encode_value(&mut self, key_len: usize, value: &[u8]) -> Result<Vec<u8>> {
-        let inline_entry = PageMut::entry_size(key_len, 1 + value.len());
-        if inline_entry <= self.max_inline_entry() {
+        if self.inlines(key_len, value.len()) {
             let mut out = Vec::with_capacity(1 + value.len());
             out.push(TAG_INLINE);
             out.extend_from_slice(value);
@@ -283,17 +295,22 @@ impl BTree {
         Ok(out)
     }
 
-    /// Decode a stored leaf value, following overflow chains.
-    fn decode_value(&self, stored: &[u8]) -> Result<Vec<u8>> {
+    /// Decode a stored leaf value into `out` (cleared first), following
+    /// overflow chains.
+    fn decode_value_into(&self, stored: &[u8], out: &mut Vec<u8>) -> Result<()> {
         match stored.first() {
-            Some(&TAG_INLINE) => Ok(stored[1..].to_vec()),
+            Some(&TAG_INLINE) => {
+                out.clear();
+                out.extend_from_slice(&stored[1..]);
+                Ok(())
+            }
             Some(&TAG_OVERFLOW) => {
                 if stored.len() != 17 {
                     return Err(PregelixError::corrupt("bad overflow pointer"));
                 }
                 let total = u64::from_le_bytes(stored[1..9].try_into().expect("8")) as usize;
                 let page = u64::from_le_bytes(stored[9..17].try_into().expect("8"));
-                self.read_overflow_chain(page, total)
+                self.read_overflow_chain_into(page, total, out)
             }
             _ => Err(PregelixError::corrupt("empty leaf value")),
         }
@@ -335,9 +352,9 @@ impl BTree {
         if self.sidecar_head == NO_PAGE {
             return Ok(None);
         }
-        Ok(Some(
-            self.read_overflow_chain(self.sidecar_head, self.sidecar_len as usize)?,
-        ))
+        let mut blob = Vec::new();
+        self.read_overflow_chain_into(self.sidecar_head, self.sidecar_len as usize, &mut blob)?;
+        Ok(Some(blob))
     }
 
     // ------------------------------------------------------------------
@@ -370,6 +387,13 @@ impl BTree {
         }
     }
 
+    /// Descend to the leaf that would contain `key`, pin it and search it.
+    fn pin_leaf_of(&self, key: &[u8]) -> Result<(PageGuard, std::result::Result<usize, usize>)> {
+        let guard = self.cache.pin(self.file, self.find_leaf(key)?)?;
+        let at = PageRef::new(&guard.read()).search(key);
+        Ok((guard, at))
+    }
+
     /// Point lookup: the value stored under `key`, if present.
     pub fn search(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         if fault::active() && fault::hit(Site::BtreeOp, "search").is_some() {
@@ -382,10 +406,9 @@ impl BTree {
         let r = PageRef::new(&buf);
         match r.search(key) {
             Ok(i) => {
-                let stored = r.value(i).to_vec();
-                drop(buf);
-                drop(guard);
-                Ok(Some(self.decode_value(&stored)?))
+                let mut value = Vec::new();
+                self.decode_value_into(r.value(i), &mut value)?;
+                Ok(Some(value))
             }
             Err(_) => Ok(None),
         }
@@ -408,26 +431,49 @@ impl BTree {
         ProbeCursor::new(self)
     }
 
-    /// Ordered scan over the whole tree.
-    pub fn scan(&self) -> Result<BTreeScanner<'_>> {
-        // Leftmost leaf: descend always taking child 0.
+    /// Pin the leftmost leaf: descend always taking child 0.
+    fn pin_leftmost_leaf(&self) -> Result<PageGuard> {
         let mut page = self.root;
         loop {
             let guard = self.cache.pin(self.file, page)?;
-            let buf = guard.read();
-            let r = PageRef::new(&buf);
-            match r.page_type()? {
-                PageType::Leaf => break,
-                PageType::Interior => {
-                    let child =
-                        u64::from_le_bytes(r.value(0).try_into().expect("child pointer"));
-                    drop(buf);
-                    page = child;
+            let child = {
+                let buf = guard.read();
+                let r = PageRef::new(&buf);
+                match r.page_type()? {
+                    PageType::Leaf => None,
+                    PageType::Interior => Some(u64::from_le_bytes(
+                        r.value(0).try_into().expect("child pointer"),
+                    )),
+                    t => {
+                        return Err(PregelixError::corrupt(format!("unexpected page type {t:?}")))
+                    }
                 }
-                t => return Err(PregelixError::corrupt(format!("unexpected page type {t:?}"))),
+            };
+            match child {
+                None => return Ok(guard),
+                Some(c) => page = c,
             }
         }
-        BTreeScanner::start(self, page, None)
+    }
+
+    /// Ordered scan over the whole tree.
+    pub fn scan(&self) -> Result<BTreeScanner<'_>> {
+        let leaf = self.pin_leftmost_leaf()?.page_id();
+        BTreeScanner::start(self, leaf, None)
+    }
+
+    /// Forward-only read-write cursor over the rows (see [`RowCursor`]).
+    pub fn cursor(&mut self) -> RowCursor<'_> {
+        RowCursor {
+            tree: self,
+            pos: LeafPos::default(),
+            slot: 0,
+            key: Vec::new(),
+            value: Vec::new(),
+            found: false,
+            inline: false,
+            started: false,
+        }
     }
 
     /// Ordered scan starting at the first key `>= from`.
@@ -848,68 +894,57 @@ impl BTree {
     }
 }
 
-/// Sorted-probe cursor: point lookups for monotonically non-decreasing keys
-/// with amortised O(1) page pins per probe (§5.2 left-outer join).
+/// The pinned leaf of a sorted probe sequence, detached from the tree's
+/// borrow so a cursor that also writes ([`RowCursor`]) and the LSM store's
+/// per-component probes can hold one.
 ///
-/// The cursor keeps the most recently answered leaf pinned. A probe whose
-/// key still falls within that leaf (`key <= last entry`) is answered by a
-/// binary search of the pinned page — zero additional pins. A key just past
-/// the leaf follows the sibling pointer (skipping leaves emptied by
-/// deletes): if the key lands within the next populated leaf, or provably
-/// in the gap before its first entry, the hop answers it. Only when the key
-/// jumps past that fence does the cursor re-descend from the root. Dense
-/// sorted probe runs therefore pin ~one page per *leaf touched* instead of
-/// `height` pages per *probe*.
+/// The most recently answered leaf stays pinned. A key still within that
+/// leaf (`key <= last entry`) is answered by a binary search of the pinned
+/// page — zero additional pins. A key just past the leaf follows the sibling
+/// pointer (skipping leaves emptied by deletes): if the key lands within the
+/// next populated leaf, or provably in the gap before its first entry, the
+/// hop answers it. Only when the key jumps past that fence does the position
+/// re-descend from the root. Dense sorted probe runs therefore pin ~one page
+/// per *leaf touched* instead of `height` pages per *probe*.
 ///
-/// Invariants:
-/// * Probed keys must be non-decreasing (checked with a debug assertion);
-///   out-of-order keys would be answered from a stale leaf.
-/// * The tree must not be mutated while the cursor lives — the `&BTree`
-///   borrow enforces this at compile time, which is why no fence keys or
-///   split detection are needed.
+/// Invariants the holder keeps:
+/// * Keys are non-decreasing (checked with a debug assertion); out-of-order
+///   keys would be answered from a stale leaf.
+/// * The tree's key set does not change while a leaf is pinned: whoever
+///   inserts, deletes or resizes an entry calls [`LeafPos::unpin`] first,
+///   which is why no fence keys or split detection are needed.
 /// * At most one leaf is pinned at a time, respecting the buffer cache's
 ///   pin discipline (pinned pages are exempt from eviction).
 ///
-/// Counter accounting: every probe bumps exactly one of `probe_leaf_hits`
-/// (answered from the pinned leaf or a sibling hop) or `probe_redescents`
-/// (root-to-leaf descent); `probe_page_pins` counts the pages pinned on
-/// behalf of probes (hops and descents — pinned-leaf answers are free).
-pub struct ProbeCursor<'a> {
-    tree: &'a BTree,
-    /// The pinned current leaf; `None` until the first probe descends.
-    leaf: Option<crate::cache::PageGuard>,
+/// Counter accounting: every [`LeafPos::locate`] bumps exactly one of
+/// `probe_leaf_hits` (answered from the pinned leaf or a sibling hop) or
+/// `probe_redescents` (root-to-leaf descent); `probe_page_pins` counts the
+/// pages pinned on behalf of probes (hops and descents — pinned-leaf answers
+/// are free).
+#[derive(Default)]
+pub(crate) struct LeafPos {
+    /// The pinned current leaf; `None` until the first key descends.
+    leaf: Option<PageGuard>,
     /// Monotonicity guard for debug builds.
     #[cfg(debug_assertions)]
     last_key: Option<Vec<u8>>,
 }
 
-impl<'a> ProbeCursor<'a> {
-    fn new(tree: &'a BTree) -> ProbeCursor<'a> {
-        ProbeCursor {
-            tree,
-            leaf: None,
-            #[cfg(debug_assertions)]
-            last_key: None,
-        }
+impl LeafPos {
+    /// Drop the pin; the next [`LeafPos::locate`] descends from the root.
+    fn unpin(&mut self) {
+        self.leaf = None;
     }
 
-    /// Point lookup with the value materialised (overflow chains resolved),
-    /// equivalent to [`BTree::search`] for non-decreasing keys.
-    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self.probe_stored(key)? {
-            Some(stored) => Ok(Some(self.tree.decode_value(&stored)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Membership-only probe; like [`BTree::contains`], overflow chains are
-    /// never touched because presence is decided from the leaf entry alone.
-    pub fn probe_contains(&mut self, key: &[u8]) -> Result<bool> {
-        Ok(self.probe_stored(key)?.is_some())
-    }
-
-    /// Core positioning logic; returns the raw stored leaf value.
-    fn probe_stored(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+    /// Pin the leaf that decides `key` and hand `read` that page with the
+    /// result of searching it: `Ok(slot)` of the entry, or `Err(slot)` where
+    /// the key would sit in that leaf.
+    pub(crate) fn locate<T>(
+        &mut self,
+        tree: &BTree,
+        key: &[u8],
+        mut read: impl FnMut(PageRef<'_>, std::result::Result<usize, usize>) -> Result<T>,
+    ) -> Result<T> {
         #[cfg(debug_assertions)]
         {
             if let Some(prev) = &self.last_key {
@@ -920,89 +955,303 @@ impl<'a> ProbeCursor<'a> {
             }
             self.last_key = Some(key.to_vec());
         }
-        let counters = self.tree.cache.counters().clone();
+        let counters = tree.cache.counters();
 
         // Fast path: the key is still covered by the pinned leaf.
         if let Some(guard) = &self.leaf {
-            let found = {
-                let buf = guard.read();
-                let r = PageRef::new(&buf);
-                if r.len() > 0 && key <= r.key(r.len() - 1) {
-                    Some(match r.search(key) {
-                        Ok(i) => Some(r.value(i).to_vec()),
-                        Err(_) => None,
-                    })
-                } else {
-                    None
-                }
-            };
-            if let Some(answer) = found {
-                counters.add_probe_leaf_hits(1);
-                return Ok(answer);
-            }
-            // The key is past the pinned leaf: hop the sibling chain over
-            // leaves emptied by deletes and inspect the first populated one.
             let mut next = {
                 let buf = guard.read();
-                PageRef::new(&buf).next_page()
-            };
-            while next != NO_PAGE {
-                let hop = self.tree.cache.pin(self.tree.file, next)?;
-                counters.add_probe_page_pins(1);
-                enum Hop {
-                    /// Empty leaf: keep walking the chain.
-                    Skip(PageId),
-                    /// The hop leaf answers the probe (hit or proven gap).
-                    Answer(Option<Vec<u8>>),
-                    /// Key is past this leaf's fence: re-descend.
-                    Past,
+                let r = PageRef::new(&buf);
+                if !r.is_empty() && key <= r.key(r.len() - 1) {
+                    counters.add_probe_leaf_hits(1);
+                    return read(r, r.search(key));
                 }
-                let outcome = {
+                r.next_page()
+            };
+            // The key is past the pinned leaf: hop the sibling chain over
+            // leaves emptied by deletes and inspect the first populated one.
+            while next != NO_PAGE {
+                let hop = tree.cache.pin(tree.file, next)?;
+                counters.add_probe_page_pins(1);
+                let answer = {
                     let buf = hop.read();
                     let r = PageRef::new(&buf);
-                    if r.len() == 0 {
-                        Hop::Skip(r.next_page())
-                    } else if key <= r.key(r.len() - 1) {
-                        // Within the leaf, or in the gap before its first
-                        // entry — either way this leaf decides the probe.
-                        Hop::Answer(match r.search(key) {
-                            Ok(i) => Some(r.value(i).to_vec()),
-                            Err(_) => None,
-                        })
-                    } else if r.next_page() == NO_PAGE {
-                        // Rightmost leaf: the key is beyond every entry.
-                        Hop::Answer(None)
+                    if r.is_empty() {
+                        // Empty leaf: keep walking the chain.
+                        next = r.next_page();
+                        continue;
+                    }
+                    // Within the leaf, in the gap before its first entry, or
+                    // (rightmost leaf) beyond every entry — this leaf decides
+                    // the probe. Otherwise the key is past its fence.
+                    if key <= r.key(r.len() - 1) || r.next_page() == NO_PAGE {
+                        Some(read(r, r.search(key)))
                     } else {
-                        Hop::Past
+                        None
                     }
                 };
-                match outcome {
-                    Hop::Skip(n) => next = n,
-                    Hop::Answer(answer) => {
-                        counters.add_probe_leaf_hits(1);
-                        self.leaf = Some(hop);
-                        return Ok(answer);
-                    }
-                    Hop::Past => break,
-                }
+                let Some(answer) = answer else { break };
+                counters.add_probe_leaf_hits(1);
+                self.leaf = Some(hop);
+                return answer;
             }
         }
 
         // Slow path: descend from the root.
         counters.add_probe_redescents(1);
-        counters.add_probe_page_pins(self.tree.height as u64 + 1);
-        let leaf = self.tree.find_leaf(key)?;
-        let guard = self.tree.cache.pin(self.tree.file, leaf)?;
+        counters.add_probe_page_pins(tree.height as u64 + 1);
+        let leaf = tree.find_leaf(key)?;
+        let guard = tree.cache.pin(tree.file, leaf)?;
         let answer = {
             let buf = guard.read();
             let r = PageRef::new(&buf);
-            match r.search(key) {
-                Ok(i) => Some(r.value(i).to_vec()),
-                Err(_) => None,
-            }
+            read(r, r.search(key))
         };
         self.leaf = Some(guard);
-        Ok(answer)
+        answer
+    }
+
+    /// Point lookup: decode the value stored under `key` into `out`
+    /// (overflow chains resolved). Returns whether the key is present.
+    pub(crate) fn probe_into(
+        &mut self,
+        tree: &BTree,
+        key: &[u8],
+        out: &mut Vec<u8>,
+    ) -> Result<bool> {
+        self.locate(tree, key, |r, at| match at {
+            Ok(i) => tree.decode_value_into(r.value(i), out).map(|()| true),
+            Err(_) => Ok(false),
+        })
+    }
+}
+
+/// Sorted-probe cursor: point lookups for monotonically non-decreasing keys
+/// with amortised O(1) page pins per probe (§5.2 left-outer join) — a
+/// [`LeafPos`] behind a shared borrow, so the tree cannot change under it.
+pub struct ProbeCursor<'a> {
+    tree: &'a BTree,
+    pos: LeafPos,
+}
+
+impl<'a> ProbeCursor<'a> {
+    fn new(tree: &'a BTree) -> ProbeCursor<'a> {
+        ProbeCursor {
+            tree,
+            pos: LeafPos::default(),
+        }
+    }
+
+    /// Point lookup with the value materialised (overflow chains resolved),
+    /// equivalent to [`BTree::search`] for non-decreasing keys.
+    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let mut value = Vec::new();
+        Ok(self
+            .pos
+            .probe_into(self.tree, key, &mut value)?
+            .then_some(value))
+    }
+
+    /// Membership-only probe; like [`BTree::contains`], overflow chains are
+    /// never touched because presence is decided from the leaf entry alone.
+    pub fn probe_contains(&mut self, key: &[u8]) -> Result<bool> {
+        self.pos.locate(self.tree, key, |_, at| Ok(at.is_ok()))
+    }
+}
+
+/// Forward-only read-write cursor over a B-tree's rows: the access path of
+/// the fused scan/compute/update operator (§5.3.2, flow D2).
+///
+/// [`RowCursor::next`] walks the rows in key order (the full-outer scan) and
+/// [`RowCursor::seek`] jumps to a key at or after the position (the
+/// left-outer sorted probe, the pinned-leaf logic of [`LeafPos`]). Either
+/// way the cursor keeps the current leaf pinned and lends the current row's
+/// key and value from its own buffers (overflow chains resolved into the
+/// same buffer), so reading a row allocates nothing.
+///
+/// A result is written back *at the cursor*: [`RowCursor::write_head`] and a
+/// [`RowCursor::write`] of unchanged length overwrite an inline value in its
+/// slot under the pin already held — no descent, no second pin, no search.
+/// Everything that can move entries — a value that grows, shrinks or lives
+/// in an overflow chain, [`RowCursor::insert`] of another key,
+/// [`RowCursor::delete`] — goes through the tree's by-key API after the pin
+/// is dropped, and the cursor finds its place again by key on the next move
+/// or write. `next` therefore always yields the smallest key greater than
+/// the position in the tree *as it is now*.
+pub struct RowCursor<'a> {
+    tree: &'a mut BTree,
+    /// The pinned leaf the position lives on; unpinned before the first move
+    /// and by every change made through the tree's by-key API.
+    pos: LeafPos,
+    /// While pinned: slot of the current row (`found`), else of the first
+    /// entry after the position.
+    slot: usize,
+    /// The position: the current row's key, or the last key sought.
+    key: Vec<u8>,
+    /// The current row's value (valid while `found`).
+    value: Vec<u8>,
+    /// Whether the cursor is on a row.
+    found: bool,
+    /// Whether the current row's value is stored inline in its leaf entry.
+    inline: bool,
+    /// `false` until the first move: the position is before every row.
+    started: bool,
+}
+
+impl RowCursor<'_> {
+    /// Move to the next row in key order; `false` at the end.
+    // Not `Iterator::next`: the row is lent from the cursor's own buffers.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<bool> {
+        let mut slot = if !self.started {
+            self.started = true;
+            self.pos.leaf = Some(self.tree.pin_leftmost_leaf()?);
+            0
+        } else if self.pos.leaf.is_some() {
+            self.slot + usize::from(self.found)
+        } else {
+            let (guard, at) = self.tree.pin_leaf_of(&self.key)?;
+            self.pos.leaf = Some(guard);
+            match at {
+                Ok(i) => i + 1,
+                Err(i) => i,
+            }
+        };
+        loop {
+            let guard = self.pos.leaf.as_ref().expect("pinned above");
+            let buf = guard.read();
+            let r = PageRef::new(&buf);
+            if slot < r.len() {
+                let (key, stored) = r.entry(slot);
+                self.key.clear();
+                self.key.extend_from_slice(key);
+                self.tree.decode_value_into(stored, &mut self.value)?;
+                self.inline = stored.first() == Some(&TAG_INLINE);
+                self.slot = slot;
+                self.found = true;
+                return Ok(true);
+            }
+            let next = r.next_page();
+            drop(buf);
+            if next == NO_PAGE {
+                self.slot = slot;
+                self.found = false;
+                return Ok(false);
+            }
+            // Leaves emptied by deletes stay in the chain; walk over them.
+            self.pos.leaf = Some(self.tree.cache.pin(self.tree.file, next)?);
+            slot = 0;
+        }
+    }
+
+    /// Move to `key`, which must not be before the position; returns whether
+    /// a row is stored under it. After a miss the cursor sits between rows.
+    pub fn seek(&mut self, key: &[u8]) -> Result<bool> {
+        debug_assert!(
+            !self.started || self.key.as_slice() <= key,
+            "seek keys must be non-decreasing"
+        );
+        self.started = true;
+        let Self {
+            tree, pos, value, inline, ..
+        } = self;
+        let tree: &BTree = tree;
+        let at = pos.locate(tree, key, |r, at| {
+            if let Ok(i) = at {
+                let stored = r.value(i);
+                tree.decode_value_into(stored, value)?;
+                *inline = stored.first() == Some(&TAG_INLINE);
+            }
+            Ok(at)
+        })?;
+        self.key.clear();
+        self.key.extend_from_slice(key);
+        self.found = at.is_ok();
+        self.slot = at.unwrap_or_else(|i| i);
+        Ok(self.found)
+    }
+
+    /// Key of the position: the current row's, or the last key sought.
+    pub fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    /// Value of the current row.
+    pub fn value(&self) -> &[u8] {
+        debug_assert!(self.found, "no current row");
+        &self.value
+    }
+
+    fn require_row(&self) -> Result<()> {
+        if self.found {
+            Ok(())
+        } else {
+            Err(PregelixError::internal("row cursor is not on a row"))
+        }
+    }
+
+    /// Overwrite the first `head.len()` bytes of the current row's value,
+    /// leaving the rest (and the length) as stored.
+    pub fn write_head(&mut self, head: &[u8]) -> Result<()> {
+        self.require_row()?;
+        if head.len() > self.value.len() {
+            return Err(PregelixError::internal("row head longer than the row"));
+        }
+        self.value[..head.len()].copy_from_slice(head);
+        if !self.inline {
+            return self.rewrite();
+        }
+        if self.pos.leaf.is_none() {
+            let (guard, at) = self.tree.pin_leaf_of(&self.key)?;
+            self.slot = at.map_err(|_| PregelixError::internal("row cursor lost its row"))?;
+            self.pos.leaf = Some(guard);
+        }
+        let guard = self.pos.leaf.as_ref().expect("pinned above");
+        let mut buf = guard.write();
+        PageMut::new(&mut buf).value_mut(self.slot)[1..1 + head.len()].copy_from_slice(head);
+        Ok(())
+    }
+
+    /// Replace the current row's value.
+    pub fn write(&mut self, value: &[u8]) -> Result<()> {
+        self.require_row()?;
+        if self.inline && value.len() == self.value.len() {
+            return self.write_head(value);
+        }
+        self.value.clear();
+        self.value.extend_from_slice(value);
+        self.rewrite()
+    }
+
+    /// Store the buffered value under the current key through the by-key
+    /// path, which may move entries: the pin goes first.
+    fn rewrite(&mut self) -> Result<()> {
+        self.pos.unpin();
+        if !self.tree.update(&self.key, &self.value)? {
+            return Err(PregelixError::internal("row cursor lost its row"));
+        }
+        self.inline = self.tree.inlines(self.key.len(), self.value.len());
+        Ok(())
+    }
+
+    /// Insert or replace the row under `key`, anywhere in the tree. The
+    /// current row stays current; a key after the position is met by a
+    /// later [`RowCursor::next`].
+    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        if self.found && key == self.key.as_slice() {
+            return self.write(value);
+        }
+        self.pos.unpin();
+        self.tree.upsert(key, value)
+    }
+
+    /// Delete the current row; the cursor stays at its key, between rows.
+    pub fn delete(&mut self) -> Result<()> {
+        self.require_row()?;
+        self.pos.unpin();
+        self.tree.delete(&self.key)?;
+        self.found = false;
+        Ok(())
     }
 }
 
@@ -1029,44 +1278,32 @@ impl<'a> BTreeScanner<'a> {
 
     fn load_next_leaf(&mut self, from: Option<&[u8]>) -> Result<bool> {
         loop {
+            self.batch.clear();
+            self.idx = 0;
             if self.next_leaf == NO_PAGE {
-                self.batch.clear();
-                self.idx = 0;
                 return Ok(false);
             }
-            let stored: Vec<(Vec<u8>, Vec<u8>)> = {
-                let guard = self.tree.cache.pin(self.tree.file, self.next_leaf)?;
-                let buf = guard.read();
-                let r = PageRef::new(&buf);
-                self.next_leaf = r.next_page();
-                let start = match from {
-                    Some(k) => match r.search(k) {
-                        Ok(i) => i,
-                        Err(i) => i,
-                    },
-                    None => 0,
-                };
-                (start..r.len())
-                    .map(|i| {
-                        let (k, v) = r.entry(i);
-                        (k.to_vec(), v.to_vec())
-                    })
-                    .collect()
+            let guard = self.tree.cache.pin(self.tree.file, self.next_leaf)?;
+            let buf = guard.read();
+            let r = PageRef::new(&buf);
+            self.next_leaf = r.next_page();
+            let start = match from {
+                Some(k) => r.search(k).unwrap_or_else(|i| i),
+                None => 0,
             };
-            // Resolve overflow values outside the page pin.
-            self.batch.clear();
-            for (k, stored_v) in stored {
-                self.batch.push((k, self.tree.decode_value(&stored_v)?));
+            // Each value is copied once, straight out of the pinned page (or
+            // its overflow chain).
+            for i in start..r.len() {
+                let (k, stored) = r.entry(i);
+                let mut value = Vec::new();
+                self.tree.decode_value_into(stored, &mut value)?;
+                self.batch.push((k.to_vec(), value));
             }
-            self.idx = 0;
             if !self.batch.is_empty() {
                 return Ok(true);
             }
             // Empty leaf (all entries deleted): keep walking the chain, and
             // `from` only applies to the first leaf.
-            if self.next_leaf == NO_PAGE {
-                return Ok(false);
-            }
         }
     }
 
@@ -1334,6 +1571,145 @@ mod tests {
             .unwrap();
         assert!(t.update(&k(49), &[2; 8]).unwrap());
         assert_eq!(t.search(&k(49)).unwrap().unwrap(), vec![2; 8]);
+    }
+
+    fn leaf_count(t: &BTree) -> u64 {
+        let mut leaves = 1;
+        let mut next = PageRef::new(&t.pin_leftmost_leaf().unwrap().read()).next_page();
+        while next != NO_PAGE {
+            leaves += 1;
+            next = PageRef::new(&t.cache.pin(t.file, next).unwrap().read()).next_page();
+        }
+        leaves
+    }
+
+    #[test]
+    fn cursor_scan_and_rewrite_pins_each_leaf_once() {
+        let (mut t, mut model, _d) = loaded(600, 8);
+        let (leaves, height) = (leaf_count(&t), t.height() as u64);
+        assert!(leaves > 10 && height >= 2);
+        let counters = t.cache().counters().clone();
+        let pins = |c: &ClusterCounters| c.cache_hits() + c.cache_misses();
+        let before = pins(&counters);
+        let mut cur = t.cursor();
+        while cur.next().unwrap() {
+            let v = u64::from_be_bytes(cur.key().try_into().unwrap());
+            assert_eq!(cur.value(), model[&v].as_slice());
+            if v % 2 == 0 {
+                // Whole value, same length.
+                let val = vec![(v + 1) as u8; 8];
+                cur.write(&val).unwrap();
+                model.insert(v, val);
+            } else {
+                // Head only: the tail stays as stored.
+                cur.write_head(&[0xEE; 3]).unwrap();
+                model.get_mut(&v).unwrap()[..3].fill(0xEE);
+            }
+            assert_eq!(cur.value(), model[&v].as_slice());
+        }
+        drop(cur);
+        let spent = pins(&counters) - before;
+        assert!(
+            spent <= leaves + height + 1,
+            "600 rows over {leaves} leaves at height {height} pinned {spent} pages"
+        );
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn cursor_seeks_write_in_the_slot_the_probe_found() {
+        let (mut t, mut model, _d) = loaded(600, 8);
+        let leaves = leaf_count(&t);
+        let c = t.cache().counters().clone();
+        let before = c.snapshot();
+        let mut cur = t.cursor();
+        for v in (0..600u64).step_by(3) {
+            assert!(cur.seek(&k(v)).unwrap(), "key {v}");
+            assert_eq!((cur.key(), cur.value()), (k(v).as_slice(), model[&v].as_slice()));
+            cur.write(&[v as u8 ^ 0x55; 8]).unwrap();
+            model.insert(v, vec![v as u8 ^ 0x55; 8]);
+        }
+        assert!(!cur.seek(&k(700)).unwrap());
+        assert!(!cur.next().unwrap(), "nothing after a miss past the end");
+        drop(cur);
+        let d = c.snapshot().delta_since(&before);
+        assert_eq!(d.probe_leaf_hits + d.probe_redescents, 201);
+        assert_eq!(d.probe_redescents, 2, "one descent, sibling hops, one miss past the end");
+        assert!(
+            d.cache_hits + d.cache_misses <= leaves + 2 * (t.height() as u64 + 1),
+            "writes must reuse the probe's pin: {d:?}"
+        );
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn cursor_fallbacks_find_their_place_again() {
+        let (mut t, mut model, _d) = loaded(300, 8);
+        let mut cur = t.cursor();
+        let mut seen = Vec::new();
+        while cur.next().unwrap() {
+            let v = u64::from_be_bytes(cur.key().try_into().unwrap());
+            assert_eq!(cur.value(), model[&v].as_slice());
+            seen.push(v);
+            if v == 100 {
+                // A missing key after the cursor (met by a later `next`),
+                // one before it, and the current row by key.
+                cur.insert(&k(1_000_050), &[5; 8]).unwrap();
+                model.insert(1_000_050, vec![5; 8]);
+                cur.insert(&[0, 0, 0, 0, 0, 0, 0, 50, 1], &[6; 8]).unwrap();
+                cur.insert(&k(100), &[7; 40]).unwrap();
+                assert_eq!(cur.value(), [7; 40]);
+                model.insert(100, vec![7; 40]);
+            }
+            if v == 200 {
+                cur.delete().unwrap();
+                model.remove(&200);
+            }
+            let val = match v % 6 {
+                0 => vec![v as u8; 40],  // grows in its leaf, may split it
+                1 => vec![v as u8; 2],   // shrinks
+                3 => vec![v as u8; 700], // inline -> overflow
+                _ => continue,
+            };
+            cur.write(&val).unwrap();
+            assert_eq!(cur.value(), val.as_slice());
+            model.insert(v, val);
+            if v % 6 == 3 {
+                // Overflow rows: head through the chain, then back inline.
+                cur.write_head(&[1, 2, 3]).unwrap();
+                model.get_mut(&v).unwrap()[..3].copy_from_slice(&[1, 2, 3]);
+                if v % 12 == 3 {
+                    cur.write(&[9; 8]).unwrap();
+                    model.insert(v, vec![9; 8]);
+                }
+            }
+        }
+        assert!(cur.insert(&k(2_000_000), &[8; 8]).is_ok());
+        assert!(cur.next().unwrap(), "a key inserted past the end is still ahead");
+        assert_eq!(cur.key(), k(2_000_000).as_slice());
+        assert!(!cur.next().unwrap());
+        assert!(cur.write(&[0]).is_err(), "no current row at the end");
+        drop(cur);
+        let mut expect: Vec<u64> = (0..300).collect();
+        expect.push(1_000_050);
+        assert_eq!(seen, expect, "every row once, in order, splits or not");
+        assert_eq!(t.search(&[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap().unwrap(), [6; 8]);
+        t.delete(&[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap();
+        model.insert(2_000_000, vec![8; 8]);
+        assert_matches(&t, &model);
+    }
+
+    #[test]
+    fn scanner_resolves_inline_and_overflow_values() {
+        let (mut t, mut model, _d) = loaded(50, 8);
+        for v in [3u64, 4, 40] {
+            t.upsert(&k(v), &vec![v as u8; 3_000]).unwrap();
+            model.insert(v, vec![v as u8; 3_000]);
+        }
+        assert_matches(&t, &model);
+        let mut from = t.scan_from(&k(40)).unwrap();
+        assert_eq!(from.next_entry().unwrap().unwrap(), (k(40), vec![40; 3_000]));
+        assert_eq!(from.next_entry().unwrap().unwrap(), (k(41), vec![41; 8]));
     }
 
     #[test]

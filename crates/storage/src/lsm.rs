@@ -26,13 +26,19 @@
 //! a tombstone: older components can only hold shadowed versions.
 
 use crate::bloom::BloomFilter;
-use crate::btree::{BTree, BTreeScanner, ProbeCursor};
+use crate::btree::{BTree, BTreeScanner, LeafPos};
 use crate::cache::BufferCache;
-use pregelix_common::error::Result;
-use std::collections::BTreeMap;
+use pregelix_common::error::{PregelixError, Result};
+use std::collections::{BTreeMap, VecDeque};
 
 const LIVE: u8 = 0;
 const TOMBSTONE: u8 = 1;
+
+/// Bounds on the rows an [`LsmRowCursor`] gathers ahead of its position, so
+/// the fused scan-compute-update operator's footprint stays bounded
+/// regardless of partition size.
+const GATHER_MAX_BYTES: usize = 256 * 1024;
+const GATHER_MAX_ROWS: usize = 1024;
 
 /// An immutable on-disk component: a bulk-loaded B-tree plus the bloom
 /// filter over its keys. The filter is `None` only if the component was
@@ -120,17 +126,21 @@ impl LsmBTree {
 
     /// Insert or replace a key.
     pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.charge(key, Some(value));
-        self.mem.insert(key.to_vec(), Some(value.to_vec()));
+        self.mem_put(key, Some(value));
         self.maybe_flush()
     }
 
     /// Delete a key (tombstone). Deleting an absent key is a no-op that
     /// still writes a tombstone, matching LSM semantics.
     pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        self.charge(key, None);
-        self.mem.insert(key.to_vec(), None);
+        self.mem_put(key, None);
         self.maybe_flush()
+    }
+
+    /// Record a value or tombstone in the in-memory component only.
+    fn mem_put(&mut self, key: &[u8], value: Option<&[u8]>) {
+        self.charge(key, value);
+        self.mem.insert(key.to_vec(), value.map(<[u8]>::to_vec));
     }
 
     /// Point lookup across all components, newest first.
@@ -163,6 +173,49 @@ impl LsmBTree {
         Ok(None)
     }
 
+    /// Fresh (unpinned) positions, one per disk component.
+    fn new_probes(&self) -> Vec<LeafPos> {
+        self.components.iter().map(|_| LeafPos::default()).collect()
+    }
+
+    /// [`LsmBTree::search`] for the sorted-probe cursors: decode the live
+    /// value under `key` into `out` and report whether there is one, with
+    /// the same newest-first early exit and bloom gating. `probes` holds one
+    /// pinned-leaf position per disk component (same order as `components`);
+    /// each sees a subsequence of the caller's keys, so non-decreasing keys
+    /// keep every position's monotonicity invariant and consecutive lookups
+    /// into one component reuse its pinned leaf instead of re-descending.
+    fn lookup(&self, probes: &mut [LeafPos], key: &[u8], out: &mut Vec<u8>) -> Result<bool> {
+        if let Some(entry) = self.mem.get(key) {
+            out.clear();
+            out.extend_from_slice(entry.as_deref().unwrap_or_default());
+            return Ok(entry.is_some());
+        }
+        let counters = self.cache.counters();
+        for (comp, pos) in self.components.iter().zip(probes).rev() {
+            if let Some(bloom) = &comp.bloom {
+                if !bloom.contains(key) {
+                    counters.add_bloom_negatives(1);
+                    continue;
+                }
+            }
+            if pos.probe_into(&comp.tree, key, out)? {
+                return match out.first() {
+                    Some(&LIVE) => {
+                        out.remove(0);
+                        Ok(true)
+                    }
+                    Some(&TOMBSTONE) => Ok(false),
+                    _ => Err(PregelixError::corrupt("empty LSM component value")),
+                };
+            }
+            if comp.bloom.is_some() {
+                counters.add_bloom_false_positives(1);
+            }
+        }
+        Ok(false)
+    }
+
     /// Whether `key` currently has a live value.
     pub fn contains(&self, key: &[u8]) -> Result<bool> {
         Ok(self.search(key)?.is_some())
@@ -173,7 +226,22 @@ impl LsmBTree {
     pub fn probe_cursor(&self) -> LsmProbeCursor<'_> {
         LsmProbeCursor {
             lsm: self,
-            cursors: (0..self.components.len()).map(|_| None).collect(),
+            probes: self.new_probes(),
+        }
+    }
+
+    /// Forward-only read-write cursor over the live rows (see
+    /// [`LsmRowCursor`]).
+    pub fn cursor(&mut self) -> LsmRowCursor<'_> {
+        LsmRowCursor {
+            probes: self.new_probes(),
+            lsm: self,
+            ahead: VecDeque::new(),
+            exhausted: false,
+            key: Vec::new(),
+            value: Vec::new(),
+            found: false,
+            started: false,
         }
     }
 
@@ -323,9 +391,7 @@ fn decode(stored: &[u8]) -> Result<Option<Vec<u8>>> {
     match stored.first() {
         Some(&LIVE) => Ok(Some(stored[1..].to_vec())),
         Some(&TOMBSTONE) => Ok(None),
-        _ => Err(pregelix_common::error::PregelixError::corrupt(
-            "empty LSM component value",
-        )),
+        _ => Err(PregelixError::corrupt("empty LSM component value")),
     }
 }
 
@@ -384,55 +450,205 @@ impl LsmScanner<'_> {
 }
 
 /// Sorted-probe cursor over an [`LsmBTree`]: the multi-component analogue
-/// of [`ProbeCursor`], for monotonically non-decreasing probe keys.
+/// of [`crate::btree::ProbeCursor`], for monotonically non-decreasing probe
+/// keys.
 ///
 /// Each probe consults the in-memory component first, then disk components
 /// newest-to-oldest with the same early-exit rule as [`LsmBTree::search`].
 /// Components whose bloom filter rejects the key are skipped without being
 /// descended (`bloom_negatives`). Each disk component that *is* consulted
-/// gets a lazily-created [`ProbeCursor`] that is remembered across probes,
-/// so consecutive probes into the same component reuse its pinned leaf
-/// instead of re-descending. The per-component cursors each see a
-/// subsequence of the (non-decreasing) probe keys, preserving the cursor's
-/// monotonicity invariant.
+/// keeps its leaf pinned across probes, so consecutive probes into the same
+/// component reuse it instead of re-descending.
 pub struct LsmProbeCursor<'a> {
     lsm: &'a LsmBTree,
-    /// Per-disk-component cursors, same order as `lsm.components`; `None`
-    /// until the first probe reaches that component.
-    cursors: Vec<Option<ProbeCursor<'a>>>,
+    /// Per-disk-component positions, same order as `lsm.components`.
+    probes: Vec<LeafPos>,
 }
 
 impl LsmProbeCursor<'_> {
     /// Point lookup: the live value under `key`, if any. Equivalent to
     /// [`LsmBTree::search`] for non-decreasing keys.
     pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let lsm = self.lsm;
-        if let Some(entry) = lsm.mem.get(key) {
-            return Ok(entry.clone());
-        }
-        let counters = lsm.cache.counters();
-        for i in (0..lsm.components.len()).rev() {
-            let comp = &lsm.components[i];
-            if let Some(bloom) = &comp.bloom {
-                if !bloom.contains(key) {
-                    counters.add_bloom_negatives(1);
-                    continue;
-                }
-            }
-            let cursor = self.cursors[i].get_or_insert_with(|| comp.tree.probe_cursor());
-            if let Some(stored) = cursor.probe(key)? {
-                return decode(&stored);
-            }
-            if comp.bloom.is_some() {
-                counters.add_bloom_false_positives(1);
-            }
-        }
-        Ok(None)
+        let mut value = Vec::new();
+        Ok(self
+            .lsm
+            .lookup(&mut self.probes, key, &mut value)?
+            .then_some(value))
     }
 
     /// Whether `key` currently has a live value.
     pub fn probe_contains(&mut self, key: &[u8]) -> Result<bool> {
         Ok(self.probe(key)?.is_some())
+    }
+}
+
+/// Forward-only read-write cursor over an [`LsmBTree`]'s live rows: the
+/// same contract as [`crate::btree::RowCursor`] — `next` yields the smallest
+/// key greater than the position in the tree as it is now, `seek` jumps to a
+/// key at or after it, the current row's key and value are lent from the
+/// cursor's buffers — on a store that has no slot to write back into. Every
+/// write is an in-memory-component insert.
+///
+/// A memtable insert under a live merged scan is not safe (the scanner
+/// borrows the memtable and pins a leaf per component), so `next` never
+/// holds one across calls: it gathers a bounded run of rows ahead of the
+/// position, drops the scan, and serves from the run; writes meanwhile go
+/// straight to the memtable. `seek` keeps one pinned leaf per disk component
+/// ([`LsmBTree::lookup`]); those pins are dropped before a write flushes the
+/// memtable or merges components.
+pub struct LsmRowCursor<'a> {
+    lsm: &'a mut LsmBTree,
+    /// Per-disk-component positions of the seek path.
+    probes: Vec<LeafPos>,
+    /// Rows gathered ahead of the position by the last bounded scan.
+    ahead: VecDeque<(Vec<u8>, Vec<u8>)>,
+    /// The last gather reached the end of the tree.
+    exhausted: bool,
+    /// The position: the current row's key, or the last key sought.
+    key: Vec<u8>,
+    /// The current row's value (valid while `found`).
+    value: Vec<u8>,
+    /// Whether the cursor is on a row.
+    found: bool,
+    /// `false` until the first move: the position is before every row.
+    started: bool,
+}
+
+impl LsmRowCursor<'_> {
+    /// Move to the next live row in key order; `false` at the end.
+    // Not `Iterator::next`: the row is lent from the cursor's own buffers.
+    #[allow(clippy::should_implement_trait)]
+    pub fn next(&mut self) -> Result<bool> {
+        if self.ahead.is_empty() && !self.exhausted {
+            self.gather()?;
+        }
+        self.started = true;
+        self.found = match self.ahead.pop_front() {
+            Some((key, value)) => {
+                self.key = key;
+                self.value = value;
+                true
+            }
+            None => false,
+        };
+        Ok(self.found)
+    }
+
+    /// Scan a bounded run of rows after the position into `ahead`.
+    fn gather(&mut self) -> Result<()> {
+        let mut scan = if self.started {
+            // The smallest byte string greater than the position.
+            let mut after = self.key.clone();
+            after.push(0);
+            self.lsm.scan_from(&after)?
+        } else {
+            self.lsm.scan()?
+        };
+        let mut bytes = 0;
+        while bytes < GATHER_MAX_BYTES && self.ahead.len() < GATHER_MAX_ROWS {
+            let Some((key, value)) = scan.next_entry()? else {
+                self.exhausted = true;
+                break;
+            };
+            bytes += key.len() + value.len() + 16;
+            self.ahead.push_back((key, value));
+        }
+        Ok(())
+    }
+
+    /// Move to `key`, which must not be before the position; returns whether
+    /// a live row is stored under it.
+    pub fn seek(&mut self, key: &[u8]) -> Result<bool> {
+        debug_assert!(
+            !self.started || self.key.as_slice() <= key,
+            "seek keys must be non-decreasing"
+        );
+        self.started = true;
+        self.ahead.clear();
+        self.exhausted = false;
+        self.key.clear();
+        self.key.extend_from_slice(key);
+        self.found = self.lsm.lookup(&mut self.probes, key, &mut self.value)?;
+        Ok(self.found)
+    }
+
+    /// Key of the position: the current row's, or the last key sought.
+    pub fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    /// Value of the current row.
+    pub fn value(&self) -> &[u8] {
+        debug_assert!(self.found, "no current row");
+        &self.value
+    }
+
+    fn require_row(&self) -> Result<()> {
+        if self.found {
+            Ok(())
+        } else {
+            Err(PregelixError::internal("row cursor is not on a row"))
+        }
+    }
+
+    /// After a memtable insert that filled the memtable: the seek path's
+    /// pins go before the flush (and a possible merge) restructures the
+    /// components.
+    fn flush_if_full(&mut self) -> Result<()> {
+        if self.lsm.mem_bytes > self.lsm.mem_budget {
+            self.probes.clear();
+            self.lsm.maybe_flush()?;
+            self.probes = self.lsm.new_probes();
+        }
+        Ok(())
+    }
+
+    /// Overwrite the first `head.len()` bytes of the current row's value.
+    pub fn write_head(&mut self, head: &[u8]) -> Result<()> {
+        self.require_row()?;
+        if head.len() > self.value.len() {
+            return Err(PregelixError::internal("row head longer than the row"));
+        }
+        self.value[..head.len()].copy_from_slice(head);
+        self.store_current()
+    }
+
+    /// Replace the current row's value.
+    pub fn write(&mut self, value: &[u8]) -> Result<()> {
+        self.require_row()?;
+        self.value.clear();
+        self.value.extend_from_slice(value);
+        self.store_current()
+    }
+
+    /// Put the buffered value of the current row into the memtable.
+    fn store_current(&mut self) -> Result<()> {
+        self.lsm.mem_put(&self.key, Some(&self.value));
+        self.flush_if_full()
+    }
+
+    /// Insert or replace the row under `key`, anywhere in the tree. The
+    /// current row stays current; a key after the position is met by a
+    /// later [`LsmRowCursor::next`].
+    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        if self.found && key == self.key.as_slice() {
+            return self.write(value);
+        }
+        if key > self.key.as_slice() {
+            // The gathered run no longer shows what lies ahead.
+            self.ahead.clear();
+            self.exhausted = false;
+        }
+        self.lsm.mem_put(key, Some(value));
+        self.flush_if_full()
+    }
+
+    /// Delete the current row; the cursor stays at its key, between rows.
+    pub fn delete(&mut self) -> Result<()> {
+        self.require_row()?;
+        self.found = false;
+        self.lsm.mem_put(&self.key, None);
+        self.flush_if_full()
     }
 }
 

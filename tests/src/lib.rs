@@ -14,3 +14,7 @@
 //!   message-created vertices (§2.1, Figure 5).
 //! * `property_based` — proptest: random graphs × random plans vs
 //!   single-machine references.
+//! * `row_write_back`, `row_cursor_allocs` — the fused scan/compute/update
+//!   operator (§5.3.2): resized rows and rewritten edge lists fall back to
+//!   whole-row writes and stay correct; a steady-state `compute` call
+//!   allocates nothing (counting global allocator, a suite of its own).
