@@ -12,12 +12,24 @@
 //!   146-machine finding, visible here as a ratio trend.
 //! * HashSort beats Sort when distinct message destinations are few;
 //!   otherwise they are similar.
+//!
+//! The four strategies sort and group, so their rows run PageRank with its
+//! message wrapped in a newtype that declares no fixed width — the one
+//! thing that keeps a combining program off the sender-side fold table.
+//! The fifth row, `direct`, is the same job with the plain `f64` message:
+//! senders fold by address and only the receiver groups. Every cell checks
+//! from the job summary which path ran, so no bar can quietly turn into
+//! another.
 
+use pregelix::core::api::tests_support::SortPath;
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
-use pregelix_bench::{header, run_pregelix, Workload};
+use pregelix_bench::{header, run_program, RunOutcome};
 
-const WORKER_RAM: usize = 4 << 20;
+/// 32 768 vertices need a 260 KB fold table, and the table may take half of
+/// a group-by's budget (an eighth of the RAM): 4.5 MiB per worker gives it
+/// 288 KB. At 4 MiB it would miss by 4 KB and the `direct` row would sort.
+const WORKER_RAM: usize = 9 << 19;
 
 fn main() {
     header(
@@ -31,6 +43,17 @@ fn main() {
         print!(" {:>10}", format!("{w} workers"));
     }
     println!();
+    let cell = |summary: pregelix::common::error::Result<JobSummary>, direct: bool| {
+        if let Ok(s) = &summary {
+            assert_eq!(
+                matches!(s.sender_fold, SenderFold::Direct { .. }),
+                direct,
+                "sender-side combine ran as {}",
+                s.sender_fold
+            );
+        }
+        print!(" {:>10}", RunOutcome::from(summary).avg_cell());
+    };
     for strategy in GroupByStrategy::all() {
         let plan = PlanConfig {
             groupby: strategy,
@@ -38,16 +61,21 @@ fn main() {
         };
         print!("{:<18}", plan.label().replace("foj-", "").replace("-btree", ""));
         for w in clusters {
-            let r = run_pregelix(
-                &records,
-                Workload::PageRank(5),
-                plan,
-                w,
-                WORKER_RAM,
-                None,
+            let program = SortPath(PageRank::new(5));
+            cell(
+                run_program(&records, program, plan, w, WORKER_RAM, None),
+                false,
             );
-            print!(" {:>10}", r.avg_cell());
         }
         println!();
     }
+    print!("{:<18}", "direct");
+    for w in clusters {
+        let plan = PlanConfig::default();
+        cell(
+            run_program(&records, PageRank::new(5), plan, w, WORKER_RAM, None),
+            true,
+        );
+    }
+    println!();
 }

@@ -90,6 +90,41 @@ impl RunOutcome {
     }
 }
 
+/// Run any vertex program on Pregelix with an explicit plan and cluster
+/// shape, returning the job's own summary.
+pub fn run_program<P: VertexProgram>(
+    records: &[(Vid, Vec<(Vid, f64)>)],
+    program: P,
+    plan: PlanConfig,
+    workers: usize,
+    worker_ram: usize,
+    max_supersteps: Option<u64>,
+) -> pregelix::common::error::Result<JobSummary> {
+    // All figure harnesses run Pregelix in sequential-timed simulation, so
+    // the reported durations are N-parallel-machine makespans regardless of
+    // the benchmark host's core count — the same timing model the baseline
+    // engines use.
+    let cluster = Cluster::new(ClusterConfig::new(workers, worker_ram).sequential_timed())?;
+    let mut job = PregelixJob::new(format!("bench-{}", plan.label())).with_plan(plan);
+    if let Some(m) = max_supersteps {
+        job = job.with_max_supersteps(m);
+    }
+    run_job_from_records(&cluster, &Arc::new(program), &job, records.to_vec()).map(|(s, _)| s)
+}
+
+impl From<pregelix::common::error::Result<JobSummary>> for RunOutcome {
+    fn from(result: pregelix::common::error::Result<JobSummary>) -> RunOutcome {
+        match result {
+            Ok(summary) => RunOutcome::Done {
+                total: summary.elapsed,
+                avg_iter: summary.avg_superstep(),
+                iterations: summary.supersteps,
+            },
+            Err(e) => RunOutcome::Failed(e.to_string()),
+        }
+    }
+}
+
 /// Run a workload on Pregelix with an explicit plan and cluster shape.
 pub fn run_pregelix(
     records: &[(Vid, Vec<(Vid, f64)>)],
@@ -99,49 +134,33 @@ pub fn run_pregelix(
     worker_ram: usize,
     max_supersteps: Option<u64>,
 ) -> RunOutcome {
-    // All figure harnesses run Pregelix in sequential-timed simulation, so
-    // the reported durations are N-parallel-machine makespans regardless of
-    // the benchmark host's core count — the same timing model the baseline
-    // engines use.
-    let cluster = match Cluster::new(ClusterConfig::new(workers, worker_ram).sequential_timed()) {
-        Ok(c) => c,
-        Err(e) => return RunOutcome::Failed(e.to_string()),
-    };
-    let mut job = PregelixJob::new(format!("bench-{}", plan.label())).with_plan(plan);
-    if let Some(m) = max_supersteps {
-        job = job.with_max_supersteps(m);
+    match workload {
+        Workload::PageRank(n) => run_program(
+            records,
+            PageRank::new(n),
+            plan,
+            workers,
+            worker_ram,
+            max_supersteps,
+        ),
+        Workload::Sssp(src) => run_program(
+            records,
+            ShortestPaths::new(src),
+            plan,
+            workers,
+            worker_ram,
+            max_supersteps,
+        ),
+        Workload::Cc => run_program(
+            records,
+            ConnectedComponents,
+            plan,
+            workers,
+            worker_ram,
+            max_supersteps,
+        ),
     }
-    let result = match workload {
-        Workload::PageRank(n) => run_job_from_records(
-            &cluster,
-            &Arc::new(PageRank::new(n)),
-            &job,
-            records.to_vec(),
-        )
-        .map(|(s, _)| s),
-        Workload::Sssp(src) => run_job_from_records(
-            &cluster,
-            &Arc::new(ShortestPaths::new(src)),
-            &job,
-            records.to_vec(),
-        )
-        .map(|(s, _)| s),
-        Workload::Cc => run_job_from_records(
-            &cluster,
-            &Arc::new(ConnectedComponents),
-            &job,
-            records.to_vec(),
-        )
-        .map(|(s, _)| s),
-    };
-    match result {
-        Ok(summary) => RunOutcome::Done {
-            total: summary.elapsed,
-            avg_iter: summary.avg_superstep(),
-            iterations: summary.supersteps,
-        },
-        Err(e) => RunOutcome::Failed(e.to_string()),
-    }
+    .into()
 }
 
 /// Run a workload on one of the baseline systems.

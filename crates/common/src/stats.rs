@@ -188,6 +188,13 @@ struct Counters {
     /// zero-copy transport path — clean or faulted — which is what the
     /// `zero_copy` suite pins.
     frame_bytes_copied: AtomicU64,
+    /// Outgoing messages a `compute[p]` task folded straight into its
+    /// direct-address table slot (no tuple, no sort entry, no run file).
+    msgs_folded_direct: AtomicU64,
+    /// Outgoing messages that took the sorter *while a table was active*:
+    /// their destination vid lies at or above the table's `hi` (a vertex
+    /// created after load, or one that does not exist).
+    msgs_stray: AtomicU64,
     /// Maximum observed partition superstep skew (overwrite-by-max): 1 when
     /// some in-window superstep boundary saw a strict subset of partitions
     /// advance early (so partitions were momentarily one superstep apart),
@@ -258,6 +265,8 @@ counter_api! {
     add_slab_allocations / slab_allocations => slab_allocations,
     add_slab_recycled / slab_recycled => slab_recycled,
     add_frame_bytes_copied / frame_bytes_copied => frame_bytes_copied,
+    add_msgs_folded_direct / msgs_folded_direct => msgs_folded_direct,
+    add_msgs_stray / msgs_stray => msgs_stray,
 }
 
 impl ClusterCounters {
@@ -351,6 +360,8 @@ impl ClusterCounters {
             slab_allocations: c.slab_allocations.load(Ordering::Relaxed),
             slab_recycled: c.slab_recycled.load(Ordering::Relaxed),
             frame_bytes_copied: c.frame_bytes_copied.load(Ordering::Relaxed),
+            msgs_folded_direct: c.msgs_folded_direct.load(Ordering::Relaxed),
+            msgs_stray: c.msgs_stray.load(Ordering::Relaxed),
             max_partition_skew: c.max_partition_skew.load(Ordering::Relaxed),
             live_vertices: c.live_vertices.load(Ordering::Relaxed),
         }
@@ -397,6 +408,8 @@ pub struct StatsSnapshot {
     pub slab_allocations: u64,
     pub slab_recycled: u64,
     pub frame_bytes_copied: u64,
+    pub msgs_folded_direct: u64,
+    pub msgs_stray: u64,
     pub max_partition_skew: u64,
     pub live_vertices: u64,
 }
@@ -451,6 +464,8 @@ impl StatsSnapshot {
             slab_allocations: self.slab_allocations - earlier.slab_allocations,
             slab_recycled: self.slab_recycled - earlier.slab_recycled,
             frame_bytes_copied: self.frame_bytes_copied - earlier.frame_bytes_copied,
+            msgs_folded_direct: self.msgs_folded_direct - earlier.msgs_folded_direct,
+            msgs_stray: self.msgs_stray - earlier.msgs_stray,
             // Like `live_vertices`, the skew indicator is a gauge rather
             // than a monotone counter: a delta carries the current value.
             max_partition_skew: self.max_partition_skew,
@@ -598,6 +613,21 @@ mod tests {
         assert_eq!(d.slab_allocations, 3);
         assert_eq!(d.slab_recycled, 7);
         assert_eq!(d.frame_bytes_copied, 4096);
+    }
+
+    #[test]
+    fn sender_fold_counters_flow_through_snapshot_and_delta() {
+        let c = ClusterCounters::new();
+        c.add_msgs_folded_direct(10);
+        let before = c.snapshot();
+        c.add_msgs_folded_direct(90);
+        c.add_msgs_stray(3);
+        let s = c.snapshot();
+        assert_eq!(s.msgs_folded_direct, 100);
+        assert_eq!(s.msgs_stray, 3);
+        let d = s.delta_since(&before);
+        assert_eq!(d.msgs_folded_direct, 90);
+        assert_eq!(d.msgs_stray, 3);
     }
 
     #[test]

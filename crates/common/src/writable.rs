@@ -16,6 +16,13 @@ use crate::error::{PregelixError, Result};
 ///
 /// Implementations must round-trip: `read(&write(v)) == v`.
 pub trait Writable: Sized + Clone + Send + Sync + 'static {
+    /// `Some(w)` when every value of the type encodes to exactly `w` bytes
+    /// (numeric scalars, `bool`, `()` and tuples of such); `None`, the
+    /// default, for anything length-prefixed or tagged. The sender-side
+    /// fold table of `core::superstep` keeps one accumulator per vertex id
+    /// only for message types that declare a width.
+    const FIXED_WIDTH: Option<usize> = None;
+
     /// Append the encoding of `self` to `out`.
     fn write(&self, out: &mut Vec<u8>);
 
@@ -43,6 +50,20 @@ pub trait Writable: Sized + Clone + Send + Sync + 'static {
     }
 }
 
+/// Width of a tuple whose fields all have one.
+const fn sum_widths(widths: &[Option<usize>]) -> Option<usize> {
+    let mut total = 0;
+    let mut i = 0;
+    while i < widths.len() {
+        match widths[i] {
+            Some(w) => total += w,
+            None => return None,
+        }
+        i += 1;
+    }
+    Some(total)
+}
+
 #[inline]
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
     if buf.len() < n {
@@ -59,6 +80,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
 macro_rules! impl_writable_num {
     ($($t:ty),*) => {$(
         impl Writable for $t {
+            const FIXED_WIDTH: Option<usize> = Some(std::mem::size_of::<$t>());
             #[inline]
             fn write(&self, out: &mut Vec<u8>) {
                 out.extend_from_slice(&self.to_le_bytes());
@@ -75,6 +97,7 @@ macro_rules! impl_writable_num {
 impl_writable_num!(u8, u16, u32, u64, u128, i8, i16, i32, i64, i128, f32, f64);
 
 impl Writable for bool {
+    const FIXED_WIDTH: Option<usize> = Some(1);
     #[inline]
     fn write(&self, out: &mut Vec<u8>) {
         out.push(*self as u8);
@@ -90,6 +113,7 @@ impl Writable for bool {
 }
 
 impl Writable for () {
+    const FIXED_WIDTH: Option<usize> = Some(0);
     #[inline]
     fn write(&self, _out: &mut Vec<u8>) {}
     #[inline]
@@ -150,6 +174,7 @@ impl<T: Writable> Writable for Option<T> {
 }
 
 impl<A: Writable, B: Writable> Writable for (A, B) {
+    const FIXED_WIDTH: Option<usize> = sum_widths(&[A::FIXED_WIDTH, B::FIXED_WIDTH]);
     fn write(&self, out: &mut Vec<u8>) {
         self.0.write(out);
         self.1.write(out);
@@ -160,6 +185,8 @@ impl<A: Writable, B: Writable> Writable for (A, B) {
 }
 
 impl<A: Writable, B: Writable, C: Writable> Writable for (A, B, C) {
+    const FIXED_WIDTH: Option<usize> =
+        sum_widths(&[A::FIXED_WIDTH, B::FIXED_WIDTH, C::FIXED_WIDTH]);
     fn write(&self, out: &mut Vec<u8>) {
         self.0.write(out);
         self.1.write(out);
@@ -201,6 +228,27 @@ mod tests {
         roundtrip(Option::<f64>::None);
         roundtrip((42u64, "edge".to_string()));
         roundtrip((1u64, 2.0f64, vec![3u32]));
+    }
+
+    fn width_matches<T: Writable>(v: T) {
+        assert_eq!(T::FIXED_WIDTH, Some(v.to_bytes().len()));
+    }
+
+    #[test]
+    fn fixed_width_is_the_encoded_length_or_absent() {
+        width_matches(7u8);
+        width_matches(-3i128);
+        width_matches(2.5f32);
+        width_matches(f64::MAX);
+        width_matches(true);
+        width_matches(());
+        width_matches((1u64, 2u64));
+        width_matches((1u8, 2.0f64, false));
+        assert_eq!(String::FIXED_WIDTH, None);
+        assert_eq!(Vec::<u64>::FIXED_WIDTH, None);
+        assert_eq!(Option::<u64>::FIXED_WIDTH, None);
+        assert_eq!(<(u64, String)>::FIXED_WIDTH, None);
+        assert_eq!(<(u64, (), Vec<u8>)>::FIXED_WIDTH, None);
     }
 
     #[test]

@@ -350,7 +350,7 @@ pub(crate) struct ComputeOutputs<P: VertexProgram> {
     pub buffers: OutputBuffers<P>,
 }
 
-/// Minimal programs used by unit tests across the crate.
+/// Minimal programs and program adapters used by tests and harnesses.
 #[doc(hidden)]
 pub mod tests_support {
     use super::*;
@@ -375,6 +375,121 @@ pub mod tests_support {
                 0.0,
                 edges.into_iter().map(|(d, w)| Edge::new(d, w)).collect(),
             )
+        }
+    }
+
+    /// `M` on the wire, byte for byte, but with no declared
+    /// [`Writable::FIXED_WIDTH`].
+    #[derive(Clone, Debug, PartialEq)]
+    pub struct NoWidth<M>(pub M);
+
+    impl<M: Writable> Writable for NoWidth<M> {
+        fn write(&self, out: &mut Vec<u8>) {
+            self.0.write(out);
+        }
+
+        fn read(buf: &mut &[u8]) -> Result<Self> {
+            M::read(buf).map(NoWidth)
+        }
+    }
+
+    /// `P` with every message wrapped in [`NoWidth`]: the same program, the
+    /// same bytes everywhere, but never eligible for the sender-side fold
+    /// table — a message type's width is the only opt-out there is, so this
+    /// is how tests and the Fig. 7 harness put a combining program on the
+    /// sort path.
+    pub struct SortPath<P>(pub P);
+
+    fn rewrap<A: VertexProgram, B>(v: VertexData<A>) -> VertexData<B>
+    where
+        B: VertexProgram<VertexValue = A::VertexValue, EdgeValue = A::EdgeValue>,
+    {
+        VertexData {
+            vid: v.vid,
+            halt: v.halt,
+            value: v.value,
+            edges: v.edges,
+        }
+    }
+
+    impl<P: VertexProgram> VertexProgram for SortPath<P> {
+        type VertexValue = P::VertexValue;
+        type EdgeValue = P::EdgeValue;
+        type Message = NoWidth<P::Message>;
+        type Aggregate = P::Aggregate;
+
+        fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+            let messages: Vec<P::Message> = ctx.messages.iter().map(|m| m.0.clone()).collect();
+            let mut inner = ComputeContext::<P>::new(
+                VertexData {
+                    vid: ctx.vid,
+                    halt: false,
+                    value: std::mem::take(&mut ctx.value),
+                    edges: std::mem::take(&mut ctx.edges),
+                },
+                &messages,
+                ctx.superstep,
+                ctx.num_vertices,
+                ctx.global_agg,
+                OutputBuffers::default(),
+            );
+            self.0.compute(&mut inner)?;
+            let done = inner.into_outputs();
+            ctx.value = done.vertex.value;
+            ctx.edges = done.vertex.edges;
+            ctx.voted_halt = done.vertex.halt;
+            ctx.edges_dirty = done.edges_dirty;
+            let out = done.buffers;
+            ctx.out
+                .messages
+                .extend(out.messages.into_iter().map(|(d, m)| (d, NoWidth(m))));
+            ctx.out.agg.extend(out.agg);
+            ctx.out
+                .mutations
+                .extend(out.mutations.into_iter().map(|(v, m)| {
+                    let m = match m {
+                        Mutation::Insert(data) => Mutation::Insert(rewrap(data)),
+                        Mutation::Delete => Mutation::Delete,
+                    };
+                    (v, m)
+                }));
+            Ok(())
+        }
+
+        fn init_vertex(&self, vid: Vid, edges: Vec<(Vid, f64)>) -> VertexData<Self> {
+            rewrap(self.0.init_vertex(vid, edges))
+        }
+
+        fn combiner(&self) -> Option<MessageCombiner<Self::Message>> {
+            let inner = self.0.combiner()?;
+            Some(Arc::new(move |a, b| NoWidth(inner(&a.0, &b.0))))
+        }
+
+        fn combine_aggregates(&self, a: Self::Aggregate, b: Self::Aggregate) -> Self::Aggregate {
+            self.0.combine_aggregates(a, b)
+        }
+
+        fn resolve(&self, vid: Vid, mutations: Vec<Mutation<Self>>) -> Resolution<Self> {
+            let inner = mutations
+                .into_iter()
+                .map(|m| match m {
+                    Mutation::Insert(data) => Mutation::Insert(rewrap(data)),
+                    Mutation::Delete => Mutation::Delete,
+                })
+                .collect();
+            match self.0.resolve(vid, inner) {
+                Resolution::Insert(data) => Resolution::Insert(rewrap(data)),
+                Resolution::Delete => Resolution::Delete,
+                Resolution::Keep => Resolution::Keep,
+            }
+        }
+
+        fn format_vertex(&self, vid: Vid, value: &Self::VertexValue) -> String {
+            self.0.format_vertex(vid, value)
+        }
+
+        fn frontier_safe(&self) -> bool {
+            self.0.frontier_safe()
         }
     }
 }

@@ -55,6 +55,6 @@ pub mod vertex;
 pub use api::{ComputeContext, MessageCombiner, Mutation, VertexProgram};
 pub use gs::GlobalState;
 pub use plan::{JoinStrategy, PlanConfig, PregelixJob, VertexStorageKind};
-pub use runtime::{run_job, run_pipeline, JobSummary, LoadedGraph};
+pub use runtime::{run_job, run_pipeline, JobSummary, LoadedGraph, SenderFold};
 pub use service::{JobHandle, JobService, JobStatus, ServiceConfig};
 pub use vertex::{Edge, VertexData};

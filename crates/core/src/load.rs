@@ -91,32 +91,37 @@ fn read_records(dfs: &SimDfs, path: &str) -> Result<Vec<(Vid, Vec<(Vid, f64)>)>>
 
 /// Load a graph: parse, hash-partition by vid, sort each partition, and
 /// bulk load one `Vertex` index per partition in parallel on the partition's
-/// sticky worker. Returns the partition states and the vertex count.
+/// sticky worker. Returns the partition states, the vertex count and `hi`,
+/// one past the largest vid in the input (0 when there is none).
+#[allow(clippy::type_complexity)]
 pub fn load_partitions<P: VertexProgram>(
     cluster: &Cluster,
     program: &Arc<P>,
     job: &PregelixJob,
     sticky: &[usize],
-) -> Result<(Vec<Arc<Mutex<PartitionState>>>, u64)> {
+) -> Result<(Vec<Arc<Mutex<PartitionState>>>, u64, Vid)> {
     let records = read_records(cluster.dfs(), &job.input_path)?;
     load_partitions_from_records(cluster, program, job, sticky, records)
 }
 
 /// Load from pre-parsed records (the in-memory path used by tests and
 /// benchmark harnesses to skip text parsing).
+#[allow(clippy::type_complexity)]
 pub fn load_partitions_from_records<P: VertexProgram>(
     cluster: &Cluster,
     program: &Arc<P>,
     job: &PregelixJob,
     sticky: &[usize],
     records: Vec<(Vid, Vec<(Vid, f64)>)>,
-) -> Result<(Vec<Arc<Mutex<PartitionState>>>, u64)> {
+) -> Result<(Vec<Arc<Mutex<PartitionState>>>, u64, Vid)> {
     let p_count = sticky.len();
     let mut buckets: Vec<Vec<VertexData<P>>> = (0..p_count).map(|_| Vec::new()).collect();
     let mut count = 0u64;
+    let mut hi: Vid = 0;
     for (vid, edges) in records {
         buckets[hash_partition(vid, p_count)].push(program.init_vertex(vid, edges));
         count += 1;
+        hi = hi.max(vid.saturating_add(1));
     }
 
     let mut slots: Vec<Arc<Mutex<Option<PartitionState>>>> =
@@ -158,7 +163,7 @@ pub fn load_partitions_from_records<P: VertexProgram>(
             Arc::new(Mutex::new(st))
         })
         .collect();
-    Ok((partitions, count))
+    Ok((partitions, count, hi))
 }
 
 /// Dump the partitioned `Vertex` relation back to the DFS as one part file

@@ -46,12 +46,13 @@ use crate::gs::GlobalState;
 use crate::load;
 use crate::plan::{ExecutionMode, JoinStrategy, PregelixJob, ProbeCostModel};
 use crate::recovery;
-use crate::superstep::{run_superstep_window, PartitionState};
+use crate::superstep::{run_superstep_window, FoldSlot, FoldTable, PartitionState};
 use parking_lot::Mutex;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
 use pregelix_common::frame::{tuple_vid, vid_to_key};
 use pregelix_common::stats::{current_job_scope, StatsSnapshot};
+use pregelix_common::writable::Writable;
 use pregelix_common::{hash_partition, Superstep, Vid};
 use pregelix_dataflow::cluster::{Cluster, FailureDetector, Task};
 use pregelix_dataflow::scheduler::sticky_assignment_offset;
@@ -105,6 +106,88 @@ pub struct JobSummary {
     /// In-place retries of recoverable failures absorbed *without* a
     /// recovery (transient I/O hiccups during checkpoint writes, §5.7).
     pub retries: u64,
+    /// How `compute[p]` combined outgoing messages, and why.
+    pub sender_fold: SenderFold,
+}
+
+/// How a job's `compute[p]` tasks combine outgoing messages per
+/// destination. Decided once per job from the program's types, the loaded
+/// graph's vid range and the workers' group-by budget — nothing selects it
+/// by hand. The `Display` form is what `examples/quickstart` prints.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SenderFold {
+    /// Messages to vids below `hi` fold into a direct-address table slot;
+    /// the rest (and only the rest) is sorted.
+    Direct {
+        /// One past the largest vid the loader saw.
+        hi: Vid,
+        /// What one partition's table allocates.
+        table_bytes: u64,
+        /// Half the group-by budget: what the table had to fit in.
+        budget_bytes: u64,
+    },
+    /// Every message is sorted and grouped: the program has no combiner.
+    SortNoCombiner,
+    /// … its message type has no `Writable::FIXED_WIDTH`.
+    SortVariableWidth,
+    /// … or the table does not fit half the group-by budget.
+    SortTableTooLarge { table_bytes: u64, budget_bytes: u64 },
+}
+
+impl SenderFold {
+    /// The table gets at most half of a group-by's budget, so that the
+    /// sorter for stray destinations (and everything downstream sized from
+    /// the same budget) keeps at least the other half.
+    fn decide<P: VertexProgram>(program: &P, hi: Vid, groupby_budget: usize) -> SenderFold {
+        if program.combiner().is_none() {
+            return SenderFold::SortNoCombiner;
+        }
+        if P::Message::FIXED_WIDTH.is_none() {
+            return SenderFold::SortVariableWidth;
+        }
+        let table_bytes = FoldTable::<P::Message>::bytes(hi);
+        let budget_bytes = groupby_budget as u64 / 2;
+        if table_bytes > budget_bytes {
+            return SenderFold::SortTableTooLarge {
+                table_bytes,
+                budget_bytes,
+            };
+        }
+        SenderFold::Direct {
+            hi,
+            table_bytes,
+            budget_bytes,
+        }
+    }
+}
+
+impl std::fmt::Display for SenderFold {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let kb = |bytes: u64| bytes.div_ceil(1024);
+        match *self {
+            SenderFold::Direct {
+                hi,
+                table_bytes,
+                budget_bytes,
+            } => write!(
+                f,
+                "direct (hi={hi}, {} KB of {} KB)",
+                kb(table_bytes),
+                kb(budget_bytes)
+            ),
+            SenderFold::SortNoCombiner => write!(f, "sort (no combiner)"),
+            SenderFold::SortVariableWidth => write!(f, "sort (variable-width message)"),
+            SenderFold::SortTableTooLarge {
+                table_bytes,
+                budget_bytes,
+            } => write!(
+                f,
+                "sort (table {} KB > {} KB)",
+                kb(table_bytes),
+                kb(budget_bytes)
+            ),
+        }
+    }
 }
 
 impl JobSummary {
@@ -147,6 +230,24 @@ fn retry_recoverable<T>(
     }
 }
 
+/// Write a checkpoint of the state feeding superstep `gs.superstep` and make
+/// `gs` the job's `GS` primary copy (`jobs/<id>/gs`) with it. Nothing reads
+/// the primary copy between checkpoints — tasks get their `GS` from the
+/// driver or a gate, recovery from the manifest and `gs-hist/` — so it is
+/// written where it is durable state (here, at job start and at job end)
+/// and not by every superstep's `gs` task.
+fn checkpoint_with_gs(
+    cluster: &Cluster,
+    job: &PregelixJob,
+    graph: &LoadedGraph,
+    gs: &GlobalState,
+) -> Result<()> {
+    retry_recoverable(cluster, job.io_retries, job.retry_backoff, || {
+        checkpoint::write_checkpoint(cluster, job, &graph.partitions, &graph.sticky, gs)?;
+        gs.store(cluster.dfs(), &job.id)
+    })
+}
+
 /// A graph loaded into the cluster: the partitioned `Vertex` relation plus
 /// per-partition `Msg`/`Vid` state, resident across supersteps and across
 /// pipelined jobs.
@@ -154,6 +255,10 @@ pub struct LoadedGraph {
     partitions: Vec<Arc<Mutex<PartitionState>>>,
     sticky: Vec<usize>,
     vertex_count: u64,
+    /// One past the largest vid the loader saw (0 for an empty graph).
+    /// Sizes the sender-side fold tables; vertices created later may lie
+    /// above it, and nothing but that sizing depends on it.
+    hi: Vid,
 }
 
 // Partition state is not meaningfully printable; `Debug` (needed by test
@@ -192,12 +297,12 @@ impl LoadedGraph {
         let alive = cluster.alive_workers();
         let p_count = alive.len() * job.partitions_per_worker;
         let sticky = sticky_assignment_offset(p_count, &alive, offset);
-        let (partitions, vertex_count) =
-            load::load_partitions(cluster, program, job, &sticky)?;
+        let (partitions, vertex_count, hi) = load::load_partitions(cluster, program, job, &sticky)?;
         Ok(LoadedGraph {
             partitions,
             sticky,
             vertex_count,
+            hi,
         })
     }
 
@@ -211,12 +316,13 @@ impl LoadedGraph {
         let alive = cluster.alive_workers();
         let p_count = alive.len() * job.partitions_per_worker;
         let sticky = sticky_assignment_offset(p_count, &alive, 0);
-        let (partitions, vertex_count) =
+        let (partitions, vertex_count, hi) =
             load::load_partitions_from_records(cluster, program, job, &sticky, records)?;
         Ok(LoadedGraph {
             partitions,
             sticky,
             vertex_count,
+            hi,
         })
     }
 
@@ -385,6 +491,11 @@ pub(crate) struct RunLoop<P: VertexProgram> {
     initial_ckpt_done: bool,
     cost_model: Option<ProbeCostModel>,
     confined_on: bool,
+    sender_fold: SenderFold,
+    /// One pooled fold-table slot per partition under
+    /// [`SenderFold::Direct`], empty otherwise. Tables are allocated by the
+    /// first `compute[p]` that needs one and live until the job ends.
+    fold_slots: Vec<FoldSlot<P::Message>>,
 }
 
 impl<P: VertexProgram> RunLoop<P> {
@@ -420,6 +531,16 @@ impl<P: VertexProgram> RunLoop<P> {
 
         let gs = GlobalState::initial(graph.vertex_count, Vec::new());
         gs.store(cluster.dfs(), &job.id)?;
+        // Every worker is sized from one `ClusterConfig`, so any worker's
+        // group-by budget is the cluster's.
+        let sender_fold =
+            SenderFold::decide(&**program, graph.hi, cluster.worker(0).groupby_budget());
+        let fold_slots = match (sender_fold, program.combiner()) {
+            (SenderFold::Direct { hi, .. }, Some(combine)) => (0..graph.partitions.len())
+                .map(|_| FoldSlot::new(hi as usize, Arc::clone(&combine)))
+                .collect(),
+            _ => Vec::new(),
+        };
         Ok(RunLoop {
             program: Arc::clone(program),
             job: job.clone(),
@@ -447,6 +568,8 @@ impl<P: VertexProgram> RunLoop<P> {
             // superstep's post-combine message flow is also tee'd into
             // the per-partition logs.
             confined_on: job.confined_recovery && job.checkpoint_interval.is_some(),
+            sender_fold,
+            fold_slots,
         })
     }
 
@@ -478,15 +601,7 @@ impl<P: VertexProgram> RunLoop<P> {
         let before = cluster.counters().snapshot();
         let attempt = (|| -> Result<(GlobalState, Duration)> {
             if job.checkpoint_interval.is_some() && !initial_ckpt_done {
-                retry_recoverable(cluster, job.io_retries, job.retry_backoff, || {
-                    checkpoint::write_checkpoint(
-                        cluster,
-                        job,
-                        &graph.partitions,
-                        &graph.sticky,
-                        gs,
-                    )
-                })?;
+                checkpoint_with_gs(cluster, job, graph, gs)?;
             }
             // How many supersteps the next job covers. Barrier mode is
             // always one; frontier mode batches up to FRONTIER_WINDOW,
@@ -564,6 +679,7 @@ impl<P: VertexProgram> RunLoop<P> {
                 cost_model,
                 window,
                 self.confined_on,
+                &self.fold_slots,
             )?;
             // Pin this window's GS history entries (best-effort: a
             // missing entry makes confined recovery fall back to the
@@ -583,15 +699,7 @@ impl<P: VertexProgram> RunLoop<P> {
                 .map(|n| n > 0 && finished_ss % n == 0)
                 .unwrap_or(false);
             if checkpoint_due && !new_gs.halt {
-                retry_recoverable(cluster, job.io_retries, job.retry_backoff, || {
-                    checkpoint::write_checkpoint(
-                        cluster,
-                        job,
-                        &graph.partitions,
-                        &graph.sticky,
-                        &new_gs,
-                    )
-                })?;
+                checkpoint_with_gs(cluster, job, graph, &new_gs)?;
                 // The new checkpoint makes every older checkpoint,
                 // message log, and GS history entry dead weight for
                 // recovery: any replay now starts at `new_gs.superstep`
@@ -623,16 +731,22 @@ impl<P: VertexProgram> RunLoop<P> {
                 self.superstep_stats.push(delta);
                 self.gs = new_gs;
                 graph.vertex_count = self.gs.vertex_count;
-                if self.gs.halt {
-                    return Ok(true);
+                // gs.superstep - 1 = last finished superstep.
+                let finished = self.gs.halt
+                    || self
+                        .job
+                        .max_supersteps
+                        .is_some_and(|max| self.gs.superstep > max);
+                if finished {
+                    // The job's final GS becomes the primary copy.
+                    retry_recoverable(
+                        cluster,
+                        self.job.io_retries,
+                        self.job.retry_backoff,
+                        || self.gs.store(cluster.dfs(), &self.job.id),
+                    )?;
                 }
-                if let Some(max) = self.job.max_supersteps {
-                    // gs.superstep - 1 = last finished superstep.
-                    if self.gs.superstep - 1 >= max {
-                        return Ok(true);
-                    }
-                }
-                Ok(false)
+                Ok(finished)
             }
             Err(e) if e.is_recoverable() => {
                 // Failure manager (§5.7): run a detector observation so
@@ -744,6 +858,7 @@ impl<P: VertexProgram> RunLoop<P> {
             job_stats,
             recoveries: self.recoveries,
             retries,
+            sender_fold: self.sender_fold,
         }
     }
 }
@@ -796,3 +911,132 @@ pub fn run_job_from_records<P: VertexProgram>(
 
 /// The per-superstep boundary type re-exported for harnesses.
 pub type SuperstepCount = Superstep;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{tests_support::NoopProgram, ComputeContext, MessageCombiner};
+    use crate::vertex::VertexData;
+
+    /// Min-combined messages of type `M`; every vertex stays live for
+    /// `live_for` supersteps and sends nothing.
+    struct MinOf<M> {
+        live_for: u64,
+        message: std::marker::PhantomData<M>,
+    }
+
+    fn min_of<M>(live_for: u64) -> MinOf<M> {
+        MinOf {
+            live_for,
+            message: std::marker::PhantomData,
+        }
+    }
+
+    impl<M: Writable + std::fmt::Debug + PartialOrd> VertexProgram for MinOf<M> {
+        type VertexValue = u64;
+        type EdgeValue = ();
+        type Message = M;
+        type Aggregate = ();
+
+        fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+            if ctx.superstep() >= self.live_for {
+                ctx.vote_to_halt();
+            }
+            Ok(())
+        }
+
+        fn init_vertex(&self, vid: Vid, _edges: Vec<(Vid, f64)>) -> VertexData<Self> {
+            VertexData::new(vid, 0, Vec::new())
+        }
+
+        fn combiner(&self) -> Option<MessageCombiner<M>> {
+            Some(Arc::new(
+                |a: &M, b: &M| if b < a { b.clone() } else { a.clone() },
+            ))
+        }
+    }
+
+    /// The `GS` primary copy is written where it is durable state — job
+    /// start, each checkpoint, job end — and stays put in between.
+    #[test]
+    fn gs_primary_copy_follows_checkpoints_and_the_final_state() {
+        use pregelix_dataflow::cluster::ClusterConfig;
+        let cluster = Cluster::new(ClusterConfig::new(2, 8 << 20).sequential_timed()).unwrap();
+        let job = PregelixJob::new("gs-primary").with_checkpoint_interval(2);
+        let program = Arc::new(min_of::<u64>(5));
+        let records = (0..8).map(|v| (v, Vec::new())).collect();
+        let mut graph = LoadedGraph::load_from_records(&cluster, &program, &job, records).unwrap();
+        let mut lp = RunLoop::begin(&cluster, &program, &job, &mut graph).unwrap();
+        let primary = || GlobalState::fetch(cluster.dfs(), &job.id).unwrap();
+        assert_eq!(primary(), GlobalState::initial(8, Vec::new()));
+        let mut checkpointed = Vec::new();
+        while !lp.step(&cluster, &mut graph).unwrap() {
+            let (at, manifest) = checkpoint::newest_valid_checkpoint(&cluster, &job)
+                .unwrap()
+                .expect("the initial checkpoint at least");
+            assert_eq!(primary(), manifest.gs, "superstep {}", lp.superstep());
+            assert_eq!(primary() == lp.gs, at == lp.superstep());
+            checkpointed.push(at);
+        }
+        assert_eq!(checkpointed, [1, 3, 3, 5]);
+        let summary = lp.finish(&cluster);
+        assert_eq!(summary.supersteps, 5);
+        assert!(summary.final_gs.halt);
+        assert_eq!(primary(), summary.final_gs);
+    }
+
+    #[test]
+    fn sender_fold_follows_from_types_vid_range_and_budget() {
+        let f64s = min_of::<f64>(1);
+        // 50 000 slots of 8 bytes plus 782 bitmap words.
+        let direct = SenderFold::decide(&f64s, 50_000, 2 << 20);
+        assert_eq!(
+            direct,
+            SenderFold::Direct {
+                hi: 50_000,
+                table_bytes: 406_256,
+                budget_bytes: 1 << 20
+            }
+        );
+        assert_eq!(direct.to_string(), "direct (hi=50000, 397 KB of 1024 KB)");
+        let too_large = SenderFold::decide(&f64s, 50_000, 128 << 10);
+        assert_eq!(too_large.to_string(), "sort (table 397 KB > 64 KB)");
+        // The paper's Fig. 7 configuration misses by 4 KB.
+        assert_eq!(
+            SenderFold::decide(&f64s, 32_768, 512 << 10).to_string(),
+            "sort (table 260 KB > 256 KB)"
+        );
+        // A table exactly as large as the half-budget fits.
+        assert!(matches!(
+            SenderFold::decide(&f64s, 64, 2 * (64 * 8 + 8)),
+            SenderFold::Direct { .. }
+        ));
+        assert!(matches!(
+            SenderFold::decide(&f64s, 0, 0),
+            SenderFold::Direct { table_bytes: 0, .. }
+        ));
+        // A vid range whose table size overflows is simply too large.
+        assert!(matches!(
+            SenderFold::decide(&f64s, Vid::MAX, usize::MAX),
+            SenderFold::SortTableTooLarge { .. }
+        ));
+        let strings = min_of::<String>(1);
+        assert_eq!(
+            SenderFold::decide(&strings, 10, 1 << 20).to_string(),
+            "sort (variable-width message)"
+        );
+        assert_eq!(
+            SenderFold::decide(&NoopProgram, 10, 1 << 20).to_string(),
+            "sort (no combiner)"
+        );
+        // A zero-width message costs the bitmap only.
+        let units = min_of::<()>(1);
+        assert!(matches!(
+            SenderFold::decide(&units, 1 << 20, 1 << 20),
+            SenderFold::Direct {
+                table_bytes: 131_072,
+                ..
+            }
+        ));
+    }
+}

@@ -7,9 +7,11 @@
 //!   reads the sorted `Msg_i` run, joins it with the `Vertex` index (full
 //!   outer merge or `Vid`-merge + left-outer probe, Figure 8), calls the
 //!   `compute` UDF on each active row, updates `Vertex` in place (D2),
-//!   feeds outgoing messages through the sender-side group-by into the
-//!   message connector (D3), routes mutations (D6), and pre-aggregates the
-//!   global-state contributions (D4, D5 — stage one of §5.3.3).
+//!   combines outgoing messages per destination — folded into a
+//!   direct-address table slot where the program qualifies, sorted and
+//!   grouped otherwise — and feeds the message connector (D3), routes
+//!   mutations (D6), and pre-aggregates the global-state contributions
+//!   (D4, D5 — stage one of §5.3.3).
 //! * **`msgwrite[p]`** — the receiver side of the message-combination
 //!   strategy (Figure 7): re-group (unmerged connector) or preclustered
 //!   pass (merging connector), then materialize the combined messages as
@@ -21,7 +23,9 @@
 //!
 //! One extra **`gs`** task is stage two of the global aggregation
 //! (Figure 4): it folds the per-partition contributions into the new `GS`
-//! tuple, decides the global halt, and writes `GS` to the DFS.
+//! tuple and decides the global halt. The driver writes `GS` to the DFS
+//! where it is durable state (job start, each checkpoint, job end), not
+//! once per superstep.
 //!
 //! # Superstep windows (frontier mode)
 //!
@@ -35,7 +39,9 @@
 //! barrier mode of §5.1; the driver (`runtime.rs`) picks the window from
 //! the job's `ExecutionMode`.
 
-use crate::api::{ComputeContext, Mutation, OutputBuffers, Resolution, VertexProgram};
+use crate::api::{
+    ComputeContext, MessageCombiner, Mutation, OutputBuffers, Resolution, VertexProgram,
+};
 use crate::gs::GlobalState;
 use crate::plan::{JoinStrategy, PlanConfig};
 use crate::store::{RowCursor, VertexStore};
@@ -57,9 +63,10 @@ use pregelix_dataflow::connector::{
     PartitioningSender,
 };
 use pregelix_dataflow::transport::{StreamRx, StreamTx};
-use pregelix_dataflow::groupby::LocalGroupBy;
+use pregelix_dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec};
 use pregelix_storage::btree::BTree;
+use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter};
 use pregelix_storage::sort::CombineFn;
 use std::collections::BTreeMap;
@@ -123,6 +130,215 @@ pub(crate) fn msg_tuple_combiner<P: VertexProgram>(program: &Arc<P>) -> CombineF
             acc[MSG_COUNT].copy_from_slice(&total.to_le_bytes());
             acc.extend_from_slice(&incoming[MSG_COUNT.end..]);
         }),
+    }
+}
+
+// ---------------------------------------------------------------------
+// Sender-side combine: direct-address fold table + sorter
+// ---------------------------------------------------------------------
+
+/// One accumulator per destination vid below `hi`, addressed by the vid
+/// instead of searched for: `fold` is `acc[v] = combine(acc[v], m)` in
+/// emission order, and [`drain`](Self::drain) hands the touched slots out
+/// in ascending vid order — the stream a sender's sort + merge would have
+/// produced, without a tuple, a sort entry or a run file per message.
+///
+/// A table lives as long as its job: `compute[p]@s` takes it out of the
+/// partition's [`FoldSlot`], leaves it empty again after `drain`, and puts
+/// it back, so no superstep pays for `hi` slots — only for the bitmap words
+/// and the slots it touched.
+pub(crate) struct FoldTable<M> {
+    hi: usize,
+    combine: MessageCombiner<M>,
+    /// `slots[v]` holds an accumulator only while bit `v` of `present` is
+    /// set. Empty until the first fold, then `hi` copies of that first
+    /// message: any value does, an unmarked slot is never read.
+    slots: Vec<M>,
+    present: Vec<u64>,
+}
+
+impl<M: Clone> FoldTable<M> {
+    fn new(hi: usize, combine: MessageCombiner<M>) -> Self {
+        FoldTable {
+            hi,
+            combine,
+            slots: Vec::new(),
+            present: vec![0; hi.div_ceil(64)],
+        }
+    }
+
+    /// What a table over `hi` vids allocates: the slots as they sit in
+    /// memory plus the presence bitmap (`u64::MAX` when that overflows).
+    pub(crate) fn bytes(hi: Vid) -> u64 {
+        hi.saturating_mul(std::mem::size_of::<M>() as u64)
+            .saturating_add(hi.div_ceil(64).saturating_mul(8))
+    }
+
+    fn fold(&mut self, v: usize, m: M) {
+        if self.slots.is_empty() {
+            self.slots.resize(self.hi, m.clone());
+        }
+        let (word, bit) = (v / 64, 1u64 << (v % 64));
+        if self.present[word] & bit == 0 {
+            self.present[word] |= bit;
+            self.slots[v] = m;
+        } else {
+            self.slots[v] = (self.combine)(&self.slots[v], &m);
+        }
+    }
+
+    /// Visit every touched slot in ascending vid order, clearing its bit.
+    /// Costs the bitmap's words plus the touched slots, never `hi`.
+    fn drain(&mut self, mut each: impl FnMut(Vid, &M) -> Result<()>) -> Result<()> {
+        for word in 0..self.present.len() {
+            let mut bits = std::mem::take(&mut self.present[word]);
+            while bits != 0 {
+                let v = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                each(v as Vid, &self.slots[v])?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Where partition `p`'s [`FoldTable`] rests between its compute tasks.
+/// Owned by the job's `RunLoop`, so frontier windows and partitions
+/// re-planned onto another worker find the same table; a task that fails
+/// never puts its (possibly half-drained) table back, and the next one
+/// starts from a fresh allocation.
+pub(crate) struct FoldSlot<M> {
+    hi: usize,
+    combine: MessageCombiner<M>,
+    table: Arc<Mutex<Option<FoldTable<M>>>>,
+}
+
+impl<M> Clone for FoldSlot<M> {
+    fn clone(&self) -> Self {
+        FoldSlot {
+            hi: self.hi,
+            combine: Arc::clone(&self.combine),
+            table: Arc::clone(&self.table),
+        }
+    }
+}
+
+impl<M: Clone> FoldSlot<M> {
+    pub(crate) fn new(hi: usize, combine: MessageCombiner<M>) -> Self {
+        FoldSlot {
+            hi,
+            combine,
+            table: Arc::new(Mutex::new(None)),
+        }
+    }
+
+    fn take(&self) -> FoldTable<M> {
+        let pooled = self.table.lock().take();
+        pooled.unwrap_or_else(|| FoldTable::new(self.hi, Arc::clone(&self.combine)))
+    }
+
+    fn put_back(&self, table: FoldTable<M>) {
+        *self.table.lock() = Some(table);
+    }
+}
+
+fn encode_msg_tuple<M: Writable>(out: &mut Vec<u8>, dest: Vid, m: &M) {
+    out.clear();
+    out.extend_from_slice(&vid_to_key(dest));
+    1u32.write(out);
+    m.write(out);
+}
+
+/// The sender-side combine of one `compute[p]` task (flow D3): every
+/// outgoing message whose destination has a table slot folds into it;
+/// everything else — destinations at or above the table's `hi`, and every
+/// message of a program that got no table — goes through the sort-based
+/// group-by, built on first use.
+struct MsgFold<P: VertexProgram> {
+    table: Option<FoldTable<P::Message>>,
+    sorter: Option<LocalGroupBy>,
+    /// What the sorter is built from: its kind, budget and tuple combiner.
+    sorter_parts: Option<(GroupByKind, usize, CombineFn)>,
+    fm: FileManager,
+    /// Reused encoding buffer for outgoing tuples.
+    scratch: Vec<u8>,
+    folded: u64,
+    strays: u64,
+}
+
+impl<P: VertexProgram> MsgFold<P> {
+    /// `table` is the partition's when the job found the program eligible;
+    /// its bytes come out of `budget`, the rest is the sorter's.
+    fn new(
+        table: Option<FoldTable<P::Message>>,
+        kind: GroupByKind,
+        fm: &FileManager,
+        budget: usize,
+        combiner: CombineFn,
+    ) -> Self {
+        let table_bytes = table
+            .as_ref()
+            .map_or(0, |t| FoldTable::<P::Message>::bytes(t.hi as Vid) as usize);
+        MsgFold {
+            table,
+            sorter: None,
+            sorter_parts: Some((kind, budget.saturating_sub(table_bytes), combiner)),
+            fm: fm.clone(),
+            scratch: Vec::new(),
+            folded: 0,
+            strays: 0,
+        }
+    }
+
+    fn add(&mut self, dest: Vid, m: P::Message) -> Result<()> {
+        if let Some(table) = self.table.as_mut() {
+            if dest < table.hi as Vid {
+                table.fold(dest as usize, m);
+                self.folded += 1;
+                return Ok(());
+            }
+            self.strays += 1;
+        }
+        if let Some((kind, budget, combiner)) = self.sorter_parts.take() {
+            self.sorter = Some(LocalGroupBy::with_fold(
+                kind,
+                &self.fm,
+                "msg-local",
+                budget,
+                Some(combiner),
+            ));
+        }
+        encode_msg_tuple(&mut self.scratch, dest, &m);
+        self.sorter.as_mut().expect("just built").add(&self.scratch)
+    }
+
+    /// Emit one combined `vid | 1 | msg` tuple per touched table slot in
+    /// ascending vid order, then the sorter's stream, whose vids (with a
+    /// table) are all larger — so the whole output is vid-sorted, as the
+    /// merging connector requires. Returns the emptied table.
+    fn drain(
+        mut self,
+        mut emit: impl FnMut(&[u8]) -> Result<()>,
+    ) -> Result<Option<FoldTable<P::Message>>> {
+        let counters = self.fm.counters();
+        counters.add_msgs_folded_direct(self.folded);
+        counters.add_msgs_stray(self.strays);
+        let mut table = self.table.take();
+        if let Some(table) = table.as_mut() {
+            let scratch = &mut self.scratch;
+            table.drain(|vid, m| {
+                encode_msg_tuple(scratch, vid, m);
+                debug_assert_eq!(Some(scratch.len() - MSG_COUNT.end), P::Message::FIXED_WIDTH);
+                emit(scratch)
+            })?;
+        }
+        if let Some(sorter) = self.sorter.take() {
+            let mut stream = sorter.finish()?;
+            while let Some(t) = stream.next_tuple()? {
+                emit(t)?;
+            }
+        }
+        Ok(table)
     }
 }
 
@@ -289,29 +505,6 @@ enum MsgSenderEnds {
     Merged(Vec<MergeTx>),
 }
 
-/// Execute superstep `gs.superstep`, returning the revised global state
-/// and the superstep's duration (wall-clock, or the simulated makespan in
-/// sequential-timed mode). This is the barrier mode of §5.1 — a window of
-/// exactly one superstep.
-pub fn run_superstep<P: VertexProgram>(
-    cluster: &Cluster,
-    program: &Arc<P>,
-    job: &JobId,
-    plan: PlanConfig,
-    partitions: &[Arc<Mutex<PartitionState>>],
-    sticky: &[usize],
-    gs: &GlobalState,
-    cost_model: Option<crate::plan::ProbeCostModel>,
-) -> Result<(GlobalState, std::time::Duration)> {
-    let (mut chain, duration) = run_superstep_window(
-        cluster, program, job, plan, partitions, sticky, gs, cost_model, 1, false,
-    )?;
-    let new_gs = chain
-        .pop()
-        .ok_or_else(|| PregelixError::internal("empty superstep window"))?;
-    Ok((new_gs, duration))
-}
-
 /// Execute supersteps `gs.superstep .. gs.superstep + window` as ONE
 /// dataflow job, returning the chain of revised global states (one per
 /// executed superstep, truncated at the first halting state) and the job's
@@ -324,8 +517,11 @@ pub fn run_superstep<P: VertexProgram>(
 /// own and pass the halted `GS` through unchanged, contributing zero to
 /// every counter, so the chain is bit-identical to running barrier mode
 /// superstep by superstep.
+///
+/// `fold_slots` holds one pooled [`FoldTable`] slot per partition when the
+/// job's messages fold by direct address, and is empty otherwise.
 #[allow(clippy::too_many_arguments)]
-pub fn run_superstep_window<P: VertexProgram>(
+pub(crate) fn run_superstep_window<P: VertexProgram>(
     cluster: &Cluster,
     program: &Arc<P>,
     job: &JobId,
@@ -336,6 +532,7 @@ pub fn run_superstep_window<P: VertexProgram>(
     cost_model: Option<crate::plan::ProbeCostModel>,
     window: usize,
     log_messages: bool,
+    fold_slots: &[FoldSlot<P::Message>],
 ) -> Result<(Vec<GlobalState>, std::time::Duration)> {
     let window = window.max(1);
     let p_count = partitions.len();
@@ -556,13 +753,14 @@ pub fn run_superstep_window<P: VertexProgram>(
             let sticky_c = sticky.to_vec();
             let combiner_c = msg_tuple_combiner(program);
             let log_to = log_dfs.clone();
+            let fold_slot = fold_slots.get(p).cloned();
             tasks.push(Task::new(
                 format!("compute[{p}]@{superstep}"),
                 schedule.worker(0, p),
                 move |w| {
                     compute_task(
-                        w, state, program_c, input, plan, track_live, msg_ends, mut_ends,
-                        gs_end, live_tx, p, log_to, sticky_c, combiner_c, gs_worker,
+                        w, state, program_c, input, plan, track_live, msg_ends, mut_ends, gs_end,
+                        live_tx, p, log_to, sticky_c, combiner_c, fold_slot, gs_worker,
                     )
                 },
             ));
@@ -607,13 +805,9 @@ pub fn run_superstep_window<P: VertexProgram>(
             None => GsPrev::Static(gs.clone()),
         };
         let outcome = Arc::clone(&outcomes[s_idx]);
-        let dfs = cluster.dfs().clone();
-        let job_c = job.clone();
         let expected = 3 * p_count as u64;
         tasks.push(Task::new(format!("gs@{superstep}"), gs_worker, move |w| {
-            gs_task(
-                w, program_c, prev, gs_rx, expected, gs_release, outcome, dfs, job_c,
-            )
+            gs_task(w, program_c, prev, gs_rx, expected, gs_release, outcome)
         }));
 
         carried_gates = next_gates;
@@ -755,8 +949,8 @@ struct ComputeSide<P: VertexProgram> {
     agg_prev: P::Aggregate,
     /// `None` during confined-recovery replay: outgoing messages are
     /// discarded (they were logged durably by the original execution), so
-    /// the group-by never runs.
-    local_gb: Option<LocalGroupBy>,
+    /// nothing is folded or grouped.
+    fold: Option<MsgFold<P>>,
     mutation_tx: MutationSink,
     stats: ComputeStats,
     agg_partial: Option<P::Aggregate>,
@@ -769,10 +963,6 @@ struct ComputeSide<P: VertexProgram> {
     log: Option<MsgLogWriter>,
     /// Partition count, for bucketing the log by `hash_partition`.
     p_count: usize,
-    /// Reused encoding buffer for outgoing message tuples, so the per-message
-    /// fast path performs no heap allocation (the group-by copies the tuple
-    /// into its own arena/table storage).
-    msg_scratch: Vec<u8>,
     /// Reused per-row buffers — the decoded edge list, the output vectors
     /// lent to each `ComputeContext` and the row encoding written back —
     /// so a steady-state row allocates nothing.
@@ -841,23 +1031,19 @@ impl<P: VertexProgram> ComputeSide<P> {
         self.program.compute(&mut ctx)?;
         let done = ctx.into_outputs();
         let mut out = done.buffers;
-        // D3: messages through the sender-side group-by. The tuple
-        // (vid key + singleton message list) is staged in the reusable
-        // scratch buffer, not a fresh allocation per message. Replay runs
-        // with no group-by: outbound messages were already logged and
-        // delivered by the original execution.
-        if let Some(gb) = self.local_gb.as_mut() {
-            for (dest, m) in &out.messages {
-                self.msg_scratch.clear();
-                self.msg_scratch.extend_from_slice(&vid_to_key(*dest));
-                1u32.write(&mut self.msg_scratch);
-                m.write(&mut self.msg_scratch);
-                gb.add(&self.msg_scratch)?;
-            }
-        }
+        // D3: messages into the sender-side combine, in emission order.
+        // Replay runs without one: outbound messages were already logged
+        // and delivered by the original execution.
         self.stats.msgs_sent += out.messages.len() as u64;
         self.counters.add_messages_sent(out.messages.len() as u64);
-        out.messages.clear();
+        match self.fold.as_mut() {
+            Some(fold) => {
+                for (dest, m) in out.messages.drain(..) {
+                    fold.add(dest, m)?;
+                }
+            }
+            None => out.messages.clear(),
+        }
         // D6: mutations to their owning partitions, tee'd into the message
         // log (same destination bucketing as the connector) when confined
         // recovery is on.
@@ -906,6 +1092,7 @@ fn compute_task<P: VertexProgram>(
     log_to: Option<(SimDfs, JobId, Arc<AtomicU64>)>,
     sticky: Vec<usize>,
     combiner: CombineFn,
+    fold_slot: Option<FoldSlot<P::Message>>,
     gs_worker: usize,
 ) -> Result<()> {
     // Resolve the gate BEFORE touching the partition: a gated compute may
@@ -962,17 +1149,18 @@ fn compute_task<P: VertexProgram>(
     let log = log_to
         .as_ref()
         .map(|_| MsgLogWriter::new(gs.superstep, p, sticky.len()));
+    let fold = MsgFold::new(
+        fold_slot.as_ref().map(FoldSlot::take),
+        plan.groupby.kind(),
+        w.file_manager(),
+        w.groupby_budget(),
+        combiner,
+    );
     let mut side = ComputeSide {
         program,
         gs,
         agg_prev,
-        local_gb: Some(LocalGroupBy::with_fold(
-            plan.groupby.kind(),
-            w.file_manager(),
-            "msg-local",
-            w.groupby_budget(),
-            Some(combiner),
-        )),
+        fold: Some(fold),
         mutation_tx: MutationSink::Wire(
             PartitioningSender::new(
                 mut_ends,
@@ -991,7 +1179,6 @@ fn compute_task<P: VertexProgram>(
         counters: w.counters().clone(),
         log,
         p_count: sticky.len(),
-        msg_scratch: Vec::new(),
         edges: Vec::new(),
         out: OutputBuffers::default(),
         row_scratch: Vec::new(),
@@ -1003,10 +1190,9 @@ fn compute_task<P: VertexProgram>(
     // compute finishes.
     side.mutation_tx.finish()?;
 
-    // Drain the sender-side group-by into the message connector, tee-ing
+    // Drain the sender-side combine into the message connector, tee-ing
     // every post-combine tuple into the message log (bucketed by the same
     // hash the connector routes with) when confined recovery is on.
-    let mut stream = side.local_gb.take().expect("group-by open").finish()?;
     let mut msg_sender = match msg_ends {
         MsgSenderEnds::Pipelined(outs) => MsgSender::Pipelined(
             PartitioningSender::new(
@@ -1028,7 +1214,8 @@ fn compute_task<P: VertexProgram>(
     };
     let p_count = sticky.len();
     let mut sent = 0u64;
-    while let Some(t) = stream.next_tuple()? {
+    let fold = side.fold.take().expect("a live compute folds its messages");
+    let table = fold.drain(|t| {
         if sent % 4096 == 0 {
             w.check_alive()?;
         }
@@ -1036,10 +1223,13 @@ fn compute_task<P: VertexProgram>(
         if let Some(log) = side.log.as_mut() {
             log.add_msg(hash_partition(tuple_vid(t)?, p_count), t);
         }
-        msg_sender.send(t)?;
-    }
-    drop(stream);
+        msg_sender.send(t)
+    })?;
     msg_sender.finish()?;
+    // Back into the pool before the next superstep's gate can open.
+    if let (Some(slot), Some(table)) = (&fold_slot, table) {
+        slot.put_back(table);
+    }
 
     // Rebuild the Vid index (LOJ plans): flow D11/D12 bulk loads the
     // next superstep's live-vertex index. The old index's file is reused
@@ -1529,7 +1719,6 @@ fn apply_mutation_groups<P: VertexProgram>(
 // gs (stage two)
 // ---------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
 fn gs_task<P: VertexProgram>(
     w: WorkerHandle,
     program: Arc<P>,
@@ -1538,8 +1727,6 @@ fn gs_task<P: VertexProgram>(
     expected: u64,
     release: Vec<mpsc::Sender<GlobalState>>,
     outcome: Arc<Mutex<Option<GlobalState>>>,
-    dfs: pregelix_common::dfs::SimDfs,
-    job: JobId,
 ) -> Result<()> {
     // Mid-window gs tasks chain off the previous superstep's EXACT revised
     // GS (aggregates and vertex-count arithmetic never run on predictions),
@@ -1552,8 +1739,8 @@ fn gs_task<P: VertexProgram>(
     if gs.halt {
         // Ghost slot: the job already halted at an earlier boundary of the
         // window. Drain the (all-zero) reports so every sender completes,
-        // then pass the halted GS through unchanged — no DFS store, no
-        // superstep advance.
+        // then pass the halted GS through unchanged — no superstep
+        // advance.
         while rx.next_tuple()?.is_some() {
             w.check_alive()?;
         }
@@ -1625,7 +1812,6 @@ fn gs_task<P: VertexProgram>(
         live_vertices: live + live_inserted,
         messages: combined,
     };
-    new_gs.store(&dfs, &job)?;
     // Release every partition gate (and the next gs task in the chain)
     // still blocked on the exact GS. Early-advanced partitions dropped
     // their receiving ends — those sends are no-ops.
@@ -1689,7 +1875,7 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
             program: Arc::clone(&program),
             gs,
             agg_prev,
-            local_gb: None,
+            fold: None,
             mutation_tx: MutationSink::Discard,
             stats: ComputeStats::default(),
             agg_partial: None,
@@ -1698,7 +1884,6 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
             counters: w.counters().clone(),
             log: None,
             p_count,
-            msg_scratch: Vec::new(),
             edges: Vec::new(),
             out: OutputBuffers::default(),
             row_scratch: Vec::new(),
@@ -1850,17 +2035,12 @@ mod tests {
 
     fn fold_matches_byte_pair<P: VertexProgram>(program: P) {
         let program = Arc::new(program);
-        let fresh = || {
-            let dir = TempDir::new("fold-eq").unwrap();
-            let fm = FileManager::new(dir.path(), 4096, ClusterCounters::new()).unwrap();
-            (fm, dir)
-        };
         for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
             for budget in [1 << 20, 2048] {
-                let (fm, _d) = fresh();
+                let (fm, _d) = fresh_fm();
                 let pair = byte_pair_combiner(&program);
                 let legacy = group(LocalGroupBy::new(kind, &fm, "l", budget, Some(&pair)), &fm);
-                let (fm, _d) = fresh();
+                let (fm, _d) = fresh_fm();
                 let fold = msg_tuple_combiner(&program);
                 let folded = group(
                     LocalGroupBy::with_fold(kind, &fm, "f", budget, Some(fold)),
@@ -1871,6 +2051,207 @@ mod tests {
                 assert_eq!(folded.1 > 0, budget == 2048, "budget {budget} spills");
             }
         }
+    }
+
+    /// A program that only exists to carry a message type and its combiner.
+    struct Folding<M>(fn(&M, &M) -> M);
+
+    impl<M: Writable + std::fmt::Debug> VertexProgram for Folding<M> {
+        type VertexValue = u64;
+        type EdgeValue = ();
+        type Message = M;
+        type Aggregate = ();
+
+        fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+            ctx.vote_to_halt();
+            Ok(())
+        }
+
+        fn init_vertex(&self, vid: Vid, _edges: Vec<(Vid, f64)>) -> VertexData<Self> {
+            VertexData::new(vid, 0, Vec::new())
+        }
+
+        fn combiner(&self) -> Option<MessageCombiner<M>> {
+            Some(Arc::new(self.0))
+        }
+    }
+
+    fn fresh_fm() -> (FileManager, TempDir) {
+        let dir = TempDir::new("msg-fold").unwrap();
+        let fm = FileManager::new(dir.path(), 4096, ClusterCounters::new()).unwrap();
+        (fm, dir)
+    }
+
+    /// Everything `compute[p]` does with its outgoing messages: take the
+    /// table (if the partition has a slot), add, drain, put the table back.
+    fn fold_stream<P: VertexProgram>(
+        program: &Arc<P>,
+        slot: Option<&FoldSlot<P::Message>>,
+        stream: &[(Vid, P::Message)],
+    ) -> Vec<Vec<u8>> {
+        let (fm, _dir) = fresh_fm();
+        let mut fold = MsgFold::<P>::new(
+            slot.map(FoldSlot::take),
+            GroupByKind::Sort,
+            &fm,
+            1 << 20,
+            msg_tuple_combiner(program),
+        );
+        for (dest, m) in stream {
+            fold.add(*dest, m.clone()).unwrap();
+        }
+        let mut out = Vec::new();
+        let table = fold
+            .drain(|t| {
+                out.push(t.to_vec());
+                Ok(())
+            })
+            .unwrap();
+        let c = fm.counters();
+        let in_range = |d: &Vid| slot.is_some_and(|s| *d < s.hi as Vid);
+        let direct = stream.iter().filter(|(d, _)| in_range(d)).count() as u64;
+        assert_eq!(c.msgs_folded_direct(), direct);
+        let strays = if slot.is_some() {
+            stream.len() as u64 - direct
+        } else {
+            0
+        };
+        assert_eq!(c.msgs_stray(), strays);
+        assert_eq!(table.is_some(), slot.is_some());
+        if let (Some(slot), Some(table)) = (slot, table) {
+            slot.put_back(table);
+        }
+        out
+    }
+
+    /// The stream a table over `hi` vids must produce: per destination
+    /// below `hi` the messages folded in emission order, ascending by vid,
+    /// then whatever the sorter alone makes of the rest.
+    fn model<P: VertexProgram>(
+        program: &Arc<P>,
+        hi: Vid,
+        stream: &[(Vid, P::Message)],
+    ) -> Vec<Vec<u8>> {
+        let combine = program.combiner().unwrap();
+        let mut acc: BTreeMap<Vid, P::Message> = BTreeMap::new();
+        let mut strays = Vec::new();
+        for (dest, m) in stream {
+            if *dest >= hi {
+                strays.push((*dest, m.clone()));
+            } else if let Some(a) = acc.get_mut(dest) {
+                *a = combine(a, m);
+            } else {
+                acc.insert(*dest, m.clone());
+            }
+        }
+        let mut out: Vec<Vec<u8>> = acc
+            .iter()
+            .map(|(v, m)| keyed_tuple(*v, &encode_msg_list(std::slice::from_ref(m))))
+            .collect();
+        out.extend(fold_stream(program, None, &strays));
+        out
+    }
+
+    /// `n` messages to scrambled destinations below `span`, plus the two
+    /// vids either side of `hi`.
+    fn scrambled<M>(
+        seed: u64,
+        n: usize,
+        span: Vid,
+        hi: Vid,
+        msg: impl Fn(u64) -> M,
+    ) -> Vec<(Vid, M)> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x >> 20
+        };
+        let mut stream: Vec<(Vid, M)> = (0..n).map(|_| (next() % span, msg(next()))).collect();
+        for (i, edge) in [hi.saturating_sub(1), hi, hi.saturating_sub(1), hi]
+            .into_iter()
+            .enumerate()
+        {
+            stream.insert((i * 37) % (stream.len() + 1), (edge, msg(next())));
+        }
+        stream
+    }
+
+    /// All in range, all stray (`hi == 0` and `hi` below every dest), mixed,
+    /// and one table reused over three supersteps with different touched
+    /// sets: every stream byte-identical to the model.
+    fn table_matches_model<M: Writable + std::fmt::Debug>(
+        combine: fn(&M, &M) -> M,
+        msg: impl Fn(u64) -> M + Copy,
+    ) {
+        let program = Arc::new(Folding(combine));
+        for (hi, span) in [(1000, 1000), (0, 500), (300, 1000), (1, 64), (65, 64)] {
+            let slot = FoldSlot::new(hi as usize, program.combiner().unwrap());
+            for (superstep, n) in [(1u64, 4000), (2, 40), (3, 900)] {
+                let stream = scrambled(hi * 31 + superstep, n, span, hi, msg);
+                let got = fold_stream(&program, Some(&slot), &stream);
+                let want = model(&program, hi, &stream);
+                assert!(!want.is_empty());
+                assert_eq!(got, want, "hi {hi}, span {span}, superstep {superstep}");
+            }
+        }
+    }
+
+    #[test]
+    fn fold_table_matches_the_model_for_f64_sum() {
+        // Every value different: the emission-order fold shows in the bits.
+        table_matches_model::<f64>(|a, b| a + b, |x| x as f64 / (1u64 << 30) as f64 - 4096.0);
+    }
+
+    #[test]
+    fn fold_table_matches_the_model_for_u64_min() {
+        table_matches_model::<u64>(|a, b| *a.min(b), |x| x);
+    }
+
+    #[test]
+    fn fold_table_matches_the_model_for_unit() {
+        table_matches_model::<()>(|_, _| (), |_| ());
+    }
+
+    #[test]
+    fn fold_table_matches_the_model_for_pairs() {
+        table_matches_model::<(u64, u64)>(|a, b| (a.0.min(b.0), a.1 + b.1), |x| (x % 97, x % 13));
+    }
+
+    #[test]
+    fn failed_fold_leaves_the_slot_empty_and_the_next_table_clean() {
+        let program = Arc::new(Folding::<u64>(|a, b| *a.min(b)));
+        let slot = FoldSlot::new(100, program.combiner().unwrap());
+        let (fm, dir) = fresh_fm();
+        drop(dir); // the sorter's first spill has nowhere to go
+        let mut fold = MsgFold::<Folding<u64>>::new(
+            Some(slot.take()),
+            GroupByKind::Sort,
+            &fm,
+            FoldTable::<u64>::bytes(100) as usize,
+            msg_tuple_combiner(&program),
+        );
+        let mut failed = false;
+        for i in 0..10_000u64 {
+            fold.add(i % 100, i).unwrap();
+            if fold.add(100 + i, i).is_err() {
+                failed = true;
+                break;
+            }
+        }
+        assert!(failed, "a 1 KB sorter with no directory must fail to spill");
+        drop(fold);
+        assert!(
+            slot.table.lock().is_none(),
+            "a failed task's table is dropped"
+        );
+        let stream = [(7, 70u64), (99, 1)];
+        assert_eq!(
+            fold_stream(&program, Some(&slot), &stream),
+            model(&program, 100, &stream)
+        );
+        assert!(slot.table.lock().is_some());
     }
 
     #[test]

@@ -595,6 +595,9 @@ mod tests {
 
     #[test]
     fn merging_connector_produces_globally_sorted_streams() {
+        // Sibling tests install process-global plans scoped to "merge";
+        // without the guard this connector would receive their faults.
+        let _guard = fault::exclusive();
         let c = cluster(2);
         let m = 2;
         let n = 2;
@@ -647,6 +650,7 @@ mod tests {
 
     #[test]
     fn merging_connector_combiner_collapses_duplicates() {
+        let _guard = fault::exclusive();
         let c = cluster(1);
         let (mut sends, mut recvs) = merging_channels(2, 1);
         let mut tasks = Vec::new();

@@ -58,6 +58,12 @@ pub enum GroupByKind {
 }
 
 /// The four parallel strategies of Figure 7.
+///
+/// A strategy names the connector and the group-by kind run at the
+/// receiver. On the sender side the kind applies to whatever is sorted
+/// there: every message of a program without a combiner or with
+/// variable-width messages, and otherwise only the destinations the
+/// sender's direct-address fold table has no slot for (`core::superstep`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GroupByStrategy {
     /// Sort-based group-bys + m-to-n partitioning connector (fully

@@ -925,6 +925,9 @@ mod tests {
 
     #[test]
     fn clean_stream_delivers_in_order_windowed() {
+        // Sibling tests install process-global plans scoped to "msg"; without
+        // the guard this stream would receive their injected faults.
+        let _guard = fault::exclusive();
         let counters = ClusterCounters::new();
         let (txs, rxs) = reliable_channels(1, 1, Some(4));
         let h = spawn_sender(txs, counters.clone(), 100);
@@ -937,6 +940,7 @@ mod tests {
 
     #[test]
     fn open_loop_mode_needs_no_concurrent_receiver() {
+        let _guard = fault::exclusive();
         // Sequential-timed regression: with cap = None the sender must run
         // to completion on a single thread before the receiver starts.
         let counters = ClusterCounters::new();
@@ -1141,6 +1145,7 @@ mod tests {
 
     #[test]
     fn delivery_hands_over_the_senders_slab_slice() {
+        let _guard = fault::exclusive();
         let counters = ClusterCounters::new();
         let frame = frame_with(&[7, 8]).freeze_standalone();
         let (got, send_res) = roundtrip_shared(counters, frame.clone());
@@ -1185,6 +1190,7 @@ mod tests {
 
     #[test]
     fn empty_stream_closes_cleanly() {
+        let _guard = fault::exclusive();
         let counters = ClusterCounters::new();
         let (txs, rxs) = reliable_channels(1, 1, Some(4));
         let h = spawn_sender(txs, counters.clone(), 0);

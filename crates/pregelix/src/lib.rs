@@ -26,7 +26,7 @@ pub mod prelude {
         VertexStorageKind,
     };
     pub use pregelix_core::runtime::{
-        run_job, run_job_from_records, run_pipeline, JobSummary, LoadedGraph,
+        run_job, run_job_from_records, run_pipeline, JobSummary, LoadedGraph, SenderFold,
     };
     pub use pregelix_core::service::{JobHandle, JobService, JobStatus, ServiceConfig};
     pub use pregelix_core::vertex::{Edge, VertexData};

@@ -64,6 +64,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             summary.job_stats.messages_sent,
             summary.job_stats.messages_combined
         );
+        // How the senders combined those messages per destination, and why:
+        // decided from the program's types, the graph's vid range and the
+        // group-by budget.
+        println!(
+            "  sender-side combine: {} — {} folded by address, {} sorted as strays",
+            summary.sender_fold, summary.job_stats.msgs_folded_direct, summary.job_stats.msgs_stray
+        );
     }
 
     // Query the finished jobs in place: point + range reads through the

@@ -14,6 +14,9 @@
 //!   message-created vertices (§2.1, Figure 5).
 //! * `property_based` — proptest: random graphs × random plans vs
 //!   single-machine references.
+//! * `sender_fold` — the sender-side fold table against the sort path it
+//!   stands in for: same answers over connectors × joins × stores × modes,
+//!   and a table over budget means the sort path exactly.
 //! * `row_write_back`, `row_cursor_allocs` — the fused scan/compute/update
 //!   operator (§5.3.2): resized rows and rewritten edge lists fall back to
 //!   whole-row writes and stay correct; a steady-state `compute` call

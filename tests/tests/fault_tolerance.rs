@@ -123,7 +123,7 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
         "{scenario} recoveries={} retries={} supersteps={} injected={injected} \
          probes={} redesc={} bloomneg={} bloomfp={} radixn={} rskip={} cmpfb={} \
          fadv={} bwa={} skew={} conf={} cfb={} logw={} logr={} ckret={} \
-         slaba={} slabr={} fcopy={} jcmp={} jmsgs={} jcomb={} values={:016x}",
+         slaba={} slabr={} fcopy={} fold={} stray={} jcmp={} jmsgs={} jcomb={} values={:016x}",
         summary.recoveries,
         summary.retries,
         summary.supersteps,
@@ -145,6 +145,8 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
         summary.stats.slab_allocations,
         summary.stats.slab_recycled,
         summary.stats.frame_bytes_copied,
+        summary.stats.msgs_folded_direct,
+        summary.stats.msgs_stray,
         summary.job_stats.compute_calls,
         summary.job_stats.messages_sent,
         summary.job_stats.messages_combined,

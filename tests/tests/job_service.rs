@@ -105,6 +105,8 @@ struct JobOutcome {
     job_compute: u64,
     job_sent: u64,
     job_combined: u64,
+    job_folded: u64,
+    job_stray: u64,
 }
 
 impl JobOutcome {
@@ -118,6 +120,8 @@ impl JobOutcome {
             job_compute: summary.job_stats.compute_calls,
             job_sent: summary.job_stats.messages_sent,
             job_combined: summary.job_stats.messages_combined,
+            job_folded: summary.job_stats.msgs_folded_direct,
+            job_stray: summary.job_stats.msgs_stray,
         }
     }
 
@@ -140,8 +144,20 @@ impl JobOutcome {
             self.tag
         );
         assert_eq!(
-            (self.job_compute, self.job_sent, self.job_combined),
-            (other.job_compute, other.job_sent, other.job_combined),
+            (
+                self.job_compute,
+                self.job_sent,
+                self.job_combined,
+                self.job_folded,
+                self.job_stray,
+            ),
+            (
+                other.job_compute,
+                other.job_sent,
+                other.job_combined,
+                other.job_folded,
+                other.job_stray,
+            ),
             "per-job counters diverged for {}",
             self.tag
         );
@@ -175,13 +191,16 @@ fn chaos_digest(scenario: &str, outcome: &JobOutcome) {
         .unwrap();
     writeln!(
         f,
-        "{scenario}:{} supersteps={} recoveries={} jcmp={} jmsgs={} jcomb={} values={:016x}",
+        "{scenario}:{} supersteps={} recoveries={} jcmp={} jmsgs={} jcomb={} jfold={} \
+         jstray={} values={:016x}",
         outcome.tag,
         outcome.supersteps,
         outcome.recoveries,
         outcome.job_compute,
         outcome.job_sent,
         outcome.job_combined,
+        outcome.job_folded,
+        outcome.job_stray,
         values_hash(&outcome.values),
     )
     .unwrap();

@@ -4,7 +4,7 @@
 
 use pregelix::common::error::Result;
 use pregelix::common::Vid;
-use pregelix::core::api::{ComputeContext, Mutation, Resolution, VertexProgram};
+use pregelix::core::api::{ComputeContext, MessageCombiner, Mutation, Resolution, VertexProgram};
 use pregelix::prelude::*;
 use std::sync::Arc;
 
@@ -154,6 +154,79 @@ fn messages_to_missing_vertices_create_them_on_both_join_plans() {
         assert_eq!(summary.final_gs.vertex_count, 12, "{join:?}");
         for v in vertices.iter().filter(|v| v.vid >= 500) {
             assert_eq!(v.value, 1.25, "{join:?} vid {}", v.vid);
+        }
+    }
+}
+
+/// A sum-combining program whose messages leave the vid range the graph
+/// was loaded with (0..10, so the sender-side fold table has ten slots).
+/// Superstep 1: every loaded vertex inserts a shadow at vid + 1000, writes to
+/// the never-created vid + 2000, and to its ring neighbour. Superstep 2:
+/// every loaded vertex sends two messages to its shadow, which now exists.
+struct AboveHi;
+
+impl VertexProgram for AboveHi {
+    type VertexValue = u64;
+    type EdgeValue = ();
+    type Message = u64;
+    type Aggregate = ();
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+        let vid = ctx.vid();
+        if vid < 10 && ctx.superstep() <= 2 {
+            ctx.send_message((vid + 1) % 10, 1);
+            if ctx.superstep() == 1 {
+                ctx.add_vertex(VertexData::new(vid + 1000, 0, vec![]));
+                ctx.send_message(vid + 2000, 7);
+            } else {
+                ctx.send_message(vid + 1000, vid);
+                ctx.send_message(vid + 1000, 100);
+            }
+        }
+        let sum: u64 = ctx.messages().iter().sum();
+        *ctx.value_mut() += sum;
+        ctx.vote_to_halt();
+        Ok(())
+    }
+
+    fn init_vertex(&self, vid: Vid, _edges: Vec<(Vid, f64)>) -> VertexData<Self> {
+        VertexData::new(vid, 0, vec![])
+    }
+
+    fn combiner(&self) -> Option<MessageCombiner<u64>> {
+        Some(Arc::new(|a, b| a + b))
+    }
+}
+
+#[test]
+fn vertices_above_the_fold_tables_range_send_and_receive_like_any_other() {
+    for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
+        let records: Vec<(Vid, Vec<(Vid, f64)>)> = (0..10).map(|v| (v, vec![])).collect();
+        let cluster = Cluster::new(ClusterConfig::new(2, 8 << 20)).unwrap();
+        let job = PregelixJob::new(format!("above-hi-{join:?}")).with_join(join);
+        let (summary, graph) =
+            run_job_from_records(&cluster, &Arc::new(AboveHi), &job, records).unwrap();
+        assert!(
+            matches!(summary.sender_fold, SenderFold::Direct { hi: 10, .. }),
+            "{join:?}: {}",
+            summary.sender_fold
+        );
+        // Ring messages fold in the table; everything bound for 1000+ and
+        // 2000+ takes the sorter.
+        assert_eq!(summary.stats.msgs_folded_direct, 20, "{join:?}");
+        assert_eq!(summary.stats.msgs_stray, 30, "{join:?}");
+        let vertices = graph.collect_vertices::<AboveHi>().unwrap();
+        assert_eq!(vertices.len(), 30, "{join:?}");
+        assert_eq!(summary.final_gs.vertex_count, 30, "{join:?}");
+        for v in &vertices {
+            let want = match v.vid {
+                0..=9 => 2,
+                // Inserted after superstep 1, written to in superstep 2.
+                1000..=1009 => v.vid - 1000 + 100,
+                // Materialised by the message alone.
+                _ => 7,
+            };
+            assert_eq!(v.value, want, "{join:?} vid {}", v.vid);
         }
     }
 }

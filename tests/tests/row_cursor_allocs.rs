@@ -6,7 +6,9 @@
 //! allocator and is its only test, so the counts belong to the job: doubling
 //! the graph may add heap allocations for the messages it doubles (sort
 //! arenas, frames, run buffers — all amortised over many tuples) but not one
-//! per `compute` call. Before the row cursor a call cost about eight.
+//! per `compute` call. Before the row cursor a call cost about eight. The
+//! same allocator shows that the sender-side fold table is allocated per
+//! job and partition, not per task.
 
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
@@ -17,12 +19,22 @@ use std::sync::Arc;
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Allocations of exactly `WATCHED_SIZE` bytes (0 = none watched).
+static WATCHED_SIZE: AtomicU64 = AtomicU64::new(0);
+static WATCHED_HITS: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size as u64 == WATCHED_SIZE.load(Ordering::Relaxed) {
+        WATCHED_HITS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a statistic and touches no allocator state.
+// counters are statistics and touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: same layout, same contract as the caller's.
         unsafe { System.alloc(layout) }
     }
@@ -33,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: same pointer, layout and size as the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -44,23 +56,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Heap allocations and `compute` calls of the run phase alone (the load
 /// before it allocates per input record by design).
-fn run_phase(scale: u32) -> (u64, u64) {
-    let records = webmap::webmap(scale, 6.0, 7);
+fn run_phase(records: Vec<(Vid, Vec<(Vid, f64)>)>, iterations: u64) -> (u64, u64) {
     let cluster = Cluster::new(ClusterConfig::new(2, 32 << 20).sequential_timed()).unwrap();
-    let job = PregelixJob::new(format!("allocs-{scale}"));
-    let program = Arc::new(PageRank::new(3));
+    let job = PregelixJob::new(format!("allocs-{}-{iterations}", records.len()));
+    let program = Arc::new(PageRank::new(iterations));
     let mut graph = LoadedGraph::load_from_records(&cluster, &program, &job, records).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let summary = graph.run(&cluster, &program, &job).unwrap();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-    assert_eq!(summary.supersteps, 4);
+    assert_eq!(summary.supersteps, iterations + 1);
+    assert!(matches!(summary.sender_fold, SenderFold::Direct { .. }));
     (allocations, summary.job_stats.compute_calls)
 }
 
 #[test]
 fn doubling_the_graph_adds_no_allocation_per_compute_call() {
-    let (small_allocs, small_calls) = run_phase(14);
-    let (large_allocs, large_calls) = run_phase(15);
+    let (small_allocs, small_calls) = run_phase(webmap::webmap(14, 6.0, 7), 3);
+    let (large_allocs, large_calls) = run_phase(webmap::webmap(15, 6.0, 7), 3);
     assert_eq!((small_calls, large_calls), (4 << 14, 4 << 15));
     let per_call =
         large_allocs.saturating_sub(small_allocs) as f64 / (large_calls - small_calls) as f64;
@@ -69,4 +81,19 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
         "{small_allocs} allocations for {small_calls} compute calls, {large_allocs} for \
          {large_calls}: {per_call:.2} per extra call"
     );
+
+    // The sender-side fold table is allocated once per partition and job,
+    // not once per `compute[p]` task: an isolated vertex 20 000 makes the
+    // table's slot array 20 001 × 8 bytes, a size nothing else asks for,
+    // and the allocator sees it twice (two partitions) whether the job runs
+    // four supersteps or eight.
+    let mut records = webmap::webmap(14, 6.0, 7);
+    records.push((20_000, Vec::new()));
+    WATCHED_SIZE.store(20_001 * 8, Ordering::Relaxed);
+    for iterations in [3, 7] {
+        let before = WATCHED_HITS.load(Ordering::Relaxed);
+        run_phase(records.clone(), iterations);
+        let tables = WATCHED_HITS.load(Ordering::Relaxed) - before;
+        assert_eq!(tables, 2, "{} supersteps", iterations + 1);
+    }
 }

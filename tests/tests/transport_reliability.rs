@@ -103,7 +103,7 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
         "{scenario} recoveries={} retries={} supersteps={} injected={injected} \
          retx={} dedup={} corrupt={} dead={} probes={} redesc={} bloomneg={} \
          bloomfp={} radixn={} rskip={} cmpfb={} fadv={} bwa={} skew={} \
-         conf={} cfb={} logw={} logr={} ckret={} slaba={} slabr={} fcopy={} \
+         conf={} cfb={} logw={} logr={} ckret={} slaba={} slabr={} fcopy={} fold={} stray={} \
          jcmp={} jmsgs={} jcomb={} values={:016x}",
         summary.recoveries,
         summary.retries,
@@ -130,6 +130,8 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
         summary.stats.slab_allocations,
         summary.stats.slab_recycled,
         summary.stats.frame_bytes_copied,
+        summary.stats.msgs_folded_direct,
+        summary.stats.msgs_stray,
         summary.job_stats.compute_calls,
         summary.job_stats.messages_sent,
         summary.job_stats.messages_combined,
