@@ -50,14 +50,6 @@ impl VertexProgram for ConnectedComponents {
     fn combiner(&self) -> Option<MessageCombiner<u64>> {
         Some(Arc::new(|a, b| *a.min(b)))
     }
-
-    /// Min-label propagation reads only the vertex value and inbound
-    /// messages — never the vertex count or a global aggregate — so a
-    /// partition may start its next superstep before the global halt vote
-    /// is folded.
-    fn frontier_safe(&self) -> bool {
-        true
-    }
 }
 
 /// Reference union-find components used to validate distributed results:

@@ -1,6 +1,6 @@
 //! Reachability query (§6): which vertices are reachable from a source
-//! set. A message-sparse frontier algorithm like SSSP, so the left-outer
-//! join plan is the natural fit.
+//! set. Like SSSP, only a thin wave of vertices is active in any one
+//! superstep, so the left-outer join plan is the natural fit.
 
 use pregelix_common::error::Result;
 use pregelix_common::Vid;

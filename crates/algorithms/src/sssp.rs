@@ -70,13 +70,6 @@ impl VertexProgram for ShortestPaths {
         Some(Arc::new(|a, b| a.min(*b)))
     }
 
-    /// Distance relaxation reads only the vertex value and inbound
-    /// messages, so frontier mode may advance a partition before the
-    /// global halt vote is folded.
-    fn frontier_safe(&self) -> bool {
-        true
-    }
-
     fn format_vertex(&self, vid: Vid, value: &f64) -> String {
         if *value == UNREACHED {
             format!("{vid}\tinf")

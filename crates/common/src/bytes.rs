@@ -6,7 +6,7 @@
 //! the reorder buffer, and the consumer can all hold *simultaneously* without
 //! copying. When the last slice over a backing drops, the buffer migrates to
 //! the slab's `returns` list; [`BytesSlab::harvest`] (called only at
-//! deterministic commit points — superstep-window boundaries) moves returns
+//! deterministic commit points — superstep boundaries) moves returns
 //! into the live stock for reuse.
 //!
 //! # Why the two-level pool (`returns` vs `stock`)
@@ -15,11 +15,11 @@
 //! clusters, so every counter must be scheduling-invariant. Raw "pool hit"
 //! counts are not: which thread's drop races which thread's alloc decides who
 //! reuses what. The slab therefore *never* counts at drop time and *never*
-//! allocates from `returns` directly. Within a window the stock only drains,
-//! so fresh allocations = `max(0, seals − stock_at_window_start)` — a pure
-//! function of how many frames the window sealed, independent of
-//! interleaving. `slab_recycled` is bumped by `harvest`, which runs on the
-//! single-threaded driver after every task of the window has joined.
+//! allocates from `returns` directly. Within a superstep the stock only
+//! drains, so fresh allocations = `max(0, seals − stock_at_superstep_start)`
+//! — a pure function of how many frames the superstep sealed, independent
+//! of interleaving. `slab_recycled` is bumped by `harvest`, which runs on
+//! the single-threaded driver after every task of the superstep has joined.
 //!
 //! # Recycling rules
 //!
@@ -235,7 +235,7 @@ impl BytesSlab {
     /// Move every returned buffer into the live stock and count it.
     ///
     /// Must be called only from deterministic single-threaded commit points
-    /// (the driver between superstep windows): the count of returns at such
+    /// (the driver between supersteps): the count of returns at such
     /// a point is a function of the data flow, not the thread schedule.
     /// Returns the number of buffers restocked.
     pub fn harvest(&self) -> usize {

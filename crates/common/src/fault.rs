@@ -65,11 +65,10 @@ pub enum Site {
     /// The driver-side superstep barrier; ctx = the superstep number about to
     /// run, formatted in decimal.
     Barrier,
-    /// Straggler injection point at the start of a partition's message
-    /// group-by task; ctx = `"{job}:s{superstep}:p{partition}"`. A
-    /// [`Fault::Stall`] rule firing here makes that one partition
-    /// deterministically slow for that one superstep — the controlled
-    /// stand-in for a straggler that barrier-vs-frontier tests need.
+    /// The start of a partition's message group-by task; ctx =
+    /// `"{job}:s{superstep}:p{partition}"`. The one site whose context
+    /// names the job, so a multi-tenant test can fail exactly one tenant's
+    /// task in one superstep.
     Stall,
     /// The confined-recovery message log: probed by the log writer before a
     /// per-(superstep, src-partition) log file reaches the DFS, and by the
@@ -131,15 +130,6 @@ pub enum Fault {
     /// matches, so the receiver discards the frame and nacks it
     /// ([`Site::FrameSend`] and [`Site::FrameResend`] only).
     CorruptFrame,
-    /// The task spins through `work` iterations of deterministic busy work
-    /// before proceeding — a straggler, not a failure. Only honored at
-    /// [`Site::Stall`]; elsewhere behaves like [`Fault::IoError`]. Per the
-    /// determinism rule this is bounded CPU work at an exact event count,
-    /// never a timer.
-    Stall {
-        /// Busy-loop iterations to burn.
-        work: u64,
-    },
 }
 
 /// One scheduled fault: fire `fault` at the `nth` event matching
@@ -371,18 +361,11 @@ mod tests {
     #[test]
     fn stall_rules_target_one_partition_superstep() {
         let guard = exclusive();
-        let plan = guard.install(FaultPlan::new().on(
-            Site::Stall,
-            "job-x:s3:p1",
-            1,
-            Fault::Stall { work: 1_000 },
-        ));
+        let plan =
+            guard.install(FaultPlan::new().on(Site::Stall, "job-x:s3:p1", 1, Fault::IoError));
         assert_eq!(hit(Site::Stall, "job-x:s1:p1"), None);
         assert_eq!(hit(Site::Stall, "job-x:s3:p0"), None);
-        assert_eq!(
-            hit(Site::Stall, "job-x:s3:p1"),
-            Some(Fault::Stall { work: 1_000 })
-        );
+        assert_eq!(hit(Site::Stall, "job-x:s3:p1"), Some(Fault::IoError));
         assert_eq!(hit(Site::Stall, "job-x:s3:p1"), None, "fires exactly once");
         assert_eq!(plan.injected(), 1);
     }

@@ -59,11 +59,6 @@ pub fn log_root(job: &JobId) -> String {
     format!("jobs/{job}/msglog")
 }
 
-/// DFS directory holding the logs of one superstep.
-pub fn superstep_dir(job: &JobId, superstep: Superstep) -> String {
-    format!("jobs/{job}/msglog/{superstep}")
-}
-
 /// DFS path of the log written by partition `src` during `superstep`.
 pub fn log_path(job: &JobId, superstep: Superstep, src: usize) -> String {
     format!("jobs/{job}/msglog/{superstep}/src{src}")
@@ -266,9 +261,9 @@ fn take_tuples(buf: &mut &[u8]) -> Result<Vec<Vec<u8>>> {
 /// Write `log` to its DFS path, probing [`Site::MsgLog`] (ctx = the path)
 /// first so chaos tests can tear or drop exactly the nth log file. Returns
 /// the byte count written; the *caller* folds it into `log_bytes_written`
-/// only when the enclosing superstep window commits — tasks race inside a
-/// window, so counting at write time would make the tally of an aborted
-/// window depend on thread scheduling and break chaos-digest double runs.
+/// only when the enclosing superstep commits — tasks race inside a
+/// superstep, so counting at write time would make the tally of an aborted
+/// one depend on thread scheduling and break chaos-digest double runs.
 /// Callers treat any error as a *degraded log*, not a failed superstep.
 pub fn write_log(
     dfs: &SimDfs,
@@ -473,7 +468,7 @@ mod tests {
         let w = sample();
         let written = write_log(&dfs, &counters, &job, &w).unwrap();
         assert_eq!(written, w.encode().len() as u64);
-        // The counter is the caller's job, at superstep-window commit.
+        // The counter is the caller's job, at superstep commit.
         assert_eq!(counters.log_bytes_written(), 0);
         let log = read_log(&dfs, &counters, &job, 3, 1).unwrap();
         assert_eq!(log.messages(2), &[b"gamma".to_vec()]);

@@ -136,19 +136,6 @@ pub trait VertexProgram: Send + Sync + Sized + 'static {
     fn format_vertex(&self, vid: Vid, value: &Self::VertexValue) -> String {
         format!("{vid}\t{value:?}")
     }
-
-    /// Whether `compute` never reads [`ComputeContext::num_vertices`] nor
-    /// [`ComputeContext::global_aggregate`] — the only global-state fields
-    /// a partition cannot know exactly before the previous superstep's
-    /// stage-two aggregation finishes. Frontier execution uses this as the
-    /// license to start a partition's next superstep as soon as its local
-    /// counts prove the job continues, without waiting for the exact `GS`.
-    /// The default is conservative (`false`): such programs still run
-    /// under `ExecutionMode::Frontier` (supersteps overlap across
-    /// partitions), they just never advance past an unresolved halt vote.
-    fn frontier_safe(&self) -> bool {
-        false
-    }
 }
 
 /// The state handed to [`VertexProgram::compute`] for one vertex, plus the
@@ -486,10 +473,6 @@ pub mod tests_support {
 
         fn format_vertex(&self, vid: Vid, value: &Self::VertexValue) -> String {
             self.0.format_vertex(vid, value)
-        }
-
-        fn frontier_safe(&self) -> bool {
-            self.0.frontier_safe()
         }
     }
 }

@@ -53,8 +53,8 @@ fn manifest_path(job: &JobId, superstep: Superstep) -> String {
 /// the confined-recovery log fields.
 ///
 /// The vector records which superstep each partition's checkpointed state
-/// feeds. Checkpoints are taken only at window boundaries — where frontier
-/// execution has re-synchronized every partition — so a *consistent*
+/// feeds. Checkpoints are taken only at superstep barriers — where every
+/// partition has finished the same superstep — so a *consistent*
 /// checkpoint always carries an all-equal vector matching `gs.superstep`,
 /// and recovery refuses anything else: replaying partitions from different
 /// supersteps would double-apply (or lose) messages.
@@ -152,9 +152,8 @@ fn validate_manifest(
             m.gs.superstep
         )));
     }
-    // Consistency of the frontier state: every partition must have been
-    // checkpointed at the same superstep, and that superstep must be the
-    // one the GS snapshot feeds.
+    // Every partition must have been checkpointed at the same superstep,
+    // and that superstep must be the one the GS snapshot feeds.
     if m.superstep_vector.len() as u64 != p_count {
         return Err(PregelixError::corrupt(format!(
             "checkpoint manifest {superstep} carries {} superstep entries for {p_count} partitions",
@@ -163,7 +162,7 @@ fn validate_manifest(
     }
     if let Some(bad) = m.superstep_vector.iter().find(|&&s| s != superstep) {
         return Err(PregelixError::corrupt(format!(
-            "checkpoint manifest {superstep} is frontier-inconsistent: a partition is at superstep {bad}"
+            "checkpoint manifest {superstep} is inconsistent: a partition is at superstep {bad}"
         )));
     }
     // A watermark above the checkpoint's own superstep would let confined
@@ -267,7 +266,7 @@ pub fn write_checkpoint(
         }));
     }
     cluster.execute(tasks)?;
-    // Checkpoints happen only at window boundaries, where every partition
+    // Checkpoints happen only at superstep barriers, where every partition
     // has reached the same superstep — the vector the manifest persists
     // (and recovery re-validates). The log watermark pins the oldest
     // superstep whose message logs this checkpoint can count on: GC only

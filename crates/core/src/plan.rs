@@ -120,26 +120,6 @@ impl JoinStrategy {
     }
 }
 
-/// When a partition may start superstep *i+1* relative to the rest of the
-/// cluster.
-///
-/// Both modes compute the same answer; the differential suite
-/// (`tests/tests/frontier_equivalence.rs`) pins them bit-identical. The
-/// mode lives on [`PregelixJob`] rather than [`PlanConfig`] because it
-/// changes *when* the sixteen physical plans run, not *which* one runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Classic BSP (§5.1): every superstep is one dataflow job ending at a
-    /// cluster-wide barrier; the slowest partition gates everyone.
-    #[default]
-    Barrier,
-    /// Frontier progress tracking: supersteps are executed in windows, and
-    /// a partition starts superstep *i+1* as soon as all its inbound
-    /// `Msg_i` streams are closed (plus the previous global state when the
-    /// program needs it) instead of waiting for the global barrier.
-    Frontier,
-}
-
 /// Which index structure stores `Vertex` partitions (§5.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VertexStorageKind {
@@ -232,9 +212,6 @@ pub struct PregelixJob {
     pub(crate) output_path: String,
     /// Physical plan hints.
     pub(crate) plan: PlanConfig,
-    /// Superstep execution mode: barrier-synchronous (the paper's §5.1
-    /// default) or frontier-based asynchronous windows.
-    pub(crate) execution: ExecutionMode,
     /// Vertex partitions per worker machine (the scheduler assigns as many
     /// partitions to a machine as cores, §5.7; default 1 at our scale).
     pub(crate) partitions_per_worker: usize,
@@ -248,11 +225,6 @@ pub struct PregelixJob {
     /// failure manager falls back to checkpoint recovery (§5.7). Transient
     /// I/O hiccups are absorbed here without consuming a recovery.
     pub(crate) io_retries: u32,
-    /// Base delay of the runtime's capped exponential backoff between
-    /// retries and recovery attempts. Pacing only: no fault is ever
-    /// *triggered* by time, so `Duration::ZERO` (no pauses) is fully
-    /// deterministic too.
-    pub(crate) retry_backoff: std::time::Duration,
     /// Recoveries the failure manager attempts before giving up with a
     /// typed `RecoveriesExhausted` error naming this cap. Previously a
     /// hard-coded 32 inside the runtime.
@@ -280,12 +252,10 @@ impl PregelixJob {
             output_path: format!("output/{name}"),
             id: JobId::new(name),
             plan: PlanConfig::default(),
-            execution: ExecutionMode::default(),
             partitions_per_worker: 1,
             checkpoint_interval: None,
             max_supersteps: None,
             io_retries: 2,
-            retry_backoff: std::time::Duration::from_millis(1),
             max_recoveries: 32,
             confined_recovery: true,
             page_budget: None,
@@ -317,11 +287,6 @@ impl PregelixJob {
         self.plan
     }
 
-    /// Superstep execution mode.
-    pub fn execution(&self) -> ExecutionMode {
-        self.execution
-    }
-
     /// Vertex partitions per worker machine.
     pub fn partitions_per_worker(&self) -> usize {
         self.partitions_per_worker
@@ -340,11 +305,6 @@ impl PregelixJob {
     /// In-place retries of recoverable I/O failures.
     pub fn io_retries(&self) -> u32 {
         self.io_retries
-    }
-
-    /// Base retry/recovery backoff delay.
-    pub fn retry_backoff(&self) -> std::time::Duration {
-        self.retry_backoff
     }
 
     /// Failure-manager recovery cap.
@@ -400,12 +360,6 @@ impl PregelixJob {
         self
     }
 
-    /// Set the superstep execution mode (barrier vs frontier).
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution = mode;
-        self
-    }
-
     /// Set input/output DFS paths.
     pub fn with_io(mut self, input: impl Into<String>, output: impl Into<String>) -> Self {
         self.input_path = input.into();
@@ -435,12 +389,6 @@ impl PregelixJob {
     /// disables, forcing every such failure through checkpoint recovery).
     pub fn with_io_retries(mut self, n: u32) -> Self {
         self.io_retries = n;
-        self
-    }
-
-    /// Base retry/recovery backoff delay (see [`PregelixJob::retry_backoff`]).
-    pub fn with_retry_backoff(mut self, d: std::time::Duration) -> Self {
-        self.retry_backoff = d;
         self
     }
 
@@ -600,17 +548,5 @@ mod tests {
         let mut instanced = job.clone();
         instanced.id = JobId::with_instance("pipe", 2);
         assert_eq!(instanced.derive_stage(0).id().tag(), "pipe-stage0.2");
-    }
-
-    #[test]
-    fn execution_mode_defaults_to_barrier() {
-        assert_eq!(ExecutionMode::default(), ExecutionMode::Barrier);
-        let job = PregelixJob::new("em");
-        assert_eq!(job.execution(), ExecutionMode::Barrier);
-        let job = job.with_execution_mode(ExecutionMode::Frontier);
-        assert_eq!(job.execution(), ExecutionMode::Frontier);
-        // The mode is a job setting, not a plan point: the sixteen-plan
-        // space is unchanged.
-        assert_eq!(PlanConfig::all().len(), 16);
     }
 }

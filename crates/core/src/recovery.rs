@@ -7,7 +7,7 @@
 //! that actually lost state:
 //!
 //! 1. Eligibility: the failure must be a *clean* worker death — detected at
-//!    a window boundary, before any task of the attempt ran — so every
+//!    a superstep barrier, before any task of the attempt ran — so every
 //!    surviving partition is still exactly at the current superstep `S`
 //!    with its `Msg_S` run intact. The caller (`LoadedGraph::run`)
 //!    establishes this with a pre-flight aliveness check.

@@ -15,7 +15,7 @@
 //! recovery from the latest checkpoint onto the remaining alive workers;
 //! application exceptions are forwarded to the caller. [`RunLoop`] is the
 //! resumable form of the old monolithic superstep loop: `begin` runs the
-//! job prologue, each `step` executes one superstep window (including any
+//! job prologue, each `step` executes one superstep (including any
 //! recovery it needs), and `finish` folds the counters into a
 //! [`JobSummary`]. [`LoadedGraph::run`] drives it to completion in a
 //! plain loop; the job service interleaves `step` calls of many jobs for
@@ -30,23 +30,14 @@
 //! survivors — surviving pins keep their partitions — before checkpoint
 //! recovery reloads the lost state. Beat counts are event-driven, never
 //! wall-clock, so fault-injection schedules replay deterministically.
-//!
-//! Under [`ExecutionMode::Frontier`] the driver batches up to
-//! [`FRONTIER_WINDOW`] consecutive supersteps into one dataflow job
-//! (`run_superstep_window`), letting each partition advance through the
-//! window at its own pace. Driver-side events stay window-granular:
-//! checkpoints land only on window boundaries (so a recovered run always
-//! restarts every partition from the same superstep), the failure detector
-//! observes once per window, and the window is clamped so it never crosses
-//! a periodic checkpoint boundary or the job's superstep cap.
 
 use crate::api::VertexProgram;
 use crate::checkpoint;
 use crate::gs::GlobalState;
 use crate::load;
-use crate::plan::{ExecutionMode, JoinStrategy, PregelixJob, ProbeCostModel};
+use crate::plan::{JoinStrategy, PregelixJob, ProbeCostModel};
 use crate::recovery;
-use crate::superstep::{run_superstep_window, FoldSlot, FoldTable, PartitionState};
+use crate::superstep::{run_superstep, FoldSlot, FoldTable, PartitionState};
 use parking_lot::Mutex;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
@@ -60,13 +51,10 @@ use pregelix_storage::btree::BTree;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Frontier-mode superstep window: how many consecutive supersteps share
-/// one dataflow job. Larger windows buy more straggler absorption (a slow
-/// partition can lag its peers by up to `window - 1` supersteps before
-/// anyone waits for it) at the cost of coarser checkpoints — the driver
-/// clamps every window to the checkpoint interval, so enabling periodic
-/// checkpoints bounds the skew a failure can lose.
-pub const FRONTIER_WINDOW: usize = 4;
+/// Base delay of the capped exponential backoff between in-place retries
+/// and between recovery attempts. Pacing only: faults fire on event counts,
+/// never on time, so the pause never influences *which* failures occur.
+const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 
 /// What a finished job reports (feeds the experiment harnesses).
 #[derive(Clone, Debug)]
@@ -76,8 +64,9 @@ pub struct JobSummary {
     pub name: String,
     /// Supersteps actually executed.
     pub supersteps: u64,
-    /// Wall-clock time per superstep *job*: one entry per superstep in
-    /// barrier mode, one per superstep window in frontier mode.
+    /// Time of each superstep's dataflow job, in execution order: one
+    /// entry per superstep, plus one more for each superstep re-run after
+    /// a rollback to a checkpoint.
     pub superstep_times: Vec<Duration>,
     /// Total time of the superstep loop (excludes load/dump and
     /// checkpoint writes): wall-clock in parallel mode, the simulated
@@ -90,10 +79,8 @@ pub struct JobSummary {
     /// job's supersteps ran — use [`JobSummary::job_stats`] for the
     /// per-job attribution.
     pub stats: StatsSnapshot,
-    /// Per-job counter deltas (the statistics collector's per-superstep
-    /// view, §5.7): one entry per superstep job, same granularity and
-    /// order as `superstep_times` — per superstep in barrier mode, per
-    /// window in frontier mode.
+    /// Counter deltas per superstep (the statistics collector's
+    /// per-superstep view, §5.7), same order as `superstep_times`.
     pub superstep_stats: Vec<StatsSnapshot>,
     /// Counters attributed to *this job only*: the delta of the job's
     /// counter scope (`pregelix_common::stats::enter_job_scope`) over the
@@ -205,13 +192,10 @@ impl JobSummary {
 /// (§5.7). Transient I/O failures — e.g. a flaky DFS write during a
 /// checkpoint — are absorbed here without consuming a checkpoint recovery;
 /// non-recoverable errors and exhausted retries propagate to the failure
-/// manager. The backoff is pacing only: with `base == Duration::ZERO`
-/// (or in fault-injection tests, where faults fire on event counts) it
-/// never influences *which* failures occur.
+/// manager.
 fn retry_recoverable<T>(
     cluster: &Cluster,
     retries: u32,
-    base: Duration,
     mut op: impl FnMut() -> Result<T>,
 ) -> Result<T> {
     let mut attempt = 0u32;
@@ -221,9 +205,7 @@ fn retry_recoverable<T>(
             Err(e) if e.is_recoverable() && attempt < retries => {
                 attempt += 1;
                 cluster.counters().add_fault_retries(1);
-                if base > Duration::ZERO {
-                    std::thread::sleep(base * (1u32 << (attempt - 1).min(4)));
-                }
+                std::thread::sleep(RETRY_BACKOFF * (1u32 << (attempt - 1).min(4)));
             }
             Err(e) => return Err(e),
         }
@@ -233,7 +215,7 @@ fn retry_recoverable<T>(
 /// Write a checkpoint of the state feeding superstep `gs.superstep` and make
 /// `gs` the job's `GS` primary copy (`jobs/<id>/gs`) with it. Nothing reads
 /// the primary copy between checkpoints — tasks get their `GS` from the
-/// driver or a gate, recovery from the manifest and `gs-hist/` — so it is
+/// driver, recovery from the manifest and `gs-hist/` — so it is
 /// written where it is durable state (here, at job start and at job end)
 /// and not by every superstep's `gs` task.
 fn checkpoint_with_gs(
@@ -242,7 +224,7 @@ fn checkpoint_with_gs(
     graph: &LoadedGraph,
     gs: &GlobalState,
 ) -> Result<()> {
-    retry_recoverable(cluster, job.io_retries, job.retry_backoff, || {
+    retry_recoverable(cluster, job.io_retries, || {
         checkpoint::write_checkpoint(cluster, job, &graph.partitions, &graph.sticky, gs)?;
         gs.store(cluster.dfs(), &job.id)
     })
@@ -324,11 +306,6 @@ impl LoadedGraph {
             vertex_count,
             hi,
         })
-    }
-
-    /// Number of vertex partitions.
-    pub fn partition_count(&self) -> usize {
-        self.partitions.len()
     }
 
     /// Total vertices currently in the graph.
@@ -470,11 +447,11 @@ impl LoadedGraph {
 
 /// The resumable superstep loop of one job: the old monolithic
 /// `LoadedGraph::run` split into `begin` (prologue) / `step` (one
-/// superstep window, with its failure handling) / `finish` (summary).
+/// superstep, with its failure handling) / `finish` (summary).
 /// The job service interleaves `step` calls of many admitted jobs over
 /// the shared cluster; [`LoadedGraph::run`] is the degenerate single-job
 /// driver. State lives here rather than across a call stack so a job can
-/// be parked between windows indefinitely.
+/// be parked between supersteps indefinitely.
 pub(crate) struct RunLoop<P: VertexProgram> {
     program: Arc<P>,
     job: PregelixJob,
@@ -578,7 +555,7 @@ impl<P: VertexProgram> RunLoop<P> {
         self.gs.superstep
     }
 
-    /// Execute one superstep window (one attempt plus whatever recovery it
+    /// Execute one superstep (one attempt plus whatever recovery it
     /// needs). Returns `Ok(true)` when the job is finished — global halt
     /// or the superstep cap — and `Ok(false)` when another `step` is due.
     pub(crate) fn step(
@@ -589,11 +566,11 @@ impl<P: VertexProgram> RunLoop<P> {
         let job = &self.job;
         let program = &self.program;
         // Set when the attempt failed on the *pre-flight* aliveness check —
-        // i.e. the death was detected at a window boundary, before any task
-        // of the attempt ran. Only then are the survivors guaranteed to sit
+        // i.e. the death was detected at the barrier, before any task of
+        // the attempt ran. Only then are the survivors guaranteed to sit
         // exactly at the current superstep with their Msg runs intact, which
         // is what makes a confined (partition-scoped) recovery sound. A
-        // death detected mid-window always takes the global rollback.
+        // death detected mid-superstep always takes the global rollback.
         let mut clean_death = false;
         let gs = &self.gs;
         let initial_ckpt_done = self.initial_ckpt_done;
@@ -603,62 +580,27 @@ impl<P: VertexProgram> RunLoop<P> {
             if job.checkpoint_interval.is_some() && !initial_ckpt_done {
                 checkpoint_with_gs(cluster, job, graph, gs)?;
             }
-            // How many supersteps the next job covers. Barrier mode is
-            // always one; frontier mode batches up to FRONTIER_WINDOW,
-            // clamped so the window ends exactly on any periodic
-            // checkpoint boundary and never overruns max_supersteps.
-            // Adaptive join plans re-resolve from each superstep's
-            // exact live fraction, which only a window of one provides.
-            let window = match job.execution {
-                ExecutionMode::Barrier => 1,
-                ExecutionMode::Frontier => {
-                    let mut w = if job.plan.join == JoinStrategy::Adaptive {
-                        1
-                    } else {
-                        FRONTIER_WINDOW
-                    };
-                    if let Some(n) = job.checkpoint_interval {
-                        if n > 0 {
-                            let to_boundary = n - ((gs.superstep - 1) % n);
-                            w = w.min(to_boundary as usize);
-                        }
-                    }
-                    if let Some(max) = job.max_supersteps {
-                        let remaining = max.saturating_sub(gs.superstep - 1);
-                        w = w.min(remaining as usize);
-                    }
-                    w.max(1)
-                }
-            };
             // Superstep-barrier fault site: lets tests fail a worker (or
             // inject an error) at an exact superstep boundary, after any
             // initial checkpoint but before the superstep runs. The
             // context string is the superstep number, so a rule scoped
             // to `"3"` fires exactly when superstep 3 is about to start.
-            // In frontier mode the mid-window boundaries are not driver
-            // events, so every superstep the window covers is checked
-            // up front — a rule scoped to any of them still fires
-            // exactly once, before the window runs.
             if fault::active() {
-                for off in 0..window as u64 {
-                    let ctx = (gs.superstep + off).to_string();
-                    if let Some(f) = fault::hit(Site::Barrier, &ctx) {
-                        cluster.counters().add_faults_injected(1);
-                        match f {
-                            Fault::FailWorker(id) => cluster.fail_worker(id),
-                            _ => {
-                                return Err(fault::injected_error(Site::Barrier, &ctx))
-                            }
-                        }
+                let ctx = gs.superstep.to_string();
+                if let Some(f) = fault::hit(Site::Barrier, &ctx) {
+                    cluster.counters().add_faults_injected(1);
+                    match f {
+                        Fault::FailWorker(id) => cluster.fail_worker(id),
+                        _ => return Err(fault::injected_error(Site::Barrier, &ctx)),
                     }
                 }
             }
             // Pre-flight aliveness check: catch a worker death at the
-            // window boundary, *before* any task of this attempt runs.
-            // A death caught here is "clean" — every surviving partition
-            // is still exactly at `gs.superstep` with its Msg run
-            // intact — and therefore eligible for confined recovery.
-            // (Without this check the window itself would fail on the
+            // barrier, *before* any task of this attempt runs. A death
+            // caught here is "clean" — every surviving partition is
+            // still exactly at `gs.superstep` with its Msg run intact —
+            // and therefore eligible for confined recovery. (Without
+            // this check the superstep itself would fail on the
             // unsatisfiable absolute constraint anyway; the check just
             // classifies the failure earlier.)
             let alive_now = cluster.alive_workers();
@@ -668,7 +610,7 @@ impl<P: VertexProgram> RunLoop<P> {
                 clean_death = true;
                 return Err(PregelixError::WorkerDead { id: dead });
             }
-            let (chain, duration) = run_superstep_window(
+            let (new_gs, duration) = run_superstep(
                 cluster,
                 program,
                 &job.id,
@@ -677,22 +619,15 @@ impl<P: VertexProgram> RunLoop<P> {
                 &graph.sticky,
                 gs,
                 cost_model,
-                window,
                 self.confined_on,
                 &self.fold_slots,
             )?;
-            // Pin this window's GS history entries (best-effort: a
+            // Pin this superstep's GS history entry (best-effort: a
             // missing entry makes confined recovery fall back to the
             // global path rather than corrupting anything).
             if self.confined_on {
-                for g in &chain {
-                    let _ = g.store_hist(cluster.dfs(), &job.id);
-                }
+                let _ = new_gs.store_hist(cluster.dfs(), &job.id);
             }
-            let new_gs = chain
-                .last()
-                .cloned()
-                .ok_or_else(|| PregelixError::internal("empty superstep window"))?;
             let finished_ss = new_gs.superstep - 1;
             let checkpoint_due = job
                 .checkpoint_interval
@@ -739,12 +674,9 @@ impl<P: VertexProgram> RunLoop<P> {
                         .is_some_and(|max| self.gs.superstep > max);
                 if finished {
                     // The job's final GS becomes the primary copy.
-                    retry_recoverable(
-                        cluster,
-                        self.job.io_retries,
-                        self.job.retry_backoff,
-                        || self.gs.store(cluster.dfs(), &self.job.id),
-                    )?;
+                    retry_recoverable(cluster, self.job.io_retries, || {
+                        self.gs.store(cluster.dfs(), &self.job.id)
+                    })?;
                 }
                 Ok(finished)
             }
@@ -762,12 +694,9 @@ impl<P: VertexProgram> RunLoop<P> {
                     });
                 }
                 self.recoveries += 1;
-                if self.job.retry_backoff > Duration::ZERO {
-                    std::thread::sleep(
-                        self.job.retry_backoff
-                            * (1u32 << (self.recoveries.saturating_sub(1)).min(4)),
-                    );
-                }
+                std::thread::sleep(
+                    RETRY_BACKOFF * (1u32 << (self.recoveries.saturating_sub(1)).min(4)),
+                );
                 // Confined path first (§5.5): a clean boundary death
                 // with message logging on replays ONLY the dead
                 // partitions from the newest valid checkpoint, feeding
@@ -908,9 +837,6 @@ pub fn run_job_from_records<P: VertexProgram>(
     let summary = graph.run(cluster, program, job)?;
     Ok((summary, graph))
 }
-
-/// The per-superstep boundary type re-exported for harnesses.
-pub type SuperstepCount = Superstep;
 
 #[cfg(test)]
 mod tests {

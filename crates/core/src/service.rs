@@ -12,15 +12,15 @@
 //! service budget is rejected at submit time — a job that could never
 //! admit must not deadlock the queue.
 //!
-//! Scheduling is cooperative and window-serialized: the service owns no
+//! Scheduling is cooperative and superstep-serialized: the service owns no
 //! threads. Every [`JobHandle::wait`] call pumps a round-robin sweep that
-//! gives each runnable job one *quantum* — one superstep window via
-//! [`RunLoop::step`] (or one load / dump transition). Superstep windows
+//! gives each runnable job one *quantum* — one superstep via
+//! [`RunLoop::step`] (or one load / dump transition). Supersteps
 //! of different jobs therefore interleave but never overlap, which keeps
 //! the single-threaded frame-slab harvest invariant intact and makes
 //! concurrent execution *bit-identical per job* to serial execution:
 //! values, superstep counts, and final global states never depend on who
-//! else was admitted. Parallelism still happens — inside each window,
+//! else was admitted. Parallelism still happens — inside each superstep,
 //! across the cluster's worker pool.
 //!
 //! Per-job attribution: every submission gets its own counter scope (a
@@ -116,7 +116,7 @@ enum Quantum {
 /// Object-safe driver for one admitted job; erases the vertex-program
 /// type so the service can hold a heterogeneous tenant list.
 trait JobDriver {
-    /// Run one quantum: a load, one superstep window of the current
+    /// Run one quantum: a load, one superstep of the current
     /// stage, or the dump. An `Err` tears the job down.
     fn advance(&mut self, cluster: &Cluster) -> Result<Quantum>;
     /// Driver-visible status (the service overlays Queued/Failed/

@@ -26,18 +26,6 @@
 //! tuple and decides the global halt. The driver writes `GS` to the DFS
 //! where it is durable state (job start, each checkpoint, job end), not
 //! once per superstep.
-//!
-//! # Superstep windows (frontier mode)
-//!
-//! `run_superstep_window` generalizes the single-superstep job: `window`
-//! consecutive supersteps share ONE dataflow job, and a partition advances
-//! from superstep *s* to *s+1* as soon as its own per-partition gate opens —
-//! all inbound `Msg_s` streams for the partition are closed (its `msgwrite`
-//! hands over the combined run), its mutations are applied, and the
-//! continuation decision is known (locally proven by a positive count, or
-//! confirmed by the exact `GS` from `gs@s`). `window == 1` is exactly the
-//! barrier mode of §5.1; the driver (`runtime.rs`) picks the window from
-//! the job's `ExecutionMode`.
 
 use crate::api::{
     ComputeContext, MessageCombiner, Mutation, OutputBuffers, Resolution, VertexProgram,
@@ -51,7 +39,7 @@ use crate::vertex::{
 use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
-use pregelix_common::fault::{self, Fault, Site};
+use pregelix_common::fault::{self, Site};
 use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key};
 use pregelix_common::msglog::{self, MsgLogWriter};
 use pregelix_common::writable::Writable;
@@ -71,7 +59,6 @@ use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter};
 use pregelix_storage::sort::CombineFn;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// Rows the join loop handles between two aliveness checks (which double as
@@ -203,8 +190,8 @@ impl<M: Clone> FoldTable<M> {
 }
 
 /// Where partition `p`'s [`FoldTable`] rests between its compute tasks.
-/// Owned by the job's `RunLoop`, so frontier windows and partitions
-/// re-planned onto another worker find the same table; a task that fails
+/// Owned by the job's `RunLoop`, so partitions re-planned onto another
+/// worker find the same table; a task that fails
 /// never puts its (possibly half-drained) table back, and the next one
 /// starts from a fresh allocation.
 pub(crate) struct FoldSlot<M> {
@@ -404,75 +391,6 @@ fn encode_mut_stats(inserted: u64, deleted: u64, live_inserted: u64) -> Vec<u8> 
     out
 }
 
-// ---------------------------------------------------------------------
-// Frontier gates (superstep windows)
-// ---------------------------------------------------------------------
-
-/// Everything a mid-window `compute[p]@s+1` must wait for before it may
-/// start superstep *s+1* on its partition. The gate's recv order (compute →
-/// msgwrite → mutate) mirrors the order in which the previous superstep's
-/// same-partition tasks release the partition, so a gated compute never
-/// contends for the partition lock with its predecessors.
-struct ComputeGate {
-    /// Live-vertex count from `compute[p]@s` (the partition's join loop is
-    /// done and its mutation/message flows are closed).
-    live_rx: mpsc::Receiver<u64>,
-    /// `Msg_{s+1}` run + combined count from `msgwrite[p]@s`: every inbound
-    /// `Msg_s` stream for the partition is closed — the frontier rule.
-    msg_rx: mpsc::Receiver<(Option<RunHandle>, u64)>,
-    /// `live_inserted` from `mutate[p]@s` (mutations are applied and the
-    /// partition lock is free).
-    mut_rx: mpsc::Receiver<u64>,
-    /// The exact revised `GS` from `gs@s` — the barrier-equivalent path,
-    /// taken when no local count proves the job continues.
-    gs_rx: mpsc::Receiver<GlobalState>,
-    /// The `GS` a frontier-safe program may run with *before* `gs@s`
-    /// finishes: exact superstep number, `halt: false` (proven by a
-    /// positive local count), and stale aggregate/vertex-count fields that
-    /// `VertexProgram::frontier_safe` certifies the program never reads.
-    predicted: GlobalState,
-    /// Early advancement is allowed (window > 1, frontier-safe program,
-    /// statically resolved join).
-    allow_early: bool,
-    /// Shared per-boundary tally of partitions that advanced early; the
-    /// driver derives `max_partition_skew` from it after the job.
-    early: Arc<AtomicU64>,
-}
-
-/// How `compute[p]` learns its input `GS` and `Msg` run.
-enum ComputeInput {
-    /// Window-first superstep: the driver's exact `GS`; the `Msg` run comes
-    /// out of the `PartitionState`.
-    Lead(GlobalState),
-    /// Mid-window superstep: wait on the per-partition gate.
-    Gated(Box<ComputeGate>),
-}
-
-/// Where `msgwrite[p]` delivers the finished `Msg_{s+1}` run.
-enum MsgRunSink {
-    /// Window-last superstep: into the driver-visible slot (installed into
-    /// `PartitionState` after the job, as in barrier mode).
-    Slot(Arc<Mutex<Option<RunHandle>>>),
-    /// Mid-window: straight to the next superstep's compute gate.
-    Gate(mpsc::Sender<(Option<RunHandle>, u64)>),
-}
-
-/// Where `gs` gets the previous superstep's `GS`.
-enum GsPrev {
-    /// Window-first superstep: the driver's exact `GS`.
-    Static(GlobalState),
-    /// Mid-window: chained from the previous superstep's `gs` task.
-    Chained(mpsc::Receiver<GlobalState>),
-}
-
-/// A gate endpoint dropped without a value means the producing task failed.
-/// The producer's own (root-cause) error outranks this internal one in the
-/// job's error selection, so this surfaces only if a producer vanished
-/// without reporting.
-fn gate_err(what: &str) -> PregelixError {
-    PregelixError::internal(format!("frontier gate closed: {what}"))
-}
-
 /// The message connector's sender half (strategy-dependent).
 enum MsgSender {
     Pipelined(PartitioningSender),
@@ -505,23 +423,14 @@ enum MsgSenderEnds {
     Merged(Vec<MergeTx>),
 }
 
-/// Execute supersteps `gs.superstep .. gs.superstep + window` as ONE
-/// dataflow job, returning the chain of revised global states (one per
-/// executed superstep, truncated at the first halting state) and the job's
+/// Execute superstep `gs.superstep` as one dataflow job behind the global
+/// barrier of §5.1, returning the revised global state and the job's
 /// duration.
-///
-/// With `window > 1` (frontier mode) a partition starts superstep *s+1* as
-/// soon as its own [`ComputeGate`] opens, so a straggler partition stalls
-/// only the tasks that consume its output instead of the whole cluster.
-/// Superstep slots past a halt run as ghosts: they close every stream they
-/// own and pass the halted `GS` through unchanged, contributing zero to
-/// every counter, so the chain is bit-identical to running barrier mode
-/// superstep by superstep.
 ///
 /// `fold_slots` holds one pooled [`FoldTable`] slot per partition when the
 /// job's messages fold by direct address, and is empty otherwise.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_superstep_window<P: VertexProgram>(
+pub(crate) fn run_superstep<P: VertexProgram>(
     cluster: &Cluster,
     program: &Arc<P>,
     job: &JobId,
@@ -530,11 +439,9 @@ pub(crate) fn run_superstep_window<P: VertexProgram>(
     sticky: &[usize],
     gs: &GlobalState,
     cost_model: Option<crate::plan::ProbeCostModel>,
-    window: usize,
     log_messages: bool,
     fold_slots: &[FoldSlot<P::Message>],
-) -> Result<(Vec<GlobalState>, std::time::Duration)> {
-    let window = window.max(1);
+) -> Result<(GlobalState, std::time::Duration)> {
     let p_count = partitions.len();
     debug_assert_eq!(sticky.len(), p_count);
     let alive = cluster.alive_workers();
@@ -566,21 +473,6 @@ pub(crate) fn run_superstep_window<P: VertexProgram>(
     let schedule = scheduler::solve(&specs, &alive)?;
     let gs_worker = schedule.worker(3, 0);
 
-    // Adaptive joins re-resolve from each superstep's exact live fraction,
-    // which a multi-superstep window cannot provide — the driver must fall
-    // back to window == 1 for adaptive plans.
-    if window > 1 && plan.join == JoinStrategy::Adaptive {
-        return Err(PregelixError::plan(
-            "adaptive join plans require a superstep window of 1",
-        ));
-    }
-    // Early advancement additionally requires a frontier-safe program: one
-    // whose compute never reads the global aggregate or the vertex count,
-    // the only GS fields a gated partition cannot know exactly ahead of the
-    // gs task. Non-frontier-safe programs still window (overlapping the
-    // phases of consecutive supersteps) but always wait for the exact GS.
-    let allow_early = window > 1 && program.frontier_safe();
-
     // Adaptive plans pick the join per superstep from the previous
     // superstep's live-vertex fraction (the paper's future-work optimizer,
     // §9). The Vid index is maintained every superstep in that case so a
@@ -601,14 +493,15 @@ pub(crate) fn run_superstep_window<P: VertexProgram>(
         ..plan
     };
 
+    let superstep = gs.superstep;
     let cap = cluster.channel_capacity();
     // Sender-side message-log tee (confined recovery): every compute task
     // buckets its post-combine output by destination and persists it to the
-    // DFS at its superstep boundary. Written byte counts accumulate in the
-    // shared tally and fold into `log_bytes_written` only if the whole
-    // window commits — which partitions reach their tee before an aborting
-    // fault is thread-scheduling dependent, and counting them would break
-    // the chaos-digest double runs.
+    // DFS before it reports to the gs task. Written byte counts accumulate
+    // in the shared tally and fold into `log_bytes_written` only if the
+    // whole superstep commits — which partitions reach their tee before an
+    // aborting fault is thread-scheduling dependent, and counting them
+    // would break the chaos-digest double runs.
     let log_dfs: Option<(SimDfs, JobId, Arc<AtomicU64>)> = if log_messages {
         Some((
             cluster.dfs().clone(),
@@ -619,256 +512,129 @@ pub(crate) fn run_superstep_window<P: VertexProgram>(
         None
     };
 
-    // Driver-visible slots: Msg runs from the window-LAST msgwrite tasks
-    // (mid-window runs hand off through gates and never touch the partition
-    // state) and one GS outcome per superstep slot of the window.
+    // Driver-visible slots: each msgwrite task's `Msg_{i+1}` run and the gs
+    // task's revised `GS`, installed only once every task has succeeded.
     let next_msgs: Vec<Arc<Mutex<Option<RunHandle>>>> =
         (0..p_count).map(|_| Arc::new(Mutex::new(None))).collect();
-    let outcomes: Vec<Arc<Mutex<Option<GlobalState>>>> =
-        (0..window).map(|_| Arc::new(Mutex::new(None))).collect();
-    // Per-boundary tallies of early-advanced partitions (boundary b sits
-    // between window supersteps b and b+1).
-    let early_tallies: Vec<Arc<AtomicU64>> = (0..window.saturating_sub(1))
-        .map(|_| Arc::new(AtomicU64::new(0)))
-        .collect();
+    let outcome: Arc<Mutex<Option<GlobalState>>> = Arc::new(Mutex::new(None));
 
-    // Tasks are emitted superstep-major, phase-major within a superstep.
-    // That order is topological: a task only ever waits on gates filled by
-    // tasks emitted before it, so sequential-timed mode (which runs tasks
-    // to completion one at a time, in order) finds every gate already full,
-    // and parallel mode (grow-on-demand pools, no concurrency cap) lets
-    // gated tasks park on their channels without starving producers.
-    let mut tasks: Vec<Task> = Vec::with_capacity(window * (3 * p_count + 1));
-    // Gates built while emitting superstep s, consumed by superstep s+1.
-    let mut carried_gates: Option<Vec<ComputeGate>> = None;
-    let mut carried_gs_rx: Option<mpsc::Receiver<GlobalState>> = None;
-
-    for s_idx in 0..window {
-        let superstep = gs.superstep + s_idx as u64;
-        let last = s_idx + 1 == window;
-
-        // Connector channel matrices (unbounded under sequential-timed
-        // simulation, bounded with backpressure otherwise).
-        let (mut msg_tx, mut msg_rx): (Vec<MsgSenderEnds>, Vec<MsgReceiverEnds>) =
-            if plan.groupby.merged() {
-                let (tx, rx) = merging_channels(p_count, p_count);
-                (
-                    tx.into_iter().map(MsgSenderEnds::Merged).collect(),
-                    rx.into_iter().map(MsgReceiverEnds::Merged).collect(),
-                )
-            } else {
-                let (tx, rx) = partition_channels_cap(p_count, p_count, cap);
-                (
-                    tx.into_iter().map(MsgSenderEnds::Pipelined).collect(),
-                    rx.into_iter().map(MsgReceiverEnds::Pipelined).collect(),
-                )
-            };
-        let (mut mut_tx, mut mut_rx) = partition_channels_cap(p_count, p_count, cap);
-        // The gs aggregation stream rides the reliable transport too, and
-        // must honor the same open-loop rule under sequential-timed
-        // simulation.
-        let (gs_tx, gs_rx) = aggregator_channels_cap(3 * p_count, cap);
-        // Stream endpoints are single-owner (each carries live sequencing
-        // state); tasks take theirs out of the slot rather than cloning.
-        let mut gs_tx: Vec<Option<StreamTx>> = gs_tx.into_iter().map(Some).collect();
-
-        // Boundary gates between this superstep and the next one. The
-        // predicted GS carries the exact next superstep number and a
-        // halt:false that early advancement proves locally; its aggregate
-        // and vertex counts are the window-start values, which only
-        // frontier-safe programs (the only ones allowed to advance early)
-        // are certified never to read.
-        let (msg_sinks, live_txs, mut_done_txs, gs_release, next_gates, next_gs_rx) = if last {
+    // Connector channel matrices (unbounded under sequential-timed
+    // simulation, bounded with backpressure otherwise).
+    let (mut msg_tx, mut msg_rx): (Vec<MsgSenderEnds>, Vec<MsgReceiverEnds>) =
+        if plan.groupby.merged() {
+            let (tx, rx) = merging_channels(p_count, p_count);
             (
-                next_msgs.iter().map(|s| MsgRunSink::Slot(Arc::clone(s))).collect::<Vec<_>>(),
-                vec![None; p_count],
-                vec![None; p_count],
-                Vec::new(),
-                None,
-                None,
+                tx.into_iter().map(MsgSenderEnds::Merged).collect(),
+                rx.into_iter().map(MsgReceiverEnds::Merged).collect(),
             )
         } else {
-            let tally = Arc::clone(&early_tallies[s_idx]);
-            let mut sinks = Vec::with_capacity(p_count);
-            let mut ltxs = Vec::with_capacity(p_count);
-            let mut utxs = Vec::with_capacity(p_count);
-            let mut release = Vec::with_capacity(p_count + 1);
-            let mut gates = Vec::with_capacity(p_count);
-            for _ in 0..p_count {
-                let (ltx, lrx) = mpsc::channel();
-                let (mtx, mrx) = mpsc::channel();
-                let (utx, urx) = mpsc::channel();
-                let (gtx, grx) = mpsc::channel();
-                sinks.push(MsgRunSink::Gate(mtx));
-                ltxs.push(Some(ltx));
-                utxs.push(Some(utx));
-                release.push(gtx);
-                gates.push(ComputeGate {
-                    live_rx: lrx,
-                    msg_rx: mrx,
-                    mut_rx: urx,
-                    gs_rx: grx,
-                    predicted: GlobalState {
-                        superstep: superstep + 1,
-                        halt: false,
-                        aggregate: gs.aggregate.clone(),
-                        vertex_count: gs.vertex_count,
-                        live_vertices: gs.live_vertices,
-                        messages: 0,
-                    },
-                    allow_early,
-                    early: Arc::clone(&tally),
-                });
-            }
-            // One extra release slot chains the exact GS to the next
-            // superstep's gs task.
-            let (ctx_tx, ctx_rx) = mpsc::channel();
-            release.push(ctx_tx);
-            (sinks, ltxs, utxs, release, Some(gates), Some(ctx_rx))
+            let (tx, rx) = partition_channels_cap(p_count, p_count, cap);
+            (
+                tx.into_iter().map(MsgSenderEnds::Pipelined).collect(),
+                rx.into_iter().map(MsgReceiverEnds::Pipelined).collect(),
+            )
         };
+    let (mut mut_tx, mut mut_rx) = partition_channels_cap(p_count, p_count, cap);
+    // The gs aggregation stream rides the reliable transport too, and must
+    // honor the same open-loop rule under sequential-timed simulation.
+    let (gs_tx, gs_rx) = aggregator_channels_cap(3 * p_count, cap);
+    // Stream endpoints are single-owner (each carries live sequencing
+    // state); tasks take theirs out of the slot rather than cloning.
+    let mut gs_tx: Vec<Option<StreamTx>> = gs_tx.into_iter().map(Some).collect();
 
-        let mut input_iter: Box<dyn Iterator<Item = ComputeInput>> =
-            match carried_gates.take() {
-                Some(gates) => Box::new(
-                    gates.into_iter().map(|g| ComputeInput::Gated(Box::new(g))),
-                ),
-                None => {
-                    let lead = gs.clone();
-                    Box::new((0..p_count).map(move |_| ComputeInput::Lead(lead.clone())))
-                }
-            };
-        let mut live_tx_iter = live_txs.into_iter();
-        let mut msg_sink_iter = msg_sinks.into_iter();
-        let mut mut_done_iter = mut_done_txs.into_iter();
-
-        for p in 0..p_count {
-            let state = Arc::clone(&partitions[p]);
-            let program_c = Arc::clone(program);
-            let input = input_iter.next().expect("one input per partition");
-            let msg_ends =
-                std::mem::replace(&mut msg_tx[p], MsgSenderEnds::Pipelined(Vec::new()));
-            let mut_ends = std::mem::take(&mut mut_tx[p]);
-            let gs_end = gs_tx[p].take().expect("gs endpoint claimed once");
-            let live_tx = live_tx_iter.next().expect("one live sender per partition");
-            let sticky_c = sticky.to_vec();
-            let combiner_c = msg_tuple_combiner(program);
-            let log_to = log_dfs.clone();
-            let fold_slot = fold_slots.get(p).cloned();
-            tasks.push(Task::new(
-                format!("compute[{p}]@{superstep}"),
-                schedule.worker(0, p),
-                move |w| {
-                    compute_task(
-                        w, state, program_c, input, plan, track_live, msg_ends, mut_ends, gs_end,
-                        live_tx, p, log_to, sticky_c, combiner_c, fold_slot, gs_worker,
-                    )
-                },
-            ));
-        }
-        for p in 0..p_count {
-            let recv_ends =
-                std::mem::replace(&mut msg_rx[p], MsgReceiverEnds::Pipelined(Vec::new()));
-            let sink = msg_sink_iter.next().expect("one sink per partition");
-            let gs_end = gs_tx[p_count + p].take().expect("gs endpoint claimed once");
-            let combiner_c = msg_tuple_combiner(program);
-            let gb_kind = plan.groupby.kind();
-            let job_tag = job.tag().to_string();
-            tasks.push(Task::new(
-                format!("msgwrite[{p}]@{superstep}"),
-                schedule.worker(1, p),
-                move |w| {
-                    msgwrite_task(
-                        w, p, superstep, &job_tag, gb_kind, recv_ends, sink, gs_end,
-                        combiner_c, gs_worker,
-                    )
-                },
-            ));
-        }
-        for p in 0..p_count {
-            let state = Arc::clone(&partitions[p]);
-            let program_c = Arc::clone(program);
-            let mut_ins = std::mem::take(&mut mut_rx[p]);
-            let gs_end = gs_tx[2 * p_count + p].take().expect("gs endpoint claimed once");
-            let done_tx = mut_done_iter.next().expect("one done sender per partition");
-            tasks.push(Task::new(
-                format!("mutate[{p}]@{superstep}"),
-                schedule.worker(2, p),
-                move |w| mutate_task(w, state, program_c, mut_ins, gs_end, done_tx, gs_worker),
-            ));
-        }
-        drop(gs_tx);
-
-        // ---- gs (stage-two aggregation + GS revision) ----
+    // Tasks are emitted phase-major, senders before the receivers they
+    // feed: sequential-timed mode runs them to completion one at a time in
+    // this order, so no receiver starts on a stream that is still open.
+    let mut tasks: Vec<Task> = Vec::with_capacity(3 * p_count + 1);
+    for p in 0..p_count {
+        let state = Arc::clone(&partitions[p]);
         let program_c = Arc::clone(program);
-        let prev = match carried_gs_rx.take() {
-            Some(rx) => GsPrev::Chained(rx),
-            None => GsPrev::Static(gs.clone()),
-        };
-        let outcome = Arc::clone(&outcomes[s_idx]);
-        let expected = 3 * p_count as u64;
-        tasks.push(Task::new(format!("gs@{superstep}"), gs_worker, move |w| {
-            gs_task(w, program_c, prev, gs_rx, expected, gs_release, outcome)
-        }));
-
-        carried_gates = next_gates;
-        carried_gs_rx = next_gs_rx;
+        let gs_c = gs.clone();
+        let msg_ends = std::mem::replace(&mut msg_tx[p], MsgSenderEnds::Pipelined(Vec::new()));
+        let mut_ends = std::mem::take(&mut mut_tx[p]);
+        let gs_end = gs_tx[p].take().expect("gs endpoint claimed once");
+        let sticky_c = sticky.to_vec();
+        let combiner_c = msg_tuple_combiner(program);
+        let log_to = log_dfs.clone();
+        let fold_slot = fold_slots.get(p).cloned();
+        tasks.push(Task::new(
+            format!("compute[{p}]@{superstep}"),
+            schedule.worker(0, p),
+            move |w| {
+                compute_task(
+                    w, state, program_c, gs_c, plan, track_live, msg_ends, mut_ends, gs_end, p,
+                    log_to, sticky_c, combiner_c, fold_slot, gs_worker,
+                )
+            },
+        ));
     }
+    for p in 0..p_count {
+        let recv_ends = std::mem::replace(&mut msg_rx[p], MsgReceiverEnds::Pipelined(Vec::new()));
+        let slot = Arc::clone(&next_msgs[p]);
+        let gs_end = gs_tx[p_count + p].take().expect("gs endpoint claimed once");
+        let combiner_c = msg_tuple_combiner(program);
+        let gb_kind = plan.groupby.kind();
+        let job_tag = job.tag().to_string();
+        tasks.push(Task::new(
+            format!("msgwrite[{p}]@{superstep}"),
+            schedule.worker(1, p),
+            move |w| {
+                msgwrite_task(
+                    w, p, superstep, &job_tag, gb_kind, recv_ends, slot, gs_end, combiner_c,
+                    gs_worker,
+                )
+            },
+        ));
+    }
+    for p in 0..p_count {
+        let state = Arc::clone(&partitions[p]);
+        let program_c = Arc::clone(program);
+        let mut_ins = std::mem::take(&mut mut_rx[p]);
+        let gs_end = gs_tx[2 * p_count + p].take().expect("gs endpoint claimed once");
+        tasks.push(Task::new(
+            format!("mutate[{p}]@{superstep}"),
+            schedule.worker(2, p),
+            move |w| mutate_task(w, state, program_c, mut_ins, gs_end, gs_worker),
+        ));
+    }
+    drop(gs_tx);
+
+    // ---- gs (stage-two aggregation + GS revision) ----
+    let program_c = Arc::clone(program);
+    let gs_c = gs.clone();
+    let outcome_c = Arc::clone(&outcome);
+    let expected = 3 * p_count as u64;
+    tasks.push(Task::new(format!("gs@{superstep}"), gs_worker, move |w| {
+        gs_task(w, program_c, gs_c, gs_rx, expected, outcome_c)
+    }));
 
     let duration = cluster.execute(tasks)?;
 
-    // Install Msg runs from the window-last msgwrite tasks into the
-    // partition states. (If the job halted mid-window those tasks ran as
-    // ghosts and the slots hold None — correct, because a halt requires
-    // zero combined messages everywhere.)
     for p in 0..p_count {
         let run = next_msgs[p].lock().take();
         partitions[p].lock().msg_run = run;
     }
-    let mut chain: Vec<GlobalState> = Vec::with_capacity(window);
-    for outcome in &outcomes {
-        chain.push(
-            outcome
-                .lock()
-                .take()
-                .ok_or_else(|| PregelixError::internal("gs task produced no outcome"))?,
-        );
-    }
-    // Drop ghost slots: everything after the first halting GS is a
-    // pass-through copy of it.
-    let executed = chain
-        .iter()
-        .position(|g| g.halt)
-        .map(|i| i + 1)
-        .unwrap_or(window);
-    chain.truncate(executed);
+    let new_gs = outcome
+        .lock()
+        .take()
+        .ok_or_else(|| PregelixError::internal("gs task produced no outcome"))?;
 
-    // A boundary where a strict subset of the partitions advanced early
-    // means some partition lagged a full superstep behind its peers — the
-    // skew the frontier exists to absorb. The indicator is derived from
-    // counts, never from timing, so chaos-digest double runs stay
-    // deterministic.
-    let counters = cluster.counters();
-    for tally in &early_tallies {
-        let c = tally.load(Ordering::Relaxed);
-        if c > 0 && (c as usize) < p_count {
-            counters.record_partition_skew(1);
-        }
-    }
     // Commit the message-log byte tally only now that every task of the
-    // window has succeeded: an aborted window re-executes (and re-logs)
-    // after recovery, so deferring the count keeps `log_bytes_written`
-    // independent of how many tees raced ahead of the aborting fault.
+    // superstep has succeeded: an aborted superstep re-executes (and
+    // re-logs) after recovery, so deferring the count keeps
+    // `log_bytes_written` independent of how many tees raced ahead of the
+    // aborting fault.
+    let counters = cluster.counters();
     if let Some((_, _, tally)) = &log_dfs {
         counters.add_log_bytes_written(tally.load(Ordering::Relaxed));
     }
-    // Restock the frame slab from the window's dropped frame backings.
+    // Restock the frame slab from the superstep's dropped frame backings.
     // Harvesting only here — the single-threaded commit point, after every
-    // task joined — keeps `slab_recycled` and the next window's fresh-alloc
-    // counts independent of how tasks interleaved within the window.
+    // task joined — keeps `slab_recycled` and the next superstep's
+    // fresh-alloc counts independent of how tasks interleaved.
     cluster.slab().harvest();
-    let final_gs = chain.last().expect("window >= 1 yields >= 1 outcome");
-    counters.set_live_vertices(final_gs.live_vertices);
-    Ok((chain, duration))
+    counters.set_live_vertices(new_gs.live_vertices);
+    Ok((new_gs, duration))
 }
 
 // ---------------------------------------------------------------------
@@ -1081,13 +847,12 @@ fn compute_task<P: VertexProgram>(
     w: WorkerHandle,
     state: Arc<Mutex<PartitionState>>,
     program: Arc<P>,
-    input: ComputeInput,
+    gs: GlobalState,
     plan: PlanConfig,
     track_live: bool,
     msg_ends: MsgSenderEnds,
     mut_ends: Vec<StreamTx>,
     gs_end: StreamTx,
-    live_tx: Option<mpsc::Sender<u64>>,
     p: usize,
     log_to: Option<(SimDfs, JobId, Arc<AtomicU64>)>,
     sticky: Vec<usize>,
@@ -1095,41 +860,6 @@ fn compute_task<P: VertexProgram>(
     fold_slot: Option<FoldSlot<P::Message>>,
     gs_worker: usize,
 ) -> Result<()> {
-    // Resolve the gate BEFORE touching the partition: a gated compute may
-    // not lock the state until the previous superstep's compute and mutate
-    // tasks have released it, and the gate's recv order encodes exactly
-    // that completion order.
-    let counters = w.counters().clone();
-    let (gs, gated_run) = match input {
-        ComputeInput::Lead(g) => (g, None),
-        ComputeInput::Gated(gate) => {
-            let gate = *gate;
-            let live = gate.live_rx.recv().map_err(|_| gate_err("prev compute"))?;
-            let (run, combined) = gate.msg_rx.recv().map_err(|_| gate_err("prev msgwrite"))?;
-            let live_ins = gate.mut_rx.recv().map_err(|_| gate_err("prev mutate"))?;
-            if gate.allow_early && (live > 0 || combined > 0 || live_ins > 0) {
-                // Any positive local count already decides the global halt
-                // vote (halt requires every partition's live, combined and
-                // live_inserted counts to be zero), so a frontier-safe
-                // program starts the superstep without waiting for gs@s —
-                // the barrier wait this mode exists to avoid.
-                gate.early.fetch_add(1, Ordering::Relaxed);
-                counters.add_frontier_advances(1);
-                counters.add_barrier_waits_avoided(1);
-                (gate.predicted, Some(run))
-            } else {
-                let exact = gate.gs_rx.recv().map_err(|_| gate_err("prev gs"))?;
-                if exact.halt {
-                    drop(run);
-                    return ghost_compute(
-                        &w, msg_ends, mut_ends, gs_end, &sticky, gs_worker, live_tx,
-                    );
-                }
-                counters.add_frontier_advances(1);
-                (exact, Some(run))
-            }
-        }
-    };
     let mut st = state.lock();
     let st = &mut *st;
     let agg_prev = if gs.aggregate.is_empty() {
@@ -1137,13 +867,7 @@ fn compute_task<P: VertexProgram>(
     } else {
         P::Aggregate::from_bytes(&gs.aggregate)?
     };
-    // Mid-window supersteps get their Msg run straight from the previous
-    // msgwrite's gate; the window-first superstep reads the one the driver
-    // installed into the partition state.
-    let msg_run = match gated_run {
-        Some(run) => run,
-        None => st.msg_run.take(),
-    };
+    let msg_run = st.msg_run.take();
     let mut msgs = MsgStream::<P>::open(msg_run.as_ref(), &w)?;
 
     let log = log_to
@@ -1226,7 +950,6 @@ fn compute_task<P: VertexProgram>(
         msg_sender.send(t)
     })?;
     msg_sender.finish()?;
-    // Back into the pool before the next superstep's gate can open.
     if let (Some(slot), Some(table)) = (&fold_slot, table) {
         slot.put_back(table);
     }
@@ -1241,8 +964,8 @@ fn compute_task<P: VertexProgram>(
     // create/delete are surprisingly expensive syscalls on some systems.
     drop(msg_run);
 
-    // Persist the message log before opening the next superstep's gate, so
-    // a log either exists complete at the superstep boundary or not at all.
+    // Persist the message log before this task reports to gs, so a log
+    // either exists complete at the superstep boundary or not at all.
     // Best-effort: a lost log degrades a future confined recovery to the
     // global path, it never fails the superstep.
     if let Some((dfs, job, tally)) = &log_to {
@@ -1251,12 +974,6 @@ fn compute_task<P: VertexProgram>(
                 tally.fetch_add(bytes, Ordering::Relaxed);
             }
         }
-    }
-
-    // Open this partition's slice of the next superstep's gate (mid-window
-    // only): a positive live count is a local proof the job continues.
-    if let Some(tx) = live_tx {
-        let _ = tx.send(side.stats.live);
     }
 
     // Stage-one aggregation result + counters to the gs task.
@@ -1407,66 +1124,6 @@ fn join_and_compute<P: VertexProgram>(
     Ok(())
 }
 
-/// A post-halt superstep slot: the job halted at an earlier boundary of
-/// the window, so this compute does nothing except close every stream it
-/// owns (downstream receivers terminate on closed inputs) and open the
-/// next gate with a zero count. It never touches the partition state and
-/// contributes zero to every counter, keeping frontier totals bit-identical
-/// to a barrier run that stopped at the halt.
-fn ghost_compute(
-    w: &WorkerHandle,
-    msg_ends: MsgSenderEnds,
-    mut_ends: Vec<StreamTx>,
-    gs_end: StreamTx,
-    sticky: &[usize],
-    gs_worker: usize,
-    live_tx: Option<mpsc::Sender<u64>>,
-) -> Result<()> {
-    PartitioningSender::new(
-        mut_ends,
-        w.frame_bytes(),
-        w.slab().clone(),
-        w.id(),
-        sticky.to_vec(),
-        w.counters().clone(),
-    )
-    .with_label("mut")
-    .finish()?;
-    let msg_sender = match msg_ends {
-        MsgSenderEnds::Pipelined(outs) => MsgSender::Pipelined(
-            PartitioningSender::new(
-                outs,
-                w.frame_bytes(),
-                w.slab().clone(),
-                w.id(),
-                sticky.to_vec(),
-                w.counters().clone(),
-            )
-            .with_label("msg"),
-        ),
-        MsgSenderEnds::Merged(outs) => MsgSender::Merged(MaterializedPartitioner::new(
-            w.file_manager(),
-            outs,
-            w.id(),
-            sticky.to_vec(),
-        )?),
-    };
-    msg_sender.finish()?;
-    if let Some(tx) = live_tx {
-        let _ = tx.send(0);
-    }
-    PartitioningSender::new(
-        vec![gs_end],
-        w.frame_bytes(),
-        w.slab().clone(),
-        w.id(),
-        vec![gs_worker],
-        w.counters().clone(),
-    )
-    .with_label("gs")
-    .finish()
-}
-
 // ---------------------------------------------------------------------
 // msgwrite[p]
 // ---------------------------------------------------------------------
@@ -1479,31 +1136,18 @@ fn msgwrite_task(
     job_tag: &str,
     gb_kind: pregelix_dataflow::groupby::GroupByKind,
     recv_ends: MsgReceiverEnds,
-    sink: MsgRunSink,
+    next_msg: Arc<Mutex<Option<RunHandle>>>,
     gs_end: StreamTx,
     combiner: CombineFn,
     gs_worker: usize,
 ) -> Result<()> {
-    // Straggler stand-in (Site::Stall): a deterministic CPU spin pinned to
-    // one partition's message task by the fault subsystem's event-count
-    // firing — never a timer. Chaos and equivalence tests use it to
-    // manufacture partition skew in both execution modes; the fault fires
-    // identically under barrier and frontier, so differential runs stay
-    // comparable.
+    // Fault point keyed by job, superstep and partition (Site::Stall): the
+    // one site a multi-tenant chaos test can aim at a single tenant's task.
     if fault::active() {
         let ctx = format!("{job_tag}:s{superstep}:p{p}");
-        if let Some(f) = fault::hit(Site::Stall, &ctx) {
+        if fault::hit(Site::Stall, &ctx).is_some() {
             w.counters().add_faults_injected(1);
-            match f {
-                Fault::Stall { work } => {
-                    let mut acc = 0u64;
-                    for i in 0..work {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
-                        std::hint::black_box(acc);
-                    }
-                }
-                _ => return Err(fault::injected_error(Site::Stall, &ctx)),
-            }
+            return Err(fault::injected_error(Site::Stall, &ctx));
         }
     }
     // The run file is created lazily on the first combined message, so
@@ -1573,15 +1217,9 @@ fn msgwrite_task(
         Some(writer) => Some(writer.finish()?),
         None => None,
     };
-    match sink {
-        // Window-last: driver installs the run into the partition state.
-        MsgRunSink::Slot(slot) => *slot.lock() = run,
-        // Mid-window: hand the run (and the combined count — part of the
-        // halt vote) straight to the next superstep's compute gate.
-        MsgRunSink::Gate(tx) => {
-            let _ = tx.send((run, combined));
-        }
-    }
+    // The driver installs the run into the partition state once the whole
+    // superstep has succeeded.
+    *next_msg.lock() = run;
     let mut gs_sender = PartitioningSender::new(
         vec![gs_end],
         w.frame_bytes(),
@@ -1605,7 +1243,6 @@ fn mutate_task<P: VertexProgram>(
     program: Arc<P>,
     mut_ins: Vec<StreamRx>,
     gs_end: StreamTx,
-    done_tx: Option<mpsc::Sender<u64>>,
     gs_worker: usize,
 ) -> Result<()> {
     // Receiver-side group-by of mutations by vid (§5.3.3: resolve is not
@@ -1624,13 +1261,6 @@ fn mutate_task<P: VertexProgram>(
     // mutations apply strictly after compute — the "take effect in
     // superstep S+1" rule.
     let (inserted, deleted, live_inserted) = apply_mutation_groups(&w, &state, &program, groups)?;
-    // Mutations are applied and the partition lock is released: open this
-    // partition's slice of the next superstep's gate. A positive
-    // live_inserted count is, like compute's live count, a local proof
-    // that the job does not halt.
-    if let Some(tx) = done_tx {
-        let _ = tx.send(live_inserted);
-    }
     let mut gs_sender = PartitioningSender::new(
         vec![gs_end],
         w.frame_bytes(),
@@ -1722,41 +1352,19 @@ fn apply_mutation_groups<P: VertexProgram>(
 fn gs_task<P: VertexProgram>(
     w: WorkerHandle,
     program: Arc<P>,
-    prev: GsPrev,
+    gs: GlobalState,
     gs_rx: Vec<StreamRx>,
     expected: u64,
-    release: Vec<mpsc::Sender<GlobalState>>,
     outcome: Arc<Mutex<Option<GlobalState>>>,
 ) -> Result<()> {
-    // Mid-window gs tasks chain off the previous superstep's EXACT revised
-    // GS (aggregates and vertex-count arithmetic never run on predictions),
-    // so the outcome chain is bit-identical to barrier mode.
-    let gs = match prev {
-        GsPrev::Static(g) => g,
-        GsPrev::Chained(rx) => rx.recv().map_err(|_| gate_err("gs chain"))?,
-    };
     let mut rx = AggregatorReceiver::new(gs_rx, w.counters().clone());
-    if gs.halt {
-        // Ghost slot: the job already halted at an earlier boundary of the
-        // window. Drain the (all-zero) reports so every sender completes,
-        // then pass the halted GS through unchanged — no superstep
-        // advance.
-        while rx.next_tuple()?.is_some() {
-            w.check_alive()?;
-        }
-        for tx in &release {
-            let _ = tx.send(gs.clone());
-        }
-        *outcome.lock() = Some(gs);
-        return Ok(());
-    }
     let (mut live, mut created, mut combined) = (0u64, 0u64, 0u64);
     let (mut inserted, mut deleted, mut live_inserted) = (0u64, 0u64, 0u64);
     // Partition partials arrive in transport order, which the scheduler
     // does not fix — but f64 aggregate combination is not associative
     // across orders, so the partials are canonicalized (sorted by encoding)
     // before the combine chain runs. This keeps the revised GS bit-identical
-    // across runs and across execution modes.
+    // across runs.
     let mut partials: Vec<Vec<u8>> = Vec::new();
     let mut received = 0u64;
     while let Some(t) = rx.next_tuple()? {
@@ -1812,12 +1420,6 @@ fn gs_task<P: VertexProgram>(
         live_vertices: live + live_inserted,
         messages: combined,
     };
-    // Release every partition gate (and the next gs task in the chain)
-    // still blocked on the exact GS. Early-advanced partitions dropped
-    // their receiving ends — those sends are no-ops.
-    for tx in &release {
-        let _ = tx.send(new_gs.clone());
-    }
     *outcome.lock() = Some(new_gs);
     Ok(())
 }

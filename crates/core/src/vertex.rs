@@ -117,12 +117,6 @@ impl<P: VertexProgram> VertexData<P> {
             edges,
         })
     }
-
-    /// Approximate in-memory footprint, used by the process-centric
-    /// baselines' heap accounting.
-    pub fn approx_bytes(&self) -> usize {
-        self.encode_value().len() + 8
-    }
 }
 
 /// Append a row's head, `halt | value`: the part of a stored row `compute`

@@ -148,11 +148,11 @@ impl WorkerPool {
         // already reserved. `idle` counts threads that have *finished* a job
         // and returned to the queue (they increment it only at that point),
         // so a successful reservation is a guarantee that some thread will
-        // pick this job up. The previous load-then-send scheme read a stale
-        // nonzero count while every live thread was parked inside a gated
-        // task, leaving the job queued with no thread ever coming back for
-        // it — submitting a whole superstep window at once made that
-        // deadlock near-certain.
+        // pick this job up. A load-then-send scheme can read a stale nonzero
+        // count while every live thread is parked inside a task blocked on
+        // a connector channel, leaving the job queued with no thread ever
+        // coming back for it — a deadlock when the queued job is the one
+        // that would feed those channels.
         let mut cur = self.idle.load(Ordering::Acquire);
         let reserved = loop {
             if cur == 0 {
@@ -377,7 +377,7 @@ impl Cluster {
     }
 
     /// The cluster-wide frame slab. The superstep driver calls
-    /// [`BytesSlab::harvest`] on it at window commits — the single-threaded
+    /// [`BytesSlab::harvest`] on it at superstep commits — the single-threaded
     /// point where returned chunks are restocked (and `slab_recycled`
     /// counted), keeping pool-hit accounting independent of task
     /// interleaving.
@@ -697,6 +697,64 @@ mod tests {
         let mut ids: Vec<usize> = rx.iter().collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 2, 3]);
+    }
+
+    /// One worker, one batch, and every task but the last parks on a channel
+    /// fed by the task submitted after it — what a superstep's tasks do to
+    /// each other through their connectors. The batch finishes only if each
+    /// task is handed a thread of its own; a pool that queues one behind a
+    /// parked thread never runs the task the others wait for.
+    #[test]
+    fn every_task_of_a_batch_gets_a_thread_while_all_park_on_their_successor() {
+        const WARM: usize = 8;
+        const TASKS: usize = 2 * WARM;
+        // A submit that merely *reads* the idle count sees a free thread for
+        // task WARM + 1 unless every warm thread has already woken, which
+        // they do now and then: a fresh pool per round, and enough rounds
+        // that such a pool cannot get through them all. A pool that reserves
+        // a thread per task passes every round by construction.
+        for round in 0..200 {
+            let c = Arc::new(Cluster::new(ClusterConfig::new(1, 1 << 20)).unwrap());
+            // Leave WARM idle threads behind (the barrier makes them WARM
+            // distinct ones) for the batch's first WARM tasks.
+            let together = Arc::new(std::sync::Barrier::new(WARM));
+            let warm = (0..WARM).map(|i| {
+                let together = Arc::clone(&together);
+                Task::new(format!("warm{i}"), 0, move |_| {
+                    together.wait();
+                    Ok(())
+                })
+            });
+            c.execute(warm.collect()).unwrap();
+            let mut tasks = Vec::new();
+            let mut from_successor: Option<std::sync::mpsc::Receiver<()>> = None;
+            for i in (0..TASKS).rev() {
+                let (to_predecessor, next) = std::sync::mpsc::channel();
+                let wait_on = from_successor.replace(next);
+                tasks.push(Task::new(format!("link{i}"), 0, move |_| {
+                    if let Some(rx) = wait_on {
+                        rx.recv()
+                            .map_err(|_| PregelixError::internal("successor never ran"))?;
+                    }
+                    // Task 0 has no predecessor: its send finds no receiver.
+                    let _ = to_predecessor.send(());
+                    Ok(())
+                }));
+            }
+            drop(from_successor);
+            tasks.reverse();
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let runner = std::thread::spawn(move || {
+                let _ = done_tx.send(c.execute(tasks).map(|_| ()));
+            });
+            // The wait is only how a deadlocked pool fails the test instead
+            // of hanging it; the parking is forced by the channels above.
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("round {round}: a task sat queued behind parked threads"))
+                .unwrap();
+            runner.join().unwrap();
+        }
     }
 
     #[test]

@@ -40,4 +40,4 @@ pub use connector::{
 };
 pub use groupby::{GroupByStrategy, HashSortGroupBy, SortGroupBy};
 pub use scheduler::{LocationConstraint, Schedule};
-pub use transport::{ReliableReceiver, ReliableSender, StreamRx, StreamTx, TransportConfig};
+pub use transport::{ReliableReceiver, ReliableSender, StreamRx, StreamTx};

@@ -15,10 +15,9 @@
 //!   nack for the first gap;
 //! * senders keep an in-flight window (the data-channel capacity), pop it on
 //!   cumulative acks, and retransmit nacked seqs (`frames_retransmitted`)
-//!   with a *bounded* per-seq resend budget and optional exponential-backoff
-//!   pacing — when the budget is exhausted (a retransmit storm) the sender
-//!   gives up with a recoverable I/O error and the driver falls back to
-//!   checkpoint recovery.
+//!   with a *bounded* per-seq resend budget — when the budget is exhausted
+//!   (a retransmit storm) the sender gives up with a recoverable I/O error
+//!   and the driver falls back to checkpoint recovery.
 //!
 //! **Determinism.** A real transport re-arms a retransmission timer when a
 //! segment vanishes; timers are banned here (every fault fires at an event
@@ -46,33 +45,12 @@ use pregelix_common::frame::{Frame, SharedFrame};
 use pregelix_common::stats::ClusterCounters;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
-/// Default per-seq retransmission budget. Exceeding it means the wire is not
+/// Per-seq retransmission budget. Exceeding it means the wire is not
 /// transiently lossy but persistently broken — surface a recoverable error
-/// and let the failure manager take over.
+/// and let the failure manager take over. Resends are not paced: chaos
+/// schedules stay event-counted.
 pub const DEFAULT_MAX_RESEND: u32 = 8;
-
-/// Sender-side transport knobs (the window is per-stream; see [`StreamTx`]).
-#[derive(Clone, Copy, Debug)]
-pub struct TransportConfig {
-    /// Per-seq resend budget before the sender gives up.
-    pub max_resend: u32,
-    /// Base retransmission pacing delay, doubled per resend of the same seq
-    /// (capped at 16×). `ZERO` — the default — disables pacing entirely so
-    /// chaos schedules stay event-counted; it exists for parity with the
-    /// driver's `retry_recoverable` backoff.
-    pub backoff: Duration,
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig {
-            max_resend: DEFAULT_MAX_RESEND,
-            backoff: Duration::ZERO,
-        }
-    }
-}
 
 /// Control-plane state shared by the two endpoints of one stream.
 ///
@@ -211,7 +189,6 @@ pub struct ReliableSender {
     outs: Vec<OutStream>,
     label: Arc<str>,
     sender_id: u32,
-    cfg: TransportConfig,
     counters: ClusterCounters,
     my_worker: usize,
     receiver_workers: Vec<usize>,
@@ -243,17 +220,10 @@ impl ReliableSender {
                 .collect(),
             label: label.into(),
             sender_id,
-            cfg: TransportConfig::default(),
             counters,
             my_worker,
             receiver_workers,
         }
-    }
-
-    /// Override the transport knobs (resend budget, backoff pacing).
-    pub fn with_config(mut self, cfg: TransportConfig) -> ReliableSender {
-        self.cfg = cfg;
-        self
     }
 
     /// Re-tag the stream (fault-injection context and envelope label). Only
@@ -521,16 +491,11 @@ impl ReliableSender {
                 None => return Ok(()),
             }
         };
-        if resends > self.cfg.max_resend {
+        if resends > DEFAULT_MAX_RESEND {
             return Err(PregelixError::Io(std::io::Error::other(format!(
-                "retransmit storm on stream {label:?}: gave up on seq {seq} after {} resends",
-                self.cfg.max_resend
+                "retransmit storm on stream {label:?}: gave up on seq {seq} after \
+                 {DEFAULT_MAX_RESEND} resends"
             ))));
-        }
-        if !self.cfg.backoff.is_zero() {
-            // Pacing only — never correctness: with the default ZERO this
-            // path is untaken and chaos schedules stay event-counted.
-            std::thread::sleep(self.cfg.backoff * (1u32 << (resends - 1).min(4)));
         }
         self.counters.add_frames_retransmitted(1);
         if seq == self.outs[part].last_seq() + 1 {

@@ -43,12 +43,4 @@ impl Dataset {
     pub fn stats(&self) -> DatasetStats {
         DatasetStats::of(self.name, &self.records)
     }
-
-    /// Records without weights (reference-implementation input shape).
-    pub fn unweighted(&self) -> Vec<(Vid, Vec<Vid>)> {
-        self.records
-            .iter()
-            .map(|(v, e)| (*v, e.iter().map(|(d, _)| *d).collect()))
-            .collect()
-    }
 }

@@ -22,8 +22,7 @@ pub mod prelude {
     pub use pregelix_core::api::{ComputeContext, MessageCombiner, Mutation, VertexProgram};
     pub use pregelix_core::gs::GlobalState;
     pub use pregelix_core::plan::{
-        ExecutionMode, GroupByStrategy, JoinStrategy, PlanConfig, PregelixJob,
-        VertexStorageKind,
+        GroupByStrategy, JoinStrategy, PlanConfig, PregelixJob, VertexStorageKind,
     };
     pub use pregelix_core::runtime::{
         run_job, run_job_from_records, run_pipeline, JobSummary, LoadedGraph, SenderFold,

@@ -1316,14 +1316,6 @@ impl<'a> BTreeScanner<'a> {
         self.idx += 1;
         Ok(Some(item))
     }
-
-    /// Peek at the next key without consuming the entry.
-    pub fn peek_key(&mut self) -> Result<Option<&[u8]>> {
-        if self.idx >= self.batch.len() && !self.load_next_leaf(None)? {
-            return Ok(None);
-        }
-        Ok(Some(&self.batch[self.idx].0))
-    }
 }
 
 #[cfg(test)]

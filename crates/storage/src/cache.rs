@@ -70,8 +70,8 @@ impl BufferCache {
     /// Create a cache over `fm` holding at most `capacity_pages` unpinned
     /// pages, striped over [`DEFAULT_CACHE_STRIPES`] segments. A capacity of
     /// at least 8 pages is enforced so that a single B-tree root-to-leaf
-    /// path plus a bulk-load frontier always fits (and every stripe gets a
-    /// non-zero budget).
+    /// path plus a bulk load's open right edge always fits (and every
+    /// stripe gets a non-zero budget).
     pub fn new(fm: FileManager, capacity_pages: usize) -> Self {
         Self::with_stripes(fm, capacity_pages, DEFAULT_CACHE_STRIPES)
     }

@@ -47,8 +47,3 @@ pub use lsm::LsmBTree;
 pub use radix::{SortMode, TupleRadixSorter};
 pub use runfile::{RunReader, RunWriter};
 pub use sort::ExternalSorter;
-
-/// Default page size in bytes. Small relative to a production system (which
-/// would use 4–128 KB pages) so that out-of-core effects appear at megabyte
-/// scale, matching the scaled-down cluster simulation.
-pub const DEFAULT_PAGE_SIZE: usize = 4096;

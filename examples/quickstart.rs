@@ -29,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     graphgen::text::write_to_dfs(cluster.dfs(), "input/web", &records)?;
 
     // One service, two tenants: each job reserves pages from the shared
-    // admission budget and interleaves superstep windows fairly with the
+    // admission budget and interleaves supersteps fairly with the
     // other — per-job results stay bit-identical to running alone.
     let service = JobService::new(&cluster, ServiceConfig::default());
 

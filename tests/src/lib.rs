@@ -15,9 +15,100 @@
 //! * `property_based` — proptest: random graphs × random plans vs
 //!   single-machine references.
 //! * `sender_fold` — the sender-side fold table against the sort path it
-//!   stands in for: same answers over connectors × joins × stores × modes,
-//!   and a table over budget means the sort path exactly.
+//!   stands in for: same answers over connectors × joins × stores, and a
+//!   table over budget means the sort path exactly.
 //! * `row_write_back`, `row_cursor_allocs` — the fused scan/compute/update
 //!   operator (§5.3.2): resized rows and rewritten edge lists fall back to
 //!   whole-row writes and stay correct; a steady-state `compute` call
 //!   allocates nothing (counting global allocator, a suite of its own).
+//!
+//! The crate's own items are what the chaos suites (`fault_tolerance`,
+//! `transport_reliability`, `recovery_confinement`, `job_service`) share:
+//! the digest line CI's double runs diff, and the hash that stands in for a
+//! job's final values in it.
+
+use pregelix::prelude::JobSummary;
+use std::fmt::Write as _;
+use std::io::Write as _;
+
+/// FNV-1a: the digest's compact stand-in for "bit-identical final state".
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// [`fnv1a`] over a `(vid, value bits)` relation.
+pub fn values_hash(values: &[(u64, u64)]) -> u64 {
+    fnv1a(
+        values
+            .iter()
+            .flat_map(|(vid, val)| vid.to_le_bytes().into_iter().chain(val.to_le_bytes())),
+    )
+}
+
+/// Append `scenario label=value … values=<hash>` to `$CHAOS_DIGEST`, if
+/// set: one line per scenario, made only of what identical runs reproduce —
+/// counters and value hashes, never durations. `fields` names the labels a
+/// suite's lines carry, space-separated, in the order they are printed;
+/// `j`-prefixed labels read the per-job `job_stats`, the rest the cluster
+/// delta `stats`.
+pub fn chaos_digest(
+    scenario: &str,
+    fields: &str,
+    summary: &JobSummary,
+    injected: u64,
+    values_hash: u64,
+) {
+    let (s, j) = (&summary.stats, &summary.job_stats);
+    let mut line = scenario.to_string();
+    for label in fields.split_whitespace() {
+        let value = match label {
+            "recoveries" => summary.recoveries as u64,
+            "retries" => summary.retries,
+            "supersteps" => summary.supersteps,
+            "injected" => injected,
+            "retx" => s.frames_retransmitted,
+            "dedup" => s.frames_deduped,
+            "corrupt" => s.frames_corrupted,
+            "dead" => s.workers_declared_dead,
+            "probes" => s.probe_leaf_hits,
+            "redesc" => s.probe_redescents,
+            "bloomneg" => s.bloom_negatives,
+            "bloomfp" => s.bloom_false_positives,
+            "radixn" => s.radix_sort_entries,
+            "rskip" => s.radix_passes_skipped,
+            "cmpfb" => s.sort_comparison_fallbacks,
+            "conf" => s.confined_recoveries,
+            "cfb" => s.confined_fallbacks,
+            "logw" => s.log_bytes_written,
+            "logr" => s.log_runs_replayed,
+            "ckret" => s.ckpt_bytes_retired,
+            "slaba" => s.slab_allocations,
+            "slabr" => s.slab_recycled,
+            "fcopy" => s.frame_bytes_copied,
+            "fold" => s.msgs_folded_direct,
+            "stray" => s.msgs_stray,
+            "jcmp" => j.compute_calls,
+            "jmsgs" => j.messages_sent,
+            "jcomb" => j.messages_combined,
+            "jfold" => j.msgs_folded_direct,
+            "jstray" => j.msgs_stray,
+            other => panic!("chaos_digest: no field labelled {other:?}"),
+        };
+        write!(line, " {label}={value}").unwrap();
+    }
+    // Formatted first, so a mistyped label fails with or without a digest.
+    let Ok(path) = std::env::var("CHAOS_DIGEST") else {
+        return;
+    };
+    let mut f = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+        .unwrap();
+    writeln!(f, "{line} values={values_hash:016x}").unwrap();
+}

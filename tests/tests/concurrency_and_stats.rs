@@ -3,9 +3,11 @@
 //! produce the same answers as serial ones, and the cluster counters must
 //! add up.
 
+use pregelix::common::error::Result;
+use pregelix::common::hash_partition;
 use pregelix::graphgen::{btc, webmap};
 use pregelix::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
 #[test]
 fn concurrent_jobs_on_one_cluster_are_isolated_and_correct() {
@@ -64,25 +66,20 @@ fn concurrent_jobs_on_one_cluster_are_isolated_and_correct() {
     });
 }
 
-/// The counter invariants that hold in *both* execution modes: exact
-/// data-derived totals, per-job deltas summing to the totals, and GS
-/// bookkeeping. The per-entry shape of `superstep_stats` is
-/// mode-dependent (one entry per superstep under the barrier, one per
-/// window under the frontier), so callers assert it separately — the
-/// one-entry-per-superstep alignment this test used to hard-code was a
-/// latent barrier-only ordering assumption.
-fn assert_stats_consistent(mode: ExecutionMode) -> JobSummary {
+/// Exact data-derived totals, per-superstep deltas that line up with the
+/// supersteps and sum to the totals, and GS bookkeeping.
+#[test]
+fn statistics_counters_are_consistent_with_the_job() {
     let records = webmap::webmap(12, 6.0, 91); // 4096 vertices
     let cluster = Cluster::new(ClusterConfig::new(3, 16 << 20)).unwrap();
-    let job = PregelixJob::new("stats").with_execution_mode(mode);
+    let job = PregelixJob::new("stats");
     let program = Arc::new(PageRank::new(3));
     let (summary, graph) =
         run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
 
     let n = records.len() as u64;
     let edges: u64 = records.iter().map(|(_, e)| e.len() as u64).sum();
-    // compute calls: every vertex active in every one of the 4 supersteps
-    // (ghost slots past the halt contribute zero calls).
+    // compute calls: every vertex active in every one of the 4 supersteps.
     assert_eq!(summary.stats.compute_calls, 4 * n);
     // messages sent: one per edge per sending superstep (1, 2, 3).
     assert_eq!(summary.stats.messages_sent, 3 * edges);
@@ -99,45 +96,99 @@ fn assert_stats_consistent(mode: ExecutionMode) -> JobSummary {
     assert_eq!(summary.final_gs.vertex_count, n);
     assert!(summary.final_gs.halt);
     assert_eq!(graph.vertex_count(), n);
-    // Per-job deltas sum to the job totals regardless of how many
-    // supersteps each superstep job covered.
-    assert_eq!(summary.superstep_stats.len(), summary.superstep_times.len());
+    // One stats entry and one time per superstep, in superstep order; the
+    // final superstep sends nothing (everyone halts).
+    assert_eq!(summary.superstep_stats.len() as u64, summary.supersteps);
+    assert_eq!(summary.superstep_times.len() as u64, summary.supersteps);
+    assert_eq!(summary.superstep_stats.last().unwrap().messages_sent, 0);
+    // Per-superstep deltas sum to the job totals.
     let sum_calls: u64 = summary.superstep_stats.iter().map(|s| s.compute_calls).sum();
     assert_eq!(sum_calls, summary.stats.compute_calls);
     let sum_sent: u64 = summary.superstep_stats.iter().map(|s| s.messages_sent).sum();
     assert_eq!(sum_sent, summary.stats.messages_sent);
-    summary
 }
 
-#[test]
-fn statistics_counters_are_consistent_with_the_job() {
-    let summary = assert_stats_consistent(ExecutionMode::Barrier);
-    // Barrier mode: one stats entry per superstep, in superstep order, and
-    // the final superstep sends nothing (everyone halts).
-    assert_eq!(summary.superstep_stats.len() as u64, summary.supersteps);
-    assert_eq!(summary.superstep_stats.last().unwrap().messages_sent, 0);
-    // The frontier counters never move under the barrier.
-    assert_eq!(summary.stats.frontier_advances, 0);
-    assert_eq!(summary.stats.barrier_waits_avoided, 0);
+const PARTS: usize = 4;
+const LAST_SUPERSTEP: u64 = 4;
+/// What each partition's one vertex contributes: `f64` sums of these round
+/// differently in different orders (1e16 + 1.0 is 1e16).
+const CONTRIBUTION: [f64; PARTS] = [1e16, 1.0, -1e16, 1.0];
+
+/// One vertex per partition, and in every superstep one partition — a
+/// different one from superstep to superstep and from run to run — whose
+/// vertex computes only once the other three have, so its partial is the
+/// last to reach the `gs` task.
+struct LateSum {
+    /// The partition that computes last in superstep `s` is
+    /// `(first_late + s) % PARTS`.
+    first_late: usize,
+    /// Per superstep, how many of the other partitions' vertices are done.
+    done: Mutex<[usize; LAST_SUPERSTEP as usize + 1]>,
+    turn: Condvar,
 }
 
+impl VertexProgram for LateSum {
+    type VertexValue = f64;
+    type EdgeValue = ();
+    type Message = u64;
+    type Aggregate = f64;
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+        let s = ctx.superstep() as usize;
+        let part = hash_partition(ctx.vid(), PARTS);
+        let late = (self.first_late + s) % PARTS;
+        if part == late {
+            let mut done = self.done.lock().unwrap();
+            while done[s] < PARTS - 1 {
+                done = self.turn.wait(done).unwrap();
+            }
+        }
+        ctx.aggregate(CONTRIBUTION[part]);
+        if part != late {
+            self.done.lock().unwrap()[s] += 1;
+            self.turn.notify_all();
+        }
+        if ctx.superstep() == LAST_SUPERSTEP {
+            ctx.vote_to_halt();
+        }
+        Ok(())
+    }
+
+    fn init_vertex(&self, vid: u64, _edges: Vec<(u64, f64)>) -> VertexData<Self> {
+        VertexData::new(vid, 0.0, Vec::new())
+    }
+
+    fn combine_aggregates(&self, a: f64, b: f64) -> f64 {
+        a + b
+    }
+}
+
+/// Partition partials reach the `gs` task in whatever order the threads and
+/// the transport deliver them; the global aggregate must not depend on it.
 #[test]
-fn statistics_counters_are_consistent_in_frontier_mode() {
-    let summary = assert_stats_consistent(ExecutionMode::Frontier);
-    // Frontier mode: one stats entry per superstep *window*. The final
-    // window absorbs the halting superstep, so the barrier-mode claim
-    // "the last entry sends nothing" does not hold here — the totals
-    // asserted by the shared helper are the mode-independent truth.
-    let window = pregelix::core::runtime::FRONTIER_WINDOW as u64;
-    let windows = summary.superstep_stats.len() as u64;
-    assert!(windows <= summary.supersteps, "windows cover at least one superstep each");
-    assert!(
-        windows * window >= summary.supersteps,
-        "no window covers more than FRONTIER_WINDOW supersteps"
-    );
-    // PageRank reads global state, so it windows without advancing early.
-    assert!(summary.stats.frontier_advances > 0);
-    assert_eq!(summary.stats.barrier_waits_avoided, 0);
+fn threaded_f64_aggregate_is_bit_identical_run_after_run() {
+    let records: Vec<(u64, Vec<(u64, f64)>)> = (0..PARTS)
+        .map(|p| (0u64..).find(|&v| hash_partition(v, PARTS) == p).unwrap())
+        .map(|v| (v, Vec::new()))
+        .collect();
+    let mut first: Option<Vec<u8>> = None;
+    for run in 0..10 {
+        let program = Arc::new(LateSum {
+            first_late: run % PARTS,
+            done: Mutex::default(),
+            turn: Condvar::new(),
+        });
+        let cluster = Cluster::new(ClusterConfig::new(PARTS, 8 << 20)).unwrap();
+        let job = PregelixJob::new(format!("agg-{run}"));
+        let (summary, _graph) =
+            run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
+        assert_eq!(summary.supersteps, LAST_SUPERSTEP);
+        assert!(!summary.final_gs.aggregate.is_empty());
+        match &first {
+            None => first = Some(summary.final_gs.aggregate),
+            Some(want) => assert_eq!(&summary.final_gs.aggregate, want, "run {run}"),
+        }
+    }
 }
 
 #[test]

@@ -92,67 +92,16 @@ fn no_fault_reference(
     (summary, values)
 }
 
-/// FNV-1a over the value relation: a compact stand-in for "bit-identical
-/// final state" in the chaos digest.
-fn values_hash(values: &[(u64, u64)]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for (vid, val) in values {
-        for b in vid.to_le_bytes().into_iter().chain(val.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
-/// Append one deterministic line per scenario to `$CHAOS_DIGEST`, if set.
-/// Everything in the line must be reproducible across identical runs:
-/// counters and value hashes, never durations.
+/// This suite's line in `$CHAOS_DIGEST` (see [`integration_tests::chaos_digest`]).
 fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(u64, u64)]) {
-    let Ok(path) = std::env::var("CHAOS_DIGEST") else {
-        return;
-    };
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap();
-    writeln!(
-        f,
-        "{scenario} recoveries={} retries={} supersteps={} injected={injected} \
-         probes={} redesc={} bloomneg={} bloomfp={} radixn={} rskip={} cmpfb={} \
-         fadv={} bwa={} skew={} conf={} cfb={} logw={} logr={} ckret={} \
-         slaba={} slabr={} fcopy={} fold={} stray={} jcmp={} jmsgs={} jcomb={} values={:016x}",
-        summary.recoveries,
-        summary.retries,
-        summary.supersteps,
-        summary.stats.probe_leaf_hits,
-        summary.stats.probe_redescents,
-        summary.stats.bloom_negatives,
-        summary.stats.bloom_false_positives,
-        summary.stats.radix_sort_entries,
-        summary.stats.radix_passes_skipped,
-        summary.stats.sort_comparison_fallbacks,
-        summary.stats.frontier_advances,
-        summary.stats.barrier_waits_avoided,
-        summary.stats.max_partition_skew,
-        summary.stats.confined_recoveries,
-        summary.stats.confined_fallbacks,
-        summary.stats.log_bytes_written,
-        summary.stats.log_runs_replayed,
-        summary.stats.ckpt_bytes_retired,
-        summary.stats.slab_allocations,
-        summary.stats.slab_recycled,
-        summary.stats.frame_bytes_copied,
-        summary.stats.msgs_folded_direct,
-        summary.stats.msgs_stray,
-        summary.job_stats.compute_calls,
-        summary.job_stats.messages_sent,
-        summary.job_stats.messages_combined,
-        values_hash(values),
-    )
-    .unwrap();
+    integration_tests::chaos_digest(
+        scenario,
+        "recoveries retries supersteps injected probes redesc bloomneg bloomfp radixn rskip \
+         cmpfb conf cfb logw logr ckret slaba slabr fcopy fold stray jcmp jmsgs jcomb",
+        summary,
+        injected,
+        integration_tests::values_hash(values),
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -435,98 +384,6 @@ fn duplicated_msg_frame_is_deduplicated_by_seq() {
     assert_eq!(summary.supersteps, reference.supersteps);
     assert_eq!(cc_values(&graph), expected);
     chaos_digest("dup-msg-frame", &summary, plan.injected(), &expected);
-}
-
-// ---------------------------------------------------------------------------
-// Frontier-mode fault sweeps
-// ---------------------------------------------------------------------------
-
-/// The tentpole sweep rerun in frontier mode: kill a worker at the window
-/// covering *every* superstep. Checkpoints land on window boundaries only
-/// (interval 2 keeps the windows longer than one superstep, so gated
-/// computes actually run), recovery validates the per-partition superstep
-/// vector in the manifest, and every faulted run must converge to the
-/// barrier-mode no-fault answer with exactly one recovery.
-#[test]
-fn frontier_worker_failure_at_every_superstep_recovers_to_barrier_answer() {
-    let guard = fault::exclusive();
-    let records = two_chains();
-    let barrier_job = PregelixJob::new("ft-fr-sweep").with_checkpoint_interval(2);
-    let (reference, expected) = no_fault_reference(4, &barrier_job, &records);
-    let total = reference.supersteps;
-    let job = PregelixJob::new("ft-fr-sweep")
-        .with_checkpoint_interval(2)
-        .with_execution_mode(ExecutionMode::Frontier);
-
-    let program = Arc::new(ConnectedComponents);
-    for ss in 1..=total {
-        // In frontier mode the barrier fault site is probed once per
-        // superstep a window covers, so a rule scoped to `ss` fires when
-        // the window containing `ss` starts.
-        let plan = guard.install(FaultPlan::new().on(
-            Site::Barrier,
-            &ss.to_string(),
-            1,
-            Fault::FailWorker(2),
-        ));
-        let cluster = Cluster::new(ClusterConfig::new(4, 8 << 20)).unwrap();
-        let (summary, graph) =
-            run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
-        assert_eq!(summary.recoveries, 1, "exactly one recovery at superstep {ss}");
-        assert_eq!(summary.retries, 0);
-        assert_eq!(plan.injected(), 1, "superstep {ss}");
-        assert_eq!(cluster.alive_workers(), vec![0, 1, 3]);
-        assert_eq!(
-            summary.supersteps, total,
-            "frontier recovery must not shift the halting superstep"
-        );
-        assert!(
-            summary.stats.frontier_advances > 0,
-            "windows of 2 must gate compute starts (superstep {ss})"
-        );
-        assert!(
-            summary.stats.barrier_waits_avoided > 0,
-            "message-dense CC must advance early even across a recovery"
-        );
-        assert_eq!(cc_values(&graph), expected, "values after failure at superstep {ss}");
-        chaos_digest(&format!("fr-sweep-ss{ss}"), &summary, plan.injected(), &expected);
-        guard.clear();
-    }
-}
-
-/// Checkpoint recovery *mid-skew*: a straggler stall pins partition 1 in
-/// the window before a worker death. The checkpoint the recovery replays
-/// from was written at a window boundary while frontier gates were live,
-/// so its manifest's superstep vector must validate (all partitions
-/// quiesced to the same superstep) and the replay must still converge to
-/// the barrier answer.
-#[test]
-fn frontier_recovery_mid_skew_converges_to_barrier_answer() {
-    let guard = fault::exclusive();
-    let records = two_chains();
-    let barrier_job = PregelixJob::new("ft-fr-skew").with_checkpoint_interval(2);
-    let (reference, expected) = no_fault_reference(4, &barrier_job, &records);
-    let job = PregelixJob::new("ft-fr-skew")
-        .with_checkpoint_interval(2)
-        .with_execution_mode(ExecutionMode::Frontier);
-
-    let plan = guard.install(
-        FaultPlan::new()
-            .on(Site::Stall, "ft-fr-skew:s3:p1", 1, Fault::Stall { work: 2_000_000 })
-            .on(Site::Barrier, "5", 1, Fault::FailWorker(2)),
-    );
-    let cluster = Cluster::new(ClusterConfig::new(4, 8 << 20)).unwrap();
-    let program = Arc::new(ConnectedComponents);
-    let (summary, graph) =
-        run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
-    assert_eq!(summary.recoveries, 1, "one recovery from the window-boundary checkpoint");
-    assert_eq!(summary.retries, 0);
-    assert_eq!(plan.injected(), 2, "the stall and the worker death both fired");
-    assert_eq!(cluster.alive_workers(), vec![0, 1, 3]);
-    assert_eq!(summary.supersteps, reference.supersteps);
-    assert!(summary.stats.barrier_waits_avoided > 0);
-    assert_eq!(cc_values(&graph), expected);
-    chaos_digest("fr-mid-skew", &summary, plan.injected(), &expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //!
 //! The tentpole property: concurrent execution through [`JobService`] is
 //! **bit-identical per job** to running each job alone. The service
-//! serializes superstep windows across tenants (cooperative round-robin
+//! serializes supersteps across tenants (cooperative round-robin
 //! quanta), so interleaving changes *when* a job's supersteps run, never
 //! *what* they compute — per-job values, superstep counts, final global
 //! states, and the interleaving-invariant counters in
@@ -107,6 +107,8 @@ struct JobOutcome {
     job_combined: u64,
     job_folded: u64,
     job_stray: u64,
+    /// What the digest line is drawn from.
+    summary: JobSummary,
 }
 
 impl JobOutcome {
@@ -122,6 +124,7 @@ impl JobOutcome {
             job_combined: summary.job_stats.messages_combined,
             job_folded: summary.job_stats.msgs_folded_direct,
             job_stray: summary.job_stats.msgs_stray,
+            summary: summary.clone(),
         }
     }
 
@@ -164,46 +167,22 @@ impl JobOutcome {
     }
 }
 
-/// FNV-1a over the formatted value relation (chaos-digest unit).
-fn values_hash(values: &[(u64, String)]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for (vid, line) in values {
-        for b in vid.to_le_bytes().iter().chain(line.as_bytes()) {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
 /// Append one line per job to `$CHAOS_DIGEST`: per-job counters and value
 /// hashes only — exactly the attribution multi-tenant runs must keep
 /// deterministic.
 fn chaos_digest(scenario: &str, outcome: &JobOutcome) {
-    let Ok(path) = std::env::var("CHAOS_DIGEST") else {
-        return;
-    };
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap();
-    writeln!(
-        f,
-        "{scenario}:{} supersteps={} recoveries={} jcmp={} jmsgs={} jcomb={} jfold={} \
-         jstray={} values={:016x}",
-        outcome.tag,
-        outcome.supersteps,
-        outcome.recoveries,
-        outcome.job_compute,
-        outcome.job_sent,
-        outcome.job_combined,
-        outcome.job_folded,
-        outcome.job_stray,
-        values_hash(&outcome.values),
-    )
-    .unwrap();
+    integration_tests::chaos_digest(
+        &format!("{scenario}:{}", outcome.tag),
+        "supersteps recoveries jcmp jmsgs jcomb jfold jstray",
+        &outcome.summary,
+        0,
+        integration_tests::fnv1a(
+            outcome
+                .values
+                .iter()
+                .flat_map(|(vid, line)| vid.to_le_bytes().into_iter().chain(line.bytes())),
+        ),
+    );
 }
 
 const WORKERS: usize = 3;

@@ -78,55 +78,16 @@ where
     (summary, values)
 }
 
-/// FNV-1a over the value relation (the digest's stand-in for bit-identical
-/// final state).
-fn values_hash(values: &[(u64, u64)]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for (vid, val) in values {
-        for b in vid.to_le_bytes().into_iter().chain(val.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
-/// Append one deterministic line per scenario to `$CHAOS_DIGEST`, if set.
+/// This suite's line in `$CHAOS_DIGEST` (see [`integration_tests::chaos_digest`]).
 fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(u64, u64)]) {
-    let Ok(path) = std::env::var("CHAOS_DIGEST") else {
-        return;
-    };
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap();
-    writeln!(
-        f,
-        "{scenario} recoveries={} retries={} supersteps={} injected={injected} \
-         dead={} conf={} cfb={} logw={} logr={} ckret={} slaba={} slabr={} \
-         fcopy={} fold={} stray={} jcmp={} jmsgs={} jcomb={} values={:016x}",
-        summary.recoveries,
-        summary.retries,
-        summary.supersteps,
-        summary.stats.workers_declared_dead,
-        summary.stats.confined_recoveries,
-        summary.stats.confined_fallbacks,
-        summary.stats.log_bytes_written,
-        summary.stats.log_runs_replayed,
-        summary.stats.ckpt_bytes_retired,
-        summary.stats.slab_allocations,
-        summary.stats.slab_recycled,
-        summary.stats.frame_bytes_copied,
-        summary.stats.msgs_folded_direct,
-        summary.stats.msgs_stray,
-        summary.job_stats.compute_calls,
-        summary.job_stats.messages_sent,
-        summary.job_stats.messages_combined,
-        values_hash(values),
-    )
-    .unwrap();
+    integration_tests::chaos_digest(
+        scenario,
+        "recoveries retries supersteps injected dead conf cfb logw logr ckret slaba slabr fcopy \
+         fold stray jcmp jmsgs jcomb",
+        summary,
+        injected,
+        integration_tests::values_hash(values),
+    );
 }
 
 /// The tentpole differential: for one program, run
@@ -142,7 +103,6 @@ fn assert_confined_matches_global<P, F>(
     tag: &str,
     guard: &fault::ChaosGuard,
     program: &Arc<P>,
-    mode: ExecutionMode,
     ckpt_interval: u64,
     fail_at: u64,
     records: &[(u64, Vec<(u64, f64)>)],
@@ -151,9 +111,7 @@ fn assert_confined_matches_global<P, F>(
     P: VertexProgram,
     F: Fn(&P::VertexValue) -> u64,
 {
-    let base_job = PregelixJob::new(&format!("rc-{tag}"))
-        .with_checkpoint_interval(ckpt_interval)
-        .with_execution_mode(mode);
+    let base_job = PregelixJob::new(&format!("rc-{tag}")).with_checkpoint_interval(ckpt_interval);
 
     // 1. Fault-free reference. Logging is on (checkpointing is on), so the
     // tee must be writing logs even though nobody ever replays them.
@@ -220,10 +178,10 @@ fn assert_confined_matches_global<P, F>(
 }
 
 // ---------------------------------------------------------------------------
-// The differential harness: three programs x two execution modes
+// The differential harness: three programs
 // ---------------------------------------------------------------------------
 
-/// CC, barrier mode. `checkpoint_interval(2)` with the death at superstep 4
+/// CC. `checkpoint_interval(2)` with the death at superstep 4
 /// puts the newest checkpoint at superstep 3, so the confined path must
 /// actually REPLAY superstep 3 from the survivors' logs (not just reload).
 #[test]
@@ -234,7 +192,6 @@ fn cc_barrier_confined_replay_is_bit_identical() {
         "cc-b",
         &guard,
         &program,
-        ExecutionMode::Barrier,
         2,
         4,
         &two_chains(),
@@ -242,7 +199,7 @@ fn cc_barrier_confined_replay_is_bit_identical() {
     );
 }
 
-/// SSSP (f64 distances, unreachable component), barrier mode.
+/// SSSP (f64 distances, unreachable component).
 #[test]
 fn sssp_barrier_confined_replay_is_bit_identical() {
     let guard = fault::exclusive();
@@ -251,7 +208,6 @@ fn sssp_barrier_confined_replay_is_bit_identical() {
         "sssp-b",
         &guard,
         &program,
-        ExecutionMode::Barrier,
         2,
         4,
         &two_chains(),
@@ -259,7 +215,7 @@ fn sssp_barrier_confined_replay_is_bit_identical() {
     );
 }
 
-/// PageRank (global aggregate + `num_vertices` reads), barrier mode: the
+/// PageRank (global aggregate + `num_vertices` reads): the
 /// replayed supersteps must see the exact per-superstep GS history —
 /// aggregate drift would shift every downstream rank.
 #[test]
@@ -270,62 +226,6 @@ fn pagerank_barrier_confined_replay_is_bit_identical() {
         "pr-b",
         &guard,
         &program,
-        ExecutionMode::Barrier,
-        2,
-        4,
-        &two_chains(),
-        |v: &f64| v.to_bits(),
-    );
-}
-
-/// CC in frontier mode. Frontier windows clamp to checkpoint boundaries, so
-/// a boundary death always has a fresh checkpoint (replay range is empty —
-/// confined recovery degenerates to reload-only) but the confined path,
-/// dead-partition selection, and GS-history validation all still run.
-#[test]
-fn cc_frontier_confined_recovery_is_bit_identical() {
-    let guard = fault::exclusive();
-    let program = Arc::new(ConnectedComponents);
-    assert_confined_matches_global(
-        "cc-f",
-        &guard,
-        &program,
-        ExecutionMode::Frontier,
-        2,
-        4,
-        &two_chains(),
-        |v: &u64| *v,
-    );
-}
-
-/// SSSP in frontier mode.
-#[test]
-fn sssp_frontier_confined_recovery_is_bit_identical() {
-    let guard = fault::exclusive();
-    let program = Arc::new(ShortestPaths::new(0));
-    assert_confined_matches_global(
-        "sssp-f",
-        &guard,
-        &program,
-        ExecutionMode::Frontier,
-        2,
-        4,
-        &two_chains(),
-        |v: &f64| v.to_bits(),
-    );
-}
-
-/// PageRank in frontier mode (not `frontier_safe`: windows run gated, no
-/// early advance — recovery must still be confined and bit-identical).
-#[test]
-fn pagerank_frontier_confined_recovery_is_bit_identical() {
-    let guard = fault::exclusive();
-    let program = Arc::new(PageRank::new(8));
-    assert_confined_matches_global(
-        "pr-f",
-        &guard,
-        &program,
-        ExecutionMode::Frontier,
         2,
         4,
         &two_chains(),

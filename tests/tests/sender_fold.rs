@@ -16,9 +16,8 @@ use std::sync::Arc;
 
 type Records = Vec<(Vid, Vec<(Vid, f64)>)>;
 
-/// Both connectors (and both group-by kinds), both joins, both stores,
-/// barrier and frontier.
-fn lattice() -> Vec<(PlanConfig, ExecutionMode)> {
+/// Both connectors (and both group-by kinds), both joins, both stores.
+fn lattice() -> Vec<PlanConfig> {
     let mut out = Vec::new();
     for groupby in [
         GroupByStrategy::SortUnmerged,
@@ -26,16 +25,11 @@ fn lattice() -> Vec<(PlanConfig, ExecutionMode)> {
     ] {
         for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
             for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-                for mode in [ExecutionMode::Barrier, ExecutionMode::Frontier] {
-                    out.push((
-                        PlanConfig {
-                            join,
-                            groupby,
-                            storage,
-                        },
-                        mode,
-                    ));
-                }
+                out.push(PlanConfig {
+                    join,
+                    groupby,
+                    storage,
+                });
             }
         }
     }
@@ -47,13 +41,10 @@ fn run<P: VertexProgram>(
     name: &str,
     records: &Records,
     plan: PlanConfig,
-    mode: ExecutionMode,
     worker_ram: usize,
 ) -> (JobSummary, Vec<(Vid, P::VertexValue)>) {
     let cluster = Cluster::new(ClusterConfig::new(3, worker_ram).sequential_timed()).unwrap();
-    let job = PregelixJob::new(name)
-        .with_plan(plan)
-        .with_execution_mode(mode);
+    let job = PregelixJob::new(name).with_plan(plan);
     let program = Arc::new(program);
     let (summary, graph) = run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
     let values = graph
@@ -74,16 +65,10 @@ fn both_paths<P: VertexProgram>(
     records: &Records,
     agree: impl Fn(&[(Vid, P::VertexValue)], &[(Vid, P::VertexValue)], &str),
 ) {
-    for (plan, mode) in lattice() {
-        let what = format!("{tag}-{}-{mode:?}", plan.label());
-        let (direct, direct_values) = run(
-            program(),
-            &format!("{what}-d"),
-            records,
-            plan,
-            mode,
-            8 << 20,
-        );
+    for plan in lattice() {
+        let what = format!("{tag}-{}", plan.label());
+        let (direct, direct_values) =
+            run(program(), &format!("{what}-d"), records, plan, 8 << 20);
         assert!(
             matches!(direct.sender_fold, SenderFold::Direct { .. }),
             "{what}: {}",
@@ -102,7 +87,6 @@ fn both_paths<P: VertexProgram>(
             &format!("{what}-s"),
             records,
             plan,
-            mode,
             8 << 20,
         );
         assert_eq!(sorted.sender_fold, SenderFold::SortVariableWidth, "{what}");
@@ -176,16 +160,16 @@ fn pagerank_agrees_to_the_last_bits_on_the_table_and_on_the_sort_path() {
     );
 }
 
-/// On one path, every plan and mode of the lattice computes PageRank to the
+/// On one path, every plan of the lattice computes PageRank to the
 /// bit: the within-sender fold order is emission order whatever the
 /// group-by strategy, and the receiver regroups by bytes.
 #[test]
 fn pagerank_on_the_table_is_bit_identical_across_the_lattice() {
     let records = webmap::webmap(9, 6.0, 54);
     let mut reference: Option<Vec<(Vid, u64)>> = None;
-    for (plan, mode) in lattice() {
-        let name = format!("sf-prx-{}-{mode:?}", plan.label());
-        let (_, values) = run(PageRank::new(5), &name, &records, plan, mode, 8 << 20);
+    for plan in lattice() {
+        let name = format!("sf-prx-{}", plan.label());
+        let (_, values) = run(PageRank::new(5), &name, &records, plan, 8 << 20);
         let bits: Vec<(Vid, u64)> = values.iter().map(|(v, r)| (*v, r.to_bits())).collect();
         match &reference {
             None => reference = Some(bits),
@@ -204,14 +188,7 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
     // 64 KiB of RAM per worker: an 8 KiB group-by budget, half of it for a
     // table that needs 4096 × 8 bytes and a bitmap.
     let ram = 64 << 10;
-    let (tight, tight_values) = run(
-        PageRank::new(3),
-        "sf-tight",
-        &records,
-        plan,
-        ExecutionMode::Barrier,
-        ram,
-    );
+    let (tight, tight_values) = run(PageRank::new(3), "sf-tight", &records, plan, ram);
     assert_eq!(
         tight.sender_fold,
         SenderFold::SortTableTooLarge {
@@ -232,7 +209,6 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
         "sf-tight-s",
         &records,
         plan,
-        ExecutionMode::Barrier,
         ram,
     );
     assert_eq!(tight_values, sorted_values, "same path, same bits");
@@ -252,14 +228,7 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
     assert_eq!(sort_counters(&tight), sort_counters(&sorted));
 
     // The same job with room for the table: no sender-side spill at all.
-    let (roomy, _) = run(
-        PageRank::new(3),
-        "sf-roomy",
-        &records,
-        plan,
-        ExecutionMode::Barrier,
-        8 << 20,
-    );
+    let (roomy, _) = run(PageRank::new(3), "sf-roomy", &records, plan, 8 << 20);
     assert!(matches!(
         roomy.sender_fold,
         SenderFold::Direct { hi: 4096, .. }

@@ -75,69 +75,17 @@ fn no_fault_reference(
     (summary, values)
 }
 
-fn values_hash(values: &[(u64, u64)]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for (vid, val) in values {
-        for b in vid.to_le_bytes().into_iter().chain(val.to_le_bytes()) {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
-    }
-    h
-}
-
-/// One deterministic digest line per scenario: counters and value hashes
-/// only, never durations. CI runs the suite twice and diffs the files.
+/// This suite's line in `$CHAOS_DIGEST` (see [`integration_tests::chaos_digest`]).
 fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(u64, u64)]) {
-    let Ok(path) = std::env::var("CHAOS_DIGEST") else {
-        return;
-    };
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .unwrap();
-    writeln!(
-        f,
-        "{scenario} recoveries={} retries={} supersteps={} injected={injected} \
-         retx={} dedup={} corrupt={} dead={} probes={} redesc={} bloomneg={} \
-         bloomfp={} radixn={} rskip={} cmpfb={} fadv={} bwa={} skew={} \
-         conf={} cfb={} logw={} logr={} ckret={} slaba={} slabr={} fcopy={} fold={} stray={} \
-         jcmp={} jmsgs={} jcomb={} values={:016x}",
-        summary.recoveries,
-        summary.retries,
-        summary.supersteps,
-        summary.stats.frames_retransmitted,
-        summary.stats.frames_deduped,
-        summary.stats.frames_corrupted,
-        summary.stats.workers_declared_dead,
-        summary.stats.probe_leaf_hits,
-        summary.stats.probe_redescents,
-        summary.stats.bloom_negatives,
-        summary.stats.bloom_false_positives,
-        summary.stats.radix_sort_entries,
-        summary.stats.radix_passes_skipped,
-        summary.stats.sort_comparison_fallbacks,
-        summary.stats.frontier_advances,
-        summary.stats.barrier_waits_avoided,
-        summary.stats.max_partition_skew,
-        summary.stats.confined_recoveries,
-        summary.stats.confined_fallbacks,
-        summary.stats.log_bytes_written,
-        summary.stats.log_runs_replayed,
-        summary.stats.ckpt_bytes_retired,
-        summary.stats.slab_allocations,
-        summary.stats.slab_recycled,
-        summary.stats.frame_bytes_copied,
-        summary.stats.msgs_folded_direct,
-        summary.stats.msgs_stray,
-        summary.job_stats.compute_calls,
-        summary.job_stats.messages_sent,
-        summary.job_stats.messages_combined,
-        values_hash(values),
-    )
-    .unwrap();
+    integration_tests::chaos_digest(
+        scenario,
+        "recoveries retries supersteps injected retx dedup corrupt dead probes redesc bloomneg \
+         bloomfp radixn rskip cmpfb conf cfb logw logr ckret slaba slabr fcopy fold stray jcmp \
+         jmsgs jcomb",
+        summary,
+        injected,
+        integration_tests::values_hash(values),
+    );
 }
 
 /// Run the job under `plan` and require the absorbed-in-place outcome:
@@ -390,90 +338,6 @@ fn sequential_timed_mode_recovers_wire_loss_open_loop() {
     );
     assert_eq!(cc_values(&graph), expected);
     chaos_digest("seq-open-loop", &summary, plan.injected(), &expected);
-}
-
-// ---------------------------------------------------------------------------
-// Frontier-mode wire faults
-// ---------------------------------------------------------------------------
-
-/// Frontier windows put several supersteps' streams in flight at once, so
-/// wire faults land while partitions are *mid-skew*. Sequential-timed
-/// clusters keep the frame-event order (and therefore the nth-event fault
-/// firing and the digest counters) deterministic even with gated tasks in
-/// the window — the same open-loop recovery contract as
-/// `sequential_timed_mode_recovers_wire_loss_open_loop`.
-#[test]
-fn frontier_mode_absorbs_wire_faults_without_recovery() {
-    let guard = fault::exclusive();
-    let records = two_chains();
-    let make = || Cluster::new(ClusterConfig::new(2, 8 << 20).sequential_timed()).unwrap();
-    let program = Arc::new(ConnectedComponents);
-    // The ground truth is the no-fault *barrier* answer: frontier plus wire
-    // chaos must still land exactly there.
-    let barrier_job = PregelixJob::new("tr-fr");
-    let (reference, graph) =
-        run_job_from_records(&make(), &program, &barrier_job, records.clone()).unwrap();
-    assert_eq!(reference.recoveries, 0);
-    let expected = cc_values(&graph);
-    let job = PregelixJob::new("tr-fr").with_execution_mode(ExecutionMode::Frontier);
-
-    for (scenario, kind) in [
-        ("fr-msg-drop", Fault::DropFrame),
-        ("fr-msg-dup", Fault::DuplicateFrame),
-    ] {
-        let plan = guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, kind));
-        let (summary, graph) =
-            run_job_from_records(&make(), &program, &job, records.clone()).unwrap();
-        assert_eq!(summary.recoveries, 0, "{scenario}: wire faults never consume recoveries");
-        assert_eq!(summary.retries, 0, "{scenario}");
-        assert_eq!(summary.supersteps, reference.supersteps, "{scenario}");
-        assert_eq!(plan.injected(), 1, "{scenario}");
-        assert!(summary.stats.frontier_advances > 0, "{scenario}: windows gated computes");
-        assert!(
-            summary.stats.barrier_waits_avoided > 0,
-            "{scenario}: the fault must not collapse the frontier back to a barrier"
-        );
-        assert_eq!(cc_values(&graph), expected, "{scenario}: bit-identical to barrier");
-        chaos_digest(scenario, &summary, plan.injected(), &expected);
-        guard.clear();
-    }
-}
-
-/// Mixed wire chaos inside one frontier run: message drop and duplicate
-/// plus a dropped global-state report, all while windows keep partitions
-/// at different supersteps. Zero recoveries, the barrier answer, and a
-/// reproducible digest line.
-#[test]
-fn frontier_mode_mixed_wire_chaos_stays_bit_identical() {
-    let guard = fault::exclusive();
-    let records = two_chains();
-    let make = || Cluster::new(ClusterConfig::new(2, 8 << 20).sequential_timed()).unwrap();
-    let program = Arc::new(ConnectedComponents);
-    let barrier_job = PregelixJob::new("tr-fr-mix");
-    let (reference, graph) =
-        run_job_from_records(&make(), &program, &barrier_job, records.clone()).unwrap();
-    let expected = cc_values(&graph);
-    let job = PregelixJob::new("tr-fr-mix").with_execution_mode(ExecutionMode::Frontier);
-
-    let plan = guard.install(
-        FaultPlan::new()
-            .on(Site::FrameSend, "msg", 2, Fault::DropFrame)
-            .on(Site::FrameSend, "msg", 5, Fault::DuplicateFrame)
-            .on(Site::FrameSend, "gs", 1, Fault::DropFrame),
-    );
-    let (summary, graph) =
-        run_job_from_records(&make(), &program, &job, records.clone()).unwrap();
-    assert_eq!(summary.recoveries, 0);
-    assert_eq!(summary.retries, 0);
-    assert_eq!(summary.supersteps, reference.supersteps);
-    assert!(plan.injected() >= 2, "the chaos plan must actually fire");
-    assert!(
-        summary.stats.frames_retransmitted >= 1,
-        "dropped frames recovered through the control plane"
-    );
-    assert!(summary.stats.barrier_waits_avoided > 0);
-    assert_eq!(cc_values(&graph), expected);
-    chaos_digest("fr-mixed-chaos", &summary, plan.injected(), &expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -342,7 +342,7 @@ fn clean_job_copies_zero_frame_bytes_and_is_deterministic() {
 
     assert_eq!(a.stats.frame_bytes_copied, 0, "clean path must be zero-copy");
     assert!(a.stats.slab_allocations > 0, "messages must ride the slab");
-    assert!(a.stats.slab_recycled > 0, "window commits must recycle backings");
+    assert!(a.stats.slab_recycled > 0, "superstep commits must recycle backings");
     assert_eq!(
         (a.stats.slab_allocations, a.stats.slab_recycled, a.stats.frame_bytes_copied),
         (b.stats.slab_allocations, b.stats.slab_recycled, b.stats.frame_bytes_copied),
