@@ -343,7 +343,33 @@ impl Frame {
     /// calls this — it wraps slab slices zero-copy via
     /// [`SharedFrame::from_wire`].
     pub fn deserialize(buf: &mut &[u8]) -> Result<Frame> {
-        let b = *buf;
+        let mut frame = Frame::default();
+        frame.deserialize_into(buf)?;
+        Ok(frame)
+    }
+
+    /// [`Frame::deserialize`] into this frame: the parsed tuples replace its
+    /// content and land in its buffers, so a reader decoding record after
+    /// record into one frame allocates only while that frame grows to the
+    /// largest record. On error `buf` is not advanced and the frame is left
+    /// empty.
+    pub fn deserialize_into(&mut self, buf: &mut &[u8]) -> Result<()> {
+        self.clear();
+        match self.parse_wire(buf) {
+            Ok(total) => {
+                *buf = &buf[total..];
+                Ok(())
+            }
+            Err(e) => {
+                self.clear();
+                Err(e)
+            }
+        }
+    }
+
+    /// Append the frame at the front of `b` to this (empty) frame and return
+    /// its wire length.
+    fn parse_wire(&mut self, b: &[u8]) -> Result<usize> {
         let n = u32::from_le_bytes(
             b.get(..4)
                 .ok_or_else(|| PregelixError::corrupt("frame header truncated"))?
@@ -359,14 +385,14 @@ impl Frame {
         if b.len() < data_off {
             return Err(PregelixError::corrupt("frame offset table truncated"));
         }
-        let mut ends = Vec::with_capacity(n);
+        self.ends.reserve(n);
         let mut prev = 0u32;
-        for i in 0..n {
-            let e = u32::from_le_bytes(b[4 + 4 * i..8 + 4 * i].try_into().expect("4-byte slice"));
+        for raw in b[4..data_off].chunks_exact(4) {
+            let e = u32::from_le_bytes(raw.try_into().expect("4-byte chunk"));
             if e < prev {
                 return Err(PregelixError::corrupt("frame offsets not monotone"));
             }
-            ends.push(e);
+            self.ends.push(e);
             prev = e;
         }
         let total = data_off
@@ -375,14 +401,9 @@ impl Frame {
         if b.len() < total {
             return Err(PregelixError::corrupt("frame data truncated"));
         }
-        let data = b[data_off..total].to_vec();
-        *buf = &b[total..];
-        Ok(Frame {
-            capacity: data.len().max(DEFAULT_FRAME_BYTES),
-            data,
-            ends,
-            scratch: SortScratch::default(),
-        })
+        self.data.extend_from_slice(&b[data_off..total]);
+        self.capacity = self.data.len().max(DEFAULT_FRAME_BYTES);
+        Ok(total)
     }
 }
 
@@ -813,6 +834,22 @@ mod tests {
         assert_eq!(buf, b"tail");
         assert_eq!(g.freeze_standalone(), f.freeze_standalone());
         assert!(Frame::deserialize(&mut &out[..3]).is_err());
+
+        // Decoding into a frame replaces what it held, in its own buffers;
+        // a record that does not parse leaves it empty and `buf` where it was.
+        let mut into = Frame::new();
+        into.try_append(&[9u8; 500]);
+        let held = (into.data.as_ptr(), into.data.capacity());
+        let mut buf = &out[..];
+        into.deserialize_into(&mut buf).unwrap();
+        assert_eq!(buf, b"tail");
+        assert_eq!(into.freeze_standalone(), f.freeze_standalone());
+        assert_eq!((into.data.as_ptr(), into.data.capacity()), held);
+        let mut cut = &out[..out.len() - 5];
+        let err = into.deserialize_into(&mut cut).unwrap_err();
+        assert!(err.to_string().contains("frame data truncated"), "{err}");
+        assert_eq!(cut.len(), out.len() - 5);
+        assert!(into.is_empty() && into.data_bytes() == 0);
     }
 
     #[test]

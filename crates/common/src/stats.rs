@@ -222,10 +222,16 @@ macro_rules! stats_table {
             /// Structurally zero on the zero-copy transport path — clean or
             /// faulted — which is what the `zero_copy` suite pins.
             counter frame_bytes_copied, add_frame_bytes_copied;
-            /// Outgoing messages a `compute[p]` task folded straight into its
-            /// direct-address table slot (no tuple, no sort entry, no run
-            /// file).
+            /// Outgoing messages a `compute[p]` task folded into their
+            /// destination's direct-address table slot (no tuple, no sort
+            /// entry, no sorted run) — at once, or read back from a window
+            /// spill file.
             counter msgs_folded_direct, add_msgs_folded_direct;
+            /// The part of `msgs_folded_direct` that waited in a window spill
+            /// file: the destination's slot lies past the table's resident
+            /// window, because the whole table is over its share of the
+            /// group-by budget.
+            counter msgs_fold_spilled, add_msgs_fold_spilled;
             /// Outgoing messages that took the sorter *while a table was
             /// active*: their destination vid lies at or above the table's `hi`
             /// (a vertex created after load, or one that does not exist).

@@ -99,8 +99,9 @@ pub struct JobSummary {
 
 /// How a job's `compute[p]` tasks combine outgoing messages per
 /// destination. Decided once per job from the program's types, the loaded
-/// graph's vid range and the workers' group-by budget — nothing selects it
-/// by hand. The `Display` form is what `examples/quickstart` prints.
+/// graph's vid range, and the workers' group-by budget and page size —
+/// nothing selects it by hand. The `Display` form is what
+/// `examples/quickstart` prints.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SenderFold {
     /// Messages to vids below `hi` fold into a direct-address table slot;
@@ -108,41 +109,85 @@ pub enum SenderFold {
     Direct {
         /// One past the largest vid the loader saw.
         hi: Vid,
+        /// Passes the table makes over `hi`: 1 when it fits half the
+        /// budget whole. Past that, the messages for each later window wait
+        /// in a spill file until the table is free for them.
+        windows: u64,
+        /// Slots resident at a time (`hi` when `windows == 1`).
+        slots_per_window: u64,
         /// What one partition's table allocates.
         table_bytes: u64,
-        /// Half the group-by budget: what the table had to fit in.
+        /// One storage page of staged records per window past the first.
+        spill_buffer_bytes: u64,
+        /// The group-by budget it all comes out of: half at most for the
+        /// table, a quarter at most for spill buffers, the rest for the
+        /// sorter of stray destinations.
         budget_bytes: u64,
     },
     /// Every message is sorted and grouped: the program has no combiner.
     SortNoCombiner,
     /// … its message type has no `Writable::FIXED_WIDTH`.
     SortVariableWidth,
-    /// … or the table does not fit half the group-by budget.
-    SortTableTooLarge { table_bytes: u64, budget_bytes: u64 },
+    /// … or the table takes so many windows of half the budget that their
+    /// spill buffers would not fit a quarter of it.
+    SortTableTooLarge {
+        /// What the table would allocate whole.
+        table_bytes: u64,
+        windows: u64,
+        spill_buffer_bytes: u64,
+        budget_bytes: u64,
+    },
 }
 
 impl SenderFold {
-    /// The table gets at most half of a group-by's budget, so that the
-    /// sorter for stray destinations (and everything downstream sized from
-    /// the same budget) keeps at least the other half.
-    fn decide<P: VertexProgram>(program: &P, hi: Vid, groupby_budget: usize) -> SenderFold {
+    /// A table that fits half the group-by budget is resident whole. A
+    /// larger one keeps as many slots as half the budget holds and covers
+    /// `hi` in windows of that many, each window past the first costing a
+    /// page of spill buffer — as long as those pages fit a quarter of the
+    /// budget, so that the sorter for stray destinations (and everything
+    /// downstream sized from the same budget) keeps the last quarter.
+    fn decide<P: VertexProgram>(
+        program: &P,
+        hi: Vid,
+        groupby_budget: usize,
+        page_size: usize,
+    ) -> SenderFold {
         if program.combiner().is_none() {
             return SenderFold::SortNoCombiner;
         }
         if P::Message::FIXED_WIDTH.is_none() {
             return SenderFold::SortVariableWidth;
         }
-        let table_bytes = FoldTable::<P::Message>::bytes(hi);
-        let budget_bytes = groupby_budget as u64 / 2;
-        if table_bytes > budget_bytes {
+        let budget_bytes = groupby_budget as u64;
+        let whole = FoldTable::<P::Message>::bytes(hi);
+        let (slots_per_window, windows) = if whole <= budget_bytes / 2 {
+            (hi, 1)
+        } else {
+            let slots = FoldTable::<P::Message>::slots_in(budget_bytes / 2);
+            // Where not even one bitmap word of slots fits: windows without
+            // end.
+            let windows = if slots == 0 {
+                u64::MAX
+            } else {
+                hi.div_ceil(slots)
+            };
+            (slots, windows)
+        };
+        let spill_buffer_bytes = (windows - 1).saturating_mul(page_size as u64);
+        if spill_buffer_bytes > budget_bytes / 4 {
             return SenderFold::SortTableTooLarge {
-                table_bytes,
+                table_bytes: whole,
+                windows,
+                spill_buffer_bytes,
                 budget_bytes,
             };
         }
         SenderFold::Direct {
             hi,
-            table_bytes,
+            windows,
+            slots_per_window,
+            table_bytes: FoldTable::<P::Message>::bytes(slots_per_window),
+            spill_buffer_bytes,
             budget_bytes,
         }
     }
@@ -154,24 +199,43 @@ impl std::fmt::Display for SenderFold {
         match *self {
             SenderFold::Direct {
                 hi,
+                windows: 1,
                 table_bytes,
                 budget_bytes,
+                ..
             } => write!(
                 f,
                 "direct (hi={hi}, {} KB of {} KB)",
                 kb(table_bytes),
+                kb(budget_bytes / 2)
+            ),
+            SenderFold::Direct {
+                hi,
+                windows,
+                slots_per_window,
+                table_bytes,
+                spill_buffer_bytes,
+                budget_bytes,
+            } => write!(
+                f,
+                "direct (hi={hi}, {windows} windows of {slots_per_window}, {} KB + {} KB of {} KB)",
+                kb(table_bytes),
+                kb(spill_buffer_bytes),
                 kb(budget_bytes)
             ),
             SenderFold::SortNoCombiner => write!(f, "sort (no combiner)"),
             SenderFold::SortVariableWidth => write!(f, "sort (variable-width message)"),
             SenderFold::SortTableTooLarge {
                 table_bytes,
+                windows,
+                spill_buffer_bytes,
                 budget_bytes,
             } => write!(
                 f,
-                "sort (table {} KB > {} KB)",
+                "sort (table {} KB: {windows} windows need {} KB of buffers > {} KB)",
                 kb(table_bytes),
-                kb(budget_bytes)
+                kb(spill_buffer_bytes),
+                kb(budget_bytes / 4)
             ),
         }
     }
@@ -509,12 +573,26 @@ impl<P: VertexProgram> RunLoop<P> {
         let gs = GlobalState::initial(graph.vertex_count, Vec::new());
         gs.store(cluster.dfs(), &job.id)?;
         // Every worker is sized from one `ClusterConfig`, so any worker's
-        // group-by budget is the cluster's.
-        let sender_fold =
-            SenderFold::decide(&**program, graph.hi, cluster.worker(0).groupby_budget());
+        // group-by budget and page size are the cluster's.
+        let worker = cluster.worker(0);
+        let sender_fold = SenderFold::decide(
+            &**program,
+            graph.hi,
+            worker.groupby_budget(),
+            worker.file_manager().page_size(),
+        );
         let fold_slots = match (sender_fold, program.combiner()) {
-            (SenderFold::Direct { hi, .. }, Some(combine)) => (0..graph.partitions.len())
-                .map(|_| FoldSlot::new(hi as usize, Arc::clone(&combine)))
+            (
+                SenderFold::Direct {
+                    hi,
+                    slots_per_window,
+                    ..
+                },
+                Some(combine),
+            ) => (0..graph.partitions.len())
+                .map(|_| {
+                    FoldSlot::new(hi as usize, slots_per_window as usize, Arc::clone(&combine))
+                })
                 .collect(),
             _ => Vec::new(),
         };
@@ -914,53 +992,138 @@ mod tests {
     #[test]
     fn sender_fold_follows_from_types_vid_range_and_budget() {
         let f64s = min_of::<f64>(1);
+        let decide = |hi, budget| SenderFold::decide(&f64s, hi, budget, 4096);
         // 50 000 slots of 8 bytes plus 782 bitmap words.
-        let direct = SenderFold::decide(&f64s, 50_000, 2 << 20);
+        let direct = decide(50_000, 2 << 20);
         assert_eq!(
             direct,
             SenderFold::Direct {
                 hi: 50_000,
+                windows: 1,
+                slots_per_window: 50_000,
                 table_bytes: 406_256,
-                budget_bytes: 1 << 20
+                spill_buffer_bytes: 0,
+                budget_bytes: 2 << 20
             }
         );
         assert_eq!(direct.to_string(), "direct (hi=50000, 397 KB of 1024 KB)");
-        let too_large = SenderFold::decide(&f64s, 50_000, 128 << 10);
-        assert_eq!(too_large.to_string(), "sort (table 397 KB > 64 KB)");
-        // The paper's Fig. 7 configuration misses by 4 KB.
+        // A sixteenth of that budget: 126 bitmap words of slots fit its
+        // half, seven windows of them cover the vids, and six pages of
+        // spill buffer fit its quarter.
+        let windowed = decide(50_000, 128 << 10);
         assert_eq!(
-            SenderFold::decide(&f64s, 32_768, 512 << 10).to_string(),
-            "sort (table 260 KB > 256 KB)"
+            windowed,
+            SenderFold::Direct {
+                hi: 50_000,
+                windows: 7,
+                slots_per_window: 8_064,
+                table_bytes: 65_520,
+                spill_buffer_bytes: 6 * 4096,
+                budget_bytes: 128 << 10
+            }
         );
-        // A table exactly as large as the half-budget fits.
+        assert_eq!(
+            windowed.to_string(),
+            "direct (hi=50000, 7 windows of 8064, 64 KB + 24 KB of 128 KB)"
+        );
+        // The paper's Fig. 7 configuration misses a resident table by 4 KB.
+        assert_eq!(
+            decide(32_768, 512 << 10).to_string(),
+            "direct (hi=32768, 2 windows of 32256, 256 KB + 4 KB of 512 KB)"
+        );
+        // A table exactly as large as the half-budget is resident whole; a
+        // byte less and it is two windows, if there is a page to spare.
+        let exact = 2 * (128 * 8 + 16);
         assert!(matches!(
-            SenderFold::decide(&f64s, 64, 2 * (64 * 8 + 8)),
-            SenderFold::Direct { .. }
+            decide(128, exact),
+            SenderFold::Direct { windows: 1, .. }
         ));
         assert!(matches!(
-            SenderFold::decide(&f64s, 0, 0),
-            SenderFold::Direct { table_bytes: 0, .. }
+            SenderFold::decide(&f64s, 128, exact - 2, 512),
+            SenderFold::Direct {
+                windows: 2,
+                slots_per_window: 64,
+                table_bytes: 520,
+                spill_buffer_bytes: 512,
+                ..
+            }
         ));
-        // A vid range whose table size overflows is simply too large.
+        assert_eq!(
+            decide(128, exact - 2).to_string(),
+            "sort (table 2 KB: 2 windows need 4 KB of buffers > 1 KB)"
+        );
+        // Spill buffers may take a quarter of the budget to the byte: 63
+        // words of slots in half of 64 KB, four pages in its quarter.
         assert!(matches!(
-            SenderFold::decide(&f64s, Vid::MAX, usize::MAX),
-            SenderFold::SortTableTooLarge { .. }
+            decide(5 * 4032, 64 << 10),
+            SenderFold::Direct {
+                windows: 5,
+                slots_per_window: 4032,
+                spill_buffer_bytes: 16_384,
+                ..
+            }
+        ));
+        assert_eq!(
+            decide(5 * 4032 + 1, 64 << 10),
+            SenderFold::SortTableTooLarge {
+                table_bytes: 163_816,
+                windows: 6,
+                spill_buffer_bytes: 20_480,
+                budget_bytes: 64 << 10
+            }
+        );
+        // No vids, no table, no budget needed.
+        assert!(matches!(
+            decide(0, 0),
+            SenderFold::Direct {
+                windows: 1,
+                slots_per_window: 0,
+                table_bytes: 0,
+                ..
+            }
+        ));
+        // Half a budget that holds no bitmap word's worth of slots.
+        assert!(matches!(
+            decide(50, 200),
+            SenderFold::SortTableTooLarge {
+                windows: u64::MAX,
+                ..
+            }
+        ));
+        // A vid range whose table size overflows takes more windows than
+        // any budget has pages for.
+        assert!(matches!(
+            decide(Vid::MAX, 2 << 20),
+            SenderFold::SortTableTooLarge {
+                table_bytes: u64::MAX,
+                ..
+            }
         ));
         let strings = min_of::<String>(1);
         assert_eq!(
-            SenderFold::decide(&strings, 10, 1 << 20).to_string(),
+            SenderFold::decide(&strings, 10, 1 << 20, 4096).to_string(),
             "sort (variable-width message)"
         );
         assert_eq!(
-            SenderFold::decide(&NoopProgram, 10, 1 << 20).to_string(),
+            SenderFold::decide(&NoopProgram, 10, 1 << 20, 4096).to_string(),
             "sort (no combiner)"
         );
-        // A zero-width message costs the bitmap only.
+        // A zero-width message costs the bitmap only, resident or windowed.
         let units = min_of::<()>(1);
         assert!(matches!(
-            SenderFold::decide(&units, 1 << 20, 1 << 20),
+            SenderFold::decide(&units, 1 << 20, 1 << 20, 4096),
             SenderFold::Direct {
+                windows: 1,
                 table_bytes: 131_072,
+                ..
+            }
+        ));
+        assert!(matches!(
+            SenderFold::decide(&units, 1 << 20, 128 << 10, 4096),
+            SenderFold::Direct {
+                windows: 2,
+                slots_per_window: 524_288,
+                table_bytes: 65_536,
                 ..
             }
         ));

@@ -55,7 +55,7 @@ use pregelix_dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec};
 use pregelix_storage::btree::BTree;
 use pregelix_storage::file::FileManager;
-use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter};
+use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
 use pregelix_storage::sort::CombineFn;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,59 +130,82 @@ pub(crate) fn msg_tuple_combiner<P: VertexProgram>(program: &Arc<P>) -> CombineF
 /// in ascending vid order — the stream a sender's sort + merge would have
 /// produced, without a tuple, a sort entry or a run file per message.
 ///
+/// Only `window` of the `hi` accumulators are resident: the slots of window
+/// `k` stand for vids `k * window ..` and are reused, empty, for window
+/// `k + 1` once drained. A table that fits its share of the budget whole is
+/// the one-window case, `window == hi`; [`MsgFold`] is what feeds the
+/// windows past the first.
+///
 /// A table lives as long as its job: `compute[p]@s` takes it out of the
-/// partition's [`FoldSlot`], leaves it empty again after `drain`, and puts
-/// it back, so no superstep pays for `hi` slots — only for the bitmap words
-/// and the slots it touched.
+/// partition's [`FoldSlot`], leaves it empty again after the last `drain`,
+/// and puts it back, so no superstep pays for `window` slots — only for the
+/// bitmap words and the slots it touched.
 pub(crate) struct FoldTable<M> {
     hi: usize,
+    window: usize,
     combine: MessageCombiner<M>,
-    /// `slots[v]` holds an accumulator only while bit `v` of `present` is
-    /// set. Empty until the first fold, then `hi` copies of that first
+    /// `slots[i]` holds an accumulator only while bit `i` of `present` is
+    /// set. Empty until the first fold, then `window` copies of that first
     /// message: any value does, an unmarked slot is never read.
     slots: Vec<M>,
     present: Vec<u64>,
 }
 
 impl<M: Clone> FoldTable<M> {
-    fn new(hi: usize, combine: MessageCombiner<M>) -> Self {
+    fn new(hi: usize, window: usize, combine: MessageCombiner<M>) -> Self {
         FoldTable {
             hi,
+            window,
             combine,
             slots: Vec::new(),
-            present: vec![0; hi.div_ceil(64)],
+            present: vec![0; window.div_ceil(64)],
         }
     }
 
-    /// What a table over `hi` vids allocates: the slots as they sit in
-    /// memory plus the presence bitmap (`u64::MAX` when that overflows).
-    pub(crate) fn bytes(hi: Vid) -> u64 {
-        hi.saturating_mul(std::mem::size_of::<M>() as u64)
-            .saturating_add(hi.div_ceil(64).saturating_mul(8))
+    /// What `slots` resident accumulators allocate: the slots as they sit
+    /// in memory plus the presence bitmap (`u64::MAX` when that overflows).
+    pub(crate) fn bytes(slots: Vid) -> u64 {
+        slots
+            .saturating_mul(std::mem::size_of::<M>() as u64)
+            .saturating_add(slots.div_ceil(64).saturating_mul(8))
     }
 
-    fn fold(&mut self, v: usize, m: M) {
+    /// The widest window [`bytes`](Self::bytes) puts within `bytes`, in
+    /// whole bitmap words (64 slots), and never past what the `u32` slot
+    /// number of a spilled message can address.
+    pub(crate) fn slots_in(bytes: u64) -> u64 {
+        let per_word = 64 * std::mem::size_of::<M>() as u64 + 8;
+        (bytes / per_word * 64).min(1 << 32)
+    }
+
+    /// Windows it takes to cover `hi` (one for an empty table).
+    fn windows(&self) -> usize {
+        self.hi.div_ceil(self.window.max(1)).max(1)
+    }
+
+    fn fold(&mut self, slot: usize, m: M) {
         if self.slots.is_empty() {
-            self.slots.resize(self.hi, m.clone());
+            self.slots.resize(self.window, m.clone());
         }
-        let (word, bit) = (v / 64, 1u64 << (v % 64));
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         if self.present[word] & bit == 0 {
             self.present[word] |= bit;
-            self.slots[v] = m;
+            self.slots[slot] = m;
         } else {
-            self.slots[v] = (self.combine)(&self.slots[v], &m);
+            self.slots[slot] = (self.combine)(&self.slots[slot], &m);
         }
     }
 
-    /// Visit every touched slot in ascending vid order, clearing its bit.
-    /// Costs the bitmap's words plus the touched slots, never `hi`.
-    fn drain(&mut self, mut each: impl FnMut(Vid, &M) -> Result<()>) -> Result<()> {
+    /// Visit every touched slot in ascending order as vid `base + slot`,
+    /// clearing its bit. Costs the bitmap's words plus the touched slots,
+    /// never `window`.
+    fn drain(&mut self, base: Vid, mut each: impl FnMut(Vid, &M) -> Result<()>) -> Result<()> {
         for word in 0..self.present.len() {
             let mut bits = std::mem::take(&mut self.present[word]);
             while bits != 0 {
-                let v = word * 64 + bits.trailing_zeros() as usize;
+                let slot = word * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                each(v as Vid, &self.slots[v])?;
+                each(base + slot as Vid, &self.slots[slot])?;
             }
         }
         Ok(())
@@ -196,6 +219,7 @@ impl<M: Clone> FoldTable<M> {
 /// starts from a fresh allocation.
 pub(crate) struct FoldSlot<M> {
     hi: usize,
+    window: usize,
     combine: MessageCombiner<M>,
     table: Arc<Mutex<Option<FoldTable<M>>>>,
 }
@@ -204,6 +228,7 @@ impl<M> Clone for FoldSlot<M> {
     fn clone(&self) -> Self {
         FoldSlot {
             hi: self.hi,
+            window: self.window,
             combine: Arc::clone(&self.combine),
             table: Arc::clone(&self.table),
         }
@@ -211,9 +236,12 @@ impl<M> Clone for FoldSlot<M> {
 }
 
 impl<M: Clone> FoldSlot<M> {
-    pub(crate) fn new(hi: usize, combine: MessageCombiner<M>) -> Self {
+    /// A slot for tables over the vids below `hi`, `window` of them
+    /// resident at a time.
+    pub(crate) fn new(hi: usize, window: usize, combine: MessageCombiner<M>) -> Self {
         FoldSlot {
             hi,
+            window: window.min(hi),
             combine,
             table: Arc::new(Mutex::new(None)),
         }
@@ -221,7 +249,7 @@ impl<M: Clone> FoldSlot<M> {
 
     fn take(&self) -> FoldTable<M> {
         let pooled = self.table.lock().take();
-        pooled.unwrap_or_else(|| FoldTable::new(self.hi, Arc::clone(&self.combine)))
+        pooled.unwrap_or_else(|| FoldTable::new(self.hi, self.window, Arc::clone(&self.combine)))
     }
 
     fn put_back(&self, table: FoldTable<M>) {
@@ -241,21 +269,33 @@ fn encode_msg_tuple<M: Writable>(out: &mut Vec<u8>, dest: Vid, m: &M) {
 /// everything else — destinations at or above the table's `hi`, and every
 /// message of a program that got no table — goes through the sort-based
 /// group-by, built on first use.
+///
+/// Folding is immediate for the table's first window. A message for a later
+/// window is appended, as `u32 slot | message`, to that window's spill file
+/// — one page of staged records per window, no key, no sort entry, no
+/// comparison — and [`drain`](Self::drain) folds each file back into the
+/// emptied table in the order it was written. All messages for one vid land
+/// in one window in emission order, so every accumulator ends up with the
+/// bits a fully resident table would have given it.
 struct MsgFold<P: VertexProgram> {
     table: Option<FoldTable<P::Message>>,
+    /// Spill file of window `k + 1`, created by the first message for it.
+    spills: Vec<Option<RunWriter>>,
     sorter: Option<LocalGroupBy>,
     /// What the sorter is built from: its kind, budget and tuple combiner.
     sorter_parts: Option<(GroupByKind, usize, CombineFn)>,
     fm: FileManager,
-    /// Reused encoding buffer for outgoing tuples.
+    /// Reused encoding buffer for outgoing tuples and spill records.
     scratch: Vec<u8>,
     folded: u64,
+    spilled: u64,
     strays: u64,
 }
 
 impl<P: VertexProgram> MsgFold<P> {
     /// `table` is the partition's when the job found the program eligible;
-    /// its bytes come out of `budget`, the rest is the sorter's.
+    /// its bytes and a page per window past the first come out of `budget`,
+    /// the rest is the sorter's.
     fn new(
         table: Option<FoldTable<P::Message>>,
         kind: GroupByKind,
@@ -263,25 +303,53 @@ impl<P: VertexProgram> MsgFold<P> {
         budget: usize,
         combiner: CombineFn,
     ) -> Self {
-        let table_bytes = table
-            .as_ref()
-            .map_or(0, |t| FoldTable::<P::Message>::bytes(t.hi as Vid) as usize);
+        let (table_bytes, spill_files) = table.as_ref().map_or((0, 0), |t| {
+            let resident = FoldTable::<P::Message>::bytes(t.window as Vid) as usize;
+            (resident, t.windows() - 1)
+        });
+        let sorter_budget = budget.saturating_sub(table_bytes + spill_files * fm.page_size());
         MsgFold {
             table,
+            spills: (0..spill_files).map(|_| None).collect(),
             sorter: None,
-            sorter_parts: Some((kind, budget.saturating_sub(table_bytes), combiner)),
+            sorter_parts: Some((kind, sorter_budget, combiner)),
             fm: fm.clone(),
             scratch: Vec::new(),
             folded: 0,
+            spilled: 0,
             strays: 0,
         }
     }
 
     fn add(&mut self, dest: Vid, m: P::Message) -> Result<()> {
         if let Some(table) = self.table.as_mut() {
-            if dest < table.hi as Vid {
+            if dest < table.window as Vid {
                 table.fold(dest as usize, m);
                 self.folded += 1;
+                return Ok(());
+            }
+            if dest < table.hi as Vid {
+                let (k, slot) = (dest as usize / table.window, dest as usize % table.window);
+                self.scratch.clear();
+                (slot as u32).write(&mut self.scratch);
+                m.write(&mut self.scratch);
+                let spill = match &mut self.spills[k - 1] {
+                    Some(open) => open,
+                    unopened => {
+                        // A record — length, count, offsets, tuples — fills
+                        // one storage page: that is all a window stages.
+                        let per_page =
+                            self.fm.page_size().saturating_sub(8) / (self.scratch.len() + 4);
+                        unopened.insert(RunWriter::create_paged(
+                            self.fm.temp_file_path("msg-fold"),
+                            self.fm.counters().clone(),
+                            per_page.max(1) * self.scratch.len(),
+                        )?)
+                    }
+                };
+                spill.write_tuple(&self.scratch)?;
+                self.folded += 1;
+                self.spilled += 1;
                 return Ok(());
             }
             self.strays += 1;
@@ -300,24 +368,43 @@ impl<P: VertexProgram> MsgFold<P> {
     }
 
     /// Emit one combined `vid | 1 | msg` tuple per touched table slot in
-    /// ascending vid order, then the sorter's stream, whose vids (with a
-    /// table) are all larger — so the whole output is vid-sorted, as the
-    /// merging connector requires. Returns the emptied table.
+    /// ascending vid order — window 0 as it stands, then each later window
+    /// folded back from its spill file — then the sorter's stream, whose
+    /// vids (with a table) are all larger: the whole output is vid-sorted,
+    /// as the merging connector requires. Returns the emptied table.
     fn drain(
         mut self,
         mut emit: impl FnMut(&[u8]) -> Result<()>,
     ) -> Result<Option<FoldTable<P::Message>>> {
-        let counters = self.fm.counters();
+        let counters = self.fm.counters().clone();
         counters.add_msgs_folded_direct(self.folded);
+        counters.add_msgs_fold_spilled(self.spilled);
         counters.add_msgs_stray(self.strays);
         let mut table = self.table.take();
         if let Some(table) = table.as_mut() {
             let scratch = &mut self.scratch;
-            table.drain(|vid, m| {
+            let mut emit_slot = |vid: Vid, m: &P::Message| {
                 encode_msg_tuple(scratch, vid, m);
                 debug_assert_eq!(Some(scratch.len() - MSG_COUNT.end), P::Message::FIXED_WIDTH);
                 emit(scratch)
-            })?;
+            };
+            table.drain(0, &mut emit_slot)?;
+            for (k, spill) in self.spills.iter_mut().enumerate() {
+                let Some(spill) = spill.take() else { continue };
+                // Read once, front to back, and deleted on the way out.
+                let run = TempRun::from(spill.finish()?);
+                let mut records = run.open(counters.clone())?;
+                while records.advance()? {
+                    let record = records.current().expect("advance reported a record");
+                    let (slot, mut m) = record
+                        .split_first_chunk::<4>()
+                        .map(|(slot, m)| (u32::from_le_bytes(*slot) as usize, m))
+                        .filter(|(slot, _)| *slot < table.window)
+                        .ok_or_else(|| PregelixError::corrupt("bad fold-window spill record"))?;
+                    table.fold(slot, P::Message::read(&mut m)?);
+                }
+                table.drain(((k + 1) * table.window) as Vid, &mut emit_slot)?;
+            }
         }
         if let Some(sorter) = self.sorter.take() {
             let mut stream = sorter.finish()?;
@@ -1684,6 +1771,11 @@ mod tests {
         (fm, dir)
     }
 
+    /// Temporary runs on the worker's disk right now.
+    fn temp_runs(fm: &FileManager) -> usize {
+        fm.temp_files().unwrap().len()
+    }
+
     /// Everything `compute[p]` does with its outgoing messages: take the
     /// table (if the partition has a slot), add, drain, put the table back.
     fn fold_stream<P: VertexProgram>(
@@ -1702,6 +1794,16 @@ mod tests {
         for (dest, m) in stream {
             fold.add(*dest, m.clone()).unwrap();
         }
+        // One spill file per window past the first that got a message.
+        let windows_hit: std::collections::BTreeSet<Vid> = stream
+            .iter()
+            .filter_map(|(d, _)| {
+                slot.filter(|s| *d < s.hi as Vid)
+                    .map(|s| d / s.window as Vid)
+            })
+            .filter(|k| *k > 0)
+            .collect();
+        assert_eq!(temp_runs(&fm), windows_hit.len());
         let mut out = Vec::new();
         let table = fold
             .drain(|t| {
@@ -1709,10 +1811,15 @@ mod tests {
                 Ok(())
             })
             .unwrap();
+        assert_eq!(temp_runs(&fm), 0, "spill files are gone once read back");
         let c = fm.counters();
-        let in_range = |d: &Vid| slot.is_some_and(|s| *d < s.hi as Vid);
-        let direct = stream.iter().filter(|(d, _)| in_range(d)).count() as u64;
+        let below = |bound: fn(&FoldSlot<P::Message>) -> usize| {
+            let bound = slot.map_or(0, bound) as Vid;
+            stream.iter().filter(|(d, _)| *d < bound).count() as u64
+        };
+        let direct = below(|s| s.hi);
         assert_eq!(c.msgs_folded_direct(), direct);
+        assert_eq!(c.msgs_fold_spilled(), direct - below(|s| s.window));
         let strays = if slot.is_some() {
             stream.len() as u64 - direct
         } else {
@@ -1726,9 +1833,10 @@ mod tests {
         out
     }
 
-    /// The stream a table over `hi` vids must produce: per destination
-    /// below `hi` the messages folded in emission order, ascending by vid,
-    /// then whatever the sorter alone makes of the rest.
+    /// The stream a table over `hi` vids must produce, however many of its
+    /// slots are resident at a time: per destination below `hi` the messages
+    /// folded in emission order, ascending by vid, then whatever the sorter
+    /// alone makes of the rest.
     fn model<P: VertexProgram>(
         program: &Arc<P>,
         hi: Vid,
@@ -1780,22 +1888,33 @@ mod tests {
         stream
     }
 
-    /// All in range, all stray (`hi == 0` and `hi` below every dest), mixed,
-    /// and one table reused over three supersteps with different touched
-    /// sets: every stream byte-identical to the model.
+    /// All in range, all stray (`hi == 0` and `hi` below every dest), mixed;
+    /// the table resident whole (`window` at and past `hi`), in two windows
+    /// (`hi - 1` in whole bitmap words) and in many (64 and 128 slots); one
+    /// table reused over three supersteps with different touched sets.
+    /// Every stream byte-identical to the model.
     fn table_matches_model<M: Writable + std::fmt::Debug>(
         combine: fn(&M, &M) -> M,
         msg: impl Fn(u64) -> M + Copy,
     ) {
         let program = Arc::new(Folding(combine));
-        for (hi, span) in [(1000, 1000), (0, 500), (300, 1000), (1, 64), (65, 64)] {
-            let slot = FoldSlot::new(hi as usize, program.combiner().unwrap());
-            for (superstep, n) in [(1u64, 4000), (2, 40), (3, 900)] {
-                let stream = scrambled(hi * 31 + superstep, n, span, hi, msg);
-                let got = fold_stream(&program, Some(&slot), &stream);
-                let want = model(&program, hi, &stream);
-                assert!(!want.is_empty());
-                assert_eq!(got, want, "hi {hi}, span {span}, superstep {superstep}");
+        for (hi, span) in [(1000u64, 1000), (0, 500), (300, 1000), (1, 64), (65, 64)] {
+            let mut windows = vec![64, 128, hi.saturating_sub(1) / 64 * 64, hi, hi + 100];
+            windows.retain(|w| *w > 0 || hi == 0);
+            windows.dedup();
+            for window in windows {
+                let slot = FoldSlot::new(hi as usize, window as usize, program.combiner().unwrap());
+                assert_eq!(slot.window as Vid, window.min(hi));
+                for (superstep, n) in [(1u64, 4000), (2, 40), (3, 900)] {
+                    let stream = scrambled(hi * 31 + superstep, n, span, hi, msg);
+                    let got = fold_stream(&program, Some(&slot), &stream);
+                    let want = model(&program, hi, &stream);
+                    assert!(!want.is_empty());
+                    assert_eq!(
+                        got, want,
+                        "hi {hi}, span {span}, window {window}, superstep {superstep}"
+                    );
+                }
             }
         }
     }
@@ -1824,7 +1943,7 @@ mod tests {
     #[test]
     fn failed_fold_leaves_the_slot_empty_and_the_next_table_clean() {
         let program = Arc::new(Folding::<u64>(|a, b| *a.min(b)));
-        let slot = FoldSlot::new(100, program.combiner().unwrap());
+        let slot = FoldSlot::new(100, 100, program.combiner().unwrap());
         let (fm, dir) = fresh_fm();
         drop(dir); // the sorter's first spill has nowhere to go
         let mut fold = MsgFold::<Folding<u64>>::new(
@@ -1854,6 +1973,53 @@ mod tests {
             model(&program, 100, &stream)
         );
         assert!(slot.table.lock().is_some());
+    }
+
+    /// A windowed fold that fails — appending to a spill file, or reading
+    /// one back half-way through the drain — leaves its table out of the
+    /// slot and no spill file on the worker's disk.
+    #[test]
+    fn failed_windowed_fold_leaves_no_spill_file_and_an_empty_slot() {
+        use pregelix_common::fault::{Fault, FaultPlan};
+        let program = Arc::new(Folding::<u64>(|a, b| *a.min(b)));
+        let slot = FoldSlot::new(1000, 128, program.combiner().unwrap());
+        let stream: Vec<(Vid, u64)> = (0..20_000u64).map(|i| (i * 7 % 1000, i)).collect();
+        let chaos = fault::exclusive();
+        for (site, nth) in [(Site::RunWrite, 9), (Site::RunRead, 5)] {
+            let (fm, dir) = fresh_fm();
+            // Scoped to this test's own directory: other tests spill too.
+            let scope = dir.path().to_string_lossy().into_owned();
+            chaos.install(FaultPlan::new().on(site, &scope, nth, Fault::IoError));
+            let mut fold = MsgFold::<Folding<u64>>::new(
+                Some(slot.take()),
+                GroupByKind::Sort,
+                &fm,
+                1 << 20,
+                msg_tuple_combiner(&program),
+            );
+            let added = stream.iter().try_for_each(|(d, m)| fold.add(*d, *m));
+            assert_eq!(added.is_err(), site == Site::RunWrite);
+            if added.is_ok() {
+                assert_eq!(temp_runs(&fm), 7);
+                let mut emitted = 0;
+                let drained = fold.drain(|_| {
+                    emitted += 1;
+                    Ok(())
+                });
+                assert!(drained.is_err(), "the fifth frame read back is refused");
+                assert_eq!(emitted, 128, "window 0 went out, window 1 never did");
+            } else {
+                drop(fold);
+            }
+            chaos.clear();
+            assert_eq!(temp_runs(&fm), 0, "{site:?}");
+            assert!(slot.table.lock().is_none(), "{site:?}");
+            assert_eq!(
+                fold_stream(&program, Some(&slot), &stream),
+                model(&program, 1000, &stream),
+                "{site:?}"
+            );
+        }
     }
 
     #[test]

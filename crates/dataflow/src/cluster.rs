@@ -125,61 +125,86 @@ pub struct WorkerNode {
 /// supersteps, so threads are parked and reused across jobs. Tasks may
 /// block on connector channels, so the pool must never cap concurrency —
 /// it spawns a new thread whenever no idle one is available.
+///
+/// Placement is positional: the `i`-th task a batch submits to this worker
+/// runs on the pool's `i`-th thread whenever that thread is idle. A
+/// superstep submits its tasks in one order every time, so `compute[p]`
+/// meets the same thread superstep after superstep, and what it allocates —
+/// fold tables, sort arenas, frames — comes out of the allocator arena that
+/// thread already grew for it. Handing any task to any idle thread lets the
+/// big allocations wander across per-thread arenas that each keep their
+/// high-water mark, and the process's resident size with them.
 struct WorkerPool {
-    tx: crossbeam::channel::Sender<PoolJob>,
-    rx: crossbeam::channel::Receiver<PoolJob>,
-    idle: Arc<std::sync::atomic::AtomicUsize>,
+    /// In spawn order, each with a job queue of its own.
+    threads: std::sync::Mutex<Vec<PoolThread>>,
 }
 
-type PoolJob = Box<dyn FnOnce() + Send>;
+struct PoolThread {
+    jobs: std::sync::mpsc::Sender<PoolJob>,
+    /// Set by the thread when its task has returned, cleared by the
+    /// `submit` that reserves it. The thread's `Release` store pairs with
+    /// the reserving `Acquire` exchange.
+    idle: Arc<AtomicBool>,
+}
+
+/// A task body, and where its result is reported.
+type PoolJob = (
+    Box<dyn FnOnce() -> Result<()> + Send>,
+    crossbeam::channel::Sender<Result<()>>,
+);
 
 impl WorkerPool {
     fn new() -> WorkerPool {
-        let (tx, rx) = crossbeam::channel::unbounded();
         WorkerPool {
-            tx,
-            rx,
-            idle: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
+            threads: std::sync::Mutex::new(Vec::new()),
         }
     }
 
-    fn submit(&self, job: PoolJob) {
-        // Reserve an idle thread with a compare-exchange, or spawn one born
-        // already reserved. `idle` counts threads that have *finished* a job
-        // and returned to the queue (they increment it only at that point),
-        // so a successful reservation is a guarantee that some thread will
-        // pick this job up. A load-then-send scheme can read a stale nonzero
-        // count while every live thread is parked inside a task blocked on
-        // a connector channel, leaving the job queued with no thread ever
-        // coming back for it — a deadlock when the queued job is the one
-        // that would feed those channels.
-        let mut cur = self.idle.load(Ordering::Acquire);
-        let reserved = loop {
-            if cur == 0 {
-                break false;
-            }
-            match self.idle.compare_exchange_weak(
-                cur,
-                cur - 1,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break true,
-                Err(c) => cur = c,
-            }
+    /// Hand `job` to thread `position` if it is idle, else to any idle
+    /// thread, else to a new one.
+    ///
+    /// Reserving flips the thread's own `idle` flag, which only that thread
+    /// sets, and only between two tasks: a reserved thread is on its way
+    /// back to its queue, and the job goes into that queue and no other. So
+    /// a job can never sit behind a thread that is parked inside a task
+    /// blocked on a connector channel — a deadlock when the queued job is
+    /// the one that would feed that channel.
+    fn submit(&self, position: usize, job: PoolJob) {
+        let mut threads = self.threads.lock().unwrap_or_else(|p| p.into_inner());
+        let reserve = |t: &PoolThread| {
+            t.idle
+                .compare_exchange(true, false, Ordering::Acquire, Ordering::Relaxed)
+                .is_ok()
         };
-        if !reserved {
-            let rx = self.rx.clone();
-            let idle = Arc::clone(&self.idle);
-            std::thread::spawn(move || loop {
-                match rx.recv() {
-                    Ok(job) => job(),
-                    Err(_) => return, // pool dropped
+        let preferred = threads.get(position).is_some_and(reserve);
+        let at = if preferred {
+            position
+        } else if let Some(any) = threads.iter().position(reserve) {
+            any
+        } else {
+            let (jobs, queue) = std::sync::mpsc::channel::<PoolJob>();
+            let idle = Arc::new(AtomicBool::new(false));
+            let idle_flag = Arc::clone(&idle);
+            // Detached: the thread ends when the pool, and with it the
+            // queue's sender, is dropped.
+            std::thread::spawn(move || {
+                for (task, done) in queue {
+                    let result = task();
+                    // Idle before the result is out: once `execute` has
+                    // every result of a batch, every thread of the batch
+                    // can be reserved again, and the next batch's task `i`
+                    // finds thread `i` free instead of drifting to another.
+                    idle_flag.store(true, Ordering::Release);
+                    let _ = done.send(result);
                 }
-                idle.fetch_add(1, Ordering::Release);
             });
-        }
-        self.tx.send(job).expect("own receiver alive");
+            threads.push(PoolThread { jobs, idle });
+            threads.len() - 1
+        };
+        threads[at]
+            .jobs
+            .send(job)
+            .expect("a pool thread lives as long as its queue's sender");
     }
 }
 
@@ -450,22 +475,23 @@ impl Cluster {
         let scope = self.job_scope.lock().unwrap().clone();
         let mut errors: Vec<(String, PregelixError)> = Vec::new();
         let mut pending = Vec::with_capacity(tasks.len());
+        // How many tasks of this batch each worker has been handed so far:
+        // the next one's position in its pool.
+        let mut submitted = vec![0usize; self.workers.len()];
         for task in tasks {
             let handle = self.worker(task.worker);
             let name = task.name;
             let body = task.run;
             let scope = scope.clone();
             let (done_tx, done_rx) = crossbeam::channel::bounded::<Result<()>>(1);
-            self.workers[handle.id()].pool.submit(Box::new(move || {
-                let _scope_guard = scope
-                    .as_ref()
-                    .map(pregelix_common::stats::enter_job_scope);
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                    move || -> Result<()> {
-                        handle.check_alive()?;
-                        body(handle)
-                    },
-                ))
+            let position = submitted[task.worker];
+            submitted[task.worker] += 1;
+            let run = move || {
+                let _scope_guard = scope.as_ref().map(pregelix_common::stats::enter_job_scope);
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || -> Result<()> {
+                    handle.check_alive()?;
+                    body(handle)
+                }))
                 .unwrap_or_else(|panic| {
                     let msg = panic
                         .downcast_ref::<&str>()
@@ -473,9 +499,11 @@ impl Cluster {
                         .or_else(|| panic.downcast_ref::<String>().cloned())
                         .unwrap_or_else(|| "opaque panic payload".to_string());
                     Err(PregelixError::internal(format!("task panicked: {msg}")))
-                });
-                let _ = done_tx.send(result);
-            }));
+                })
+            };
+            self.workers[task.worker]
+                .pool
+                .submit(position, (Box::new(run), done_tx));
             pending.push((name, done_rx));
         }
         for (name, done_rx) in pending {
@@ -755,6 +783,47 @@ mod tests {
                 .unwrap();
             runner.join().unwrap();
         }
+    }
+
+    /// A batch's `i`-th task on a worker runs on that worker's `i`-th pool
+    /// thread, batch after batch: four tasks that all park until the fourth
+    /// has started (so each needs a thread of its own), released, fifty
+    /// times over. Every position meets one thread throughout, and the pool
+    /// stays at four. A thread that reported its result before it was marked
+    /// idle would now and then still look busy to the next batch, whose task
+    /// would drift to another thread or a fifth.
+    #[test]
+    fn a_batch_position_keeps_its_thread_from_batch_to_batch() {
+        const TASKS: usize = 4;
+        let c = Cluster::new(ClusterConfig::new(2, 1 << 20)).unwrap();
+        let seen: Arc<std::sync::Mutex<Vec<Vec<std::thread::ThreadId>>>> =
+            Arc::new(std::sync::Mutex::new(vec![Vec::new(); TASKS]));
+        for batch in 0..50 {
+            let together = Arc::new(std::sync::Barrier::new(TASKS));
+            let mut tasks = Vec::new();
+            for i in 0..TASKS {
+                let (together, seen) = (Arc::clone(&together), Arc::clone(&seen));
+                tasks.push(Task::new(format!("b{batch}t{i}"), 0, move |_| {
+                    together.wait();
+                    seen.lock().unwrap()[i].push(std::thread::current().id());
+                    Ok(())
+                }));
+                // Worker 1's tasks count their own positions, not worker 0's.
+                tasks.push(Task::new(format!("b{batch}o{i}"), 1, |_| Ok(())));
+            }
+            c.execute(tasks).unwrap();
+        }
+        let seen = seen.lock().unwrap();
+        for (i, threads) in seen.iter().enumerate() {
+            assert_eq!(threads.len(), 50);
+            assert!(
+                threads.iter().all(|t| *t == threads[0]),
+                "position {i} moved between threads: {threads:?}"
+            );
+        }
+        let distinct: std::collections::HashSet<_> = seen.iter().map(|t| t[0]).collect();
+        assert_eq!(distinct.len(), TASKS);
+        assert_eq!(c.workers[0].pool.threads.lock().unwrap().len(), TASKS);
     }
 
     #[test]

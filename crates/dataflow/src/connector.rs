@@ -44,7 +44,7 @@ use pregelix_common::frame::{tuple_vid, Frame, SharedFrame};
 use pregelix_common::hash_partition;
 use pregelix_common::stats::ClusterCounters;
 use pregelix_storage::file::FileManager;
-use pregelix_storage::runfile::{RunHandle, RunWriter};
+use pregelix_storage::runfile::{RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, SortedStream};
 use std::sync::{Arc, Mutex};
 
@@ -241,10 +241,11 @@ pub type AggregatorReceiver = PartitionReceiver;
 /// wire echo a duplication fault produces (run files are single-owner, so a
 /// "duplicated transfer" is an echo of the handle, not a second handle —
 /// the receiver discards it by the one-handle-per-stream invariant, the
-/// handle-granularity analogue of seq-number dedup).
+/// handle-granularity analogue of seq-number dedup). The handle travels as a
+/// [`TempRun`]: one no receiver ever takes is deleted with the channel.
 pub enum MergeMsg {
     /// The sealed run for this pair.
-    Handle(RunHandle),
+    Handle(TempRun),
     /// A wire-duplicated echo of the handle.
     Duplicate,
 }
@@ -252,7 +253,7 @@ pub enum MergeMsg {
 /// Control plane of one merge-handle stream: a wire-lost handle is parked
 /// here by the sender and recovered by the receiver at disconnect, exactly
 /// like the frame transport's [`crate::transport::StreamCtrl`].
-type MergeCtrl = Arc<Mutex<Option<RunHandle>>>;
+type MergeCtrl = Arc<Mutex<Option<TempRun>>>;
 
 /// Sender endpoint of one merge-handle stream.
 pub struct MergeTx {
@@ -358,7 +359,7 @@ impl MaterializedPartitioner {
             .zip(self.handle_txs.into_iter())
             .enumerate()
         {
-            let handle = writer.finish()?;
+            let handle = TempRun::from(writer.finish()?);
             let mut duplicate = false;
             if let Some(f) = fault::hit(Site::FrameSend, "merge") {
                 self.counters.add_faults_injected(1);
@@ -393,7 +394,7 @@ impl MaterializedPartitioner {
     }
 }
 
-fn lock_merge(ctrl: &Mutex<Option<RunHandle>>) -> std::sync::MutexGuard<'_, Option<RunHandle>> {
+fn lock_merge(ctrl: &Mutex<Option<TempRun>>) -> std::sync::MutexGuard<'_, Option<TempRun>> {
     ctrl.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -684,6 +685,47 @@ mod tests {
             Ok(())
         }));
         c.execute(tasks).unwrap();
+    }
+
+    /// Spilled sender-side runs have an owner at every moment: the
+    /// partitioner until `finish`, the channel until the receiver takes the
+    /// handle, the merge after that. Whichever of them is dropped with the
+    /// run deletes its file.
+    #[test]
+    fn spilled_merge_runs_are_deleted_wherever_their_task_stops() {
+        let _guard = fault::exclusive();
+        let c = cluster(1);
+        let w = c.worker(0);
+        let files = || w.file_manager().temp_files().unwrap().len();
+        let fill = |tx: &mut MaterializedPartitioner| {
+            for vid in 0..8_000u64 {
+                tx.send(&keyed_tuple(vid, &[0u8; 24])).unwrap();
+            }
+        };
+        // The sender dies before `finish`.
+        let (mut sends, recvs) = merging_channels(1, 2);
+        let mut tx =
+            MaterializedPartitioner::new(w.file_manager(), sends.remove(0), 0, vec![0, 0]).unwrap();
+        fill(&mut tx);
+        assert_eq!(files(), 2, "both runs are past the in-memory threshold");
+        drop(tx);
+        assert_eq!(files(), 0);
+        drop(recvs);
+        // The sender finishes, one receiver never runs, the other stops
+        // between taking its runs and draining them.
+        let (mut sends, mut recvs) = merging_channels(1, 2);
+        let mut tx =
+            MaterializedPartitioner::new(w.file_manager(), sends.remove(0), 0, vec![0, 0]).unwrap();
+        fill(&mut tx);
+        tx.finish().unwrap();
+        assert_eq!(files(), 2);
+        let stream = MergingReceiver::new(recvs.remove(0), w.counters().clone())
+            .into_stream(None)
+            .unwrap();
+        drop(recvs);
+        assert_eq!(files(), 1, "the handle nobody took went with its channel");
+        drop(stream);
+        assert_eq!(files(), 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use pregelix_common::error::Result;
 use pregelix_common::stats::ClusterCounters;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::radix::{SortMode, TupleRadixSorter};
-use pregelix_storage::runfile::{RunHandle, RunWriter};
+use pregelix_storage::runfile::{RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, ExternalSorter, SortedStream};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -157,7 +157,9 @@ pub struct HashSortGroupBy {
     combiner: Option<CombineFn>,
     map: HashMap<u64, Vec<u8>>,
     bytes: usize,
-    runs: Vec<RunHandle>,
+    /// Spilled runs: deleted with the operator unless `finish` hands them
+    /// to the merge first.
+    runs: Vec<TempRun>,
     counters: ClusterCounters,
     /// Pooled storage for drained table contents; reset (chunks recycled)
     /// before every drain.
@@ -256,7 +258,7 @@ impl HashSortGroupBy {
             spilled_bytes += t.len() as u64;
             w.write_tuple(t)?;
         }
-        self.runs.push(w.finish()?);
+        self.runs.push(w.finish()?.into());
         self.counters.add_sort_runs(1);
         self.counters.add_sort_bytes_spilled(spilled_bytes);
         Ok(())
@@ -268,7 +270,7 @@ impl HashSortGroupBy {
             self.counters.clone(),
         )?;
         w.write_tuple(tuple)?;
-        self.runs.push(w.finish()?);
+        self.runs.push(w.finish()?.into());
         self.counters.add_sort_runs(1);
         self.counters.add_sort_bytes_spilled(tuple.len() as u64);
         Ok(())
@@ -400,6 +402,24 @@ mod tests {
         for (i, (vid, sum)) in out.iter().enumerate() {
             assert_eq!(*vid, i as u64);
             assert_eq!(*sum, 20);
+        }
+    }
+
+    /// Either kind, dropped between its spills and `finish` — a task that
+    /// died there — leaves no run file on the worker's disk.
+    #[test]
+    fn a_groupby_dropped_after_spilling_deletes_its_runs() {
+        for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
+            let (f, _d) = fm();
+            let mut g = LocalGroupBy::with_fold(kind, &f, "gone", 2048, Some(sum_combiner()));
+            for vid in 0..4_000u64 {
+                g.add(&keyed_tuple(vid, &1u64.to_le_bytes())).unwrap();
+            }
+            assert!(f.counters().sort_runs_spilled() >= 2, "{kind:?}");
+            let runs = || f.temp_files().unwrap().len();
+            assert_eq!(runs() as u64, f.counters().sort_runs_spilled(), "{kind:?}");
+            drop(g);
+            assert_eq!(runs(), 0, "{kind:?}");
         }
     }
 

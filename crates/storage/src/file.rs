@@ -213,6 +213,23 @@ impl FileManager {
         self.inner.root.join(format!("tmp-{label}-{n}.run"))
     }
 
+    /// The temporary files under the root right now: what
+    /// [`temp_file_path`](Self::temp_file_path) named and nobody has deleted
+    /// yet. Between jobs there are none — every temporary run is deleted by
+    /// whoever held it when its task ended.
+    pub fn temp_files(&self) -> Result<Vec<PathBuf>> {
+        let mut found = Vec::new();
+        for entry in std::fs::read_dir(&self.inner.root)? {
+            let path = entry?.path();
+            let name = path.file_name().unwrap_or_default().to_string_lossy();
+            if name.starts_with("tmp-") && name.ends_with(".run") {
+                found.push(path);
+            }
+        }
+        found.sort();
+        Ok(found)
+    }
+
     fn page_file_path(&self, id: FileId) -> PathBuf {
         self.inner.root.join(format!("pf-{}.dat", id.0))
     }

@@ -12,6 +12,14 @@
 //! sparse superstep's messages) then cost no file I/O at all, which is the
 //! behaviour a warm OS page cache would give on faster file systems.
 //! Disk-traffic counters only see bytes that actually hit the file.
+//!
+//! Who deletes a run's file follows from its type. A [`RunWriter`] dropped
+//! before [`finish`](RunWriter::finish) removes what it wrote; a sealed
+//! [`RunHandle`] is a plain description whose holder deletes it by hand (the
+//! `Msg` partition files, which outlive the task that wrote them); a
+//! [`TempRun`] is a handle that deletes its file when dropped — what every
+//! spill is held as, so an operator that dies between its first spill and
+//! the end of its merge leaves nothing behind.
 
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Site};
@@ -42,20 +50,39 @@ pub struct RunWriter {
 }
 
 impl RunWriter {
+    fn new(path: PathBuf, sink: Sink, counters: ClusterCounters, staging: Frame) -> RunWriter {
+        RunWriter {
+            path,
+            sink,
+            counters,
+            bytes: 0,
+            frames: 0,
+            staging,
+            scratch: Vec::new(),
+        }
+    }
+
     /// Create an unbuffered run file at `path` (truncating any existing
     /// file). Every record goes straight to disk.
     pub fn create(path: impl Into<PathBuf>, counters: ClusterCounters) -> Result<RunWriter> {
         let path = path.into();
-        let file = File::create(&path)?;
-        Ok(RunWriter {
-            path,
-            sink: Sink::File(BufWriter::new(file)),
-            counters,
-            bytes: 0,
-            frames: 0,
-            staging: Frame::new(),
-            scratch: Vec::new(),
-        })
+        let sink = Sink::File(BufWriter::new(File::create(&path)?));
+        Ok(RunWriter::new(path, sink, counters, Frame::new()))
+    }
+
+    /// Create an unbuffered run whose records carry `record_bytes` of tuple
+    /// data each and go to the file as they fill, with no file buffer behind
+    /// the staging frame: what the writer holds is that one frame. For
+    /// operators that keep many runs open at once against a memory budget.
+    pub fn create_paged(
+        path: impl Into<PathBuf>,
+        counters: ClusterCounters,
+        record_bytes: usize,
+    ) -> Result<RunWriter> {
+        let path = path.into();
+        let sink = Sink::File(BufWriter::with_capacity(0, File::create(&path)?));
+        let staging = Frame::with_capacity(record_bytes);
+        Ok(RunWriter::new(path, sink, counters, staging))
     }
 
     /// Create a buffered run: data stays in memory until it exceeds
@@ -67,18 +94,11 @@ impl RunWriter {
         counters: ClusterCounters,
         threshold: usize,
     ) -> RunWriter {
-        RunWriter {
-            path: path.into(),
-            sink: Sink::Mem {
-                buf: Vec::new(),
-                threshold,
-            },
-            counters,
-            bytes: 0,
-            frames: 0,
-            staging: Frame::new(),
-            scratch: Vec::new(),
-        }
+        let sink = Sink::Mem {
+            buf: Vec::new(),
+            threshold,
+        };
+        RunWriter::new(path.into(), sink, counters, Frame::new())
     }
 
     /// Append a whole frame.
@@ -90,12 +110,15 @@ impl RunWriter {
                 return Err(fault::injected_error(Site::RunWrite, &ctx));
             }
         }
+        // `[u32 len][frame]` assembled once, so a record is one write.
         self.scratch.clear();
+        self.scratch.extend_from_slice(&[0; 4]);
         frame.serialize(&mut self.scratch);
-        let rec_len = 4 + self.scratch.len() as u64;
+        let len = (self.scratch.len() - 4) as u32;
+        self.scratch[..4].copy_from_slice(&len.to_le_bytes());
+        let rec_len = self.scratch.len() as u64;
         match &mut self.sink {
             Sink::Mem { buf, threshold } => {
-                buf.extend_from_slice(&(self.scratch.len() as u32).to_le_bytes());
                 buf.extend_from_slice(&self.scratch);
                 if buf.len() > *threshold {
                     // Spill: everything buffered so far hits the disk now.
@@ -106,7 +129,6 @@ impl RunWriter {
                 }
             }
             Sink::File(out) => {
-                out.write_all(&(self.scratch.len() as u32).to_le_bytes())?;
                 out.write_all(&self.scratch)?;
                 self.counters.add_disk_write(rec_len);
             }
@@ -119,8 +141,11 @@ impl RunWriter {
     /// Append a single tuple, buffering into an internal staging frame.
     pub fn write_tuple(&mut self, tuple: &[u8]) -> Result<()> {
         if !self.staging.try_append(tuple) {
-            let full = std::mem::replace(&mut self.staging, Frame::new());
-            self.write_frame(&full)?;
+            let mut full = std::mem::take(&mut self.staging);
+            let written = self.write_frame(&full);
+            full.clear();
+            self.staging = full;
+            written?;
             let ok = self.staging.try_append(tuple);
             debug_assert!(ok, "empty frame accepts any tuple");
         }
@@ -133,18 +158,34 @@ impl RunWriter {
             let last = std::mem::take(&mut self.staging);
             self.write_frame(&last)?;
         }
-        let backing = match self.sink {
+        if let Sink::File(out) = &mut self.sink {
+            out.flush()?;
+        }
+        // Sealed: an empty memory sink is what `drop` finds, so the file
+        // stays.
+        let sealed = Sink::Mem {
+            buf: Vec::new(),
+            threshold: 0,
+        };
+        let backing = match std::mem::replace(&mut self.sink, sealed) {
             Sink::Mem { buf, .. } => Backing::Mem(Arc::new(buf)),
-            Sink::File(mut out) => {
-                out.flush()?;
-                Backing::File(self.path)
-            }
+            Sink::File(_) => Backing::File(std::mem::take(&mut self.path)),
         };
         Ok(RunHandle {
             backing,
             bytes: self.bytes,
             frames: self.frames,
         })
+    }
+}
+
+/// A writer dropped before [`finish`](RunWriter::finish) — its task failed,
+/// or an earlier writer of the same set did — takes its file with it.
+impl Drop for RunWriter {
+    fn drop(&mut self) {
+        if matches!(self.sink, Sink::File(_)) {
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 }
 
@@ -215,6 +256,7 @@ impl RunHandle {
             input,
             counters,
             ctx,
+            record: Vec::new(),
             pending: Frame::default(),
             pending_idx: 0,
             done: false,
@@ -224,14 +266,46 @@ impl RunHandle {
     /// Delete the backing file (no-op for in-memory runs or already
     /// deleted files).
     pub fn delete(self) -> Result<()> {
-        match self.backing {
+        self.remove_file()
+    }
+
+    fn remove_file(&self) -> Result<()> {
+        match &self.backing {
             Backing::Mem(_) => Ok(()),
-            Backing::File(p) => match std::fs::remove_file(&p) {
+            Backing::File(p) => match std::fs::remove_file(p) {
                 Ok(()) => Ok(()),
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
                 Err(e) => Err(e.into()),
             },
         }
+    }
+}
+
+/// A sealed run that belongs to its holder alone: dropping it deletes the
+/// backing file. Sorter and hash-table spills, the merging connector's runs
+/// on their way to a receiver, a merge's inputs and the fold-window spill
+/// files are all held this way, so whichever operator has the run when its
+/// task ends — normally or not — is the one that cleans it up.
+#[derive(Debug)]
+pub struct TempRun(RunHandle);
+
+impl From<RunHandle> for TempRun {
+    fn from(run: RunHandle) -> TempRun {
+        TempRun(run)
+    }
+}
+
+impl std::ops::Deref for TempRun {
+    type Target = RunHandle;
+
+    fn deref(&self) -> &RunHandle {
+        &self.0
+    }
+}
+
+impl Drop for TempRun {
+    fn drop(&mut self) {
+        let _ = self.0.remove_file();
     }
 }
 
@@ -245,10 +319,8 @@ impl Input {
         match self {
             Input::Mem { buf, pos } => {
                 if buf.len() - *pos < out.len() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::UnexpectedEof,
-                        "in-memory run exhausted",
-                    ));
+                    // Every run ends here: an error that allocates nothing.
+                    return Err(std::io::ErrorKind::UnexpectedEof.into());
                 }
                 out.copy_from_slice(&buf[*pos..*pos + out.len()]);
                 *pos += out.len();
@@ -270,14 +342,27 @@ pub struct RunReader {
     /// Fault-injection context (run path); only populated while a plan is
     /// installed, so production readers never allocate for it.
     ctx: String,
+    /// The bytes of the record `pending` was decoded from. Like `pending`
+    /// it is reused from record to record: past its first frame a reader
+    /// allocates only when a record is larger than any before it.
+    record: Vec<u8>,
     pending: Frame,
     pending_idx: usize,
     done: bool,
 }
 
 impl RunReader {
-    /// Read the next frame, or `None` at end of run.
+    /// Read the next frame, or `None` at end of run. The frame is the
+    /// reader's own decode buffer, handed over: callers that only look at
+    /// tuples use [`advance`](Self::advance), which keeps it.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
+        Ok(self
+            .fill_pending()?
+            .then(|| std::mem::take(&mut self.pending)))
+    }
+
+    /// Decode the next record into `pending`; `false` at end of run.
+    fn fill_pending(&mut self) -> Result<bool> {
         if fault::active() && fault::hit(Site::RunRead, &self.ctx).is_some() {
             self.counters.add_faults_injected(1);
             return Err(fault::injected_error(Site::RunRead, &self.ctx));
@@ -285,21 +370,21 @@ impl RunReader {
         let mut len_buf = [0u8; 4];
         match self.input.read_exact(&mut len_buf) {
             Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
             Err(e) => return Err(e.into()),
         }
         let len = u32::from_le_bytes(len_buf) as usize;
-        let mut buf = vec![0u8; len];
-        self.input.read_exact(&mut buf)?;
+        self.record.resize(len, 0);
+        self.input.read_exact(&mut self.record)?;
         if self.input.is_file() {
             self.counters.add_disk_read(4 + len as u64);
         }
-        let mut slice = &buf[..];
-        let frame = Frame::deserialize(&mut slice)?;
-        if !slice.is_empty() {
+        let mut rest = &self.record[..];
+        self.pending.deserialize_into(&mut rest)?;
+        if !rest.is_empty() {
             return Err(PregelixError::corrupt("trailing bytes in run record"));
         }
-        Ok(Some(frame))
+        Ok(true)
     }
 
     /// Read the next tuple (frame boundaries hidden), or `None` at the end.
@@ -313,14 +398,10 @@ impl RunReader {
             if self.done {
                 return Ok(None);
             }
-            match self.next_frame()? {
-                Some(f) => {
-                    self.pending = f;
-                    self.pending_idx = 0;
-                }
-                None => {
-                    self.done = true;
-                }
+            if self.fill_pending()? {
+                self.pending_idx = 0;
+            } else {
+                self.done = true;
             }
         }
     }
@@ -341,16 +422,12 @@ impl RunReader {
                 self.pending_idx = self.pending.len();
                 return Ok(false);
             }
-            match self.next_frame()? {
-                Some(f) => {
-                    self.pending = f;
-                    // One less than the first index, so the wrapping
-                    // increment above lands on tuple 0.
-                    self.pending_idx = usize::MAX;
-                }
-                None => {
-                    self.done = true;
-                }
+            if self.fill_pending()? {
+                // One less than the first index, so the wrapping
+                // increment above lands on tuple 0.
+                self.pending_idx = usize::MAX;
+            } else {
+                self.done = true;
             }
         }
     }
@@ -442,6 +519,60 @@ mod tests {
         let path = h.path().unwrap().to_path_buf();
         h.delete().unwrap();
         assert!(!path.exists());
+    }
+
+    #[test]
+    fn unfinished_writers_and_temp_runs_delete_their_files() {
+        let dir = TempDir::new("run").unwrap();
+        let path = dir.path().join("u.run");
+        // Dropped before `finish`: unbuffered, and buffered past its threshold.
+        let mut w = RunWriter::create(&path, counters()).unwrap();
+        w.write_tuple(b"x").unwrap();
+        assert!(path.exists());
+        drop(w);
+        assert!(!path.exists());
+        let mut w = RunWriter::create_buffered(&path, counters(), 64);
+        for _ in 0..2_000 {
+            w.write_tuple(&[7u8; 32]).unwrap();
+        }
+        assert!(path.exists(), "spilled past the threshold");
+        drop(w);
+        assert!(!path.exists());
+        // Finished: the file is the handle's, and goes with a `TempRun`.
+        let mut w = RunWriter::create(&path, counters()).unwrap();
+        w.write_tuple(b"x").unwrap();
+        let h = w.finish().unwrap();
+        assert!(path.exists(), "a sealed run outlives its writer");
+        let temp = TempRun::from(h.clone());
+        assert_eq!((temp.frames(), temp.path()), (1, Some(path.as_path())));
+        drop(temp);
+        assert!(!path.exists());
+        h.delete().unwrap(); // already gone: a no-op
+    }
+
+    #[test]
+    fn paged_writer_puts_one_staging_frame_in_each_record() {
+        let dir = TempDir::new("run").unwrap();
+        let c = counters();
+        let mut w = RunWriter::create_paged(dir.path().join("p.run"), c.clone(), 4096).unwrap();
+        for i in 0..10_000u32 {
+            let mut t = i.to_le_bytes().to_vec();
+            t.extend_from_slice(&[0xAB; 8]);
+            w.write_tuple(&t).unwrap();
+        }
+        let h = w.finish().unwrap();
+        // 341 twelve-byte tuples fill 4096 bytes; a record is its length
+        // prefix, the tuple count, an offset per tuple and the tuple bytes.
+        assert_eq!(h.frames(), 10_000u64.div_ceil(341));
+        assert_eq!(h.bytes(), 8 * h.frames() + 10_000 * (4 + 12));
+        assert_eq!(c.disk_write_bytes(), h.bytes(), "no byte waits in a buffer");
+        let mut r = h.open(c).unwrap();
+        let mut n = 0u32;
+        while r.advance().unwrap() {
+            assert_eq!(r.current().unwrap()[..4], n.to_le_bytes());
+            n += 1;
+        }
+        assert_eq!(n, 10_000);
     }
 
     #[test]

@@ -38,7 +38,7 @@
 
 use crate::file::FileManager;
 use crate::radix::{SortMode, TupleRadixSorter};
-use crate::runfile::{RunHandle, RunReader, RunWriter};
+use crate::runfile::{RunReader, RunWriter, TempRun};
 use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
 use pregelix_common::frame::key_prefix;
@@ -68,7 +68,9 @@ pub struct ExternalSorter {
     arena: TupleArena,
     refs: Vec<(u64, TupleRef)>,
     sorter: TupleRadixSorter,
-    runs: Vec<RunHandle>,
+    /// Spilled runs. Theirs until `finish` hands them to the merge, so a
+    /// sorter dropped before that deletes what it spilled.
+    runs: Vec<TempRun>,
     combiner: Option<CombineFn>,
 }
 
@@ -164,7 +166,7 @@ impl ExternalSorter {
                 }
             }
         }
-        self.runs.push(w.finish()?);
+        self.runs.push(w.finish()?.into());
         self.fm.counters().add_sort_runs(1);
         self.fm.counters().add_sort_bytes_spilled(spilled_bytes);
         self.arena.reset();
@@ -203,7 +205,7 @@ impl ExternalSorter {
             readers,
             heap: Vec::new(),
             root_consumed: false,
-            runs: self.runs,
+            _runs: self.runs,
             combiner: self.combiner,
             acc: Vec::new(),
         };
@@ -276,7 +278,9 @@ pub struct SortedStream {
     /// `next_tuple` call (lent out or folded); its source is advanced and
     /// the root re-seated on the next call.
     root_consumed: bool,
-    runs: Vec<RunHandle>,
+    /// The merge's inputs: held only so that they are deleted with the
+    /// stream, whether it was drained or not.
+    _runs: Vec<TempRun>,
     combiner: Option<CombineFn>,
     /// Scratch accumulator for combined groups (reused across calls).
     acc: Vec<u8>,
@@ -290,7 +294,7 @@ impl SortedStream {
     /// for callers that hold owned tuples.
     pub fn from_parts(
         memory: Vec<Vec<u8>>,
-        runs: Vec<RunHandle>,
+        runs: Vec<TempRun>,
         combiner: Option<CombineFn>,
         counters: pregelix_common::stats::ClusterCounters,
     ) -> Result<SortedStream> {
@@ -308,7 +312,7 @@ impl SortedStream {
     pub fn from_arena_parts(
         arena: TupleArena,
         refs: Vec<TupleRef>,
-        runs: Vec<RunHandle>,
+        runs: Vec<TempRun>,
         combiner: Option<CombineFn>,
         counters: pregelix_common::stats::ClusterCounters,
     ) -> Result<SortedStream> {
@@ -327,7 +331,7 @@ impl SortedStream {
             readers,
             heap: Vec::new(),
             root_consumed: false,
-            runs,
+            _runs: runs,
             combiner,
             acc: Vec::new(),
         };
@@ -508,14 +512,6 @@ fn current_of<'a>(
     }
 }
 
-impl Drop for SortedStream {
-    fn drop(&mut self) {
-        for run in self.runs.drain(..) {
-            let _ = run.delete();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,12 +614,12 @@ mod tests {
     #[test]
     fn merge_orders_equal_prefixes_by_the_bytes_behind_them() {
         let (f, _d) = fm();
-        let run = |tuples: &[Vec<u8>]| {
+        let run = |tuples: &[Vec<u8>]| -> TempRun {
             let mut w = RunWriter::create(f.temp_file_path("order"), f.counters().clone()).unwrap();
             for t in tuples {
                 w.write_tuple(t).unwrap();
             }
-            w.finish().unwrap()
+            w.finish().unwrap().into()
         };
         // Three sources whose tuples share prefixes (vids 1 and 2) and differ
         // only behind them, interleaved so no source holds a contiguous range.
@@ -814,6 +810,30 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().contains("gc"))
             .collect();
         assert!(leftovers.is_empty(), "spill files must be deleted: {leftovers:?}");
+    }
+
+    #[test]
+    fn a_sorter_dropped_after_spilling_deletes_its_runs() {
+        let (f, _d) = fm();
+        let mut s = ExternalSorter::new(f.clone(), "dropped", 1024);
+        for vid in 0..5000u64 {
+            s.add(&keyed_tuple(vid, b"pay")).unwrap();
+        }
+        assert!(s.spilled_runs() >= 2);
+        assert_eq!(f.temp_files().unwrap().len(), s.spilled_runs());
+        // What a task that fails between its first spill and `finish` does.
+        drop(s);
+        assert!(f.temp_files().unwrap().is_empty());
+
+        // A spill that fails half-way takes its partial file with it too.
+        use pregelix_common::fault::{self, Fault, FaultPlan, Site};
+        let chaos = fault::exclusive();
+        let mut s = ExternalSorter::new(f.clone(), "torn", 64 << 10);
+        chaos.install(FaultPlan::new().on(Site::RunWrite, "tmp-torn", 2, Fault::IoError));
+        let failed = (0..20_000u64).any(|vid| s.add(&keyed_tuple(vid, b"pay")).is_err());
+        drop(chaos);
+        assert!(failed, "the second frame of the first spill is refused");
+        assert!(f.temp_files().unwrap().is_empty());
     }
 
     #[test]

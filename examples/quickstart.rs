@@ -66,10 +66,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         // How the senders combined those messages per destination, and why:
         // decided from the program's types, the graph's vid range and the
-        // group-by budget.
+        // group-by budget — which also says how many windows the fold table
+        // covers the vids in when it does not fit whole.
         println!(
-            "  sender-side combine: {} — {} folded by address, {} sorted as strays",
-            summary.sender_fold, summary.job_stats.msgs_folded_direct, summary.job_stats.msgs_stray
+            "  sender-side combine: {} — {} folded by address ({} via a window spill file), \
+             {} sorted as strays",
+            summary.sender_fold,
+            summary.job_stats.msgs_folded_direct,
+            summary.job_stats.msgs_fold_spilled,
+            summary.job_stats.msgs_stray
         );
     }
 

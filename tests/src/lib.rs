@@ -15,8 +15,9 @@
 //! * `property_based` — proptest: random graphs × random plans vs
 //!   single-machine references.
 //! * `sender_fold` — the sender-side fold table against the sort path it
-//!   stands in for: same answers over connectors × joins × stores, and a
-//!   table over budget means the sort path exactly.
+//!   stands in for, and in windows against itself resident: same answers
+//!   over connectors × joins × stores, and a table whose windows' spill
+//!   buffers are over budget means the sort path exactly.
 //! * `row_write_back`, `row_cursor_allocs` — the fused scan/compute/update
 //!   operator (§5.3.2): resized rows and rewritten edge lists fall back to
 //!   whole-row writes and stay correct; a steady-state `compute` call
@@ -91,11 +92,13 @@ pub fn chaos_digest(
             "slabr" => s.slab_recycled,
             "fcopy" => s.frame_bytes_copied,
             "fold" => s.msgs_folded_direct,
+            "fspill" => s.msgs_fold_spilled,
             "stray" => s.msgs_stray,
             "jcmp" => j.compute_calls,
             "jmsgs" => j.messages_sent,
             "jcomb" => j.messages_combined,
             "jfold" => j.msgs_folded_direct,
+            "jfspill" => j.msgs_fold_spilled,
             "jstray" => j.msgs_stray,
             other => panic!("chaos_digest: no field labelled {other:?}"),
         };

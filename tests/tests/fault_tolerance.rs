@@ -97,7 +97,7 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
     integration_tests::chaos_digest(
         scenario,
         "recoveries retries supersteps injected probes redesc bloomneg bloomfp radixn rskip \
-         cmpfb conf cfb logw logr ckret slaba slabr fcopy fold stray jcmp jmsgs jcomb",
+         cmpfb conf cfb logw logr ckret slaba slabr fcopy fold fspill stray jcmp jmsgs jcomb",
         summary,
         injected,
         integration_tests::values_hash(values),
@@ -408,29 +408,45 @@ impl VertexProgram for FailingCc {
             self.raised.fetch_add(1, Ordering::Relaxed);
             return Err(PregelixError::user("deliberate UDF failure at superstep 3"));
         }
-        let mut min_label = if ctx.superstep() == 1 {
-            ctx.vid()
-        } else {
-            *ctx.value()
-        };
-        for m in ctx.messages() {
-            min_label = min_label.min(*m);
-        }
-        if ctx.superstep() == 1 || min_label < *ctx.value() {
-            ctx.set_value(min_label);
-            ctx.send_message_to_all_edges(min_label);
-        }
-        ctx.vote_to_halt();
+        min_label_step(ctx);
         Ok(())
     }
 
     fn init_vertex(&self, vid: u64, edges: Vec<(u64, f64)>) -> VertexData<Self> {
-        VertexData::new(
-            vid,
-            vid,
-            edges.into_iter().map(|(d, _)| Edge::new(d, ())).collect(),
-        )
+        labelled_by_vid(vid, edges)
     }
+}
+
+/// One superstep of min-label propagation, for the programs of this suite
+/// that are connected components plus a fault of their own.
+fn min_label_step<P>(ctx: &mut ComputeContext<'_, P>)
+where
+    P: VertexProgram<VertexValue = u64, EdgeValue = (), Message = u64>,
+{
+    let mut min_label = if ctx.superstep() == 1 {
+        ctx.vid()
+    } else {
+        *ctx.value()
+    };
+    for m in ctx.messages() {
+        min_label = min_label.min(*m);
+    }
+    if ctx.superstep() == 1 || min_label < *ctx.value() {
+        ctx.set_value(min_label);
+        ctx.send_message_to_all_edges(min_label);
+    }
+    ctx.vote_to_halt();
+}
+
+fn labelled_by_vid<P>(vid: u64, edges: Vec<(u64, f64)>) -> VertexData<P>
+where
+    P: VertexProgram<VertexValue = u64, EdgeValue = (), Message = u64>,
+{
+    VertexData::new(
+        vid,
+        vid,
+        edges.into_iter().map(|(d, _)| Edge::new(d, ())).collect(),
+    )
 }
 
 /// A user-code error mid-superstep must NOT trigger checkpoint replay,
@@ -460,6 +476,85 @@ fn user_error_mid_superstep_is_forwarded_not_replayed() {
         1,
         "the failing compute must not be replayed from a checkpoint"
     );
+}
+
+/// Connected components, combined by `min`, that switches worker 2 off when
+/// `compute[2]` (on that worker, one partition each over four) reaches its
+/// 600th vertex of superstep 2: a machine lost in the middle of a
+/// superstep, its own task some hundred kilobytes of messages into its
+/// spills and every other task half-way through talking to it.
+struct PowerCutCc {
+    cluster: Arc<Cluster>,
+    calls: AtomicU64,
+}
+
+impl VertexProgram for PowerCutCc {
+    type VertexValue = u64;
+    type EdgeValue = ();
+    type Message = u64;
+    type Aggregate = ();
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+        if ctx.superstep() == 2
+            && pregelix::common::hash_partition(ctx.vid(), 4) == 2
+            && self.calls.fetch_add(1, Ordering::Relaxed) == 600
+        {
+            self.cluster.fail_worker(2);
+        }
+        min_label_step(ctx);
+        Ok(())
+    }
+
+    fn init_vertex(&self, vid: u64, edges: Vec<(u64, f64)>) -> VertexData<Self> {
+        labelled_by_vid(vid, edges)
+    }
+
+    fn combiner(&self) -> Option<MessageCombiner<u64>> {
+        Some(Arc::new(|a, b| *a.min(b)))
+    }
+}
+
+/// A worker lost mid-superstep on a job that spills on both sides of the
+/// connector — fold-window spill files at the senders, sorted runs at the
+/// regrouping receivers — takes down every task that was talking to it, each
+/// somewhere between its first spill and its `finish`. The job rolls back
+/// to its checkpoint and completes on the survivors, and no worker's disk
+/// (the dead one's included) is left holding a temporary run: whoever held
+/// one when its task ended deleted it.
+#[test]
+fn worker_lost_mid_superstep_leaves_no_temporary_run_behind() {
+    let _guard = fault::exclusive();
+    let records = btc::btc(5_000, 4.0, 31);
+    let expected = reference_cc(&records);
+    // 256 KiB workers: a 32 KiB group-by budget, so three fold windows at
+    // the senders and a receiver regroup that spills.
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 256 << 10)).unwrap());
+    let program = Arc::new(PowerCutCc {
+        cluster: Arc::clone(&cluster),
+        calls: AtomicU64::new(0),
+    });
+    let job = PregelixJob::new("ft-powercut").with_checkpoint_interval(1);
+    let (summary, graph) = run_job_from_records(&cluster, &program, &job, records).unwrap();
+    assert_eq!(
+        summary.recoveries, 1,
+        "mid-superstep death: one global rollback"
+    );
+    assert_eq!(summary.stats.confined_recoveries, 0);
+    assert_eq!(cluster.alive_workers(), vec![0, 1, 3]);
+    assert!(
+        matches!(summary.sender_fold, SenderFold::Direct { windows: 3, .. }),
+        "{}",
+        summary.sender_fold
+    );
+    assert!(summary.stats.msgs_fold_spilled > 0, "senders spilled");
+    assert!(summary.stats.sort_runs_spilled > 0, "receivers spilled");
+    for (vid, label) in cc_values(&graph) {
+        assert_eq!(label, expected[&vid], "vid {vid}");
+    }
+    for id in 0..cluster.size() {
+        let left = cluster.worker(id).file_manager().temp_files().unwrap();
+        assert!(left.is_empty(), "worker {id} still holds {left:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ impl JobOutcome {
 fn chaos_digest(scenario: &str, outcome: &JobOutcome) {
     integration_tests::chaos_digest(
         &format!("{scenario}:{}", outcome.tag),
-        "supersteps recoveries jcmp jmsgs jcomb jfold jstray",
+        "supersteps recoveries jcmp jmsgs jcomb jfold jfspill jstray",
         &outcome.summary,
         0,
         integration_tests::fnv1a(

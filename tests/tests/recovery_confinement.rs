@@ -65,7 +65,22 @@ where
     P: VertexProgram,
     F: Fn(&P::VertexValue) -> u64,
 {
-    let cluster = Cluster::new(ClusterConfig::new(4, 8 << 20)).unwrap();
+    run_case_with_ram(program, job, records, to_bits, 8 << 20)
+}
+
+/// [`run_case`] on workers of `worker_ram` bytes.
+fn run_case_with_ram<P, F>(
+    program: &Arc<P>,
+    job: &PregelixJob,
+    records: &[(u64, Vec<(u64, f64)>)],
+    to_bits: &F,
+    worker_ram: usize,
+) -> (JobSummary, Vec<(u64, u64)>)
+where
+    P: VertexProgram,
+    F: Fn(&P::VertexValue) -> u64,
+{
+    let cluster = Cluster::new(ClusterConfig::new(4, worker_ram)).unwrap();
     let (summary, graph) =
         run_job_from_records(&cluster, program, job, records.to_vec()).unwrap();
     let mut values: Vec<(u64, u64)> = graph
@@ -83,7 +98,7 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
     integration_tests::chaos_digest(
         scenario,
         "recoveries retries supersteps injected dead conf cfb logw logr ckret slaba slabr fcopy \
-         fold stray jcmp jmsgs jcomb",
+         fold fspill stray jcmp jmsgs jcomb",
         summary,
         injected,
         integration_tests::values_hash(values),
@@ -269,6 +284,51 @@ fn confined_replay_consumes_logged_runs() {
     );
     assert_eq!(values, expected);
     chaos_digest("replay-runs", &summary, plan.injected(), &values);
+}
+
+/// The same death on workers too small for the senders' fold tables: each
+/// `compute[p]` covers the vids in three windows, two of them through spill
+/// files, and tees what the drain emits — after every window was read back
+/// — into its message log. The replayed partition's inbound messages come
+/// out of those logs, so values equal to the no-fault run mean the tee saw
+/// all three windows.
+#[test]
+fn confined_replay_reads_logs_the_windowed_fold_wrote() {
+    let guard = fault::exclusive();
+    let records = btc::btc(5_000, 4.0, 78);
+    let job = PregelixJob::new("rc-windows").with_checkpoint_interval(2);
+    let program = Arc::new(ConnectedComponents);
+    // 256 KiB workers: a 32 KiB group-by budget, 1 984 table slots in its
+    // half, two pages of spill buffer in its quarter.
+    let ram = 256 << 10;
+    let (reference, expected) = run_case_with_ram(&program, &job, &records, &|v: &u64| *v, ram);
+    assert!(reference.supersteps > 4);
+    assert!(
+        matches!(reference.sender_fold, SenderFold::Direct { windows: 3, .. }),
+        "{}",
+        reference.sender_fold
+    );
+    assert!(reference.stats.msgs_fold_spilled > 0);
+
+    let plan = guard.install(FaultPlan::new().on(Site::Barrier, "4", 1, Fault::FailWorker(2)));
+    let (summary, values) = run_case_with_ram(&program, &job, &records, &|v: &u64| *v, ram);
+    assert_eq!(plan.injected(), 1);
+    assert_eq!(summary.recoveries, 1);
+    assert_eq!(summary.stats.confined_recoveries, 1);
+    assert_eq!(summary.stats.confined_fallbacks, 0);
+    assert!(summary.stats.log_runs_replayed > 0);
+    assert_eq!(summary.sender_fold, reference.sender_fold);
+    // The replay folds nothing (its outbound messages were delivered by the
+    // original execution), so the recovered job spilled what the reference
+    // did.
+    assert_eq!(
+        summary.stats.msgs_fold_spilled,
+        reference.stats.msgs_fold_spilled
+    );
+    assert_eq!(summary.supersteps, reference.supersteps);
+    assert_eq!(summary.final_gs, reference.final_gs);
+    assert_eq!(values, expected);
+    chaos_digest("windowed-confined", &summary, plan.injected(), &values);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@
 //! arenas, frames, run buffers — all amortised over many tuples) but not one
 //! per `compute` call. Before the row cursor a call cost about eight. The
 //! same allocator shows that the sender-side fold table is allocated per
-//! job and partition, not per task.
+//! job and partition, not per task, and that a run reader past its first
+//! frame decodes every further one into the buffers it already has.
 
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
@@ -95,5 +96,43 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
         run_phase(records.clone(), iterations);
         let tables = WATCHED_HITS.load(Ordering::Relaxed) - before;
         assert_eq!(tables, 2, "{} supersteps", iterations + 1);
+    }
+    WATCHED_SIZE.store(0, Ordering::Relaxed);
+
+    // A run reader — every merge input, every `Msg` partition, every fold
+    // window read back — allocates for its first frame and never again, the
+    // end of the run included: each record lands in the reader's one record
+    // buffer and is decoded into its one frame. 64 frames, on disk and in
+    // memory.
+    use pregelix::common::stats::ClusterCounters;
+    use pregelix::storage::file::TempDir;
+    use pregelix::storage::runfile::RunWriter;
+    let dir = TempDir::new("reader-allocs").unwrap();
+    for threshold in [0, usize::MAX] {
+        let path = dir.path().join(format!("frames-{threshold}.run"));
+        let mut writer = RunWriter::create_buffered(&path, ClusterCounters::new(), threshold);
+        let tuples = 64 * ((16 << 10) / 20);
+        for vid in 0..tuples as u64 {
+            let mut tuple = vid.to_be_bytes().to_vec();
+            tuple.extend_from_slice(&[0xAB; 12]);
+            writer.write_tuple(&tuple).unwrap();
+        }
+        let run = writer.finish().unwrap();
+        assert_eq!((run.frames(), run.in_memory()), (64, threshold != 0));
+        let mut reader = run.open(ClusterCounters::new()).unwrap();
+        assert!(reader.advance().unwrap());
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut read = 1;
+        while reader.advance().unwrap() {
+            read += 1;
+        }
+        let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        assert_eq!(read, tuples);
+        assert_eq!(
+            allocations,
+            0,
+            "63 frames after the first, in memory: {}",
+            threshold != 0
+        );
     }
 }

@@ -1,12 +1,21 @@
-//! The sender-side fold table against the sort path it stands in for.
+//! The sender-side fold table against the sort path it stands in for, and
+//! against itself when it does not fit.
 //!
 //! `compute[p]` folds a combining program's fixed-width messages into a
-//! direct-address table when the table fits half the group-by budget, and
-//! sorts them otherwise. Which of the two ran is read from the job summary
-//! and the counters, never guessed from timing; what they computed must
-//! agree — exactly for order-insensitive combiners, to the last few bits
-//! for PageRank's `f64` sum, whose within-sender fold order is emission
-//! order on one path and sorted-bytes order on the other.
+//! direct-address table: resident whole when it fits half the group-by
+//! budget, in windows of as many slots as that half holds otherwise, and not
+//! at all — every message sorted — only when the windows' spill buffers
+//! would not fit a quarter of the budget. Which of these ran is read from
+//! the job summary and the counters, never guessed from timing. What the
+//! table and the sort path compute must agree — exactly for
+//! order-insensitive combiners, to the last few bits for PageRank's `f64`
+//! sum, whose within-sender fold order is emission order on one path and
+//! sorted-bytes order on the other. What a sender's table emits in windows
+//! is what it emits whole, to the byte; the job's values follow wherever the
+//! receiver combines the senders' tuples in an order of its own — the
+//! merging connector always, the regrouping one while its sorter does not
+//! spill (a receiver that spills folds run by run, and an `f64` sum then
+//! moves in its last bits as it does between any two memory sizes).
 
 use pregelix::core::api::tests_support::SortPath;
 use pregelix::core::api::VertexProgram;
@@ -178,26 +187,207 @@ fn pagerank_on_the_table_is_bit_identical_across_the_lattice() {
     }
 }
 
-/// A cluster whose RAM leaves the table no room: the job says so, folds
-/// nothing directly, and its sorter does exactly the work the sort path
-/// does for the same program — spills included.
+/// Workers of 256 KiB: a 32 KiB group-by budget, so 1 984 slots in its half
+/// and two pages of spill buffer in its quarter — three windows over these
+/// graphs' 4 096 to 5 900 vids.
+const WINDOWED_RAM: usize = 256 << 10;
+
+/// Run `program()` with the table in three windows and with the table
+/// resident, over the whole lattice: the layout is what the summary says,
+/// and beyond the spill files nothing about the job moved. `same` compares
+/// one vertex's two values; it is told whether the tight cluster's receiver
+/// spilled while regrouping, the one thing that may move an `f64` sum's
+/// last bits (see the module docs). Returns how many plans had such a
+/// receiver.
+fn windows_change_nothing<P: VertexProgram>(
+    program: impl Fn() -> P,
+    tag: &str,
+    records: &Records,
+    same: impl Fn(&P::VertexValue, &P::VertexValue, bool) -> bool,
+) -> usize {
+    let mut spilling_receivers = 0;
+    for plan in lattice() {
+        let what = format!("{tag}-{}", plan.label());
+        let (tight, tight_values) =
+            run(program(), &format!("{what}-w"), records, plan, WINDOWED_RAM);
+        let (roomy, roomy_values) = run(program(), &format!("{what}-r"), records, plan, 8 << 20);
+        assert!(
+            matches!(
+                tight.sender_fold,
+                SenderFold::Direct {
+                    windows: 3,
+                    slots_per_window: 1984,
+                    spill_buffer_bytes: 8192,
+                    ..
+                }
+            ),
+            "{what}: {}",
+            tight.sender_fold
+        );
+        assert!(
+            matches!(roomy.sender_fold, SenderFold::Direct { windows: 1, .. }),
+            "{what}: {}",
+            roomy.sender_fold
+        );
+
+        // Every message folds by address on both; on the tight cluster those
+        // past the first window wait in a spill file first.
+        for s in [&tight.stats, &roomy.stats] {
+            assert!(s.messages_sent > 0, "{what}");
+            assert_eq!(s.msgs_folded_direct, s.messages_sent, "{what}");
+            assert_eq!(s.msgs_stray, 0, "{what}");
+        }
+        assert!(tight.stats.msgs_fold_spilled > 0, "{what}");
+        assert!(
+            tight.stats.msgs_fold_spilled < tight.stats.messages_sent,
+            "{what}"
+        );
+        assert_eq!(roomy.stats.msgs_fold_spilled, 0, "{what}");
+
+        // The same combined tuples leave every sender in the same order.
+        let wire = |s: &JobSummary| {
+            (
+                s.supersteps,
+                s.stats.compute_calls,
+                s.stats.messages_sent,
+                s.stats.messages_combined,
+                s.stats.network_bytes,
+                s.stats.network_frames,
+            )
+        };
+        assert_eq!(wire(&tight), wire(&roomy), "{what}");
+
+        // No sender spills a sorted run any more: what is left is the
+        // receiver's regroup, which the merging connector does not have and
+        // which the same cluster pays on the sort path too, beside the
+        // senders' runs.
+        assert_eq!(roomy.stats.sort_runs_spilled, 0, "{what}");
+        let receiver_spilled = tight.stats.sort_runs_spilled > 0;
+        if plan.groupby.merged() {
+            assert!(!receiver_spilled, "{what}");
+        } else {
+            let (sorted, _) = run(
+                SortPath(program()),
+                &format!("{what}-ws"),
+                records,
+                plan,
+                WINDOWED_RAM,
+            );
+            assert_eq!(sorted.sender_fold, SenderFold::SortVariableWidth, "{what}");
+            assert!(
+                tight.stats.sort_runs_spilled < sorted.stats.sort_runs_spilled,
+                "{what}: {} receiver-side runs, {} with the senders' beside them",
+                tight.stats.sort_runs_spilled,
+                sorted.stats.sort_runs_spilled
+            );
+        }
+        spilling_receivers += receiver_spilled as usize;
+
+        assert_eq!(tight_values.len(), roomy_values.len(), "{what}");
+        for ((vt, t), (vr, r)) in tight_values.iter().zip(&roomy_values) {
+            assert_eq!(vt, vr, "{what}");
+            assert!(
+                same(t, r, receiver_spilled),
+                "{what} vid {vt}: {t:?} in windows, {r:?} resident"
+            );
+        }
+        if !receiver_spilled {
+            assert_eq!(tight.final_gs, roomy.final_gs, "{what}");
+        }
+    }
+    spilling_receivers
+}
+
+fn same_bits(a: &f64, b: &f64) -> bool {
+    a.to_bits() == b.to_bits()
+}
+
+/// Every page sends along its edges, so each receiver regroups thousands of
+/// tuples and, on the tight cluster, spills doing it — except behind the
+/// merging connector.
+#[test]
+fn pagerank_in_windows_is_bit_identical_wherever_the_receiver_merges() {
+    let records = webmap::webmap(12, 6.0, 56);
+    let spilling = windows_change_nothing(
+        || PageRank::new(4),
+        "sf-wpr",
+        &records,
+        |a, b, receiver_spilled| {
+            if receiver_spilled {
+                (a - b).abs() <= 1e-12
+            } else {
+                same_bits(a, b)
+            }
+        },
+    );
+    assert_eq!(spilling, 4, "the four regrouping plans");
+}
+
+/// 5 000 pages that link to 500 hubs only, every tenth vid: messages reach
+/// all three windows, and no receiver has enough of them to spill. Every
+/// plan of the lattice computes the resident table's bits.
+#[test]
+fn pagerank_in_windows_is_bit_identical_while_no_receiver_spills() {
+    let records: Records = (0..5_000u64)
+        .map(|v| {
+            let edges = (1..=4).map(|i| ((v * 7 + i * 1_237) % 500 * 10, 1.0));
+            (v, edges.collect())
+        })
+        .collect();
+    let spilling = windows_change_nothing(
+        || PageRank::new(4),
+        "sf-whub",
+        &records,
+        |a, b, _| same_bits(a, b),
+    );
+    assert_eq!(spilling, 0);
+}
+
+#[test]
+fn sssp_in_windows_is_identical_to_the_resident_table() {
+    let records = btc::btc(5_000, 4.0, 57);
+    windows_change_nothing(
+        || ShortestPaths::new(0),
+        "sf-wsssp",
+        &records,
+        |a, b, _| same_bits(a, b),
+    );
+}
+
+#[test]
+fn cc_in_windows_is_identical_to_the_resident_table() {
+    let records = btc::btc(5_000, 3.0, 58);
+    windows_change_nothing(|| ConnectedComponents, "sf-wcc", &records, |a, b, _| a == b);
+}
+
+/// A cluster whose RAM leaves the table no room — not whole, and not in
+/// windows either, because ten windows' spill buffers are more than a
+/// quarter of its budget: the job says so, folds nothing directly, and its
+/// sorter does exactly the work the sort path does for the same program —
+/// spills included.
 #[test]
 fn a_table_over_budget_means_the_sort_path_exactly() {
     let records = webmap::webmap(12, 6.0, 55);
     let plan = PlanConfig::default();
-    // 64 KiB of RAM per worker: an 8 KiB group-by budget, half of it for a
-    // table that needs 4096 × 8 bytes and a bitmap.
+    // 64 KiB of RAM per worker: an 8 KiB group-by budget. Its half holds 448
+    // of the 4096 slots, its quarter half a page.
     let ram = 64 << 10;
     let (tight, tight_values) = run(PageRank::new(3), "sf-tight", &records, plan, ram);
     assert_eq!(
         tight.sender_fold,
         SenderFold::SortTableTooLarge {
             table_bytes: 4096 * 8 + 512,
-            budget_bytes: 4096
+            windows: 10,
+            spill_buffer_bytes: 9 * 4096,
+            budget_bytes: 8192
         }
     );
-    assert_eq!(tight.sender_fold.to_string(), "sort (table 33 KB > 4 KB)");
+    assert_eq!(
+        tight.sender_fold.to_string(),
+        "sort (table 33 KB: 10 windows need 36 KB of buffers > 2 KB)"
+    );
     assert_eq!(tight.stats.msgs_folded_direct, 0);
+    assert_eq!(tight.stats.msgs_fold_spilled, 0);
     assert_eq!(tight.stats.msgs_stray, 0);
     assert!(
         tight.stats.sort_runs_spilled > 0,
@@ -231,7 +421,11 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
     let (roomy, _) = run(PageRank::new(3), "sf-roomy", &records, plan, 8 << 20);
     assert!(matches!(
         roomy.sender_fold,
-        SenderFold::Direct { hi: 4096, .. }
+        SenderFold::Direct {
+            hi: 4096,
+            windows: 1,
+            ..
+        }
     ));
     assert_eq!(roomy.stats.msgs_folded_direct, roomy.stats.messages_sent);
     assert_eq!(roomy.stats.sort_runs_spilled, 0);

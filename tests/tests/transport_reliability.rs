@@ -80,7 +80,7 @@ fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(
     integration_tests::chaos_digest(
         scenario,
         "recoveries retries supersteps injected retx dedup corrupt dead probes redesc bloomneg \
-         bloomfp radixn rskip cmpfb conf cfb logw logr ckret slaba slabr fcopy fold stray jcmp \
+         bloomfp radixn rskip cmpfb conf cfb logw logr ckret slaba slabr fcopy fold fspill stray jcmp \
          jmsgs jcomb",
         summary,
         injected,
