@@ -25,6 +25,10 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
+/// One worker's outgoing messages of a superstep, one batch per
+/// destination worker.
+type Outbox = Vec<Vec<(Vid, f64)>>;
+
 /// Architectural knobs distinguishing the engines.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct BspProfile {
@@ -187,16 +191,16 @@ pub(crate) fn run_bsp(
         // Compute phase: workers sequential, individually timed. Disk-mode
         // engines pay their whole-partition unspill/spill round-trip inside
         // the timed slice — that thrash is Giraph-ooc's defining cost.
-        let mut outboxes: Vec<Vec<Vec<(Vid, f64)>>> = Vec::with_capacity(w);
+        let mut outboxes: Vec<Outbox> = Vec::with_capacity(w);
         let mut any_live = false;
         let mut errors: Vec<PregelixError> = Vec::new();
         let mut slice_max = std::time::Duration::ZERO;
         {
-            let results: Vec<Result<(Vec<Vec<(Vid, f64)>>, bool)>> = workers
+            let results: Vec<Result<(Outbox, bool)>> = workers
                 .iter_mut()
                 .map(|ws| {
                     let t0 = Instant::now();
-                    let r = (|| -> Result<(Vec<Vec<(Vid, f64)>>, bool)> {
+                    let r = (|| -> Result<(Outbox, bool)> {
                             if profile.vertices_on_disk {
                                 ws.unspill()?;
                             }
@@ -208,7 +212,7 @@ pub(crate) fn run_bsp(
                             // destination. Hama buffers every raw message.
                             let mut out_maps: Vec<HashMap<Vid, f64>> =
                                 vec![HashMap::new(); if profile.combine_at_sender { w } else { 0 }];
-                            let mut out_raw: Vec<Vec<(Vid, f64)>> = vec![Vec::new(); w];
+                            let mut out_raw: Outbox = vec![Vec::new(); w];
                             let mut live = false;
                             let empty: Vec<f64> = Vec::new();
                             let vids: Vec<Vid> = ws.vertices.keys().copied().collect();
@@ -259,7 +263,7 @@ pub(crate) fn run_bsp(
                             // Release the inbox the moment compute is done.
                             ws.heap.release(ws.inbox_bytes);
                             ws.inbox_bytes = 0;
-                            let out: Vec<Vec<(Vid, f64)>> = if profile.combine_at_sender {
+                            let out: Outbox = if profile.combine_at_sender {
                                 out_maps
                                     .into_iter()
                                     .map(|m| {

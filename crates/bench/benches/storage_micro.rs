@@ -11,7 +11,7 @@ use pregelix::dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix::storage::btree::BTree;
 use pregelix::storage::cache::BufferCache;
 use pregelix::storage::file::{FileManager, TempDir};
-use pregelix::storage::radix::SortMode;
+use pregelix::storage::radix::TUPLE_RADIX_MIN_ENTRIES;
 use pregelix::storage::runfile::{RunHandle, RunReader, RunWriter};
 use pregelix::storage::sort::{CombineFn, ExternalSorter};
 use rand::prelude::*;
@@ -321,9 +321,9 @@ fn sum_combiner() -> CombineFn {
 }
 
 /// The tentpole benchmark: sort + combine 1M 16-byte messages, comparing
-/// three sorters — `radix_*` (the SWC radix path, the production default),
-/// `comparison_*` (the same arena sorter forced onto the PR 1 comparison
-/// path via [`SortMode::ComparisonOnly`]) and `vec_baseline_*` (the old
+/// three sorters — `radix_*` (the SWC radix path at the default threshold),
+/// `comparison_*` (the same arena sorter with the threshold at `usize::MAX`,
+/// so every batch takes the comparison path) and `vec_baseline_*` (the old
 /// per-tuple-`Vec` implementation) — both fully in memory and with forced
 /// spills, plus a presorted-input pair pinning "no regression when the
 /// input is already ordered".
@@ -338,9 +338,9 @@ fn bench_sort_1m_msgs(c: &mut Criterion) {
         .map(|_| keyed_tuple(rng.gen_range(0..1u64 << 20), &1.0f64.to_le_bytes()))
         .collect();
 
-    let run_external = |mode: SortMode, budget: usize, input: &[Vec<u8>]| {
+    let run_external = |min_entries: usize, budget: usize, input: &[Vec<u8>]| {
         let mut s = ExternalSorter::new(fm.clone(), "bench-1m-a", budget)
-            .with_sort_mode(mode)
+            .with_sort_min_entries(min_entries)
             .with_combiner(sum_combiner());
         for t in input {
             s.add(t).unwrap();
@@ -357,10 +357,10 @@ fn bench_sort_1m_msgs(c: &mut Criterion) {
     // several spilled runs for ~15 MiB of input.
     for (variant, budget) in [("in_memory", 1usize << 30), ("spilling", 8 << 20)] {
         group.bench_function(format!("radix_{variant}"), |b| {
-            b.iter(|| run_external(SortMode::Auto, budget, &tuples));
+            b.iter(|| run_external(TUPLE_RADIX_MIN_ENTRIES, budget, &tuples));
         });
         group.bench_function(format!("comparison_{variant}"), |b| {
-            b.iter(|| run_external(SortMode::ComparisonOnly, budget, &tuples));
+            b.iter(|| run_external(usize::MAX, budget, &tuples));
         });
         group.bench_function(format!("vec_baseline_{variant}"), |b| {
             b.iter(|| {
@@ -384,10 +384,10 @@ fn bench_sort_1m_msgs(c: &mut Criterion) {
     let mut presorted = tuples;
     presorted.sort_unstable();
     group.bench_function("radix_presorted", |b| {
-        b.iter(|| run_external(SortMode::Auto, 1 << 30, &presorted));
+        b.iter(|| run_external(TUPLE_RADIX_MIN_ENTRIES, 1 << 30, &presorted));
     });
     group.bench_function("comparison_presorted", |b| {
-        b.iter(|| run_external(SortMode::ComparisonOnly, 1 << 30, &presorted));
+        b.iter(|| run_external(usize::MAX, 1 << 30, &presorted));
     });
     group.finish();
 }

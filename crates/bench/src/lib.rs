@@ -203,5 +203,5 @@ pub fn header(title: &str, detail: &str) {
 /// Whether the harness should run in quick mode (smaller sweeps), set via
 /// `PREGELIX_BENCH_QUICK=1`.
 pub fn quick_mode() -> bool {
-    std::env::var("PREGELIX_BENCH_QUICK").map_or(false, |v| v == "1")
+    std::env::var("PREGELIX_BENCH_QUICK").is_ok_and(|v| v == "1")
 }

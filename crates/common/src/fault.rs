@@ -259,10 +259,10 @@ fn hit_slow(site: Site, ctx: &str) -> Option<Fault> {
 /// [`PregelixError::Io`], which `is_recoverable()` — the §5.7 infrastructure
 /// side of the split.
 pub fn injected_error(site: Site, ctx: &str) -> PregelixError {
-    PregelixError::Io(std::io::Error::new(
-        std::io::ErrorKind::Other,
-        format!("injected {} fault (ctx {ctx:?})", site.name()),
-    ))
+    PregelixError::Io(std::io::Error::other(format!(
+        "injected {} fault (ctx {ctx:?})",
+        site.name()
+    )))
 }
 
 /// Holds the process-wide chaos lock; at most one holder at a time, so fault

@@ -18,7 +18,6 @@
 
 use crate::bytes::{crc32, BytesSlab, BytesSlice, Crc32};
 use crate::error::{PregelixError, Result};
-use crate::radix::{for_each_tie_group, RadixScratch, RADIX_MIN_ENTRIES};
 use crate::stats::ClusterCounters;
 use crate::Vid;
 
@@ -79,57 +78,15 @@ pub fn key_prefix(t: &[u8]) -> u64 {
     u64::from_be_bytes(p)
 }
 
-/// Pooled sort working memory held by a frame: the `(key-prefix, index)`
-/// entry vector, the radix engine's scratch, and the rebuild buffers.
-/// Empty (four unallocated `Vec`s) until the frame is first sorted, then
-/// recycled across sorts so a steady-state group-by operator sorting one
-/// frame after another allocates nothing per call. Deliberately excluded
-/// from clones, equality and serialization — it is working memory, not
-/// content.
-#[derive(Debug, Default)]
-struct SortScratch {
-    /// `(key_prefix(tuple), tuple index)` sort entries.
-    entries: Vec<(u64, u32)>,
-    /// Radix engine working memory (stash, staging blocks, histograms).
-    radix: RadixScratch<u32>,
-    /// Rebuild buffer for the permuted tuple bytes; swapped with `data`.
-    data: Vec<u8>,
-    /// Rebuild buffer for the permuted offset table; swapped with `ends`.
-    ends: Vec<u32>,
-}
-
 /// A batch of tuples in a contiguous buffer.
 ///
 /// `data` holds the concatenated tuple bytes; `ends[i]` is the exclusive end
 /// offset of tuple `i`, so tuple `i` spans `ends[i-1]..ends[i]`.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct Frame {
     data: Vec<u8>,
     ends: Vec<u32>,
     capacity: usize,
-    scratch: SortScratch,
-}
-
-/// Clones copy content only; the sort scratch is working memory and starts
-/// empty in the clone.
-impl Clone for Frame {
-    fn clone(&self) -> Self {
-        Frame {
-            data: self.data.clone(),
-            ends: self.ends.clone(),
-            capacity: self.capacity,
-            scratch: SortScratch::default(),
-        }
-    }
-}
-
-/// Borrow tuple `i` out of a raw `(data, ends)` pair. Free function so the
-/// sort path can keep borrowing tuples while the entry vector (a disjoint
-/// field) is mutably held by the sort.
-#[inline]
-fn tuple_at<'a>(data: &'a [u8], ends: &[u32], i: usize) -> &'a [u8] {
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    &data[start..ends[i] as usize]
 }
 
 impl Frame {
@@ -151,7 +108,6 @@ impl Frame {
             data: Vec::with_capacity(capacity),
             ends: Vec::new(),
             capacity,
-            scratch: SortScratch::default(),
         }
     }
 
@@ -195,7 +151,8 @@ impl Frame {
     /// Borrow tuple `i`.
     #[inline]
     pub fn tuple(&self, i: usize) -> &[u8] {
-        tuple_at(&self.data, &self.ends, i)
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.data[start..self.ends[i] as usize]
     }
 
     /// Iterate over all tuples in order.
@@ -210,83 +167,23 @@ impl Frame {
     }
 
     /// Sort the tuples in place into whole-tuple byte order (for keyed
-    /// tuples: vid order with payload bytes as tiebreaker). Used when an
-    /// operator needs a sorted frame (e.g. the in-memory phase of the
-    /// sort-based group-by).
+    /// tuples: vid order with payload bytes as tiebreaker).
     ///
-    /// Large frames take the LSB radix path over the 8-byte normalized key
-    /// prefix with equal-prefix ties resolved by comparison; small frames
-    /// take an unstable comparison sort that still decides most comparisons
-    /// on the prefix `u64` without touching tuple bytes. All working memory
-    /// comes from a scratch pool held by the frame, so repeated sorts
-    /// allocate nothing.
+    /// No job sorts a frame: the message path sorts arena-backed tuples
+    /// with `pregelix_storage::radix::TupleRadixSorter`. This plain
+    /// comparison sort exists only for the benchmark's layer replay
+    /// (`benchmark/src/replay.rs`) and goes with ROADMAP item 2A.
     pub fn sort(&mut self) {
-        self.sort_counted(None);
-    }
-
-    /// [`Frame::sort`] with radix/fallback accounting charged to `counters`
-    /// (`radix_sort_entries`, `radix_passes_skipped`,
-    /// `sort_comparison_fallbacks`).
-    pub fn sort_counted(&mut self, counters: Option<&ClusterCounters>) {
-        let n = self.len();
-        if n <= 1 {
-            return;
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_unstable_by(|&a, &b| self.tuple(a).cmp(self.tuple(b)));
+        let mut data = Vec::with_capacity(self.data.capacity());
+        let mut ends = Vec::with_capacity(self.ends.len());
+        for i in order {
+            data.extend_from_slice(self.tuple(i));
+            ends.push(data.len() as u32);
         }
-        let Frame {
-            data,
-            ends,
-            scratch,
-            ..
-        } = self;
-        let SortScratch {
-            entries,
-            radix,
-            data: out_data,
-            ends: out_ends,
-        } = scratch;
-        entries.clear();
-        entries.reserve(n);
-        let mut start = 0usize;
-        for (i, &e) in ends.iter().enumerate() {
-            entries.push((key_prefix(&data[start..e as usize]), i as u32));
-            start = e as usize;
-        }
-        if n < RADIX_MIN_ENTRIES {
-            entries.sort_unstable_by(|a, b| {
-                a.0.cmp(&b.0).then_with(|| {
-                    tuple_at(data, ends, a.1 as usize).cmp(tuple_at(data, ends, b.1 as usize))
-                })
-            });
-            if let Some(c) = counters {
-                c.add_sort_comparison_fallbacks(1);
-            }
-        } else {
-            let outcome = radix.sort_by_key(entries);
-            let mut fallbacks = 0u64;
-            for_each_tie_group(entries, |group| {
-                group.sort_by(|a, b| {
-                    tuple_at(data, ends, a.1 as usize).cmp(tuple_at(data, ends, b.1 as usize))
-                });
-                fallbacks += 1;
-            });
-            if let Some(c) = counters {
-                c.add_radix_sort_entries(outcome.entries);
-                c.add_radix_passes_skipped(outcome.passes_skipped as u64);
-                c.add_sort_comparison_fallbacks(fallbacks);
-            }
-        }
-        // Rebuild through the pooled scratch buffers and swap — the old
-        // `data`/`ends` allocations become next sort's scratch.
-        out_data.clear();
-        out_ends.clear();
-        out_data.reserve(data.len());
-        out_ends.reserve(ends.len());
-        for &(_, i) in entries.iter() {
-            out_data.extend_from_slice(tuple_at(data, ends, i as usize));
-            out_ends.push(out_data.len() as u32);
-        }
-        std::mem::swap(data, out_data);
-        std::mem::swap(ends, out_ends);
+        self.data = data;
+        self.ends = ends;
     }
 
     /// Total wire-form size of this frame's content:
@@ -704,53 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn large_sort_takes_radix_path_and_counts() {
-        use crate::radix::RADIX_MIN_ENTRIES;
-        use crate::stats::ClusterCounters;
-        let c = ClusterCounters::new();
-        let mut f = Frame::with_capacity(1 << 22);
-        let n = (RADIX_MIN_ENTRIES * 4) as u64;
-        for i in 0..n {
-            // Scrambled vids in a small range plus payloads that force
-            // equal-prefix tie groups (same vid, different payload).
-            let vid = (i * 2654435761) % 97;
-            f.try_append(&keyed_tuple(vid, &(n - i).to_le_bytes()));
-        }
-        f.sort_counted(Some(&c));
-        for w in (0..f.len()).collect::<Vec<_>>().windows(2) {
-            assert!(f.tuple(w[0]) <= f.tuple(w[1]), "out of order at {}", w[0]);
-        }
-        assert_eq!(c.radix_sort_entries(), n);
-        assert!(c.radix_passes_skipped() >= 7, "97 vids fit one key byte");
-        assert_eq!(
-            c.sort_comparison_fallbacks(),
-            97,
-            "every vid is a tie group of distinct payloads"
-        );
-    }
-
-    #[test]
-    fn repeated_sorts_reuse_scratch_allocations() {
-        let mut f = Frame::with_capacity(1 << 22);
-        for i in (0..2000u64).rev() {
-            f.try_append(&keyed_tuple(i, b"pay"));
-        }
-        f.sort();
-        let cap_data = f.scratch.data.capacity();
-        let cap_entries = f.scratch.entries.capacity();
-        assert!(cap_data > 0 && cap_entries >= 2000);
-        // Re-sorting the same content must not grow any scratch buffer.
-        f.sort();
-        f.sort();
-        assert_eq!(f.scratch.data.capacity(), cap_data);
-        assert_eq!(f.scratch.entries.capacity(), cap_entries);
-    }
-
-    #[test]
     fn short_and_mixed_tuples_sort_lexicographically() {
         // Tuples shorter than the 8-byte prefix, including pairs whose
         // zero-padded prefixes collide ("a" vs "a\0"), must come out in
-        // plain lexicographic order on both sort paths.
+        // plain lexicographic order.
         let tuples: Vec<Vec<u8>> = vec![
             b"a\x00".to_vec(),
             b"a".to_vec(),
@@ -768,18 +622,6 @@ mod tests {
         expect.sort();
         let got: Vec<Vec<u8>> = f.iter().map(|t| t.to_vec()).collect();
         assert_eq!(got, expect);
-    }
-
-    #[test]
-    fn clone_copies_content_not_scratch() {
-        let mut f = Frame::new();
-        for i in (0..500u64).rev() {
-            f.try_append(&keyed_tuple(i, b"x"));
-        }
-        f.sort();
-        let g = f.clone();
-        assert_eq!(f.freeze_standalone(), g.freeze_standalone());
-        assert_eq!(g.scratch.entries.capacity(), 0, "scratch not cloned");
     }
 
     #[test]

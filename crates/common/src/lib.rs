@@ -31,9 +31,6 @@
 //! * [`msglog`] — sender-side per-(superstep, partition) message/mutation
 //!   logs on the DFS, the substrate of confined recovery: on a worker death
 //!   only the lost partitions replay, fed from survivors' logs.
-//! * [`radix`] — the LSB radix-sort engine with software write-combining
-//!   that orders `(u64 key-prefix, payload)` entries on the message hot
-//!   path; frames and the storage-layer sorters both build on it.
 //! * [`stats`] — cluster-wide counters mirroring the Pregelix statistics
 //!   collector (CPU-ish work units, I/O, network bytes, message counts).
 
@@ -47,7 +44,6 @@ pub mod frame;
 pub mod job;
 pub mod memory;
 pub mod msglog;
-pub mod radix;
 pub mod stats;
 pub mod writable;
 

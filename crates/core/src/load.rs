@@ -31,8 +31,11 @@ use pregelix_common::{hash_partition, Vid};
 use pregelix_dataflow::cluster::{Cluster, Task};
 use std::sync::Arc;
 
+/// One adjacency record: a vertex and its weighted out-edges.
+pub type Record = (Vid, Vec<(Vid, f64)>);
+
 /// Parse one adjacency line. Returns `None` for blank/comment lines.
-pub fn parse_line(line: &str) -> Result<Option<(Vid, Vec<(Vid, f64)>)>> {
+pub fn parse_line(line: &str) -> Result<Option<Record>> {
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -65,7 +68,7 @@ pub fn parse_line(line: &str) -> Result<Option<(Vid, Vec<(Vid, f64)>)>> {
 
 /// Read every adjacency record reachable from `path`: a single DFS file or
 /// a directory of part files.
-fn read_records(dfs: &SimDfs, path: &str) -> Result<Vec<(Vid, Vec<(Vid, f64)>)>> {
+fn read_records(dfs: &SimDfs, path: &str) -> Result<Vec<Record>> {
     let files = if dfs.exists(path) {
         vec![path.to_string()]
     } else {
@@ -112,7 +115,7 @@ pub fn load_partitions_from_records<P: VertexProgram>(
     program: &Arc<P>,
     job: &PregelixJob,
     sticky: &[usize],
-    records: Vec<(Vid, Vec<(Vid, f64)>)>,
+    records: Vec<Record>,
 ) -> Result<(Vec<Arc<Mutex<PartitionState>>>, u64, Vid)> {
     let p_count = sticky.len();
     let mut buckets: Vec<Vec<VertexData<P>>> = (0..p_count).map(|_| Vec::new()).collect();

@@ -83,6 +83,14 @@ pub fn recover<P: VertexProgram>(
             }
         };
         let sticky = replan_sticky(&graph.sticky, &alive)?;
+        // A reloaded `Msg` run can land on the path a lost one still holds
+        // (same worker, same superstep parity): let go of the lost runs
+        // first, or dropping the replaced state would delete the new file.
+        for &p in &lost {
+            if let Some(run) = graph.partitions[p].lock().msg_run.take() {
+                let _ = run.delete();
+            }
+        }
         let reloaded =
             checkpoint::reload_partitions(cluster, job, base, &manifest, &sticky, &lost)?;
         for (p, st) in reloaded {

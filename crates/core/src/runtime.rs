@@ -296,7 +296,7 @@ fn checkpoint_with_gs(
 
 /// A graph loaded into the cluster: the partitioned `Vertex` relation plus
 /// per-partition `Msg`/`Vid` state, resident across supersteps and across
-/// pipelined jobs.
+/// pipelined jobs. Dropping it releases every partition's files.
 pub struct LoadedGraph {
     pub(crate) partitions: Vec<Arc<Mutex<PartitionState>>>,
     pub(crate) sticky: Vec<usize>,
@@ -499,21 +499,6 @@ impl LoadedGraph {
         }
         out.sort_by_key(|v| v.vid);
         Ok(out)
-    }
-
-    /// Tear down the resident graph, releasing worker-local files.
-    pub fn destroy(self) -> Result<()> {
-        for state in self.partitions {
-            let mut st = state.lock();
-            if let Some(run) = st.msg_run.take() {
-                run.delete()?;
-            }
-            // Stores and Vid trees release their files with the worker
-            // temp dirs; explicit destruction requires consuming the
-            // store, which Arc<Mutex<..>> interment makes moot here. The
-            // cluster's temp root cleans up on drop.
-        }
-        Ok(())
     }
 }
 
@@ -827,7 +812,7 @@ impl<P: VertexProgram> RunLoop<P> {
                     None => snap,
                 }
             }
-            None => stats.clone(),
+            None => stats,
         };
         let retries = stats.fault_retries;
         JobSummary {

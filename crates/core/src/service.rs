@@ -139,10 +139,11 @@ trait JobDriver {
 enum DriveState<P: VertexProgram> {
     /// Admitted, not yet loaded.
     Admitted,
-    /// Stage `stage_idx`'s superstep loop in flight.
+    /// Stage `stage_idx`'s superstep loop in flight (boxed: the loop is
+    /// most of the state's size, and the other variants stay small).
     Running {
         graph: LoadedGraph,
-        lp: RunLoop<P>,
+        lp: Box<RunLoop<P>>,
     },
     /// All stages halted; dump pending.
     Dumping { graph: LoadedGraph },
@@ -194,7 +195,7 @@ impl<P: VertexProgram> JobDriver for TypedJob<P> {
                 let job0 = self.stage_job(0);
                 let mut graph =
                     LoadedGraph::load_with_offset(cluster, &self.stages[0], &job0, self.offset)?;
-                let lp = RunLoop::begin(cluster, &self.stages[0], &job0, &mut graph)?;
+                let lp = Box::new(RunLoop::begin(cluster, &self.stages[0], &job0, &mut graph)?);
                 self.state = DriveState::Running { graph, lp };
                 Ok(Quantum::Progress)
             }
@@ -209,7 +210,7 @@ impl<P: VertexProgram> JobDriver for TypedJob<P> {
                     // Next pipelined stage over the same resident graph
                     // (§5.6): no dump/reload between stages.
                     let job_i = self.stage_job(self.stage_idx);
-                    let lp =
+                    *lp =
                         RunLoop::begin(cluster, &self.stages[self.stage_idx], &job_i, &mut graph)?;
                     self.state = DriveState::Running { graph, lp };
                 } else {

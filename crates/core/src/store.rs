@@ -100,6 +100,15 @@ impl VertexStore {
         }
     }
 
+    /// The B-trees holding the store's pages: the one tree, or every LSM
+    /// disk component.
+    pub(crate) fn trees(&self) -> Vec<&BTree> {
+        match self {
+            VertexStore::B(t) => vec![t],
+            VertexStore::L(t) => t.trees().collect(),
+        }
+    }
+
     /// Persist dirty state (checkpoint support; for LSM this flushes the
     /// in-memory component first).
     pub fn flush(&mut self) -> Result<()> {

@@ -77,6 +77,23 @@ pub struct PartitionState {
     pub msg_run: Option<RunHandle>,
 }
 
+/// A partition's files go with its state: the graph of a finished,
+/// cancelled or failed job, or a partition that recovery replaced. Every
+/// page file of the store and the `Vid` index is purged from the cache
+/// without write-back and deleted, and so is the `Msg` run. Best effort
+/// and counted nowhere, like [`TempRun`].
+impl Drop for PartitionState {
+    fn drop(&mut self) {
+        for tree in self.store.trees().into_iter().chain(&self.vid_index) {
+            let _ = tree.cache().purge_file(tree.file(), false);
+            let _ = tree.cache().file_manager().delete(tree.file());
+        }
+        if let Some(run) = self.msg_run.take() {
+            let _ = run.delete();
+        }
+    }
+}
+
 /// Byte range of a `Msg` tuple's list count (`u32` LE, right after the key).
 const MSG_COUNT: std::ops::Range<usize> = 8..12;
 
@@ -964,8 +981,10 @@ fn compute_task<P: VertexProgram>(
     } else {
         P::Aggregate::from_bytes(&gs.aggregate)?
     };
-    let msg_run = st.msg_run.take();
-    let mut msgs = MsgStream::<P>::open(msg_run.as_ref(), &w)?;
+    // The consumed `Msg_i` run is deleted when this task ends, however it
+    // ends: nothing reads it again.
+    let msg_run = st.msg_run.take().map(TempRun::from);
+    let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), &w)?;
 
     let log = log_to
         .as_ref()
@@ -1037,7 +1056,7 @@ fn compute_task<P: VertexProgram>(
     let mut sent = 0u64;
     let fold = side.fold.take().expect("a live compute folds its messages");
     let table = fold.drain(|t| {
-        if sent % 4096 == 0 {
+        if sent.is_multiple_of(4096) {
             w.check_alive()?;
         }
         sent += 1;
@@ -1055,10 +1074,6 @@ fn compute_task<P: VertexProgram>(
     // next superstep's live-vertex index. The old index's file is reused
     // (truncate + re-init) to avoid per-superstep file churn.
     rebuild_vid_index(&w, st, &mut side)?;
-
-    // The consumed Msg_i file's path is reused by the next-next
-    // superstep's msgwrite (ping-pong naming), so no delete here: file
-    // create/delete are surprisingly expensive syscalls on some systems.
     drop(msg_run);
 
     // Persist the message log before this task reports to gs, so a log
@@ -1141,7 +1156,7 @@ fn join_and_compute<P: VertexProgram>(
             let mut cur = st.store.cursor();
             let mut rows = 0u64;
             while cur.next()? {
-                if rows % ROWS_PER_HEARTBEAT == 0 {
+                if rows.is_multiple_of(ROWS_PER_HEARTBEAT) {
                     w.check_alive()?;
                 }
                 rows += 1;
@@ -1197,7 +1212,7 @@ fn join_and_compute<P: VertexProgram>(
                     (Some(vv), Some(mv)) if vv < mv => (vv, false),
                     (_, Some(mv)) => (mv, true),
                 };
-                if rows % ROWS_PER_HEARTBEAT == 0 {
+                if rows.is_multiple_of(ROWS_PER_HEARTBEAT) {
                     w.check_alive()?;
                 }
                 rows += 1;
@@ -1226,10 +1241,10 @@ fn join_and_compute<P: VertexProgram>(
 // ---------------------------------------------------------------------
 
 /// Where partition `p`'s `Msg` run feeding superstep `fed` lives on its
-/// worker. Paths ping-pong on superstep parity: `Msg_{i+1}` safely
-/// overwrites the file `Msg_{i-1}` was read from, avoiding per-superstep
-/// create/delete. The job is part of the path: concurrent jobs share the
-/// same worker machines (§7.4) and must not collide on `Msg` files.
+/// worker. Paths alternate on superstep parity, so `msgwrite` writing
+/// `Msg_{i+1}` never touches the `Msg_i` file `compute` is reading. The job
+/// is part of the path: concurrent jobs share the same worker machines
+/// (§7.4) and must not collide on `Msg` files.
 pub(crate) fn msg_run_path(root: &Path, job_tag: &str, p: usize, fed: Superstep) -> PathBuf {
     root.join(format!("msg-{job_tag}-p{p}-{}.run", fed % 2))
 }
@@ -1308,7 +1323,7 @@ fn msgwrite_task(
             );
             let mut seen = 0u64;
             while let Some(t) = rx.next_tuple()? {
-                if seen % 4096 == 0 {
+                if seen.is_multiple_of(4096) {
                     w.check_alive()?;
                 }
                 seen += 1;
@@ -1325,7 +1340,7 @@ fn msgwrite_task(
             let rx = MergingReceiver::new(ins, w.counters().clone());
             let mut stream = rx.into_stream(Some(combiner))?;
             while let Some(t) = stream.next_tuple()? {
-                if out.combined % 4096 == 0 {
+                if out.combined.is_multiple_of(4096) {
                     w.check_alive()?;
                 }
                 out.write(&w, t)?;
@@ -1596,8 +1611,8 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
         } else {
             P::Aggregate::from_bytes(&gs.aggregate)?
         };
-        let msg_run = st.msg_run.take();
-        let mut msgs = MsgStream::<P>::open(msg_run.as_ref(), w)?;
+        let msg_run = st.msg_run.take().map(TempRun::from);
+        let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), w)?;
         let mut side = ComputeSide {
             program: Arc::clone(&program),
             gs,
@@ -1642,7 +1657,7 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
     let mut stream = gb.finish()?;
     let mut out = MsgRunWriter::new(w, job_tag, p, superstep);
     while let Some(t) = stream.next_tuple()? {
-        if out.combined % 4096 == 0 {
+        if out.combined.is_multiple_of(4096) {
             w.check_alive()?;
         }
         out.write(w, t)?;

@@ -581,9 +581,7 @@ impl Cluster {
                 body(self.worker(task.worker))
             })();
             per_worker[task.worker] += t0.elapsed();
-            if let Err(e) = result {
-                return Err(e);
-            }
+            result?;
         }
         Ok(per_worker.into_iter().max().unwrap_or_default())
     }

@@ -274,7 +274,7 @@ pub struct MergeRx {
 pub fn merging_channels(m: usize, n: usize) -> (Vec<Vec<MergeTx>>, Vec<Vec<MergeRx>>) {
     let mut senders: Vec<Vec<MergeTx>> = (0..m).map(|_| Vec::with_capacity(n)).collect();
     let mut receivers: Vec<Vec<MergeRx>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
-    for r in 0..n {
+    for receiver in &mut receivers {
         for sender_list in senders.iter_mut().take(m) {
             let (tx, rx) = bounded(2);
             let ctrl: MergeCtrl = Arc::new(Mutex::new(None));
@@ -282,7 +282,7 @@ pub fn merging_channels(m: usize, n: usize) -> (Vec<Vec<MergeTx>>, Vec<Vec<Merge
                 tx,
                 ctrl: ctrl.clone(),
             });
-            receivers[r].push(MergeRx { rx, ctrl });
+            receiver.push(MergeRx { rx, ctrl });
         }
     }
     (senders, receivers)
@@ -353,12 +353,7 @@ impl MaterializedPartitioner {
     /// retransmission, so the transfer is never silently lost *and* never
     /// forces a restart.
     pub fn finish(self) -> Result<()> {
-        for (r, (writer, tx)) in self
-            .writers
-            .into_iter()
-            .zip(self.handle_txs.into_iter())
-            .enumerate()
-        {
+        for (r, (writer, tx)) in self.writers.into_iter().zip(self.handle_txs).enumerate() {
             let handle = TempRun::from(writer.finish()?);
             let mut duplicate = false;
             if let Some(f) = fault::hit(Site::FrameSend, "merge") {

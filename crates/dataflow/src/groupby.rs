@@ -29,7 +29,7 @@ use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
 use pregelix_common::stats::ClusterCounters;
 use pregelix_storage::file::FileManager;
-use pregelix_storage::radix::{SortMode, TupleRadixSorter};
+use pregelix_storage::radix::TupleRadixSorter;
 use pregelix_storage::runfile::{RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, ExternalSorter, SortedStream};
 use std::collections::HashMap;
@@ -194,7 +194,7 @@ impl HashSortGroupBy {
             runs: Vec::new(),
             drain_arena: TupleArena::with_counters(DEFAULT_ARENA_CHUNK_BYTES, counters.clone()),
             drain_refs: Vec::new(),
-            sorter: TupleRadixSorter::with_counters(SortMode::Auto, counters.clone()),
+            sorter: TupleRadixSorter::with_counters(counters.clone()),
             counters,
         }
     }

@@ -125,7 +125,7 @@ pub fn reliable_channels(
 ) -> (Vec<Vec<StreamTx>>, Vec<Vec<StreamRx>>) {
     let mut senders: Vec<Vec<StreamTx>> = (0..m).map(|_| Vec::with_capacity(n)).collect();
     let mut receivers: Vec<Vec<StreamRx>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
-    for r in 0..n {
+    for receiver in &mut receivers {
         for sender_list in senders.iter_mut().take(m) {
             let (data_tx, data_rx) = match cap {
                 Some(c) => bounded(c),
@@ -141,7 +141,7 @@ pub fn reliable_channels(
                 ctrl: ctrl.clone(),
                 window: cap,
             });
-            receivers[r].push(StreamRx {
+            receiver.push(StreamRx {
                 data: data_rx,
                 ack: ack_tx,
                 ctrl,

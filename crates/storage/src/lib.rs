@@ -44,6 +44,6 @@ pub use btree::BTree;
 pub use cache::BufferCache;
 pub use file::{FileId, FileManager};
 pub use lsm::LsmBTree;
-pub use radix::{SortMode, TupleRadixSorter};
+pub use radix::TupleRadixSorter;
 pub use runfile::{RunReader, RunWriter};
 pub use sort::ExternalSorter;

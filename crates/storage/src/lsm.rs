@@ -115,6 +115,11 @@ impl LsmBTree {
         self.components.len()
     }
 
+    /// The disk components' B-trees, oldest first.
+    pub fn trees(&self) -> impl Iterator<Item = &BTree> {
+        self.components.iter().map(|c| &c.tree)
+    }
+
     /// Bytes held by the in-memory component.
     pub fn mem_bytes(&self) -> usize {
         self.mem_bytes
@@ -164,7 +169,7 @@ impl LsmBTree {
                 }
             }
             if let Some(stored) = comp.tree.search(key)? {
-                return Ok(decode(&stored)?);
+                return decode(&stored);
             }
             if comp.bloom.is_some() {
                 counters.add_bloom_false_positives(1);

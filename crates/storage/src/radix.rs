@@ -1,13 +1,14 @@
-//! Tuple-level radix sorting over `(key-prefix, TupleRef)` entry vectors.
+//! Tuple-level radix sorting over `(key-prefix, TupleRef)` entry vectors:
+//! the one sort engine under the external sort and the HashSort group-by.
 //!
-//! This is the storage-side face of the radix subsystem: the generic
-//! LSB/software-write-combining engine lives in [`pregelix_common::radix`]
-//! (below the frame layer, so [`pregelix_common::frame::Frame::sort`] can
-//! share it); this module binds the same staging discipline to
-//! arena-backed tuples and to the cluster counters. A [`TupleRadixSorter`]
-//! orders the same `(u64, TupleRef)` sort entries the
-//! [`crate::sort::ExternalSorter`] has always permuted, but in O(n) per
-//! executed digit instead of O(n log n) comparisons.
+//! Every keyed relation carries its vid in the first 8 tuple bytes,
+//! big-endian, so the hot path orders `(u64 key-prefix, TupleRef)` entries
+//! whose key is a fixed-width integer — the shape where an LSB radix sort
+//! beats comparison sort. A [`TupleRadixSorter`] orders the entries the
+//! [`crate::sort::ExternalSorter`] permutes in O(n) per executed digit
+//! instead of O(n log n) comparisons, scattering each pass through small
+//! per-digit staging blocks (software write-combining) so the scatter
+//! streams whole cache lines instead of fighting 2^bits write cursors.
 //!
 //! The entry shape is 24 bytes, so naive byte-plane passes move 3× the
 //! data a `u64` sort would. The binding instead plans its passes around
@@ -31,13 +32,13 @@
 //!    prefix, or short tuples whose zero-padded prefixes collide — are
 //!    resolved by a stable comparison sort over the tuple bytes behind
 //!    each ref; pairs get a single compare-and-swap.
-//! 4. Batches below [`TUPLE_RADIX_MIN_ENTRIES`], spans wider than 32
-//!    bits, and every batch when [`SortMode::ComparisonOnly`] is forced
-//!    take the PR 1 comparison path unchanged (prefix `u64` first,
-//!    arena bytes only on equal prefixes). Already-sorted batches are
-//!    detected by a linear precheck and left untouched.
+//! 4. Batches below the sorter's threshold (default
+//!    [`TUPLE_RADIX_MIN_ENTRIES`]; `usize::MAX` keeps every batch there)
+//!    and spans wider than 32 bits take the comparison path (prefix `u64`
+//!    first, arena bytes only on equal prefixes). Already-sorted batches
+//!    are detected by a linear precheck and left untouched.
 //!
-//! The result is byte-identical to the comparison path in every mode:
+//! The result is byte-identical to the comparison path at any threshold:
 //! both realize ascending whole-tuple byte order. The equivalence is
 //! pinned by proptest (`tests/tests/radix_sort.rs`) together with exact
 //! accounting of the `radix_sort_entries`, `radix_passes_skipped` and
@@ -46,7 +47,6 @@
 use std::cmp::Ordering;
 
 use pregelix_common::arena::{TupleArena, TupleRef};
-use pregelix_common::radix::for_each_tie_group;
 use pregelix_common::stats::ClusterCounters;
 
 /// Widest varying bit-span sorted by a single fused pass straight over
@@ -67,10 +67,7 @@ const ENTRY_BLOCK: usize = 4;
 /// Below this many entries the comparison sort wins: the radix path's
 /// fixed costs (fold, histogram, cursor setup) outweigh its scan savings.
 /// Chosen from the extraction study's crossover sweep (see
-/// EXPERIMENTS.md) — distinct from the in-frame engine's
-/// [`pregelix_common::radix::RADIX_MIN_ENTRIES`], because arena-backed
-/// batches pay two indirections per tie comparison rather than touching
-/// hot frame bytes.
+/// EXPERIMENTS.md).
 pub const TUPLE_RADIX_MIN_ENTRIES: usize = 4096;
 
 /// Scatter passes the plan executes for a varying bit-span of `span`
@@ -87,21 +84,26 @@ pub fn planned_passes(span: u32) -> u32 {
     // into a sliver.
     let fused_bits = span.saturating_sub(MAX_WORD_BITS).clamp(4, 8).min(span - 1);
     let rest = span - fused_bits;
-    (rest + MAX_WORD_BITS - 1) / MAX_WORD_BITS + 1
+    rest.div_ceil(MAX_WORD_BITS) + 1
 }
 
-/// Which in-memory sort implementation a sorter uses for its entry
-/// vectors.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SortMode {
-    /// Radix for keyed batches of at least the configured minimum
-    /// (default [`TUPLE_RADIX_MIN_ENTRIES`]), comparison below it. The
-    /// production default.
-    #[default]
-    Auto,
-    /// Always the comparison path (the PR 1 sorter). Kept selectable so
-    /// benchmarks and equivalence tests can diff the two pipelines.
-    ComparisonOnly,
+/// Visit every maximal run of equal keys of length ≥ 2 in a key-sorted
+/// entry slice: the tie groups a comparison over the full tuple bytes
+/// resolves after the radix passes.
+fn for_each_tie_group<T>(entries: &mut [(u64, T)], mut f: impl FnMut(&mut [(u64, T)])) {
+    let n = entries.len();
+    let mut start = 0;
+    while start < n {
+        let key = entries[start].0;
+        let mut end = start + 1;
+        while end < n && entries[end].0 == key {
+            end += 1;
+        }
+        if end - start >= 2 {
+            f(&mut entries[start..end]);
+        }
+        start = end;
+    }
 }
 
 /// Order equal-prefix tuples by their bytes. When both tuples carry a
@@ -138,14 +140,19 @@ pub struct TupleRadixSorter {
     stage_len: Vec<u16>,
     /// Histogram / cursor buffer, one digit's worth per pass.
     hist: Vec<u32>,
-    mode: SortMode,
     min_entries: usize,
     counters: Option<ClusterCounters>,
 }
 
+impl Default for TupleRadixSorter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TupleRadixSorter {
     /// Create a sorter with no counter accounting.
-    pub fn new(mode: SortMode) -> Self {
+    pub fn new() -> Self {
         TupleRadixSorter {
             words: Vec::new(),
             wstash: Vec::new(),
@@ -154,7 +161,6 @@ impl TupleRadixSorter {
             estage: Vec::new(),
             stage_len: Vec::new(),
             hist: Vec::new(),
-            mode,
             min_entries: TUPLE_RADIX_MIN_ENTRIES,
             counters: None,
         }
@@ -163,14 +169,15 @@ impl TupleRadixSorter {
     /// Create a sorter charging `radix_sort_entries`,
     /// `radix_passes_skipped` and `sort_comparison_fallbacks` to
     /// `counters`.
-    pub fn with_counters(mode: SortMode, counters: ClusterCounters) -> Self {
-        let mut s = Self::new(mode);
+    pub fn with_counters(counters: ClusterCounters) -> Self {
+        let mut s = Self::new();
         s.counters = Some(counters);
         s
     }
 
     /// Override the radix threshold (tests and benchmarks; production
-    /// keeps [`TUPLE_RADIX_MIN_ENTRIES`]).
+    /// keeps [`TUPLE_RADIX_MIN_ENTRIES`]). `usize::MAX` keeps every batch
+    /// on the comparison path.
     pub fn with_min_entries(mut self, min_entries: usize) -> Self {
         self.set_min_entries(min_entries);
         self
@@ -180,11 +187,6 @@ impl TupleRadixSorter {
     /// the sorter.
     pub fn set_min_entries(&mut self, min_entries: usize) {
         self.min_entries = min_entries;
-    }
-
-    /// The configured sort mode.
-    pub fn mode(&self) -> SortMode {
-        self.mode
     }
 
     fn charge(&self, entries: u64, skipped: u64, fallbacks: u64) {
@@ -228,7 +230,7 @@ impl TupleRadixSorter {
         if n <= 1 {
             return;
         }
-        if self.mode == SortMode::ComparisonOnly || n < self.min_entries {
+        if n < self.min_entries {
             Self::comparison_sort(arena, refs);
             self.charge(0, 0, 1);
             return;
@@ -366,8 +368,8 @@ impl TupleRadixSorter {
         // spread evenly across word passes.
         let fused_bits = span.saturating_sub(MAX_WORD_BITS).clamp(4, 8).min(span - 1);
         let rest = span - fused_bits;
-        let n_word_passes = (rest + MAX_WORD_BITS - 1) / MAX_WORD_BITS;
-        let word_digit = (rest + n_word_passes - 1) / n_word_passes;
+        let n_word_passes = rest.div_ceil(MAX_WORD_BITS);
+        let word_digit = rest.div_ceil(n_word_passes);
         let mut shift = 32;
         let mut remaining = rest;
         while remaining > 0 {
@@ -510,15 +512,19 @@ mod tests {
         (arena, refs)
     }
 
-    /// Sort with the radix threshold lowered to 2 so every non-trivial
-    /// batch in these tests exercises the radix plan.
+    /// Radix threshold that sends every non-trivial batch in these tests
+    /// through the radix plan.
+    const RADIX: usize = 2;
+    /// Radix threshold that keeps every batch on the comparison path.
+    const COMPARISON: usize = usize::MAX;
+
     fn sorted_bytes(
-        mode: SortMode,
+        min_entries: usize,
         tuples: &[Vec<u8>],
         counters: &ClusterCounters,
     ) -> Vec<Vec<u8>> {
         let (arena, mut refs) = load(tuples);
-        let mut s = TupleRadixSorter::with_counters(mode, counters.clone()).with_min_entries(2);
+        let mut s = TupleRadixSorter::with_counters(counters.clone()).with_min_entries(min_entries);
         s.sort(&arena, &mut refs);
         refs.iter().map(|&(_, r)| arena.get(r).to_vec()).collect()
     }
@@ -534,8 +540,8 @@ mod tests {
         let mut model = tuples.clone();
         model.sort();
         let c = ClusterCounters::new();
-        assert_eq!(sorted_bytes(SortMode::Auto, &tuples, &c), model);
-        assert_eq!(sorted_bytes(SortMode::ComparisonOnly, &tuples, &c), model);
+        assert_eq!(sorted_bytes(RADIX, &tuples, &c), model);
+        assert_eq!(sorted_bytes(COMPARISON, &tuples, &c), model);
     }
 
     #[test]
@@ -548,7 +554,7 @@ mod tests {
             .map(|i| keyed_tuple((i * 13) % 65536, b"p"))
             .collect();
         let c = ClusterCounters::new();
-        let out = sorted_bytes(SortMode::Auto, &tuples, &c);
+        let out = sorted_bytes(RADIX, &tuples, &c);
         assert!(out.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(c.radix_sort_entries(), 2048);
         assert_eq!(c.radix_passes_skipped(), (8 - planned_passes(15)) as u64);
@@ -571,7 +577,7 @@ mod tests {
     fn comparison_mode_counts_one_fallback_and_no_radix() {
         let tuples: Vec<Vec<u8>> = (0..1000u64).rev().map(|i| keyed_tuple(i, b"")).collect();
         let c = ClusterCounters::new();
-        sorted_bytes(SortMode::ComparisonOnly, &tuples, &c);
+        sorted_bytes(COMPARISON, &tuples, &c);
         assert_eq!(c.radix_sort_entries(), 0);
         assert_eq!(c.radix_passes_skipped(), 0);
         assert_eq!(c.sort_comparison_fallbacks(), 1);
@@ -587,7 +593,7 @@ mod tests {
             .collect();
         let (arena, mut refs) = load(&tuples);
         let c = ClusterCounters::new();
-        let mut s = TupleRadixSorter::with_counters(SortMode::Auto, c.clone());
+        let mut s = TupleRadixSorter::with_counters(c.clone());
         s.sort(&arena, &mut refs);
         assert!(refs.windows(2).all(|w| w[0].0 < w[1].0));
         assert_eq!(c.radix_sort_entries(), 0);
@@ -598,7 +604,7 @@ mod tests {
     fn presorted_batches_exit_after_the_precheck() {
         let tuples: Vec<Vec<u8>> = (0..5000u64).map(|i| keyed_tuple(i, b"v")).collect();
         let c = ClusterCounters::new();
-        let out = sorted_bytes(SortMode::Auto, &tuples, &c);
+        let out = sorted_bytes(RADIX, &tuples, &c);
         assert_eq!(out, tuples);
         assert_eq!(c.radix_sort_entries(), 5000);
         assert_eq!(c.radix_passes_skipped(), 8, "all naive passes avoided");
@@ -616,7 +622,7 @@ mod tests {
         let mut model = tuples.clone();
         model.sort();
         let c = ClusterCounters::new();
-        let out = sorted_bytes(SortMode::Auto, &tuples, &c);
+        let out = sorted_bytes(RADIX, &tuples, &c);
         assert_eq!(out, model);
         assert_eq!(c.radix_passes_skipped(), 8);
         assert_eq!(c.sort_comparison_fallbacks(), 1);
@@ -635,7 +641,7 @@ mod tests {
         let mut model = tuples.clone();
         model.sort();
         let c = ClusterCounters::new();
-        assert_eq!(sorted_bytes(SortMode::Auto, &tuples, &c), model);
+        assert_eq!(sorted_bytes(RADIX, &tuples, &c), model);
         assert!(c.sort_comparison_fallbacks() >= 1, "padded-prefix tie group");
     }
 
@@ -649,14 +655,14 @@ mod tests {
         let mut model = tuples.clone();
         model.sort();
         let c = ClusterCounters::new();
-        assert_eq!(sorted_bytes(SortMode::Auto, &tuples, &c), model);
+        assert_eq!(sorted_bytes(RADIX, &tuples, &c), model);
         assert_eq!(c.radix_sort_entries(), 0);
         assert_eq!(c.sort_comparison_fallbacks(), 1);
     }
 
     #[test]
     fn scratch_buffers_recycle_across_batches() {
-        let mut s = TupleRadixSorter::new(SortMode::Auto).with_min_entries(2);
+        let mut s = TupleRadixSorter::new().with_min_entries(RADIX);
         let mut caps = Vec::new();
         for round in 0..4 {
             let tuples: Vec<Vec<u8>> = (0..6000u64)
@@ -675,11 +681,26 @@ mod tests {
     }
 
     #[test]
+    fn tie_group_walk_finds_runs() {
+        let mut entries: Vec<(u64, u32)> =
+            vec![(1, 0), (1, 1), (2, 2), (3, 3), (3, 4), (3, 5), (4, 6)];
+        let mut groups = Vec::new();
+        for_each_tie_group(&mut entries, |g| groups.push((g[0].0, g.len())));
+        assert_eq!(groups, vec![(1, 2), (3, 3)]);
+        let mut none = vec![(1u64, 0u32), (2, 1)];
+        let mut called = 0;
+        for_each_tie_group(&mut none, |_| called += 1);
+        assert_eq!(called, 0);
+        let mut empty: Vec<(u64, u32)> = Vec::new();
+        for_each_tie_group(&mut empty, |_| panic!("no groups in empty input"));
+    }
+
+    #[test]
     fn empty_and_single_are_noops() {
         let c = ClusterCounters::new();
-        assert!(sorted_bytes(SortMode::Auto, &[], &c).is_empty());
+        assert!(sorted_bytes(RADIX, &[], &c).is_empty());
         let one = vec![keyed_tuple(3, b"x")];
-        assert_eq!(sorted_bytes(SortMode::Auto, &one, &c), one);
+        assert_eq!(sorted_bytes(RADIX, &one, &c), one);
         assert_eq!(c.radix_sort_entries(), 0);
         assert_eq!(c.sort_comparison_fallbacks(), 0);
     }

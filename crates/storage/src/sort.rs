@@ -37,7 +37,7 @@
 //! message volume to disk.
 
 use crate::file::FileManager;
-use crate::radix::{SortMode, TupleRadixSorter};
+use crate::radix::TupleRadixSorter;
 use crate::runfile::{RunReader, RunWriter, TempRun};
 use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
@@ -84,7 +84,7 @@ impl ExternalSorter {
         // allocation count at O(budget / chunk size) either way.
         let chunk = budget_bytes.min(DEFAULT_ARENA_CHUNK_BYTES);
         let arena = TupleArena::with_counters(chunk, fm.counters().clone());
-        let sorter = TupleRadixSorter::with_counters(SortMode::Auto, fm.counters().clone());
+        let sorter = TupleRadixSorter::with_counters(fm.counters().clone());
         ExternalSorter {
             fm,
             label: label.into(),
@@ -104,17 +104,11 @@ impl ExternalSorter {
         self
     }
 
-    /// Override the in-memory sort implementation (default
-    /// [`SortMode::Auto`]). [`SortMode::ComparisonOnly`] keeps the PR 1
-    /// comparison sorter selectable for benchmarks and equivalence tests.
-    pub fn with_sort_mode(mut self, mode: SortMode) -> Self {
-        self.sorter = TupleRadixSorter::with_counters(mode, self.fm.counters().clone());
-        self
-    }
-
-    /// Lower the radix threshold of the in-memory sort (default
+    /// Override the radix threshold of the in-memory sort (default
     /// [`crate::radix::TUPLE_RADIX_MIN_ENTRIES`]). Test/benchmark hook:
-    /// lets small spill batches exercise the full radix plan end-to-end.
+    /// a low threshold lets small spill batches exercise the full radix
+    /// plan end-to-end; `usize::MAX` keeps every batch on the comparison
+    /// path.
     pub fn with_sort_min_entries(mut self, min_entries: usize) -> Self {
         self.sorter.set_min_entries(min_entries);
         self
@@ -180,19 +174,21 @@ impl ExternalSorter {
         // Pre-combine the residual buffer (runs were pre-combined at spill
         // time), so the merge phase sees one tuple per key per source —
         // the same layout the merge combiner expects from runs.
-        let memory_refs: Vec<TupleRef> = if self.combiner.is_some() && !self.refs.is_empty() {
-            let mut out =
-                TupleArena::with_counters(DEFAULT_ARENA_CHUNK_BYTES, self.fm.counters().clone());
-            let mut out_refs = Vec::new();
-            let comb = self.combiner.as_mut().expect("checked above");
-            fold_groups(&self.arena, &self.refs, comb, |t| {
-                out_refs.push(out.append(t));
-                Ok(())
-            })?;
-            self.arena = out;
-            out_refs
-        } else {
-            self.refs.iter().map(|&(_, r)| r).collect()
+        let memory_refs: Vec<TupleRef> = match self.combiner.as_mut() {
+            Some(comb) if !self.refs.is_empty() => {
+                let mut out = TupleArena::with_counters(
+                    DEFAULT_ARENA_CHUNK_BYTES,
+                    self.fm.counters().clone(),
+                );
+                let mut out_refs = Vec::new();
+                fold_groups(&self.arena, &self.refs, comb, |t| {
+                    out_refs.push(out.append(t));
+                    Ok(())
+                })?;
+                self.arena = out;
+                out_refs
+            }
+            _ => self.refs.iter().map(|&(_, r)| r).collect(),
         };
         let mut readers = Vec::with_capacity(self.runs.len());
         for run in &self.runs {
@@ -750,12 +746,14 @@ mod tests {
 
     #[test]
     fn radix_and_comparison_modes_agree_with_spills() {
-        use crate::radix::SortMode;
+        use crate::radix::TUPLE_RADIX_MIN_ENTRIES;
         let mut outputs = Vec::new();
         let mut spilled = Vec::new();
-        for mode in [SortMode::Auto, SortMode::ComparisonOnly] {
+        // The default threshold, then every batch on the comparison path.
+        for min_entries in [TUPLE_RADIX_MIN_ENTRIES, usize::MAX] {
             let (f, _d) = fm();
-            let mut s = ExternalSorter::new(f.clone(), "m", 4096).with_sort_mode(mode);
+            let mut s =
+                ExternalSorter::new(f.clone(), "m", 4096).with_sort_min_entries(min_entries);
             let mut rng = StdRng::seed_from_u64(77);
             for _ in 0..10_000 {
                 let vid = rng.gen_range(0..1_000u64);
@@ -765,7 +763,7 @@ mod tests {
             outputs.push(s.finish().unwrap().collect_all().unwrap());
             spilled.push(f.counters().sort_bytes_spilled());
         }
-        assert_eq!(outputs[0], outputs[1], "modes must be byte-identical");
+        assert_eq!(outputs[0], outputs[1], "thresholds must be byte-identical");
         assert_eq!(spilled[0], spilled[1], "zero drift in spill volume");
     }
 

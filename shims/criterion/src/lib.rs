@@ -52,7 +52,11 @@ impl Criterion {
         }
     }
 
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Criterion {
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl Into<String>,
+        f: F,
+    ) -> &mut Criterion {
         self.benchmark_group(id).run(None, f);
         self
     }
@@ -83,8 +87,12 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        self.run(Some(id), f);
+    pub fn bench_function<F: FnMut(&mut Bencher)>(
+        &mut self,
+        id: impl Into<String>,
+        f: F,
+    ) -> &mut Self {
+        self.run(Some(&id.into()), f);
         self
     }
 

@@ -22,6 +22,9 @@
 //!   operator (§5.3.2): resized rows and rewritten edge lists fall back to
 //!   whole-row writes and stay correct; a steady-state `compute` call
 //!   allocates nothing (counting global allocator, a suite of its own).
+//! * `page_files` — a partition's page files and `Msg` runs go with its
+//!   state: after every finished, cancelled or failed job and every
+//!   partition recovery replaced, no worker root still holds them.
 //!
 //! The crate's own items are what the chaos suites (`fault_tolerance`,
 //! `transport_reliability`, `recovery_confinement`, `job_service`) share:
