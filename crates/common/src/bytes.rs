@@ -70,10 +70,9 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 
 static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-/// Streaming CRC32 hasher. The frame path computes each frame's CRC exactly
-/// once (at freeze); receivers stream the same polynomial over slab slices —
-/// including copy-on-write corruption overlays — without materializing a
-/// contiguous buffer.
+/// Streaming CRC32 hasher. Checksums guard bytes read back from storage
+/// (the message log's trailing CRC); frames that never leave memory carry
+/// none.
 #[derive(Clone, Copy, Debug)]
 pub struct Crc32(u32);
 
@@ -128,7 +127,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     h.finish()
 }
 
-/// Default backing-buffer capacity: a 16 KiB frame plus envelope headroom.
+/// Default backing-buffer capacity: a 16 KiB frame plus 64 bytes of
+/// headroom for its wire-form header.
 pub const DEFAULT_CHUNK_BYTES: usize = 16 * 1024 + 64;
 
 /// A pooled allocator of backing buffers. Cheap to clone; clones share the
@@ -184,11 +184,6 @@ impl BytesSlab {
         }
     }
 
-    /// The capacity pooled buffers are allocated at.
-    pub fn chunk_bytes(&self) -> usize {
-        self.inner.chunk
-    }
-
     /// Buffers currently restocked and ready for reuse.
     pub fn stocked(&self) -> usize {
         self.inner.stock.lock().len()
@@ -216,16 +211,6 @@ impl BytesSlab {
         };
         fill(&mut buf);
         debug_assert!(buf.len() <= buf.capacity());
-        BytesSlice::over(Backing {
-            buf,
-            pool: Some(Arc::downgrade(&self.inner)),
-        })
-    }
-
-    /// Seal an already-filled buffer (not drawn from the pool) into a slice
-    /// whose backing will still be returned to this slab on last drop if its
-    /// capacity matches the chunk size.
-    pub fn adopt(&self, buf: Vec<u8>) -> BytesSlice {
         BytesSlice::over(Backing {
             buf,
             pool: Some(Arc::downgrade(&self.inner)),
@@ -294,8 +279,8 @@ impl BytesSlice {
         }
     }
 
-    /// A slice over a plain vector, not attached to any pool. Used by tests
-    /// and by decode paths that materialize owned bytes.
+    /// A slice over a plain vector, not attached to any pool (standalone
+    /// freezes, copies, tests).
     pub fn from_vec(buf: Vec<u8>) -> Self {
         Self::over(Backing { buf, pool: None })
     }
@@ -331,11 +316,6 @@ impl BytesSlice {
     /// aliases the original, a copy does not.
     pub fn aliases(&self, other: &BytesSlice) -> bool {
         Arc::ptr_eq(&self.backing, &other.backing)
-    }
-
-    /// Number of live references to the backing allocation.
-    pub fn ref_count(&self) -> usize {
-        Arc::strong_count(&self.backing)
     }
 
     /// Copy this view into a fresh owned slice, charging the copy to
@@ -419,7 +399,6 @@ mod tests {
         let sub = s.slice(6..10);
         assert_eq!(&*sub, b"slab");
         assert!(sub.aliases(&s));
-        assert_eq!(s.ref_count(), 2);
     }
 
     #[test]

@@ -125,10 +125,12 @@ pub enum Fault {
     DropFrame,
     /// The connector delivers this frame twice ([`Site::FrameSend`] only).
     DuplicateFrame,
-    /// The wire flips a bit in the frame payload mid-flight — the torn send a
-    /// partial network write would produce. The envelope CRC no longer
-    /// matches, so the receiver discards the frame and nacks it
-    /// ([`Site::FrameSend`] and [`Site::FrameResend`] only).
+    /// The wire tears the frame mid-flight — the send a partial network
+    /// write would produce. Handled like [`Fault::DropFrame`]: the sender
+    /// parks the pristine frame on the stream's control plane and the wire
+    /// delivers a payload-free torn notice, which the receiver counts in
+    /// `frames_corrupted` and nacks ([`Site::FrameSend`] and
+    /// [`Site::FrameResend`] only).
     CorruptFrame,
 }
 

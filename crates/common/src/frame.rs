@@ -16,7 +16,7 @@
 //!   comparison of key prefixes equals numeric comparison of vids. Sorting,
 //!   merging and B-tree search all exploit this.
 
-use crate::bytes::{crc32, BytesSlab, BytesSlice, Crc32};
+use crate::bytes::{BytesSlab, BytesSlice};
 use crate::error::{PregelixError, Result};
 use crate::stats::ClusterCounters;
 use crate::Vid;
@@ -143,9 +143,16 @@ impl Frame {
         if !self.is_empty() && self.data.len() + tuple.len() > self.capacity {
             return false;
         }
+        self.push(tuple);
+        true
+    }
+
+    /// Append a tuple whatever the capacity: a message-log section is one
+    /// frame however many tuples its destination receives.
+    #[inline]
+    pub(crate) fn push(&mut self, tuple: &[u8]) {
         self.data.extend_from_slice(tuple);
         self.ends.push(self.data.len() as u32);
-        true
     }
 
     /// Borrow tuple `i`.
@@ -194,19 +201,14 @@ impl Frame {
     }
 
     /// Freeze the builder's content into its canonical, slab-backed wire
-    /// form. This is the **single** assembly copy (and the single CRC pass)
-    /// a frame pays on its way through the system: every later hop —
-    /// envelope encode, retransmit window, reorder buffer, consumer — holds
-    /// refcounted views of the slice built here. The builder keeps its
-    /// allocations; `clear()` it and refill.
+    /// form. This is the **single** assembly copy a frame pays on its way
+    /// through the system: every later hop — retransmit window, reorder
+    /// buffer, consumer — holds refcounted views of the slice built here.
+    /// The builder keeps its allocations; `clear()` it and refill.
     pub fn freeze(&self, slab: &BytesSlab) -> SharedFrame {
-        let wire_len = self.wire_len();
-        let bytes = slab.seal_with(wire_len, |out| self.write_wire(out));
         SharedFrame {
-            crc: crc32(&bytes),
+            bytes: slab.seal_with(self.wire_len(), |out| self.write_wire(out)),
             n: self.ends.len(),
-            bytes,
-            overlay: None,
         }
     }
 
@@ -216,7 +218,10 @@ impl Frame {
     pub fn freeze_standalone(&self) -> SharedFrame {
         let mut out = Vec::with_capacity(self.wire_len());
         self.write_wire(&mut out);
-        SharedFrame::from_wire(BytesSlice::from_vec(out)).expect("builder wire form is valid")
+        SharedFrame {
+            bytes: BytesSlice::from_vec(out),
+            n: self.ends.len(),
+        }
     }
 
     fn write_wire(&self, out: &mut Vec<u8>) {
@@ -228,17 +233,17 @@ impl Frame {
     }
 
     /// Append the wire form `[u32 n][u32 ends; n][data]` to `out`. Disk-write
-    /// path (run files, checkpoints): the on-disk frame record is byte-for-
-    /// byte the network wire form, so both sides share one codec.
+    /// path (run files, checkpoints, message logs): the on-disk frame record
+    /// is byte-for-byte the network wire form, so both sides share one codec.
     pub fn serialize(&self, out: &mut Vec<u8>) {
         self.write_wire(out);
     }
 
     /// Parse one wire-form frame from the front of `buf` into an owned
-    /// builder, advancing `buf` past it. Disk-read path: bytes coming off a
-    /// run file or checkpoint must be owned anyway. The network path never
-    /// calls this — it wraps slab slices zero-copy via
-    /// [`SharedFrame::from_wire`].
+    /// builder, advancing `buf` past it. The one decoder: everything that
+    /// reads frames reads them back from storage (run files, checkpoints,
+    /// message logs), and those bytes must be owned anyway. In-memory hops
+    /// never decode — they hand over the [`SharedFrame`] itself.
     pub fn deserialize(buf: &mut &[u8]) -> Result<Frame> {
         let mut frame = Frame::default();
         frame.deserialize_into(buf)?;
@@ -305,72 +310,26 @@ impl Frame {
 }
 
 /// A frozen frame: a refcounted view over one slab slice holding the
-/// canonical wire form `[u32 n][u32 ends; n][data]` (all little-endian),
-/// plus the CRC32 of those bytes computed once at freeze time.
+/// canonical wire form `[u32 n][u32 ends; n][data]` (all little-endian).
 ///
 /// Cloning is O(1) — the retransmit window, the receiver's reorder buffer
-/// and the consumer all hold the *same allocation*. Equality is derived from
-/// the wire slice alone: no capacity field, no working memory, nothing that
-/// could make a delivered frame compare unequal to the frame that was sent
-/// (the PR 3 `Frame` capacity/`PartialEq` wart this type deletes).
+/// and the consumer all hold the *same allocation*. Equality is content
+/// equality of the wire slice: no capacity field, no working memory,
+/// nothing that could make a delivered frame compare unequal to the frame
+/// that was sent.
 ///
-/// A `SharedFrame` may carry a copy-on-write *corruption overlay* — a single
-/// `(index, xor-mask)` patch the fault injector applies in place of the old
-/// whole-frame deep copy. Overlaid frames fail CRC verification at the
-/// receiver and are retransmitted from the pristine slice; they never reach
-/// tuple accessors.
-#[derive(Clone)]
+/// A `SharedFrame` is only ever built by [`Frame::freeze`] from a builder in
+/// this process, so its bytes are trusted and carry no checksum; bytes read
+/// back from storage come in through [`Frame::deserialize`] instead.
+#[derive(Clone, PartialEq, Eq)]
 pub struct SharedFrame {
-    /// The full wire form. Pristine even when an overlay is present.
+    /// The full wire form.
     bytes: BytesSlice,
     /// Tuple count (cached from the header).
     n: usize,
-    /// CRC32 over the pristine wire bytes, computed exactly once.
-    crc: u32,
-    /// Copy-on-write corruption patch: logical wire byte `i` reads as
-    /// `bytes[i] ^ mask`.
-    overlay: Option<(usize, u8)>,
 }
 
 impl SharedFrame {
-    /// Validate `bytes` as a frame wire form and wrap it zero-copy. The
-    /// returned frame *aliases* `bytes` — no payload copy — and its CRC is
-    /// computed here, once, over the slice.
-    pub fn from_wire(bytes: BytesSlice) -> Result<SharedFrame> {
-        let b = bytes.as_slice();
-        let n = u32::from_le_bytes(
-            b.get(..4)
-                .ok_or_else(|| PregelixError::corrupt("frame header truncated"))?
-                .try_into()
-                .expect("4-byte slice"),
-        ) as usize;
-        let data_off = 4usize
-            .checked_add(n.checked_mul(4).ok_or_else(|| PregelixError::corrupt("frame tuple count overflow"))?)
-            .ok_or_else(|| PregelixError::corrupt("frame tuple count overflow"))?;
-        if b.len() < data_off {
-            return Err(PregelixError::corrupt("frame offset table truncated"));
-        }
-        // Validate monotone offsets so `tuple()` can never slice out of
-        // bounds or panic on a reversed range.
-        let mut prev = 0u32;
-        for i in 0..n {
-            let e = u32::from_le_bytes(b[4 + 4 * i..8 + 4 * i].try_into().expect("4-byte slice"));
-            if e < prev {
-                return Err(PregelixError::corrupt("frame offsets not monotone"));
-            }
-            prev = e;
-        }
-        if b.len() != data_off + prev as usize {
-            return Err(PregelixError::corrupt("frame data length mismatch"));
-        }
-        Ok(SharedFrame {
-            crc: crc32(b),
-            n,
-            bytes,
-            overlay: None,
-        })
-    }
-
     /// An empty frozen frame (no slab; the 4-byte wire form is one-shot).
     pub fn empty() -> SharedFrame {
         Frame::with_capacity(0).freeze_standalone()
@@ -413,12 +372,9 @@ impl SharedFrame {
         self.bytes.len()
     }
 
-    /// Borrow tuple `i`. Corrupt-overlaid frames never reach delivery (the
-    /// receiver's CRC gate rejects them first), so accessors read the
-    /// pristine slice.
+    /// Borrow tuple `i`.
     #[inline]
     pub fn tuple(&self, i: usize) -> &[u8] {
-        debug_assert!(self.overlay.is_none(), "corrupt frame reached a tuple accessor");
         let start = if i == 0 { 0 } else { self.end(i - 1) };
         let off = self.data_off();
         &self.bytes.as_slice()[off + start..off + self.end(i)]
@@ -429,13 +385,7 @@ impl SharedFrame {
         (0..self.n).map(move |i| self.tuple(i))
     }
 
-    /// The CRC32 of the pristine wire bytes (computed once, at freeze).
-    #[inline]
-    pub fn crc(&self) -> u32 {
-        self.crc
-    }
-
-    /// The underlying (pristine) wire slice.
+    /// The underlying wire slice.
     #[inline]
     pub fn wire_bytes(&self) -> &BytesSlice {
         &self.bytes
@@ -446,53 +396,6 @@ impl SharedFrame {
     /// identical slice rather than a re-encoding.
     pub fn aliases(&self, other: &SharedFrame) -> bool {
         self.bytes.aliases(&other.bytes)
-    }
-
-    /// A copy-on-write corrupted view of this frame: the same backing with a
-    /// one-byte xor patch over the first data byte (or the header when the
-    /// frame carries no data). Replaces the old deep-copying `corrupt_copy`:
-    /// the pristine parked copy and the corrupt wire copy now share one
-    /// allocation.
-    pub fn corrupted(&self) -> SharedFrame {
-        let idx = if self.data_bytes() > 0 { self.data_off() } else { 0 };
-        SharedFrame {
-            bytes: self.bytes.clone(),
-            n: self.n,
-            crc: self.crc,
-            overlay: Some((idx, 0x01)),
-        }
-    }
-
-    /// Whether a corruption overlay is present (fault-injection paths only).
-    pub fn has_overlay(&self) -> bool {
-        self.overlay.is_some()
-    }
-
-    /// CRC32 of the *logical* wire bytes — what a receiver observes. With no
-    /// overlay this is the freeze-time CRC (the whole point of carrying it:
-    /// clean frames are never re-walked); with an overlay the three segments
-    /// around the patched byte are streamed without materializing a copy.
-    pub fn wire_crc(&self) -> u32 {
-        match self.overlay {
-            None => self.crc,
-            Some((idx, mask)) => {
-                let b = self.bytes.as_slice();
-                let mut h = Crc32::new();
-                h.update(&b[..idx]);
-                h.update(&[b[idx] ^ mask]);
-                h.update(&b[idx + 1..]);
-                h.finish()
-            }
-        }
-    }
-
-    /// Append the logical wire bytes (overlay applied) to `out`.
-    pub fn write_wire(&self, out: &mut Vec<u8>) {
-        let start = out.len();
-        out.extend_from_slice(self.bytes.as_slice());
-        if let Some((idx, mask)) = self.overlay {
-            out[start + idx] ^= mask;
-        }
     }
 
     /// Materialize an owned builder [`Frame`] with this frame's tuples,
@@ -514,33 +417,9 @@ impl std::fmt::Debug for SharedFrame {
         f.debug_struct("SharedFrame")
             .field("tuples", &self.n)
             .field("wire_len", &self.bytes.len())
-            .field("crc", &self.crc)
-            .field("overlay", &self.overlay)
             .finish()
     }
 }
-
-/// Content equality over the logical wire form — and nothing else.
-impl PartialEq for SharedFrame {
-    fn eq(&self, other: &Self) -> bool {
-        if self.overlay.is_none() && other.overlay.is_none() {
-            return self.bytes.as_slice() == other.bytes.as_slice();
-        }
-        if self.wire_len() != other.wire_len() {
-            return false;
-        }
-        let (a, b) = (self.bytes.as_slice(), other.bytes.as_slice());
-        let patch = |ov: Option<(usize, u8)>, i: usize| -> u8 {
-            match ov {
-                Some((idx, mask)) if idx == i => mask,
-                _ => 0,
-            }
-        };
-        (0..a.len()).all(|i| a[i] ^ patch(self.overlay, i) == b[i] ^ patch(other.overlay, i))
-    }
-}
-
-impl Eq for SharedFrame {}
 
 #[cfg(test)]
 mod tests {
@@ -633,11 +512,10 @@ mod tests {
         assert_eq!(shared.len(), 2);
         assert_eq!(shared.tuple(0), &keyed_tuple(1, b"abc")[..]);
         assert_eq!(shared.tuple(1), &keyed_tuple(2, b"")[..]);
-        // Re-wrapping the wire slice is zero-copy and content-equal.
-        let back = SharedFrame::from_wire(shared.wire_bytes().clone()).unwrap();
+        // A clone is a view of the same backing, and content-equal.
+        let back = shared.clone();
         assert_eq!(back, shared);
         assert!(back.aliases(&shared));
-        assert_eq!(back.crc(), shared.crc());
     }
 
     #[test]
@@ -695,53 +573,31 @@ mod tests {
     }
 
     #[test]
-    fn from_wire_rejects_garbage() {
-        let reject = |bytes: Vec<u8>| {
-            assert!(SharedFrame::from_wire(BytesSlice::from_vec(bytes)).is_err());
+    fn deserialize_rejects_garbage() {
+        let reject = |bytes: Vec<u8>, why: &str| {
+            let mut buf = bytes.as_slice();
+            let err = Frame::deserialize(&mut buf).unwrap_err();
+            assert!(err.to_string().contains(why), "{err}");
+            assert_eq!(buf.len(), bytes.len(), "a rejected record is not consumed");
         };
-        reject(vec![1u8]);
+        reject(vec![1u8], "frame header truncated");
         // claims one tuple ending at 100 but provides no data
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&1u32.to_le_bytes());
         bytes.extend_from_slice(&100u32.to_le_bytes());
-        reject(bytes);
+        reject(bytes, "frame data truncated");
         // non-monotone offsets
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&2u32.to_le_bytes());
         bytes.extend_from_slice(&4u32.to_le_bytes());
         bytes.extend_from_slice(&2u32.to_le_bytes());
         bytes.extend_from_slice(&[0u8; 4]);
-        reject(bytes);
-        // trailing bytes beyond the declared data length
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes.push(0);
-        reject(bytes);
-    }
-
-    #[test]
-    fn corruption_overlay_is_cow_and_detected() {
-        let mut f = Frame::new();
-        f.try_append(&keyed_tuple(3, b"payload"));
-        let clean = f.freeze_standalone();
-        let corrupt = clean.corrupted();
-        assert!(corrupt.aliases(&clean), "overlay shares the backing");
-        assert!(corrupt.has_overlay());
-        assert_eq!(clean.wire_crc(), clean.crc());
-        assert_ne!(corrupt.wire_crc(), corrupt.crc(), "patched bytes break the CRC");
-        assert_ne!(corrupt, clean);
-        // The logical wire bytes differ from the pristine ones in exactly
-        // one bit.
-        let mut wire = Vec::new();
-        corrupt.write_wire(&mut wire);
-        let pristine = clean.wire_bytes().as_slice();
-        let diff: Vec<usize> = (0..wire.len()).filter(|&i| wire[i] != pristine[i]).collect();
-        assert_eq!(diff.len(), 1);
-        assert_eq!(wire[diff[0]] ^ pristine[diff[0]], 0x01);
-        // An empty frame corrupts its header instead of data bytes.
-        let empty = Frame::with_capacity(16).freeze_standalone();
-        let ec = empty.corrupted();
-        assert_ne!(ec.wire_crc(), ec.crc());
+        reject(bytes, "frame offsets not monotone");
+        // a tuple count whose offset table cannot fit
+        reject(
+            u32::MAX.to_le_bytes().to_vec(),
+            "frame offset table truncated",
+        );
     }
 
     #[test]
@@ -767,8 +623,7 @@ mod tests {
             proptest::collection::vec(any::<u8>(), 0..50), 0..40)) {
             let mut f = Frame::with_capacity(1 << 20);
             for t in &tuples { prop_assert!(f.try_append(t)); }
-            let shared = f.freeze_standalone();
-            let g = SharedFrame::from_wire(shared.wire_bytes().clone()).unwrap();
+            let g = f.freeze_standalone();
             prop_assert_eq!(g.len(), tuples.len());
             for (i, t) in tuples.iter().enumerate() {
                 prop_assert_eq!(g.tuple(i), &t[..]);

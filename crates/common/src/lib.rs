@@ -14,9 +14,9 @@
 //! * [`frame`] — contiguous byte *frames* holding batches of tuples, the unit
 //!   of data exchange between dataflow operators (mirrors Hyracks frames).
 //!   Builders ([`frame::Frame`]) freeze into slab-backed wire-form views
-//!   ([`frame::SharedFrame`]) that are encoded and CRC'd exactly once.
-//! * [`envelope`] — sequenced, CRC-checked envelopes wrapping frames on
-//!   connector streams, the wire format of the reliable transport.
+//!   ([`frame::SharedFrame`]) that are encoded exactly once. The wire form
+//!   `[n][ends][data]` is the one framing of tuple batches: connectors ship
+//!   it, and run files, checkpoints and message logs store it.
 //! * [`arena`] — pooled tuple arenas backing operator buffers (external
 //!   sort, group-by): contiguous chunk storage plus compact tuple refs, so
 //!   the message hot path performs no per-tuple heap allocation.
@@ -29,15 +29,16 @@
 //!   per-worker RAM budgets (this is how the out-of-core experiments scale the
 //!   paper's 8 GB nodes down to laptop-size).
 //! * [`msglog`] — sender-side per-(superstep, partition) message/mutation
-//!   logs on the DFS, the substrate of confined recovery: on a worker death
-//!   only the lost partitions replay, fed from survivors' logs.
+//!   logs on the DFS, one frame per destination section and a trailing CRC
+//!   (the log is read back from storage), the substrate of confined
+//!   recovery: on a worker death only the lost partitions replay, fed from
+//!   survivors' logs.
 //! * [`stats`] — cluster-wide counters mirroring the Pregelix statistics
 //!   collector (CPU-ish work units, I/O, network bytes, message counts).
 
 pub mod arena;
 pub mod bytes;
 pub mod dfs;
-pub mod envelope;
 pub mod error;
 pub mod fault;
 pub mod frame;

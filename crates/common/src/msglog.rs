@@ -18,12 +18,17 @@
 //! One file per `(superstep, src)` at `jobs/<job>/msglog/<superstep>/src<p>`:
 //!
 //! ```text
-//! [magic  u32 = MLG1] [version u16 = 1]
+//! [magic  u32 = MLG1] [version u16 = 2]
 //! [superstep u64] [src u32] [p_count u32]
-//! p_count × { [msg_count u32] msg_count × ([len u32][tuple bytes])
-//!             [mut_count u32] mut_count × ([len u32][tuple bytes]) }
+//! p_count × { [messages frame] [mutations frame] }
 //! [crc32 over everything above  u32]
 //! ```
+//!
+//! Each section is one frame in the wire form every tuple batch uses
+//! (`[n u32][ends u32 × n][tuple bytes]`, see [`crate::frame`]), written by
+//! [`Frame::serialize`] and read back by [`Frame::deserialize`] — the codec
+//! run files and checkpointed `Msg` runs use. The file carries a CRC, unlike
+//! a frame that only moves in memory, because it is read back from the DFS.
 //!
 //! Sections appear in ascending destination-partition order and are written
 //! even when empty, so the *presence* of an intact `src<p>` file proves the
@@ -45,14 +50,17 @@ use crate::bytes::crc32;
 use crate::dfs::SimDfs;
 use crate::error::{PregelixError, Result};
 use crate::fault::{self, Fault, Site};
+use crate::frame::Frame;
 use crate::job::JobId;
 use crate::stats::ClusterCounters;
 use crate::Superstep;
 
 /// File magic: "MLG1" little-endian.
 const MAGIC: u32 = 0x3147_4C4D;
-/// Codec version.
-const VERSION: u16 = 1;
+/// Codec version (2: each section is a frame).
+const VERSION: u16 = 2;
+/// Header bytes before the first section.
+const HEADER: usize = 4 + 2 + 8 + 4 + 4;
 
 /// DFS directory holding every message log of `job`.
 pub fn log_root(job: &JobId) -> String {
@@ -64,53 +72,18 @@ pub fn log_path(job: &JobId, superstep: Superstep, src: usize) -> String {
     format!("jobs/{job}/msglog/{superstep}/src{src}")
 }
 
-/// One destination's worth of tuples, already in wire shape: `buf` is the
-/// concatenation of `[len u32][tuple bytes]` records and `count` how many.
-/// Appending is a single `extend_from_slice` into one growing buffer — no
-/// per-tuple `Vec` — and `encode` can copy the section out wholesale.
-#[derive(Debug, Default, Clone)]
-struct Section {
-    count: u32,
-    buf: Vec<u8>,
-}
-
-impl Section {
-    fn push(&mut self, tuple: &[u8]) {
-        self.buf.extend_from_slice(&(tuple.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(tuple);
-        self.count += 1;
-    }
-
-    /// Iterate the framed tuples back out (test/inspection helper).
-    #[cfg(test)]
-    fn tuples(&self) -> impl Iterator<Item = &[u8]> {
-        let mut rest = self.buf.as_slice();
-        std::iter::from_fn(move || {
-            if rest.is_empty() {
-                return None;
-            }
-            let (len, tail) = rest.split_at(4);
-            let len = u32::from_le_bytes(len.try_into().unwrap()) as usize;
-            let (tuple, tail) = tail.split_at(len);
-            rest = tail;
-            Some(tuple)
-        })
-    }
-}
-
 /// Accumulates one source partition's outbound tuples for one superstep,
-/// bucketed by destination partition, and encodes them into the log file
-/// format above. Tuples are framed into per-destination byte buffers as
-/// they arrive, so the tee costs one buffer append per tuple and `encode`
-/// is a handful of bulk copies regardless of tuple count.
+/// one frame per destination partition and flow, and encodes them into the
+/// log file format above. The tee costs one frame append per tuple and
+/// `encode` one wire-form copy per section.
 #[derive(Debug)]
 pub struct MsgLogWriter {
     superstep: Superstep,
     src: usize,
     /// Per-destination post-combine message sections, emission order.
-    msgs: Vec<Section>,
+    msgs: Vec<Frame>,
     /// Per-destination mutation-request sections, emission order.
-    muts: Vec<Section>,
+    muts: Vec<Frame>,
 }
 
 impl MsgLogWriter {
@@ -119,8 +92,8 @@ impl MsgLogWriter {
         Self {
             superstep,
             src,
-            msgs: vec![Section::default(); p_count],
-            muts: vec![Section::default(); p_count],
+            msgs: vec![Frame::default(); p_count],
+            muts: vec![Frame::default(); p_count],
         }
     }
 
@@ -136,24 +109,21 @@ impl MsgLogWriter {
 
     /// Serialize to the on-DFS byte form (header, per-dst sections, CRC).
     pub fn encode(&self) -> Vec<u8> {
-        let body_len: usize = 4 + 2 + 8 + 4 + 4
-            + self
-                .msgs
-                .iter()
-                .chain(self.muts.iter())
-                .map(|s| 4 + s.buf.len())
-                .sum::<usize>();
-        let mut out = Vec::with_capacity(body_len + 4);
+        let sections: usize = self
+            .msgs
+            .iter()
+            .chain(&self.muts)
+            .map(Frame::wire_len)
+            .sum();
+        let mut out = Vec::with_capacity(HEADER + sections + 4);
         out.extend_from_slice(&MAGIC.to_le_bytes());
         out.extend_from_slice(&VERSION.to_le_bytes());
         out.extend_from_slice(&self.superstep.to_le_bytes());
         out.extend_from_slice(&(self.src as u32).to_le_bytes());
         out.extend_from_slice(&(self.msgs.len() as u32).to_le_bytes());
-        for dst in 0..self.msgs.len() {
-            for section in [&self.msgs[dst], &self.muts[dst]] {
-                out.extend_from_slice(&section.count.to_le_bytes());
-                out.extend_from_slice(&section.buf);
-            }
+        for (msgs, muts) in self.msgs.iter().zip(&self.muts) {
+            msgs.serialize(&mut out);
+            muts.serialize(&mut out);
         }
         let crc = crc32(&out);
         out.extend_from_slice(&crc.to_le_bytes());
@@ -162,15 +132,15 @@ impl MsgLogWriter {
 }
 
 /// A decoded, CRC-verified log file.
-#[derive(Debug, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct MsgLog {
     /// Superstep the log was written during.
     pub superstep: Superstep,
     /// Source partition that wrote it.
     pub src: usize,
-    /// `messages[dst]` / `mutations[dst]`, emission order.
-    msgs: Vec<Vec<Vec<u8>>>,
-    muts: Vec<Vec<Vec<u8>>>,
+    /// `msgs[dst]` / `muts[dst]`: one frame per section, emission order.
+    msgs: Vec<Frame>,
+    muts: Vec<Frame>,
 }
 
 impl MsgLog {
@@ -180,21 +150,21 @@ impl MsgLog {
     }
 
     /// Post-combine message tuples bound for `dst`, emission order.
-    pub fn messages(&self, dst: usize) -> &[Vec<u8>] {
+    pub fn messages(&self, dst: usize) -> &Frame {
         &self.msgs[dst]
     }
 
     /// Mutation-request tuples bound for `dst`, emission order.
-    pub fn mutations(&self, dst: usize) -> &[Vec<u8>] {
+    pub fn mutations(&self, dst: usize) -> &Frame {
         &self.muts[dst]
     }
 
     /// Decode and verify a log file. Every failure mode — short buffer, bad
-    /// magic/version, CRC mismatch, trailing bytes, truncated section — is a
-    /// `Corrupt` error; callers on the replay path map it to
+    /// magic/version, CRC mismatch, trailing bytes, a malformed or truncated
+    /// section — is a `Corrupt` error; callers on the replay path map it to
     /// `ConfinedRecoveryUnavailable`.
     pub fn decode(bytes: &[u8]) -> Result<MsgLog> {
-        if bytes.len() < 4 + 2 + 8 + 4 + 4 + 4 {
+        if bytes.len() < HEADER + 4 {
             return Err(PregelixError::corrupt("msg log shorter than header"));
         }
         let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
@@ -215,13 +185,13 @@ impl MsgLog {
         let superstep = u64::from_le_bytes(take_n(&mut buf, 8)?.try_into().unwrap());
         let src = take_u32(&mut buf)? as usize;
         let p_count = take_u32(&mut buf)? as usize;
-        // A corrupted count could demand absurd allocations; each tuple
+        // A corrupted count could demand absurd allocations; each section
         // costs ≥4 bytes on the wire, so bound counts by what's left.
         let mut msgs = Vec::with_capacity(p_count.min(buf.len() / 8 + 1));
         let mut muts = Vec::with_capacity(p_count.min(buf.len() / 8 + 1));
         for _ in 0..p_count {
-            msgs.push(take_tuples(&mut buf)?);
-            muts.push(take_tuples(&mut buf)?);
+            msgs.push(Frame::deserialize(&mut buf)?);
+            muts.push(Frame::deserialize(&mut buf)?);
         }
         if !buf.is_empty() {
             return Err(PregelixError::corrupt("msg log trailing bytes"));
@@ -246,16 +216,6 @@ fn take_n<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
 
 fn take_u32(buf: &mut &[u8]) -> Result<u32> {
     Ok(u32::from_le_bytes(take_n(buf, 4)?.try_into().unwrap()))
-}
-
-fn take_tuples(buf: &mut &[u8]) -> Result<Vec<Vec<u8>>> {
-    let count = take_u32(buf)? as usize;
-    let mut tuples = Vec::with_capacity(count.min(buf.len() / 4 + 1));
-    for _ in 0..count {
-        let len = take_u32(buf)? as usize;
-        tuples.push(take_n(buf, len)?.to_vec());
-    }
-    Ok(tuples)
 }
 
 /// Write `log` to its DFS path, probing [`Site::MsgLog`] (ctx = the path)
@@ -365,6 +325,44 @@ mod tests {
         w
     }
 
+    fn tuples(section: &Frame) -> Vec<&[u8]> {
+        section.iter().collect()
+    }
+
+    /// The frame wire form from its spec, independent of `Frame`:
+    /// `[n u32 LE][ends[i] u32 LE × n][tuple data]`.
+    fn legacy_frame(tuples: &[&[u8]], out: &mut Vec<u8>) {
+        out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+        let mut end = 0u32;
+        for t in tuples {
+            end += t.len() as u32;
+            out.extend_from_slice(&end.to_le_bytes());
+        }
+        for t in tuples {
+            out.extend_from_slice(t);
+        }
+    }
+
+    /// `sample()` encoded by an independent writer of the layout, with
+    /// sections produced by `section`.
+    fn reference_file(version: u16, section: impl Fn(&[&[u8]], &mut Vec<u8>)) -> Vec<u8> {
+        let msgs: [&[&[u8]]; 4] = [&[b"alpha", b"beta"], &[], &[b"gamma"], &[]];
+        let muts: [&[&[u8]]; 4] = [&[], &[], &[], &[b"delta"]];
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&3u64.to_le_bytes());
+        out.extend_from_slice(&1u32.to_le_bytes());
+        out.extend_from_slice(&4u32.to_le_bytes());
+        for dst in 0..4 {
+            section(msgs[dst], &mut out);
+            section(muts[dst], &mut out);
+        }
+        let crc = crc32(&out).to_le_bytes();
+        out.extend_from_slice(&crc);
+        out
+    }
+
     #[test]
     fn roundtrip_preserves_sections_and_order() {
         let w = sample();
@@ -372,45 +370,34 @@ mod tests {
         assert_eq!(log.superstep, 3);
         assert_eq!(log.src, 1);
         assert_eq!(log.partitions(), 4);
-        assert_eq!(log.messages(0), &[b"alpha".to_vec(), b"beta".to_vec()]);
-        assert_eq!(log.messages(1), &[] as &[Vec<u8>]);
-        assert_eq!(log.messages(2), &[b"gamma".to_vec()]);
-        assert_eq!(log.mutations(3), &[b"delta".to_vec()]);
-        assert_eq!(log.mutations(0), &[] as &[Vec<u8>]);
+        assert_eq!(tuples(log.messages(0)), [b"alpha".as_slice(), b"beta"]);
+        assert!(log.messages(1).is_empty());
+        assert_eq!(tuples(log.messages(2)), [b"gamma".as_slice()]);
+        assert_eq!(tuples(log.mutations(3)), [b"delta".as_slice()]);
+        assert!(log.mutations(0).is_empty());
     }
 
     #[test]
     fn streamed_sections_match_a_naive_reference_encoding() {
-        // Reference encoder: the straightforward per-tuple nested-Vec shape
-        // the writer used before sections were streamed. The file bytes must
-        // be identical so logs written by either are interchangeable.
-        let w = sample();
-        let msgs: Vec<Vec<&[u8]>> = vec![vec![b"alpha", b"beta"], vec![], vec![b"gamma"], vec![]];
-        let muts: Vec<Vec<&[u8]>> = vec![vec![], vec![], vec![], vec![b"delta"]];
-        let mut reference = Vec::new();
-        reference.extend_from_slice(&MAGIC.to_le_bytes());
-        reference.extend_from_slice(&VERSION.to_le_bytes());
-        reference.extend_from_slice(&3u64.to_le_bytes());
-        reference.extend_from_slice(&1u32.to_le_bytes());
-        reference.extend_from_slice(&4u32.to_le_bytes());
-        for dst in 0..4 {
-            for tuples in [&msgs[dst], &muts[dst]] {
-                reference.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
-                for t in tuples.iter() {
-                    reference.extend_from_slice(&(t.len() as u32).to_le_bytes());
-                    reference.extend_from_slice(t);
-                }
+        // Header, one frame per section in the legacy frame encoding, CRC:
+        // the file bytes must be exactly what an independent writer of the
+        // layout produces.
+        let encoded = sample().encode();
+        assert_eq!(encoded, reference_file(VERSION, legacy_frame));
+        // Version 1's `[count]([len][tuple])*` sections were exactly as
+        // long, so a log costs the same bytes on the DFS as before.
+        let v1 = reference_file(1, |tuples, out| {
+            out.extend_from_slice(&(tuples.len() as u32).to_le_bytes());
+            for t in tuples {
+                out.extend_from_slice(&(t.len() as u32).to_le_bytes());
+                out.extend_from_slice(t);
             }
-        }
-        let crc = crc32(&reference).to_le_bytes();
-        reference.extend_from_slice(&crc);
-        assert_eq!(w.encode(), reference);
-        // And the streaming section iterator walks the frames back out.
-        assert_eq!(
-            w.msgs[0].tuples().collect::<Vec<_>>(),
-            vec![b"alpha".as_slice(), b"beta".as_slice()]
+        });
+        assert_eq!(encoded.len(), v1.len());
+        assert!(
+            MsgLog::decode(&v1).is_err(),
+            "a version-1 file is not read as version 2"
         );
-        assert_eq!(w.muts[3].tuples().collect::<Vec<_>>(), vec![b"delta".as_slice()]);
     }
 
     #[test]
@@ -460,6 +447,39 @@ mod tests {
     }
 
     #[test]
+    fn malformed_section_under_a_valid_crc_is_unavailable() {
+        let _guard = fault::exclusive();
+        let dir = TempDir::new();
+        let dfs = SimDfs::open(dir.path()).unwrap();
+        let counters = ClusterCounters::new();
+        let job = JobId::new("j");
+        // A first section claiming two tuples whose offsets run backwards,
+        // then the CRC of exactly those bytes: only the frame decoder
+        // stands between this file and replay.
+        let mut body = reference_file(VERSION, legacy_frame);
+        body.truncate(HEADER);
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&4u32.to_le_bytes());
+        body.extend_from_slice(&2u32.to_le_bytes());
+        body.extend_from_slice(&[0u8; 4]);
+        for _ in 0..7 {
+            body.extend_from_slice(&0u32.to_le_bytes());
+        }
+        let crc = crc32(&body).to_le_bytes();
+        body.extend_from_slice(&crc);
+        dfs.write(&log_path(&job, 3, 1), &body).unwrap();
+        let err = read_log(&dfs, &counters, &job, 3, 1).unwrap_err();
+        assert!(
+            matches!(err, PregelixError::ConfinedRecoveryUnavailable(_)),
+            "{err}"
+        );
+        assert!(
+            err.to_string().contains("frame offsets not monotone"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn write_and_read_through_dfs_reports_bytes() {
         // Writes the path the fault tests aim their rules at.
         let _guard = fault::exclusive();
@@ -473,7 +493,7 @@ mod tests {
         // The counter is the caller's job, at superstep commit.
         assert_eq!(counters.log_bytes_written(), 0);
         let log = read_log(&dfs, &counters, &job, 3, 1).unwrap();
-        assert_eq!(log.messages(2), &[b"gamma".to_vec()]);
+        assert_eq!(tuples(log.messages(2)), [b"gamma".as_slice()]);
         // Wrong coordinates are a typed unavailability, not a panic.
         let err = read_log(&dfs, &counters, &job, 4, 1).unwrap_err();
         assert!(matches!(err, PregelixError::ConfinedRecoveryUnavailable(_)));
@@ -496,14 +516,10 @@ mod tests {
         let mut other = MsgLogWriter::new(3, 1, 4);
         other.add_msg(1, b"omega");
         write_log(&dfs, &counters, &b, &other).unwrap();
-        assert_eq!(
-            read_log(&dfs, &counters, &a, 3, 1).unwrap().messages(0),
-            &[b"alpha".to_vec(), b"beta".to_vec()]
-        );
-        assert_eq!(
-            read_log(&dfs, &counters, &b, 3, 1).unwrap().messages(1),
-            &[b"omega".to_vec()]
-        );
+        let log_a = read_log(&dfs, &counters, &a, 3, 1).unwrap();
+        assert_eq!(tuples(log_a.messages(0)), [b"alpha".as_slice(), b"beta"]);
+        let log_b = read_log(&dfs, &counters, &b, 3, 1).unwrap();
+        assert_eq!(tuples(log_b.messages(1)), [b"omega".as_slice()]);
     }
 
     #[test]

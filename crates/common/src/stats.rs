@@ -165,8 +165,9 @@ macro_rules! stats_table {
             /// Duplicate frames discarded by receiver-side sequence-number
             /// dedup.
             counter frames_deduped, add_frames_deduped;
-            /// Frames discarded by the receiver because the envelope CRC did
-            /// not match the payload (each one is subsequently retransmitted).
+            /// Frames the wire tore ([`crate::fault::Fault::CorruptFrame`]):
+            /// the receiver got a torn notice in their place (each one is
+            /// subsequently retransmitted).
             counter frames_corrupted, add_frames_corrupted;
             /// Workers declared dead by the missed-beat failure detector and
             /// blacklisted from scheduling.

@@ -34,6 +34,7 @@ use crate::superstep::{
 };
 use parking_lot::Mutex;
 use pregelix_common::error::{PregelixError, Result};
+use pregelix_common::frame::Frame;
 use pregelix_common::msglog::{self, MsgLog};
 use pregelix_common::Superstep;
 use pregelix_dataflow::cluster::{Cluster, Task};
@@ -220,21 +221,17 @@ impl ReplayInputs {
                 let gs_c = gs.clone();
                 let combiner_c = msg_tuple_combiner(program);
                 let job_tag = job.id.tag().to_string();
-                // Owned slices of the logged flows bound for partition p, in
-                // ascending src order.
-                let msg_tuples: Vec<Vec<Vec<u8>>> =
-                    logs.iter().map(|l| l.messages(p).to_vec()).collect();
-                let mut_tuples: Vec<Vec<u8>> = logs
-                    .iter()
-                    .flat_map(|l| l.mutations(p).iter().cloned())
-                    .collect();
+                // The logged sections bound for partition p, one frame per
+                // source, in ascending src order.
+                let msgs: Vec<Frame> = logs.iter().map(|l| l.messages(p).clone()).collect();
+                let muts: Vec<Frame> = logs.iter().map(|l| l.mutations(p).clone()).collect();
                 tasks.push(Task::new(
                     format!("replay[{p}]@{superstep}"),
                     sticky[p],
                     move |w| {
                         replay_partition_superstep::<P>(
-                            &w, state, program_c, gs_c, plan, track_live, p, &job_tag, msg_tuples,
-                            mut_tuples, combiner_c,
+                            &w, state, program_c, gs_c, plan, track_live, p, &job_tag, msgs, muts,
+                            combiner_c,
                         )
                     },
                 ));

@@ -40,7 +40,7 @@ use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Site};
-use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key};
+use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key, Frame};
 use pregelix_common::msglog::{self, MsgLogWriter};
 use pregelix_common::stats::ClusterCounters;
 use pregelix_common::writable::Writable;
@@ -1596,12 +1596,12 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
     track_live: bool,
     p: usize,
     job_tag: &str,
-    msg_tuples: Vec<Vec<Vec<u8>>>,
-    mut_tuples: Vec<Vec<u8>>,
+    msgs: Vec<Frame>,
+    muts: Vec<Frame>,
     combiner: CombineFn,
 ) -> Result<()> {
     let superstep = gs.superstep;
-    let p_count = msg_tuples.len();
+    let p_count = msgs.len();
     // --- compute-replay ---
     {
         let mut st = state.lock();
@@ -1644,12 +1644,9 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
         Some(combiner),
     );
     let mut fed_runs = 0u64;
-    for tuples in &msg_tuples {
-        if tuples.is_empty() {
-            continue;
-        }
+    for section in msgs.iter().filter(|s| !s.is_empty()) {
         fed_runs += 1;
-        for t in tuples {
+        for t in section.iter() {
             gb.add(t)?;
         }
     }
@@ -1667,7 +1664,7 @@ pub(crate) fn replay_partition_superstep<P: VertexProgram>(
     state.lock().msg_run = out.finish()?;
     // --- mutate-replay ---
     let mut groups = BTreeMap::new();
-    for t in &mut_tuples {
+    for t in muts.iter().flat_map(Frame::iter) {
         group_mutation::<P>(&mut groups, t)?;
     }
     apply_mutation_groups(w, &state, &program, groups)?;

@@ -17,16 +17,16 @@
 //!   strategies of Figure 7). The receiver-side coordination across all
 //!   senders is exactly the cost that makes this connector lose on larger
 //!   clusters (§7.5 / TR \[13\]).
-//! * **aggregator connector** ([`aggregator_channels`] /
+//! * **aggregator connector** ([`aggregator_channels_cap`] /
 //!   [`AggregatorReceiver`]): reduces all sender streams to one receiver,
 //!   used by the two-stage global aggregation of Figure 4.
 //!
 //! All frame traffic rides the reliable transport in [`crate::transport`]:
-//! sequenced, CRC-checked envelopes with cumulative acks, receiver-side
-//! dedup and bounded retransmission, so wire-level drop/duplicate/corrupt
-//! faults are absorbed *in place* (visible only as `frames_retransmitted` /
-//! `frames_deduped` / `frames_corrupted` counter movement) instead of
-//! forcing a job restart. Run-handle transfers of the merging connector use
+//! sequenced in-memory messages carrying refcounted frames, cumulative acks,
+//! receiver-side dedup and bounded retransmission, so wire-level
+//! drop/duplicate/corrupt faults are absorbed *in place* (visible only as
+//! `frames_retransmitted` / `frames_deduped` / `frames_corrupted` counter
+//! movement) instead of forcing a job restart. Run-handle transfers of the merging connector use
 //! the same idea at handle granularity: a lost or duplicated transfer is
 //! recovered from the pair's control plane or discarded by the
 //! one-handle-per-stream invariant.
@@ -57,14 +57,10 @@ pub const CHANNEL_FRAMES: usize = 64;
 ///
 /// Returns `(senders, receivers)` where `senders[s]` holds sender `s`'s n
 /// per-receiver endpoints and `receivers[r]` holds receiver `r`'s m
-/// per-sender endpoints.
-pub fn partition_channels(m: usize, n: usize) -> (Vec<Vec<StreamTx>>, Vec<Vec<StreamRx>>) {
-    partition_channels_cap(m, n, Some(CHANNEL_FRAMES))
-}
-
-/// [`partition_channels`] with an explicit capacity; `None` = unbounded
-/// open-loop streams (required by the cluster's sequential-timed mode, where
-/// a bounded channel's backpressure — or an ack wait — would block with no
+/// per-sender endpoints. `cap` is the channel capacity in frames
+/// ([`CHANNEL_FRAMES`] on threaded clusters); `None` = unbounded open-loop
+/// streams (required by the cluster's sequential-timed mode, where a
+/// bounded channel's backpressure — or an ack wait — would block with no
 /// concurrent consumer). The capacity is forwarded verbatim to
 /// [`reliable_channels`], which derives both the data-channel bound and the
 /// ack protocol mode from it, so the two can never disagree with
@@ -78,13 +74,8 @@ pub fn partition_channels_cap(
 }
 
 /// Build the m-to-1 stream set for an aggregator connector. Returns the m
-/// sender endpoints and the single receiver's endpoints.
-pub fn aggregator_channels(m: usize) -> (Vec<StreamTx>, Vec<StreamRx>) {
-    aggregator_channels_cap(m, Some(CHANNEL_FRAMES))
-}
-
-/// [`aggregator_channels`] with an explicit capacity (see
-/// [`partition_channels_cap`]).
+/// sender endpoints and the single receiver's endpoints; `cap` as for
+/// [`partition_channels_cap`].
 pub fn aggregator_channels_cap(m: usize, cap: Option<usize>) -> (Vec<StreamTx>, Vec<StreamRx>) {
     let (mut senders, mut receivers) = partition_channels_cap(m, 1, cap);
     (
@@ -132,15 +123,10 @@ impl PartitioningSender {
 
     /// Tag the stream for fault-injection targeting (`Site::FrameSend` /
     /// `Site::FrameResend` / `Site::AckSend` events carry this label as
-    /// their context, and every envelope is stamped with it).
+    /// their context, and every message is stamped with it).
     pub fn with_label(mut self, label: &'static str) -> PartitioningSender {
         self.tx.set_label(label);
         self
-    }
-
-    /// Number of receiver partitions.
-    pub fn fanout(&self) -> usize {
-        self.tx.fanout()
     }
 
     /// Route a vid-keyed tuple by hash partitioning.
@@ -163,8 +149,8 @@ impl PartitioningSender {
         if self.staging[part].is_empty() {
             return Ok(());
         }
-        // Freeze into the slab (the one assembly copy + one CRC this frame
-        // will ever pay) and clear-reuse the staging builder — no fresh
+        // Freeze into the slab (the one assembly copy this frame will ever
+        // pay) and clear-reuse the staging builder — no fresh
         // allocation per flush on either side. Fault injection, network
         // accounting and delivery guarantees all live in the transport.
         let frame = self.staging[part].freeze(&self.slab);
@@ -467,18 +453,16 @@ mod tests {
     /// window, and the ack-protocol mode must all derive from the one value
     /// `ClusterConfig::channel_capacity` reports — a mismatch (bounded data
     /// channel with an open-loop receiver, or vice versa) deadlocks the
-    /// backpressure path in sequential-timed mode.
+    /// backpressure path in sequential-timed mode. `reliable_channels`
+    /// builds each receiver endpoint from the same `cap` as its sender's.
     #[test]
     fn channel_capacity_agrees_with_cluster_config() {
         let c = cluster(2);
         let cap = c.channel_capacity();
         assert_eq!(cap, Some(CHANNEL_FRAMES));
-        let (txs, rxs) = partition_channels_cap(2, 2, cap);
+        let (txs, _rxs) = partition_channels_cap(2, 2, cap);
         for tx in txs.iter().flatten() {
             assert_eq!(tx.window(), Some(CHANNEL_FRAMES));
-        }
-        for rx in rxs.iter().flatten() {
-            assert!(!rx.open_loop());
         }
         // Sequential-timed mode: unbounded open-loop streams end to end —
         // an ack wait or a full data channel would block with no concurrent
@@ -486,12 +470,9 @@ mod tests {
         let c = Cluster::new(ClusterConfig::new(2, 1 << 20).sequential_timed()).unwrap();
         let cap = c.channel_capacity();
         assert_eq!(cap, None);
-        let (txs, rxs) = partition_channels_cap(2, 2, cap);
+        let (txs, _rxs) = partition_channels_cap(2, 2, cap);
         for tx in txs.iter().flatten() {
             assert_eq!(tx.window(), None);
-        }
-        for rx in rxs.iter().flatten() {
-            assert!(rx.open_loop());
         }
     }
 
@@ -500,7 +481,7 @@ mod tests {
         let c = cluster(4);
         let m = 3;
         let n = 4;
-        let (mut sends, mut recvs) = partition_channels(m, n);
+        let (mut sends, mut recvs) = partition_channels_cap(m, n, Some(CHANNEL_FRAMES));
         let recv_workers: Vec<usize> = (0..n).collect();
         let received: std::sync::Arc<Mutex<HashMap<usize, Vec<u64>>>> = Default::default();
         let mut tasks = Vec::new();
@@ -557,7 +538,7 @@ mod tests {
     #[test]
     fn same_worker_traffic_not_counted_as_network() {
         let c = cluster(1);
-        let (mut sends, mut recvs) = partition_channels(1, 1);
+        let (mut sends, mut recvs) = partition_channels_cap(1, 1, Some(CHANNEL_FRAMES));
         let outs = std::mem::take(&mut sends[0]);
         let ins = std::mem::take(&mut recvs[0]);
         c.execute(vec![
@@ -801,7 +782,7 @@ mod tests {
     #[test]
     fn aggregator_reduces_to_single_partition() {
         let c = cluster(3);
-        let (sends, recv) = aggregator_channels(3);
+        let (sends, recv) = aggregator_channels_cap(3, Some(CHANNEL_FRAMES));
         let mut tasks = Vec::new();
         for (s, tx_chan) in sends.into_iter().enumerate() {
             tasks.push(Task::new(format!("send{s}"), s, move |w| {
@@ -838,7 +819,7 @@ mod tests {
         // block and resume rather than deadlock or drop — now with the ack
         // window layered on top of the data channel's backpressure.
         let c = cluster(2);
-        let (mut sends, mut recvs) = partition_channels(1, 1);
+        let (mut sends, mut recvs) = partition_channels_cap(1, 1, Some(CHANNEL_FRAMES));
         let outs = std::mem::take(&mut sends[0]);
         let ins = std::mem::take(&mut recvs[0]);
         c.execute(vec![

@@ -14,10 +14,10 @@
 //!   `Vertex`, `Msg` and `Vid` partitions co-located across supersteps
 //!   (§5.3.4).
 //! * [`transport`] — the reliable stream transport every frame connector
-//!   rides on: sequenced CRC-checked envelopes, cumulative acks with
-//!   single-gap nacks, receiver-side dedup, and bounded retransmission, so
-//!   wire-level drop/duplicate/corrupt faults are absorbed in place instead
-//!   of restarting the job.
+//!   rides on: sequenced in-memory messages carrying refcounted frames,
+//!   cumulative acks with single-gap nacks, receiver-side dedup, and bounded
+//!   retransmission, so wire-level drop/duplicate/corrupt faults are
+//!   absorbed in place instead of restarting the job.
 //! * [`connector`] — the three data-exchange patterns: the m-to-n
 //!   partitioning connector (fully pipelined, stream-based), the m-to-n
 //!   partitioning **merging** connector (sender-side materializing pipelined
@@ -35,8 +35,8 @@ pub mod transport;
 
 pub use cluster::{Cluster, ClusterConfig, FailureDetector, WorkerHandle, WorkerHealth};
 pub use connector::{
-    partition_channels, AggregatorReceiver, MaterializedPartitioner, MergingReceiver,
-    PartitionReceiver, PartitioningSender,
+    AggregatorReceiver, MaterializedPartitioner, MergingReceiver, PartitionReceiver,
+    PartitioningSender,
 };
 pub use groupby::{GroupByStrategy, HashSortGroupBy, SortGroupBy};
 pub use scheduler::{LocationConstraint, Schedule};

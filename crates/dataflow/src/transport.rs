@@ -4,26 +4,32 @@
 //! dropped frame silently loses messages (detected only by downstream
 //! report-count checks) and a duplicated frame relies on combiner
 //! idempotence. This module turns every sender→receiver channel pair into a
-//! *stream* with TCP-like delivery guarantees, built from the envelope codec
-//! in `pregelix_common::envelope`:
+//! *stream* with TCP-like delivery guarantees:
 //!
-//! * every frame is wrapped in a [`FrameEnvelope`] carrying a monotonic
-//!   1-based seq, the stream label and a CRC32;
+//! * every frame travels as a plain in-memory `Message`: the stream
+//!   label, a monotonic 1-based seq, and the frame itself — a refcounted
+//!   [`SharedFrame`], never re-encoded;
 //! * receivers deliver in seq order, discard duplicates by seq
-//!   (`frames_deduped`), reject corrupt payloads by CRC
-//!   (`frames_corrupted`), and send cumulative [`Ack`]s with a single-seq
-//!   nack for the first gap;
+//!   (`frames_deduped`), count torn sends (`frames_corrupted`), and send
+//!   cumulative `Ack`s with a single-seq nack for the first gap;
 //! * senders keep an in-flight window (the data-channel capacity), pop it on
 //!   cumulative acks, and retransmit nacked seqs (`frames_retransmitted`)
 //!   with a *bounded* per-seq resend budget — when the budget is exhausted
 //!   (a retransmit storm) the sender gives up with a recoverable I/O error
 //!   and the driver falls back to checkpoint recovery.
 //!
+//! **No checksums.** A message never leaves the process, so nothing on this
+//! path is hashed; guarding bytes in transit is the network layer's job, as
+//! in the paper. Wire faults are modelled at the message level instead: a
+//! dropped frame arrives as a payload-free `Probe`, a corrupted one as a
+//! payload-free `Torn` notice, and either way the sender has parked the
+//! pristine frame on the stream's control plane.
+//!
 //! **Determinism.** A real transport re-arms a retransmission timer when a
 //! segment vanishes; timers are banned here (every fault fires at an event
 //! count). Instead the simulated wire's event schedule keeps ticking: a
-//! dropped envelope is delivered as a payload-free `Probe` carrying the lost
-//! seq, which wakes the receiver, which re-nacks, which drives the resend.
+//! lost message is delivered as a payload-free notice carrying its seq,
+//! which wakes the receiver, which re-nacks, which drives the resend.
 //! Chaos runs therefore replay bit-identically.
 //!
 //! **Deadlock-freedom.** Ack channels are *unbounded* by construction: if
@@ -38,10 +44,9 @@
 //! shared control-plane [`StreamCtrl`] instead of the nack path.
 
 use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender, TryRecvError};
-use pregelix_common::envelope::{Ack, FrameEnvelope, Payload};
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
-use pregelix_common::frame::{Frame, SharedFrame};
+use pregelix_common::frame::SharedFrame;
 use pregelix_common::stats::ClusterCounters;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -51,6 +56,49 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// and let the failure manager take over. Resends are not paced: chaos
 /// schedules stay event-counted.
 pub const DEFAULT_MAX_RESEND: u32 = 8;
+
+/// What one message on a stream carries.
+#[derive(Debug)]
+enum Payload {
+    /// One frozen data frame; `seq` runs `1..=last`. Shared, not copied:
+    /// the sender's retransmit window holds a view of the same slab slice.
+    Data(SharedFrame),
+    /// The wire corrupted the data frame `seq`: its bytes cannot be
+    /// trusted, so none travel — only the seq survives.
+    Torn,
+    /// End of stream; its `seq` is `last + 1`, so "the number of data
+    /// frames" is implied and the Fin is retransmittable under the same
+    /// seq-addressed nack machinery as data.
+    Fin,
+    /// Stand-in for a message the wire lost, carrying the lost seq.
+    Probe,
+}
+
+/// One message on a stream's data channel: one hop on one sender→receiver
+/// stream.
+#[derive(Debug)]
+struct Message {
+    /// Stream label (`"msg"`, `"mut"`, `"gs"`, ...). Shared so per-message
+    /// cost is a refcount, not an allocation.
+    stream: Arc<str>,
+    /// 1-based sequence number (see `Payload` for what it names).
+    seq: u64,
+    payload: Payload,
+}
+
+/// Cumulative acknowledgement flowing receiver→sender on a stream.
+///
+/// `cum` acknowledges every seq `<= cum`; `nack`, when non-zero, requests
+/// retransmission of exactly that seq (the receiver's first gap, or
+/// `last + 1` to re-request a lost Fin). Acks are idempotent and unordered:
+/// any later ack subsumes a lost earlier one.
+#[derive(Clone, Copy, Debug)]
+struct Ack {
+    /// Highest seq such that all seqs `<= cum` were delivered.
+    cum: u64,
+    /// Seq to retransmit, or 0 for none.
+    nack: u64,
+}
 
 /// Control-plane state shared by the two endpoints of one stream.
 ///
@@ -78,7 +126,7 @@ fn lock_ctrl(ctrl: &Mutex<StreamCtrl>) -> MutexGuard<'_, StreamCtrl> {
 
 /// Sender endpoint of one reliable stream.
 pub struct StreamTx {
-    data: Sender<FrameEnvelope>,
+    data: Sender<Message>,
     ack: Receiver<Ack>,
     ctrl: Arc<Mutex<StreamCtrl>>,
     /// In-flight window size; `None` = open-loop (unbounded data channel,
@@ -93,21 +141,15 @@ impl StreamTx {
     }
 }
 
-/// Receiver endpoint of one reliable stream.
+/// Receiver endpoint of one reliable stream. Open-loop (unbounded data
+/// channel, no ack-driven flow control) exactly when its sender's window is
+/// `None`: wire losses then recover through the stream control plane
+/// instead of nack-triggered retransmission.
 pub struct StreamRx {
-    data: Receiver<FrameEnvelope>,
+    data: Receiver<Message>,
     ack: Sender<Ack>,
     ctrl: Arc<Mutex<StreamCtrl>>,
     open_loop: bool,
-}
-
-impl StreamRx {
-    /// Whether this endpoint was built open-loop (unbounded data channel,
-    /// no ack-driven flow control; wire losses recover through the stream
-    /// control plane instead of nack-triggered retransmission).
-    pub fn open_loop(&self) -> bool {
-        self.open_loop
-    }
 }
 
 /// Build the m×n reliable-stream matrix for a partitioning connector.
@@ -166,13 +208,13 @@ struct OutStream {
     next_seq: u64,
     /// Highest cumulatively acked data seq.
     cum_acked: u64,
-    /// In-flight envelopes awaiting ack (windowed mode only). The *built*
-    /// envelope is stored, CRC and all: a retransmission clones it — the
+    /// In-flight frames awaiting ack (windowed mode only), with the resends
+    /// spent on each. A retransmission clones the stored frame — the
     /// identical slab slice travels again, zero re-encode, zero copy.
-    inflight: VecDeque<(u64, FrameEnvelope, u32)>,
-    /// Resends spent on the Fin envelope.
+    inflight: VecDeque<(u64, SharedFrame, u32)>,
+    /// Resends spent on the Fin.
     fin_resends: u32,
-    /// Whether the Fin envelope has been pushed at least once.
+    /// Whether the Fin has been pushed at least once.
     fin_sent: bool,
 }
 
@@ -188,6 +230,8 @@ impl OutStream {
 pub struct ReliableSender {
     outs: Vec<OutStream>,
     label: Arc<str>,
+    /// Sender index within the connector (diagnostics only; the channel
+    /// topology already separates streams).
     sender_id: u32,
     counters: ClusterCounters,
     my_worker: usize,
@@ -226,131 +270,101 @@ impl ReliableSender {
         }
     }
 
-    /// Re-tag the stream (fault-injection context and envelope label). Only
+    /// Re-tag the stream (fault-injection context and message label). Only
     /// meaningful before the first send — seqs already on the wire keep the
     /// label they were stamped with.
     pub fn set_label(&mut self, label: &str) {
         self.label = label.into();
     }
 
-    /// Number of receiver streams.
-    pub fn fanout(&self) -> usize {
-        self.outs.len()
-    }
-
-    /// Ship `frame` as the next seq of stream `part`, freezing it into a
-    /// standalone (unpooled) slab slice first. Convenience for callers that
-    /// still build owned frames; the connector hot path freezes through the
-    /// cluster slab and calls [`ReliableSender::send_shared`].
-    pub fn send(&mut self, part: usize, frame: Frame) -> Result<()> {
-        self.send_shared(part, frame.freeze_standalone())
-    }
-
     /// Ship a frozen frame as the next seq of stream `part`. In windowed
     /// mode this blocks while the in-flight window is full, servicing acks
     /// and nacks.
     ///
-    /// The envelope is built — and its CRC folded — exactly once, here; the
-    /// in-flight window stores that envelope, so a retransmission re-sends
-    /// the identical slab slice with zero re-encoding and zero copying.
+    /// The in-flight window stores a view of `frame`, so a retransmission
+    /// re-sends the identical slab slice with zero re-encoding and zero
+    /// copying.
     pub fn send_shared(&mut self, part: usize, frame: SharedFrame) -> Result<()> {
-        let fp = footprint(&frame) as u64;
         let seq = self.outs[part].next_seq;
         self.outs[part].next_seq += 1;
-        let env = FrameEnvelope::data(self.label.clone(), self.sender_id, seq, frame);
         if let Some(w) = self.outs[part].tx.window() {
             self.drain_acks(part)?;
             while self.outs[part].inflight.len() >= w {
                 self.await_ack(part)?;
             }
-            self.outs[part].inflight.push_back((seq, env.clone(), 0));
+            self.outs[part].inflight.push_back((seq, frame.clone(), 0));
         }
-        if self.receiver_workers[part] != self.my_worker {
-            self.counters.add_network_bytes(fp);
-            self.counters.add_network_frames(1);
-        }
-        self.transmit(part, env, Site::FrameSend)
+        self.transmit(part, seq, frame, Site::FrameSend)
     }
 
-    /// Push one data envelope through the (possibly faulty) wire.
-    fn transmit(&mut self, part: usize, env: FrameEnvelope, site: Site) -> Result<()> {
+    /// Charge one data frame to the network counters when it crosses
+    /// machines, then push it through the (possibly faulty) wire.
+    fn transmit(&mut self, part: usize, seq: u64, frame: SharedFrame, site: Site) -> Result<()> {
+        if self.receiver_workers[part] != self.my_worker {
+            self.counters.add_network_bytes(footprint(&frame) as u64);
+            self.counters.add_network_frames(1);
+        }
         let mut duplicate = false;
         if let Some(f) = fault::hit(site, &self.label) {
             self.counters.add_faults_injected(1);
             match f {
-                Fault::DropFrame => {
-                    // The payload is gone; park the pristine view on the
-                    // control plane and let the wire's schedule tick with a
-                    // payload-free probe so the receiver can nack the gap.
-                    if let Payload::Data(frame) = &env.payload {
-                        lock_ctrl(&self.outs[part].tx.ctrl)
-                            .parked
-                            .insert(env.seq, frame.clone());
-                    }
-                    return self.push(
-                        part,
-                        FrameEnvelope::probe(self.label.clone(), self.sender_id, env.seq),
-                    );
+                Fault::DropFrame | Fault::CorruptFrame => {
+                    // The frame never arrives intact: park the pristine
+                    // view on the control plane and let the wire's schedule
+                    // tick with a payload-free notice — a probe for a drop,
+                    // a torn notice for a corruption — so the receiver can
+                    // nack the gap.
+                    lock_ctrl(&self.outs[part].tx.ctrl)
+                        .parked
+                        .insert(seq, frame);
+                    let notice = match f {
+                        Fault::DropFrame => Payload::Probe,
+                        _ => Payload::Torn,
+                    };
+                    return self.push(part, seq, notice);
                 }
                 Fault::DuplicateFrame => duplicate = true,
-                Fault::CorruptFrame => {
-                    // CRC of the pristine frame, payload with a flipped bit
-                    // — via a copy-on-write overlay sharing the pristine
-                    // backing, not a deep copy: the receiver's verify fails
-                    // and it nacks. Pristine view parked for open-loop
-                    // recovery.
-                    if let Payload::Data(frame) = &env.payload {
-                        lock_ctrl(&self.outs[part].tx.ctrl)
-                            .parked
-                            .insert(env.seq, frame.clone());
-                        let torn = FrameEnvelope {
-                            payload: Payload::Data(frame.corrupted()),
-                            ..env
-                        };
-                        return self.push(part, torn);
-                    }
-                    return self.push(part, env);
-                }
                 _ => return Err(fault::injected_error(site, &self.label)),
             }
         }
         if duplicate {
-            self.push(part, env.clone())?;
+            self.push(part, seq, Payload::Data(frame.clone()))?;
         }
-        self.push(part, env)
+        self.push(part, seq, Payload::Data(frame))
     }
 
-    /// Push the Fin envelope through the wire.
+    /// Push the Fin through the wire.
     fn transmit_fin(&mut self, part: usize, site: Site) -> Result<()> {
         self.outs[part].fin_sent = true;
-        let last = self.outs[part].last_seq();
-        let fin = FrameEnvelope::fin(self.label.clone(), self.sender_id, last);
+        let seq = self.outs[part].last_seq() + 1;
         let mut duplicate = false;
         if let Some(f) = fault::hit(site, &self.label) {
             self.counters.add_faults_injected(1);
             match f {
                 // A Fin has no payload to corrupt; both faults lose it.
                 Fault::DropFrame | Fault::CorruptFrame => {
-                    return self.push(
-                        part,
-                        FrameEnvelope::probe(self.label.clone(), self.sender_id, fin.seq),
-                    );
+                    return self.push(part, seq, Payload::Probe);
                 }
                 Fault::DuplicateFrame => duplicate = true,
                 _ => return Err(fault::injected_error(site, &self.label)),
             }
         }
         if duplicate {
-            self.push(part, fin.clone())?;
+            self.push(part, seq, Payload::Fin)?;
         }
-        self.push(part, fin)
+        self.push(part, seq, Payload::Fin)
     }
 
-    fn push(&self, part: usize, env: FrameEnvelope) -> Result<()> {
+    fn push(&self, part: usize, seq: u64, payload: Payload) -> Result<()> {
+        let msg = Message {
+            stream: self.label.clone(),
+            seq,
+            payload,
+        };
         self.outs[part]
             .tx
             .data
-            .send(env)
+            .send(msg)
             .map_err(|_| PregelixError::internal("receiver hung up mid-stream"))
     }
 
@@ -436,8 +450,7 @@ impl ReliableSender {
             // premature Fin. Nothing to recover; keep producing.
             return Ok(());
         }
-        let env = FrameEnvelope::probe(self.label.clone(), self.sender_id, probe_seq);
-        match self.push(part, env) {
+        match self.push(part, probe_seq, Payload::Probe) {
             Ok(()) => Ok(()),
             // Lost the race against stream completion: the receiver
             // finished and dropped its endpoints, so the poke was moot.
@@ -492,30 +505,25 @@ impl ReliableSender {
             }
         };
         if resends > DEFAULT_MAX_RESEND {
+            let sender = self.sender_id;
             return Err(PregelixError::Io(std::io::Error::other(format!(
-                "retransmit storm on stream {label:?}: gave up on seq {seq} after \
-                 {DEFAULT_MAX_RESEND} resends"
+                "retransmit storm on stream {label:?} from sender {sender}: gave up on seq \
+                 {seq} after {DEFAULT_MAX_RESEND} resends"
             ))));
         }
         self.counters.add_frames_retransmitted(1);
         if seq == self.outs[part].last_seq() + 1 {
             self.transmit_fin(part, Site::FrameResend)
         } else {
-            // Clone the *stored envelope*: the identical slab slice travels
-            // again under the CRC folded at first send — no re-encode.
-            let env = self.outs[part]
+            // Clone the *stored frame*: the identical slab slice travels
+            // again — no re-encode.
+            let frame = self.outs[part]
                 .inflight
                 .iter()
                 .find(|(q, _, _)| *q == seq)
-                .map(|(_, e, _)| e.clone())
+                .map(|(_, f, _)| f.clone())
                 .expect("checked above");
-            if self.receiver_workers[part] != self.my_worker {
-                if let Payload::Data(f) = &env.payload {
-                    self.counters.add_network_bytes(footprint(f) as u64);
-                }
-                self.counters.add_network_frames(1);
-            }
-            self.transmit(part, env, Site::FrameResend)
+            self.transmit(part, seq, frame, Site::FrameResend)
         }
     }
 
@@ -557,7 +565,7 @@ struct InStream {
     /// Out-of-order arrivals awaiting the gap fill. Views of the sender's
     /// slab slices — buffering costs a refcount, not a copy.
     ooo: BTreeMap<u64, SharedFrame>,
-    /// Seqs reported lost by a probe or corrupt arrival and not yet
+    /// Seqs reported lost by a probe or torn notice and not yet
     /// delivered. Evidence of gaps beyond `ooo`.
     lost: std::collections::BTreeSet<u64>,
     /// Last data seq, once a Fin arrived (or the open-loop control plane
@@ -567,7 +575,7 @@ struct InStream {
     /// out-of-order arrival (which would spuriously exhaust the sender's
     /// resend budget — and make retransmission counts timing-dependent).
     nacked: Option<u64>,
-    /// Stream label as observed from envelopes (ack fault-site context).
+    /// Stream label as observed from messages (ack fault-site context).
     label: Arc<str>,
     open: bool,
 }
@@ -628,40 +636,40 @@ impl ReliableReceiver {
             let op = sel.select();
             let chosen = live[op.index()];
             match op.recv(&self.ins[chosen].rx.data) {
-                Ok(env) => self.on_envelope(chosen, env)?,
+                Ok(msg) => self.on_message(chosen, msg),
                 Err(_) => self.on_disconnect(chosen)?,
             }
         }
     }
 
-    fn on_envelope(&mut self, i: usize, env: FrameEnvelope) -> Result<()> {
-        self.ins[i].label = env.stream.clone();
-        if !env.verify() {
-            // Torn send: the payload can't be trusted, only the (in-memory)
-            // seq. Discard and treat as a loss report for that seq.
-            self.counters.add_frames_corrupted(1);
-            self.loss_report(i, env.seq);
-            return Ok(());
-        }
-        match env.payload {
+    fn on_message(&mut self, i: usize, msg: Message) {
+        self.ins[i].label = msg.stream;
+        let seq = msg.seq;
+        match msg.payload {
             Payload::Data(frame) => {
                 let s = &mut self.ins[i];
-                if env.seq < s.next || s.ooo.contains_key(&env.seq) {
+                if seq < s.next || s.ooo.contains_key(&seq) {
                     self.counters.add_frames_deduped(1);
                     self.send_ack(i, 0);
-                } else if env.seq == s.next {
+                } else if seq == s.next {
                     s.next += 1;
                     self.ready.push_back(frame);
                     self.drain_ooo(i);
                     self.after_advance(i);
                 } else {
-                    s.lost.remove(&env.seq); // it arrived after all
-                    s.ooo.insert(env.seq, frame);
+                    s.lost.remove(&seq); // it arrived after all
+                    s.ooo.insert(seq, frame);
                     self.gap_hint(i, false);
                 }
             }
+            Payload::Torn => {
+                // Torn send: the payload can't be trusted, only the seq.
+                // Count it and treat it as a loss report for that seq.
+                self.counters.add_frames_corrupted(1);
+                self.loss_report(i, seq);
+            }
             Payload::Fin => {
-                self.ins[i].last = Some(env.seq - 1);
+                self.ins[i].last = Some(seq - 1);
                 if self.ins[i].complete() {
                     self.finish_stream(i);
                 } else {
@@ -671,10 +679,9 @@ impl ReliableReceiver {
             Payload::Probe => {
                 // Something with this seq was lost in transit; its bytes are
                 // gone but the wire's schedule ticked.
-                self.loss_report(i, env.seq);
+                self.loss_report(i, seq);
             }
         }
-        Ok(())
     }
 
     /// Pull consecutive out-of-order frames into the ready queue.
@@ -731,7 +738,7 @@ impl ReliableReceiver {
         }
     }
 
-    /// A probe or corrupt arrival reported `lost_seq` gone. When the loss is
+    /// A probe or torn notice reported `lost_seq` gone. When the loss is
     /// exactly our first gap, any earlier nack's resend was itself lost —
     /// re-nack unconditionally (this, not a timer, is what re-arms
     /// retransmission; each re-nack is driven by one wire event, so resend
@@ -851,14 +858,14 @@ impl ReliableReceiver {
 mod tests {
     use super::*;
     use pregelix_common::fault::FaultPlan;
-    use pregelix_common::frame::keyed_tuple;
+    use pregelix_common::frame::{keyed_tuple, Frame};
 
-    fn frame_with(vids: &[u64]) -> Frame {
+    fn frame_with(vids: &[u64]) -> SharedFrame {
         let mut f = Frame::with_capacity(1 << 16);
         for &v in vids {
             assert!(f.try_append(&keyed_tuple(v, b"x")));
         }
-        f
+        f.freeze_standalone()
     }
 
     fn spawn_sender(
@@ -870,7 +877,7 @@ mod tests {
         std::thread::spawn(move || {
             let mut tx = ReliableSender::new(outs, "msg", 0, 0, vec![1], counters);
             for i in 0..frames {
-                tx.send(0, frame_with(&[i as u64]))?;
+                tx.send_shared(0, frame_with(&[i as u64]))?;
             }
             tx.finish()
         })
@@ -913,7 +920,7 @@ mod tests {
         let outs = std::mem::take(&mut txs[0]);
         let mut tx = ReliableSender::new(outs, "msg", 0, 0, vec![1], counters.clone());
         for i in 0..50u64 {
-            tx.send(0, frame_with(&[i])).unwrap();
+            tx.send_shared(0, frame_with(&[i])).unwrap();
         }
         tx.finish().unwrap();
         let got = drain(rxs, counters).unwrap();
@@ -951,7 +958,7 @@ mod tests {
         let outs = std::mem::take(&mut txs[0]);
         let mut tx = ReliableSender::new(outs, "msg", 0, 0, vec![1], counters.clone());
         for i in 0..30u64 {
-            tx.send(0, frame_with(&[i])).unwrap();
+            tx.send_shared(0, frame_with(&[i])).unwrap();
         }
         tx.finish().unwrap();
         let got = drain(rxs, counters.clone()).unwrap();
@@ -1112,7 +1119,7 @@ mod tests {
     fn delivery_hands_over_the_senders_slab_slice() {
         let _guard = fault::exclusive();
         let counters = ClusterCounters::new();
-        let frame = frame_with(&[7, 8]).freeze_standalone();
+        let frame = frame_with(&[7, 8]);
         let (got, send_res) = roundtrip_shared(counters, frame.clone());
         send_res.unwrap();
         assert_eq!(got.len(), 1);
@@ -1126,7 +1133,7 @@ mod tests {
         let _guard = fault::exclusive();
         _guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, Fault::DropFrame));
         let counters = ClusterCounters::new();
-        let frame = frame_with(&[42]).freeze_standalone();
+        let frame = frame_with(&[42]);
         let (got, send_res) = roundtrip_shared(counters.clone(), frame.clone());
         send_res.unwrap();
         assert_eq!(counters.frames_retransmitted(), 1);
@@ -1137,20 +1144,20 @@ mod tests {
     }
 
     #[test]
-    fn corruption_is_cow_and_recovery_delivers_the_pristine_slice() {
+    fn corruption_is_a_torn_notice_and_recovery_delivers_the_pristine_slice() {
         let _guard = fault::exclusive();
         _guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, Fault::CorruptFrame));
         let counters = ClusterCounters::new();
-        let frame = frame_with(&[42]).freeze_standalone();
+        let frame = frame_with(&[42]);
         let (got, send_res) = roundtrip_shared(counters.clone(), frame.clone());
         send_res.unwrap();
         assert_eq!(counters.frames_corrupted(), 1);
         assert_eq!(counters.frames_retransmitted(), 1);
         assert_eq!(got.len(), 1);
-        // The torn copy on the wire was an overlay over this same backing;
-        // what finally arrived is the pristine view of it.
+        // The wire carried only a torn notice; what finally arrived is the
+        // pristine view the sender parked, the very same backing.
         assert!(got[0].aliases(&frame));
-        assert!(!got[0].has_overlay());
+        assert_eq!(got[0], frame);
     }
 
     #[test]

@@ -80,7 +80,7 @@ fn no_fault_reference(
 /// `dedup` and `corrupt` ride only on lines whose plan fixes the kind of
 /// frame its duplicate or corrupt rule hits (`kind_fixed`). On threaded
 /// workers the nth `msg` or `gs` send, n > 1, is a data frame (deduped or
-/// rejected by CRC, and counted) or a Fin (outlived by its stream, or lost
+/// torn, and counted) or a Fin (outlived by its stream, or lost
 /// and resent, and not counted) depending on how the senders interleave.
 fn chaos_digest(
     scenario: &str,
@@ -205,11 +205,11 @@ fn msg_frame_duplicate_at_every_nth_send_is_deduplicated() {
     }
 }
 
-/// Flip a bit in the nth `msg` frame on the wire: the CRC check rejects it,
-/// the pristine copy is retransmitted, and the corruption never reaches the
-/// application.
+/// Tear the nth `msg` frame on the wire: the receiver gets a torn notice in
+/// its place, the pristine copy is retransmitted, and the corruption never
+/// reaches the application.
 #[test]
-fn msg_frame_corruption_is_caught_by_crc_and_retransmitted() {
+fn msg_frame_corruption_is_reported_and_retransmitted() {
     let guard = fault::exclusive();
     let records = two_chains();
     let job = PregelixJob::new("tr-corrupt");
@@ -234,7 +234,7 @@ fn msg_frame_corruption_is_caught_by_crc_and_retransmitted() {
         }
         if n == 1 {
             assert_eq!(injected, 1);
-            assert_eq!(summary.stats.frames_corrupted, 1, "CRC rejection counted");
+            assert_eq!(summary.stats.frames_corrupted, 1, "torn frame counted");
         }
     }
 }
@@ -270,7 +270,7 @@ fn msg_ack_loss_is_survivable() {
 // The other stream labels: mut, gs
 // ---------------------------------------------------------------------------
 
-/// CC sends no mutations, so the `mut` streams carry only Fin envelopes —
+/// CC sends no mutations, so the `mut` streams carry only Fin messages —
 /// dropping one exercises the lost-Fin retransmission path inside a live
 /// job (the stream must still close, or mutate tasks hang the superstep).
 #[test]

@@ -1,9 +1,9 @@
 //! The zero-copy shared-slab frame path, end to end: the slab-backed wire
 //! form must be bit-identical to the legacy `[n][ends…][data]` encoding
-//! (run files, checkpoints and old captures stay readable), every decode
-//! must alias the receive slab instead of copying, retransmission must
-//! re-send the *identical* slab slice, and `frame_bytes_copied` must stay
-//! structurally zero on the transport path — clean or faulted. Slab counter
+//! (run files, checkpoints and message logs stay readable), delivery must
+//! hand over the sender's slab slice, retransmission must re-send the
+//! *identical* slab slice, and `frame_bytes_copied` must stay structurally
+//! zero on the transport path — clean or faulted. Slab counter
 //! accounting (`slab_allocations` / `slab_recycled`) is pinned exactly at
 //! the slab level and pinned deterministic (double-run equality) at the
 //! job level, mirroring CI's chaos-digest run-twice-and-diff check.
@@ -11,7 +11,6 @@
 //! The case count honours `PROPTEST_CASES` like the other property suites.
 
 use pregelix::common::bytes::BytesSlab;
-use pregelix::common::envelope::{FrameEnvelope, Payload};
 use pregelix::common::fault::{self, Fault, FaultPlan, Site};
 use pregelix::common::frame::{Frame, SharedFrame};
 use pregelix::common::stats::ClusterCounters;
@@ -79,23 +78,12 @@ proptest! {
         let slab = BytesSlab::new(1 << 20);
         let pooled = frame.freeze(&slab);
         prop_assert_eq!(pooled.wire_bytes().as_slice(), reference.as_slice());
-        prop_assert_eq!(pooled.crc(), standalone.crc());
     }
 
-    /// Both decoders — the aliasing `SharedFrame::from_wire` and the owned
-    /// `Frame::deserialize` — reproduce the tuples exactly.
+    /// The one decoder, `Frame::deserialize`, reproduces the tuples exactly.
     #[test]
-    fn both_decoders_roundtrip_the_wire_form(tuples in tuple_vecs()) {
+    fn deserialize_roundtrips_the_wire_form(tuples in tuple_vecs()) {
         let wire = legacy_encode(&tuples);
-
-        let shared = SharedFrame::from_wire(
-            pregelix::common::bytes::BytesSlice::from_vec(wire.clone()),
-        ).unwrap();
-        prop_assert_eq!(shared.len(), tuples.len());
-        for (i, t) in tuples.iter().enumerate() {
-            prop_assert_eq!(shared.tuple(i), t.as_slice());
-        }
-
         let mut buf = wire.as_slice();
         let owned = Frame::deserialize(&mut buf).unwrap();
         prop_assert!(buf.is_empty(), "deserialize must consume the whole record");
@@ -105,75 +93,21 @@ proptest! {
         }
     }
 
-    /// Every strict prefix of a wire record is rejected by both decoders —
-    /// truncation can never decode silently.
+    /// Every strict prefix of a wire record is rejected — truncation can
+    /// never decode silently.
     #[test]
     fn every_truncation_is_rejected(tuples in tuple_vecs()) {
         let wire = legacy_encode(&tuples);
         for cut in 0..wire.len() {
-            let slice = pregelix::common::bytes::BytesSlice::from_vec(wire[..cut].to_vec());
-            prop_assert!(
-                SharedFrame::from_wire(slice).is_err(),
-                "from_wire accepted a {cut}-byte prefix of a {}-byte record", wire.len()
-            );
             let mut buf = &wire[..cut];
             prop_assert!(Frame::deserialize(&mut buf).is_err());
         }
     }
-
-    /// A single bit flip anywhere in an encoded envelope is caught: the
-    /// decode either fails structurally or the CRC gate reports a mismatch.
-    #[test]
-    fn envelope_bit_flips_never_verify(
-        tuples in tuple_vecs(),
-        byte_seed in any::<usize>(),
-        bit in 0u8..8,
-    ) {
-        let frame = build(&tuples).freeze_standalone();
-        let env = FrameEnvelope::data(Arc::from("zc"), 7, 42, frame);
-        let mut wire = Vec::new();
-        env.encode(&mut wire);
-        let idx = byte_seed % wire.len();
-        wire[idx] ^= 1 << bit;
-        let slice = pregelix::common::bytes::BytesSlice::from_vec(wire);
-        match FrameEnvelope::decode_slice(slice) {
-            Err(_) => {}
-            Ok((flipped, _rest)) => prop_assert!(
-                !flipped.verify(),
-                "flip at byte {idx} bit {bit} slipped past the CRC gate"
-            ),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Aliasing: decode shares the receive slab, delivery shares the send slab
+// Aliasing: delivery shares the send slab
 // ---------------------------------------------------------------------------
-
-/// `decode_slice` hands back a payload frame whose bytes alias the very
-/// slice the receive loop adopted — no copy between wire and consumer.
-#[test]
-fn envelope_decode_aliases_the_receive_slab() {
-    let frame = build(&[b"alpha".to_vec(), b"beta".to_vec()]).freeze_standalone();
-    let env = FrameEnvelope::data(Arc::from("zc"), 3, 9, frame);
-    let mut wire = Vec::new();
-    env.encode(&mut wire);
-
-    let slab = BytesSlab::new(1 << 16);
-    let received = slab.adopt(wire);
-    let (decoded, rest) = FrameEnvelope::decode_slice(received.clone()).unwrap();
-    assert!(rest.is_empty());
-    assert!(decoded.verify());
-    let Payload::Data(f) = &decoded.payload else {
-        panic!("expected a data payload");
-    };
-    assert!(
-        f.wire_bytes().aliases(&received),
-        "decoded frame must view the receive slab, not a copy"
-    );
-    assert_eq!(f.tuple(0), b"alpha");
-    assert_eq!(f.tuple(1), b"beta");
-}
 
 /// One windowed 1→1 hop: send a shared frame (keeping a clone, as the
 /// superstep feed points do), drain the receiver on this thread while the
@@ -235,9 +169,9 @@ fn retransmission_resends_the_identical_slab_slice() {
     assert_eq!(counters.frame_bytes_copied(), 0, "retransmission copies nothing");
 }
 
-/// Corrupt the first transmit: the receiver's CRC gate rejects the overlaid
-/// slice, recovery delivers the pristine one, and the corruption was a
-/// copy-on-write overlay — zero bytes copied end to end.
+/// Corrupt the first transmit: the wire delivers a torn notice in its
+/// place, recovery delivers the pristine slice the sender parked, and zero
+/// bytes are copied end to end.
 #[test]
 fn corruption_recovery_delivers_the_pristine_slice_without_copying() {
     let guard = fault::exclusive();
@@ -249,11 +183,10 @@ fn corruption_recovery_delivers_the_pristine_slice_without_copying() {
     assert_eq!(plan.injected(), 1);
     guard.clear();
     assert_eq!(got.len(), 1);
-    assert!(got[0].aliases(&frame));
-    assert!(!got[0].has_overlay(), "the delivered frame is the pristine slice");
+    assert!(got[0].aliases(&frame), "the delivered frame is the pristine slice");
     assert_eq!(counters.frames_corrupted(), 1);
     assert_eq!(counters.frames_retransmitted(), 1);
-    assert_eq!(counters.frame_bytes_copied(), 0, "COW corruption copies nothing");
+    assert_eq!(counters.frame_bytes_copied(), 0, "corruption copies nothing");
 }
 
 // ---------------------------------------------------------------------------
