@@ -50,18 +50,11 @@ pub enum Site {
     /// B-tree entry points; ctx = operation name (`"insert"`, `"search"`,
     /// `"bulk_load"`).
     BtreeOp,
-    /// Connector frame delivery; ctx = sender label (`"msg"`, `"mut"`,
-    /// `"gs"`, `"merge"`).
+    /// Connector delivery of a data frame, a `Fin` or a run handle; ctx =
+    /// sender label (`"msg"`, `"mut"`, `"gs"`, `"merge"`). An
+    /// [`Fault::IoError`] here is a broken wire: the sender fails with a
+    /// recoverable error.
     FrameSend,
-    /// Connector frame *retransmission* (a nack-triggered resend on the
-    /// reliable transport); ctx = sender label. Dropping resends repeatedly
-    /// models a retransmit storm; the sender gives up after its bounded
-    /// resend budget and surfaces a recoverable error.
-    FrameResend,
-    /// Receiver-side cumulative-ack delivery on the reliable transport;
-    /// ctx = sender label. Dropped acks are repaired by later cumulative
-    /// acks (or by the stream-completion flag on the control plane).
-    AckSend,
     /// The driver-side superstep barrier; ctx = the superstep number about to
     /// run, formatted in decimal.
     Barrier,
@@ -92,8 +85,6 @@ impl Site {
             Site::CacheEvict => "cache-evict",
             Site::BtreeOp => "btree-op",
             Site::FrameSend => "frame-send",
-            Site::FrameResend => "frame-resend",
-            Site::AckSend => "ack-send",
             Site::Barrier => "barrier",
             Site::Stall => "stall",
             Site::MsgLog => "msg-log",
@@ -120,17 +111,18 @@ pub enum Fault {
     /// the driver (which owns the cluster handle); elsewhere behaves like
     /// [`Fault::IoError`].
     FailWorker(usize),
-    /// The connector silently loses this frame ([`Site::FrameSend`],
-    /// [`Site::FrameResend`] and [`Site::AckSend`]).
+    /// The wire loses this frame or `Fin` ([`Site::FrameSend`]): the sender
+    /// parks the pristine message on the stream's control plane and a
+    /// payload-free probe takes its seq; the receiver lifts the parked
+    /// message off when the probe arrives (`frames_retransmitted`).
     DropFrame,
-    /// The connector delivers this frame twice ([`Site::FrameSend`] only).
+    /// The wire delivers this frame or `Fin` twice ([`Site::FrameSend`]);
+    /// the receiver discards the echo by seq (`frames_deduped`).
     DuplicateFrame,
-    /// The wire tears the frame mid-flight — the send a partial network
-    /// write would produce. Handled like [`Fault::DropFrame`]: the sender
-    /// parks the pristine frame on the stream's control plane and the wire
-    /// delivers a payload-free torn notice, which the receiver counts in
-    /// `frames_corrupted` and nacks ([`Site::FrameSend`] and
-    /// [`Site::FrameResend`] only).
+    /// The wire tears this frame or `Fin` mid-flight — the send a partial
+    /// network write would produce ([`Site::FrameSend`]). Handled like
+    /// [`Fault::DropFrame`], with a torn notice in place of the probe, also
+    /// counted in `frames_corrupted`.
     CorruptFrame,
 }
 

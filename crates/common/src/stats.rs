@@ -159,15 +159,17 @@ macro_rules! stats_table {
             /// Recoverable-operation retries performed by the runtime's
             /// retry-with-backoff path (§5.7).
             counter fault_retries, add_fault_retries;
-            /// Frames retransmitted by the reliable connector transport after a
-            /// drop/corruption nack (always 0 on a clean wire).
+            /// Connector messages (data frames, `Fin`s, run handles) the wire
+            /// dropped or tore and the receiver lifted off the stream's
+            /// control plane: one per such fault, 0 on a clean wire.
             counter frames_retransmitted, add_frames_retransmitted;
-            /// Duplicate frames discarded by receiver-side sequence-number
-            /// dedup.
+            /// Duplicated connector messages the receiver discarded by seq
+            /// (or by the one-handle-per-stream rule): one per duplication.
             counter frames_deduped, add_frames_deduped;
-            /// Frames the wire tore ([`crate::fault::Fault::CorruptFrame`]):
-            /// the receiver got a torn notice in their place (each one is
-            /// subsequently retransmitted).
+            /// Frames or `Fin`s the wire tore
+            /// ([`crate::fault::Fault::CorruptFrame`]): the receiver got a
+            /// torn notice in their place. Each is also one
+            /// `frames_retransmitted`.
             counter frames_corrupted, add_frames_corrupted;
             /// Workers declared dead by the missed-beat failure detector and
             /// blacklisted from scheduling.

@@ -648,8 +648,8 @@ pub(crate) fn run_superstep<P: VertexProgram>(
             )
         };
     let (mut mut_tx, mut mut_rx) = partition_channels_cap(p_count, p_count, cap);
-    // The gs aggregation stream rides the reliable transport too, and must
-    // honor the same open-loop rule under sequential-timed simulation.
+    // The gs aggregation stream rides the reliable transport too, with the
+    // same channel capacity.
     let (gs_tx, gs_rx) = aggregator_channels_cap(3 * p_count, cap);
     // Stream endpoints are single-owner (each carries live sequencing
     // state); tasks take theirs out of the slot rather than cloning.
@@ -1093,6 +1093,12 @@ fn compute_task<P: VertexProgram>(
         Some(a) => a.to_bytes(),
         None => Vec::new(),
     };
+    report_to_gs(&w, gs_end, gs_worker, &side.stats.encode())
+}
+
+/// Send one stats report (stage one of the two-stage aggregation) to the
+/// gs task on this task's `gs` stream, and close it.
+fn report_to_gs(w: &WorkerHandle, gs_end: StreamTx, gs_worker: usize, report: &[u8]) -> Result<()> {
     let mut gs_sender = PartitioningSender::new(
         vec![gs_end],
         w.frame_bytes(),
@@ -1102,7 +1108,7 @@ fn compute_task<P: VertexProgram>(
         w.counters().clone(),
     )
     .with_label("gs");
-    gs_sender.send_to(0, &side.stats.encode())?;
+    gs_sender.send_to(0, report)?;
     gs_sender.finish()
 }
 
@@ -1351,17 +1357,7 @@ fn msgwrite_task(
     // The driver installs the run into the partition state once the whole
     // superstep has succeeded.
     *next_msg.lock() = out.finish()?;
-    let mut gs_sender = PartitioningSender::new(
-        vec![gs_end],
-        w.frame_bytes(),
-        w.slab().clone(),
-        w.id(),
-        vec![gs_worker],
-        w.counters().clone(),
-    )
-    .with_label("gs");
-    gs_sender.send_to(0, &encode_msg_stats(combined))?;
-    gs_sender.finish()
+    report_to_gs(&w, gs_end, gs_worker, &encode_msg_stats(combined))
 }
 
 // ---------------------------------------------------------------------
@@ -1388,17 +1384,12 @@ fn mutate_task<P: VertexProgram>(
     // mutations apply strictly after compute — the "take effect in
     // superstep S+1" rule.
     let (inserted, deleted, live_inserted) = apply_mutation_groups(&w, &state, &program, groups)?;
-    let mut gs_sender = PartitioningSender::new(
-        vec![gs_end],
-        w.frame_bytes(),
-        w.slab().clone(),
-        w.id(),
-        vec![gs_worker],
-        w.counters().clone(),
+    report_to_gs(
+        &w,
+        gs_end,
+        gs_worker,
+        &encode_mut_stats(inserted, deleted, live_inserted),
     )
-    .with_label("gs");
-    gs_sender.send_to(0, &encode_mut_stats(inserted, deleted, live_inserted))?;
-    gs_sender.finish()
 }
 
 /// File one mutation tuple under its vid, for `mutate[p]` and its replay.

@@ -22,13 +22,14 @@
 //!   used by the two-stage global aggregation of Figure 4.
 //!
 //! All frame traffic rides the reliable transport in [`crate::transport`]:
-//! sequenced in-memory messages carrying refcounted frames, cumulative acks,
-//! receiver-side dedup and bounded retransmission, so wire-level
-//! drop/duplicate/corrupt faults are absorbed *in place* (visible only as
-//! `frames_retransmitted` / `frames_deduped` / `frames_corrupted` counter
-//! movement) instead of forcing a job restart. Run-handle transfers of the merging connector use
-//! the same idea at handle granularity: a lost or duplicated transfer is
-//! recovered from the pair's control plane or discarded by the
+//! sequenced in-memory messages carrying refcounted frames on FIFO streams,
+//! a lost or torn message redelivered from the stream's control plane and a
+//! duplicate discarded by seq, so wire-level drop/duplicate/corrupt faults
+//! are absorbed *in place* (visible only as `frames_retransmitted` /
+//! `frames_deduped` / `frames_corrupted` counter movement) instead of
+//! forcing a job restart. Run-handle transfers of the merging connector use
+//! the same rule at handle granularity: a lost transfer is recovered from
+//! the pair's control plane, a duplicated one discarded by the
 //! one-handle-per-stream invariant.
 //!
 //! Traffic between distinct workers is charged to the cluster's network
@@ -48,9 +49,8 @@ use pregelix_storage::runfile::{RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, SortedStream};
 use std::sync::{Arc, Mutex};
 
-/// Default bounded-channel capacity in frames, which is also the reliable
-/// sender's in-flight window. Small enough to exert back-pressure, large
-/// enough to decouple sender/receiver scheduling.
+/// Default bounded-channel capacity in frames. Small enough to exert
+/// back-pressure, large enough to decouple sender/receiver scheduling.
 pub const CHANNEL_FRAMES: usize = 64;
 
 /// Build the m×n reliable-stream matrix for a partitioning connector.
@@ -58,13 +58,9 @@ pub const CHANNEL_FRAMES: usize = 64;
 /// Returns `(senders, receivers)` where `senders[s]` holds sender `s`'s n
 /// per-receiver endpoints and `receivers[r]` holds receiver `r`'s m
 /// per-sender endpoints. `cap` is the channel capacity in frames
-/// ([`CHANNEL_FRAMES`] on threaded clusters); `None` = unbounded open-loop
-/// streams (required by the cluster's sequential-timed mode, where a
-/// bounded channel's backpressure — or an ack wait — would block with no
-/// concurrent consumer). The capacity is forwarded verbatim to
-/// [`reliable_channels`], which derives both the data-channel bound and the
-/// ack protocol mode from it, so the two can never disagree with
-/// `ClusterConfig::channel_capacity`.
+/// ([`CHANNEL_FRAMES`] on threaded clusters); `None` = unbounded streams
+/// (required by the cluster's sequential-timed mode, where a bounded
+/// channel's backpressure would block with no concurrent consumer).
 pub fn partition_channels_cap(
     m: usize,
     n: usize,
@@ -121,9 +117,9 @@ impl PartitioningSender {
         PartitioningSender { tx, staging, slab }
     }
 
-    /// Tag the stream for fault-injection targeting (`Site::FrameSend` /
-    /// `Site::FrameResend` / `Site::AckSend` events carry this label as
-    /// their context, and every message is stamped with it).
+    /// Tag the stream for fault-injection targeting (`Site::FrameSend`
+    /// events carry this label as their context, and every message is
+    /// stamped with it).
     pub fn with_label(mut self, label: &'static str) -> PartitioningSender {
         self.tx.set_label(label);
         self
@@ -159,8 +155,7 @@ impl PartitioningSender {
     }
 
     /// Flush residual frames and close all streams (receivers then see
-    /// end-of-stream). In windowed mode this blocks until every receiver
-    /// confirms complete delivery.
+    /// end-of-stream).
     pub fn finish(mut self) -> Result<()> {
         for part in 0..self.staging.len() {
             self.flush(part)?;
@@ -170,8 +165,8 @@ impl PartitioningSender {
 }
 
 /// Receiver side of the fully pipelined partitioning connector: drains m
-/// reliable sender streams in arrival order (each stream internally
-/// re-ordered to seq order and deduplicated by the transport).
+/// reliable sender streams in arrival order (each stream in seq order,
+/// deduplicated by the transport).
 pub struct PartitionReceiver {
     rx: ReliableReceiver,
     pending: SharedFrame,
@@ -447,33 +442,6 @@ mod tests {
 
     fn cluster(n: usize) -> Cluster {
         Cluster::new(ClusterConfig::new(n, 1 << 20)).unwrap()
-    }
-
-    /// Regression: the connector's channel capacity, the sender's in-flight
-    /// window, and the ack-protocol mode must all derive from the one value
-    /// `ClusterConfig::channel_capacity` reports — a mismatch (bounded data
-    /// channel with an open-loop receiver, or vice versa) deadlocks the
-    /// backpressure path in sequential-timed mode. `reliable_channels`
-    /// builds each receiver endpoint from the same `cap` as its sender's.
-    #[test]
-    fn channel_capacity_agrees_with_cluster_config() {
-        let c = cluster(2);
-        let cap = c.channel_capacity();
-        assert_eq!(cap, Some(CHANNEL_FRAMES));
-        let (txs, _rxs) = partition_channels_cap(2, 2, cap);
-        for tx in txs.iter().flatten() {
-            assert_eq!(tx.window(), Some(CHANNEL_FRAMES));
-        }
-        // Sequential-timed mode: unbounded open-loop streams end to end —
-        // an ack wait or a full data channel would block with no concurrent
-        // consumer to unblock it.
-        let c = Cluster::new(ClusterConfig::new(2, 1 << 20).sequential_timed()).unwrap();
-        let cap = c.channel_capacity();
-        assert_eq!(cap, None);
-        let (txs, _rxs) = partition_channels_cap(2, 2, cap);
-        for tx in txs.iter().flatten() {
-            assert_eq!(tx.window(), None);
-        }
     }
 
     #[test]
@@ -816,8 +784,7 @@ mod tests {
     #[test]
     fn backpressure_does_not_deadlock_pipelined_connector() {
         // One slow receiver, channel capacity CHANNEL_FRAMES: sender must
-        // block and resume rather than deadlock or drop — now with the ack
-        // window layered on top of the data channel's backpressure.
+        // block and resume rather than deadlock or drop.
         let c = cluster(2);
         let (mut sends, mut recvs) = partition_channels_cap(1, 1, Some(CHANNEL_FRAMES));
         let outs = std::mem::take(&mut sends[0]);

@@ -14,10 +14,11 @@
 //!   `Vertex`, `Msg` and `Vid` partitions co-located across supersteps
 //!   (§5.3.4).
 //! * [`transport`] — the reliable stream transport every frame connector
-//!   rides on: sequenced in-memory messages carrying refcounted frames,
-//!   cumulative acks with single-gap nacks, receiver-side dedup, and bounded
-//!   retransmission, so wire-level drop/duplicate/corrupt faults are
-//!   absorbed in place instead of restarting the job.
+//!   rides on: sequenced in-memory messages carrying refcounted frames on
+//!   FIFO streams, a lost or torn message redelivered from the stream's
+//!   control plane and a duplicate discarded by seq, so wire-level
+//!   drop/duplicate/corrupt faults are absorbed in place instead of
+//!   restarting the job.
 //! * [`connector`] — the three data-exchange patterns: the m-to-n
 //!   partitioning connector (fully pipelined, stream-based), the m-to-n
 //!   partitioning **merging** connector (sender-side materializing pipelined

@@ -1,7 +1,7 @@
 //! The zero-copy shared-slab frame path, end to end: the slab-backed wire
 //! form must be bit-identical to the legacy `[n][ends…][data]` encoding
 //! (run files, checkpoints and message logs stay readable), delivery must
-//! hand over the sender's slab slice, retransmission must re-send the
+//! hand over the sender's slab slice, redelivery must hand over the
 //! *identical* slab slice, and `frame_bytes_copied` must stay structurally
 //! zero on the transport path — clean or faulted. Slab counter
 //! accounting (`slab_allocations` / `slab_recycled`) is pinned exactly at
@@ -109,7 +109,7 @@ proptest! {
 // Aliasing: delivery shares the send slab
 // ---------------------------------------------------------------------------
 
-/// One windowed 1→1 hop: send a shared frame (keeping a clone, as the
+/// One bounded 1→1 hop: send a shared frame (keeping a clone, as the
 /// superstep feed points do), drain the receiver on this thread while the
 /// sender finishes on another.
 fn hop(
@@ -147,9 +147,9 @@ fn clean_hop_delivers_the_senders_slice_and_copies_nothing() {
     assert_eq!(counters.frames_retransmitted(), 0);
 }
 
-/// Drop the first transmit: the retransmission re-sends the *identical*
-/// slab slice (provable because the delivered frame still aliases the
-/// clone we kept), and still nothing is copied.
+/// Drop the first transmit: the redelivery from the control plane hands
+/// over the *identical* slab slice (provable because the delivered frame
+/// still aliases the clone we kept), and still nothing is copied.
 #[test]
 fn retransmission_resends_the_identical_slab_slice() {
     let guard = fault::exclusive();
@@ -163,10 +163,10 @@ fn retransmission_resends_the_identical_slab_slice() {
     assert_eq!(got.len(), 1);
     assert!(
         got[0].aliases(&frame),
-        "the retransmitted frame must be the same slab slice, not a re-encode"
+        "the redelivered frame must be the same slab slice, not a re-encode"
     );
     assert_eq!(counters.frames_retransmitted(), 1);
-    assert_eq!(counters.frame_bytes_copied(), 0, "retransmission copies nothing");
+    assert_eq!(counters.frame_bytes_copied(), 0, "redelivery copies nothing");
 }
 
 /// Corrupt the first transmit: the wire delivers a torn notice in its
