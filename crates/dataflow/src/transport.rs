@@ -490,33 +490,146 @@ mod tests {
         }
     }
 
-    /// A frame delivered straight, dropped then redelivered, or torn then
-    /// redelivered is the very backing the sender froze: parking and
-    /// lifting cost a refcount, never a copy.
+    /// Install `plan` (when given) and run `frames` frames through a 1→1
+    /// `msg` stream, returning the delivered vids and the wire counters.
+    fn run_with(
+        guard: &fault::ChaosGuard,
+        plan: Option<FaultPlan>,
+        cap: Option<usize>,
+        frames: u64,
+    ) -> (Vec<u64>, (u64, u64, u64)) {
+        let installed = plan.map(|p| guard.install(p));
+        let counters = ClusterCounters::new();
+        let got = run_stream(cap, frames, &counters).unwrap();
+        if let Some(plan) = installed {
+            assert_eq!(
+                plan.injected(),
+                plan.rules().len() as u64,
+                "every fault fired"
+            );
+        }
+        guard.clear();
+        (got, counts(&counters))
+    }
+
+    #[test]
+    fn clean_stream_delivers_in_order_windowed() {
+        let guard = fault::exclusive();
+        let (got, counts) = run_with(&guard, None, Some(4), 100);
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        assert_eq!(counts, (0, 0, 0));
+    }
+
+    #[test]
+    fn dropped_frames_are_retransmitted_windowed() {
+        let guard = fault::exclusive();
+        let plan = FaultPlan::new()
+            .on(Site::FrameSend, "msg", 3, Fault::DropFrame)
+            .on(Site::FrameSend, "msg", 7, Fault::DropFrame);
+        let (got, counts) = run_with(&guard, Some(plan), Some(4), 40);
+        assert_eq!(got, (0..40).collect::<Vec<_>>());
+        assert_eq!(counts, (2, 0, 0));
+    }
+
+    #[test]
+    fn dropped_frames_recovered_from_control_plane_open_loop() {
+        let guard = fault::exclusive();
+        let plan = FaultPlan::new()
+            .on(Site::FrameSend, "msg", 2, Fault::DropFrame)
+            .on(Site::FrameSend, "msg", 9, Fault::DropFrame);
+        let (got, counts) = run_with(&guard, Some(plan), None, 30);
+        assert_eq!(got, (0..30).collect::<Vec<_>>());
+        assert_eq!(counts, (2, 0, 0));
+    }
+
+    #[test]
+    fn duplicates_are_discarded_by_seq() {
+        let guard = fault::exclusive();
+        let plan = FaultPlan::new().on(Site::FrameSend, "msg", 5, Fault::DuplicateFrame);
+        let (got, counts) = run_with(&guard, Some(plan), Some(8), 20);
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
+        assert_eq!(counts, (0, 1, 0));
+    }
+
+    #[test]
+    fn corrupt_frames_are_rejected_and_retransmitted() {
+        let guard = fault::exclusive();
+        let plan = FaultPlan::new().on(Site::FrameSend, "msg", 4, Fault::CorruptFrame);
+        let (got, counts) = run_with(&guard, Some(plan), Some(8), 20);
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
+        assert_eq!(counts, (1, 0, 1));
+    }
+
+    #[test]
+    fn lost_fin_still_closes_stream() {
+        let guard = fault::exclusive();
+        // The 11th frame-send event on a 10-frame stream is the Fin: it is
+        // parked, and its probe lifts it off exactly once.
+        let plan = FaultPlan::new().on(Site::FrameSend, "msg", 11, Fault::DropFrame);
+        let (got, counts) = run_with(&guard, Some(plan), Some(4), 10);
+        assert_eq!(got, (0..10).collect::<Vec<_>>());
+        assert_eq!(counts, (1, 0, 0));
+    }
+
+    /// Run one frozen frame through a 1→1 bounded stream, returning the
+    /// delivered frames themselves (not just their vids) so callers can
+    /// assert slab-slice identity.
+    fn roundtrip_shared(counters: &ClusterCounters, frame: SharedFrame) -> Vec<SharedFrame> {
+        let (mut txs, mut rxs) = reliable_channels(1, 1, Some(4));
+        let mut tx = ReliableSender::new(txs.remove(0), "msg", 0, 0, vec![1], counters.clone());
+        let h = std::thread::spawn(move || {
+            tx.send_shared(0, frame)?;
+            tx.finish()
+        });
+        let mut rx = ReliableReceiver::new(rxs.remove(0), counters.clone());
+        let mut got = Vec::new();
+        while let Some(f) = rx.next_frame().unwrap() {
+            got.push(f);
+        }
+        h.join().unwrap().unwrap();
+        got
+    }
+
     #[test]
     fn delivery_hands_over_the_senders_slab_slice() {
+        let _guard = fault::exclusive();
+        let counters = ClusterCounters::new();
+        let frame = frame_with(&[7, 8]);
+        let got = roundtrip_shared(&counters, frame.clone());
+        assert_eq!(got.len(), 1);
+        // Not merely equal bytes: the very same backing allocation.
+        assert!(got[0].aliases(&frame));
+        assert_eq!(got[0], frame);
+        assert_eq!(counts(&counters), (0, 0, 0));
+    }
+
+    #[test]
+    fn retransmission_resends_the_identical_slab_slice() {
         let guard = fault::exclusive();
-        for fault in [None, Some(Fault::DropFrame), Some(Fault::CorruptFrame)] {
-            if let Some(f) = fault {
-                guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, f));
-            }
-            let counters = ClusterCounters::new();
-            let frame = frame_with(&[7, 8]);
-            let (mut txs, mut rxs) = reliable_channels(1, 1, Some(4));
-            let mut tx = ReliableSender::new(txs.remove(0), "msg", 0, 0, vec![1], counters.clone());
-            let sent = frame.clone();
-            let h = std::thread::spawn(move || {
-                tx.send_shared(0, sent)?;
-                tx.finish()
-            });
-            let mut rx = ReliableReceiver::new(rxs.remove(0), counters.clone());
-            let got = rx.next_frame().unwrap().expect("one frame");
-            assert!(rx.next_frame().unwrap().is_none());
-            h.join().unwrap().unwrap();
-            assert!(got.aliases(&frame), "{fault:?}: not merely equal bytes");
-            assert_eq!(counters.frames_retransmitted(), u64::from(fault.is_some()));
-            guard.clear();
-        }
+        guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, Fault::DropFrame));
+        let counters = ClusterCounters::new();
+        let frame = frame_with(&[42]);
+        let got = roundtrip_shared(&counters, frame.clone());
+        assert_eq!(counts(&counters), (1, 0, 0));
+        assert_eq!(got.len(), 1);
+        // The redelivery came off the control plane: the slab slice the
+        // sender parked, no re-encode, no copy.
+        assert!(got[0].aliases(&frame));
+    }
+
+    #[test]
+    fn corruption_is_a_torn_notice_and_recovery_delivers_the_pristine_slice() {
+        let guard = fault::exclusive();
+        guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, Fault::CorruptFrame));
+        let counters = ClusterCounters::new();
+        let frame = frame_with(&[42]);
+        let got = roundtrip_shared(&counters, frame.clone());
+        assert_eq!(counts(&counters), (1, 0, 1));
+        assert_eq!(got.len(), 1);
+        // The wire carried only a torn notice; what finally arrived is the
+        // pristine view the sender parked, the very same backing.
+        assert!(got[0].aliases(&frame));
+        assert_eq!(got[0], frame);
     }
 
     #[test]
