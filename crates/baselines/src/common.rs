@@ -164,7 +164,7 @@ pub mod heap_model {
         OBJECT_OVERHEAD + 24 + OBJECT_OVERHEAD + edges * 40
     }
 
-    /// Heap bytes for one undelivered message object.
+    /// Heap bytes for one in-flight message object.
     pub const MESSAGE_BYTES: usize = 40;
 
     /// Heap bytes for a ghost/replica vertex (GraphLab) — value + stubs,

@@ -2,7 +2,7 @@
 //! user-selected modes: in-memory (`Giraph-mem`) and the "preliminary
 //! out-of-core support" (`Giraph-ooc`) that §7.2 shows "does not yet work
 //! as expected" — it pages whole partitions through disk every superstep
-//! while keeping every undelivered message on the heap.
+//! while keeping every in-flight message on the heap.
 
 use crate::bsp::{run_bsp, BspProfile};
 use crate::common::{Algorithm, BaselineConfig, BaselineEngine, BaselineRun};

@@ -8,7 +8,7 @@
 //!
 //! | Engine | Architectural properties modelled |
 //! |---|---|
-//! | [`giraph::GiraphEngine`] (mem) | process-centric BSP; every vertex and every undelivered message an object on the worker heap; fails when the partition no longer fits |
+//! | [`giraph::GiraphEngine`] (mem) | process-centric BSP; every vertex and every in-flight message an object on the worker heap; fails when the partition no longer fits |
 //! | [`giraph::GiraphEngine`] (ooc) | "preliminary out-of-core support": vertices round-trip through ad-hoc partition files every superstep, but messages stay heap-resident — so it thrashes *and* still exhausts memory (§2.3, §7.2) |
 //! | [`graphlab::GraphLabEngine`] | sync GAS over edge-cut with **ghost replicas** of every remote neighbour: fastest per-iteration on small data, but the replication factor exhausts memory much earlier (fails ≈ 0.07 ratio in Figure 10) |
 //! | [`graphx::GraphXEngine`] | Pregel over immutable triplet views: every superstep materialises fresh vertex/triplet collections (RDD churn), the heaviest memory profile — fails to load even BTC-Tiny in the paper |

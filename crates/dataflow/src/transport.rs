@@ -16,7 +16,8 @@
 //! * a duplicate is discarded by seq (`frames_deduped`);
 //! * the receiver reads each stream until its sender disconnects, so a
 //!   duplicated `Fin` is counted too, and a disconnect without a `Fin` (the
-//!   sender died mid-stream) is a recoverable truncation error.
+//!   sender died mid-stream) is a non-recoverable truncation error, so the
+//!   sender's own error decides whether the job is replayed.
 //!
 //! Each counter is therefore a count of injected faults — drops plus
 //! corruptions, duplications, corruptions — whatever kind of message a fault
@@ -343,17 +344,20 @@ impl ReliableReceiver {
     }
 
     /// The sender's endpoint dropped: end of stream if its `Fin` arrived,
-    /// otherwise the sender died mid-stream.
+    /// otherwise the sender died mid-stream. That sender's task fails with
+    /// the cause, so the truncation is an internal error: it ranks last in
+    /// `Cluster::execute` (a tie goes to the sender, submitted first), so it
+    /// never masks the cause nor makes a deterministic failure replayable.
     fn on_disconnect(&mut self, i: usize) -> Result<()> {
         let s = &mut self.ins[i];
         s.open = false;
         if s.fin {
             return Ok(());
         }
-        Err(PregelixError::Io(std::io::Error::other(format!(
+        Err(PregelixError::internal(format!(
             "stream {:?} truncated: sender gone after {} frames without a Fin",
             s.label, s.delivered
-        ))))
+        )))
     }
 }
 
@@ -468,7 +472,8 @@ mod tests {
     }
 
     /// A sender that returns mid-stream without `finish` leaves its
-    /// receiver a recoverable truncation error after the frames it did send.
+    /// receiver a truncation error after the frames it did send. It is not
+    /// recoverable: the sender's own error carries the cause.
     #[test]
     fn a_sender_gone_without_finish_truncates_the_stream() {
         let _guard = fault::exclusive();
@@ -485,7 +490,7 @@ mod tests {
                 assert!(rx.next_frame().unwrap().is_some(), "cap {cap:?}");
             }
             let err = rx.next_frame().unwrap_err();
-            assert!(err.is_recoverable(), "cap {cap:?}: {err}");
+            assert!(!err.is_recoverable(), "cap {cap:?}: {err}");
             assert!(err.to_string().contains("truncated"), "cap {cap:?}: {err}");
         }
     }

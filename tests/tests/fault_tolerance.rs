@@ -424,11 +424,12 @@ fn duplicated_msg_frame_is_deduplicated_by_seq() {
 // The §5.7 recoverability split, end to end
 // ---------------------------------------------------------------------------
 
-/// Min-label CC whose `compute` raises a *user* error the first time vertex
-/// 0 runs at superstep 3, counting how often that poisoned invocation
-/// executes.
+/// Min-label CC whose `compute` fails by `fail` (a user error, corrupt
+/// bytes, a panic) the first time vertex 0 runs at superstep 3, counting how
+/// often that poisoned invocation executes.
 struct FailingCc {
     raised: AtomicU64,
+    fail: fn() -> Result<()>,
 }
 
 impl VertexProgram for FailingCc {
@@ -440,7 +441,7 @@ impl VertexProgram for FailingCc {
     fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
         if ctx.superstep() == 3 && ctx.vid() == 0 {
             self.raised.fetch_add(1, Ordering::Relaxed);
-            return Err(PregelixError::user("deliberate UDF failure at superstep 3"));
+            return (self.fail)();
         }
         min_label_step(ctx);
         Ok(())
@@ -498,6 +499,7 @@ fn user_error_mid_superstep_is_forwarded_not_replayed() {
     let cluster = Cluster::new(ClusterConfig::new(4, 8 << 20)).unwrap();
     let program = Arc::new(FailingCc {
         raised: AtomicU64::new(0),
+        fail: || Err(PregelixError::user("deliberate UDF failure at superstep 3")),
     });
     let err = run_job_from_records(&cluster, &program, &job, records).unwrap_err();
     assert!(
@@ -510,6 +512,46 @@ fn user_error_mid_superstep_is_forwarded_not_replayed() {
         1,
         "the failing compute must not be replayed from a checkpoint"
     );
+}
+
+/// A compute task that fails for a reason replay cannot fix — corrupt
+/// bytes, or a panic (caught as an internal error) — leaves its `msg`,
+/// `mut` and `gs` streams without a `Fin`. On a threaded cluster the
+/// receivers' truncation errors must not outrank it: the job surfaces the
+/// task's own error and consumes no recovery, even with checkpointing on.
+#[test]
+fn non_recoverable_task_failure_outranks_the_streams_it_truncates() {
+    let guard = fault::exclusive();
+    guard.install(FaultPlan::new());
+    let cases: [(fn() -> Result<()>, &str); 2] = [
+        (
+            || Err(PregelixError::corrupt("deliberate corrupt bytes")),
+            "corrupt data: deliberate corrupt bytes",
+        ),
+        (
+            || panic!("deliberate panic in compute"),
+            "task panicked: deliberate panic in compute",
+        ),
+    ];
+    for (fail, expected) in cases {
+        let job = PregelixJob::new("ft-fatal").with_checkpoint_interval(1);
+        let cluster = Cluster::new(ClusterConfig::new(4, 8 << 20)).unwrap();
+        let program = Arc::new(FailingCc {
+            raised: AtomicU64::new(0),
+            fail,
+        });
+        let err = run_job_from_records(&cluster, &program, &job, two_chains()).unwrap_err();
+        assert!(
+            err.to_string().contains(expected),
+            "the task's own error must surface: {err}"
+        );
+        assert!(!err.is_recoverable(), "{err}");
+        assert_eq!(
+            program.raised.load(Ordering::Relaxed),
+            1,
+            "{expected}: the failing compute must not be replayed from a checkpoint"
+        );
+    }
 }
 
 /// Connected components, combined by `min`, that switches worker 2 off when
