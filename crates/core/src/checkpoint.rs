@@ -176,10 +176,12 @@ fn validate_manifest(
             m.log_watermark
         )));
     }
-    // LOJ/adaptive plans probe the Vid live-vertex index every superstep; a
-    // checkpoint without one cannot feed them (reloading it anyway would
-    // surface much later as a missing-index panic mid-join).
-    let needs_vid = !matches!(job.plan.join, crate::plan::JoinStrategy::FullOuter);
+    // LOJ/adaptive plans probe the Vid live-vertex index from superstep 2
+    // on; a later checkpoint without one cannot feed them (reloading it
+    // anyway would surface much later as a missing-index error mid-join).
+    // Superstep 1 scans and builds the first index.
+    let needs_vid =
+        !matches!(job.plan.join, crate::plan::JoinStrategy::FullOuter) && superstep > 1;
     if needs_vid && !m.has_vid {
         return Err(PregelixError::corrupt(format!(
             "checkpoint manifest {superstep} lacks the Vid index state required by the {:?} join plan",

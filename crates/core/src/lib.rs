@@ -28,8 +28,9 @@
 //! * [`store`] — the `Vertex` partition access method: B-tree or LSM B-tree
 //!   behind one interface (§5.2).
 //! * [`gs`] — the global-state tuple, persisted in the DFS (§5.2).
-//! * [`superstep`] — builds and executes the per-superstep dataflow job
-//!   (Figures 3–5, 7, 8).
+//! * [`superstep`] — the superstep as one dataflow plan, built once per
+//!   job and executed every superstep and by confined replay (Figures
+//!   3–5, 7, 8).
 //! * [`load`] — graph load from / dump to the DFS (§5.2).
 //! * [`checkpoint`] — checkpoint write, manifest walk and partition reload
 //!   (§5.5).

@@ -29,17 +29,12 @@ use crate::checkpoint::{self, Manifest};
 use crate::gs::GlobalState;
 use crate::plan::PregelixJob;
 use crate::runtime::LoadedGraph;
-use crate::superstep::{
-    msg_tuple_combiner, replay_partition_superstep, resolve_join, PartitionState,
-};
-use parking_lot::Mutex;
+use crate::superstep::{Source, SuperstepPlan};
 use pregelix_common::error::{PregelixError, Result};
-use pregelix_common::frame::Frame;
 use pregelix_common::msglog::{self, MsgLog};
 use pregelix_common::Superstep;
-use pregelix_dataflow::cluster::{Cluster, Task};
+use pregelix_dataflow::cluster::Cluster;
 use pregelix_dataflow::scheduler::{dead_partitions, replan_sticky};
-use std::sync::Arc;
 
 /// Recover the current failure from the newest usable checkpoint. On
 /// success the lost partitions have been reloaded in place (inside their
@@ -50,10 +45,11 @@ use std::sync::Arc;
 /// `Ok(false)`: no checkpoint was usable, and the caller surfaces the
 /// original failure. A recoverable error (a flaky manifest read, another
 /// worker lost mid-reload) means the caller retries through the failure
-/// manager.
-pub fn recover<P: VertexProgram>(
+/// manager. Replay executes the job's own superstep `plan`, fed from the
+/// message logs.
+pub(crate) fn recover<P: VertexProgram>(
     cluster: &Cluster,
-    program: &Arc<P>,
+    plan: &mut SuperstepPlan<P>,
     job: &PregelixJob,
     graph: &mut LoadedGraph,
     gs: &mut GlobalState,
@@ -65,7 +61,7 @@ pub fn recover<P: VertexProgram>(
     let recovered = checkpoint::walk_valid(cluster, job, |base, manifest| {
         let p_count = graph.partitions.len();
         let replay = if clean_death && graph.intact {
-            let inputs = ReplayInputs::gather(cluster, job, base, &manifest, p_count, gs);
+            let inputs = replay_inputs(cluster, job, base, &manifest, p_count, gs);
             if inputs.is_err() && !fell_back {
                 fell_back = true;
                 cluster.counters().add_confined_fallbacks(1);
@@ -99,7 +95,13 @@ pub fn recover<P: VertexProgram>(
         }
         match replay {
             Some(inputs) => {
-                inputs.replay(cluster, program, job, &graph.partitions, &sticky, &dead)?;
+                // One execution per lost superstep: superstep s+1's compute
+                // consumes the Msg run superstep s's replay installs.
+                plan.place(&sticky, &alive)?;
+                for (gs, logs) in &inputs {
+                    let source = Source::Logged { lost: &dead, logs };
+                    plan.execute(cluster, &graph.partitions, gs, source)?;
+                }
                 cluster.counters().add_confined_recoveries(1);
             }
             None => {
@@ -114,130 +116,73 @@ pub fn recover<P: VertexProgram>(
     Ok(recovered.is_some())
 }
 
-/// What replaying supersteps `[C, S)` on the lost partitions consumes,
-/// gathered and validated before any partition state is touched, so a hole
-/// never leaves a half-replayed graph behind.
-struct ReplayInputs {
-    /// The global state that fed each superstep in `[C, S]`.
-    gs_chain: Vec<GlobalState>,
-    /// Per superstep in `[C, S)`, one log per source partition.
-    logs: Vec<Vec<MsgLog>>,
-}
-
-impl ReplayInputs {
-    /// Every hole surfaces as [`PregelixError::ConfinedRecoveryUnavailable`].
-    fn gather(
-        cluster: &Cluster,
-        job: &PregelixJob,
-        base: Superstep,
-        manifest: &Manifest,
-        p_count: usize,
-        gs: &GlobalState,
-    ) -> Result<ReplayInputs> {
-        if manifest.partitions as usize != p_count {
-            return Err(PregelixError::confined_unavailable(format!(
-                "checkpoint {base} covers {} partitions, job runs {p_count}",
-                manifest.partitions
-            )));
-        }
-        if !manifest.logs_enabled {
-            return Err(PregelixError::confined_unavailable(format!(
-                "checkpoint {base} was written without message logging",
-            )));
-        }
-        if base > gs.superstep {
-            return Err(PregelixError::confined_unavailable(format!(
-                "checkpoint {base} is newer than the live superstep {}",
-                gs.superstep
-            )));
-        }
-        // GS history: the exact global state that fed each superstep in
-        // (C, S], chaining from the manifest's GS at C. The final entry must
-        // be bit-identical to the live GS — anything else means the history
-        // diverged (e.g. written by a run this state never saw).
-        let dfs = cluster.dfs();
-        let mut gs_chain = Vec::with_capacity((gs.superstep - base) as usize + 1);
-        gs_chain.push(manifest.gs.clone());
-        for s in base + 1..=gs.superstep {
-            let entry = GlobalState::fetch_hist(dfs, &job.id, s).map_err(|e| {
-                PregelixError::confined_unavailable(format!("gs history entry {s}: {e}"))
-            })?;
-            gs_chain.push(entry);
-        }
-        if gs_chain.last() != Some(gs) {
-            return Err(PregelixError::confined_unavailable(format!(
-                "gs history entry {} diverges from the live global state",
-                gs.superstep
-            )));
-        }
-        // Message logs: one intact file per (superstep in [C, S), source
-        // partition). `read_log` verifies CRC, magic, and coordinates, and
-        // types every hole as an unavailability.
-        let counters = cluster.counters();
-        let mut logs = Vec::with_capacity((gs.superstep - base) as usize);
-        for s in base..gs.superstep {
-            let mut per_src = Vec::with_capacity(p_count);
-            for src in 0..p_count {
-                let log = msglog::read_log(dfs, counters, &job.id, s, src)?;
-                if log.partitions() != p_count {
-                    return Err(PregelixError::confined_unavailable(format!(
-                        "log {} is bucketed over {} partitions, job runs {p_count}",
-                        msglog::log_path(&job.id, s, src),
-                        log.partitions()
-                    )));
-                }
-                per_src.push(log);
-            }
-            logs.push(per_src);
-        }
-        Ok(ReplayInputs { gs_chain, logs })
+/// What replaying supersteps `[C, S)` on the lost partitions consumes: per
+/// superstep, the global state that fed it and one log per source
+/// partition. Gathered and validated before any partition state is
+/// touched, so a hole never leaves a half-replayed graph behind; every
+/// hole surfaces as [`PregelixError::ConfinedRecoveryUnavailable`].
+fn replay_inputs(
+    cluster: &Cluster,
+    job: &PregelixJob,
+    base: Superstep,
+    manifest: &Manifest,
+    p_count: usize,
+    gs: &GlobalState,
+) -> Result<Vec<(GlobalState, Vec<MsgLog>)>> {
+    if manifest.partitions as usize != p_count {
+        return Err(PregelixError::confined_unavailable(format!(
+            "checkpoint {base} covers {} partitions, job runs {p_count}",
+            manifest.partitions
+        )));
     }
-
-    /// Replay the lost supersteps on the `lost` partitions, one (partial)
-    /// dataflow job per superstep — superstep s+1's compute consumes the
-    /// Msg run superstep s's replay installs — of one `replay[p]@s` task per
-    /// lost partition, pinned to its re-planned worker. The tasks are
-    /// independent: every inbound flow comes out of the logs.
-    fn replay<P: VertexProgram>(
-        &self,
-        cluster: &Cluster,
-        program: &Arc<P>,
-        job: &PregelixJob,
-        partitions: &[Arc<Mutex<PartitionState>>],
-        sticky: &[usize],
-        lost: &[usize],
-    ) -> Result<()> {
-        for (gs, logs) in self.gs_chain.iter().zip(&self.logs) {
-            // Resolve the join exactly as the live superstep did. The
-            // measured probe-cost model is deliberately not replayed: it
-            // only biases the Adaptive choice, and both join strategies
-            // produce identical state.
-            let (plan, track_live) = resolve_join(job.plan, gs, None);
-            let superstep = gs.superstep;
-            let mut tasks = Vec::with_capacity(lost.len());
-            for &p in lost {
-                let state = Arc::clone(&partitions[p]);
-                let program_c = Arc::clone(program);
-                let gs_c = gs.clone();
-                let combiner_c = msg_tuple_combiner(program);
-                let job_tag = job.id.tag().to_string();
-                // The logged sections bound for partition p, one frame per
-                // source, in ascending src order.
-                let msgs: Vec<Frame> = logs.iter().map(|l| l.messages(p).clone()).collect();
-                let muts: Vec<Frame> = logs.iter().map(|l| l.mutations(p).clone()).collect();
-                tasks.push(Task::new(
-                    format!("replay[{p}]@{superstep}"),
-                    sticky[p],
-                    move |w| {
-                        replay_partition_superstep::<P>(
-                            &w, state, program_c, gs_c, plan, track_live, p, &job_tag, msgs, muts,
-                            combiner_c,
-                        )
-                    },
-                ));
-            }
-            cluster.execute_partial(tasks)?;
-        }
-        Ok(())
+    if !manifest.logs_enabled {
+        return Err(PregelixError::confined_unavailable(format!(
+            "checkpoint {base} was written without message logging",
+        )));
     }
+    if base > gs.superstep {
+        return Err(PregelixError::confined_unavailable(format!(
+            "checkpoint {base} is newer than the live superstep {}",
+            gs.superstep
+        )));
+    }
+    // GS history: the exact global state that fed each superstep in
+    // (C, S], chaining from the manifest's GS at C. The final entry must
+    // be bit-identical to the live GS — anything else means the history
+    // diverged (e.g. written by a run this state never saw).
+    let dfs = cluster.dfs();
+    let mut chain = vec![manifest.gs.clone()];
+    for s in base + 1..=gs.superstep {
+        let entry = GlobalState::fetch_hist(dfs, &job.id, s).map_err(|e| {
+            PregelixError::confined_unavailable(format!("gs history entry {s}: {e}"))
+        })?;
+        chain.push(entry);
+    }
+    if chain.pop().as_ref() != Some(gs) {
+        return Err(PregelixError::confined_unavailable(format!(
+            "gs history entry {} diverges from the live global state",
+            gs.superstep
+        )));
+    }
+    // Message logs: one intact file per (superstep in [C, S), source
+    // partition). `read_log` verifies CRC, magic, and coordinates, and
+    // types every hole as an unavailability.
+    let counters = cluster.counters();
+    let read = |s: Superstep, src: usize| {
+        let log = msglog::read_log(dfs, counters, &job.id, s, src)?;
+        if log.partitions() != p_count {
+            return Err(PregelixError::confined_unavailable(format!(
+                "log {} is bucketed over {} partitions, job runs {p_count}",
+                msglog::log_path(&job.id, s, src),
+                log.partitions()
+            )));
+        }
+        Ok(log)
+    };
+    let mut inputs = Vec::with_capacity(chain.len());
+    for (s, fed) in (base..).zip(chain) {
+        let logs = (0..p_count).map(|src| read(s, src)).collect::<Result<_>>()?;
+        inputs.push((fed, logs));
+    }
+    Ok(inputs)
 }

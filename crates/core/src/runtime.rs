@@ -35,9 +35,9 @@ use crate::api::VertexProgram;
 use crate::checkpoint;
 use crate::gs::GlobalState;
 use crate::load;
-use crate::plan::{JoinStrategy, PregelixJob, ProbeCostModel};
+use crate::plan::{PregelixJob, ProbeCostModel};
 use crate::recovery;
-use crate::superstep::{run_superstep, FoldSlot, FoldTable, PartitionState};
+use crate::superstep::{FoldSlot, FoldTable, PartitionState, Source, SuperstepPlan};
 use parking_lot::Mutex;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
@@ -45,9 +45,8 @@ use pregelix_common::frame::{tuple_vid, vid_to_key};
 use pregelix_common::stats::{current_job_scope, StatsSnapshot};
 use pregelix_common::writable::Writable;
 use pregelix_common::{hash_partition, Superstep, Vid};
-use pregelix_dataflow::cluster::{Cluster, FailureDetector, Task};
+use pregelix_dataflow::cluster::{Cluster, FailureDetector};
 use pregelix_dataflow::scheduler::sticky_assignment_offset;
-use pregelix_storage::btree::BTree;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -456,33 +455,6 @@ impl LoadedGraph {
         Ok(out)
     }
 
-    /// Build `Vid` indexes containing *every* vertex (job start: all
-    /// active), replacing any stale ones.
-    fn build_full_vid_indexes(&mut self, cluster: &Cluster) -> Result<()> {
-        let mut tasks = Vec::with_capacity(self.partitions.len());
-        for (p, state) in self.partitions.iter().enumerate() {
-            let state = Arc::clone(state);
-            tasks.push(Task::new(format!("vid-init[{p}]"), self.sticky[p], move |w| {
-                let mut st = state.lock();
-                let mut vids = Vec::new();
-                {
-                    let mut scan = st.store.scan()?;
-                    while let Some((k, _)) = scan.next_entry()? {
-                        vids.push(k);
-                    }
-                }
-                let mut tree = BTree::create(w.cache().clone())?;
-                tree.bulk_load(vids.into_iter().map(|k| (k, Vec::new())), 1.0)?;
-                if let Some(old) = st.vid_index.replace(tree) {
-                    old.destroy()?;
-                }
-                Ok(())
-            }));
-        }
-        cluster.execute(tasks)?;
-        Ok(())
-    }
-
     /// Read back all vertices as decoded data, sorted by vid (test/bench
     /// convenience; materialises the whole graph).
     pub fn collect_vertices<P: VertexProgram>(
@@ -510,7 +482,8 @@ impl LoadedGraph {
 /// driver. State lives here rather than across a call stack so a job can
 /// be parked between supersteps indefinitely.
 pub(crate) struct RunLoop<P: VertexProgram> {
-    program: Arc<P>,
+    /// The superstep plan, built here once for the whole job.
+    plan: SuperstepPlan<P>,
     job: PregelixJob,
     gs: GlobalState,
     stats_before: StatsSnapshot,
@@ -525,39 +498,27 @@ pub(crate) struct RunLoop<P: VertexProgram> {
     initial_ckpt_done: bool,
     cost_model: Option<ProbeCostModel>,
     sender_fold: SenderFold,
-    /// One pooled fold-table slot per partition under
-    /// [`SenderFold::Direct`], empty otherwise. Tables are allocated by the
-    /// first `compute[p]` that needs one and live until the job ends.
-    fold_slots: Vec<FoldSlot<P::Message>>,
 }
 
 impl<P: VertexProgram> RunLoop<P> {
-    /// Job prologue: prepare the resident graph's per-job indexes, store
-    /// the initial `GS`, and snapshot the counters the summary will delta
-    /// against.
+    /// Job prologue: build the superstep plan, drop what a previous job
+    /// left in the resident graph, store the initial `GS`, and snapshot the
+    /// counters the summary will delta against.
     pub(crate) fn begin(
         cluster: &Cluster,
         program: &Arc<P>,
         job: &PregelixJob,
         graph: &mut LoadedGraph,
     ) -> Result<RunLoop<P>> {
-        // LOJ plans need the Vid live-vertex index; a fresh job starts with
-        // every vertex live. FOJ plans drop any stale index.
-        match job.plan.join {
-            JoinStrategy::LeftOuter | JoinStrategy::Adaptive => {
-                graph.build_full_vid_indexes(cluster)?
-            }
-            JoinStrategy::FullOuter => {
-                for p in &graph.partitions {
-                    if let Some(old) = p.lock().vid_index.take() {
-                        old.destroy()?;
-                    }
-                }
-            }
-        }
-        // Drop stale message runs from a previous job.
+        // Drop a previous job's `Vid` index and message runs. Superstep 1
+        // is a full-outer scan for every plan; a plan that probes builds
+        // its first index there, from the vids that stay live.
         for p in &graph.partitions {
-            if let Some(run) = p.lock().msg_run.take() {
+            let mut st = p.lock();
+            if let Some(old) = st.vid_index.take() {
+                old.destroy()?;
+            }
+            if let Some(run) = st.msg_run.take() {
                 run.delete()?;
             }
         }
@@ -574,6 +535,9 @@ impl<P: VertexProgram> RunLoop<P> {
             worker.groupby_budget(),
             worker.file_manager().page_size(),
         );
+        // One pooled fold-table slot per partition under
+        // [`SenderFold::Direct`]: tables are allocated by the first
+        // `compute[p]` that needs one and live until the job ends.
         let fold_slots = match (sender_fold, program.combiner()) {
             (
                 SenderFold::Direct {
@@ -590,7 +554,7 @@ impl<P: VertexProgram> RunLoop<P> {
             _ => Vec::new(),
         };
         Ok(RunLoop {
-            program: Arc::clone(program),
+            plan: SuperstepPlan::new(program, job, fold_slots),
             job: job.clone(),
             gs,
             stats_before: cluster.counters().snapshot(),
@@ -612,7 +576,6 @@ impl<P: VertexProgram> RunLoop<P> {
             // forward otherwise.
             cost_model: None,
             sender_fold,
-            fold_slots,
         })
     }
 
@@ -630,7 +593,7 @@ impl<P: VertexProgram> RunLoop<P> {
         graph: &mut LoadedGraph,
     ) -> Result<bool> {
         let job = &self.job;
-        let program = &self.program;
+        let plan = &mut self.plan;
         // Set when the attempt failed on the *pre-flight* aliveness check —
         // i.e. the death was detected at the barrier, before any task of
         // the attempt ran. Only then are the survivors guaranteed to sit
@@ -638,12 +601,8 @@ impl<P: VertexProgram> RunLoop<P> {
         // is what lets recovery leave them alone. A death detected
         // mid-superstep loses every partition.
         let mut clean_death = false;
-        // Sender-side message logs and the GS history are what recovery
-        // replays from; they are kept whenever there are checkpoints.
-        let logged = job.checkpoint_interval.is_some();
         let gs = &self.gs;
-        let initial_ckpt_done = self.initial_ckpt_done;
-        let cost_model = self.cost_model;
+        let (initial_ckpt_done, cost_model) = (self.initial_ckpt_done, self.cost_model);
         let before = cluster.counters().snapshot();
         let attempt = (|| -> Result<(GlobalState, Duration)> {
             if job.checkpoint_interval.is_some() && !initial_ckpt_done {
@@ -669,32 +628,22 @@ impl<P: VertexProgram> RunLoop<P> {
             // caught here is "clean" — every surviving partition of an
             // intact graph is still exactly at `gs.superstep` with its Msg
             // run intact — so recovery may reload only the dead partitions.
-            // (Without this check the superstep itself would fail on the
-            // unsatisfiable absolute constraint anyway; the check just
-            // classifies the failure earlier.)
-            let alive_now = cluster.alive_workers();
-            if let Some(&dead) =
-                graph.sticky.iter().find(|wk| !alive_now.contains(wk))
-            {
+            // It is the attempt's one aliveness check: the plan is placed
+            // on the same alive set.
+            let alive = cluster.alive_workers();
+            if let Some(&dead) = graph.sticky.iter().find(|wk| !alive.contains(wk)) {
                 clean_death = true;
                 return Err(PregelixError::WorkerDead { id: dead });
             }
-            let (new_gs, duration) = run_superstep(
-                cluster,
-                program,
-                &job.id,
-                job.plan,
-                &graph.partitions,
-                &graph.sticky,
-                gs,
-                cost_model,
-                logged,
-                &self.fold_slots,
-            )?;
-            // Pin this superstep's GS history entry (best-effort: a
-            // missing entry makes recovery reload every partition rather
-            // than corrupt anything).
-            if logged {
+            plan.place(&graph.sticky, &alive)?;
+            let (new_gs, duration) =
+                plan.execute(cluster, &graph.partitions, gs, Source::Live(cost_model))?;
+            let new_gs =
+                new_gs.ok_or_else(|| PregelixError::internal("gs task produced no outcome"))?;
+            // Pin this superstep's GS history entry whenever the job
+            // checkpoints (best-effort: a missing entry makes recovery
+            // reload every partition rather than corrupt anything).
+            if job.checkpoint_interval.is_some() {
                 let _ = new_gs.store_hist(cluster.dfs(), &job.id);
             }
             let finished_ss = new_gs.superstep - 1;
@@ -770,7 +719,7 @@ impl<P: VertexProgram> RunLoop<P> {
                     );
                     match recovery::recover(
                         cluster,
-                        &self.program,
+                        &mut self.plan,
                         &self.job,
                         graph,
                         &mut self.gs,

@@ -1,7 +1,8 @@
-//! One superstep = one dataflow job (Figures 3–5).
+//! One superstep = one dataflow plan (Figures 3–5), built once per job.
 //!
-//! Per vertex partition `p` (pinned by sticky constraints to the worker
-//! holding the partition's indexes, §5.3.4) the job runs three tasks:
+//! [`SuperstepPlan`] holds four typed operator nodes, placed by the
+//! scheduler's constraints (§5.3.4), and the edges between them
+//! ([`SuperstepPlan::edges`]). Per vertex partition `p`:
 //!
 //! * **`compute[p]`** — the fused join/compute/update pipeline of §5.3.2:
 //!   reads the sorted `Msg_i` run, joins it with the `Vertex` index (full
@@ -9,29 +10,36 @@
 //!   `compute` UDF on each active row, updates `Vertex` in place (D2),
 //!   combines outgoing messages per destination — folded into a
 //!   direct-address table slot where the program qualifies, sorted and
-//!   grouped otherwise — and feeds the message connector (D3), routes
+//!   grouped otherwise — and feeds the message edge (D3), routes
 //!   mutations (D6), and pre-aggregates the global-state contributions
 //!   (D4, D5 — stage one of §5.3.3).
 //! * **`msgwrite[p]`** — the receiver side of the message-combination
-//!   strategy (Figure 7): re-group (unmerged connector) or preclustered
-//!   pass (merging connector), then materialize the combined messages as
-//!   the vid-sorted `Msg_{i+1}` partition file (§5.2).
+//!   strategy (Figure 7): re-group (pipelined edge) or preclustered pass
+//!   (merged edge), then materialize the combined messages as the
+//!   vid-sorted `Msg_{i+1}` partition file (§5.2).
 //! * **`mutate[p]`** — receiver-side group-by of mutation tuples by vid +
 //!   the `resolve` UDF, applied to the `Vertex` index (§5.3.3). Runs after
 //!   `compute[p]` releases the partition (mutations take effect in
 //!   superstep S+1, §2.1).
 //!
-//! One extra **`gs`** task is stage two of the global aggregation
-//! (Figure 4): it folds the per-partition contributions into the new `GS`
-//! tuple and decides the global halt. The driver writes `GS` to the DFS
-//! where it is durable state (job start, each checkpoint, job end), not
-//! once per superstep.
+//! One **`gs`** node is stage two of the global aggregation (Figure 4): it
+//! folds the per-partition contributions, arriving on three aggregator
+//! edges, into the new `GS` tuple and decides the global halt. The driver
+//! writes `GS` to the DFS where it is durable state (job start, each
+//! checkpoint, job end), not once per superstep.
+//!
+//! A superstep resolves the join, wires fresh channels and executes the
+//! plan ([`Source::Live`]). Confined replay executes the same plan and the
+//! same three task bodies ([`Source::Logged`]): only the lost partitions
+//! run, `msgwrite` and `mutate` read the logged sections, `compute`'s
+//! outbound edges discard, and there is no `gs` node. One commit step
+//! serves both.
 
 use crate::api::{
     ComputeContext, MessageCombiner, Mutation, OutputBuffers, Resolution, VertexProgram,
 };
 use crate::gs::GlobalState;
-use crate::plan::{JoinStrategy, PlanConfig};
+use crate::plan::{JoinStrategy, PlanConfig, PregelixJob, ProbeCostModel};
 use crate::store::{RowCursor, VertexStore};
 use crate::vertex::{
     decode_into, decode_msg_list_into, encode_edges, encode_head, is_halted, Edge, VertexData,
@@ -41,19 +49,18 @@ use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Site};
 use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key, Frame};
-use pregelix_common::msglog::{self, MsgLogWriter};
+use pregelix_common::msglog::{self, MsgLog, MsgLogWriter};
 use pregelix_common::stats::ClusterCounters;
 use pregelix_common::writable::Writable;
 use pregelix_common::{hash_partition, JobId, Superstep, Vid};
 use pregelix_dataflow::cluster::{Cluster, Task, WorkerHandle};
 use pregelix_dataflow::connector::{
-    aggregator_channels_cap, merging_channels, partition_channels_cap, AggregatorReceiver,
-    MaterializedPartitioner, MergeRx, MergeTx, MergingReceiver, PartitionReceiver,
-    PartitioningSender,
+    merging_channels, partition_channels_cap, AggregatorReceiver, MaterializedPartitioner,
+    MergeRx, MergeTx, MergingReceiver, PartitionReceiver, PartitioningSender,
 };
 use pregelix_dataflow::transport::{StreamRx, StreamTx};
 use pregelix_dataflow::groupby::{GroupByKind, LocalGroupBy};
-use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec};
+use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec, Schedule};
 use pregelix_storage::btree::BTree;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
@@ -62,6 +69,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Rows the join loop handles between two aliveness checks (which double as
 /// the worker's heartbeat).
@@ -240,18 +248,7 @@ pub(crate) struct FoldSlot<M> {
     hi: usize,
     window: usize,
     combine: MessageCombiner<M>,
-    table: Arc<Mutex<Option<FoldTable<M>>>>,
-}
-
-impl<M> Clone for FoldSlot<M> {
-    fn clone(&self) -> Self {
-        FoldSlot {
-            hi: self.hi,
-            window: self.window,
-            combine: Arc::clone(&self.combine),
-            table: Arc::clone(&self.table),
-        }
-    }
+    table: Mutex<Option<FoldTable<M>>>,
 }
 
 impl<M: Clone> FoldSlot<M> {
@@ -262,7 +259,7 @@ impl<M: Clone> FoldSlot<M> {
             hi,
             window: window.min(hi),
             combine,
-            table: Arc::new(Mutex::new(None)),
+            table: Mutex::new(None),
         }
     }
 
@@ -497,258 +494,453 @@ fn encode_mut_stats(inserted: u64, deleted: u64, live_inserted: u64) -> Vec<u8> 
     out
 }
 
-/// The message connector's sender half (strategy-dependent).
-enum MsgSender {
+// ---------------------------------------------------------------------
+// The plan: nodes, edges, placement, one execution, its commit
+// ---------------------------------------------------------------------
+
+/// An operator node of the superstep plan. A node, a partition and a
+/// superstep name one task: `msgwrite[3]@7`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Node {
+    /// Scan or probe `Vertex` ⋈ `Msg_s`, `compute`, sender-side combine.
+    Compute,
+    /// Receiver-side combine into the `Msg_{s+1}` run.
+    MsgWrite,
+    /// Mutation requests grouped by vid through `resolve`.
+    Mutate,
+    /// Stage two of the global aggregation: the next `GS`.
+    Gs,
+}
+
+impl Node {
+    const ALL: [Node; 4] = [Node::Compute, Node::MsgWrite, Node::Mutate, Node::Gs];
+
+    fn name(self) -> &'static str {
+        match self {
+            Node::Compute => "compute",
+            Node::MsgWrite => "msgwrite",
+            Node::Mutate => "mutate",
+            Node::Gs => "gs",
+        }
+    }
+}
+
+/// How an edge moves tuples from its source node's partitions to its
+/// target's.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum EdgeKind {
+    /// m-to-n partitioning connector, read in arrival order.
+    Pipelined,
+    /// m-to-n partitioning merging connector: one sorted run per pair.
+    Merged,
+    /// m-to-1 aggregator connector.
+    Aggregator,
+}
+
+/// One edge of the plan.
+#[derive(Clone, Copy, Debug)]
+struct PlanEdge {
+    from: Node,
+    to: Node,
+    kind: EdgeKind,
+    /// Stream label: the context `Site::FrameSend` faults are scoped by.
+    label: &'static str,
+}
+
+/// One superstep as a dataflow plan, built once per job (§5, Figures 3–5).
+/// Every superstep resolves the join, wires fresh channels for the edges
+/// (streams are single-use) and executes it; confined replay executes the
+/// same plan fed from the message logs ([`Source::Logged`]).
+pub(crate) struct SuperstepPlan<P: VertexProgram> {
+    program: Arc<P>,
+    job: JobId,
+    /// The job's plan hints: `join` may still be Adaptive.
+    config: PlanConfig,
+    /// One pooled [`FoldTable`] slot per partition when the job's messages
+    /// fold by direct address, empty otherwise.
+    fold_slots: Arc<[FoldSlot<P::Message>]>,
+    /// Whether `compute` tees its outbound edges into the message log.
+    logged: bool,
+    /// `(sticky, alive, schedule)` of the last [`place`](Self::place).
+    placement: Option<(Vec<usize>, Vec<usize>, Arc<Schedule>)>,
+}
+
+/// What feeds one execution of the plan.
+pub(crate) enum Source<'a> {
+    /// A live superstep: every partition runs, every edge is a fresh
+    /// connector, and an Adaptive join may follow the measured probe costs.
+    Live(Option<ProbeCostModel>),
+    /// Confined replay of the `lost` partitions, `logs[src]` being what
+    /// `src` logged during the replayed superstep: `msgwrite` and `mutate`
+    /// read the logged sections bound for their partition, `compute`'s
+    /// outbound edges go to a discard sink, and there is no `gs` node.
+    Logged { lost: &'a [usize], logs: &'a [MsgLog] },
+}
+
+/// One execution of the plan as its tasks share it.
+struct Exec<P: VertexProgram> {
+    program: Arc<P>,
+    job: JobId,
+    /// The global state feeding the superstep.
+    gs: GlobalState,
+    /// The resolved plan: `join` is never Adaptive here.
+    config: PlanConfig,
+    track_live: bool,
+    partitions: Vec<Arc<Mutex<PartitionState>>>,
+    fold_slots: Arc<[FoldSlot<P::Message>]>,
+    schedule: Arc<Schedule>,
+    /// Where `compute` persists its message log, and the bytes written.
+    log: Option<(SimDfs, AtomicU64)>,
+    /// Per partition, the `Msg_{s+1}` run `msgwrite` sealed and its tuple
+    /// count, owned here until the commit installs the run.
+    next_msgs: Vec<Mutex<(Option<TempRun>, u64)>>,
+    /// The `gs` node's revised global state.
+    outcome: Mutex<Option<GlobalState>>,
+}
+
+/// The sending end of one edge, as a task finds it.
+enum Outbound {
+    Pipelined(Vec<StreamTx>, PlanEdge),
+    Merged(Vec<MergeTx>, PlanEdge),
+    Discard,
+}
+
+/// The receiving end of one edge, as a task finds it.
+enum Inbound {
+    Pipelined(Vec<StreamRx>),
+    Merged(Vec<MergeRx>),
+    /// The logged sections bound for this partition, in ascending source
+    /// order, empty ones left out.
+    Logged(Vec<Frame>),
+}
+
+/// One task's ends, one per edge at its node, in [`SuperstepPlan::edges`]
+/// order.
+#[derive(Default)]
+struct Ends {
+    ins: Vec<Inbound>,
+    outs: Vec<Outbound>,
+}
+
+/// Every task body: the same four arguments for every node.
+type Body<P> = fn(&WorkerHandle, &Exec<P>, usize, Ends) -> Result<()>;
+
+impl<P: VertexProgram> SuperstepPlan<P> {
+    pub(crate) fn new(
+        program: &Arc<P>,
+        job: &PregelixJob,
+        fold_slots: Vec<FoldSlot<P::Message>>,
+    ) -> Self {
+        SuperstepPlan {
+            program: Arc::clone(program),
+            job: job.id.clone(),
+            config: job.plan,
+            fold_slots: fold_slots.into(),
+            logged: job.checkpoint_interval.is_some(),
+            placement: None,
+        }
+    }
+
+    /// The plan's edges. Only the message edge's kind is the job's: merged
+    /// under a merging group-by strategy (Figure 7).
+    fn edges(&self) -> [PlanEdge; 5] {
+        let edge = |from, to, kind, label| PlanEdge {
+            from,
+            to,
+            kind,
+            label,
+        };
+        let msg = if self.config.groupby.merged() {
+            EdgeKind::Merged
+        } else {
+            EdgeKind::Pipelined
+        };
+        [
+            edge(Node::Compute, Node::MsgWrite, msg, "msg"),
+            edge(Node::Compute, Node::Mutate, EdgeKind::Pipelined, "mut"),
+            edge(Node::Compute, Node::Gs, EdgeKind::Aggregator, "gs"),
+            edge(Node::MsgWrite, Node::Gs, EdgeKind::Aggregator, "gs"),
+            edge(Node::Mutate, Node::Gs, EdgeKind::Aggregator, "gs"),
+        ]
+    }
+
+    /// Place the nodes (§5.3.4): `compute` pinned absolutely to the workers
+    /// holding the `Vertex` partitions, `msgwrite` and `mutate` co-located
+    /// with it, one `gs` anywhere. Solved again only when `sticky` or the
+    /// alive set changed, that is, after a recovery. The caller has checked
+    /// that every sticky worker is alive.
+    pub(crate) fn place(&mut self, sticky: &[usize], alive: &[usize]) -> Result<()> {
+        if let Some((s, a, _)) = &self.placement {
+            if s == sticky && a == alive {
+                return Ok(());
+            }
+        }
+        let specs = Node::ALL.map(|node| {
+            let constraint = match node {
+                Node::Compute => LocationConstraint::Absolute(sticky.to_vec()),
+                Node::Gs => LocationConstraint::Count(1),
+                _ => LocationConstraint::SameAs(Node::Compute as usize),
+            };
+            OperatorSpec::new(node.name(), sticky.len(), constraint)
+        });
+        let schedule = Arc::new(scheduler::solve(&specs, alive)?);
+        self.placement = Some((sticky.to_vec(), alive.to_vec(), schedule));
+        Ok(())
+    }
+
+    /// Execute superstep `gs.superstep` on the placed plan, live or
+    /// replayed, and commit it. Returns the revised global state (`None`
+    /// for a replay, which has no `gs` node) and the execution's duration.
+    pub(crate) fn execute(
+        &self,
+        cluster: &Cluster,
+        partitions: &[Arc<Mutex<PartitionState>>],
+        gs: &GlobalState,
+        source: Source<'_>,
+    ) -> Result<(Option<GlobalState>, Duration)> {
+        let (_, _, schedule) = self
+            .placement
+            .as_ref()
+            .ok_or_else(|| PregelixError::plan("superstep plan executed before it was placed"))?;
+        // The measured cost model is not replayed: it only biases the
+        // Adaptive choice, and both joins produce identical state.
+        let cost_model = if let Source::Live(model) = source { model } else { None };
+        let (config, track_live) = resolve_join(self.config, gs, cost_model);
+        let p_count = partitions.len();
+        let exec = Arc::new(Exec {
+            program: Arc::clone(&self.program),
+            job: self.job.clone(),
+            gs: gs.clone(),
+            config,
+            track_live,
+            partitions: partitions.to_vec(),
+            fold_slots: Arc::clone(&self.fold_slots),
+            schedule: Arc::clone(schedule),
+            log: (self.logged && matches!(source, Source::Live(_)))
+                .then(|| (cluster.dfs().clone(), AtomicU64::new(0))),
+            next_msgs: (0..p_count).map(|_| Mutex::default()).collect(),
+            outcome: Mutex::new(None),
+        });
+        let mut wired = self.wire(p_count, cluster.channel_capacity(), &source);
+        let bodies: [Body<P>; 4] = [compute_task, msgwrite_task, mutate_task, gs_task];
+        // Tasks are emitted node-major, senders before the receivers they
+        // feed: sequential-timed mode runs them one at a time in this
+        // order, so no receiver starts on a stream that is still open. A
+        // log-fed `mutate[p]` waits on no stream of `compute[p]`'s, so it
+        // runs as a second stage: it must not lock the partition before
+        // `compute[p]` is done with it.
+        let stages: &[&[Node]] = match source {
+            Source::Live(_) => &[&Node::ALL],
+            Source::Logged { .. } => &[&[Node::Compute, Node::MsgWrite], &[Node::Mutate]],
+        };
+        let mut duration = Duration::ZERO;
+        for stage in stages {
+            let mut tasks = Vec::new();
+            for &node in *stage {
+                for (p, ends) in std::mem::take(&mut wired[node as usize]) {
+                    let (exec, body) = (Arc::clone(&exec), bodies[node as usize]);
+                    tasks.push(Task::new(
+                        format!("{}[{p}]@{}", node.name(), gs.superstep),
+                        schedule.worker(node as usize, p),
+                        move |w| body(&w, &exec, p, ends),
+                    ));
+                }
+            }
+            duration += match source {
+                Source::Live(_) => cluster.execute(tasks)?,
+                // Replay splices into live state: no task runs unless every
+                // worker it names is alive.
+                Source::Logged { .. } => cluster.execute_partial(tasks)?,
+            };
+        }
+        Ok((self.commit(cluster, &exec), duration))
+    }
+
+    /// Fresh ends for every edge of one execution: per node, `(partition,
+    /// ends)` for each of its partitions that runs.
+    fn wire(
+        &self,
+        p_count: usize,
+        cap: Option<usize>,
+        source: &Source<'_>,
+    ) -> [Vec<(usize, Ends)>; 4] {
+        let parts: Vec<usize> = match source {
+            Source::Live(_) => (0..p_count).collect(),
+            Source::Logged { lost, .. } => lost.to_vec(),
+        };
+        let mut wired = Node::ALL.map(|node| {
+            let parts: &[usize] = if node == Node::Gs { &[0] } else { &parts };
+            parts.iter().map(|&p| (p, Ends::default())).collect::<Vec<_>>()
+        });
+        for edge in self.edges() {
+            let (from, to) = (edge.from as usize, edge.to as usize);
+            let Source::Logged { logs, .. } = source else {
+                let n = if edge.kind == EdgeKind::Aggregator { 1 } else { p_count };
+                let (txs, rxs): (Vec<_>, Vec<_>) = if edge.kind == EdgeKind::Merged {
+                    let (txs, rxs) = merging_channels(p_count, n);
+                    let txs = txs.into_iter().map(|tx| Outbound::Merged(tx, edge));
+                    (txs.collect(), rxs.into_iter().map(Inbound::Merged).collect())
+                } else {
+                    let (txs, rxs) = partition_channels_cap(p_count, n, cap);
+                    let txs = txs.into_iter().map(|tx| Outbound::Pipelined(tx, edge));
+                    (txs.collect(), rxs.into_iter().map(Inbound::Pipelined).collect())
+                };
+                wired[from].iter_mut().zip(txs).for_each(|((_, e), tx)| e.outs.push(tx));
+                wired[to].iter_mut().zip(rxs).for_each(|((_, e), rx)| e.ins.push(rx));
+                continue;
+            };
+            wired[from].iter_mut().for_each(|(_, e)| e.outs.push(Outbound::Discard));
+            for (p, e) in wired[to].iter_mut().filter(|_| edge.to != Node::Gs) {
+                let section = |log: &MsgLog| match edge.to {
+                    Node::MsgWrite => log.messages(*p).clone(),
+                    _ => log.mutations(*p).clone(),
+                };
+                let sections = logs.iter().map(section).filter(|s| !s.is_empty());
+                e.ins.push(Inbound::Logged(sections.collect()));
+            }
+        }
+        wired
+    }
+
+    /// The one commit step, after every task of an execution succeeded:
+    /// install the `Msg_{s+1}` runs of the partitions that ran, count the
+    /// combined messages and the log bytes, and restock the frame slab.
+    /// Counting only here keeps both independent of which tasks raced
+    /// ahead of a fault that aborted the execution (an aborted superstep
+    /// re-executes after recovery). Harvesting only here — single-threaded,
+    /// after every task joined — keeps `slab_recycled` and the next
+    /// superstep's fresh-alloc counts independent of how tasks interleaved.
+    /// On failure nothing is committed, and dropping the execution deletes
+    /// the runs it sealed.
+    fn commit(&self, cluster: &Cluster, exec: &Exec<P>) -> Option<GlobalState> {
+        let counters = cluster.counters();
+        let mut combined = 0;
+        for (p, slot) in exec.next_msgs.iter().enumerate() {
+            let (run, n) = std::mem::take(&mut *slot.lock());
+            combined += n;
+            if let Some(run) = run {
+                exec.partitions[p].lock().msg_run = Some(run.keep());
+            }
+        }
+        if let Some((_, tally)) = &exec.log {
+            counters.add_log_bytes_written(tally.load(Ordering::Relaxed));
+        }
+        counters.add_messages_combined(combined);
+        cluster.slab().harvest();
+        let new_gs = exec.outcome.lock().take();
+        if let Some(gs) = &new_gs {
+            counters.set_live_vertices(gs.live_vertices);
+        }
+        new_gs
+    }
+}
+
+impl Outbound {
+    /// Open the edge on worker `w`: `None` for a discard sink.
+    fn open(self, w: &WorkerHandle, schedule: &Schedule) -> Result<Option<EdgeSender>> {
+        Ok(match self {
+            Outbound::Pipelined(ends, edge) => Some(EdgeSender::Pipelined(
+                PartitioningSender::new(
+                    ends,
+                    w.frame_bytes(),
+                    w.slab().clone(),
+                    w.id(),
+                    schedule.op_assignment(edge.to as usize).to_vec(),
+                    w.counters().clone(),
+                )
+                .with_label(edge.label),
+            )),
+            Outbound::Merged(ends, edge) => Some(EdgeSender::Merged(MaterializedPartitioner::new(
+                w.file_manager(),
+                ends,
+                w.id(),
+                schedule.op_assignment(edge.to as usize).to_vec(),
+            )?)),
+            Outbound::Discard => None,
+        })
+    }
+}
+
+impl Inbound {
+    /// Feed the edge's tuples to `each` in arrival order, for a node that
+    /// groups what it reads: off a pipelined edge's streams, or out of the
+    /// logged sections, section by section.
+    fn for_each(self, w: &WorkerHandle, mut each: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
+        match self {
+            Inbound::Pipelined(ins) => {
+                let mut rx = PartitionReceiver::new(ins, w.counters().clone());
+                while let Some(t) = rx.next_tuple()? {
+                    each(t)?;
+                }
+                Ok(())
+            }
+            Inbound::Logged(sections) => sections.iter().flat_map(Frame::iter).try_for_each(each),
+            Inbound::Merged(_) => Err(PregelixError::plan("a merged edge is read by merging")),
+        }
+    }
+}
+
+impl Ends {
+    /// The ends as a node's body takes them: `I` inbound and `O` outbound.
+    fn take<const I: usize, const O: usize>(self) -> Result<([Inbound; I], [Outbound; O])> {
+        match (self.ins.try_into(), self.outs.try_into()) {
+            (Ok(ins), Ok(outs)) => Ok((ins, outs)),
+            _ => Err(PregelixError::plan("a task's ends do not match its node's edges")),
+        }
+    }
+}
+
+/// An open outbound edge.
+enum EdgeSender {
     Pipelined(PartitioningSender),
     Merged(MaterializedPartitioner),
 }
 
-impl MsgSender {
+impl EdgeSender {
     fn send(&mut self, tuple: &[u8]) -> Result<()> {
         match self {
-            MsgSender::Pipelined(s) => s.send(tuple),
-            MsgSender::Merged(s) => s.send(tuple),
+            EdgeSender::Pipelined(s) => s.send(tuple),
+            EdgeSender::Merged(s) => s.send(tuple),
         }
     }
 
     fn finish(self) -> Result<()> {
         match self {
-            MsgSender::Pipelined(s) => s.finish(),
-            MsgSender::Merged(s) => s.finish(),
+            EdgeSender::Pipelined(s) => s.finish(),
+            EdgeSender::Merged(s) => s.finish(),
         }
     }
-}
-
-enum MsgReceiverEnds {
-    Pipelined(Vec<StreamRx>),
-    Merged(Vec<MergeRx>),
-}
-
-enum MsgSenderEnds {
-    Pipelined(Vec<StreamTx>),
-    Merged(Vec<MergeTx>),
 }
 
 /// Resolve `plan`'s join for superstep `gs.superstep`, live or replayed, and
 /// say whether the `Vid` live-vertex index must be maintained.
 ///
-/// Adaptive plans pick the join per superstep from the previous
-/// superstep's live-vertex fraction (the paper's future-work optimizer,
-/// §9). The Vid index is maintained every superstep in that case so a
-/// sparse superstep can switch to probing at zero notice. The
-/// probe-vs-scan threshold is re-derived from the costs measured on
+/// Superstep 1 is the full-outer scan for every plan: it activates every
+/// vertex anyway, and under a left-outer or Adaptive plan its live vids
+/// build the first `Vid` index. Later, Adaptive plans pick the join per
+/// superstep from the previous superstep's live-vertex fraction (the
+/// paper's future-work optimizer, §9), with the index maintained every
+/// superstep so a sparse superstep can switch to probing at zero notice.
+/// The probe-vs-scan threshold is re-derived from the costs measured on
 /// earlier supersteps of this job when available (`cost_model`), instead
 /// of the hard-coded default (§7.5).
 pub(crate) fn resolve_join(
     plan: PlanConfig,
     gs: &GlobalState,
-    cost_model: Option<crate::plan::ProbeCostModel>,
+    cost_model: Option<ProbeCostModel>,
 ) -> (PlanConfig, bool) {
     let live_fraction = if gs.vertex_count == 0 {
         1.0
     } else {
         gs.live_vertices as f64 / gs.vertex_count as f64
     };
-    let join = plan.join.resolve_with(live_fraction, cost_model);
-    let track_live = plan.join == JoinStrategy::Adaptive || join == JoinStrategy::LeftOuter;
-    (PlanConfig { join, ..plan }, track_live)
-}
-
-/// Execute superstep `gs.superstep` as one dataflow job behind the global
-/// barrier of §5.1, returning the revised global state and the job's
-/// duration.
-///
-/// `fold_slots` holds one pooled [`FoldTable`] slot per partition when the
-/// job's messages fold by direct address, and is empty otherwise.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_superstep<P: VertexProgram>(
-    cluster: &Cluster,
-    program: &Arc<P>,
-    job: &JobId,
-    plan: PlanConfig,
-    partitions: &[Arc<Mutex<PartitionState>>],
-    sticky: &[usize],
-    gs: &GlobalState,
-    cost_model: Option<crate::plan::ProbeCostModel>,
-    log_messages: bool,
-    fold_slots: &[FoldSlot<P::Message>],
-) -> Result<(GlobalState, std::time::Duration)> {
-    let p_count = partitions.len();
-    debug_assert_eq!(sticky.len(), p_count);
-    let alive = cluster.alive_workers();
-    if alive.is_empty() {
-        return Err(PregelixError::plan("no alive workers"));
-    }
-    // §5.3.4: declare the per-operator location constraints and let the
-    // constraint solver place every task. The join/compute operator is
-    // pinned *absolutely* to the workers holding the Vertex partitions;
-    // the message group-by and mutation operators are co-located with it
-    // (location-choice constraints); the stage-two GS aggregation is a
-    // count constraint. A sticky worker that has failed makes the absolute
-    // constraint unsatisfiable — surfaced as a recoverable WorkerDead so
-    // the failure manager re-plans onto the survivors and, only if the
-    // graph state itself is lost, falls back to a checkpoint (§5.5).
-    if let Some(dead) = sticky.iter().find(|w| !alive.contains(w)) {
-        return Err(PregelixError::WorkerDead { id: *dead });
-    }
-    let specs = [
-        OperatorSpec::new(
-            "join-compute",
-            p_count,
-            LocationConstraint::Absolute(sticky.to_vec()),
-        ),
-        OperatorSpec::new("msg-groupby", p_count, LocationConstraint::SameAs(0)),
-        OperatorSpec::new("mutate", p_count, LocationConstraint::SameAs(0)),
-        OperatorSpec::new("gs", 1, LocationConstraint::Count(1)),
-    ];
-    let schedule = scheduler::solve(&specs, &alive)?;
-    let gs_worker = schedule.worker(3, 0);
-
-    let (plan, track_live) = resolve_join(plan, gs, cost_model);
-
-    let superstep = gs.superstep;
-    let cap = cluster.channel_capacity();
-    // Sender-side message-log tee (confined recovery): every compute task
-    // buckets its post-combine output by destination and persists it to the
-    // DFS before it reports to the gs task. Written byte counts accumulate
-    // in the shared tally and fold into `log_bytes_written` only if the
-    // whole superstep commits — which partitions reach their tee before an
-    // aborting fault is thread-scheduling dependent, and counting them
-    // would break the chaos-digest double runs.
-    let log_dfs: Option<(SimDfs, JobId, Arc<AtomicU64>)> = if log_messages {
-        Some((
-            cluster.dfs().clone(),
-            job.clone(),
-            Arc::new(AtomicU64::new(0)),
-        ))
+    let join = if gs.superstep == 1 {
+        JoinStrategy::FullOuter
     } else {
-        None
+        plan.join.resolve_with(live_fraction, cost_model)
     };
-
-    // Driver-visible slots: each msgwrite task's `Msg_{i+1}` run and the gs
-    // task's revised `GS`, installed only once every task has succeeded.
-    let next_msgs: Vec<Arc<Mutex<Option<RunHandle>>>> =
-        (0..p_count).map(|_| Arc::new(Mutex::new(None))).collect();
-    let outcome: Arc<Mutex<Option<GlobalState>>> = Arc::new(Mutex::new(None));
-
-    // Connector channel matrices (unbounded under sequential-timed
-    // simulation, bounded with backpressure otherwise).
-    let (mut msg_tx, mut msg_rx): (Vec<MsgSenderEnds>, Vec<MsgReceiverEnds>) =
-        if plan.groupby.merged() {
-            let (tx, rx) = merging_channels(p_count, p_count);
-            (
-                tx.into_iter().map(MsgSenderEnds::Merged).collect(),
-                rx.into_iter().map(MsgReceiverEnds::Merged).collect(),
-            )
-        } else {
-            let (tx, rx) = partition_channels_cap(p_count, p_count, cap);
-            (
-                tx.into_iter().map(MsgSenderEnds::Pipelined).collect(),
-                rx.into_iter().map(MsgReceiverEnds::Pipelined).collect(),
-            )
-        };
-    let (mut mut_tx, mut mut_rx) = partition_channels_cap(p_count, p_count, cap);
-    // The gs aggregation stream rides the reliable transport too, with the
-    // same channel capacity.
-    let (gs_tx, gs_rx) = aggregator_channels_cap(3 * p_count, cap);
-    // Stream endpoints are single-owner (each carries live sequencing
-    // state); tasks take theirs out of the slot rather than cloning.
-    let mut gs_tx: Vec<Option<StreamTx>> = gs_tx.into_iter().map(Some).collect();
-
-    // Tasks are emitted phase-major, senders before the receivers they
-    // feed: sequential-timed mode runs them to completion one at a time in
-    // this order, so no receiver starts on a stream that is still open.
-    let mut tasks: Vec<Task> = Vec::with_capacity(3 * p_count + 1);
-    for p in 0..p_count {
-        let state = Arc::clone(&partitions[p]);
-        let program_c = Arc::clone(program);
-        let gs_c = gs.clone();
-        let msg_ends = std::mem::replace(&mut msg_tx[p], MsgSenderEnds::Pipelined(Vec::new()));
-        let mut_ends = std::mem::take(&mut mut_tx[p]);
-        let gs_end = gs_tx[p].take().expect("gs endpoint claimed once");
-        let sticky_c = sticky.to_vec();
-        let combiner_c = msg_tuple_combiner(program);
-        let log_to = log_dfs.clone();
-        let fold_slot = fold_slots.get(p).cloned();
-        tasks.push(Task::new(
-            format!("compute[{p}]@{superstep}"),
-            schedule.worker(0, p),
-            move |w| {
-                compute_task(
-                    w, state, program_c, gs_c, plan, track_live, msg_ends, mut_ends, gs_end, p,
-                    log_to, sticky_c, combiner_c, fold_slot, gs_worker,
-                )
-            },
-        ));
-    }
-    for p in 0..p_count {
-        let recv_ends = std::mem::replace(&mut msg_rx[p], MsgReceiverEnds::Pipelined(Vec::new()));
-        let slot = Arc::clone(&next_msgs[p]);
-        let gs_end = gs_tx[p_count + p].take().expect("gs endpoint claimed once");
-        let combiner_c = msg_tuple_combiner(program);
-        let gb_kind = plan.groupby.kind();
-        let job_tag = job.tag().to_string();
-        tasks.push(Task::new(
-            format!("msgwrite[{p}]@{superstep}"),
-            schedule.worker(1, p),
-            move |w| {
-                msgwrite_task(
-                    w, p, superstep, &job_tag, gb_kind, recv_ends, slot, gs_end, combiner_c,
-                    gs_worker,
-                )
-            },
-        ));
-    }
-    for p in 0..p_count {
-        let state = Arc::clone(&partitions[p]);
-        let program_c = Arc::clone(program);
-        let mut_ins = std::mem::take(&mut mut_rx[p]);
-        let gs_end = gs_tx[2 * p_count + p].take().expect("gs endpoint claimed once");
-        tasks.push(Task::new(
-            format!("mutate[{p}]@{superstep}"),
-            schedule.worker(2, p),
-            move |w| mutate_task(w, state, program_c, mut_ins, gs_end, gs_worker),
-        ));
-    }
-    drop(gs_tx);
-
-    // ---- gs (stage-two aggregation + GS revision) ----
-    let program_c = Arc::clone(program);
-    let gs_c = gs.clone();
-    let outcome_c = Arc::clone(&outcome);
-    let expected = 3 * p_count as u64;
-    tasks.push(Task::new(format!("gs@{superstep}"), gs_worker, move |w| {
-        gs_task(w, program_c, gs_c, gs_rx, expected, outcome_c)
-    }));
-
-    let duration = cluster.execute(tasks)?;
-
-    for p in 0..p_count {
-        let run = next_msgs[p].lock().take();
-        partitions[p].lock().msg_run = run;
-    }
-    let new_gs = outcome
-        .lock()
-        .take()
-        .ok_or_else(|| PregelixError::internal("gs task produced no outcome"))?;
-
-    // Commit the message-log byte tally and the combined-message count
-    // (which `msgwrite` reports to `gs` instead of counting) only now that
-    // every task of the superstep has succeeded: an aborted superstep
-    // re-executes after recovery, so deferring keeps both independent of
-    // which tasks raced ahead of the aborting fault.
-    let counters = cluster.counters();
-    if let Some((_, _, tally)) = &log_dfs {
-        counters.add_log_bytes_written(tally.load(Ordering::Relaxed));
-    }
-    counters.add_messages_combined(new_gs.messages);
-    // Restock the frame slab from the superstep's dropped frame backings.
-    // Harvesting only here — the single-threaded commit point, after every
-    // task joined — keeps `slab_recycled` and the next superstep's
-    // fresh-alloc counts independent of how tasks interleaved.
-    cluster.slab().harvest();
-    counters.set_live_vertices(new_gs.live_vertices);
-    Ok((new_gs, duration))
+    let track_live = plan.join != JoinStrategy::FullOuter;
+    (PlanConfig { join, ..plan }, track_live)
 }
 
 // ---------------------------------------------------------------------
@@ -797,41 +989,18 @@ impl<P: VertexProgram> MsgStream<P> {
     }
 }
 
-/// Where `compute[p]`'s mutation tuples go: onto the m-to-n connector in a
-/// live superstep, or nowhere during a confined-recovery replay (the
-/// surviving partitions already applied them; the replayed partition's own
-/// inbound mutations come back out of the message log instead).
-enum MutationSink {
-    Wire(PartitioningSender),
-    Discard,
-}
-
-impl MutationSink {
-    fn send(&mut self, tuple: &[u8]) -> Result<()> {
-        match self {
-            MutationSink::Wire(s) => s.send(tuple),
-            MutationSink::Discard => Ok(()),
-        }
-    }
-
-    fn finish(&mut self) -> Result<()> {
-        match std::mem::replace(self, MutationSink::Discard) {
-            MutationSink::Wire(s) => s.finish(),
-            MutationSink::Discard => Ok(()),
-        }
-    }
-}
-
 /// Everything `compute[p]` accumulates while streaming vertices.
 struct ComputeSide<P: VertexProgram> {
     program: Arc<P>,
-    gs: GlobalState,
+    superstep: Superstep,
+    vertex_count: u64,
     agg_prev: P::Aggregate,
-    /// `None` during confined-recovery replay: outgoing messages are
-    /// discarded (they were logged durably by the original execution), so
-    /// nothing is folded or grouped.
+    /// `None` when the message edge discards (replay: the original
+    /// execution logged and delivered the messages), so nothing is folded
+    /// or grouped.
     fold: Option<MsgFold<P>>,
-    mutation_tx: MutationSink,
+    /// The open mutation edge; `None` when it discards.
+    mutations: Option<EdgeSender>,
     stats: ComputeStats,
     agg_partial: Option<P::Aggregate>,
     live_vids: Vec<Vid>,
@@ -903,17 +1072,16 @@ impl<P: VertexProgram> ComputeSide<P> {
         let mut ctx = ComputeContext::new(
             vertex,
             msgs,
-            self.gs.superstep,
-            self.gs.vertex_count,
+            self.superstep,
+            self.vertex_count,
             &self.agg_prev,
             std::mem::take(&mut self.out),
         );
         self.program.compute(&mut ctx)?;
         let done = ctx.into_outputs();
         let mut out = done.buffers;
-        // D3: messages into the sender-side combine, in emission order.
-        // Replay runs without one: outbound messages were already logged
-        // and delivered by the original execution.
+        // D3: messages into the sender-side combine, in emission order,
+        // unless the message edge discards.
         self.stats.msgs_sent += out.messages.len() as u64;
         self.counters.add_messages_sent(out.messages.len() as u64);
         match self.fold.as_mut() {
@@ -932,7 +1100,9 @@ impl<P: VertexProgram> ComputeSide<P> {
             if let Some(log) = self.log.as_mut() {
                 log.add_mut(hash_partition(mvid, self.p_count), &t);
             }
-            self.mutation_tx.send(&t)?;
+            if let Some(tx) = self.mutations.as_mut() {
+                tx.send(&t)?;
+            }
         }
         // D5: aggregate contributions (stage one).
         for a in out.agg.drain(..) {
@@ -956,26 +1126,18 @@ impl<P: VertexProgram> ComputeSide<P> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// `compute[p]`: its outbound edges are messages, mutations and its report
+/// to `gs`, in [`SuperstepPlan::edges`] order.
 fn compute_task<P: VertexProgram>(
-    w: WorkerHandle,
-    state: Arc<Mutex<PartitionState>>,
-    program: Arc<P>,
-    gs: GlobalState,
-    plan: PlanConfig,
-    track_live: bool,
-    msg_ends: MsgSenderEnds,
-    mut_ends: Vec<StreamTx>,
-    gs_end: StreamTx,
+    w: &WorkerHandle,
+    exec: &Exec<P>,
     p: usize,
-    log_to: Option<(SimDfs, JobId, Arc<AtomicU64>)>,
-    sticky: Vec<usize>,
-    combiner: CombineFn,
-    fold_slot: Option<FoldSlot<P::Message>>,
-    gs_worker: usize,
+    ends: Ends,
 ) -> Result<()> {
-    let mut st = state.lock();
+    let ([], [msg_out, mut_out, gs_out]) = ends.take()?;
+    let mut st = exec.partitions[p].lock();
     let st = &mut *st;
+    let gs = &exec.gs;
     let agg_prev = if gs.aggregate.is_empty() {
         P::Aggregate::default()
     } else {
@@ -984,107 +1146,93 @@ fn compute_task<P: VertexProgram>(
     // The consumed `Msg_i` run is deleted when this task ends, however it
     // ends: nothing reads it again.
     let msg_run = st.msg_run.take().map(TempRun::from);
-    let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), &w)?;
-
-    let log = log_to
-        .as_ref()
-        .map(|_| MsgLogWriter::new(gs.superstep, p, sticky.len()));
-    let fold = MsgFold::new(
-        fold_slot.as_ref().map(FoldSlot::take),
-        plan.groupby.kind(),
-        w.file_manager(),
-        w.groupby_budget(),
-        combiner,
-    );
+    let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), w)?;
+    let p_count = exec.partitions.len();
+    let msg_tx = msg_out.open(w, &exec.schedule)?;
+    let fold = msg_tx.as_ref().map(|_| {
+        MsgFold::new(
+            exec.fold_slots.get(p).map(FoldSlot::take),
+            exec.config.groupby.kind(),
+            w.file_manager(),
+            w.groupby_budget(),
+            msg_tuple_combiner(&exec.program),
+        )
+    });
     let mut side = ComputeSide {
-        program,
-        gs,
+        program: Arc::clone(&exec.program),
+        superstep: gs.superstep,
+        vertex_count: gs.vertex_count,
         agg_prev,
-        fold: Some(fold),
-        mutation_tx: MutationSink::Wire(
-            PartitioningSender::new(
-                mut_ends,
-                w.frame_bytes(),
-                w.slab().clone(),
-                w.id(),
-                sticky.clone(),
-                w.counters().clone(),
-            )
-            .with_label("mut"),
-        ),
+        fold,
+        mutations: mut_out.open(w, &exec.schedule)?,
         stats: ComputeStats::default(),
         agg_partial: None,
         live_vids: Vec::new(),
-        track_live_vids: track_live,
+        track_live_vids: exec.track_live,
         counters: w.counters().clone(),
-        log,
-        p_count: sticky.len(),
+        log: exec
+            .log
+            .as_ref()
+            .map(|_| MsgLogWriter::new(gs.superstep, p, p_count)),
+        p_count,
         edges: Vec::new(),
         out: OutputBuffers::default(),
         row_scratch: Vec::new(),
     };
 
-    join_and_compute(&w, st, &mut side, &mut msgs, plan.join)?;
+    join_and_compute(w, st, &mut side, &mut msgs, exec.config.join)?;
 
     // Close the mutation flow so mutate[p] tasks can proceed once every
     // compute finishes.
-    side.mutation_tx.finish()?;
-
-    // Drain the sender-side combine into the message connector, tee-ing
-    // every post-combine tuple into the message log (bucketed by the same
-    // hash the connector routes with) when the job checkpoints.
-    let mut msg_sender = match msg_ends {
-        MsgSenderEnds::Pipelined(outs) => MsgSender::Pipelined(
-            PartitioningSender::new(
-                outs,
-                w.frame_bytes(),
-                w.slab().clone(),
-                w.id(),
-                sticky.clone(),
-                w.counters().clone(),
-            )
-            .with_label("msg"),
-        ),
-        MsgSenderEnds::Merged(outs) => MsgSender::Merged(MaterializedPartitioner::new(
-            w.file_manager(),
-            outs,
-            w.id(),
-            sticky.clone(),
-        )?),
-    };
-    let p_count = sticky.len();
-    let mut sent = 0u64;
-    let fold = side.fold.take().expect("a live compute folds its messages");
-    let table = fold.drain(|t| {
-        if sent.is_multiple_of(4096) {
-            w.check_alive()?;
-        }
-        sent += 1;
-        if let Some(log) = side.log.as_mut() {
-            log.add_msg(hash_partition(tuple_vid(t)?, p_count), t);
-        }
-        msg_sender.send(t)
-    })?;
-    msg_sender.finish()?;
-    if let (Some(slot), Some(table)) = (&fold_slot, table) {
-        slot.put_back(table);
+    if let Some(tx) = side.mutations.take() {
+        tx.finish()?;
     }
 
-    // Rebuild the Vid index (LOJ plans): flow D11/D12 bulk loads the
-    // next superstep's live-vertex index. The old index's file is reused
-    // (truncate + re-init) to avoid per-superstep file churn.
-    rebuild_vid_index(&w, st, &mut side)?;
+    // Drain the sender-side combine into the message edge, tee-ing every
+    // post-combine tuple into the message log (bucketed by the same hash
+    // the connector routes with) when the job checkpoints.
+    if let (Some(fold), Some(mut tx)) = (side.fold.take(), msg_tx) {
+        let mut sent = 0u64;
+        let table = fold.drain(|t| {
+            if sent.is_multiple_of(4096) {
+                w.check_alive()?;
+            }
+            sent += 1;
+            if let Some(log) = side.log.as_mut() {
+                log.add_msg(hash_partition(tuple_vid(t)?, p_count), t);
+            }
+            tx.send(t)
+        })?;
+        tx.finish()?;
+        if let (Some(slot), Some(table)) = (exec.fold_slots.get(p), table) {
+            slot.put_back(table);
+        }
+    }
+
+    // Rebuild the Vid index (LOJ/adaptive plans): flow D11/D12 bulk loads
+    // the next superstep's live-vertex index. The old index's file is
+    // reused (truncate + re-init) to avoid per-superstep file churn.
+    if side.track_live_vids {
+        let mut tree = match st.vid_index.take() {
+            Some(old) => old.recreate()?,
+            None => BTree::create(w.cache().clone())?,
+        };
+        let live = std::mem::take(&mut side.live_vids);
+        tree.bulk_load(
+            live.into_iter().map(|v| (vid_to_key(v).to_vec(), Vec::new())),
+            1.0,
+        )?;
+        st.vid_index = Some(tree);
+    }
     drop(msg_run);
 
     // Persist the message log before this task reports to gs, so a log
     // either exists complete at the superstep boundary or not at all.
     // Best-effort: a lost log makes a future recovery reload every
     // partition, it never fails the superstep.
-    if let Some((dfs, job, tally)) = &log_to {
-        if let Some(log) = side.log.take() {
-            if let Ok(bytes) = msglog::write_log(dfs, w.counters(), job, &log) {
-                tally.fetch_add(bytes, Ordering::Relaxed);
-            }
+    if let (Some((dfs, tally)), Some(log)) = (&exec.log, side.log.take()) {
+        if let Ok(bytes) = msglog::write_log(dfs, w.counters(), &exec.job, &log) {
+            tally.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
@@ -1093,55 +1241,27 @@ fn compute_task<P: VertexProgram>(
         Some(a) => a.to_bytes(),
         None => Vec::new(),
     };
-    report_to_gs(&w, gs_end, gs_worker, &side.stats.encode())
+    report_to_gs(w, &exec.schedule, gs_out, &side.stats.encode())
 }
 
-/// Send one stats report (stage one of the two-stage aggregation) to the
-/// gs task on this task's `gs` stream, and close it.
-fn report_to_gs(w: &WorkerHandle, gs_end: StreamTx, gs_worker: usize, report: &[u8]) -> Result<()> {
-    let mut gs_sender = PartitioningSender::new(
-        vec![gs_end],
-        w.frame_bytes(),
-        w.slab().clone(),
-        w.id(),
-        vec![gs_worker],
-        w.counters().clone(),
-    )
-    .with_label("gs");
-    gs_sender.send_to(0, report)?;
-    gs_sender.finish()
-}
-
-/// Re-bulk-load the partition's `Vid` live-vertex index from the vids
-/// `compute` saw stay live (LOJ/adaptive plans only). Shared between the
-/// live compute task and confined-recovery replay.
-fn rebuild_vid_index<P: VertexProgram>(
-    w: &WorkerHandle,
-    st: &mut PartitionState,
-    side: &mut ComputeSide<P>,
-) -> Result<()> {
-    if side.track_live_vids {
-        let mut new_tree = match st.vid_index.take() {
-            Some(old) => old.recreate()?,
-            None => BTree::create(w.cache().clone())?,
-        };
-        let live = std::mem::take(&mut side.live_vids);
-        new_tree.bulk_load(
-            live.into_iter().map(|v| (vid_to_key(v).to_vec(), Vec::new())),
-            1.0,
-        )?;
-        st.vid_index = Some(new_tree);
+/// Send one stats report (stage one of the two-stage aggregation) on a
+/// task's edge to `gs`, and close it. A replay has no `gs` node: the edge
+/// discards.
+fn report_to_gs(w: &WorkerHandle, schedule: &Schedule, out: Outbound, report: &[u8]) -> Result<()> {
+    match out.open(w, schedule)? {
+        Some(EdgeSender::Pipelined(mut tx)) => {
+            tx.send_to(0, report)?;
+            tx.finish()
+        }
+        Some(EdgeSender::Merged(_)) => Err(PregelixError::plan("the gs edges are aggregators")),
+        None => Ok(()),
     }
-    Ok(())
 }
 
-/// The fused join/compute/update loop of §5.3.2, extracted so the live
-/// `compute[p]` task and confined-recovery replay share one implementation:
-/// merge `Msg` with the `Vertex` (or `Vid`) index, call `compute` on every
-/// active row, and route each output flow through `side` — which decides
-/// whether messages/mutations hit the wire or are discarded (replay).
-/// `side.gs` must carry the exact GS feeding the superstep; `plan.join`
-/// must already be resolved (Adaptive never reaches task bodies).
+/// The fused join/compute/update loop of §5.3.2: merge `Msg` with the
+/// `Vertex` (or `Vid`) index, call `compute` on every active row, and
+/// route each output flow through `side`. `join` must already be resolved
+/// (Adaptive never reaches task bodies).
 fn join_and_compute<P: VertexProgram>(
     w: &WorkerHandle,
     st: &mut PartitionState,
@@ -1158,7 +1278,7 @@ fn join_and_compute<P: VertexProgram>(
         JoinStrategy::FullOuter => {
             // Index full outer join: one pass of the row cursor over the
             // Vertex index, merged with Msg.
-            let superstep = side.gs.superstep;
+            let superstep = side.superstep;
             let mut cur = st.store.cursor();
             let mut rows = 0u64;
             while cur.next()? {
@@ -1255,169 +1375,105 @@ pub(crate) fn msg_run_path(root: &Path, job_tag: &str, p: usize, fed: Superstep)
     root.join(format!("msg-{job_tag}-p{p}-{}.run", fed % 2))
 }
 
-/// Partition `p`'s combined `Msg_{s+1}` run as superstep `s` writes it,
-/// live or replayed. The run is created on the first message, so
-/// message-free supersteps (common near convergence) cost no file I/O, and
-/// buffered, so small message sets never touch disk.
-struct MsgRunWriter {
-    path: PathBuf,
-    writer: Option<RunWriter>,
-    combined: u64,
-}
-
-impl MsgRunWriter {
-    fn new(w: &WorkerHandle, job_tag: &str, p: usize, superstep: Superstep) -> MsgRunWriter {
-        let path = msg_run_path(w.file_manager().root(), job_tag, p, superstep + 1);
-        MsgRunWriter {
-            path,
-            writer: None,
-            combined: 0,
-        }
-    }
-
-    fn write(&mut self, w: &WorkerHandle, t: &[u8]) -> Result<()> {
-        self.combined += 1;
-        self.writer
-            .get_or_insert_with(|| {
-                RunWriter::create_buffered(&self.path, w.counters().clone(), 8 * w.frame_bytes())
-            })
-            .write_tuple(t)
-    }
-
-    /// Seal the run (`None` when no message came).
-    fn finish(self) -> Result<Option<RunHandle>> {
-        self.writer.map(RunWriter::finish).transpose()
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn msgwrite_task(
-    w: WorkerHandle,
+/// `msgwrite[p]`: combines its inbound message edge into the `Msg_{s+1}`
+/// run, which the commit step installs. The run is created on the first
+/// message, so message-free supersteps (common near convergence) cost no
+/// file I/O, and buffered, so small message sets never touch disk.
+fn msgwrite_task<P: VertexProgram>(
+    w: &WorkerHandle,
+    exec: &Exec<P>,
     p: usize,
-    superstep: u64,
-    job_tag: &str,
-    gb_kind: pregelix_dataflow::groupby::GroupByKind,
-    recv_ends: MsgReceiverEnds,
-    next_msg: Arc<Mutex<Option<RunHandle>>>,
-    gs_end: StreamTx,
-    combiner: CombineFn,
-    gs_worker: usize,
+    ends: Ends,
 ) -> Result<()> {
+    let ([inbound], [gs_out]) = ends.take()?;
+    let (superstep, job_tag) = (exec.gs.superstep, exec.job.tag());
     // Fault point keyed by job, superstep and partition (Site::Stall): the
     // one site a multi-tenant chaos test can aim at a single tenant's task.
-    if fault::active() {
+    // A replay passes it no event, so a fault plan's counts do not shift.
+    if !matches!(inbound, Inbound::Logged(_)) && fault::active() {
         let ctx = format!("{job_tag}:s{superstep}:p{p}");
         if fault::hit(Site::Stall, &ctx).is_some() {
             w.counters().add_faults_injected(1);
             return Err(fault::injected_error(Site::Stall, &ctx));
         }
     }
-    let mut out = MsgRunWriter::new(&w, job_tag, p, superstep);
-    match recv_ends {
-        MsgReceiverEnds::Pipelined(ins) => {
-            // Re-group at the receiver (upper strategies of Figure 7): the
-            // fully pipelined connector does not preserve order.
-            let mut rx = PartitionReceiver::new(ins, w.counters().clone());
+    let combiner = msg_tuple_combiner(&exec.program);
+    let mut stream = match inbound {
+        // One-pass preclustered combine over the merged sorted streams
+        // (lower strategies of Figure 7).
+        Inbound::Merged(ins) => {
+            MergingReceiver::new(ins, w.counters().clone()).into_stream(Some(combiner))?
+        }
+        // Re-group at the receiver: neither a pipelined edge (upper
+        // strategies of Figure 7) nor the logged sections, fed in ascending
+        // source order, arrive vid-sorted. The group-by kind is the sender
+        // side's (Figure 7 pairs them).
+        unordered => {
+            if let Inbound::Logged(sections) = &unordered {
+                w.counters().add_log_runs_replayed(sections.len() as u64);
+            }
             let mut gb = LocalGroupBy::with_fold(
-                // The receiver-side group-by uses the same kind as the
-                // sender side (Figure 7 pairs them).
-                gb_kind,
+                exec.config.groupby.kind(),
                 w.file_manager(),
                 "msg-recv",
                 w.groupby_budget(),
                 Some(combiner),
             );
             let mut seen = 0u64;
-            while let Some(t) = rx.next_tuple()? {
+            unordered.for_each(w, |t| {
                 if seen.is_multiple_of(4096) {
                     w.check_alive()?;
                 }
                 seen += 1;
-                gb.add(t)?;
-            }
-            let mut stream = gb.finish()?;
-            while let Some(t) = stream.next_tuple()? {
-                out.write(&w, t)?;
-            }
+                gb.add(t)
+            })?;
+            gb.finish()?
         }
-        MsgReceiverEnds::Merged(ins) => {
-            // One-pass preclustered combine over the merged sorted streams
-            // (lower strategies of Figure 7).
-            let rx = MergingReceiver::new(ins, w.counters().clone());
-            let mut stream = rx.into_stream(Some(combiner))?;
-            while let Some(t) = stream.next_tuple()? {
-                if out.combined.is_multiple_of(4096) {
-                    w.check_alive()?;
-                }
-                out.write(&w, t)?;
-            }
+    };
+    let path = msg_run_path(w.file_manager().root(), job_tag, p, superstep + 1);
+    let (mut run, mut combined) = (None, 0u64);
+    while let Some(t) = stream.next_tuple()? {
+        if combined.is_multiple_of(4096) {
+            w.check_alive()?;
         }
+        combined += 1;
+        run.get_or_insert_with(|| {
+            RunWriter::create_buffered(&path, w.counters().clone(), 8 * w.frame_bytes())
+        })
+        .write_tuple(t)?;
     }
-    let combined = out.combined;
-    // The driver installs the run into the partition state once the whole
-    // superstep has succeeded.
-    *next_msg.lock() = out.finish()?;
-    report_to_gs(&w, gs_end, gs_worker, &encode_msg_stats(combined))
+    let run = run.map(|run| run.finish().map(TempRun::from)).transpose()?;
+    *exec.next_msgs[p].lock() = (run, combined);
+    report_to_gs(w, &exec.schedule, gs_out, &encode_msg_stats(combined))
 }
 
 // ---------------------------------------------------------------------
 // mutate[p]
 // ---------------------------------------------------------------------
 
+/// `mutate[p]`: groups its inbound mutation edge by vid (§5.3.3: resolve
+/// is not guaranteed distributive, so there is no sender-side
+/// pre-grouping) and applies each group through `resolve`.
 fn mutate_task<P: VertexProgram>(
-    w: WorkerHandle,
-    state: Arc<Mutex<PartitionState>>,
-    program: Arc<P>,
-    mut_ins: Vec<StreamRx>,
-    gs_end: StreamTx,
-    gs_worker: usize,
-) -> Result<()> {
-    // Receiver-side group-by of mutations by vid (§5.3.3: resolve is not
-    // guaranteed distributive, so there is no sender-side pre-grouping).
-    let mut rx = PartitionReceiver::new(mut_ins, w.counters().clone());
-    let mut groups = BTreeMap::new();
-    while let Some(t) = rx.next_tuple()? {
-        group_mutation::<P>(&mut groups, t)?;
-    }
-    // All mutation channels are closed, so every compute task has passed
-    // its mutation flush; the partition lock is (or will soon be) free, and
-    // mutations apply strictly after compute — the "take effect in
-    // superstep S+1" rule.
-    let (inserted, deleted, live_inserted) = apply_mutation_groups(&w, &state, &program, groups)?;
-    report_to_gs(
-        &w,
-        gs_end,
-        gs_worker,
-        &encode_mut_stats(inserted, deleted, live_inserted),
-    )
-}
-
-/// File one mutation tuple under its vid, for `mutate[p]` and its replay.
-fn group_mutation<P: VertexProgram>(
-    groups: &mut BTreeMap<Vid, Vec<Mutation<P>>>,
-    t: &[u8],
-) -> Result<()> {
-    let vid = tuple_vid(t)?;
-    groups
-        .entry(vid)
-        .or_default()
-        .push(decode_mutation::<P>(vid, tuple_payload(t)?)?);
-    Ok(())
-}
-
-/// Apply a vid-grouped batch of mutations through `resolve` (§5.3.3),
-/// returning `(inserted, deleted, live_inserted)`. Shared between the live
-/// `mutate[p]` task (groups arrive off the connector) and confined-recovery
-/// replay (groups come back out of the message logs).
-fn apply_mutation_groups<P: VertexProgram>(
     w: &WorkerHandle,
-    state: &Arc<Mutex<PartitionState>>,
-    program: &Arc<P>,
-    groups: BTreeMap<Vid, Vec<Mutation<P>>>,
-) -> Result<(u64, u64, u64)> {
+    exec: &Exec<P>,
+    p: usize,
+    ends: Ends,
+) -> Result<()> {
+    let ([inbound], [gs_out]) = ends.take()?;
+    let mut groups: BTreeMap<Vid, Vec<Mutation<P>>> = BTreeMap::new();
+    inbound.for_each(w, |t| {
+        let vid = tuple_vid(t)?;
+        groups.entry(vid).or_default().push(decode_mutation(vid, tuple_payload(t)?)?);
+        Ok(())
+    })?;
+    // Every compute has passed its mutation flush (live: all mutation
+    // streams are closed; replay: this is the second stage), so the
+    // partition lock is (or will soon be) free, and mutations apply
+    // strictly after compute — the "take effect in superstep S+1" rule.
     let (mut inserted, mut deleted, mut live_inserted) = (0u64, 0u64, 0u64);
     if !groups.is_empty() {
-        let mut st = state.lock();
+        let mut st = exec.partitions[p].lock();
         let st = &mut *st;
         // Membership checks go through sorted-probe cursors: `groups` is a
         // BTreeMap, so its keys come out ascending and the whole pass costs
@@ -1444,7 +1500,7 @@ fn apply_mutation_groups<P: VertexProgram>(
         for (i, (vid, muts)) in groups.into_iter().enumerate() {
             w.check_alive()?;
             let key = vid_to_key(vid);
-            match program.resolve(vid, muts) {
+            match exec.program.resolve(vid, muts) {
                 Resolution::Insert(v) => {
                     let existed = in_store[i];
                     st.store.upsert(&key, &v.encode_value())?;
@@ -1473,22 +1529,27 @@ fn apply_mutation_groups<P: VertexProgram>(
             }
         }
     }
-    Ok((inserted, deleted, live_inserted))
+    let report = encode_mut_stats(inserted, deleted, live_inserted);
+    report_to_gs(w, &exec.schedule, gs_out, &report)
 }
 
 // ---------------------------------------------------------------------
 // gs (stage two)
 // ---------------------------------------------------------------------
 
-fn gs_task<P: VertexProgram>(
-    w: WorkerHandle,
-    program: Arc<P>,
-    gs: GlobalState,
-    gs_rx: Vec<StreamRx>,
-    expected: u64,
-    outcome: Arc<Mutex<Option<GlobalState>>>,
-) -> Result<()> {
-    let mut rx = AggregatorReceiver::new(gs_rx, w.counters().clone());
+/// `gs`: its three inbound edges, one report per partition of `compute`,
+/// `msgwrite` and `mutate`, are read as one aggregator stream set.
+fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: Ends) -> Result<()> {
+    let (ins, []) = ends.take::<3, 0>()?;
+    let mut streams = Vec::new();
+    for inbound in ins {
+        match inbound {
+            Inbound::Pipelined(ends) => streams.extend(ends),
+            _ => return Err(PregelixError::plan("the gs edges are aggregators")),
+        }
+    }
+    let expected = streams.len() as u64;
+    let mut rx = AggregatorReceiver::new(streams, w.counters().clone());
     let (mut live, mut created, mut combined) = (0u64, 0u64, 0u64);
     let (mut inserted, mut deleted, mut live_inserted) = (0u64, 0u64, 0u64);
     // Partition partials arrive in transport order, which the scheduler
@@ -1537,9 +1598,10 @@ fn gs_task<P: VertexProgram>(
         let partial = P::Aggregate::from_bytes(pb)?;
         agg = Some(match agg.take() {
             None => partial,
-            Some(acc) => program.combine_aggregates(acc, partial),
+            Some(acc) => exec.program.combine_aggregates(acc, partial),
         });
     }
+    let gs = &exec.gs;
     let new_gs = GlobalState {
         superstep: gs.superstep + 1,
         halt: combined == 0 && live == 0 && live_inserted == 0,
@@ -1551,114 +1613,7 @@ fn gs_task<P: VertexProgram>(
         live_vertices: live + live_inserted,
         messages: combined,
     };
-    *outcome.lock() = Some(new_gs);
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// Confined-recovery replay (one partition, one superstep)
-// ---------------------------------------------------------------------
-
-/// Re-execute one lost superstep on one reloaded partition, feeding every
-/// inbound flow from the message logs instead of the live connectors:
-///
-/// 1. **compute-replay** — the exact join/compute/update pipeline over the
-///    partition's `Msg` run, with outbound messages and mutations discarded
-///    (the original execution logged and delivered them durably) and the
-///    `Vid` index rebuilt as usual.
-/// 2. **msgwrite-replay** — the partition's `Msg_{s+1}` run re-combined
-///    from the logged `src → p` message runs, fed in ascending src order
-///    (combiner-equivalent to the live exchange; see `msglog`) and written
-///    at the same ping-pong path the live `msgwrite[p]` would use.
-/// 3. **mutate-replay** — the logged `src → p` mutation requests grouped by
-///    vid and applied through `resolve`, exactly as `mutate[p]` would.
-///
-/// Aggregate/halt contributions are discarded: the caller re-derives the
-/// global-state chain from the pinned per-superstep GS history, so halting
-/// and aggregate semantics stay bit-identical by construction. `plan.join`
-/// must already be resolved (Adaptive never reaches task bodies).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn replay_partition_superstep<P: VertexProgram>(
-    w: &WorkerHandle,
-    state: Arc<Mutex<PartitionState>>,
-    program: Arc<P>,
-    gs: GlobalState,
-    plan: PlanConfig,
-    track_live: bool,
-    p: usize,
-    job_tag: &str,
-    msgs: Vec<Frame>,
-    muts: Vec<Frame>,
-    combiner: CombineFn,
-) -> Result<()> {
-    let superstep = gs.superstep;
-    let p_count = msgs.len();
-    // --- compute-replay ---
-    {
-        let mut st = state.lock();
-        let st = &mut *st;
-        let agg_prev = if gs.aggregate.is_empty() {
-            P::Aggregate::default()
-        } else {
-            P::Aggregate::from_bytes(&gs.aggregate)?
-        };
-        let msg_run = st.msg_run.take().map(TempRun::from);
-        let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), w)?;
-        let mut side = ComputeSide {
-            program: Arc::clone(&program),
-            gs,
-            agg_prev,
-            fold: None,
-            mutation_tx: MutationSink::Discard,
-            stats: ComputeStats::default(),
-            agg_partial: None,
-            live_vids: Vec::new(),
-            track_live_vids: track_live,
-            counters: w.counters().clone(),
-            log: None,
-            p_count,
-            edges: Vec::new(),
-            out: OutputBuffers::default(),
-            row_scratch: Vec::new(),
-        };
-        join_and_compute(w, st, &mut side, &mut msgs, plan.join)?;
-        side.mutation_tx.finish()?;
-        rebuild_vid_index(w, st, &mut side)?;
-        drop(msg_run);
-    }
-    // --- msgwrite-replay ---
-    let mut gb = LocalGroupBy::with_fold(
-        plan.groupby.kind(),
-        w.file_manager(),
-        "msg-replay",
-        w.groupby_budget(),
-        Some(combiner),
-    );
-    let mut fed_runs = 0u64;
-    for section in msgs.iter().filter(|s| !s.is_empty()) {
-        fed_runs += 1;
-        for t in section.iter() {
-            gb.add(t)?;
-        }
-    }
-    w.counters().add_log_runs_replayed(fed_runs);
-    let mut stream = gb.finish()?;
-    let mut out = MsgRunWriter::new(w, job_tag, p, superstep);
-    while let Some(t) = stream.next_tuple()? {
-        if out.combined.is_multiple_of(4096) {
-            w.check_alive()?;
-        }
-        out.write(w, t)?;
-    }
-    drop(stream);
-    w.counters().add_messages_combined(out.combined);
-    state.lock().msg_run = out.finish()?;
-    // --- mutate-replay ---
-    let mut groups = BTreeMap::new();
-    for t in muts.iter().flat_map(Frame::iter) {
-        group_mutation::<P>(&mut groups, t)?;
-    }
-    apply_mutation_groups(w, &state, &program, groups)?;
+    *exec.outcome.lock() = Some(new_gs);
     Ok(())
 }
 

@@ -287,11 +287,18 @@ impl RunHandle {
 /// files are all held this way, so whichever operator has the run when its
 /// task ends — normally or not — is the one that cleans it up.
 #[derive(Debug)]
-pub struct TempRun(RunHandle);
+pub struct TempRun(Option<RunHandle>);
 
 impl From<RunHandle> for TempRun {
     fn from(run: RunHandle) -> TempRun {
-        TempRun(run)
+        TempRun(Some(run))
+    }
+}
+
+impl TempRun {
+    /// Hand the run on as a plain handle: its file outlives this owner.
+    pub fn keep(mut self) -> RunHandle {
+        self.0.take().expect("a TempRun holds its run until kept")
     }
 }
 
@@ -299,13 +306,15 @@ impl std::ops::Deref for TempRun {
     type Target = RunHandle;
 
     fn deref(&self) -> &RunHandle {
-        &self.0
+        self.0.as_ref().expect("a TempRun holds its run until kept")
     }
 }
 
 impl Drop for TempRun {
     fn drop(&mut self) {
-        let _ = self.0.remove_file();
+        if let Some(run) = &self.0 {
+            let _ = run.remove_file();
+        }
     }
 }
 
@@ -548,6 +557,13 @@ mod tests {
         drop(temp);
         assert!(!path.exists());
         h.delete().unwrap(); // already gone: a no-op
+        // Kept: the file goes to the plain handle's holder.
+        let mut w = RunWriter::create(&path, counters()).unwrap();
+        w.write_tuple(b"x").unwrap();
+        let kept = TempRun::from(w.finish().unwrap()).keep();
+        assert!(path.exists(), "a kept run outlives its TempRun");
+        kept.delete().unwrap();
+        assert!(!path.exists());
     }
 
     #[test]

@@ -191,6 +191,29 @@ fn recovery_releases_the_partitions_it_replaces() {
     );
 }
 
+/// A superstep that fails after some `msgwrite[p]` sealed their `Msg_{s+1}`
+/// runs: the runs were never installed into a partition, and go with the
+/// failed superstep. `msgwrite[1]@3` fails on sequential-timed workers,
+/// after `msgwrite[0]@3` spilled its run to `msg-leak-p0-0.run`.
+#[test]
+fn a_failed_superstep_leaves_no_sealed_msg_run_behind() {
+    let guard = fault::exclusive();
+    let cluster = Cluster::new(ClusterConfig {
+        frame_bytes: 512,
+        ..ClusterConfig::new(2, 8 << 20).sequential_timed()
+    })
+    .unwrap();
+    let program = Arc::new(PageRank::new(10));
+    let job = PregelixJob::new("leak");
+    let records = graphgen::webmap::webmap(10, 4.0, 5);
+    let mut graph = LoadedGraph::load_from_records(&cluster, &program, &job, records).unwrap();
+    let plan = guard.install(FaultPlan::new().on(Site::Stall, "leak:s3:p1", 1, Fault::IoError));
+    assert!(graph.run(&cluster, &program, &job).is_err());
+    assert_eq!(plan.injected(), 1);
+    drop(graph);
+    assert_released(&cluster, "a failed superstep");
+}
+
 #[test]
 fn a_reload_onto_the_path_of_a_lost_msg_run_keeps_the_reloaded_run() {
     let guard = fault::exclusive();

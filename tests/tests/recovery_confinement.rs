@@ -18,7 +18,7 @@
 //! scenario appends its deterministic counters; CI runs the suite twice and
 //! diffs the digests.
 
-use pregelix::common::error::PregelixError;
+use pregelix::common::error::{PregelixError, Result};
 use pregelix::common::fault::{self, Fault, FaultPlan, Site};
 use pregelix::graphgen::btc;
 use pregelix::prelude::*;
@@ -291,6 +291,92 @@ fn confined_replay_consumes_logged_runs() {
     );
     assert_eq!(values, expected);
     chaos_digest("replay-runs", &summary, plan.injected(), &values);
+}
+
+/// Floods min labels until superstep 6 and counts the supersteps `compute`
+/// ran on each vertex. At superstep 3 every even vertex inserts
+/// `vid + 1000` and every vertex with `vid % 4 == 1` deletes itself; its
+/// neighbours' next messages bring it back as a default vertex, so a
+/// 64-chain ends with 96 vertices. An inserted vertex that `compute`
+/// already sees in superstep 3 — a mutation applied too early — counts one
+/// superstep too many.
+struct MutatingFlood;
+
+impl VertexProgram for MutatingFlood {
+    /// `(label, supersteps computed)`.
+    type VertexValue = (u64, u64);
+    type EdgeValue = ();
+    type Message = u64;
+    type Aggregate = ();
+
+    fn compute(&self, ctx: &mut ComputeContext<'_, Self>) -> Result<()> {
+        let (label, computed) = *ctx.value();
+        let label = ctx.messages().iter().copied().fold(label, u64::min);
+        ctx.set_value((label, computed + 1));
+        if ctx.superstep() >= 6 {
+            ctx.vote_to_halt();
+            return Ok(());
+        }
+        if ctx.superstep() == 3 {
+            if ctx.vid() % 2 == 0 {
+                ctx.add_vertex(VertexData::new(ctx.vid() + 1000, (label, 0), Vec::new()));
+            }
+            if ctx.vid() % 4 == 1 {
+                ctx.delete_vertex(ctx.vid());
+            }
+        }
+        ctx.send_message_to_all_edges(label);
+        Ok(())
+    }
+
+    fn init_vertex(&self, vid: u64, edges: Vec<(u64, f64)>) -> VertexData<Self> {
+        let edges = edges.into_iter().map(|(d, _)| Edge::new(d, ())).collect();
+        VertexData::new(vid, (vid, 0), edges)
+    }
+
+    fn combiner(&self) -> Option<MessageCombiner<u64>> {
+        Some(Arc::new(|a: &u64, b: &u64| *a.min(b)))
+    }
+}
+
+/// Replay's mutation leg: the death at superstep 4 replays superstep 3,
+/// whose inserts and deletes bound for the lost partition come back out of
+/// the survivors' logs. On a threaded cluster the replayed `mutate[p]` must
+/// apply them only after the replayed `compute[p]` is done with the
+/// partition, or the values differ from the no-fault run.
+#[test]
+fn confined_replay_applies_logged_mutations_after_compute() {
+    let guard = fault::exclusive();
+    let program = Arc::new(MutatingFlood);
+    let records = chain(0, 64);
+    let to_bits = |(label, computed): &(u64, u64)| label << 8 | computed;
+    for (tag, join) in [("foj", JoinStrategy::FullOuter), ("loj", JoinStrategy::LeftOuter)] {
+        let job = PregelixJob::new(format!("rc-mut-{tag}"))
+            .with_join(join)
+            .with_checkpoint_interval(2);
+        let (reference, expected) = run_case(&program, &job, &records, &to_bits);
+        assert_eq!(expected.len(), 96, "{tag}");
+
+        let plan = guard.install(FaultPlan::new().on(Site::Barrier, "4", 1, Fault::FailWorker(2)));
+        let (summary, values) = run_case(&program, &job, &records, &to_bits);
+        assert_eq!(plan.injected(), 1, "{tag}");
+        let s = &summary.stats;
+        assert_eq!(
+            (
+                summary.recoveries,
+                s.confined_recoveries,
+                s.confined_fallbacks,
+                s.log_runs_replayed
+            ),
+            (1, 1, 0, 3),
+            "{tag}"
+        );
+        assert_eq!(summary.supersteps, reference.supersteps, "{tag}");
+        assert_eq!(summary.final_gs, reference.final_gs, "{tag}");
+        assert_eq!(values, expected, "{tag}");
+        chaos_digest(&format!("mutating-confined-{tag}"), &summary, plan.injected(), &values);
+        guard.clear();
+    }
 }
 
 /// The same death on workers too small for the senders' fold tables: each
