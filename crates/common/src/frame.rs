@@ -375,9 +375,16 @@ impl SharedFrame {
     /// Borrow tuple `i`.
     #[inline]
     pub fn tuple(&self, i: usize) -> &[u8] {
+        &self.bytes.as_slice()[self.tuple_span(i)]
+    }
+
+    /// Where tuple `i` lies within [`wire_bytes`](Self::wire_bytes): a
+    /// reader that visits a tuple more than once decodes its offsets once.
+    #[inline]
+    pub fn tuple_span(&self, i: usize) -> std::ops::Range<usize> {
         let start = if i == 0 { 0 } else { self.end(i - 1) };
         let off = self.data_off();
-        &self.bytes.as_slice()[off + start..off + self.end(i)]
+        off + start..off + self.end(i)
     }
 
     /// Iterate over all tuples in order.

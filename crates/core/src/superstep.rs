@@ -14,8 +14,9 @@
 //!   mutations (D6), and pre-aggregates the global-state contributions
 //!   (D4, D5 — stage one of §5.3.3).
 //! * **`msgwrite[p]`** — the receiver side of the message-combination
-//!   strategy (Figure 7): re-group (pipelined edge) or preclustered pass
-//!   (merged edge), then materialize the combined messages as the
+//!   strategy (Figure 7): one preclustered merge-fold over the senders'
+//!   vid-ordered streams, queued as they arrive (pipelined edge) or sealed
+//!   as runs (merged edge) — the receiver never sorts — materialized as the
 //!   vid-sorted `Msg_{i+1}` partition file (§5.2).
 //! * **`mutate[p]`** — receiver-side group-by of mutation tuples by vid +
 //!   the `resolve` UDF, applied to the `Vertex` index (§5.3.3). Runs after
@@ -48,7 +49,7 @@ use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Site};
-use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key, Frame};
+use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key, SharedFrame};
 use pregelix_common::msglog::{self, MsgLog, MsgLogWriter};
 use pregelix_common::stats::ClusterCounters;
 use pregelix_common::writable::Writable;
@@ -58,13 +59,13 @@ use pregelix_dataflow::connector::{
     merging_channels, partition_channels_cap, AggregatorReceiver, MaterializedPartitioner,
     MergeRx, MergeTx, MergingReceiver, PartitionReceiver, PartitioningSender,
 };
-use pregelix_dataflow::transport::{StreamRx, StreamTx};
+use pregelix_dataflow::transport::{ReliableReceiver, StreamRx, StreamTx};
 use pregelix_dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec, Schedule};
 use pregelix_storage::btree::BTree;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
-use pregelix_storage::sort::CombineFn;
+use pregelix_storage::sort::{CombineFn, SortedStream};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -529,7 +530,8 @@ impl Node {
 /// target's.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EdgeKind {
-    /// m-to-n partitioning connector, read in arrival order.
+    /// m-to-n partitioning connector: frames as they arrive, each named by
+    /// its stream.
     Pipelined,
     /// m-to-n partitioning merging connector: one sorted run per pair.
     Merged,
@@ -611,7 +613,7 @@ enum Inbound {
     Merged(Vec<MergeRx>),
     /// The logged sections bound for this partition, in ascending source
     /// order, empty ones left out.
-    Logged(Vec<Frame>),
+    Logged(Vec<SharedFrame>),
 }
 
 /// One task's ends, one per edge at its node, in [`SuperstepPlan::edges`]
@@ -792,8 +794,8 @@ impl<P: VertexProgram> SuperstepPlan<P> {
             wired[from].iter_mut().for_each(|(_, e)| e.outs.push(Outbound::Discard));
             for (p, e) in wired[to].iter_mut().filter(|_| edge.to != Node::Gs) {
                 let section = |log: &MsgLog| match edge.to {
-                    Node::MsgWrite => log.messages(*p).clone(),
-                    _ => log.mutations(*p).clone(),
+                    Node::MsgWrite => log.messages(*p).freeze_standalone(),
+                    _ => log.mutations(*p).freeze_standalone(),
                 };
                 let sections = logs.iter().map(section).filter(|s| !s.is_empty());
                 e.ins.push(Inbound::Logged(sections.collect()));
@@ -863,8 +865,8 @@ impl Outbound {
 
 impl Inbound {
     /// Feed the edge's tuples to `each` in arrival order, for a node that
-    /// groups what it reads: off a pipelined edge's streams, or out of the
-    /// logged sections, section by section.
+    /// groups what it reads (`mutate`): off a pipelined edge's streams, or
+    /// out of the logged sections, section by section.
     fn for_each(self, w: &WorkerHandle, mut each: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
         match self {
             Inbound::Pipelined(ins) => {
@@ -874,7 +876,9 @@ impl Inbound {
                 }
                 Ok(())
             }
-            Inbound::Logged(sections) => sections.iter().flat_map(Frame::iter).try_for_each(each),
+            Inbound::Logged(sections) => {
+                sections.iter().flat_map(SharedFrame::iter).try_for_each(each)
+            }
             Inbound::Merged(_) => Err(PregelixError::plan("a merged edge is read by merging")),
         }
     }
@@ -1375,10 +1379,15 @@ pub(crate) fn msg_run_path(root: &Path, job_tag: &str, p: usize, fed: Superstep)
     root.join(format!("msg-{job_tag}-p{p}-{}.run", fed % 2))
 }
 
-/// `msgwrite[p]`: combines its inbound message edge into the `Msg_{s+1}`
-/// run, which the commit step installs. The run is created on the first
-/// message, so message-free supersteps (common near convergence) cost no
-/// file I/O, and buffered, so small message sets never touch disk.
+/// `msgwrite[p]`: merge-folds its inbound message edge into the
+/// `Msg_{s+1}` run, which the commit step installs. Every source of that
+/// edge — a stream of the pipelined connector, a run of the merging one, a
+/// logged section in replay — carries one sender's combined tuples in
+/// ascending vid order, so nothing here sorts: one merge ([`SortedStream`])
+/// folds equal vids in (vid, tuple bytes, source) order on every edge kind,
+/// live or replayed. The run is created on the first message, so
+/// message-free supersteps (common near convergence) cost no file I/O, and
+/// buffered, so small message sets never touch disk.
 fn msgwrite_task<P: VertexProgram>(
     w: &WorkerHandle,
     exec: &Exec<P>,
@@ -1397,37 +1406,34 @@ fn msgwrite_task<P: VertexProgram>(
             return Err(fault::injected_error(Site::Stall, &ctx));
         }
     }
-    let combiner = msg_tuple_combiner(&exec.program);
+    let combiner = Some(msg_tuple_combiner(&exec.program));
     let mut stream = match inbound {
-        // One-pass preclustered combine over the merged sorted streams
-        // (lower strategies of Figure 7).
+        // The merging connector: one sealed run per sender.
         Inbound::Merged(ins) => {
-            MergingReceiver::new(ins, w.counters().clone()).into_stream(Some(combiner))?
+            MergingReceiver::new(ins, w.counters().clone()).into_stream(combiner)?
         }
-        // Re-group at the receiver: neither a pipelined edge (upper
-        // strategies of Figure 7) nor the logged sections, fed in ascending
-        // source order, arrive vid-sorted. The group-by kind is the sender
-        // side's (Figure 7 pairs them).
-        unordered => {
-            if let Inbound::Logged(sections) = &unordered {
-                w.counters().add_log_runs_replayed(sections.len() as u64);
+        // The pipelined connector: every frame is queued by refcount on
+        // its stream, then the queues merge. The blocking rule: frames are
+        // taken from whichever stream has one, and every stream is drained
+        // to its `Fin` before the merge starts, so this task never waits on
+        // one sender while another is held up on a full bounded channel —
+        // the merge deadlock §5.3.1's materializing connector exists to
+        // avoid. Under sequential-timed execution every frame is already
+        // queued on an unbounded channel before this task runs, so holding
+        // them here adds no bytes.
+        Inbound::Pipelined(ins) => {
+            let mut queues = vec![Vec::new(); ins.len()];
+            let mut rx = ReliableReceiver::new(ins, w.counters().clone());
+            while let Some((stream, frame)) = rx.next_stream_frame()? {
+                w.check_alive()?;
+                queues[stream].push(frame);
             }
-            let mut gb = LocalGroupBy::with_fold(
-                exec.config.groupby.kind(),
-                w.file_manager(),
-                "msg-recv",
-                w.groupby_budget(),
-                Some(combiner),
-            );
-            let mut seen = 0u64;
-            unordered.for_each(w, |t| {
-                if seen.is_multiple_of(4096) {
-                    w.check_alive()?;
-                }
-                seen += 1;
-                gb.add(t)
-            })?;
-            gb.finish()?
+            SortedStream::from_frames(queues, combiner)
+        }
+        // Replay: each source's logged section is its stream, whole.
+        Inbound::Logged(sections) => {
+            w.counters().add_log_runs_replayed(sections.len() as u64);
+            SortedStream::from_frames(sections.into_iter().map(|s| vec![s]).collect(), combiner)
         }
     };
     let path = msg_run_path(w.file_manager().root(), job_tag, p, superstep + 1);

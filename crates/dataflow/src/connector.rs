@@ -5,9 +5,14 @@
 //! * **m-to-n partitioning connector** ([`PartitioningSender`] /
 //!   [`PartitionReceiver`]): every sender hash-partitions its tuples by vid
 //!   and pushes frames over reliable streams — the *fully pipelined*
-//!   materialization policy. Receivers consume frames in arrival order, so
-//!   downstream re-grouping is required (the upper two strategies of
-//!   Figure 7).
+//!   materialization policy (the upper two strategies of Figure 7). Every
+//!   stream is single-producer FIFO, and a receiver takes frames from
+//!   whichever stream has one, naming it
+//!   ([`ReliableReceiver::next_stream_frame`]), so it sees each sender's
+//!   tuples in the order that sender emitted them. A sender that emits in
+//!   vid order leaves its receiver nothing to re-group: the receiver queues
+//!   each stream's frames and merges the queues
+//!   ([`SortedStream::from_frames`]).
 //! * **m-to-n partitioning merging connector** ([`MaterializedPartitioner`]
 //!   / [`MergingReceiver`]): senders emit *sorted* streams, written to
 //!   per-receiver run files — the *sender-side materializing pipelined*
@@ -165,8 +170,10 @@ impl PartitioningSender {
 }
 
 /// Receiver side of the fully pipelined partitioning connector: drains m
-/// reliable sender streams in arrival order (each stream in seq order,
-/// deduplicated by the transport).
+/// reliable sender streams, each in seq order (deduplicated by the
+/// transport), interleaved across streams in arrival order. A consumer
+/// that needs each sender's order back, such as a merge over vid-ordered
+/// senders, reads [`ReliableReceiver::next_stream_frame`] instead.
 pub struct PartitionReceiver {
     rx: ReliableReceiver,
     pending: SharedFrame,

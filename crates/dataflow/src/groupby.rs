@@ -14,9 +14,11 @@
 //!
 //! Figure 7 composes these with the two connectors into four parallel
 //! strategies ([`GroupByStrategy`]): a local (sender-side) group-by feeds
-//! either the fully pipelined partitioning connector — requiring a full
-//! receiver-side re-group — or the merging connector — requiring only a
-//! one-pass preclustered group-by at the receiver.
+//! either the fully pipelined partitioning connector or the merging
+//! connector. The paper re-groups at the receiver of the pipelined one;
+//! here every sender's stream already arrives vid-ordered, so both
+//! receivers end in the same one-pass preclustered merge — over queued
+//! frames or over the senders' runs.
 //!
 //! Every operator here combines through one shape, the in-place fold
 //! [`CombineFn`] (see its contract in `storage::sort`).
@@ -59,17 +61,20 @@ pub enum GroupByKind {
 
 /// The four parallel strategies of Figure 7.
 ///
-/// A strategy names the connector and the group-by kind run at the
-/// receiver. On the sender side the kind applies to whatever is sorted
-/// there: every message of a program without a combiner or with
-/// variable-width messages, and otherwise only the destinations the
-/// sender's direct-address fold table has no slot for (`core::superstep`).
+/// A strategy names the connector and the sender's group-by kind. The kind
+/// applies to whatever is sorted there: every message of a program without
+/// a combiner or with variable-width messages, and otherwise only the
+/// destinations the sender's direct-address fold table has no slot for
+/// (`core::superstep`). Neither receiver sorts: both merge the senders'
+/// vid-ordered output, as it streams in or from the senders' runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GroupByStrategy {
-    /// Sort-based group-bys + m-to-n partitioning connector (fully
-    /// pipelined); receiver re-groups. The Pregelix default.
+    /// Sort-based sender group-by + m-to-n partitioning connector (fully
+    /// pipelined) + receiver merge over the queued streams. The Pregelix
+    /// default.
     SortUnmerged,
-    /// HashSort group-bys + m-to-n partitioning connector.
+    /// HashSort sender group-by + m-to-n partitioning connector + receiver
+    /// merge.
     HashSortUnmerged,
     /// Sort-based sender group-by + m-to-n partitioning *merging* connector
     /// (sender-side materializing); receiver needs only a preclustered pass.
@@ -89,8 +94,8 @@ impl GroupByStrategy {
         }
     }
 
-    /// Whether the merging connector (and hence a receiver-side
-    /// preclustered group-by) is used.
+    /// Whether the merging connector (sender-side materialized runs) is
+    /// used rather than the fully pipelined one.
     pub fn merged(self) -> bool {
         matches!(
             self,

@@ -283,6 +283,14 @@ impl ReliableReceiver {
     /// stream and disconnected. The returned frame is the same slab slice
     /// the sender froze — delivery hands over a view, never a copy.
     pub fn next_frame(&mut self) -> Result<Option<SharedFrame>> {
+        Ok(self.next_stream_frame()?.map(|(_, frame)| frame))
+    }
+
+    /// [`next_frame`](Self::next_frame) naming the stream it came from: the
+    /// index of its endpoint in the list this receiver was built from. It
+    /// takes whichever stream has a message, never waiting on one stream
+    /// while another has one.
+    pub fn next_stream_frame(&mut self) -> Result<Option<(usize, SharedFrame)>> {
         loop {
             let live: Vec<usize> = (0..self.ins.len()).filter(|&i| self.ins[i].open).collect();
             if live.is_empty() {
@@ -297,7 +305,7 @@ impl ReliableReceiver {
             match op.recv(&self.ins[i].rx.data) {
                 Ok(msg) => {
                     if let Some(frame) = self.on_message(i, msg)? {
-                        return Ok(Some(frame));
+                        return Ok(Some((i, frame)));
                     }
                 }
                 Err(_) => self.on_disconnect(i)?,

@@ -21,12 +21,18 @@
 //! paper's byte-oriented frame design buys (§5.4). Spilling a sorted run is
 //! a sequential walk over the arena chunks into a [`RunWriter`]. The merge
 //! phase is equally allocation-free:
-//! a manual binary heap orders `(key prefix, source index)` entries whose
-//! current tuples are borrowed in place from the residual arena or from each
-//! run reader's current frame — ordering and same-group detection are integer
-//! compares on the cached prefix, tuple bytes are read only on equal
-//! prefixes — and [`SortedStream::next_tuple`] lends `&[u8]` slices to the
+//! a manual binary heap orders `(key, source index)` entries whose current
+//! tuples are borrowed in place from the residual arena or from each run
+//! reader's current frame — ordering and same-group detection are integer
+//! compares on a cached 16-byte key, tuple bytes are read only on equal
+//! keys — and [`SortedStream::next_tuple`] lends `&[u8]` slices to the
 //! consumer instead of handing out owned vectors.
+//!
+//! The same merge serves input that is already sorted per source and never
+//! passes through a sorter: the merging connector's sender runs
+//! ([`SortedStream::from_parts`]) and a receiver's queued streams of frames
+//! ([`SortedStream::from_frames`]). Whatever the sources, equal keys fold in
+//! one order: (key, tuple bytes, source index).
 //!
 //! An optional *combiner* ([`CombineFn`]) folds adjacent equal-key tuples
 //! into one accumulator in **both** the in-memory phase and the merge phase,
@@ -41,8 +47,9 @@ use crate::radix::TupleRadixSorter;
 use crate::runfile::{RunReader, RunWriter, TempRun};
 use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
-use pregelix_common::frame::key_prefix;
+use pregelix_common::frame::{key_prefix, SharedFrame};
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Folds an incoming tuple into its group's accumulator, in place. Both
 /// tuples are at least 8 bytes long and share their 8-byte key prefix.
@@ -190,23 +197,8 @@ impl ExternalSorter {
             }
             _ => self.refs.iter().map(|&(_, r)| r).collect(),
         };
-        let mut readers = Vec::with_capacity(self.runs.len());
-        for run in &self.runs {
-            readers.push(run.open(self.fm.counters().clone())?);
-        }
-        let mut stream = SortedStream {
-            memory_arena: self.arena,
-            memory_refs,
-            memory_pos: 0,
-            readers,
-            heap: Vec::new(),
-            root_consumed: false,
-            _runs: self.runs,
-            combiner: self.combiner,
-            acc: Vec::new(),
-        };
-        stream.prime()?;
-        Ok(stream)
+        let counters = self.fm.counters().clone();
+        SortedStream::from_arena_parts(self.arena, memory_refs, self.runs, self.combiner, counters)
     }
 }
 
@@ -249,27 +241,136 @@ fn fold_groups(
     Ok(())
 }
 
-/// Source index reserved for the in-memory buffer in the merge heap. Equal
-/// tuples break ties by source index, so the memory buffer sorts after
-/// every run — matching run spill order.
-const MEMORY_SOURCE: usize = usize::MAX;
+/// The merge heap's cached key: [`key_prefix`] over 16 bytes, so its high
+/// half is the key prefix. A receiver's sources share most keys; the bytes
+/// behind the vid settle nearly every tie without reading the tuples.
+#[inline]
+fn merge_key(t: &[u8]) -> u128 {
+    if let Some(head) = t.first_chunk::<16>() {
+        return u128::from_be_bytes(*head);
+    }
+    let mut k = [0u8; 16];
+    k[..t.len()].copy_from_slice(t);
+    u128::from_be_bytes(k)
+}
 
-/// The merged output of an [`ExternalSorter`]: tuples in ascending byte
-/// order with the combiner applied across runs. `next_tuple` lends slices
-/// into internal buffers; nothing is allocated per tuple. Deletes the
-/// spilled run files when dropped.
+/// A merge source read in place out of frames queued in stream order: one
+/// stream of a pipelined connector, or one sender's logged section. No
+/// tuple is copied and no sort entry is built; a frame is released as soon
+/// as the merge has passed its last tuple.
+struct FrameQueue {
+    /// The frame holding the current tuple.
+    front: SharedFrame,
+    /// The frames after it.
+    rest: std::vec::IntoIter<SharedFrame>,
+    /// Index of the current tuple within `front`.
+    pos: usize,
+    /// Where the current tuple lies in `front`'s wire bytes: the merge reads
+    /// it several times.
+    span: Range<usize>,
+}
+
+impl FrameQueue {
+    /// A queue positioned on its first tuple; `None` if it has none.
+    fn new(frames: Vec<SharedFrame>) -> Option<Self> {
+        let mut rest = frames.into_iter();
+        let front = rest.find(|f| !f.is_empty())?;
+        Some(FrameQueue {
+            span: front.tuple_span(0),
+            front,
+            rest,
+            pos: 0,
+        })
+    }
+
+    fn current(&self) -> &[u8] {
+        &self.front.wire_bytes().as_slice()[self.span.clone()]
+    }
+
+    /// Move past the current tuple; `false` once the queue is exhausted.
+    fn advance(&mut self) -> bool {
+        #[cfg(debug_assertions)]
+        let passed = key_prefix(self.current());
+        self.pos += 1;
+        if self.pos == self.front.len() {
+            let Some(next) = self.rest.find(|f| !f.is_empty()) else {
+                return false;
+            };
+            self.front = next;
+            self.pos = 0;
+        }
+        self.span = self.front.tuple_span(self.pos);
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            passed <= key_prefix(self.current()),
+            "queued stream out of vid order"
+        );
+        true
+    }
+}
+
+/// One input of a [`SortedStream`], read in place. Its index breaks ties
+/// between equal tuples: runs in spill order, then the residual in-memory
+/// buffer (the order the tuples were added), or queues in stream order.
+enum Source {
+    /// A sealed sorted run.
+    Run(RunReader),
+    /// The residual in-memory buffer: sorted refs into an arena, the
+    /// current one at `pos`.
+    Memory {
+        arena: TupleArena,
+        refs: Vec<TupleRef>,
+        pos: usize,
+    },
+    /// Frames queued in stream order.
+    Queue(FrameQueue),
+}
+
+impl Source {
+    /// Position on the first tuple; `false` if there is none.
+    fn prime(&mut self) -> Result<bool> {
+        Ok(match self {
+            Source::Run(reader) => reader.advance()?,
+            Source::Memory { refs, .. } => !refs.is_empty(),
+            Source::Queue(_) => true,
+        })
+    }
+
+    /// The current tuple of a live source.
+    fn current(&self) -> &[u8] {
+        match self {
+            Source::Run(reader) => reader.current().expect("merge source must be live"),
+            Source::Memory { arena, refs, pos } => arena.get(refs[*pos]),
+            Source::Queue(q) => q.current(),
+        }
+    }
+
+    /// Move past the current tuple; `false` once the source is exhausted.
+    fn advance(&mut self) -> Result<bool> {
+        Ok(match self {
+            Source::Run(reader) => reader.advance()?,
+            Source::Memory { refs, pos, .. } => {
+                *pos += 1;
+                *pos < refs.len()
+            }
+            Source::Queue(q) => q.advance(),
+        })
+    }
+}
+
+/// The merged output of an [`ExternalSorter`], of the merging connector's
+/// runs, or of a receiver's queued streams: tuples in ascending byte order
+/// (equal tuples in source order) with the combiner applied across
+/// sources. `next_tuple` lends slices into internal buffers; nothing is
+/// allocated per tuple. Deletes the spilled run files when dropped.
 pub struct SortedStream {
-    memory_arena: TupleArena,
-    memory_refs: Vec<TupleRef>,
-    /// Index of the memory source's *current* tuple.
-    memory_pos: usize,
-    readers: Vec<RunReader>,
-    /// Manual binary min-heap of `(key prefix of the source's current tuple,
-    /// source index)`, one entry per live source, ordered by (prefix, tuple
-    /// bytes, source index). Entries never own tuple bytes: the cached
-    /// prefix decides almost every comparison, and only equal prefixes
-    /// borrow the tuples from the sources in place.
-    heap: Vec<(u64, usize)>,
+    sources: Vec<Source>,
+    /// Manual binary min-heap of `(merge key of the source's current tuple,
+    /// source index)`, one entry per live source, ordered by (merge key,
+    /// tuple bytes, source index). Entries never own tuple bytes: the cached
+    /// key decides almost every comparison, and only equal keys borrow the
+    /// tuples from the sources in place.
+    heap: Vec<(u128, usize)>,
     /// Whether the heap root's current tuple was consumed by the previous
     /// `next_tuple` call (lent out or folded); its source is advanced and
     /// the root re-seated on the next call.
@@ -316,65 +417,71 @@ impl SortedStream {
             refs.windows(2).all(|w| arena.get(w[0]) <= arena.get(w[1])),
             "memory refs not sorted"
         );
-        let mut readers = Vec::with_capacity(runs.len());
+        let mut sources = Vec::with_capacity(runs.len() + 1);
         for run in &runs {
-            readers.push(run.open(counters.clone())?);
+            sources.push(Source::Run(run.open(counters.clone())?));
+        }
+        sources.push(Source::Memory {
+            arena,
+            refs,
+            pos: 0,
+        });
+        Self::merge(sources, runs, combiner)
+    }
+
+    /// Merge frame queues, each one source's frames in stream order with
+    /// its tuples in ascending vid order: how a receiver combines
+    /// what its senders emitted vid-ordered (a pipelined connector's
+    /// streams, a replay's logged sections) without sorting it again.
+    pub fn from_frames(queues: Vec<Vec<SharedFrame>>, combiner: Option<CombineFn>) -> SortedStream {
+        let sources = queues.into_iter().filter_map(FrameQueue::new).map(Source::Queue);
+        Self::merge(sources.collect(), Vec::new(), combiner)
+            .expect("priming frame queues reads no run")
+    }
+
+    /// Seat every source's first tuple in the heap.
+    fn merge(
+        mut sources: Vec<Source>,
+        runs: Vec<TempRun>,
+        combiner: Option<CombineFn>,
+    ) -> Result<SortedStream> {
+        let mut live = Vec::with_capacity(sources.len());
+        for (i, source) in sources.iter_mut().enumerate() {
+            if source.prime()? {
+                live.push(i);
+            }
         }
         let mut stream = SortedStream {
-            memory_arena: arena,
-            memory_refs: refs,
-            memory_pos: 0,
-            readers,
-            heap: Vec::new(),
+            sources,
+            heap: Vec::with_capacity(live.len()),
             root_consumed: false,
             _runs: runs,
             combiner,
             acc: Vec::new(),
         };
-        stream.prime()?;
+        for s in live {
+            stream.heap_push(s);
+        }
         Ok(stream)
     }
 
-    fn prime(&mut self) -> Result<()> {
-        for i in 0..self.readers.len() {
-            if self.readers[i].advance()? {
-                self.heap_push(i);
-            }
-        }
-        if !self.memory_refs.is_empty() {
-            self.heap_push(MEMORY_SOURCE);
-        }
-        Ok(())
-    }
-
-    /// The current tuple of a live source.
-    fn src_current(&self, s: usize) -> &[u8] {
-        current_of(
-            &self.memory_arena,
-            &self.memory_refs,
-            self.memory_pos,
-            &self.readers,
-            s,
-        )
-    }
-
-    /// Strict ordering of two heap entries by (prefix, current tuple,
+    /// Strict ordering of two heap entries by (merge key, current tuple,
     /// source id) — the same order as (current tuple, source id), see
-    /// [`key_prefix`].
-    fn entry_less(&self, a: (u64, usize), b: (u64, usize)) -> bool {
+    /// [`merge_key`].
+    fn entry_less(&self, a: (u128, usize), b: (u128, usize)) -> bool {
         if a.0 != b.0 {
             return a.0 < b.0;
         }
-        match self.src_current(a.1).cmp(self.src_current(b.1)) {
+        match self.sources[a.1].current().cmp(self.sources[b.1].current()) {
             Ordering::Less => true,
             Ordering::Greater => false,
             Ordering::Equal => a.1 < b.1,
         }
     }
 
-    /// Add live source `s` to the heap under its current tuple's prefix.
+    /// Add live source `s` to the heap under its current tuple's key.
     fn heap_push(&mut self, s: usize) {
-        self.heap.push((key_prefix(self.src_current(s)), s));
+        self.heap.push((merge_key(self.sources[s].current()), s));
         let mut i = self.heap.len() - 1;
         while i > 0 {
             let parent = (i - 1) / 2;
@@ -417,14 +524,8 @@ impl SortedStream {
             return Ok(());
         }
         let s = self.heap[0].1;
-        let live = if s == MEMORY_SOURCE {
-            self.memory_pos += 1;
-            self.memory_pos < self.memory_refs.len()
-        } else {
-            self.readers[s].advance()?
-        };
-        if live {
-            self.heap[0].0 = key_prefix(self.src_current(s));
+        if self.sources[s].advance()? {
+            self.heap[0].0 = merge_key(self.sources[s].current());
         } else {
             self.heap.swap_remove(0);
         }
@@ -436,43 +537,34 @@ impl SortedStream {
     /// borrows from the stream and is valid until the next call.
     pub fn next_tuple(&mut self) -> Result<Option<&[u8]>> {
         self.settle_root()?;
-        let Some(&(prefix, s)) = self.heap.first() else {
+        let Some(&(key, s)) = self.heap.first() else {
             return Ok(None);
         };
+        let prefix = key >> 64;
         self.root_consumed = true;
         if self.combiner.is_none() {
-            return Ok(Some(self.src_current(s)));
+            return Ok(Some(self.sources[s].current()));
         }
         // Combining: seed the scratch accumulator from the root's tuple,
         // then fold while the next root shares its key.
-        let seed = current_of(
-            &self.memory_arena,
-            &self.memory_refs,
-            self.memory_pos,
-            &self.readers,
-            s,
-        );
         self.acc.clear();
-        self.acc.extend_from_slice(seed);
+        self.acc.extend_from_slice(self.sources[s].current());
         loop {
             self.settle_root()?;
             let Self {
                 acc,
                 combiner,
                 heap,
-                memory_arena,
-                memory_refs,
-                memory_pos,
-                readers,
+                sources,
                 ..
             } = self;
-            let Some(&(next_prefix, s2)) = heap.first() else {
+            let Some(&(next_key, s2)) = heap.first() else {
                 break;
             };
-            if next_prefix != prefix {
+            if next_key >> 64 != prefix {
                 break;
             }
-            let cur = current_of(memory_arena, memory_refs, *memory_pos, readers, s2);
+            let cur = sources[s2].current();
             if !same_group(acc, cur) {
                 break;
             }
@@ -489,22 +581,6 @@ impl SortedStream {
             out.push(t.to_vec());
         }
         Ok(out)
-    }
-}
-
-/// The current tuple of live source `s`, over the stream's source fields
-/// only — callable while the combiner (another field) is mutably borrowed.
-fn current_of<'a>(
-    arena: &'a TupleArena,
-    refs: &[TupleRef],
-    pos: usize,
-    readers: &'a [RunReader],
-    s: usize,
-) -> &'a [u8] {
-    if s == MEMORY_SOURCE {
-        arena.get(refs[pos])
-    } else {
-        readers[s].current().expect("heap source must be live")
     }
 }
 
@@ -661,6 +737,24 @@ mod tests {
             vec![keyed_tuple(1, b"abcdee"), keyed_tuple(2, b"abc")]
         );
         assert_eq!(folded, model(all, &mut concat_fold()));
+
+        // The same sources as queues of frames, cut at every frame size and
+        // with empty frames between: the same fold, to the byte.
+        for per_frame in [1, 2, 3] {
+            let queues = sources.iter().map(|tuples| {
+                let mut frames = vec![SharedFrame::empty()];
+                for chunk in tuples.chunks(per_frame) {
+                    let mut frame = pregelix_common::frame::Frame::with_capacity(1 << 10);
+                    chunk.iter().for_each(|t| assert!(frame.try_append(t)));
+                    frames.extend([frame.freeze_standalone(), SharedFrame::empty()]);
+                }
+                frames
+            });
+            let queued = SortedStream::from_frames(queues.collect(), Some(concat_fold()));
+            assert_eq!(queued.collect_all().unwrap(), folded, "{per_frame} per frame");
+        }
+        let none = SortedStream::from_frames(vec![Vec::new(), vec![SharedFrame::empty()]], None);
+        assert!(none.collect_all().unwrap().is_empty());
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 fn pagerank_values(
     records: &[(u64, Vec<(u64, f64)>)],
     worker_ram: usize,
-) -> (Vec<(u64, f64)>, pregelix::common::stats::StatsSnapshot) {
+) -> (Vec<(u64, f64)>, JobSummary) {
     let cluster = Cluster::new(ClusterConfig::new(4, worker_ram)).unwrap();
     let job = PregelixJob::new("ooc-pr");
     let program = Arc::new(PageRank::new(5));
@@ -25,14 +25,23 @@ fn pagerank_values(
         .into_iter()
         .map(|v| (v.vid, v.value))
         .collect();
-    (values, summary.stats)
+    (values, summary)
 }
 
+/// 192 KiB workers leave the senders' fold table no room, not even in
+/// windows, so they sort and spill, and a spilling sorter folds run by run:
+/// an `f64` sum may move in its last bits against the in-memory run.
 #[test]
 fn out_of_core_run_matches_in_memory_run_exactly() {
     let records = webmap::webmap(13, 6.0, 60);
-    let (big, big_stats) = pagerank_values(&records, 64 << 20);
-    let (small, small_stats) = pagerank_values(&records, 192 << 10);
+    let (big, big_summary) = pagerank_values(&records, 64 << 20);
+    let (small, small_summary) = pagerank_values(&records, 192 << 10);
+    let (big_stats, small_stats) = (big_summary.stats, small_summary.stats);
+    assert!(
+        matches!(small_summary.sender_fold, SenderFold::SortTableTooLarge { .. }),
+        "{}",
+        small_summary.sender_fold
+    );
     assert_eq!(big.len(), small.len());
     for ((v1, r1), (v2, r2)) in big.iter().zip(small.iter()) {
         assert_eq!(v1, v2);
@@ -46,6 +55,36 @@ fn out_of_core_run_matches_in_memory_run_exactly() {
         big_stats.cache_evictions
     );
     assert!(small_stats.disk_read_bytes > big_stats.disk_read_bytes);
+}
+
+/// 1 MiB and 512 KiB workers: the senders still fold by address, in
+/// windows, and at 512 KiB the cache holds a fraction of the graph. Nothing
+/// on the message path sorts — the receivers merge — so the values are the
+/// in-memory run's to the bit.
+#[test]
+fn out_of_core_run_on_the_fold_table_is_bit_identical_to_in_memory() {
+    let records = webmap::webmap(13, 6.0, 60);
+    let bits = |values: &[(u64, f64)]| -> Vec<(u64, u64)> {
+        values.iter().map(|(v, r)| (*v, r.to_bits())).collect()
+    };
+    let (big, big_summary) = pagerank_values(&records, 64 << 20);
+    for ram in [1 << 20, 512 << 10] {
+        let (small, small_summary) = pagerank_values(&records, ram);
+        assert!(
+            matches!(small_summary.sender_fold, SenderFold::Direct { windows: 2.., .. }),
+            "{ram}: {}",
+            small_summary.sender_fold
+        );
+        assert_eq!(small_summary.stats.sort_runs_spilled, 0, "{ram}");
+        assert_eq!(bits(&small), bits(&big), "{ram}");
+        if ram == 512 << 10 {
+            let (small_ev, big_ev) = (
+                small_summary.stats.cache_evictions,
+                big_summary.stats.cache_evictions,
+            );
+            assert!(small_ev > big_ev, "{small_ev} vs {big_ev} evictions");
+        }
+    }
 }
 
 #[test]
@@ -100,7 +139,8 @@ fn pregelix_survives_where_giraph_and_graphlab_fail() {
 fn groupby_spills_when_message_volume_exceeds_budget() {
     // A dense graph at tiny RAM: the sort-based group-by must spill runs.
     let records = webmap::webmap(13, 12.0, 62);
-    let (_vals, stats) = pagerank_values(&records, 96 << 10);
+    let (_vals, summary) = pagerank_values(&records, 96 << 10);
+    let stats = summary.stats;
     assert!(
         stats.sort_runs_spilled > 0,
         "message combination should have spilled: {stats:?}"

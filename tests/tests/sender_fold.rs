@@ -11,11 +11,10 @@
 //! order-insensitive combiners, to the last few bits for PageRank's `f64`
 //! sum, whose within-sender fold order is emission order on one path and
 //! sorted-bytes order on the other. What a sender's table emits in windows
-//! is what it emits whole, to the byte; the job's values follow wherever the
-//! receiver combines the senders' tuples in an order of its own — the
-//! merging connector always, the regrouping one while its sorter does not
-//! spill (a receiver that spills folds run by run, and an `f64` sum then
-//! moves in its last bits as it does between any two memory sizes).
+//! is what it emits whole, to the byte, and the job's values follow on every
+//! plan: behind either connector the receiver merges the senders' streams
+//! and folds their tuples in one order of its own, (vid, tuple bytes,
+//! source), without sorting or spilling whatever the memory size.
 
 use pregelix::core::api::tests_support::SortPath;
 use pregelix::core::api::VertexProgram;
@@ -171,7 +170,7 @@ fn pagerank_agrees_to_the_last_bits_on_the_table_and_on_the_sort_path() {
 
 /// On one path, every plan of the lattice computes PageRank to the
 /// bit: the within-sender fold order is emission order whatever the
-/// group-by strategy, and the receiver regroups by bytes.
+/// group-by strategy, and the receiver folds the senders' ties by bytes.
 #[test]
 fn pagerank_on_the_table_is_bit_identical_across_the_lattice() {
     let records = webmap::webmap(9, 6.0, 54);
@@ -195,17 +194,13 @@ const WINDOWED_RAM: usize = 256 << 10;
 /// Run `program()` with the table in three windows and with the table
 /// resident, over the whole lattice: the layout is what the summary says,
 /// and beyond the spill files nothing about the job moved. `same` compares
-/// one vertex's two values; it is told whether the tight cluster's receiver
-/// spilled while regrouping, the one thing that may move an `f64` sum's
-/// last bits (see the module docs). Returns how many plans had such a
-/// receiver.
+/// one vertex's two values.
 fn windows_change_nothing<P: VertexProgram>(
     program: impl Fn() -> P,
     tag: &str,
     records: &Records,
-    same: impl Fn(&P::VertexValue, &P::VertexValue, bool) -> bool,
-) -> usize {
-    let mut spilling_receivers = 0;
+    same: impl Fn(&P::VertexValue, &P::VertexValue) -> bool,
+) {
     for plan in lattice() {
         let what = format!("{tag}-{}", plan.label());
         let (tight, tight_values) =
@@ -257,75 +252,39 @@ fn windows_change_nothing<P: VertexProgram>(
         };
         assert_eq!(wire(&tight), wire(&roomy), "{what}");
 
-        // No sender spills a sorted run any more: what is left is the
-        // receiver's regroup, which the merging connector does not have and
-        // which the same cluster pays on the sort path too, beside the
-        // senders' runs.
+        // Nothing sorts on either side of the connector: the senders fold
+        // by address, the receivers merge.
+        assert_eq!(tight.stats.sort_runs_spilled, 0, "{what}");
         assert_eq!(roomy.stats.sort_runs_spilled, 0, "{what}");
-        let receiver_spilled = tight.stats.sort_runs_spilled > 0;
-        if plan.groupby.merged() {
-            assert!(!receiver_spilled, "{what}");
-        } else {
-            let (sorted, _) = run(
-                SortPath(program()),
-                &format!("{what}-ws"),
-                records,
-                plan,
-                WINDOWED_RAM,
-            );
-            assert_eq!(sorted.sender_fold, SenderFold::SortVariableWidth, "{what}");
-            assert!(
-                tight.stats.sort_runs_spilled < sorted.stats.sort_runs_spilled,
-                "{what}: {} receiver-side runs, {} with the senders' beside them",
-                tight.stats.sort_runs_spilled,
-                sorted.stats.sort_runs_spilled
-            );
-        }
-        spilling_receivers += receiver_spilled as usize;
 
         assert_eq!(tight_values.len(), roomy_values.len(), "{what}");
         for ((vt, t), (vr, r)) in tight_values.iter().zip(&roomy_values) {
             assert_eq!(vt, vr, "{what}");
             assert!(
-                same(t, r, receiver_spilled),
+                same(t, r),
                 "{what} vid {vt}: {t:?} in windows, {r:?} resident"
             );
         }
-        if !receiver_spilled {
-            assert_eq!(tight.final_gs, roomy.final_gs, "{what}");
-        }
+        assert_eq!(tight.final_gs, roomy.final_gs, "{what}");
     }
-    spilling_receivers
 }
 
 fn same_bits(a: &f64, b: &f64) -> bool {
     a.to_bits() == b.to_bits()
 }
 
-/// Every page sends along its edges, so each receiver regroups thousands of
-/// tuples and, on the tight cluster, spills doing it — except behind the
-/// merging connector.
+/// Every page sends along its edges, so each receiver merges thousands of
+/// tuples from every sender — on the tight cluster too, where a receiver
+/// that sorted would spill.
 #[test]
 fn pagerank_in_windows_is_bit_identical_wherever_the_receiver_merges() {
     let records = webmap::webmap(12, 6.0, 56);
-    let spilling = windows_change_nothing(
-        || PageRank::new(4),
-        "sf-wpr",
-        &records,
-        |a, b, receiver_spilled| {
-            if receiver_spilled {
-                (a - b).abs() <= 1e-12
-            } else {
-                same_bits(a, b)
-            }
-        },
-    );
-    assert_eq!(spilling, 4, "the four regrouping plans");
+    windows_change_nothing(|| PageRank::new(4), "sf-wpr", &records, same_bits);
 }
 
 /// 5 000 pages that link to 500 hubs only, every tenth vid: messages reach
-/// all three windows, and no receiver has enough of them to spill. Every
-/// plan of the lattice computes the resident table's bits.
+/// all three windows, and few reach each receiver. Every plan of the
+/// lattice computes the resident table's bits.
 #[test]
 fn pagerank_in_windows_is_bit_identical_while_no_receiver_spills() {
     let records: Records = (0..5_000u64)
@@ -334,13 +293,7 @@ fn pagerank_in_windows_is_bit_identical_while_no_receiver_spills() {
             (v, edges.collect())
         })
         .collect();
-    let spilling = windows_change_nothing(
-        || PageRank::new(4),
-        "sf-whub",
-        &records,
-        |a, b, _| same_bits(a, b),
-    );
-    assert_eq!(spilling, 0);
+    windows_change_nothing(|| PageRank::new(4), "sf-whub", &records, same_bits);
 }
 
 #[test]
@@ -350,14 +303,14 @@ fn sssp_in_windows_is_identical_to_the_resident_table() {
         || ShortestPaths::new(0),
         "sf-wsssp",
         &records,
-        |a, b, _| same_bits(a, b),
+        same_bits,
     );
 }
 
 #[test]
 fn cc_in_windows_is_identical_to_the_resident_table() {
     let records = btc::btc(5_000, 3.0, 58);
-    windows_change_nothing(|| ConnectedComponents, "sf-wcc", &records, |a, b, _| a == b);
+    windows_change_nothing(|| ConnectedComponents, "sf-wcc", &records, |a, b| a == b);
 }
 
 /// A cluster whose RAM leaves the table no room — not whole, and not in
