@@ -8,7 +8,8 @@
 //!                          descent per live vid (`BTree::search`).
 //! * `loj_probe_cursor`   — the new path: one [`ProbeCursor`] answering
 //!                          the ascending live-vid sequence from its
-//!                          pinned leaf, re-descending only on jumps.
+//!                          pinned root-to-leaf path, descending only
+//!                          from the lowest pinned page covering a key.
 //!
 //! Before timing, `pin_study` prints the deterministic page-pin counts
 //! for search vs cursor at each fraction (the ≥2× reduction acceptance

@@ -174,15 +174,15 @@ macro_rules! stats_table {
             /// Workers declared dead by the missed-beat failure detector and
             /// blacklisted from scheduling.
             counter workers_declared_dead, add_workers_declared_dead;
-            /// Sorted-probe cursor lookups answered from an already-pinned leaf
-            /// (or a single sibling hop) without a root-to-leaf descent.
+            /// Sorted-probe cursor lookups answered from the pinned leaf, or
+            /// by a descent from a pinned interior page covering the key.
             counter probe_leaf_hits, add_probe_leaf_hits;
-            /// Sorted-probe cursor lookups that had to re-descend from the root
-            /// because the key jumped past the pinned leaf's fence.
+            /// Sorted-probe cursor lookups that descended from the root with
+            /// no pinned path: a position's first, or the first after an unpin.
             counter probe_redescents, add_probe_redescents;
             /// Buffer-cache page pins performed on behalf of probe cursors
-            /// (descents and sibling hops; answering from the pinned leaf is
-            /// free).
+            /// (the pages below where each descent starts; answering from the
+            /// pinned leaf is free).
             counter probe_page_pins, add_probe_page_pins;
             /// LSM point probes that skipped a disk component because its bloom
             /// filter proved the key absent.

@@ -18,9 +18,10 @@ use pregelix_common::JobId;
 ///
 /// The original hard-coded threshold assumed every probe pays a full
 /// root-to-leaf descent (≈5× the cost of one sequential scan touch →
-/// probe wins under 1/5 liveness). With the sorted-probe cursors most
-/// probes are answered from an already-pinned leaf, so the real cost per
-/// probe is `1 + pins_per_probe × PIN_COST` scan-touch units, where
+/// probe wins under 1/5 liveness). The sorted-probe cursors keep their
+/// root-to-leaf path pinned: a probe is answered from the pinned leaf or
+/// descends from the lowest pinned page covering its key, so the real
+/// cost per probe is `1 + pins_per_probe × PIN_COST` scan-touch units, where
 /// `pins_per_probe` is measured (`probe_page_pins / probes`) on the most
 /// recent probing superstep. The break-even live fraction is the inverse
 /// of that cost, clamped to keep one noisy superstep from swinging the
@@ -28,8 +29,10 @@ use pregelix_common::JobId;
 /// rebuild, which the upper clamp accounts for).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProbeCostModel {
-    /// Buffer-cache page pins per probe (descents and sibling hops;
-    /// pinned-leaf answers are free).
+    /// Buffer-cache page pins per probe: the pages below the lowest pinned
+    /// page covering the key (about one, the leaf, on a sparse superstep),
+    /// or the whole path for a descent from the root; pinned-leaf answers
+    /// are free.
     pub pins_per_probe: f64,
 }
 

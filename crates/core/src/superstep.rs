@@ -1320,9 +1320,9 @@ fn join_and_compute<P: VertexProgram>(
             // Merge Msg with the Vid live-vertex index (choose() prefers
             // Msg on duplicates), then seek the Vertex index's row cursor
             // to each merged vid: the merge yields strictly ascending vids,
-            // so consecutive seeks land on the same pinned leaf and skip
-            // the per-key root-to-leaf descent, and the row is updated
-            // right where the seek found it.
+            // so a seek is answered from the pinned leaf or descends from
+            // the lowest pinned page covering its vid, not from the root,
+            // and the row is updated right where the seek found it.
             let PartitionState {
                 store, vid_index, ..
             } = st;

@@ -370,28 +370,10 @@ impl BTree {
             let r = PageRef::new(&buf);
             match r.page_type()? {
                 PageType::Leaf => return Ok(page),
-                PageType::Interior => {
-                    let idx = match r.search(key) {
-                        Ok(i) => i,
-                        Err(0) => 0,
-                        Err(i) => i - 1,
-                    };
-                    let child = u64::from_le_bytes(r.value(idx).try_into().map_err(|_| {
-                        PregelixError::corrupt("interior value is not a child pointer")
-                    })?);
-                    drop(buf);
-                    page = child;
-                }
+                PageType::Interior => page = child_of(&r, key)?.1,
                 t => return Err(PregelixError::corrupt(format!("unexpected page type {t:?}"))),
             }
         }
-    }
-
-    /// Descend to the leaf that would contain `key`, pin it and search it.
-    fn pin_leaf_of(&self, key: &[u8]) -> Result<(PageGuard, std::result::Result<usize, usize>)> {
-        let guard = self.cache.pin(self.file, self.find_leaf(key)?)?;
-        let at = PageRef::new(&guard.read()).search(key);
-        Ok((guard, at))
     }
 
     /// Point lookup: the value stored under `key`, if present.
@@ -627,13 +609,7 @@ impl BTree {
                 let child = {
                     let guard = self.cache.pin(self.file, page)?;
                     let buf = guard.read();
-                    let r = PageRef::new(&buf);
-                    let idx = match r.search(key) {
-                        Ok(i) => i,
-                        Err(0) => 0,
-                        Err(i) => i - 1,
-                    };
-                    u64::from_le_bytes(r.value(idx).try_into().expect("child pointer"))
+                    child_of(&PageRef::new(&buf), key)?.1
                 };
                 if let Some((sep, right)) = self.insert_rec(child, key, stored)? {
                     return self.interior_insert(page, level, &sep, right);
@@ -894,46 +870,186 @@ impl BTree {
     }
 }
 
-/// The pinned leaf of a sorted probe sequence, detached from the tree's
-/// borrow so a cursor that also writes ([`RowCursor`]) and the LSM store's
-/// per-component probes can hold one.
+/// The slot and child page an interior page routes `key` to: the last entry
+/// whose separator is `<= key` (entry 0's empty separator catches the rest).
+fn child_of(r: &PageRef<'_>, key: &[u8]) -> Result<(usize, PageId)> {
+    let idx = match r.search(key) {
+        Ok(i) => i,
+        Err(0) => 0,
+        Err(i) => i - 1,
+    };
+    let child = u64::from_le_bytes(
+        r.value(idx)
+            .try_into()
+            .map_err(|_| PregelixError::corrupt("interior value is not a child pointer"))?,
+    );
+    Ok((idx, child))
+}
+
+/// The exclusive upper bound of a remembered page's key range, in a buffer
+/// reused from descent to descent. The rightmost spine is unbounded.
+#[derive(Default)]
+struct Fence {
+    key: Vec<u8>,
+    unbounded: bool,
+}
+
+impl Fence {
+    fn covers(&self, key: &[u8]) -> bool {
+        self.unbounded || key < self.key.as_slice()
+    }
+
+    fn set(&mut self, key: &[u8]) {
+        self.unbounded = false;
+        self.key.clear();
+        self.key.extend_from_slice(key);
+    }
+
+    fn set_to(&mut self, other: &Fence) {
+        self.unbounded = other.unbounded;
+        self.key.clear();
+        self.key.extend_from_slice(&other.key);
+    }
+}
+
+/// The pinned root-to-leaf path of a sorted probe sequence, detached from
+/// the tree's borrow so a cursor that also writes ([`RowCursor`]) and the
+/// LSM store's per-component probes can hold one.
 ///
-/// The most recently answered leaf stays pinned. A key still within that
-/// leaf (`key <= last entry`) is answered by a binary search of the pinned
-/// page — zero additional pins. A key just past the leaf follows the sibling
-/// pointer (skipping leaves emptied by deletes): if the key lands within the
-/// next populated leaf, or provably in the gap before its first entry, the
-/// hop answers it. Only when the key jumps past that fence does the position
-/// re-descend from the root. Dense sorted probe runs therefore pin ~one page
-/// per *leaf touched* instead of `height` pages per *probe*.
+/// Every page of the last descent stays pinned — the interior pages root
+/// first, then the leaf — each with the exclusive upper fence of its key
+/// range: the separator after the entry its parent routed through, or the
+/// parent's own fence when that entry was the parent's last (the root's is
+/// unbounded). A key the leaf still covers is answered by a binary search
+/// of the pinned leaf: zero additional pins. A key past it climbs to the
+/// lowest remembered page whose fence still covers the key — the root
+/// always does — and descends from there, pinning only the pages below.
+/// Sparse sorted probes under one parent therefore cost one binary search
+/// of a pinned page and one leaf pin each, and a dense run crosses a parent
+/// boundary through the grandparent; only the first key (or the first after
+/// [`LeafPos::unpin`]) descends from the root.
+///
+/// Only upper fences are kept: keys are non-decreasing, so a key is never
+/// below the range of a page that an earlier key descended through.
+/// [`RowCursor::next`] walking the sibling chain moves the leaf forward
+/// without a fence; such a leaf answers only keys up to its last entry, and
+/// the remembered interior ranges stay valid because keys only move on.
 ///
 /// Invariants the holder keeps:
 /// * Keys are non-decreasing (checked with a debug assertion); out-of-order
 ///   keys would be answered from a stale leaf.
-/// * The tree's key set does not change while a leaf is pinned: whoever
+/// * The tree's key set does not change while a path is pinned: whoever
 ///   inserts, deletes or resizes an entry calls [`LeafPos::unpin`] first,
-///   which is why no fence keys or split detection are needed.
-/// * At most one leaf is pinned at a time, respecting the buffer cache's
-///   pin discipline (pinned pages are exempt from eviction).
+///   which drops the whole path, so no fence can go stale.
+/// * At most `height` pages are pinned at a time, respecting the buffer
+///   cache's pin discipline (pinned pages are exempt from eviction).
 ///
 /// Counter accounting: every [`LeafPos::locate`] bumps exactly one of
-/// `probe_leaf_hits` (answered from the pinned leaf or a sibling hop) or
-/// `probe_redescents` (root-to-leaf descent); `probe_page_pins` counts the
-/// pages pinned on behalf of probes (hops and descents — pinned-leaf answers
-/// are free).
+/// `probe_leaf_hits` (answered from the pinned leaf, or by a descent from a
+/// remembered interior page) or `probe_redescents` (a descent from the
+/// root with nothing remembered); `probe_page_pins` counts the pages each
+/// descent pins — pinned-leaf answers are free.
 #[derive(Default)]
 pub(crate) struct LeafPos {
+    /// The pinned interior pages of the last descent, root first.
+    path: Vec<PageGuard>,
     /// The pinned current leaf; `None` until the first key descends.
     leaf: Option<PageGuard>,
+    /// `fences[i]` bounds `path[i]`; `fences[path.len()]` bounds the leaf
+    /// while `leaf_fenced`. Entries past those are spare buffers.
+    fences: Vec<Fence>,
+    /// Whether the leaf was reached by a descent (its fence is known), not
+    /// by a walk along the sibling chain.
+    leaf_fenced: bool,
     /// Monotonicity guard for debug builds.
     #[cfg(debug_assertions)]
     last_key: Option<Vec<u8>>,
 }
 
 impl LeafPos {
-    /// Drop the pin; the next [`LeafPos::locate`] descends from the root.
+    /// Drop the pinned path; the next [`LeafPos::locate`] descends from the
+    /// root.
     fn unpin(&mut self) {
         self.leaf = None;
+        self.path.clear();
+    }
+
+    /// Move to a leaf reached along the sibling chain, keeping the path.
+    fn walk_to(&mut self, leaf: PageGuard) {
+        self.leaf = Some(leaf);
+        self.leaf_fenced = false;
+    }
+
+    /// Whether the pinned leaf decides `key`.
+    fn leaf_covers(&self, r: &PageRef<'_>, key: &[u8]) -> bool {
+        if self.leaf_fenced {
+            self.fences[self.path.len()].covers(key)
+        } else {
+            !r.is_empty() && key <= r.key(r.len() - 1)
+        }
+    }
+
+    /// Pin the page an interior page routes `key` to, after the last page
+    /// of `path`, writing its fence. The page becomes the leaf or joins the
+    /// path. Returns whether it is the leaf.
+    fn step_down(&mut self, tree: &BTree, key: &[u8]) -> Result<bool> {
+        let depth = self.path.len();
+        if self.fences.len() <= depth {
+            self.fences.resize_with(depth + 1, Fence::default);
+        }
+        let child = match self.path.last() {
+            None => {
+                self.fences[0].unbounded = true;
+                tree.root
+            }
+            Some(parent) => {
+                let buf = parent.read();
+                let r = PageRef::new(&buf);
+                let (idx, child) = child_of(&r, key)?;
+                let (above, below) = self.fences.split_at_mut(depth);
+                if idx + 1 < r.len() {
+                    below[0].set(r.key(idx + 1));
+                } else {
+                    below[0].set_to(&above[depth - 1]);
+                }
+                child
+            }
+        };
+        let guard = tree.cache.pin(tree.file, child)?;
+        let page_type = PageRef::new(&guard.read()).page_type()?;
+        match page_type {
+            PageType::Leaf => {
+                self.leaf = Some(guard);
+                self.leaf_fenced = true;
+                Ok(true)
+            }
+            PageType::Interior => {
+                self.path.push(guard);
+                Ok(false)
+            }
+            t => Err(PregelixError::corrupt(format!("unexpected page type {t:?}"))),
+        }
+    }
+
+    /// Descend to the leaf that decides `key` from the last page of `path`
+    /// (from the root when it is empty) and pin it. Returns the pages pinned.
+    fn descend(&mut self, tree: &BTree, key: &[u8]) -> Result<u64> {
+        self.leaf = None;
+        let mut pins = 1;
+        while !self.step_down(tree, key)? {
+            pins += 1;
+        }
+        Ok(pins)
+    }
+
+    /// Re-find the position by key after [`LeafPos::unpin`] (not a probe: no
+    /// counters move) and search the leaf as [`LeafPos::locate`] does.
+    fn repin(&mut self, tree: &BTree, key: &[u8]) -> Result<std::result::Result<usize, usize>> {
+        self.unpin();
+        self.descend(tree, key)?;
+        let guard = self.leaf.as_ref().expect("a descent pins a leaf");
+        let at = PageRef::new(&guard.read()).search(key);
+        Ok(at)
     }
 
     /// Pin the leaf that decides `key` and hand `read` that page with the
@@ -953,62 +1069,39 @@ impl LeafPos {
                     "probe keys must be non-decreasing"
                 );
             }
-            self.last_key = Some(key.to_vec());
+            let last = self.last_key.get_or_insert_with(Vec::new);
+            last.clear();
+            last.extend_from_slice(key);
         }
         let counters = tree.cache.counters();
 
         // Fast path: the key is still covered by the pinned leaf.
         if let Some(guard) = &self.leaf {
-            let mut next = {
-                let buf = guard.read();
-                let r = PageRef::new(&buf);
-                if !r.is_empty() && key <= r.key(r.len() - 1) {
-                    counters.add_probe_leaf_hits(1);
-                    return read(r, r.search(key));
-                }
-                r.next_page()
-            };
-            // The key is past the pinned leaf: hop the sibling chain over
-            // leaves emptied by deletes and inspect the first populated one.
-            while next != NO_PAGE {
-                let hop = tree.cache.pin(tree.file, next)?;
-                counters.add_probe_page_pins(1);
-                let answer = {
-                    let buf = hop.read();
-                    let r = PageRef::new(&buf);
-                    if r.is_empty() {
-                        // Empty leaf: keep walking the chain.
-                        next = r.next_page();
-                        continue;
-                    }
-                    // Within the leaf, in the gap before its first entry, or
-                    // (rightmost leaf) beyond every entry — this leaf decides
-                    // the probe. Otherwise the key is past its fence.
-                    if key <= r.key(r.len() - 1) || r.next_page() == NO_PAGE {
-                        Some(read(r, r.search(key)))
-                    } else {
-                        None
-                    }
-                };
-                let Some(answer) = answer else { break };
+            let buf = guard.read();
+            let r = PageRef::new(&buf);
+            if self.leaf_covers(&r, key) {
                 counters.add_probe_leaf_hits(1);
-                self.leaf = Some(hop);
-                return answer;
+                return read(r, r.search(key));
             }
         }
 
-        // Slow path: descend from the root.
-        counters.add_probe_redescents(1);
-        counters.add_probe_page_pins(tree.height as u64 + 1);
-        let leaf = tree.find_leaf(key)?;
-        let guard = tree.cache.pin(tree.file, leaf)?;
-        let answer = {
-            let buf = guard.read();
-            let r = PageRef::new(&buf);
-            read(r, r.search(key))
-        };
-        self.leaf = Some(guard);
-        answer
+        // Climb to the lowest remembered page whose range still covers the
+        // key (the root's is unbounded), then descend from it.
+        match self.fences[..self.path.len()]
+            .iter()
+            .rposition(|f| f.covers(key))
+        {
+            Some(i) => {
+                self.path.truncate(i + 1);
+                counters.add_probe_leaf_hits(1);
+            }
+            None => counters.add_probe_redescents(1),
+        }
+        counters.add_probe_page_pins(self.descend(tree, key)?);
+        let guard = self.leaf.as_ref().expect("a descent pins a leaf");
+        let buf = guard.read();
+        let r = PageRef::new(&buf);
+        read(r, r.search(key))
     }
 
     /// Point lookup: decode the value stored under `key` into `out`
@@ -1027,8 +1120,9 @@ impl LeafPos {
 }
 
 /// Sorted-probe cursor: point lookups for monotonically non-decreasing keys
-/// with amortised O(1) page pins per probe (§5.2 left-outer join) — a
-/// [`LeafPos`] behind a shared borrow, so the tree cannot change under it.
+/// with amortised O(1) page pins per probe (§5.2 left-outer join, the
+/// `mutate` membership checks) — a [`LeafPos`] behind a shared borrow, so
+/// the tree cannot change under it.
 pub struct ProbeCursor<'a> {
     tree: &'a BTree,
     pos: LeafPos,
@@ -1064,8 +1158,11 @@ impl<'a> ProbeCursor<'a> {
 ///
 /// [`RowCursor::next`] walks the rows in key order (the full-outer scan) and
 /// [`RowCursor::seek`] jumps to a key at or after the position (the
-/// left-outer sorted probe, the pinned-leaf logic of [`LeafPos`]). Either
-/// way the cursor keeps the current leaf pinned and lends the current row's
+/// left-outer sorted probe, through the pinned root-to-leaf path of
+/// [`LeafPos`]: a seek past the current leaf descends from the lowest
+/// pinned page whose range covers the key, so a seek under the same parent
+/// pins one leaf and nothing else). Either way the cursor keeps the
+/// current leaf pinned and lends the current row's
 /// key and value from its own buffers (overflow chains resolved into the
 /// same buffer), so reading a row allocates nothing.
 ///
@@ -1080,8 +1177,9 @@ impl<'a> ProbeCursor<'a> {
 /// the position in the tree *as it is now*.
 pub struct RowCursor<'a> {
     tree: &'a mut BTree,
-    /// The pinned leaf the position lives on; unpinned before the first move
-    /// and by every change made through the tree's by-key API.
+    /// The pinned path to the leaf the position lives on; unpinned before
+    /// the first move and by every change made through the tree's by-key
+    /// API.
     pos: LeafPos,
     /// While pinned: slot of the current row (`found`), else of the first
     /// entry after the position.
@@ -1105,14 +1203,12 @@ impl RowCursor<'_> {
     pub fn next(&mut self) -> Result<bool> {
         let mut slot = if !self.started {
             self.started = true;
-            self.pos.leaf = Some(self.tree.pin_leftmost_leaf()?);
+            self.pos.walk_to(self.tree.pin_leftmost_leaf()?);
             0
         } else if self.pos.leaf.is_some() {
             self.slot + usize::from(self.found)
         } else {
-            let (guard, at) = self.tree.pin_leaf_of(&self.key)?;
-            self.pos.leaf = Some(guard);
-            match at {
+            match self.pos.repin(self.tree, &self.key)? {
                 Ok(i) => i + 1,
                 Err(i) => i,
             }
@@ -1139,7 +1235,7 @@ impl RowCursor<'_> {
                 return Ok(false);
             }
             // Leaves emptied by deletes stay in the chain; walk over them.
-            self.pos.leaf = Some(self.tree.cache.pin(self.tree.file, next)?);
+            self.pos.walk_to(self.tree.cache.pin(self.tree.file, next)?);
             slot = 0;
         }
     }
@@ -1202,9 +1298,8 @@ impl RowCursor<'_> {
             return self.rewrite();
         }
         if self.pos.leaf.is_none() {
-            let (guard, at) = self.tree.pin_leaf_of(&self.key)?;
+            let at = self.pos.repin(self.tree, &self.key)?;
             self.slot = at.map_err(|_| PregelixError::internal("row cursor lost its row"))?;
-            self.pos.leaf = Some(guard);
         }
         let guard = self.pos.leaf.as_ref().expect("pinned above");
         let mut buf = guard.write();
@@ -1611,7 +1706,8 @@ mod tests {
     #[test]
     fn cursor_seeks_write_in_the_slot_the_probe_found() {
         let (mut t, mut model, _d) = loaded(600, 8);
-        let leaves = leaf_count(&t);
+        let sought: Vec<Vec<u8>> = (0..600u64).step_by(3).chain([700]).map(k).collect();
+        let pages = path_pages(&t, &sought);
         let c = t.cache().counters().clone();
         let before = c.snapshot();
         let mut cur = t.cursor();
@@ -1626,12 +1722,69 @@ mod tests {
         drop(cur);
         let d = c.snapshot().delta_since(&before);
         assert_eq!(d.probe_leaf_hits + d.probe_redescents, 201);
-        assert_eq!(d.probe_redescents, 2, "one descent, sibling hops, one miss past the end");
-        assert!(
-            d.cache_hits + d.cache_misses <= leaves + 2 * (t.height() as u64 + 1),
+        assert_eq!(
+            d.probe_redescents, 1,
+            "one descent from the root; the miss past the end is inside the root's range"
+        );
+        assert_eq!(
+            d.cache_hits + d.cache_misses,
+            d.probe_page_pins,
             "writes must reuse the probe's pin: {d:?}"
         );
+        assert_eq!(d.probe_page_pins, pages, "each page on the sought paths pinned once");
         assert_matches(&t, &model);
+    }
+
+    /// The distinct pages on the root-to-leaf paths of `keys`.
+    fn path_pages(t: &BTree, keys: &[Vec<u8>]) -> u64 {
+        let mut pages = std::collections::HashSet::new();
+        for key in keys {
+            let mut page = t.root;
+            loop {
+                pages.insert(page);
+                let guard = t.cache.pin(t.file, page).unwrap();
+                let buf = guard.read();
+                let r = PageRef::new(&buf);
+                if r.page_type().unwrap() == PageType::Leaf {
+                    break;
+                }
+                page = child_of(&r, key).unwrap().1;
+            }
+        }
+        pages.len() as u64
+    }
+
+    #[test]
+    fn sparse_seeks_climb_the_pinned_path_instead_of_redescending() {
+        let (cache, _d) = make_cache(4096, 256);
+        let c = cache.counters().clone();
+        let mut t = BTree::create(cache).unwrap();
+        // Even keys only, so every other seek is a miss (often in the gap
+        // between a leaf's last entry and its fence).
+        t.bulk_load((0..20_000u64).map(|v| (k(v * 2), v.to_le_bytes().to_vec())), 0.9)
+            .unwrap();
+        let height = t.height() as u64;
+        assert!(height >= 3, "height {height}");
+        let keys: Vec<Vec<u8>> = (0..40_000u64).step_by(37).chain([1 << 40]).map(k).collect();
+        let expect: Vec<Option<Vec<u8>>> = keys.iter().map(|key| t.search(key).unwrap()).collect();
+        let pages = path_pages(&t, &keys);
+        let seeks = keys.len() as u64;
+        let before = c.snapshot();
+        let mut cur = t.cursor();
+        for (key, want) in keys.iter().zip(&expect) {
+            let found = cur.seek(key).unwrap();
+            assert_eq!(found.then(|| cur.value().to_vec()).as_ref(), want.as_ref());
+        }
+        drop(cur);
+        let d = c.snapshot().delta_since(&before);
+        assert_eq!(d.probe_leaf_hits + d.probe_redescents, seeks);
+        assert_eq!(d.probe_redescents, 1, "only the first seek starts at the root");
+        // A 256-byte interior page routes about a hundred keys, so every
+        // third seek enters a new parent; what the path buys is that no page
+        // is pinned twice: the seeks pin exactly the union of their paths,
+        // against `height` pins a seek for a descent from the root.
+        assert_eq!(d.probe_page_pins, pages, "{d:?}");
+        assert!(pages < 2 * seeks && seeks * height > 3 * pages, "{pages} pages, {seeks} seeks");
     }
 
     #[test]

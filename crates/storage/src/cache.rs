@@ -1,4 +1,5 @@
-//! The buffer cache: a bounded pool of page frames with LRU replacement.
+//! The buffer cache: a bounded pool of page frames with second-chance (CLOCK)
+//! replacement, an approximation of LRU.
 //!
 //! This is the mechanism behind the paper's transparent out-of-core support
 //! (§5.4): "B-trees and LSM-trees both leverage a buffer cache that caches
@@ -8,8 +9,17 @@
 //! from the worker's simulated RAM budget — is what decides whether a given
 //! workload runs memory-resident or disk-based.
 //!
+//! Replacement approximates LRU the way production buffer managers do:
+//! every resident, unpinned page sits in its stripe's queue exactly once, in
+//! the order it was first unpinned. A later unpin only marks the page
+//! referenced; eviction pops the front, and a referenced page loses the mark
+//! and goes to the back (its second chance) instead of leaving. The queue
+//! therefore holds at most one entry per resident page however often a page
+//! is pinned, and a page touched since it was queued outlives one that was
+//! not.
+//!
 //! The cache is **lock-striped**: pages hash by `(FileId, PageId)` onto one
-//! of N independent stripes, each owning its own map, LRU queue and share of
+//! of N independent stripes, each owning its own map, queue and share of
 //! the page budget. Concurrent workers probing their B-trees during the
 //! index join of a superstep therefore contend only when they touch the same
 //! stripe, not on one global mutex — the same reason production buffer
@@ -22,33 +32,33 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use pregelix_common::error::Result;
 use pregelix_common::fault::{self, Site};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Default stripe count. Eight matches the worker thread counts used by the
 /// scaling experiments; contention halves roughly linearly in stripes.
 pub const DEFAULT_CACHE_STRIPES: usize = 8;
 
-/// A page resident in the cache.
+/// A page resident in the cache. The two flags are only read or written
+/// under the owning stripe's lock.
 struct PageSlot {
     key: (FileId, PageId),
     pins: AtomicU32,
     dirty: AtomicBool,
-    /// Tick of the most recent unpin; used to invalidate stale LRU entries.
-    lru_tick: AtomicU64,
+    /// Whether the page has its one entry in the stripe's queue.
+    queued: AtomicBool,
+    /// Unpinned again since it was queued (or since its last second chance).
+    referenced: AtomicBool,
     data: RwLock<Vec<u8>>,
 }
 
 struct CacheState {
     map: HashMap<(FileId, PageId), Arc<PageSlot>>,
-    /// Approximate LRU queue: `(key, tick)` entries; an entry is live only if
-    /// the slot's current `lru_tick` equals `tick` (stale entries are skipped
-    /// during eviction, giving amortised O(1) maintenance).
-    lru: VecDeque<((FileId, PageId), u64)>,
-    next_tick: u64,
+    /// Second-chance queue: one entry per page whose `queued` flag is set.
+    queue: VecDeque<(FileId, PageId)>,
 }
 
-/// One lock-striped segment: an independent map + LRU + page budget share.
+/// One lock-striped segment: an independent map + queue + page budget share.
 struct Stripe {
     capacity: usize,
     state: Mutex<CacheState>,
@@ -90,8 +100,7 @@ impl BufferCache {
                 capacity: base + usize::from(i < extra),
                 state: Mutex::new(CacheState {
                     map: HashMap::new(),
-                    lru: VecDeque::new(),
-                    next_tick: 0,
+                    queue: VecDeque::new(),
                 }),
             })
             .collect();
@@ -212,7 +221,8 @@ impl BufferCache {
             key: (file, page),
             pins: AtomicU32::new(1),
             dirty: AtomicBool::new(dirty),
-            lru_tick: AtomicU64::new(0),
+            queued: AtomicBool::new(false),
+            referenced: AtomicBool::new(false),
             data: RwLock::new(buf),
         });
         state.map.insert((file, page), Arc::clone(&slot));
@@ -223,32 +233,36 @@ impl BufferCache {
         })
     }
 
-    /// Evict unpinned LRU pages from one stripe until there is room for one
-    /// more. Pinned pages are skipped; if everything is pinned the stripe
-    /// temporarily overflows (the pin discipline of the access methods keeps
-    /// pinned working sets to a handful of pages).
+    /// Evict unpinned pages from one stripe, front of the queue first, until
+    /// there is room for one more. A referenced page is moved to the back
+    /// instead (its second chance); a pinned one leaves the queue until its
+    /// next unpin. If everything is pinned the stripe temporarily overflows
+    /// (the pin discipline of the access methods keeps pinned working sets
+    /// to a handful of pages).
     fn evict_to_fit(&self, stripe: &Stripe, state: &mut CacheState) -> Result<()> {
         while state.map.len() >= stripe.capacity {
             let mut evicted = false;
-            while let Some((key, tick)) = state.lru.pop_front() {
+            while let Some(key) = state.queue.pop_front() {
                 let Some(slot) = state.map.get(&key) else {
-                    continue; // already gone
+                    continue; // purged while pinned, which debug builds reject
                 };
-                if slot.lru_tick.load(Ordering::Relaxed) != tick {
-                    continue; // stale entry; a fresher one exists
-                }
                 if slot.pins.load(Ordering::Relaxed) != 0 {
+                    slot.queued.store(false, Ordering::Relaxed);
                     continue; // pinned; its next unpin re-queues it
                 }
+                if slot.referenced.swap(false, Ordering::Relaxed) {
+                    state.queue.push_back(key);
+                    continue;
+                }
                 // Eviction-under-pressure fault site: the eviction attempt
-                // fails before the victim leaves the map (its LRU entry is
+                // fails before the victim leaves the map (its entry is
                 // requeued), so the cache stays consistent and the caller
                 // sees a recoverable I/O error. The context is the worker's
                 // storage root, so a plan can target one cache instance.
                 if fault::active() {
                     let ctx = self.inner.fm.root().to_string_lossy();
                     if fault::hit(Site::CacheEvict, &ctx).is_some() {
-                        state.lru.push_front((key, tick));
+                        state.queue.push_front(key);
                         self.inner.fm.counters().add_faults_injected(1);
                         return Err(fault::injected_error(Site::CacheEvict, &ctx));
                     }
@@ -279,10 +293,11 @@ impl BufferCache {
         let prev = slot.pins.fetch_sub(1, Ordering::Relaxed);
         debug_assert!(prev >= 1, "unpin without pin");
         if prev == 1 {
-            let tick = state.next_tick;
-            state.next_tick += 1;
-            slot.lru_tick.store(tick, Ordering::Relaxed);
-            state.lru.push_back((slot.key, tick));
+            if slot.queued.swap(true, Ordering::Relaxed) {
+                slot.referenced.store(true, Ordering::Relaxed);
+            } else {
+                state.queue.push_back(slot.key);
+            }
         }
     }
 
@@ -312,6 +327,9 @@ impl BufferCache {
                 .filter(|k| k.0 == file)
                 .copied()
                 .collect();
+            if !keys.is_empty() {
+                state.queue.retain(|key| key.0 != file);
+            }
             for key in keys {
                 let slot = state.map.remove(&key).expect("listed above");
                 debug_assert_eq!(
@@ -330,7 +348,7 @@ impl BufferCache {
 }
 
 /// A pinned page. The page cannot be evicted while a guard exists; dropping
-/// the guard unpins it and makes it an LRU candidate again.
+/// the guard unpins it and makes it an eviction candidate again.
 pub struct PageGuard {
     cache: BufferCache,
     slot: Arc<PageSlot>,
@@ -541,6 +559,45 @@ mod tests {
             assert_eq!(total, 21, "shares must sum to the budget");
             assert!(c.inner.stripes.iter().all(|s| s.capacity >= 1));
         }
+    }
+
+    #[test]
+    fn repinning_a_resident_page_keeps_one_queue_entry() {
+        let (c, _d) = cache(64);
+        let f = c.file_manager().create().unwrap();
+        let ids: Vec<_> = (0..8).map(|_| c.new_page(f).unwrap().0).collect();
+        for _ in 0..100_000 {
+            drop(c.pin(f, ids[3]).unwrap());
+        }
+        for stripe in &c.inner.stripes {
+            let state = stripe.state.lock();
+            assert!(
+                state.queue.len() <= state.map.len(),
+                "{} queue entries for {} resident pages",
+                state.queue.len(),
+                state.map.len()
+            );
+        }
+        c.purge_file(f, false).unwrap();
+        assert!(c.inner.stripes.iter().all(|s| s.state.lock().queue.is_empty()));
+    }
+
+    #[test]
+    fn a_page_unpinned_again_gets_a_second_chance() {
+        let dir = TempDir::new("cache").unwrap();
+        let fm = FileManager::new(dir.path(), 64, ClusterCounters::new()).unwrap();
+        let c = BufferCache::with_stripes(fm, 8, 1);
+        let f = c.file_manager().create().unwrap();
+        let ids: Vec<_> = (0..8).map(|_| c.new_page(f).unwrap().0).collect();
+        // Queued oldest first; the oldest is then touched again.
+        drop(c.pin(f, ids[0]).unwrap());
+        drop(c.new_page(f).unwrap());
+        let counters = c.file_manager().counters();
+        let misses = counters.cache_misses();
+        drop(c.pin(f, ids[0]).unwrap());
+        assert_eq!(counters.cache_misses(), misses, "the referenced page stays");
+        drop(c.pin(f, ids[1]).unwrap());
+        assert_eq!(counters.cache_misses(), misses + 1, "the next oldest went");
     }
 
     #[test]

@@ -186,10 +186,11 @@ impl LsmBTree {
     /// [`LsmBTree::search`] for the sorted-probe cursors: decode the live
     /// value under `key` into `out` and report whether there is one, with
     /// the same newest-first early exit and bloom gating. `probes` holds one
-    /// pinned-leaf position per disk component (same order as `components`);
+    /// pinned-path position per disk component (same order as `components`);
     /// each sees a subsequence of the caller's keys, so non-decreasing keys
-    /// keep every position's monotonicity invariant and consecutive lookups
-    /// into one component reuse its pinned leaf instead of re-descending.
+    /// keep every position's monotonicity invariant, and a lookup into a
+    /// component is answered from its pinned leaf or descends from the
+    /// lowest pinned page whose range covers the key.
     fn lookup(&self, probes: &mut [LeafPos], key: &[u8], out: &mut Vec<u8>) -> Result<bool> {
         if let Some(entry) = self.mem.get(key) {
             out.clear();
@@ -462,8 +463,8 @@ impl LsmScanner<'_> {
 /// newest-to-oldest with the same early-exit rule as [`LsmBTree::search`].
 /// Components whose bloom filter rejects the key are skipped without being
 /// descended (`bloom_negatives`). Each disk component that *is* consulted
-/// keeps its leaf pinned across probes, so consecutive probes into the same
-/// component reuse it instead of re-descending.
+/// keeps its root-to-leaf path pinned across probes, so a later probe into
+/// the same component starts from the lowest pinned page covering its key.
 pub struct LsmProbeCursor<'a> {
     lsm: &'a LsmBTree,
     /// Per-disk-component positions, same order as `lsm.components`.
@@ -498,7 +499,7 @@ impl LsmProbeCursor<'_> {
 /// borrows the memtable and pins a leaf per component), so `next` never
 /// holds one across calls: it gathers a bounded run of rows ahead of the
 /// position, drops the scan, and serves from the run; writes meanwhile go
-/// straight to the memtable. `seek` keeps one pinned leaf per disk component
+/// straight to the memtable. `seek` keeps one pinned path per disk component
 /// ([`LsmBTree::lookup`]); those pins are dropped before a write flushes the
 /// memtable or merges components.
 pub struct LsmRowCursor<'a> {

@@ -8,8 +8,9 @@
 //! arenas, frames, run buffers — all amortised over many tuples) but not one
 //! per `compute` call. Before the row cursor a call cost about eight. The
 //! same allocator shows that the sender-side fold table is allocated per
-//! job and partition, not per task, and that a run reader past its first
-//! frame decodes every further one into the buffers it already has.
+//! job and partition, not per task, that a run reader past its first frame
+//! decodes every further one into the buffers it already has, and that a
+//! row cursor's sorted seeks past its first allocate nothing.
 
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
@@ -135,4 +136,28 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
             threshold != 0
         );
     }
+
+    // A sorted sparse seek — the left-outer join's probe — allocates nothing
+    // once a row cursor's first seek has sized its buffers: the fences of the
+    // pinned root-to-leaf path live in buffers reused from seek to seek. Every
+    // 37th key of 20 000 on 256-byte pages lands on a new leaf, every third
+    // or so under a new parent.
+    use pregelix::storage::btree::BTree;
+    use pregelix::storage::cache::BufferCache;
+    use pregelix::storage::file::FileManager;
+    let fm = FileManager::new(dir.path().join("seeks"), 256, ClusterCounters::new()).unwrap();
+    let mut tree = BTree::create(BufferCache::new(fm, 4096)).unwrap();
+    let rows = (0..20_000u64).map(|v| (v.to_be_bytes().to_vec(), v.to_le_bytes().to_vec()));
+    tree.bulk_load(rows, 0.9).unwrap();
+    assert!(tree.height() >= 3, "height {}", tree.height());
+    let mut cursor = tree.cursor();
+    assert!(cursor.seek(&0u64.to_be_bytes()).unwrap());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut found = 0;
+    for v in (37..20_000u64).step_by(37) {
+        found += usize::from(cursor.seek(&v.to_be_bytes()).unwrap());
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(found, 20_000 / 37);
+    assert_eq!(allocations, 0, "{found} sorted sparse seeks");
 }
