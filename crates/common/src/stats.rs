@@ -232,6 +232,11 @@ macro_rules! stats_table {
             /// entry, no sorted run) — at once, or read back from a window
             /// spill file.
             counter msgs_folded_direct, add_msgs_folded_direct;
+            /// Inbound message tuples a `msgwrite[p]` task folded into its
+            /// partition's direct-address table slot, source by source, on
+            /// their way into the `Msg` run (no merge heap, no tuple
+            /// combiner).
+            counter msgs_folded_inbound, add_msgs_folded_inbound;
             /// The part of `msgs_folded_direct` that waited in a window spill
             /// file: the destination's slot lies past the table's resident
             /// window, because the whole table is over its share of the

@@ -535,20 +535,27 @@ impl<P: VertexProgram> RunLoop<P> {
             worker.groupby_budget(),
             worker.file_manager().page_size(),
         );
-        // One pooled fold-table slot per partition under
-        // [`SenderFold::Direct`]: tables are allocated by the first
-        // `compute[p]` that needs one and live until the job ends.
-        let fold_slots = match (sender_fold, program.combiner()) {
-            (
-                SenderFold::Direct {
-                    hi,
-                    slots_per_window,
-                    ..
-                },
-                Some(combine),
-            ) => (0..graph.partitions.len())
+        // One pooled fold-table slot per partition for every program that
+        // can fold by address: tables are allocated by the first task that
+        // needs one and live until the job ends. Under
+        // [`SenderFold::Direct`] both ends of the message edge fold into
+        // it. A sender whose table does not fit sorts, but its receiver's
+        // inputs arrive sorted: it folds in windows of what half the budget
+        // holds, one bitmap word at least.
+        let layout = match sender_fold {
+            SenderFold::Direct {
+                slots_per_window, ..
+            } => Some((slots_per_window, true)),
+            SenderFold::SortTableTooLarge { budget_bytes, .. } => {
+                Some((FoldTable::<P::Message>::slots_in(budget_bytes / 2).max(64), false))
+            }
+            SenderFold::SortNoCombiner | SenderFold::SortVariableWidth => None,
+        };
+        let fold_slots = match (layout, program.combiner()) {
+            (Some((window, sender)), Some(combine)) => (0..graph.partitions.len())
                 .map(|_| {
-                    FoldSlot::new(hi as usize, slots_per_window as usize, Arc::clone(&combine))
+                    let (hi, window) = (graph.hi as usize, window as usize);
+                    FoldSlot::new(hi, window, sender, Arc::clone(&combine))
                 })
                 .collect(),
             _ => Vec::new(),

@@ -14,10 +14,11 @@
 //!   mutations (D6), and pre-aggregates the global-state contributions
 //!   (D4, D5 — stage one of §5.3.3).
 //! * **`msgwrite[p]`** — the receiver side of the message-combination
-//!   strategy (Figure 7): one preclustered merge-fold over the senders'
-//!   vid-ordered streams, queued as they arrive (pipelined edge) or sealed
-//!   as runs (merged edge) — the receiver never sorts — materialized as the
-//!   vid-sorted `Msg_{i+1}` partition file (§5.2).
+//!   strategy (Figure 7): one pass over the senders' vid-ordered streams,
+//!   queued as they arrive (pipelined edge) or sealed as runs (merged edge)
+//!   — folded by address into the partition's table where the program
+//!   qualifies, merge-folded otherwise; the receiver never sorts —
+//!   materialized as the vid-sorted `Msg_{i+1}` partition file (§5.2).
 //! * **`mutate[p]`** — receiver-side group-by of mutation tuples by vid +
 //!   the `resolve` UDF, applied to the `Vertex` index (§5.3.3). Runs after
 //!   `compute[p]` releases the partition (mutations take effect in
@@ -65,7 +66,7 @@ use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec, Sched
 use pregelix_storage::btree::BTree;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
-use pregelix_storage::sort::{CombineFn, SortedStream};
+use pregelix_storage::sort::{CombineFn, SortedInput, SortedStream};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -164,10 +165,13 @@ pub(crate) fn msg_tuple_combiner<P: VertexProgram>(program: &Arc<P>) -> CombineF
 /// the one-window case, `window == hi`; [`MsgFold`] is what feeds the
 /// windows past the first.
 ///
-/// A table lives as long as its job: `compute[p]@s` takes it out of the
-/// partition's [`FoldSlot`], leaves it empty again after the last `drain`,
-/// and puts it back, so no superstep pays for `window` slots — only for the
-/// bitmap words and the slots it touched.
+/// A table lives as long as its job and serves both ends of the message
+/// edge: `compute[p]@s` takes it out of the partition's [`FoldSlot`],
+/// leaves it empty again after the last `drain` and puts it back before it
+/// closes the edge; `msgwrite[p]@s`, which reads nothing before every
+/// sender has closed the edge, takes it next to fold the inbound streams
+/// ([`fold_sorted`](Self::fold_sorted)). So no superstep pays for `window`
+/// slots — only for the bitmap words and the slots it touched.
 pub(crate) struct FoldTable<M> {
     hi: usize,
     window: usize,
@@ -240,25 +244,81 @@ impl<M: Clone> FoldTable<M> {
     }
 }
 
-/// Where partition `p`'s [`FoldTable`] rests between its compute tasks.
-/// Owned by the job's `RunLoop`, so partitions re-planned onto another
-/// worker find the same table; a task that fails
-/// never puts its (possibly half-drained) table back, and the next one
-/// starts from a fresh allocation.
+impl<M: Writable> FoldTable<M> {
+    /// Fold `inputs`, each one sender's `vid | count | messages` tuples in
+    /// ascending vid order, and hand `each` one accumulator per vid in
+    /// ascending order. Window by window: a window starts at the smallest
+    /// vid no input has passed and spans `window` vids; every input in
+    /// index order folds its tuples below the window's end, then the window
+    /// drains. Equal vids fold in input order, vids at or above `hi` and
+    /// sparse vids need no other path, and since the inputs are sorted
+    /// nothing waits past its window. Returns the tuples folded.
+    fn fold_sorted(
+        &mut self,
+        inputs: &mut [SortedInput],
+        mut each: impl FnMut(Vid, &M) -> Result<()>,
+    ) -> Result<u64> {
+        let mut folded = 0;
+        loop {
+            let mut base = None;
+            for t in inputs.iter().filter_map(SortedInput::current) {
+                let vid = tuple_vid(t)?;
+                base = Some(base.map_or(vid, |b: Vid| b.min(vid)));
+            }
+            let Some(base) = base else { return Ok(folded) };
+            let end = base.saturating_add(self.window as Vid);
+            for input in inputs.iter_mut() {
+                while let Some(t) = input.current() {
+                    let vid = tuple_vid(t)?;
+                    if vid >= end {
+                        break;
+                    }
+                    let slot = vid
+                        .checked_sub(base)
+                        .ok_or_else(|| PregelixError::corrupt("inbound stream out of vid order"))?;
+                    let count = t.get(MSG_COUNT).map_or(0, |c| {
+                        u32::from_le_bytes(c.try_into().expect("4-byte count"))
+                    });
+                    if count == 0 {
+                        return Err(PregelixError::corrupt(
+                            "message tuple shorter than its key, count and message",
+                        ));
+                    }
+                    let mut list = &t[MSG_COUNT.end..];
+                    for _ in 0..count {
+                        self.fold(slot as usize, M::read(&mut list)?);
+                    }
+                    folded += 1;
+                    input.advance()?;
+                }
+            }
+            self.drain(base, &mut each)?;
+        }
+    }
+}
+
+/// Where partition `p`'s [`FoldTable`] rests between its tasks. Owned by
+/// the job's `RunLoop`, so partitions re-planned onto another worker find
+/// the same table; a task that fails never puts its (possibly half-drained)
+/// table back, and the next one starts from a fresh allocation.
 pub(crate) struct FoldSlot<M> {
     hi: usize,
     window: usize,
+    /// Whether `compute[p]` folds into the table too, or only `msgwrite[p]`
+    /// does (the sender's table would not fit in windows: it sorts).
+    sender: bool,
     combine: MessageCombiner<M>,
     table: Mutex<Option<FoldTable<M>>>,
 }
 
 impl<M: Clone> FoldSlot<M> {
     /// A slot for tables over the vids below `hi`, `window` of them
-    /// resident at a time.
-    pub(crate) fn new(hi: usize, window: usize, combine: MessageCombiner<M>) -> Self {
+    /// resident at a time, used by the sender too when `sender` says so.
+    pub(crate) fn new(hi: usize, window: usize, sender: bool, combine: MessageCombiner<M>) -> Self {
         FoldSlot {
             hi,
             window: window.min(hi),
+            sender,
             combine,
             table: Mutex::new(None),
         }
@@ -558,8 +618,9 @@ pub(crate) struct SuperstepPlan<P: VertexProgram> {
     job: JobId,
     /// The job's plan hints: `join` may still be Adaptive.
     config: PlanConfig,
-    /// One pooled [`FoldTable`] slot per partition when the job's messages
-    /// fold by direct address, empty otherwise.
+    /// One pooled [`FoldTable`] slot per partition when the program's
+    /// messages can fold by address (a combiner, a fixed width), empty
+    /// otherwise.
     fold_slots: Arc<[FoldSlot<P::Message>]>,
     /// Whether `compute` tees its outbound edges into the message log.
     logged: bool,
@@ -1155,7 +1216,7 @@ fn compute_task<P: VertexProgram>(
     let msg_tx = msg_out.open(w, &exec.schedule)?;
     let fold = msg_tx.as_ref().map(|_| {
         MsgFold::new(
-            exec.fold_slots.get(p).map(FoldSlot::take),
+            exec.fold_slots.get(p).filter(|s| s.sender).map(FoldSlot::take),
             exec.config.groupby.kind(),
             w.file_manager(),
             w.groupby_budget(),
@@ -1194,7 +1255,9 @@ fn compute_task<P: VertexProgram>(
 
     // Drain the sender-side combine into the message edge, tee-ing every
     // post-combine tuple into the message log (bucketed by the same hash
-    // the connector routes with) when the job checkpoints.
+    // the connector routes with) when the job checkpoints. The emptied
+    // table goes back before the edge closes: `msgwrite[p]` takes it once
+    // every sender has closed, so it always finds the table pooled.
     if let (Some(fold), Some(mut tx)) = (side.fold.take(), msg_tx) {
         let mut sent = 0u64;
         let table = fold.drain(|t| {
@@ -1207,10 +1270,10 @@ fn compute_task<P: VertexProgram>(
             }
             tx.send(t)
         })?;
-        tx.finish()?;
         if let (Some(slot), Some(table)) = (exec.fold_slots.get(p), table) {
             slot.put_back(table);
         }
+        tx.finish()?;
     }
 
     // Rebuild the Vid index (LOJ/adaptive plans): flow D11/D12 bulk loads
@@ -1379,15 +1442,19 @@ pub(crate) fn msg_run_path(root: &Path, job_tag: &str, p: usize, fed: Superstep)
     root.join(format!("msg-{job_tag}-p{p}-{}.run", fed % 2))
 }
 
-/// `msgwrite[p]`: merge-folds its inbound message edge into the
-/// `Msg_{s+1}` run, which the commit step installs. Every source of that
-/// edge — a stream of the pipelined connector, a run of the merging one, a
-/// logged section in replay — carries one sender's combined tuples in
-/// ascending vid order, so nothing here sorts: one merge ([`SortedStream`])
-/// folds equal vids in (vid, tuple bytes, source) order on every edge kind,
-/// live or replayed. The run is created on the first message, so
-/// message-free supersteps (common near convergence) cost no file I/O, and
-/// buffered, so small message sets never touch disk.
+/// `msgwrite[p]`: folds its inbound message edge into the `Msg_{s+1}` run,
+/// which the commit step installs. Every source of that edge — a stream of
+/// the pipelined connector, a run of the merging one, a logged section in
+/// replay — carries one sender's combined tuples in ascending vid order, so
+/// nothing here sorts. Where the program qualifies for a [`FoldTable`]
+/// (a combiner and a fixed-width message), the sources fold by address
+/// into the partition's table, source by source, window by window
+/// ([`FoldTable::fold_sorted`]): equal vids fold in source-index order on
+/// every edge kind, live or replayed, at every RAM size. Otherwise one
+/// merge ([`SortedStream`]) folds them in (vid, tuple bytes, source) order.
+/// The run is created on the first message, so message-free supersteps
+/// (common near convergence) cost no file I/O, and buffered, so small
+/// message sets never touch disk.
 fn msgwrite_task<P: VertexProgram>(
     w: &WorkerHandle,
     exec: &Exec<P>,
@@ -1406,21 +1473,23 @@ fn msgwrite_task<P: VertexProgram>(
             return Err(fault::injected_error(Site::Stall, &ctx));
         }
     }
-    let combiner = Some(msg_tuple_combiner(&exec.program));
-    let mut stream = match inbound {
+    // The edge's sources in source-index order, and the runs behind them.
+    let (mut inputs, runs) = match inbound {
         // The merging connector: one sealed run per sender.
         Inbound::Merged(ins) => {
-            MergingReceiver::new(ins, w.counters().clone()).into_stream(combiner)?
+            let runs = MergingReceiver::new(ins, w.counters().clone()).into_runs()?;
+            let inputs = runs.iter().map(|run| SortedInput::run(run, w.counters().clone()));
+            (inputs.collect::<Result<Vec<_>>>()?, runs)
         }
         // The pipelined connector: every frame is queued by refcount on
-        // its stream, then the queues merge. The blocking rule: frames are
-        // taken from whichever stream has one, and every stream is drained
-        // to its `Fin` before the merge starts, so this task never waits on
-        // one sender while another is held up on a full bounded channel —
-        // the merge deadlock §5.3.1's materializing connector exists to
-        // avoid. Under sequential-timed execution every frame is already
-        // queued on an unbounded channel before this task runs, so holding
-        // them here adds no bytes.
+        // its stream. The blocking rule: frames are taken from whichever
+        // stream has one, and every stream is drained to its `Fin` before
+        // any is read, so this task never waits on one sender while another
+        // is held up on a full bounded channel — the merge deadlock
+        // §5.3.1's materializing connector exists to avoid. Under
+        // sequential-timed execution every frame is already queued on an
+        // unbounded channel before this task runs, so holding them here
+        // adds no bytes.
         Inbound::Pipelined(ins) => {
             let mut queues = vec![Vec::new(); ins.len()];
             let mut rx = ReliableReceiver::new(ins, w.counters().clone());
@@ -1428,17 +1497,18 @@ fn msgwrite_task<P: VertexProgram>(
                 w.check_alive()?;
                 queues[stream].push(frame);
             }
-            SortedStream::from_frames(queues, combiner)
+            (queues.into_iter().map(SortedInput::frames).collect(), Vec::new())
         }
         // Replay: each source's logged section is its stream, whole.
         Inbound::Logged(sections) => {
             w.counters().add_log_runs_replayed(sections.len() as u64);
-            SortedStream::from_frames(sections.into_iter().map(|s| vec![s]).collect(), combiner)
+            let inputs = sections.into_iter().map(|s| SortedInput::frames(vec![s]));
+            (inputs.collect(), Vec::new())
         }
     };
     let path = msg_run_path(w.file_manager().root(), job_tag, p, superstep + 1);
     let (mut run, mut combined) = (None, 0u64);
-    while let Some(t) = stream.next_tuple()? {
+    let mut write = |t: &[u8]| {
         if combined.is_multiple_of(4096) {
             w.check_alive()?;
         }
@@ -1446,7 +1516,27 @@ fn msgwrite_task<P: VertexProgram>(
         run.get_or_insert_with(|| {
             RunWriter::create_buffered(&path, w.counters().clone(), 8 * w.frame_bytes())
         })
-        .write_tuple(t)?;
+        .write_tuple(t)
+    };
+    // A table over an empty graph has no slot to fold into.
+    match exec.fold_slots.get(p).filter(|slot| slot.window > 0) {
+        Some(slot) => {
+            let mut table = slot.take();
+            let mut scratch = Vec::new();
+            let folded = table.fold_sorted(&mut inputs, |vid, m| {
+                encode_msg_tuple(&mut scratch, vid, m);
+                write(&scratch)
+            })?;
+            slot.put_back(table);
+            w.counters().add_msgs_folded_inbound(folded);
+        }
+        None => {
+            let combiner = Some(msg_tuple_combiner(&exec.program));
+            let mut stream = SortedStream::from_inputs(inputs, runs, combiner);
+            while let Some(t) = stream.next_tuple()? {
+                write(t)?;
+            }
+        }
     }
     let run = run.map(|run| run.finish().map(TempRun::from)).transpose()?;
     *exec.next_msgs[p].lock() = (run, combined);
@@ -1628,6 +1718,7 @@ mod tests {
     use super::*;
     use crate::api::{tests_support::NoopProgram, MessageCombiner};
     use crate::vertex::{decode_msg_list, encode_msg_list};
+    use pregelix_common::frame::Frame;
     use pregelix_dataflow::groupby::{GroupByKind, TupleCombiner};
     use pregelix_storage::file::{FileManager, TempDir};
 
@@ -1885,7 +1976,8 @@ mod tests {
             windows.retain(|w| *w > 0 || hi == 0);
             windows.dedup();
             for window in windows {
-                let slot = FoldSlot::new(hi as usize, window as usize, program.combiner().unwrap());
+                let slot =
+                    FoldSlot::new(hi as usize, window as usize, true, program.combiner().unwrap());
                 assert_eq!(slot.window as Vid, window.min(hi));
                 for (superstep, n) in [(1u64, 4000), (2, 40), (3, 900)] {
                     let stream = scrambled(hi * 31 + superstep, n, span, hi, msg);
@@ -1925,7 +2017,7 @@ mod tests {
     #[test]
     fn failed_fold_leaves_the_slot_empty_and_the_next_table_clean() {
         let program = Arc::new(Folding::<u64>(|a, b| *a.min(b)));
-        let slot = FoldSlot::new(100, 100, program.combiner().unwrap());
+        let slot = FoldSlot::new(100, 100, true, program.combiner().unwrap());
         let (fm, dir) = fresh_fm();
         drop(dir); // the sorter's first spill has nowhere to go
         let mut fold = MsgFold::<Folding<u64>>::new(
@@ -1964,7 +2056,7 @@ mod tests {
     fn failed_windowed_fold_leaves_no_spill_file_and_an_empty_slot() {
         use pregelix_common::fault::{Fault, FaultPlan};
         let program = Arc::new(Folding::<u64>(|a, b| *a.min(b)));
-        let slot = FoldSlot::new(1000, 128, program.combiner().unwrap());
+        let slot = FoldSlot::new(1000, 128, true, program.combiner().unwrap());
         let stream: Vec<(Vid, u64)> = (0..20_000u64).map(|i| (i * 7 % 1000, i)).collect();
         let chaos = fault::exclusive();
         for (site, nth) in [(Site::RunWrite, 9), (Site::RunRead, 5)] {
@@ -2002,6 +2094,91 @@ mod tests {
                 "{site:?}"
             );
         }
+    }
+
+    /// Four sorted inputs with shared, sparse and out-of-range vids, cut
+    /// into frames of three tuples: whatever the window, every vid comes out
+    /// once, ascending, folded in input order.
+    #[test]
+    fn fold_sorted_folds_every_vid_in_input_order() {
+        let program = Arc::new(Folding::<f64>(|a, b| a + b));
+        let streams: Vec<Vec<(Vid, f64)>> = (0..4u64)
+            .map(|i| {
+                let vids = (0..300).map(|k| k * (i + 2) % 997).chain([5_000 + i, 10_000]);
+                let mut vids: Vec<Vid> = vids.collect();
+                vids.sort_unstable();
+                vids.dedup();
+                vids.into_iter().map(|v| (v, (v * 31 + i) as f64 * 1e15 + 0.5)).collect()
+            })
+            .collect();
+        let mut want: BTreeMap<Vid, f64> = BTreeMap::new();
+        for stream in &streams {
+            for &(v, m) in stream {
+                want.entry(v).and_modify(|acc| *acc += m).or_insert(m);
+            }
+        }
+        for window in [64, 128, 1000] {
+            let slot = FoldSlot::new(1000, window, true, program.combiner().unwrap());
+            let mut inputs: Vec<SortedInput> = streams
+                .iter()
+                .map(|stream| {
+                    let frames = stream.chunks(3).map(|chunk| {
+                        let mut frame = Frame::with_capacity(1 << 10);
+                        for &(v, m) in chunk {
+                            assert!(frame.try_append(&keyed_tuple(v, &encode_msg_list(&[m]))));
+                        }
+                        frame.freeze_standalone()
+                    });
+                    SortedInput::frames(frames.collect())
+                })
+                .collect();
+            let mut table = slot.take();
+            let mut got = Vec::new();
+            let folded = table
+                .fold_sorted(&mut inputs, |v, m| {
+                    got.push((v, m.to_bits()));
+                    Ok(())
+                })
+                .unwrap();
+            assert_eq!(folded, streams.iter().map(Vec::len).sum::<usize>() as u64);
+            let want: Vec<(Vid, u64)> = want.iter().map(|(v, m)| (*v, m.to_bits())).collect();
+            assert_eq!(got, want, "window {window}");
+            assert!(table.present.iter().all(|w| *w == 0), "drained empty");
+        }
+    }
+
+    /// A receiver folding by address refuses an inbound tuple shorter than
+    /// its key, count and message — or one that claims no message — with a
+    /// typed `Corrupt`, where the merge's tuple combiner would panic.
+    #[test]
+    fn a_truncated_inbound_tuple_is_corrupt_not_a_panic() {
+        let program = Arc::new(Folding::<u64>(|a, b| *a.min(b)));
+        let slot = FoldSlot::new(100, 100, true, program.combiner().unwrap());
+        let whole = keyed_tuple(3, &encode_msg_list(&[7u64]));
+        let empty = keyed_tuple(3, &0u32.to_le_bytes());
+        let mut bad: Vec<&[u8]> = [4, 8, 11, 12, 19].map(|cut| &whole[..cut]).to_vec();
+        bad.push(&empty);
+        for tuple in bad {
+            let mut frame = Frame::with_capacity(1 << 10);
+            assert!(frame.try_append(tuple));
+            let mut inputs = [SortedInput::frames(vec![frame.freeze_standalone()])];
+            let got = slot.take().fold_sorted(&mut inputs, |_, _| Ok(()));
+            assert!(
+                matches!(got, Err(PregelixError::Corrupt(_))),
+                "{} bytes: {got:?}",
+                tuple.len()
+            );
+        }
+        // The whole tuple folds.
+        let mut frame = Frame::with_capacity(1 << 10);
+        assert!(frame.try_append(&whole));
+        let mut inputs = [SortedInput::frames(vec![frame.freeze_standalone()])];
+        let mut out = Vec::new();
+        let folded = slot.take().fold_sorted(&mut inputs, |vid, m| {
+            out.push((vid, *m));
+            Ok(())
+        });
+        assert_eq!((folded.unwrap(), out), (1, vec![(3, 7)]));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   ([`ReliableReceiver::next_stream_frame`]), so it sees each sender's
 //!   tuples in the order that sender emitted them. A sender that emits in
 //!   vid order leaves its receiver nothing to re-group: the receiver queues
-//!   each stream's frames and merges the queues
-//!   ([`SortedStream::from_frames`]).
+//!   each stream's frames and reads each queue as one sorted input
+//!   ([`pregelix_storage::sort::SortedInput`]).
 //! * **m-to-n partitioning merging connector** ([`MaterializedPartitioner`]
 //!   / [`MergingReceiver`]): senders emit *sorted* streams, written to
 //!   per-receiver run files — the *sender-side materializing pipelined*
@@ -398,13 +398,20 @@ impl MergingReceiver {
     /// Block until every sender delivers its run, then merge. An optional
     /// combiner collapses equal-vid tuples during the merge (the
     /// preclustered group-by of the lower Figure 7 strategies).
+    pub fn into_stream(self, combiner: Option<CombineFn>) -> Result<SortedStream> {
+        let counters = self.counters.clone();
+        SortedStream::from_parts(Vec::new(), self.into_runs()?, combiner, counters)
+    }
+
+    /// Block until every sender delivers its run, and hand the runs over in
+    /// sender order, for a receiver that reads them itself.
     ///
     /// A handle the wire lost is recovered from the pair's control plane
     /// (counted as a retransmission); a wire-duplicated echo is discarded
     /// (counted as a dedup). Only a sender that disconnects *without*
     /// delivering by either path — a genuine task failure — surfaces as an
     /// error.
-    pub fn into_stream(self, combiner: Option<CombineFn>) -> Result<SortedStream> {
+    pub fn into_runs(self) -> Result<Vec<TempRun>> {
         let mut runs = Vec::with_capacity(self.ins.len());
         for pair in &self.ins {
             let handle = match pair.rx.recv() {
@@ -434,7 +441,7 @@ impl MergingReceiver {
             }
             runs.push(handle);
         }
-        SortedStream::from_parts(Vec::new(), runs, combiner, self.counters)
+        Ok(runs)
     }
 }
 

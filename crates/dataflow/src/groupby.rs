@@ -17,8 +17,9 @@
 //! either the fully pipelined partitioning connector or the merging
 //! connector. The paper re-groups at the receiver of the pipelined one;
 //! here every sender's stream already arrives vid-ordered, so both
-//! receivers end in the same one-pass preclustered merge — over queued
-//! frames or over the senders' runs.
+//! receivers end in the same one pass over queued frames or the senders'
+//! runs: a fold by address where the program allows it
+//! (`core::superstep`), the preclustered merge otherwise.
 //!
 //! Every operator here combines through one shape, the in-place fold
 //! [`CombineFn`] (see its contract in `storage::sort`).

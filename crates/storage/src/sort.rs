@@ -29,10 +29,12 @@
 //! consumer instead of handing out owned vectors.
 //!
 //! The same merge serves input that is already sorted per source and never
-//! passes through a sorter: the merging connector's sender runs
-//! ([`SortedStream::from_parts`]) and a receiver's queued streams of frames
-//! ([`SortedStream::from_frames`]). Whatever the sources, equal keys fold in
-//! one order: (key, tuple bytes, source index).
+//! passes through a sorter ([`SortedInput`]: the merging connector's sender
+//! runs, a receiver's queued streams of frames). At a receiver it serves
+//! only programs that cannot fold by address (no combiner, or messages of
+//! no fixed width); an eligible receiver walks the same inputs itself.
+//! Whatever the sources, the merge folds equal keys in one order: (key,
+//! tuple bytes, source index).
 //!
 //! An optional *combiner* ([`CombineFn`]) folds adjacent equal-key tuples
 //! into one accumulator in **both** the in-memory phase and the merge phase,
@@ -48,6 +50,7 @@ use crate::runfile::{RunReader, RunWriter, TempRun};
 use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
 use pregelix_common::frame::{key_prefix, SharedFrame};
+use pregelix_common::stats::ClusterCounters;
 use std::cmp::Ordering;
 use std::ops::Range;
 
@@ -327,15 +330,6 @@ enum Source {
 }
 
 impl Source {
-    /// Position on the first tuple; `false` if there is none.
-    fn prime(&mut self) -> Result<bool> {
-        Ok(match self {
-            Source::Run(reader) => reader.advance()?,
-            Source::Memory { refs, .. } => !refs.is_empty(),
-            Source::Queue(_) => true,
-        })
-    }
-
     /// The current tuple of a live source.
     fn current(&self) -> &[u8] {
         match self {
@@ -355,6 +349,42 @@ impl Source {
             }
             Source::Queue(q) => q.advance(),
         })
+    }
+}
+
+/// One input already in ascending byte order, read in place and positioned
+/// on its current tuple: a sealed run, or frames queued in stream order
+/// (one stream of a pipelined connector, one sender's logged section). No
+/// tuple is copied; a queue releases each frame once it is past its last
+/// tuple. [`SortedStream::from_inputs`] merges several; a consumer that
+/// folds by key instead walks each one in turn.
+pub struct SortedInput(Option<Source>);
+
+impl SortedInput {
+    /// Frames in stream order, each holding tuples in ascending order.
+    pub fn frames(frames: Vec<SharedFrame>) -> SortedInput {
+        SortedInput(FrameQueue::new(frames).map(Source::Queue))
+    }
+
+    /// A sealed sorted run. The run must outlive the input.
+    pub fn run(run: &TempRun, counters: ClusterCounters) -> Result<SortedInput> {
+        let mut reader = run.open(counters)?;
+        Ok(SortedInput(reader.advance()?.then_some(Source::Run(reader))))
+    }
+
+    /// The current tuple; `None` once the input is exhausted.
+    pub fn current(&self) -> Option<&[u8]> {
+        self.0.as_ref().map(Source::current)
+    }
+
+    /// Move past the current tuple.
+    pub fn advance(&mut self) -> Result<()> {
+        if let Some(source) = self.0.as_mut() {
+            if !source.advance()? {
+                self.0 = None;
+            }
+        }
+        Ok(())
     }
 }
 
@@ -393,7 +423,7 @@ impl SortedStream {
         memory: Vec<Vec<u8>>,
         runs: Vec<TempRun>,
         combiner: Option<CombineFn>,
-        counters: pregelix_common::stats::ClusterCounters,
+        counters: ClusterCounters,
     ) -> Result<SortedStream> {
         let mut arena = TupleArena::with_counters(DEFAULT_ARENA_CHUNK_BYTES, counters.clone());
         let memory_refs: Vec<TupleRef> = memory.iter().map(|t| arena.append(t)).collect();
@@ -411,58 +441,48 @@ impl SortedStream {
         refs: Vec<TupleRef>,
         runs: Vec<TempRun>,
         combiner: Option<CombineFn>,
-        counters: pregelix_common::stats::ClusterCounters,
+        counters: ClusterCounters,
     ) -> Result<SortedStream> {
         debug_assert!(
             refs.windows(2).all(|w| arena.get(w[0]) <= arena.get(w[1])),
             "memory refs not sorted"
         );
-        let mut sources = Vec::with_capacity(runs.len() + 1);
+        let mut inputs = Vec::with_capacity(runs.len() + 1);
         for run in &runs {
-            sources.push(Source::Run(run.open(counters.clone())?));
+            inputs.push(SortedInput::run(run, counters.clone())?);
         }
-        sources.push(Source::Memory {
+        let memory = (!refs.is_empty()).then_some(Source::Memory {
             arena,
             refs,
             pos: 0,
         });
-        Self::merge(sources, runs, combiner)
+        inputs.push(SortedInput(memory));
+        Ok(Self::from_inputs(inputs, runs, combiner))
     }
 
-    /// Merge frame queues, each one source's frames in stream order with
-    /// its tuples in ascending vid order: how a receiver combines
+    /// Merge `inputs`, ties broken by their index: how a receiver combines
     /// what its senders emitted vid-ordered (a pipelined connector's
-    /// streams, a replay's logged sections) without sorting it again.
-    pub fn from_frames(queues: Vec<Vec<SharedFrame>>, combiner: Option<CombineFn>) -> SortedStream {
-        let sources = queues.into_iter().filter_map(FrameQueue::new).map(Source::Queue);
-        Self::merge(sources.collect(), Vec::new(), combiner)
-            .expect("priming frame queues reads no run")
-    }
-
-    /// Seat every source's first tuple in the heap.
-    fn merge(
-        mut sources: Vec<Source>,
+    /// streams, the merging connector's runs, a replay's logged sections)
+    /// without sorting it again. `runs` are the files behind run inputs,
+    /// deleted with the stream.
+    pub fn from_inputs(
+        inputs: Vec<SortedInput>,
         runs: Vec<TempRun>,
         combiner: Option<CombineFn>,
-    ) -> Result<SortedStream> {
-        let mut live = Vec::with_capacity(sources.len());
-        for (i, source) in sources.iter_mut().enumerate() {
-            if source.prime()? {
-                live.push(i);
-            }
-        }
+    ) -> SortedStream {
+        let sources: Vec<Source> = inputs.into_iter().filter_map(|i| i.0).collect();
         let mut stream = SortedStream {
+            heap: Vec::with_capacity(sources.len()),
             sources,
-            heap: Vec::with_capacity(live.len()),
             root_consumed: false,
             _runs: runs,
             combiner,
             acc: Vec::new(),
         };
-        for s in live {
+        for s in 0..stream.sources.len() {
             stream.heap_push(s);
         }
-        Ok(stream)
+        stream
     }
 
     /// Strict ordering of two heap entries by (merge key, current tuple,
@@ -750,10 +770,16 @@ mod tests {
                 }
                 frames
             });
-            let queued = SortedStream::from_frames(queues.collect(), Some(concat_fold()));
+            let inputs = queues.map(SortedInput::frames).collect();
+            let queued = SortedStream::from_inputs(inputs, Vec::new(), Some(concat_fold()));
             assert_eq!(queued.collect_all().unwrap(), folded, "{per_frame} per frame");
         }
-        let none = SortedStream::from_frames(vec![Vec::new(), vec![SharedFrame::empty()]], None);
+        let empty = vec![Vec::new(), vec![SharedFrame::empty()]];
+        let none = SortedStream::from_inputs(
+            empty.into_iter().map(SortedInput::frames).collect(),
+            Vec::new(),
+            None,
+        );
         assert!(none.collect_all().unwrap().is_empty());
     }
 

@@ -1,10 +1,13 @@
-//! The receiver merges, it never sorts: `msgwrite[p]` folds the senders'
-//! vid-ordered streams in one order fixed by construction — (vid, tuple
-//! bytes, source index) — whichever sender's frames arrive first, and it
-//! drains every stream to its end without waiting on any one of them, so
-//! bounded channels cannot deadlock the merge.
+//! The receiver folds by address, it never sorts: `msgwrite[p]` folds the
+//! senders' vid-ordered streams into its partition's table source by
+//! source, so ties fold in one order fixed by construction — source index
+//! — whichever sender's frames arrive first, whichever connector carries
+//! them, and in a confined replay from the message logs. It drains every
+//! stream to its end before it reads any, so bounded channels cannot
+//! deadlock it.
 
 use pregelix::common::error::Result;
+use pregelix::common::fault::{self, Fault, FaultPlan, Site};
 use pregelix::common::hash_partition;
 use pregelix::dataflow::connector::CHANNEL_FRAMES;
 use pregelix::graphgen::webmap;
@@ -70,9 +73,23 @@ impl VertexProgram for LateSender {
     }
 }
 
-/// The target's value after one run of [`LateSender`], with a checkpoint
-/// every superstep so that every `compute` task logs what it sent.
-fn late_sum(late: Option<usize>, run: usize) -> f64 {
+/// How one run of [`LateSender`] is set up.
+#[derive(Clone, Copy)]
+struct Case {
+    /// The partition whose sender finishes last, on a threaded cluster;
+    /// `None` runs the tasks one after another.
+    late: Option<usize>,
+    groupby: GroupByStrategy,
+    /// Kill the target's worker at the barrier before superstep 2, so that
+    /// superstep 1 is replayed from the initial checkpoint and the logs.
+    kill_target: bool,
+}
+
+/// The target's value after one run of [`LateSender`], with a message log
+/// written every superstep: a checkpoint every superstep, or — when the
+/// target's worker is killed — every second one, so that only the initial
+/// checkpoint precedes the death.
+fn late_sum(case: Case, run: usize) -> f64 {
     // The first vid of every partition sends; the next vid after them all
     // receives.
     let senders: Vec<Vid> = (0..PARTS)
@@ -85,7 +102,7 @@ fn late_sum(late: Option<usize>, run: usize) -> f64 {
         .map(|&v| (v, Vec::new()))
         .collect();
     let config = ClusterConfig::new(PARTS, 8 << 20);
-    let config = if late.is_some() {
+    let config = if case.late.is_some() || case.kill_target {
         config
     } else {
         config.sequential_timed()
@@ -96,24 +113,62 @@ fn late_sum(late: Option<usize>, run: usize) -> f64 {
         cluster: Arc::clone(&cluster),
         job: job.clone(),
         target,
-        late,
+        late: case.late,
     });
-    let job = PregelixJob::new(job).with_checkpoint_interval(1);
+    let plan = PlanConfig {
+        groupby: case.groupby,
+        ..PlanConfig::default()
+    };
+    let interval = if case.kill_target { 2 } else { 1 };
+    let job = PregelixJob::new(job)
+        .with_plan(plan)
+        .with_checkpoint_interval(interval);
+    let chaos = fault::exclusive();
+    let faults = case.kill_target.then(|| {
+        let worker = hash_partition(target, PARTS);
+        chaos.install(FaultPlan::new().on(Site::Barrier, "2", 1, Fault::FailWorker(worker)))
+    });
     let (summary, graph) = run_job_from_records(&cluster, &program, &job, records).unwrap();
-    assert_eq!(summary.stats.messages_sent, PARTS as u64);
+    if let Some(faults) = faults {
+        assert_eq!(faults.injected(), 1);
+        assert_eq!(summary.recoveries, 1);
+        assert_eq!(summary.stats.confined_recoveries, 1);
+        assert_eq!(summary.stats.confined_fallbacks, 0);
+        assert!(summary.stats.log_runs_replayed > 0, "superstep 1 was replayed");
+        chaos.clear();
+    }
+    drop(chaos);
+    // The replay re-runs the target's partition, whose sender sends again.
+    let resent = u64::from(case.kill_target);
+    assert_eq!(summary.stats.messages_sent, PARTS as u64 + resent);
+    assert!(summary.stats.msgs_folded_inbound >= PARTS as u64);
     let vertices = graph.collect_vertices::<LateSender>().unwrap();
     vertices.iter().find(|v| v.vid == target).unwrap().value
 }
 
-/// Four senders' ties at one vid fold by their bytes — 1.0, 1.0, 1e16,
-/// -1e16, so the sum is 2.0 — whichever sender finishes last. Folded in
-/// arrival order, the same four give 0.0 or 1.0 for most orders.
+/// Source-index order over the four contributions `1e16, 1, -1e16, 1`:
+/// `((1e16 + 1) - 1e16) + 1 = (1e16 - 1e16) + 1 = 1.0`, since `1e16 + 1`
+/// rounds back to `1e16`. Folded in arrival order, the same four give 0.0,
+/// 1.0 or 2.0 depending on which sender comes last.
+const SOURCE_ORDER_SUM: f64 = 1.0;
+
+fn case(late: Option<usize>, groupby: GroupByStrategy) -> Case {
+    Case {
+        late,
+        groupby,
+        kill_target: false,
+    }
+}
+
+/// Four senders' ties at one vid fold in source order whichever sender
+/// finishes last.
 #[test]
-fn ties_fold_by_their_bytes_whichever_sender_finishes_last() {
-    let sequential = late_sum(None, 0);
-    assert_eq!(sequential.to_bits(), 2.0f64.to_bits());
+fn ties_fold_in_source_order_whichever_sender_finishes_last() {
+    let sequential = late_sum(case(None, GroupByStrategy::SortUnmerged), 0);
+    assert_eq!(sequential.to_bits(), SOURCE_ORDER_SUM.to_bits());
     for run in 0..2 * PARTS {
-        let threaded = late_sum(Some(run % PARTS), run + 1);
+        let late = case(Some(run % PARTS), GroupByStrategy::SortUnmerged);
+        let threaded = late_sum(late, run + 1);
         assert_eq!(
             threaded.to_bits(),
             sequential.to_bits(),
@@ -121,6 +176,38 @@ fn ties_fold_by_their_bytes_whichever_sender_finishes_last() {
             run % PARTS
         );
     }
+}
+
+/// The same ties behind the merging connector, whose receiver reads one
+/// sealed run per sender: the same bits, whichever sender finishes last.
+#[test]
+fn ties_fold_in_source_order_behind_the_merging_connector() {
+    let sequential = late_sum(case(None, GroupByStrategy::SortMerged), 100);
+    assert_eq!(sequential.to_bits(), SOURCE_ORDER_SUM.to_bits());
+    for late in 0..PARTS {
+        let threaded = late_sum(case(Some(late), GroupByStrategy::SortMerged), 101 + late);
+        assert_eq!(
+            threaded.to_bits(),
+            sequential.to_bits(),
+            "sender {late} last gives {threaded}"
+        );
+    }
+}
+
+/// The target's worker dies at the barrier after superstep 1, the initial
+/// checkpoint is the only one, and the replayed `msgwrite` folds the four
+/// logged sections: the same bits.
+#[test]
+fn ties_fold_in_source_order_in_a_confined_replay() {
+    let replayed = late_sum(
+        Case {
+            late: None,
+            groupby: GroupByStrategy::SortUnmerged,
+            kill_target: true,
+        },
+        200,
+    );
+    assert_eq!(replayed.to_bits(), SOURCE_ORDER_SUM.to_bits());
 }
 
 /// PageRank over `records` on four workers with 512-byte frames: its values
@@ -153,6 +240,8 @@ fn small_frame_pagerank(records: &[(Vid, Vec<(Vid, f64)>)], threaded: bool) -> (
 /// the sequential run's values to the bit.
 #[test]
 fn bounded_channels_cannot_deadlock_the_receiver_merge() {
+    // Another test of this suite kills a worker at a barrier.
+    let _chaos = fault::exclusive();
     let records = webmap::webmap(15, 8.0, 71);
     // A PageRank message tuple is 20 bytes (key, count, f64): 25 fit a
     // 512-byte frame. One combined tuple per sender and destination.

@@ -7,10 +7,11 @@
 //! the graph may add heap allocations for the messages it doubles (sort
 //! arenas, frames, run buffers — all amortised over many tuples) but not one
 //! per `compute` call. Before the row cursor a call cost about eight. The
-//! same allocator shows that the sender-side fold table is allocated per
-//! job and partition, not per task, that a run reader past its first frame
-//! decodes every further one into the buffers it already has, and that a
-//! row cursor's sorted seeks past its first allocate nothing.
+//! same allocator shows that the fold table is allocated per job and
+//! partition, not per task, and shared by both ends of the message edge,
+//! that a run reader past its first frame decodes every further one into
+//! the buffers it already has, and that a row cursor's sorted seeks past
+//! its first allocate nothing.
 
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
@@ -59,7 +60,15 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Heap allocations and `compute` calls of the run phase alone (the load
 /// before it allocates per input record by design).
 fn run_phase(records: Vec<(Vid, Vec<(Vid, f64)>)>, iterations: u64) -> (u64, u64) {
-    let cluster = Cluster::new(ClusterConfig::new(2, 32 << 20).sequential_timed()).unwrap();
+    run_phase_on(ClusterConfig::new(2, 32 << 20).sequential_timed(), records, iterations)
+}
+
+fn run_phase_on(
+    config: ClusterConfig,
+    records: Vec<(Vid, Vec<(Vid, f64)>)>,
+    iterations: u64,
+) -> (u64, u64) {
+    let cluster = Cluster::new(config).unwrap();
     let job = PregelixJob::new(format!("allocs-{}-{iterations}", records.len()));
     let program = Arc::new(PageRank::new(iterations));
     let mut graph = LoadedGraph::load_from_records(&cluster, &program, &job, records).unwrap();
@@ -84,11 +93,13 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
          {large_calls}: {per_call:.2} per extra call"
     );
 
-    // The sender-side fold table is allocated once per partition and job,
-    // not once per `compute[p]` task: an isolated vertex 20 000 makes the
-    // table's slot array 20 001 × 8 bytes, a size nothing else asks for,
-    // and the allocator sees it twice (two partitions) whether the job runs
-    // four supersteps or eight.
+    // The fold table is allocated once per partition and job, not once per
+    // task, and both ends of the message edge share it: an isolated vertex
+    // 20 000 makes the table's slot array 20 001 × 8 bytes, a size nothing
+    // else asks for, and the allocator sees it twice (two partitions)
+    // whether the job runs four supersteps or eight. On threads too, where
+    // `msgwrite[p]` finds the table pooled only because `compute[p]` puts
+    // it back before it closes the message edge.
     let mut records = webmap::webmap(14, 6.0, 7);
     records.push((20_000, Vec::new()));
     WATCHED_SIZE.store(20_001 * 8, Ordering::Relaxed);
@@ -97,6 +108,12 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
         run_phase(records.clone(), iterations);
         let tables = WATCHED_HITS.load(Ordering::Relaxed) - before;
         assert_eq!(tables, 2, "{} supersteps", iterations + 1);
+    }
+    for iterations in [3, 7] {
+        let before = WATCHED_HITS.load(Ordering::Relaxed);
+        run_phase_on(ClusterConfig::new(2, 32 << 20), records.clone(), iterations);
+        let tables = WATCHED_HITS.load(Ordering::Relaxed) - before;
+        assert!(tables <= 2, "{tables} tables in {} threaded supersteps", iterations + 1);
     }
     WATCHED_SIZE.store(0, Ordering::Relaxed);
 

@@ -9,12 +9,13 @@
 //! the job summary and the counters, never guessed from timing. What the
 //! table and the sort path compute must agree — exactly for
 //! order-insensitive combiners, to the last few bits for PageRank's `f64`
-//! sum, whose within-sender fold order is emission order on one path and
-//! sorted-bytes order on the other. What a sender's table emits in windows
-//! is what it emits whole, to the byte, and the job's values follow on every
-//! plan: behind either connector the receiver merges the senders' streams
-//! and folds their tuples in one order of its own, (vid, tuple bytes,
-//! source), without sorting or spilling whatever the memory size.
+//! sum, whose fold order is emission order, then source order at the
+//! receiver, on one path and sorted-bytes order on the other. What a
+//! sender's table emits in windows is what it emits whole, to the byte, and
+//! the job's values follow on every plan: behind either connector the
+//! receiver folds the senders' streams into the same table by address,
+//! source by source, without sorting or spilling whatever the memory size —
+//! also when the sender's table does not fit and the sender sorts.
 
 use pregelix::core::api::tests_support::SortPath;
 use pregelix::core::api::VertexProgram;
@@ -89,6 +90,7 @@ fn both_paths<P: VertexProgram>(
         );
         assert_eq!(direct.stats.msgs_stray, 0, "{what}");
         assert_eq!(direct.stats.sort_runs_spilled, 0, "{what}");
+        folds_inbound(&direct, &what);
 
         let (sorted, sorted_values) = run(
             SortPath(program()),
@@ -100,6 +102,7 @@ fn both_paths<P: VertexProgram>(
         assert_eq!(sorted.sender_fold, SenderFold::SortVariableWidth, "{what}");
         assert_eq!(sorted.stats.msgs_folded_direct, 0, "{what}");
         assert_eq!(sorted.stats.msgs_stray, 0, "{what}");
+        assert_eq!(sorted.stats.msgs_folded_inbound, 0, "{what}");
 
         // One combined tuple per sender and destination either way, so the
         // two runs deliver, and send over the wire, exactly as much.
@@ -127,6 +130,14 @@ fn both_paths<P: VertexProgram>(
         assert_eq!(direct.final_gs, sorted.final_gs, "{what}");
         agree(&direct_values, &sorted_values, &what);
     }
+}
+
+/// Every receiver of an eligible job folded by address: at least one
+/// inbound tuple per tuple it wrote.
+fn folds_inbound(summary: &JobSummary, what: &str) {
+    let s = &summary.stats;
+    assert!(s.msgs_folded_inbound > 0, "{what}");
+    assert!(s.msgs_folded_inbound >= s.messages_combined, "{what}");
 }
 
 #[test]
@@ -168,9 +179,25 @@ fn pagerank_agrees_to_the_last_bits_on_the_table_and_on_the_sort_path() {
     );
 }
 
+/// A program with no combiner folds at neither end: every plan of the
+/// lattice sorts at the sender and merges at the receiver.
+#[test]
+fn without_a_combiner_no_receiver_folds_by_address() {
+    let records = btc::btc(600, 3.0, 59);
+    for plan in lattice() {
+        let what = format!("sf-tri-{}", plan.label());
+        let (summary, _) = run(TriangleCount, &what, &records, plan, 8 << 20);
+        assert_eq!(summary.sender_fold, SenderFold::SortNoCombiner, "{what}");
+        assert!(summary.stats.messages_combined > 0, "{what}");
+        assert_eq!(summary.stats.msgs_folded_direct, 0, "{what}");
+        assert_eq!(summary.stats.msgs_folded_inbound, 0, "{what}");
+    }
+}
+
 /// On one path, every plan of the lattice computes PageRank to the
 /// bit: the within-sender fold order is emission order whatever the
-/// group-by strategy, and the receiver folds the senders' ties by bytes.
+/// group-by strategy, and the receiver folds the senders' ties in source
+/// order.
 #[test]
 fn pagerank_on_the_table_is_bit_identical_across_the_lattice() {
     let records = webmap::webmap(9, 6.0, 54);
@@ -227,10 +254,11 @@ fn windows_change_nothing<P: VertexProgram>(
 
         // Every message folds by address on both; on the tight cluster those
         // past the first window wait in a spill file first.
-        for s in [&tight.stats, &roomy.stats] {
+        for (summary, s) in [(&tight, &tight.stats), (&roomy, &roomy.stats)] {
             assert!(s.messages_sent > 0, "{what}");
             assert_eq!(s.msgs_folded_direct, s.messages_sent, "{what}");
             assert_eq!(s.msgs_stray, 0, "{what}");
+            folds_inbound(summary, &what);
         }
         assert!(tight.stats.msgs_fold_spilled > 0, "{what}");
         assert!(
@@ -315,9 +343,12 @@ fn cc_in_windows_is_identical_to_the_resident_table() {
 
 /// A cluster whose RAM leaves the table no room — not whole, and not in
 /// windows either, because ten windows' spill buffers are more than a
-/// quarter of its budget: the job says so, folds nothing directly, and its
-/// sorter does exactly the work the sort path does for the same program —
-/// spills included.
+/// quarter of its budget: the job says so, its senders fold nothing
+/// directly, and their sorters do exactly the work the sort path does for
+/// the same program — spills included. Its receivers still fold by address,
+/// in windows, source by source, where the sort path's merge folds ties by
+/// their bytes: the two agree to the last few bits, and the same job behind
+/// the merging connector agrees to the bit.
 #[test]
 fn a_table_over_budget_means_the_sort_path_exactly() {
     let records = webmap::webmap(12, 6.0, 55);
@@ -342,6 +373,8 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
     assert_eq!(tight.stats.msgs_folded_direct, 0);
     assert_eq!(tight.stats.msgs_fold_spilled, 0);
     assert_eq!(tight.stats.msgs_stray, 0);
+    // A sender that sorts still feeds a receiver that folds by address.
+    folds_inbound(&tight, "sf-tight");
     assert!(
         tight.stats.sort_runs_spilled > 0,
         "8 KiB sorters must spill"
@@ -354,7 +387,18 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
         plan,
         ram,
     );
-    assert_eq!(tight_values, sorted_values, "same path, same bits");
+    assert_eq!(sorted.stats.msgs_folded_inbound, 0);
+    assert_eq!(tight_values.len(), sorted_values.len());
+    for ((vt, t), (vs, s)) in tight_values.iter().zip(&sorted_values) {
+        assert_eq!(vt, vs);
+        assert!((t - s).abs() <= 1e-12, "vid {vt}: {t} folded by address, {s} merged");
+    }
+    let merged = PlanConfig {
+        groupby: GroupByStrategy::SortMerged,
+        ..plan
+    };
+    let (_, merged_values) = run(PageRank::new(3), "sf-tight-m", &records, merged, ram);
+    assert_eq!(tight_values, merged_values, "same sorters, same receiver fold");
     let sort_counters = |s: &JobSummary| {
         (
             s.stats.sort_runs_spilled,
