@@ -6,14 +6,15 @@
 //! reloads the states to a newly selected set of failure-free worker
 //! machines" — scanning, partitioning, sorting and bulk loading `Vertex`
 //! (and `Vid`) into fresh indexes, and writing the checkpointed `Msg` data
-//! to each partition as a local file.
+//! to each partition as a local file. Here `Vid` is a sorted run like
+//! `Msg`, so both runs are carried verbatim.
 //!
 //! Checkpoint layout in the DFS, per job and superstep boundary `S` (state
 //! feeding superstep `S`):
 //!
 //! ```text
 //! jobs/<name>/ckpt/<S>/vertex-p<p>    key/value entry stream
-//! jobs/<name>/ckpt/<S>/vid-p<p>       u64 vid stream (LOJ only)
+//! jobs/<name>/ckpt/<S>/vid-p<p>       raw Vid run bytes (LOJ only)
 //! jobs/<name>/ckpt/<S>/msg-p<p>       raw Msg run bytes (if any)
 //! jobs/<name>/ckpt-manifests/<S>      partition count + GS snapshot
 //! ```
@@ -25,18 +26,15 @@
 use crate::gs::GlobalState;
 use crate::plan::PregelixJob;
 use crate::store::VertexStore;
-use crate::superstep::{msg_run_path, PartitionState};
+use crate::superstep::{msg_run_path, vid_run_writer, PartitionState};
 use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::frame::Frame;
-use pregelix_common::stats::ClusterCounters;
 use pregelix_common::writable::Writable;
 use pregelix_common::{JobId, Superstep};
 use pregelix_dataflow::cluster::{Cluster, Task};
-use pregelix_storage::btree::BTree;
 use pregelix_storage::runfile::{RunHandle, RunWriter};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 fn ckpt_dir(job: &JobId, superstep: Superstep) -> String {
@@ -72,7 +70,7 @@ fn manifest_path(job: &JobId, superstep: Superstep) -> String {
 pub struct Manifest {
     /// Number of checkpointed partitions.
     pub partitions: u64,
-    /// Whether per-partition Vid index state was checkpointed (LOJ plans).
+    /// Whether per-partition Vid runs were checkpointed (LOJ plans).
     pub has_vid: bool,
     /// The GS snapshot feeding superstep `gs.superstep`.
     pub gs: GlobalState,
@@ -176,15 +174,15 @@ fn validate_manifest(
             m.log_watermark
         )));
     }
-    // LOJ/adaptive plans probe the Vid live-vertex index from superstep 2
-    // on; a later checkpoint without one cannot feed them (reloading it
-    // anyway would surface much later as a missing-index error mid-join).
-    // Superstep 1 scans and builds the first index.
+    // LOJ/adaptive plans read the Vid live-vertex run from superstep 2 on;
+    // a later checkpoint without one cannot feed them (reloading it anyway
+    // would surface much later as a missing-run error mid-join). Superstep
+    // 1 scans and writes the first run.
     let needs_vid =
         !matches!(job.plan.join, crate::plan::JoinStrategy::FullOuter) && superstep > 1;
     if needs_vid && !m.has_vid {
         return Err(PregelixError::corrupt(format!(
-            "checkpoint manifest {superstep} lacks the Vid index state required by the {:?} join plan",
+            "checkpoint manifest {superstep} lacks the Vid runs required by the {:?} join plan",
             job.plan.join
         )));
     }
@@ -253,17 +251,12 @@ pub fn write_checkpoint(
                 entries.push(e);
             }
             dfs.write(&format!("{dir}/vertex-p{p}"), &encode_entries(&entries))?;
-            // Vid entries (LOJ).
-            if let Some(vt) = &st.vid_index {
-                let mut vids = Vec::new();
-                let mut vscan = vt.scan()?;
-                while let Some((k, _)) = vscan.next_entry()? {
-                    vids.push((k, Vec::new()));
-                }
-                dfs.write(&format!("{dir}/vid-p{p}"), &encode_entries(&vids))?;
+            // Vid (LOJ) and Msg run bytes, verbatim (works for both
+            // in-memory and file-backed runs). A Vid run is written even
+            // when empty: the manifest promises one per partition.
+            if let Some(run) = &st.vid_index {
+                dfs.write(&format!("{dir}/vid-p{p}"), &run.read_all()?)?;
             }
-            // Msg run bytes, verbatim (works for both in-memory and
-            // file-backed runs).
             if let Some(run) = &st.msg_run {
                 dfs.write(&format!("{dir}/msg-p{p}"), &run.read_all()?)?;
             }
@@ -327,15 +320,14 @@ pub fn reload_partitions(
         let job_tag = job.id.tag().to_string();
         tasks.push(Task::new(format!("recover[{p}]"), sticky[p], move |w| {
             // Step one (§5.5): scan, partition, sort and bulk load Vertex
-            // (and Vid) from the checkpoint into fresh indexes.
+            // from the checkpoint into a fresh index; re-seal the Vid run
+            // the way `compute[p]` holds it.
             let entries = decode_entries(&dfs.read(&format!("{dir}/vertex-p{p}"))?)?;
             let mut store = VertexStore::create(storage, &w)?;
             store.bulk_load(entries)?;
             let vid_index = if has_vid {
-                let vids = decode_entries(&dfs.read(&format!("{dir}/vid-p{p}"))?)?;
-                let mut t = BTree::create(w.cache().clone())?;
-                t.bulk_load(vids, 1.0)?;
-                Some(t)
+                let bytes = dfs.read(&format!("{dir}/vid-p{p}"))?;
+                Some(restore_run(&bytes, vid_run_writer(&w, &job_tag, p, None))?)
             } else {
                 None
             };
@@ -345,7 +337,7 @@ pub fn reload_partitions(
             let msg_run = if dfs.exists(&msg_path) {
                 let bytes = dfs.read(&msg_path)?;
                 let path = msg_run_path(w.file_manager().root(), &job_tag, p, superstep);
-                Some(restore_msg_run(&bytes, path, w.counters().clone())?)
+                Some(restore_run(&bytes, RunWriter::create(path, w.counters().clone())?)?)
             } else {
                 None
             };
@@ -411,19 +403,18 @@ pub fn walk_valid<T>(
     Ok(None)
 }
 
-/// Re-seal a checkpointed `Msg` run: decode its `[u32 len][frame]` records
-/// straight from the DFS bytes into a fresh run at `path`. A truncated or
+/// Re-seal a checkpointed `Msg` or `Vid` run: decode its `[u32 len][frame]`
+/// records straight from the DFS bytes into `writer`. A truncated or
 /// corrupt record fails the reload, and the unfinished writer deletes what
 /// it wrote.
-fn restore_msg_run(mut raw: &[u8], path: PathBuf, counters: ClusterCounters) -> Result<RunHandle> {
-    let mut writer = RunWriter::create(path, counters)?;
+fn restore_run(mut raw: &[u8], mut writer: RunWriter) -> Result<RunHandle> {
     while !raw.is_empty() {
         let len = match raw.get(..4) {
             Some(head) => u32::from_le_bytes(head.try_into().expect("4 bytes")) as usize,
-            None => return Err(PregelixError::corrupt("truncated checkpointed msg run")),
+            None => return Err(PregelixError::corrupt("truncated checkpointed run")),
         };
         let Some(mut record) = raw.get(4..4 + len) else {
-            return Err(PregelixError::corrupt("truncated checkpointed msg frame"));
+            return Err(PregelixError::corrupt("truncated checkpointed run frame"));
         };
         writer.write_frame(&Frame::deserialize(&mut record)?)?;
         raw = &raw[4 + len..];
@@ -488,6 +479,7 @@ pub fn retire_old_state(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pregelix_common::stats::ClusterCounters;
 
     fn manifest_for(gs: GlobalState, partitions: u64, has_vid: bool) -> Manifest {
         let vector = vec![gs.superstep; partitions as usize];
@@ -579,11 +571,14 @@ mod tests {
             raw.extend_from_slice(&record);
         }
         let path = dir.path().join("msg-j-p0-1.run");
-        let run = restore_msg_run(&raw, path.clone(), counters.clone()).unwrap();
+        let restore = |raw: &[u8]| {
+            restore_run(raw, RunWriter::create(path.clone(), counters.clone()).unwrap())
+        };
+        let run = restore(&raw).unwrap();
         assert_eq!((run.path(), run.frames()), (Some(path.as_path()), 3));
         assert_eq!(run.read_all().unwrap(), raw);
         for cut in [1, 4, raw.len() / 2, raw.len() - 1] {
-            assert!(restore_msg_run(&raw[..cut], path.clone(), counters.clone()).is_err());
+            assert!(restore(&raw[..cut]).is_err());
             assert!(!path.exists(), "a {cut}-byte prefix left its run behind");
         }
     }

@@ -25,8 +25,7 @@ use pregelix_common::JobId;
 /// `pins_per_probe` is measured (`probe_page_pins / probes`) on the most
 /// recent probing superstep. The break-even live fraction is the inverse
 /// of that cost, clamped to keep one noisy superstep from swinging the
-/// plan to an extreme (the left-outer side also pays the `Vid` index
-/// rebuild, which the upper clamp accounts for).
+/// plan to an extreme.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ProbeCostModel {
     /// Buffer-cache page pins per probe: the pages below the lowest pinned
@@ -79,7 +78,7 @@ pub enum JoinStrategy {
     /// superstep (PageRank). The Pregelix default.
     FullOuter,
     /// Index **left outer** join: merge `Msg` with the `Vid` live-vertex
-    /// index, then *probe* the `Vertex` index per key. Skips the full scan;
+    /// run, then *probe* the `Vertex` index per key. Skips the full scan;
     /// best when messages are sparse and few vertices are live (SSSP).
     LeftOuter,
     /// Let the runtime pick per superstep from the previous superstep's

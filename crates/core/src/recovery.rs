@@ -80,11 +80,12 @@ pub(crate) fn recover<P: VertexProgram>(
             }
         };
         let sticky = replan_sticky(&graph.sticky, &alive)?;
-        // A reloaded `Msg` run can land on the path a lost one still holds
-        // (same worker, same superstep parity): let go of the lost runs
+        // A reloaded `Msg` or `Vid` run can land on the path a lost one
+        // still holds (same worker, same name): let go of the lost runs
         // first, or dropping the replaced state would delete the new file.
         for &p in &lost {
-            if let Some(run) = graph.partitions[p].lock().msg_run.take() {
+            let mut st = graph.partitions[p].lock();
+            for run in [st.vid_index.take(), st.msg_run.take()].into_iter().flatten() {
                 let _ = run.delete();
             }
         }

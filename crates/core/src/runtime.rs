@@ -510,15 +510,12 @@ impl<P: VertexProgram> RunLoop<P> {
         job: &PregelixJob,
         graph: &mut LoadedGraph,
     ) -> Result<RunLoop<P>> {
-        // Drop a previous job's `Vid` index and message runs. Superstep 1
-        // is a full-outer scan for every plan; a plan that probes builds
-        // its first index there, from the vids that stay live.
+        // Drop a previous job's `Vid` and `Msg` runs. Superstep 1 is a
+        // full-outer scan for every plan; a plan that probes writes its
+        // first `Vid` run there, from the vids that stay live.
         for p in &graph.partitions {
             let mut st = p.lock();
-            if let Some(old) = st.vid_index.take() {
-                old.destroy()?;
-            }
-            if let Some(run) = st.msg_run.take() {
+            for run in [st.vid_index.take(), st.msg_run.take()].into_iter().flatten() {
                 run.delete()?;
             }
         }

@@ -20,9 +20,9 @@
 //!   qualifies, merge-folded otherwise; the receiver never sorts —
 //!   materialized as the vid-sorted `Msg_{i+1}` partition file (§5.2).
 //! * **`mutate[p]`** — receiver-side group-by of mutation tuples by vid +
-//!   the `resolve` UDF, applied to the `Vertex` index (§5.3.3). Runs after
-//!   `compute[p]` releases the partition (mutations take effect in
-//!   superstep S+1, §2.1).
+//!   the `resolve` UDF, applied to the `Vertex` index and the `Vid` run
+//!   (§5.3.3). Runs after `compute[p]` releases the partition (mutations
+//!   take effect in superstep S+1, §2.1).
 //!
 //! One **`gs`** node is stage two of the global aggregation (Figure 4): it
 //! folds the per-partition contributions, arriving on three aggregator
@@ -63,7 +63,6 @@ use pregelix_dataflow::connector::{
 use pregelix_dataflow::transport::{ReliableReceiver, StreamRx, StreamTx};
 use pregelix_dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec, Schedule};
-use pregelix_storage::btree::BTree;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, SortedInput, SortedStream};
@@ -81,24 +80,24 @@ const ROWS_PER_HEARTBEAT: u64 = 1024;
 pub struct PartitionState {
     /// The `Vertex` partition index.
     pub store: VertexStore,
-    /// The `Vid` live-vertex index (left-outer-join plans only).
-    pub vid_index: Option<BTree>,
+    /// The `Vid_i` run: the live vids, sorted (left-outer and Adaptive plans).
+    pub vid_index: Option<RunHandle>,
     /// The `Msg_i` sorted partition file (`None` = no messages).
     pub msg_run: Option<RunHandle>,
 }
 
 /// A partition's files go with its state: the graph of a finished,
 /// cancelled or failed job, or a partition that recovery replaced. Every
-/// page file of the store and the `Vid` index is purged from the cache
-/// without write-back and deleted, and so is the `Msg` run. Best effort
-/// and counted nowhere, like [`TempRun`].
+/// page file of the store is purged from the cache without write-back and
+/// deleted, and so are the `Vid` and `Msg` runs. Best effort and counted
+/// nowhere, like [`TempRun`].
 impl Drop for PartitionState {
     fn drop(&mut self) {
-        for tree in self.store.trees().into_iter().chain(&self.vid_index) {
+        for tree in self.store.trees() {
             let _ = tree.cache().purge_file(tree.file(), false);
             let _ = tree.cache().file_manager().delete(tree.file());
         }
-        if let Some(run) = self.msg_run.take() {
+        for run in [self.vid_index.take(), self.msg_run.take()].into_iter().flatten() {
             let _ = run.delete();
         }
     }
@@ -516,43 +515,44 @@ pub(crate) fn decode_mutation<P: VertexProgram>(vid: Vid, payload: &[u8]) -> Res
     }
 }
 
-const STATS_COMPUTE: u8 = 0;
-const STATS_MSG: u8 = 1;
-const STATS_MUTATE: u8 = 2;
-
-#[derive(Default)]
-struct ComputeStats {
+/// One task's report to `gs` (stage one of the two-stage aggregation).
+/// Every node sends the same record, counting what it did and leaving the
+/// rest zero, so `gs` sums reports field by field. `from_bytes` makes an
+/// empty, short or overlong one `Corrupt`.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Report {
+    /// Vertices live for the next superstep: left live by `compute`,
+    /// inserted live by `mutate`.
     live: u64,
-    created: u64,
-    msgs_sent: u64,
-    compute_calls: u64,
-    agg: Vec<u8>, // encoded partition partial; empty = none
+    /// Vertices added: created by `compute` for messages to no row,
+    /// inserted by `mutate`.
+    added: u64,
+    /// Vertices `mutate` deleted.
+    deleted: u64,
+    /// Tuples in `msgwrite`'s `Msg_{s+1}` run.
+    combined: u64,
+    /// `compute`'s encoded aggregate partial (empty = none).
+    agg: Vec<u8>,
 }
 
-impl ComputeStats {
-    fn encode(&self) -> Vec<u8> {
-        let mut out = vec![STATS_COMPUTE];
-        self.live.write(&mut out);
-        self.created.write(&mut out);
-        self.msgs_sent.write(&mut out);
-        self.compute_calls.write(&mut out);
-        self.agg.write(&mut out);
-        out
+impl Writable for Report {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.live.write(out);
+        self.added.write(out);
+        self.deleted.write(out);
+        self.combined.write(out);
+        self.agg.write(out);
     }
-}
 
-fn encode_msg_stats(combined: u64) -> Vec<u8> {
-    let mut out = vec![STATS_MSG];
-    combined.write(&mut out);
-    out
-}
-
-fn encode_mut_stats(inserted: u64, deleted: u64, live_inserted: u64) -> Vec<u8> {
-    let mut out = vec![STATS_MUTATE];
-    inserted.write(&mut out);
-    deleted.write(&mut out);
-    live_inserted.write(&mut out);
-    out
+    fn read(buf: &mut &[u8]) -> Result<Report> {
+        Ok(Report {
+            live: u64::read(buf)?,
+            added: u64::read(buf)?,
+            deleted: u64::read(buf)?,
+            combined: u64::read(buf)?,
+            agg: Vec::read(buf)?,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -978,13 +978,13 @@ impl EdgeSender {
 }
 
 /// Resolve `plan`'s join for superstep `gs.superstep`, live or replayed, and
-/// say whether the `Vid` live-vertex index must be maintained.
+/// say whether the `Vid` live-vertex run must be maintained.
 ///
 /// Superstep 1 is the full-outer scan for every plan: it activates every
 /// vertex anyway, and under a left-outer or Adaptive plan its live vids
-/// build the first `Vid` index. Later, Adaptive plans pick the join per
+/// make the first `Vid` run. Later, Adaptive plans pick the join per
 /// superstep from the previous superstep's live-vertex fraction (the
-/// paper's future-work optimizer, §9), with the index maintained every
+/// paper's future-work optimizer, §9), with the run written every
 /// superstep so a sparse superstep can switch to probing at zero notice.
 /// The probe-vs-scan threshold is re-derived from the costs measured on
 /// earlier supersteps of this job when available (`cost_model`), instead
@@ -1012,43 +1012,56 @@ pub(crate) fn resolve_join(
 // compute[p]
 // ---------------------------------------------------------------------
 
-/// A sorted cursor over `Msg_i[p]`: after each [`advance`](Self::advance)
-/// it sits on one `(vid, message list)` row, borrowed in place from the run
-/// reader's frame and decoded into one reused message buffer — nothing is
-/// allocated per row.
-struct MsgStream<P: VertexProgram> {
+/// A cursor over a vid-sorted run, `Msg_i[p]` or `Vid_i[p]`: each
+/// [`advance`](Self::advance) lends the next tuple in place from the run
+/// reader's frame. A missing run reads as an empty one.
+struct RunCursor {
     reader: Option<RunReader>,
-    /// Vid of the current row; `None` once the run is exhausted.
+    /// Vid of the current tuple; `None` before the first and once the run
+    /// is exhausted.
     vid: Option<Vid>,
-    /// The current row's messages (stale when `vid` is `None`).
+}
+
+impl RunCursor {
+    fn open(run: Option<&RunHandle>, counters: &ClusterCounters) -> Result<Self> {
+        let reader = run.map(|h| h.open(counters.clone())).transpose()?;
+        Ok(RunCursor { reader, vid: None })
+    }
+
+    /// Move to the next tuple and lend it; `None` at the end.
+    fn advance(&mut self) -> Result<Option<&[u8]>> {
+        self.vid = None;
+        let Some(r) = self.reader.as_mut() else { return Ok(None) };
+        if !r.advance()? {
+            return Ok(None);
+        }
+        let t = r.current().expect("advance reported a tuple");
+        self.vid = Some(tuple_vid(t)?);
+        Ok(Some(t))
+    }
+}
+
+/// The `Msg_i[p]` cursor: each row's message list is decoded into one
+/// reused buffer — nothing is allocated per row.
+struct MsgStream<P: VertexProgram> {
+    run: RunCursor,
+    /// The current row's messages (stale once the run is exhausted).
     msgs: Vec<P::Message>,
 }
 
 impl<P: VertexProgram> MsgStream<P> {
     /// Open positioned on the first row.
     fn open(run: Option<&RunHandle>, w: &WorkerHandle) -> Result<Self> {
-        let reader = match run {
-            Some(h) => Some(h.open(w.counters().clone())?),
-            None => None,
-        };
-        let mut stream = MsgStream {
-            reader,
-            vid: None,
-            msgs: Vec::new(),
-        };
+        let run = RunCursor::open(run, w.counters())?;
+        let mut stream = MsgStream { run, msgs: Vec::new() };
         stream.advance()?;
         Ok(stream)
     }
 
     /// Move to the next row.
     fn advance(&mut self) -> Result<()> {
-        self.vid = None;
-        if let Some(r) = self.reader.as_mut() {
-            if r.advance()? {
-                let t = r.current().expect("advance reported a tuple");
-                decode_msg_list_into(tuple_payload(t)?, &mut self.msgs)?;
-                self.vid = Some(tuple_vid(t)?);
-            }
+        if let Some(t) = self.run.advance()? {
+            decode_msg_list_into(tuple_payload(t)?, &mut self.msgs)?;
         }
         Ok(())
     }
@@ -1066,10 +1079,12 @@ struct ComputeSide<P: VertexProgram> {
     fold: Option<MsgFold<P>>,
     /// The open mutation edge; `None` when it discards.
     mutations: Option<EdgeSender>,
-    stats: ComputeStats,
+    /// Its `live` and `added` counts.
+    report: Report,
     agg_partial: Option<P::Aggregate>,
-    live_vids: Vec<Vid>,
-    track_live_vids: bool,
+    /// The `Vid_{i+1}` run under a tracked plan: every vid left live, in
+    /// the ascending order both joins visit them.
+    next_vids: Option<RunWriter>,
     counters: ClusterCounters,
     /// Sender-side message log for confined recovery: every post-combine
     /// tuple and every mutation request this partition emits, bucketed by
@@ -1121,7 +1136,7 @@ impl<P: VertexProgram> ComputeSide<P> {
         vid: Vid,
         msgs: &[P::Message],
     ) -> Result<()> {
-        self.stats.created += 1;
+        self.report.added += 1;
         self.compute(VertexData::missing(vid), msgs)?;
         encode_edges(&self.edges, &mut self.row_scratch);
         cur.insert(&vid_to_key(vid), &self.row_scratch)
@@ -1131,7 +1146,6 @@ impl<P: VertexProgram> ComputeSide<P> {
     /// vertex update: that is left as the row's new head in `row_scratch`
     /// and its edge list in `edges`. Returns whether the edge list changed.
     fn compute(&mut self, vertex: VertexData<P>, msgs: &[P::Message]) -> Result<bool> {
-        self.stats.compute_calls += 1;
         self.counters.add_compute_calls(1);
         let vid = vertex.vid;
         let mut ctx = ComputeContext::new(
@@ -1147,7 +1161,6 @@ impl<P: VertexProgram> ComputeSide<P> {
         let mut out = done.buffers;
         // D3: messages into the sender-side combine, in emission order,
         // unless the message edge discards.
-        self.stats.msgs_sent += out.messages.len() as u64;
         self.counters.add_messages_sent(out.messages.len() as u64);
         match self.fold.as_mut() {
             Some(fold) => {
@@ -1179,9 +1192,9 @@ impl<P: VertexProgram> ComputeSide<P> {
         self.out = out;
         // D4: halt contribution.
         if !done.vertex.halt {
-            self.stats.live += 1;
-            if self.track_live_vids {
-                self.live_vids.push(vid);
+            self.report.live += 1;
+            if let Some(vids) = self.next_vids.as_mut() {
+                vids.write_tuple(&vid_to_key(vid))?;
             }
         }
         self.row_scratch.clear();
@@ -1208,9 +1221,10 @@ fn compute_task<P: VertexProgram>(
     } else {
         P::Aggregate::from_bytes(&gs.aggregate)?
     };
-    // The consumed `Msg_i` run is deleted when this task ends, however it
-    // ends: nothing reads it again.
+    // The consumed `Msg_i` and `Vid_i` runs are deleted when this task
+    // ends, however it ends: nothing reads them again.
     let msg_run = st.msg_run.take().map(TempRun::from);
+    let vid_run = st.vid_index.take().map(TempRun::from);
     let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), w)?;
     let p_count = exec.partitions.len();
     let msg_tx = msg_out.open(w, &exec.schedule)?;
@@ -1230,10 +1244,11 @@ fn compute_task<P: VertexProgram>(
         agg_prev,
         fold,
         mutations: mut_out.open(w, &exec.schedule)?,
-        stats: ComputeStats::default(),
+        report: Report::default(),
         agg_partial: None,
-        live_vids: Vec::new(),
-        track_live_vids: exec.track_live,
+        next_vids: exec
+            .track_live
+            .then(|| vid_run_writer(w, exec.job.tag(), p, vid_run.as_deref())),
         counters: w.counters().clone(),
         log: exec
             .log
@@ -1245,7 +1260,7 @@ fn compute_task<P: VertexProgram>(
         row_scratch: Vec::new(),
     };
 
-    join_and_compute(w, st, &mut side, &mut msgs, exec.config.join)?;
+    join_and_compute(w, &mut st.store, vid_run.as_deref(), &mut side, &mut msgs, exec.config.join)?;
 
     // Close the mutation flow so mutate[p] tasks can proceed once every
     // compute finishes.
@@ -1276,22 +1291,11 @@ fn compute_task<P: VertexProgram>(
         tx.finish()?;
     }
 
-    // Rebuild the Vid index (LOJ/adaptive plans): flow D11/D12 bulk loads
-    // the next superstep's live-vertex index. The old index's file is
-    // reused (truncate + re-init) to avoid per-superstep file churn.
-    if side.track_live_vids {
-        let mut tree = match st.vid_index.take() {
-            Some(old) => old.recreate()?,
-            None => BTree::create(w.cache().clone())?,
-        };
-        let live = std::mem::take(&mut side.live_vids);
-        tree.bulk_load(
-            live.into_iter().map(|v| (vid_to_key(v).to_vec(), Vec::new())),
-            1.0,
-        )?;
-        st.vid_index = Some(tree);
+    // Flow D11/D12: the next superstep's live-vertex run (tracked plans).
+    if let Some(vids) = side.next_vids.take() {
+        st.vid_index = Some(vids.finish()?);
     }
-    drop(msg_run);
+    drop((msg_run, vid_run));
 
     // Persist the message log before this task reports to gs, so a log
     // either exists complete at the superstep boundary or not at all.
@@ -1304,16 +1308,12 @@ fn compute_task<P: VertexProgram>(
     }
 
     // Stage-one aggregation result + counters to the gs task.
-    side.stats.agg = match side.agg_partial.take() {
-        Some(a) => a.to_bytes(),
-        None => Vec::new(),
-    };
-    report_to_gs(w, &exec.schedule, gs_out, &side.stats.encode())
+    side.report.agg = side.agg_partial.take().map_or_else(Vec::new, |a| a.to_bytes());
+    report_to_gs(w, &exec.schedule, gs_out, &side.report.to_bytes())
 }
 
-/// Send one stats report (stage one of the two-stage aggregation) on a
-/// task's edge to `gs`, and close it. A replay has no `gs` node: the edge
-/// discards.
+/// Send one task's report on its edge to `gs`, and close it. A replay has
+/// no `gs` node: the edge discards.
 fn report_to_gs(w: &WorkerHandle, schedule: &Schedule, out: Outbound, report: &[u8]) -> Result<()> {
     match out.open(w, schedule)? {
         Some(EdgeSender::Pipelined(mut tx)) => {
@@ -1326,12 +1326,13 @@ fn report_to_gs(w: &WorkerHandle, schedule: &Schedule, out: Outbound, report: &[
 }
 
 /// The fused join/compute/update loop of §5.3.2: merge `Msg` with the
-/// `Vertex` (or `Vid`) index, call `compute` on every active row, and
-/// route each output flow through `side`. `join` must already be resolved
-/// (Adaptive never reaches task bodies).
+/// `Vertex` index (or the `Vid` run), call `compute` on every active row,
+/// and route each output flow through `side`. `join` must already be
+/// resolved (Adaptive never reaches task bodies).
 fn join_and_compute<P: VertexProgram>(
     w: &WorkerHandle,
-    st: &mut PartitionState,
+    store: &mut VertexStore,
+    vid_run: Option<&RunHandle>,
     side: &mut ComputeSide<P>,
     msgs: &mut MsgStream<P>,
     join: JoinStrategy,
@@ -1346,7 +1347,7 @@ fn join_and_compute<P: VertexProgram>(
             // Index full outer join: one pass of the row cursor over the
             // Vertex index, merged with Msg.
             let superstep = side.superstep;
-            let mut cur = st.store.cursor();
+            let mut cur = store.cursor();
             let mut rows = 0u64;
             while cur.next()? {
                 if rows.is_multiple_of(ROWS_PER_HEARTBEAT) {
@@ -1355,11 +1356,11 @@ fn join_and_compute<P: VertexProgram>(
                 rows += 1;
                 let vid = tuple_vid(cur.key())?;
                 // Messages for vids before this vertex: missing rows.
-                while let Some(mvid) = msgs.vid.filter(|&mvid| mvid < vid) {
+                while let Some(mvid) = msgs.run.vid.filter(|&mvid| mvid < vid) {
                     side.process_missing(&mut cur, mvid, &msgs.msgs)?;
                     msgs.advance()?;
                 }
-                let matched = msgs.vid == Some(vid);
+                let matched = msgs.run.vid == Some(vid);
                 // σ(V.halt = false || M.payload != NULL), decided before
                 // the row is decoded; superstep 1 activates everything (a
                 // fresh Pregel job starts with every vertex active, which
@@ -1374,32 +1375,29 @@ fn join_and_compute<P: VertexProgram>(
                 }
             }
             // Left-outer remainder: messages to nonexistent vids.
-            while let Some(mvid) = msgs.vid {
+            while let Some(mvid) = msgs.run.vid {
                 side.process_missing(&mut cur, mvid, &msgs.msgs)?;
                 msgs.advance()?;
             }
         }
         JoinStrategy::LeftOuter => {
-            // Merge Msg with the Vid live-vertex index (choose() prefers
+            // Merge Msg with the Vid live-vertex run (choose() prefers
             // Msg on duplicates), then seek the Vertex index's row cursor
             // to each merged vid: the merge yields strictly ascending vids,
             // so a seek is answered from the pinned leaf or descends from
             // the lowest pinned page covering its vid, not from the root,
             // and the row is updated right where the seek found it.
-            let PartitionState {
-                store, vid_index, ..
-            } = st;
-            let vid_tree = vid_index.as_mut().ok_or_else(|| {
-                PregelixError::plan("left-outer join plan requires a Vid index")
+            let vid_run = vid_run.ok_or_else(|| {
+                PregelixError::plan("left-outer join plan requires a Vid run")
             })?;
-            let mut vids = vid_tree.cursor();
-            let mut v_vid = vids.next()?.then(|| tuple_vid(vids.key())).transpose()?;
+            let mut vids = RunCursor::open(Some(vid_run), w.counters())?;
+            vids.advance()?;
             let mut cur = store.cursor();
             let mut rows = 0u64;
             loop {
                 // choose(): on a duplicate vid, take the Msg tuple and drop
                 // the Vid one.
-                let (vid, matched) = match (v_vid, msgs.vid) {
+                let (vid, matched) = match (vids.vid, msgs.run.vid) {
                     (None, None) => break,
                     (Some(vv), None) => (vv, false),
                     (Some(vv), Some(mv)) if vv < mv => (vv, false),
@@ -1409,8 +1407,8 @@ fn join_and_compute<P: VertexProgram>(
                     w.check_alive()?;
                 }
                 rows += 1;
-                if v_vid == Some(vid) {
-                    v_vid = vids.next()?.then(|| tuple_vid(vids.key())).transpose()?;
+                if vids.vid == Some(vid) {
+                    vids.advance()?;
                 }
                 let mlist: &[P::Message] = if matched { &msgs.msgs } else { &[] };
                 if cur.seek(&vid_to_key(vid))? {
@@ -1440,6 +1438,28 @@ fn join_and_compute<P: VertexProgram>(
 /// (§7.4) and must not collide on `Msg` files.
 pub(crate) fn msg_run_path(root: &Path, job_tag: &str, p: usize, fed: Superstep) -> PathBuf {
     root.join(format!("msg-{job_tag}-p{p}-{}.run", fed % 2))
+}
+
+/// A writer for partition `p`'s next `Vid` run. It takes whichever of the
+/// job's two names for the run the `current` one does not hold, so a task
+/// never writes over the run it reads. Not a `tmp-` file: a resident graph
+/// holds its run between jobs.
+pub(crate) fn vid_run_writer(
+    w: &WorkerHandle,
+    job_tag: &str,
+    p: usize,
+    current: Option<&RunHandle>,
+) -> RunWriter {
+    let name = |k: u8| w.file_manager().root().join(format!("vid-{job_tag}-p{p}-{k}.run"));
+    let holds_first = current.and_then(RunHandle::path) == Some(name(0).as_path());
+    partition_run(w, name(u8::from(holds_first)))
+}
+
+/// A writer for a partition's `Msg` or `Vid` run: held in memory up to
+/// eight frames, so a sparse superstep's runs cost no file I/O, and spilled
+/// to `path` past that.
+fn partition_run(w: &WorkerHandle, path: impl Into<PathBuf>) -> RunWriter {
+    RunWriter::create_buffered(path, w.counters().clone(), 8 * w.frame_bytes())
 }
 
 /// `msgwrite[p]`: folds its inbound message edge into the `Msg_{s+1}` run,
@@ -1513,10 +1533,7 @@ fn msgwrite_task<P: VertexProgram>(
             w.check_alive()?;
         }
         combined += 1;
-        run.get_or_insert_with(|| {
-            RunWriter::create_buffered(&path, w.counters().clone(), 8 * w.frame_bytes())
-        })
-        .write_tuple(t)
+        run.get_or_insert_with(|| partition_run(w, &path)).write_tuple(t)
     };
     // A table over an empty graph has no slot to fold into.
     match exec.fold_slots.get(p).filter(|slot| slot.window > 0) {
@@ -1540,7 +1557,11 @@ fn msgwrite_task<P: VertexProgram>(
     }
     let run = run.map(|run| run.finish().map(TempRun::from)).transpose()?;
     *exec.next_msgs[p].lock() = (run, combined);
-    report_to_gs(w, &exec.schedule, gs_out, &encode_msg_stats(combined))
+    let report = Report {
+        combined,
+        ..Report::default()
+    };
+    report_to_gs(w, &exec.schedule, gs_out, &report.to_bytes())
 }
 
 // ---------------------------------------------------------------------
@@ -1567,66 +1588,90 @@ fn mutate_task<P: VertexProgram>(
     // streams are closed; replay: this is the second stage), so the
     // partition lock is (or will soon be) free, and mutations apply
     // strictly after compute — the "take effect in superstep S+1" rule.
-    let (mut inserted, mut deleted, mut live_inserted) = (0u64, 0u64, 0u64);
+    let mut report = Report::default();
     if !groups.is_empty() {
         let mut st = exec.partitions[p].lock();
         let st = &mut *st;
-        // Membership checks go through sorted-probe cursors: `groups` is a
+        // Membership checks go through a sorted-probe cursor: `groups` is a
         // BTreeMap, so its keys come out ascending and the whole pass costs
         // ~O(leaves touched) page pins instead of a root-to-leaf descent
         // per vid. Probing everything up front is safe because each
         // mutation only touches its own (distinct) key, so applying an
         // earlier key's mutation cannot change a later key's membership.
-        let keys: Vec<Vec<u8>> = groups.keys().map(|&vid| vid_to_key(vid).to_vec()).collect();
-        let mut in_store: Vec<bool> = Vec::with_capacity(keys.len());
+        let mut in_store: Vec<bool> = Vec::with_capacity(groups.len());
         {
             let mut cursor = st.store.probe_cursor();
-            for key in &keys {
-                in_store.push(cursor.probe_contains(key)?);
+            for &vid in groups.keys() {
+                in_store.push(cursor.probe_contains(&vid_to_key(vid))?);
             }
         }
-        let mut in_vid: Vec<bool> = Vec::new();
-        if let Some(vid_tree) = st.vid_index.as_ref() {
-            let mut cursor = vid_tree.probe_cursor();
-            in_vid.reserve(keys.len());
-            for key in &keys {
-                in_vid.push(cursor.probe_contains(key)?);
-            }
-        }
+        // What changes in the `Vid` run, ascending: a live insert adds its
+        // vid (`true`), a delete drops it.
+        let mut vid_changes: Vec<(Vid, bool)> = Vec::new();
         for (i, (vid, muts)) in groups.into_iter().enumerate() {
             w.check_alive()?;
             let key = vid_to_key(vid);
             match exec.program.resolve(vid, muts) {
                 Resolution::Insert(v) => {
-                    let existed = in_store[i];
                     st.store.upsert(&key, &v.encode_value())?;
-                    if !existed {
-                        inserted += 1;
+                    if !in_store[i] {
+                        report.added += 1;
                     }
                     if !v.halt {
-                        live_inserted += 1;
-                        if let Some(vid_tree) = st.vid_index.as_mut() {
-                            if !in_vid[i] {
-                                vid_tree.insert(&key, &[])?;
-                            }
-                        }
+                        report.live += 1;
+                        vid_changes.push((vid, true));
                     }
                 }
                 Resolution::Delete => {
                     if in_store[i] {
                         st.store.delete(&key)?;
-                        deleted += 1;
+                        report.deleted += 1;
                     }
-                    if let Some(vid_tree) = st.vid_index.as_mut() {
-                        vid_tree.delete(&key)?;
-                    }
+                    vid_changes.push((vid, false));
                 }
                 Resolution::Keep => {}
             }
         }
+        // A tracked plan's `Vid` run is rewritten in one merge with the
+        // changes; the old run goes only once the new one is sealed.
+        if let Some(current) = st.vid_index.as_ref().filter(|_| !vid_changes.is_empty()) {
+            let out = vid_run_writer(w, exec.job.tag(), p, Some(current));
+            let merged = merge_vids(current, &vid_changes, out, w.counters())?;
+            if let Some(old) = st.vid_index.replace(merged) {
+                let _ = old.delete();
+            }
+        }
     }
-    let report = encode_mut_stats(inserted, deleted, live_inserted);
-    report_to_gs(w, &exec.schedule, gs_out, &report)
+    report_to_gs(w, &exec.schedule, gs_out, &report.to_bytes())
+}
+
+/// Merge `changes` — ascending vids, each added (`true`) or dropped — into
+/// the `Vid` run `current`, in one ascending pass, and seal the result.
+fn merge_vids(
+    current: &RunHandle,
+    changes: &[(Vid, bool)],
+    mut out: RunWriter,
+    counters: &ClusterCounters,
+) -> Result<RunHandle> {
+    let mut vids = RunCursor::open(Some(current), counters)?;
+    vids.advance()?;
+    for &(vid, add) in changes {
+        while let Some(kept) = vids.vid.filter(|&v| v < vid) {
+            out.write_tuple(&vid_to_key(kept))?;
+            vids.advance()?;
+        }
+        if vids.vid == Some(vid) {
+            vids.advance()?;
+        }
+        if add {
+            out.write_tuple(&vid_to_key(vid))?;
+        }
+    }
+    while let Some(kept) = vids.vid {
+        out.write_tuple(&vid_to_key(kept))?;
+        vids.advance()?;
+    }
+    out.finish()
 }
 
 // ---------------------------------------------------------------------
@@ -1646,8 +1691,7 @@ fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: E
     }
     let expected = streams.len() as u64;
     let mut rx = AggregatorReceiver::new(streams, w.counters().clone());
-    let (mut live, mut created, mut combined) = (0u64, 0u64, 0u64);
-    let (mut inserted, mut deleted, mut live_inserted) = (0u64, 0u64, 0u64);
+    let mut sum = Report::default();
     // Partition partials arrive in transport order, which the scheduler
     // does not fix — but f64 aggregate combination is not associative
     // across orders, so the partials are canonicalized (sorted by encoding)
@@ -1658,27 +1702,13 @@ fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: E
     while let Some(t) = rx.next_tuple()? {
         w.check_alive()?;
         received += 1;
-        let mut buf = &t[1..];
-        match t.first() {
-            Some(&STATS_COMPUTE) => {
-                live += u64::read(&mut buf)?;
-                created += u64::read(&mut buf)?;
-                let _msgs_sent = u64::read(&mut buf)?;
-                let _calls = u64::read(&mut buf)?;
-                let partial_bytes = Vec::<u8>::read(&mut buf)?;
-                if !partial_bytes.is_empty() {
-                    partials.push(partial_bytes);
-                }
-            }
-            Some(&STATS_MSG) => {
-                combined += u64::read(&mut buf)?;
-            }
-            Some(&STATS_MUTATE) => {
-                inserted += u64::read(&mut buf)?;
-                deleted += u64::read(&mut buf)?;
-                live_inserted += u64::read(&mut buf)?;
-            }
-            _ => return Err(PregelixError::corrupt("bad stats tag")),
+        let report = Report::from_bytes(t)?;
+        sum.live += report.live;
+        sum.added += report.added;
+        sum.deleted += report.deleted;
+        sum.combined += report.combined;
+        if !report.agg.is_empty() {
+            partials.push(report.agg);
         }
     }
     if received != expected {
@@ -1700,14 +1730,14 @@ fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: E
     let gs = &exec.gs;
     let new_gs = GlobalState {
         superstep: gs.superstep + 1,
-        halt: combined == 0 && live == 0 && live_inserted == 0,
+        halt: sum.combined == 0 && sum.live == 0,
         aggregate: match agg {
             Some(a) => a.to_bytes(),
             None => Vec::new(),
         },
-        vertex_count: gs.vertex_count + created + inserted - deleted,
-        live_vertices: live + live_inserted,
-        messages: combined,
+        vertex_count: gs.vertex_count + sum.added - sum.deleted,
+        live_vertices: sum.live,
+        messages: sum.combined,
     };
     *exec.outcome.lock() = Some(new_gs);
     Ok(())
@@ -2179,6 +2209,76 @@ mod tests {
             Ok(())
         });
         assert_eq!((folded.unwrap(), out), (1, vec![(3, 7)]));
+    }
+
+    /// A report decodes to what was encoded; an empty report, every prefix
+    /// of one and one with a byte too many are a typed `Corrupt`, never a
+    /// panic.
+    #[test]
+    fn a_short_or_empty_report_to_gs_is_corrupt_not_a_panic() {
+        let corrupt = |t: &[u8]| matches!(Report::from_bytes(t), Err(PregelixError::Corrupt(_)));
+        let report = Report {
+            live: 3,
+            added: 2,
+            deleted: 1,
+            combined: 42,
+            agg: vec![7; 5],
+        };
+        for report in [report, Report::default()] {
+            let mut bytes = report.to_bytes();
+            assert_eq!(Report::from_bytes(&bytes).unwrap(), report);
+            for cut in 0..bytes.len() {
+                assert!(corrupt(&bytes[..cut]), "{report:?} cut to {cut} bytes");
+            }
+            bytes.push(0);
+            assert!(corrupt(&bytes), "{report:?} with a trailing byte");
+        }
+    }
+
+    /// `mutate`'s merge of a `Vid` run with its changes: adds land in
+    /// order, an add of a present vid and a drop of an absent one change
+    /// nothing.
+    #[test]
+    fn merge_vids_adds_and_drops_in_one_ascending_pass() {
+        let (fm, dir) = fresh_fm();
+        let counters = fm.counters().clone();
+        let writer = |name: &str, threshold: usize| {
+            RunWriter::create_buffered(dir.path().join(name), counters.clone(), threshold)
+        };
+        let run_of = |vids: &[Vid], name: &str, threshold: usize| {
+            let mut w = writer(name, threshold);
+            for &v in vids {
+                w.write_tuple(&vid_to_key(v)).unwrap();
+            }
+            w.finish().unwrap()
+        };
+        let vids_of = |run: &RunHandle| {
+            let mut cur = RunCursor::open(Some(run), &counters).unwrap();
+            let mut out = Vec::new();
+            while cur.advance().unwrap().is_some() {
+                out.push(cur.vid.unwrap());
+            }
+            out
+        };
+        let current = run_of(&[2, 4, 6, 8], "vid-a.run", 1 << 20);
+        let changes = [(0, true), (1, false), (4, true), (5, true), (6, false), (9, true)];
+        let merged = merge_vids(&current, &changes, writer("vid-b.run", 1 << 20), &counters);
+        let merged = merged.unwrap();
+        assert_eq!(vids_of(&merged), [0, 2, 4, 5, 8, 9]);
+        assert!(merged.in_memory());
+        // An empty run, no changes: empty.
+        let empty = run_of(&[], "vid-c.run", 0);
+        let merged = merge_vids(&empty, &[], writer("vid-d.run", 1 << 20), &counters);
+        assert!(vids_of(&merged.unwrap()).is_empty());
+        // Past the threshold the merge spills to the writer's path.
+        let big: Vec<Vid> = (0..5_000).map(|v| v * 2).collect();
+        let current = run_of(&big, "vid-e.run", 1 << 20);
+        let changes: Vec<(Vid, bool)> = (0..10_000).map(|v| (v, v % 4 != 0)).collect();
+        let merged = merge_vids(&current, &changes, writer("vid-f.run", 4096), &counters);
+        let merged = merged.unwrap();
+        assert_eq!(merged.path(), Some(dir.path().join("vid-f.run").as_path()));
+        let want: Vec<Vid> = (0..10_000).filter(|v| v % 4 != 0).collect();
+        assert_eq!(vids_of(&merged), want);
     }
 
     #[test]

@@ -61,21 +61,6 @@ impl BTree {
     /// Create a fresh, empty tree in a new file.
     pub fn create(cache: BufferCache) -> Result<BTree> {
         let file = cache.file_manager().create()?;
-        Self::create_in(cache, file)
-    }
-
-    /// Re-initialise an existing file as a fresh, empty tree, reusing the
-    /// file id and disk space. Any cached pages of the file are discarded.
-    /// This is the cheap path for indexes rebuilt every superstep (`Vid`).
-    pub fn recreate(self) -> Result<BTree> {
-        let cache = self.cache.clone();
-        let file = self.file;
-        cache.purge_file(file, false)?;
-        cache.file_manager().truncate(file)?;
-        Self::create_in(cache, file)
-    }
-
-    fn create_in(cache: BufferCache, file: FileId) -> Result<BTree> {
         // Page 0: meta. Page 1: empty leaf root.
         let (meta_id, meta) = cache.new_page(file)?;
         debug_assert_eq!(meta_id, 0);
@@ -1651,13 +1636,6 @@ mod tests {
             assert!(t.update(&k(v + 1), &model[&(v + 1)].clone()).unwrap());
         }
         assert_matches(&t, &model);
-        // Rebuilding in place forgets the old tree's leaves.
-        let mut t = t.recreate().unwrap();
-        assert!(!t.update(&k(50), &[0; 8]).unwrap());
-        t.bulk_load((0..50u64).map(|v| (k(v), vec![1u8; 8])), 1.0)
-            .unwrap();
-        assert!(t.update(&k(49), &[2; 8]).unwrap());
-        assert_eq!(t.search(&k(49)).unwrap().unwrap(), vec![2; 8]);
     }
 
     fn leaf_count(t: &BTree) -> u64 {

@@ -105,21 +105,6 @@ impl FileManager {
         Ok(())
     }
 
-    /// Truncate a page file back to zero pages, releasing its disk space
-    /// while keeping the file id valid. Used to rebuild per-superstep
-    /// indexes (the `Vid` live-vertex index) without paying file
-    /// create/delete costs every superstep. The caller must purge any
-    /// cached pages of the file first.
-    pub fn truncate(&self, id: FileId) -> Result<()> {
-        let mut files = self.inner.files.lock();
-        let f = files
-            .get_mut(&id)
-            .ok_or_else(|| PregelixError::storage(format!("unknown file {id:?}")))?;
-        f.file.set_len(0)?;
-        f.pages = 0;
-        Ok(())
-    }
-
     /// Number of pages currently allocated in `id`.
     pub fn page_count(&self, id: FileId) -> Result<u64> {
         let files = self.inner.files.lock();

@@ -3,8 +3,8 @@
 //! Run files are the workhorse of every spilling path in the system: sort
 //! runs of the external sort, the sender-side materialized channels of the
 //! m-to-n partitioning-merging connector (§4, materialization policies),
-//! and the partition-local `Msg` relation files that carry combined
-//! messages from one superstep to the next (§5.2).
+//! and the partition-local `Msg` and `Vid` relation files that carry
+//! combined messages and live vids from one superstep to the next (§5.2).
 //!
 //! On disk a run is a sequence of `[u32 len][serialized frame]` records.
 //! A run may be *buffered*: it stays in a memory buffer until a byte
@@ -16,7 +16,7 @@
 //! Who deletes a run's file follows from its type. A [`RunWriter`] dropped
 //! before [`finish`](RunWriter::finish) removes what it wrote; a sealed
 //! [`RunHandle`] is a plain description whose holder deletes it by hand (the
-//! `Msg` partition files, which outlive the task that wrote them); a
+//! `Msg` and `Vid` partition files, which outlive the task that wrote them); a
 //! [`TempRun`] is a handle that deletes its file when dropped — what every
 //! spill is held as, so an operator that dies between its first spill and
 //! the end of its merge leaves nothing behind.

@@ -94,7 +94,7 @@ fn pipelined_stages_share_the_resident_graph() {
 
 #[test]
 fn pipelining_switches_plans_between_stages() {
-    // Stage 1 runs LOJ (builds Vid indexes), stage 2 runs FOJ (drops
+    // Stage 1 runs LOJ (writes Vid runs), stage 2 runs FOJ (drops
     // them): the plan transition logic in LoadedGraph::run must handle
     // both directions.
     let records = btc::btc(1_500, 5.0, 83);

@@ -717,7 +717,7 @@ fn truncated_checkpointed_msg_run_surfaces_the_failure_and_leaves_nothing_behind
 // Plan coverage: LOJ recovery, clearing, determinism
 // ---------------------------------------------------------------------------
 
-/// LOJ recovery must restore the Vid live-vertex index from the checkpoint
+/// LOJ recovery must restore the Vid live-vertex run from the checkpoint
 /// (a BTC-style graph rather than chains, to exercise realistic fan-out).
 #[test]
 fn recovery_works_with_left_outer_join_plans_too() {

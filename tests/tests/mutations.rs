@@ -8,8 +8,9 @@ use pregelix::core::api::{ComputeContext, MessageCombiner, Mutation, Resolution,
 use pregelix::prelude::*;
 use std::sync::Arc;
 
-/// Superstep 1: even vertices insert a shadow vertex (vid + 1000) and odd
-/// vertices delete themselves. Superstep 2: everyone halts.
+/// Superstep 1: even vertices insert a live shadow vertex (vid + 1000) and
+/// odd vertices delete themselves. A shadow's one `compute` adds 100 times
+/// its superstep to the value it was inserted with. Everyone halts.
 struct Mutator;
 
 impl VertexProgram for Mutator {
@@ -26,6 +27,9 @@ impl VertexProgram for Mutator {
                 ctx.delete_vertex(ctx.vid());
             }
         }
+        if ctx.vid() >= 1000 {
+            *ctx.value_mut() += 100 * ctx.superstep();
+        }
         ctx.vote_to_halt();
         Ok(())
     }
@@ -39,23 +43,36 @@ impl VertexProgram for Mutator {
     }
 }
 
+/// Under every join plan: a tracked plan's `mutate` adds each live shadow
+/// to the `Vid` run, or its superstep-2 `compute` would never run.
 #[test]
 fn inserts_and_deletes_apply_at_the_next_superstep() {
-    let records: Vec<(Vid, Vec<(Vid, f64)>)> = (0..10).map(|v| (v, vec![])).collect();
-    let cluster = Cluster::new(ClusterConfig::new(3, 8 << 20)).unwrap();
-    let job = PregelixJob::new("mutate");
-    let (summary, graph) =
-        run_job_from_records(&cluster, &Arc::new(Mutator), &job, records).unwrap();
-    let vertices = graph.collect_vertices::<Mutator>().unwrap();
-    let vids: Vec<Vid> = vertices.iter().map(|v| v.vid).collect();
-    // Evens stay (0,2,4,6,8), odds deleted, shadows created.
-    assert_eq!(vids, vec![0, 2, 4, 6, 8, 1000, 1002, 1004, 1006, 1008]);
-    assert_eq!(summary.final_gs.vertex_count, 10);
-    // Shadows carry the inserting vertex's value.
-    assert_eq!(
-        vertices.iter().find(|v| v.vid == 1004).unwrap().value,
-        4
-    );
+    for join in [
+        JoinStrategy::FullOuter,
+        JoinStrategy::LeftOuter,
+        JoinStrategy::Adaptive,
+    ] {
+        let records: Vec<(Vid, Vec<(Vid, f64)>)> = (0..10).map(|v| (v, vec![])).collect();
+        let cluster = Cluster::new(ClusterConfig::new(3, 8 << 20)).unwrap();
+        let job = PregelixJob::new(format!("mutate-{join:?}")).with_join(join);
+        let (summary, graph) =
+            run_job_from_records(&cluster, &Arc::new(Mutator), &job, records).unwrap();
+        let vertices = graph.collect_vertices::<Mutator>().unwrap();
+        let vids: Vec<Vid> = vertices.iter().map(|v| v.vid).collect();
+        // Evens stay (0,2,4,6,8), odds deleted, shadows created.
+        assert_eq!(
+            vids,
+            vec![0, 2, 4, 6, 8, 1000, 1002, 1004, 1006, 1008],
+            "{join:?}"
+        );
+        assert_eq!(summary.final_gs.vertex_count, 10, "{join:?}");
+        for v in &vertices {
+            // Shadows carry the inserting vertex's value, and ran `compute`
+            // in superstep 2.
+            let want = if v.vid >= 1000 { v.vid - 1000 + 200 } else { v.vid };
+            assert_eq!(v.value, want, "{join:?} vid {}", v.vid);
+        }
+    }
 }
 
 /// Conflicting insertions of the same vid from two different vertices,

@@ -1,8 +1,9 @@
 //! A partition's files live exactly as long as its state. Once a job's
 //! graph is gone — the job finished, was cancelled or failed, or recovery
 //! replaced the partition — no worker root holds its page files
-//! (`pf-*.dat`: the `Vertex` store, every LSM component, the `Vid` index)
-//! or its `Msg` runs (`msg-*.run`), whichever way the job was run.
+//! (`pf-*.dat`: the `Vertex` store, every LSM component), its `Msg` runs
+//! (`msg-*.run`) or its `Vid` runs (`vid-*.run`), whichever way the job
+//! was run.
 //!
 //! Every test holds [`fault::exclusive`]: the recovery scenario installs a
 //! barrier fault whose scope is a bare superstep number.
@@ -21,8 +22,9 @@ fn partition_files(cluster: &Cluster) -> Vec<String> {
         for entry in std::fs::read_dir(cluster.worker(id).file_manager().root()).unwrap() {
             let name = entry.unwrap().file_name().to_string_lossy().into_owned();
             let page_file = name.starts_with("pf-") && name.ends_with(".dat");
-            let msg_run = name.starts_with("msg-") && name.ends_with(".run");
-            if page_file || msg_run {
+            let run = name.ends_with(".run")
+                && (name.starts_with("msg-") || name.starts_with("vid-"));
+            if page_file || run {
                 found.push(format!("worker-{id}/{name}"));
             }
         }
@@ -38,7 +40,8 @@ fn assert_released(cluster: &Cluster, what: &str) {
 }
 
 /// Two workers whose frames are small enough that a 1 024-vertex
-/// PageRank's `Msg` runs spill to files instead of staying in memory.
+/// PageRank's `Msg` and `Vid` runs spill to files instead of staying in
+/// memory.
 fn small_frame_cluster() -> Cluster {
     Cluster::new(ClusterConfig {
         frame_bytes: 512,
@@ -94,8 +97,8 @@ fn dropped_graphs_leave_no_partition_files() {
     let records = graphgen::webmap::webmap(10, 4.0, 5);
     let program = Arc::new(PageRank::new(10));
     // The B-tree store under both join plans (the left-outer one adds the
-    // `Vid` index), then the LSM store. Cut off after three supersteps, each
-    // graph still holds the `Msg` run feeding the fourth.
+    // `Vid` run, which spills too), then the LSM store. Cut off after three
+    // supersteps, each graph still holds the `Msg` run feeding the fourth.
     let jobs = [
         PregelixJob::new("pf-foj"),
         PregelixJob::new("pf-loj").with_join(JoinStrategy::LeftOuter),
@@ -108,6 +111,13 @@ fn dropped_graphs_leave_no_partition_files() {
         assert!(
             held.iter().any(|f| f.contains("/pf-")) && held.iter().any(|f| f.contains("/msg-")),
             "{}: a live graph holds page files and a spilled Msg run: {held:?}",
+            job.id()
+        );
+        let loj = job.plan().join == JoinStrategy::LeftOuter;
+        assert_eq!(
+            held.iter().any(|f| f.contains("/vid-")),
+            loj,
+            "{}: only the left-outer graph holds a spilled Vid run: {held:?}",
             job.id()
         );
         drop(graph);
