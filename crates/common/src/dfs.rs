@@ -17,6 +17,7 @@ use crate::error::{PregelixError, Result};
 use crate::fault::{self, Fault, Site};
 use crate::stats::ClusterCounters;
 use std::fs;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,6 +93,20 @@ impl SimDfs {
             return Err(fault::injected_error(Site::DfsRead, path));
         }
         Ok(fs::read(self.resolve(path)?)?)
+    }
+
+    /// Read the bytes of `range` of a file, cut short at its end: one split
+    /// of a parallel scan. The same fault site as [`SimDfs::read`].
+    pub fn read_range(&self, path: &str, range: std::ops::Range<u64>) -> Result<Vec<u8>> {
+        if fault::hit(Site::DfsRead, path).is_some() {
+            self.counters.add_faults_injected(1);
+            return Err(fault::injected_error(Site::DfsRead, path));
+        }
+        let mut file = fs::File::open(self.resolve(path)?)?;
+        file.seek(SeekFrom::Start(range.start))?;
+        let mut out = Vec::with_capacity(range.end.saturating_sub(range.start) as usize);
+        file.take(range.end.saturating_sub(range.start)).read_to_end(&mut out)?;
+        Ok(out)
     }
 
     /// Whether a file exists at `path`.
@@ -239,6 +254,16 @@ mod tests {
         assert_eq!(dfs.read("a/b/c.bin").unwrap(), b"hello");
         assert!(dfs.exists("a/b/c.bin"));
         assert!(!dfs.exists("a/b/missing"));
+    }
+
+    #[test]
+    fn read_range_stops_at_the_file_end() {
+        let (dfs, _d) = tmp_dfs();
+        dfs.write("r/f", b"0123456789").unwrap();
+        assert_eq!(dfs.read_range("r/f", 2..5).unwrap(), b"234");
+        assert_eq!(dfs.read_range("r/f", 8..20).unwrap(), b"89");
+        assert!(dfs.read_range("r/f", 12..20).unwrap().is_empty());
+        assert!(dfs.read_range("r/missing", 0..1).is_err());
     }
 
     #[test]

@@ -345,17 +345,7 @@ impl LoadedGraph {
         job: &PregelixJob,
         offset: usize,
     ) -> Result<LoadedGraph> {
-        let alive = cluster.alive_workers();
-        let p_count = alive.len() * job.partitions_per_worker;
-        let sticky = sticky_assignment_offset(p_count, &alive, offset);
-        let (partitions, vertex_count, hi) = load::load_partitions(cluster, program, job, &sticky)?;
-        Ok(LoadedGraph {
-            partitions,
-            sticky,
-            vertex_count,
-            hi,
-            intact: true,
-        })
+        Self::load_at(cluster, program, job, offset, None)
     }
 
     /// Load from pre-parsed `(vid, edges)` records (bench/test path).
@@ -365,11 +355,21 @@ impl LoadedGraph {
         job: &PregelixJob,
         records: Vec<(Vid, Vec<(Vid, f64)>)>,
     ) -> Result<LoadedGraph> {
+        Self::load_at(cluster, program, job, 0, Some(records))
+    }
+
+    fn load_at<P: VertexProgram>(
+        cluster: &Cluster,
+        program: &Arc<P>,
+        job: &PregelixJob,
+        offset: usize,
+        records: Option<Vec<load::Record>>,
+    ) -> Result<LoadedGraph> {
         let alive = cluster.alive_workers();
         let p_count = alive.len() * job.partitions_per_worker;
-        let sticky = sticky_assignment_offset(p_count, &alive, 0);
+        let sticky = sticky_assignment_offset(p_count, &alive, offset);
         let (partitions, vertex_count, hi) =
-            load::load_partitions_from_records(cluster, program, job, &sticky, records)?;
+            load::load_partitions(cluster, program, job, &sticky, records)?;
         Ok(LoadedGraph {
             partitions,
             sticky,

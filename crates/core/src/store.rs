@@ -31,9 +31,11 @@ impl VertexStore {
 
     /// Bulk load key-sorted `(key, value)` entries into an empty store.
     /// Leaves B-tree leaves 10% slack for in-place growth.
-    pub fn bulk_load<I>(&mut self, entries: I) -> Result<()>
+    pub fn bulk_load<I, K, V>(&mut self, entries: I) -> Result<()>
     where
-        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
     {
         match self {
             VertexStore::B(t) => t.bulk_load(entries, 0.9),

@@ -1462,6 +1462,25 @@ fn partition_run(w: &WorkerHandle, path: impl Into<PathBuf>) -> RunWriter {
     RunWriter::create_buffered(path, w.counters().clone(), 8 * w.frame_bytes())
 }
 
+/// Drain a pipelined edge's streams into one frame queue per source, in
+/// source-index order, each frame queued by refcount. The blocking rule:
+/// frames are taken from whichever stream has one, and every stream is
+/// drained to its `Fin` before any is read, so the reader never waits on
+/// one sender while another is held up on a full bounded channel — the
+/// merge deadlock §5.3.1's materializing connector exists to avoid. Under
+/// sequential-timed execution every frame is already queued on an
+/// unbounded channel before the reader runs, so holding them here adds no
+/// bytes. `msgwrite[p]` and `load[p]` read their edges this way.
+pub(crate) fn drain_streams(w: &WorkerHandle, ins: Vec<StreamRx>) -> Result<Vec<Vec<SharedFrame>>> {
+    let mut queues = vec![Vec::new(); ins.len()];
+    let mut rx = ReliableReceiver::new(ins, w.counters().clone());
+    while let Some((stream, frame)) = rx.next_stream_frame()? {
+        w.check_alive()?;
+        queues[stream].push(frame);
+    }
+    Ok(queues)
+}
+
 /// `msgwrite[p]`: folds its inbound message edge into the `Msg_{s+1}` run,
 /// which the commit step installs. Every source of that edge — a stream of
 /// the pipelined connector, a run of the merging one, a logged section in
@@ -1501,22 +1520,10 @@ fn msgwrite_task<P: VertexProgram>(
             let inputs = runs.iter().map(|run| SortedInput::run(run, w.counters().clone()));
             (inputs.collect::<Result<Vec<_>>>()?, runs)
         }
-        // The pipelined connector: every frame is queued by refcount on
-        // its stream. The blocking rule: frames are taken from whichever
-        // stream has one, and every stream is drained to its `Fin` before
-        // any is read, so this task never waits on one sender while another
-        // is held up on a full bounded channel — the merge deadlock
-        // §5.3.1's materializing connector exists to avoid. Under
-        // sequential-timed execution every frame is already queued on an
-        // unbounded channel before this task runs, so holding them here
-        // adds no bytes.
+        // The pipelined connector: every frame queued by refcount on its
+        // stream.
         Inbound::Pipelined(ins) => {
-            let mut queues = vec![Vec::new(); ins.len()];
-            let mut rx = ReliableReceiver::new(ins, w.counters().clone());
-            while let Some((stream, frame)) = rx.next_stream_frame()? {
-                w.check_alive()?;
-                queues[stream].push(frame);
-            }
+            let queues = drain_streams(w, ins)?;
             (queues.into_iter().map(SortedInput::frames).collect(), Vec::new())
         }
         // Replay: each source's logged section is its stream, whole.

@@ -456,7 +456,8 @@ impl Cluster {
     /// Error priority: application ([`PregelixError::User`]) errors first —
     /// they must never be masked by the secondary plumbing errors they
     /// cause — then [`PregelixError::OutOfMemory`], then recoverable
-    /// infrastructure failures, then anything else.
+    /// infrastructure failures, then anything else, anonymous
+    /// ([`PregelixError::Internal`]) errors last.
     pub fn execute(&self, tasks: Vec<Task>) -> Result<std::time::Duration> {
         for t in &tasks {
             if t.worker >= self.workers.len() {
@@ -524,6 +525,8 @@ impl Cluster {
             PregelixError::OutOfMemory { .. } => 1,
             PregelixError::WorkerDead { .. } => 2,
             PregelixError::Io(_) => 3,
+            // Last: what a failed task's peers see, not the failure itself.
+            PregelixError::Internal(_) => 5,
             _ => 4,
         };
         errors.sort_by_key(|(_, e)| rank(e));

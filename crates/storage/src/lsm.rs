@@ -96,14 +96,16 @@ impl LsmBTree {
     /// Bulk load key-sorted entries as the initial disk component. The tree
     /// must be empty. This is the graph-load and checkpoint-recovery path
     /// for LSM-backed `Vertex` partitions.
-    pub fn bulk_load<I>(&mut self, entries: I) -> Result<()>
+    pub fn bulk_load<I, K, V>(&mut self, entries: I) -> Result<()>
     where
-        I: IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<[u8]>,
+        V: AsRef<[u8]>,
     {
         debug_assert!(self.mem.is_empty() && self.components.is_empty());
         let entries: Vec<_> = entries
             .into_iter()
-            .map(|(k, v)| (k, encode(Some(&v))))
+            .map(|(k, v)| (k.as_ref().to_vec(), encode(Some(v.as_ref()))))
             .collect();
         let comp = DiskComponent::build(&self.cache, entries)?;
         self.components.push(comp);
