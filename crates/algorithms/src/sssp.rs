@@ -4,7 +4,8 @@
 //! the paper's recommended plan hints are the **index left outer join**
 //! (probe only the messaged vertices, §5.3.2/§7.5), the HashSort group-by
 //! (few distinct destinations), and the non-merging connector — exactly
-//! the hints set in Figure 9's `main`.
+//! the hints set in Figure 9's `main`. Here the group-by hint is a name
+//! only: every strategy groups through one sorter.
 
 use pregelix_common::error::Result;
 use pregelix_common::Vid;

@@ -1,4 +1,4 @@
-//! Figure 7 / §5.3.1 / TR [13] Fig. 9: the four parallel message-combination
+//! Figure 7 / §5.3.1 / TR [13] Fig. 9: the parallel message-combination
 //! strategies, across cluster sizes.
 //!
 //! Shapes to reproduce:
@@ -10,13 +10,14 @@
 //!   all senders (it cannot emit until every sender's sorted run is
 //!   sealed), so the merging strategies lose ground — the TR's
 //!   146-machine finding, visible here as a ratio trend.
-//! * HashSort beats Sort when distinct message destinations are few;
-//!   otherwise they are similar.
 //!
-//! The four strategies sort and group, so their rows run PageRank with its
-//! message wrapped in a newtype that declares no fixed width — the one
-//! thing that keeps a combining program off the sender-side fold table.
-//! The fifth row, `direct`, is the same job with the plain `f64` message:
+//! The paper's HashSort bars are not reproduced: both group-by names sort
+//! through one sorter, so a strategy picks only its connector, and the
+//! table has one row per connector. Those rows sort and group, so they run
+//! PageRank with its message wrapped in a newtype that declares no fixed
+//! width — the one thing that keeps a combining program off the
+//! sender-side fold table. The third row, `direct`, is the same job with
+//! the plain `f64` message:
 //! senders fold by address and only the receiver groups. Every cell checks
 //! from the job summary which path ran, so no bar can quietly turn into
 //! another.
@@ -54,12 +55,15 @@ fn main() {
         }
         print!(" {:>10}", RunOutcome::from(summary).avg_cell());
     };
-    for strategy in GroupByStrategy::all() {
+    for (row, strategy) in [
+        ("pipelined", GroupByStrategy::SortUnmerged),
+        ("merged", GroupByStrategy::SortMerged),
+    ] {
         let plan = PlanConfig {
             groupby: strategy,
             ..PlanConfig::default()
         };
-        print!("{:<18}", plan.label().replace("foj-", "").replace("-btree", ""));
+        print!("{row:<18}");
         for w in clusters {
             let program = SortPath(PageRank::new(5));
             cell(

@@ -7,11 +7,9 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use pregelix::common::frame::{keyed_tuple, Frame};
 use pregelix::common::stats::ClusterCounters;
-use pregelix::dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix::storage::btree::BTree;
 use pregelix::storage::cache::BufferCache;
 use pregelix::storage::file::{FileManager, TempDir};
-use pregelix::storage::radix::TUPLE_RADIX_MIN_ENTRIES;
 use pregelix::storage::runfile::{RunHandle, RunReader, RunWriter};
 use pregelix::storage::sort::{CombineFn, ExternalSorter};
 use rand::prelude::*;
@@ -89,23 +87,21 @@ fn bench_sort_groupby(c: &mut Criterion) {
         tuples.push(keyed_tuple(rng.gen_range(0..10_000u64), &1.0f64.to_le_bytes()));
     }
 
-    for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
-        group.bench_function(format!("{kind:?}_100k_msgs_10k_groups"), |b| {
-            b.iter(|| {
-                let mut gb =
-                    LocalGroupBy::with_fold(kind, &fm, "bench", 1 << 20, Some(sum_combiner()));
-                for t in &tuples {
-                    gb.add(t).unwrap();
-                }
-                let mut stream = gb.finish().unwrap();
-                let mut n = 0;
-                while stream.next_tuple().unwrap().is_some() {
-                    n += 1;
-                }
-                black_box(n);
-            });
+    group.bench_function("sort_100k_msgs_10k_groups", |b| {
+        b.iter(|| {
+            let mut gb =
+                ExternalSorter::new(fm.clone(), "bench", 1 << 20).with_combiner(sum_combiner());
+            for t in &tuples {
+                gb.add(t).unwrap();
+            }
+            let mut stream = gb.finish().unwrap();
+            let mut n = 0;
+            while stream.next_tuple().unwrap().is_some() {
+                n += 1;
+            }
+            black_box(n);
         });
-    }
+    });
 
     group.bench_function("external_sort_spilling_100k", |b| {
         b.iter(|| {
@@ -320,13 +316,10 @@ fn sum_combiner() -> CombineFn {
     })
 }
 
-/// The tentpole benchmark: sort + combine 1M 16-byte messages, comparing
-/// three sorters — `radix_*` (the SWC radix path at the default threshold),
-/// `comparison_*` (the same arena sorter with the threshold at `usize::MAX`,
-/// so every batch takes the comparison path) and `vec_baseline_*` (the old
-/// per-tuple-`Vec` implementation) — both fully in memory and with forced
-/// spills, plus a presorted-input pair pinning "no regression when the
-/// input is already ordered".
+/// Sort + combine 1M 16-byte messages, comparing the arena sorter
+/// (`arena_*`) with the old per-tuple-`Vec` implementation
+/// (`vec_baseline_*`), both fully in memory and with forced spills, plus
+/// the arena sorter on presorted input.
 fn bench_sort_1m_msgs(c: &mut Criterion) {
     let mut group = c.benchmark_group("sort_1m_msgs");
     group.sample_size(10);
@@ -338,10 +331,9 @@ fn bench_sort_1m_msgs(c: &mut Criterion) {
         .map(|_| keyed_tuple(rng.gen_range(0..1u64 << 20), &1.0f64.to_le_bytes()))
         .collect();
 
-    let run_external = |min_entries: usize, budget: usize, input: &[Vec<u8>]| {
-        let mut s = ExternalSorter::new(fm.clone(), "bench-1m-a", budget)
-            .with_sort_min_entries(min_entries)
-            .with_combiner(sum_combiner());
+    let run_external = |budget: usize, input: &[Vec<u8>]| {
+        let mut s =
+            ExternalSorter::new(fm.clone(), "bench-1m-a", budget).with_combiner(sum_combiner());
         for t in input {
             s.add(t).unwrap();
         }
@@ -356,11 +348,8 @@ fn bench_sort_1m_msgs(c: &mut Criterion) {
     // (variant, budget): 1 GiB keeps everything in memory; 8 MiB forces
     // several spilled runs for ~15 MiB of input.
     for (variant, budget) in [("in_memory", 1usize << 30), ("spilling", 8 << 20)] {
-        group.bench_function(format!("radix_{variant}"), |b| {
-            b.iter(|| run_external(TUPLE_RADIX_MIN_ENTRIES, budget, &tuples));
-        });
-        group.bench_function(format!("comparison_{variant}"), |b| {
-            b.iter(|| run_external(usize::MAX, budget, &tuples));
+        group.bench_function(format!("arena_{variant}"), |b| {
+            b.iter(|| run_external(budget, &tuples));
         });
         group.bench_function(format!("vec_baseline_{variant}"), |b| {
             b.iter(|| {
@@ -379,15 +368,11 @@ fn bench_sort_1m_msgs(c: &mut Criterion) {
         });
     }
 
-    // Presorted input: the comparison sorter's best case (branch-predictable
-    // merges); the radix path must not regress here.
+    // Presorted input: the comparison sort's best case.
     let mut presorted = tuples;
     presorted.sort_unstable();
-    group.bench_function("radix_presorted", |b| {
-        b.iter(|| run_external(TUPLE_RADIX_MIN_ENTRIES, 1 << 30, &presorted));
-    });
-    group.bench_function("comparison_presorted", |b| {
-        b.iter(|| run_external(usize::MAX, 1 << 30, &presorted));
+    group.bench_function("arena_presorted", |b| {
+        b.iter(|| run_external(1 << 30, &presorted));
     });
     group.finish();
 }

@@ -177,7 +177,7 @@ impl Frame {
     /// tuples: vid order with payload bytes as tiebreaker).
     ///
     /// No job sorts a frame: the message path sorts arena-backed tuples
-    /// with `pregelix_storage::radix::TupleRadixSorter`. This plain
+    /// with `pregelix_storage::sort::ExternalSorter`. This plain
     /// comparison sort exists only for the benchmark's layer replay
     /// (`benchmark/src/replay.rs`) and goes with ROADMAP item 2A.
     pub fn sort(&mut self) {

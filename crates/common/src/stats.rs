@@ -138,20 +138,11 @@ macro_rules! stats_table {
             /// is not counted, so this stays O(buffer budget / chunk size) on a
             /// healthy message path regardless of tuple count).
             counter arena_frames_allocated, add_arena_frames;
-            /// Sort entries ordered by the LSB radix path (software
-            /// write-combining message sort); entries taken by a comparison
-            /// fallback are not counted.
+            /// Sort entries the external sort ordered in memory (pinned:
+            /// benchmark/src/child.rs reads it by this name).
             counter radix_sort_entries, add_radix_sort_entries;
-            /// Radix passes a naive 8-pass byte radix would have run that the
-            /// sorter's plan avoided: constant key bits outside the varying
-            /// bit-span (the common case for the high key bytes of small vid
-            /// ranges), presorted batches, and multi-bit digit windows that
-            /// cover the span in fewer passes.
-            counter radix_passes_skipped, add_radix_passes_skipped;
-            /// Comparison-sort invocations on the sort path: whole-batch
-            /// fallbacks (batches below the radix threshold or forced
-            /// comparison mode) plus equal-prefix tie groups resolved by
-            /// full-tuple byte comparison after the radix passes.
+            /// Nothing charges this; it stays 0 (pinned:
+            /// benchmark/src/child.rs reads it).
             counter sort_comparison_fallbacks, add_sort_comparison_fallbacks;
             /// Faults injected by an installed [`crate::fault::FaultPlan`]
             /// (always 0 in production).

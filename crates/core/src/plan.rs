@@ -133,7 +133,8 @@ pub enum VertexStorageKind {
     Lsm,
 }
 
-/// One point in the 2 × 4 × 2 physical plan space.
+/// One point in the 2 × 4 × 2 physical plan space (the group-by strategy
+/// picks only the message connector, so two of its names repeat a plan).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Message-delivery join strategy.

@@ -61,11 +61,10 @@ use pregelix_dataflow::connector::{
     MergeRx, MergeTx, MergingReceiver, PartitionReceiver, PartitioningSender,
 };
 use pregelix_dataflow::transport::{ReliableReceiver, StreamRx, StreamTx};
-use pregelix_dataflow::groupby::{GroupByKind, LocalGroupBy};
 use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec, Schedule};
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
-use pregelix_storage::sort::{CombineFn, SortedInput, SortedStream};
+use pregelix_storage::sort::{CombineFn, ExternalSorter, SortedInput, SortedStream};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -344,7 +343,7 @@ fn encode_msg_tuple<M: Writable>(out: &mut Vec<u8>, dest: Vid, m: &M) {
 /// outgoing message whose destination has a table slot folds into it;
 /// everything else — destinations at or above the table's `hi`, and every
 /// message of a program that got no table — goes through the sort-based
-/// group-by, built on first use.
+/// group-by, an [`ExternalSorter`] built on first use.
 ///
 /// Folding is immediate for the table's first window. A message for a later
 /// window is appended, as `u32 slot | message`, to that window's spill file
@@ -357,9 +356,9 @@ struct MsgFold<P: VertexProgram> {
     table: Option<FoldTable<P::Message>>,
     /// Spill file of window `k + 1`, created by the first message for it.
     spills: Vec<Option<RunWriter>>,
-    sorter: Option<LocalGroupBy>,
-    /// What the sorter is built from: its kind, budget and tuple combiner.
-    sorter_parts: Option<(GroupByKind, usize, CombineFn)>,
+    sorter: Option<ExternalSorter>,
+    /// What the sorter is built from: its budget and tuple combiner.
+    sorter_parts: Option<(usize, CombineFn)>,
     fm: FileManager,
     /// Reused encoding buffer for outgoing tuples and spill records.
     scratch: Vec<u8>,
@@ -374,7 +373,6 @@ impl<P: VertexProgram> MsgFold<P> {
     /// the rest is the sorter's.
     fn new(
         table: Option<FoldTable<P::Message>>,
-        kind: GroupByKind,
         fm: &FileManager,
         budget: usize,
         combiner: CombineFn,
@@ -388,7 +386,7 @@ impl<P: VertexProgram> MsgFold<P> {
             table,
             spills: (0..spill_files).map(|_| None).collect(),
             sorter: None,
-            sorter_parts: Some((kind, sorter_budget, combiner)),
+            sorter_parts: Some((sorter_budget, combiner)),
             fm: fm.clone(),
             scratch: Vec::new(),
             folded: 0,
@@ -430,14 +428,9 @@ impl<P: VertexProgram> MsgFold<P> {
             }
             self.strays += 1;
         }
-        if let Some((kind, budget, combiner)) = self.sorter_parts.take() {
-            self.sorter = Some(LocalGroupBy::with_fold(
-                kind,
-                &self.fm,
-                "msg-local",
-                budget,
-                Some(combiner),
-            ));
+        if let Some((budget, combiner)) = self.sorter_parts.take() {
+            let sorter = ExternalSorter::new(self.fm.clone(), "msg-local", budget);
+            self.sorter = Some(sorter.with_combiner(combiner));
         }
         encode_msg_tuple(&mut self.scratch, dest, &m);
         self.sorter.as_mut().expect("just built").add(&self.scratch)
@@ -1231,7 +1224,6 @@ fn compute_task<P: VertexProgram>(
     let fold = msg_tx.as_ref().map(|_| {
         MsgFold::new(
             exec.fold_slots.get(p).filter(|s| s.sender).map(FoldSlot::take),
-            exec.config.groupby.kind(),
             w.file_manager(),
             w.groupby_budget(),
             msg_tuple_combiner(&exec.program),
@@ -1756,7 +1748,7 @@ mod tests {
     use crate::api::{tests_support::NoopProgram, MessageCombiner};
     use crate::vertex::{decode_msg_list, encode_msg_list};
     use pregelix_common::frame::Frame;
-    use pregelix_dataflow::groupby::{GroupByKind, TupleCombiner};
+    use pregelix_dataflow::groupby::{combine_fn, TupleCombiner};
     use pregelix_storage::file::{FileManager, TempDir};
 
     /// `f64` messages under a sum combiner: float addition is not
@@ -1823,7 +1815,7 @@ mod tests {
     }
 
     /// Output stream, bytes spilled and runs spilled of one group-by.
-    fn group(mut gb: LocalGroupBy, fm: &FileManager) -> (Vec<Vec<u8>>, u64, u64) {
+    fn group(mut gb: ExternalSorter, fm: &FileManager) -> (Vec<Vec<u8>>, u64, u64) {
         for t in duplicate_heavy_messages() {
             gb.add(&t).unwrap();
         }
@@ -1834,21 +1826,18 @@ mod tests {
 
     fn fold_matches_byte_pair<P: VertexProgram>(program: P) {
         let program = Arc::new(program);
-        for kind in [GroupByKind::Sort, GroupByKind::HashSort] {
-            for budget in [1 << 20, 2048] {
-                let (fm, _d) = fresh_fm();
-                let pair = byte_pair_combiner(&program);
-                let legacy = group(LocalGroupBy::new(kind, &fm, "l", budget, Some(&pair)), &fm);
-                let (fm, _d) = fresh_fm();
-                let fold = msg_tuple_combiner(&program);
-                let folded = group(
-                    LocalGroupBy::with_fold(kind, &fm, "f", budget, Some(fold)),
-                    &fm,
-                );
-                assert_eq!(legacy.0.len(), 300);
-                assert_eq!(folded, legacy, "{kind:?}, budget {budget}");
-                assert_eq!(folded.1 > 0, budget == 2048, "budget {budget} spills");
-            }
+        for budget in [1 << 20, 2048] {
+            let (fm, _d) = fresh_fm();
+            let pair = combine_fn(&byte_pair_combiner(&program));
+            let legacy = ExternalSorter::new(fm.clone(), "l", budget).with_combiner(pair);
+            let legacy = group(legacy, &fm);
+            let (fm, _d) = fresh_fm();
+            let fold = msg_tuple_combiner(&program);
+            let folded = ExternalSorter::new(fm.clone(), "f", budget).with_combiner(fold);
+            let folded = group(folded, &fm);
+            assert_eq!(legacy.0.len(), 300);
+            assert_eq!(folded, legacy, "budget {budget}");
+            assert_eq!(folded.1 > 0, budget == 2048, "budget {budget} spills");
         }
     }
 
@@ -1896,7 +1885,6 @@ mod tests {
         let (fm, _dir) = fresh_fm();
         let mut fold = MsgFold::<P>::new(
             slot.map(FoldSlot::take),
-            GroupByKind::Sort,
             &fm,
             1 << 20,
             msg_tuple_combiner(program),
@@ -2059,7 +2047,6 @@ mod tests {
         drop(dir); // the sorter's first spill has nowhere to go
         let mut fold = MsgFold::<Folding<u64>>::new(
             Some(slot.take()),
-            GroupByKind::Sort,
             &fm,
             FoldTable::<u64>::bytes(100) as usize,
             msg_tuple_combiner(&program),
@@ -2103,7 +2090,6 @@ mod tests {
             chaos.install(FaultPlan::new().on(site, &scope, nth, Fault::IoError));
             let mut fold = MsgFold::<Folding<u64>>::new(
                 Some(slot.take()),
-                GroupByKind::Sort,
                 &fm,
                 1 << 20,
                 msg_tuple_combiner(&program),

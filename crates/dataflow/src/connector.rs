@@ -400,7 +400,7 @@ impl MergingReceiver {
     /// preclustered group-by of the lower Figure 7 strategies).
     pub fn into_stream(self, combiner: Option<CombineFn>) -> Result<SortedStream> {
         let counters = self.counters.clone();
-        SortedStream::from_parts(Vec::new(), self.into_runs()?, combiner, counters)
+        SortedStream::from_runs(self.into_runs()?, combiner, counters)
     }
 
     /// Block until every sender delivers its run, and hand the runs over in

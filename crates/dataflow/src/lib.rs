@@ -24,9 +24,8 @@
 //!   partitioning **merging** connector (sender-side materializing pipelined
 //!   policy: senders write sorted per-receiver runs, receivers k-way merge
 //!   them), and the aggregator connector (all-to-one).
-//! * [`groupby`] — the three group-by operator implementations (sort-based,
-//!   HashSort, preclustered) and the four parallel message-combination
-//!   strategies of Figure 7 composed from them.
+//! * [`groupby`] — the four parallel message-combination strategies of
+//!   Figure 7: one sort-based local group-by, and a choice of connector.
 
 pub mod cluster;
 pub mod connector;
@@ -39,6 +38,6 @@ pub use connector::{
     AggregatorReceiver, MaterializedPartitioner, MergingReceiver, PartitionReceiver,
     PartitioningSender,
 };
-pub use groupby::{GroupByStrategy, HashSortGroupBy, SortGroupBy};
+pub use groupby::GroupByStrategy;
 pub use scheduler::{LocationConstraint, Schedule};
 pub use transport::{ReliableReceiver, ReliableSender, StreamRx, StreamTx};

@@ -19,10 +19,6 @@
 //!   workloads such as the genome-assembly path merging (§5.2).
 //! * [`bloom`] — per-disk-component bloom filters so LSM point probes skip
 //!   components that provably do not contain the key.
-//! * [`radix`] — the tuple-level LSB radix sorter with software
-//!   write-combining that orders `(key-prefix, TupleRef)` entry vectors on
-//!   the message hot path, with a comparison fallback for small or unkeyed
-//!   batches.
 //! * [`runfile`] — sequential frame-structured temporary files, used for
 //!   sort runs, materialized connector channels, and the `Msg` relation.
 //! * [`sort`] — an external sort with bounded memory, optional
@@ -35,7 +31,6 @@ pub mod cache;
 pub mod file;
 pub mod lsm;
 pub mod page;
-pub mod radix;
 pub mod runfile;
 pub mod sort;
 
@@ -44,6 +39,5 @@ pub use btree::BTree;
 pub use cache::BufferCache;
 pub use file::{FileId, FileManager};
 pub use lsm::LsmBTree;
-pub use radix::TupleRadixSorter;
 pub use runfile::{RunReader, RunWriter};
 pub use sort::ExternalSorter;

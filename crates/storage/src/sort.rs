@@ -1,21 +1,17 @@
 //! External sort with bounded memory and aggregation-during-sort.
 //!
-//! This implements the engine behind the sort-based and HashSort group-by
-//! operators (§4): tuples are collected into a bounded in-memory buffer;
-//! when the buffer exceeds its budget it is sorted (by the whole tuple's
-//! byte order — for keyed tuples this is vid order) and spilled as a run
-//! file; `finish` merges all runs plus the residual buffer with a k-way
-//! merge.
+//! This is the engine behind the sort-based group-by (§4), and the only
+//! sort on the message path: tuples are collected into a bounded in-memory
+//! buffer; when the buffer exceeds its budget it is sorted (by the whole
+//! tuple's byte order — for keyed tuples this is vid order) and spilled as
+//! a run file; `finish` merges all runs plus the residual buffer with a
+//! k-way merge.
 //!
 //! The in-memory phase is **frame-native**: tuples append into a pooled
 //! [`TupleArena`] (contiguous chunk storage, recycled across spills) and
 //! sorting permutes a vector of small sort entries — an 8-byte normalized
-//! key prefix plus a 12-byte [`TupleRef`]. Large batches are ordered by
-//! the LSB radix path of [`crate::radix::TupleRadixSorter`] (software
-//! write-combining scatter over the prefix bytes, degenerate passes
-//! skipped, equal-prefix ties comparison-sorted); small batches take a
-//! comparison sort that still resolves on the prefix `u64` for all but
-//! equal-key tuples. Either way the sort rarely touches
+//! key prefix plus a 12-byte [`TupleRef`] — by the prefix `u64` first and
+//! the tuple bytes only on equal prefixes, so the sort rarely touches
 //! tuple bytes at all. No per-tuple heap allocation happens anywhere on
 //! this path — the asymmetry against object-per-message runtimes that the
 //! paper's byte-oriented frame design buys (§5.4). Spilling a sorted run is
@@ -45,7 +41,6 @@
 //! message volume to disk.
 
 use crate::file::FileManager;
-use crate::radix::TupleRadixSorter;
 use crate::runfile::{RunReader, RunWriter, TempRun};
 use pregelix_common::arena::{TupleArena, TupleRef, DEFAULT_ARENA_CHUNK_BYTES};
 use pregelix_common::error::Result;
@@ -77,7 +72,6 @@ pub struct ExternalSorter {
     budget_bytes: usize,
     arena: TupleArena,
     refs: Vec<(u64, TupleRef)>,
-    sorter: TupleRadixSorter,
     /// Spilled runs. Theirs until `finish` hands them to the merge, so a
     /// sorter dropped before that deletes what it spilled.
     runs: Vec<TempRun>,
@@ -94,14 +88,12 @@ impl ExternalSorter {
         // allocation count at O(budget / chunk size) either way.
         let chunk = budget_bytes.min(DEFAULT_ARENA_CHUNK_BYTES);
         let arena = TupleArena::with_counters(chunk, fm.counters().clone());
-        let sorter = TupleRadixSorter::with_counters(fm.counters().clone());
         ExternalSorter {
             fm,
             label: label.into(),
             budget_bytes,
             arena,
             refs: Vec::new(),
-            sorter,
             runs: Vec::new(),
             combiner: None,
         }
@@ -111,16 +103,6 @@ impl ExternalSorter {
     /// sort and merge phases.
     pub fn with_combiner(mut self, combiner: CombineFn) -> Self {
         self.combiner = Some(combiner);
-        self
-    }
-
-    /// Override the radix threshold of the in-memory sort (default
-    /// [`crate::radix::TUPLE_RADIX_MIN_ENTRIES`]). Test/benchmark hook:
-    /// a low threshold lets small spill batches exercise the full radix
-    /// plan end-to-end; `usize::MAX` keeps every batch on the comparison
-    /// path.
-    pub fn with_sort_min_entries(mut self, min_entries: usize) -> Self {
-        self.sorter.set_min_entries(min_entries);
         self
     }
 
@@ -140,11 +122,20 @@ impl ExternalSorter {
         Ok(())
     }
 
-    /// Sort the buffered refs by whole-tuple byte order: radix over the
-    /// normalized key prefix for large batches (ties and small batches
-    /// comparison-sorted), so the sort rarely dereferences into the arena.
+    /// Sort the buffered refs by whole-tuple byte order: the key prefix
+    /// first, the arena bytes only on equal prefixes. Equal entries are
+    /// equal tuples, so an unstable sort yields the same bytes.
     fn sort_refs(&mut self) {
-        self.sorter.sort(&self.arena, &mut self.refs);
+        let arena = &self.arena;
+        self.refs.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| arena.get(a.1).cmp(arena.get(b.1)))
+        });
+        if !self.refs.is_empty() {
+            // `radix_sort_entries` is the name the benchmark reads (pinned:
+            // benchmark/src/child.rs); it counts the entries sorted here.
+            self.fm.counters().add_radix_sort_entries(self.refs.len() as u64);
+        }
     }
 
     fn spill(&mut self) -> Result<()> {
@@ -201,7 +192,17 @@ impl ExternalSorter {
             _ => self.refs.iter().map(|&(_, r)| r).collect(),
         };
         let counters = self.fm.counters().clone();
-        SortedStream::from_arena_parts(self.arena, memory_refs, self.runs, self.combiner, counters)
+        let mut stream = SortedStream::from_runs(self.runs, self.combiner, counters)?;
+        if !memory_refs.is_empty() {
+            // The last source: ties go to the runs, in spill order, first.
+            stream.sources.push(Source::Memory {
+                arena: self.arena,
+                refs: memory_refs,
+                pos: 0,
+            });
+            stream.heap_push(stream.sources.len() - 1);
+        }
+        Ok(stream)
     }
 }
 
@@ -414,49 +415,17 @@ pub struct SortedStream {
 }
 
 impl SortedStream {
-    /// Assemble a merged stream from already-sorted parts: an in-memory
-    /// sorted (and pre-combined) tuple vector plus sealed sorted runs.
-    /// Takes ownership of the runs and deletes them when the stream is
-    /// dropped. Convenience wrapper over [`SortedStream::from_arena_parts`]
-    /// for callers that hold owned tuples.
-    pub fn from_parts(
-        memory: Vec<Vec<u8>>,
+    /// Merge sealed sorted runs, ties broken by run index. Takes ownership
+    /// of the runs and deletes them when the stream is dropped.
+    pub fn from_runs(
         runs: Vec<TempRun>,
         combiner: Option<CombineFn>,
         counters: ClusterCounters,
     ) -> Result<SortedStream> {
-        let mut arena = TupleArena::with_counters(DEFAULT_ARENA_CHUNK_BYTES, counters.clone());
-        let memory_refs: Vec<TupleRef> = memory.iter().map(|t| arena.append(t)).collect();
-        Self::from_arena_parts(arena, memory_refs, runs, combiner, counters)
-    }
-
-    /// Assemble a merged stream from an arena-backed in-memory part (tuple
-    /// refs must already be in ascending whole-tuple byte order) plus
-    /// sealed sorted runs. Used by the HashSort group-by, which drains its
-    /// hash table into a pooled arena and radix-sorts the refs — no
-    /// per-tuple allocation crosses this boundary. Takes ownership of the
-    /// runs and deletes them when the stream is dropped.
-    pub fn from_arena_parts(
-        arena: TupleArena,
-        refs: Vec<TupleRef>,
-        runs: Vec<TempRun>,
-        combiner: Option<CombineFn>,
-        counters: ClusterCounters,
-    ) -> Result<SortedStream> {
-        debug_assert!(
-            refs.windows(2).all(|w| arena.get(w[0]) <= arena.get(w[1])),
-            "memory refs not sorted"
-        );
-        let mut inputs = Vec::with_capacity(runs.len() + 1);
-        for run in &runs {
-            inputs.push(SortedInput::run(run, counters.clone())?);
-        }
-        let memory = (!refs.is_empty()).then_some(Source::Memory {
-            arena,
-            refs,
-            pos: 0,
-        });
-        inputs.push(SortedInput(memory));
+        let inputs = runs
+            .iter()
+            .map(|run| SortedInput::run(run, counters.clone()))
+            .collect::<Result<_>>()?;
         Ok(Self::from_inputs(inputs, runs, combiner))
     }
 
@@ -733,10 +702,9 @@ mod tests {
             ],
         ];
         let all: Vec<Vec<u8>> = sources.iter().flatten().cloned().collect();
-        let parts = || (sources[2].clone(), vec![run(&sources[0]), run(&sources[1])]);
+        let runs = || sources.iter().map(|tuples| run(tuples)).collect::<Vec<_>>();
 
-        let (memory, runs) = parts();
-        let plain = SortedStream::from_parts(memory, runs, None, f.counters().clone())
+        let plain = SortedStream::from_runs(runs(), None, f.counters().clone())
             .unwrap()
             .collect_all()
             .unwrap();
@@ -746,12 +714,10 @@ mod tests {
 
         // With an order-sensitive fold the suffix order shows in the output:
         // vid 1 folds a,b,c,d,e,e and vid 2 folds a,b,c.
-        let (memory, runs) = parts();
-        let folded =
-            SortedStream::from_parts(memory, runs, Some(concat_fold()), f.counters().clone())
-                .unwrap()
-                .collect_all()
-                .unwrap();
+        let folded = SortedStream::from_runs(runs(), Some(concat_fold()), f.counters().clone())
+            .unwrap()
+            .collect_all()
+            .unwrap();
         assert_eq!(
             folded,
             vec![keyed_tuple(1, b"abcdee"), keyed_tuple(2, b"abc")]
@@ -865,42 +831,22 @@ mod tests {
     }
 
     #[test]
-    fn radix_and_comparison_modes_agree_with_spills() {
-        use crate::radix::TUPLE_RADIX_MIN_ENTRIES;
-        let mut outputs = Vec::new();
-        let mut spilled = Vec::new();
-        // The default threshold, then every batch on the comparison path.
-        for min_entries in [TUPLE_RADIX_MIN_ENTRIES, usize::MAX] {
-            let (f, _d) = fm();
-            let mut s =
-                ExternalSorter::new(f.clone(), "m", 4096).with_sort_min_entries(min_entries);
-            let mut rng = StdRng::seed_from_u64(77);
-            for _ in 0..10_000 {
-                let vid = rng.gen_range(0..1_000u64);
-                s.add(&keyed_tuple(vid, &vid.to_le_bytes())).unwrap();
-            }
-            assert!(s.spilled_runs() > 0);
-            outputs.push(s.finish().unwrap().collect_all().unwrap());
-            spilled.push(f.counters().sort_bytes_spilled());
-        }
-        assert_eq!(outputs[0], outputs[1], "thresholds must be byte-identical");
-        assert_eq!(spilled[0], spilled[1], "zero drift in spill volume");
-    }
-
-    #[test]
     fn default_path_charges_radix_counters() {
         let (f, _d) = fm();
         let counters = f.counters().clone();
-        let mut s = ExternalSorter::new(f, "rc", 1 << 20);
-        // Large single batch over a byte-and-a-half of vid range: the
-        // finish-time sort takes the radix path and skips the high passes.
-        for vid in (0..5_000u64).rev() {
-            s.add(&keyed_tuple(vid, b"")).unwrap();
+        // Every entry sorted in memory counts, whether it spills or not;
+        // nothing charges the comparison fallbacks any more.
+        for budget in [1 << 20, 4096] {
+            let before = counters.radix_sort_entries();
+            let mut s = ExternalSorter::new(f.clone(), "rc", budget);
+            for vid in (0..5_000u64).rev() {
+                s.add(&keyed_tuple(vid, b"")).unwrap();
+            }
+            assert_eq!(s.spilled_runs() > 0, budget == 4096);
+            let out = s.finish().unwrap().collect_all().unwrap();
+            assert_eq!(out.len(), 5_000);
+            assert_eq!(counters.radix_sort_entries() - before, 5_000);
         }
-        let out = s.finish().unwrap().collect_all().unwrap();
-        assert_eq!(out.len(), 5_000);
-        assert_eq!(counters.radix_sort_entries(), 5_000);
-        assert_eq!(counters.radix_passes_skipped(), 6);
         assert_eq!(counters.sort_comparison_fallbacks(), 0);
     }
 

@@ -8,8 +8,9 @@
 //! SSSP is *message-sparse*: after the first few supersteps only the
 //! expanding wavefront is live. Figure 9 therefore sets three hints —
 //! `Join.LEFTOUTER`, `GroupBy.HASHSORT`, `Connector.UNMERGE` — which this
-//! example reproduces, printing the per-superstep advantage of skipping
-//! the full vertex scan (the §7.5 / Figure 14(a) effect). The input is a
+//! example reproduces. Here the HashSort hint selects only the pipelined
+//! connector: every group-by name sorts through the same sorter. It prints
+//! the per-superstep advantage of skipping the full vertex scan (the §7.5 / Figure 14(a) effect). The input is a
 //! high-diameter road-network-like grid, the regime where the wavefront
 //! is a small fraction of the graph in every superstep (at the paper's
 //! billion-vertex scale BTC itself behaves this way).
@@ -31,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PlanConfig::default(),
         ),
         (
-            "Figure 9 hints (left outer join + HashSort + unmerged)",
+            "Figure 9 hints (left outer join + HashSort, which picks the unmerged connector)",
             PlanConfig {
                 join: JoinStrategy::LeftOuter,
                 groupby: GroupByStrategy::HashSortUnmerged,

@@ -100,8 +100,6 @@ pub fn chaos_digest(
             "bloomneg" => s.bloom_negatives,
             "bloomfp" => s.bloom_false_positives,
             "radixn" => s.radix_sort_entries,
-            "rskip" => s.radix_passes_skipped,
-            "cmpfb" => s.sort_comparison_fallbacks,
             "conf" => s.confined_recoveries,
             "cfb" => s.confined_fallbacks,
             "logw" => s.log_bytes_written,

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 type Records = Vec<(Vid, Vec<(Vid, f64)>)>;
 
-/// Both connectors (and both group-by kinds), both joins, both stores.
+/// Both connectors (under both group-by names), both joins, both stores.
 fn lattice() -> Vec<PlanConfig> {
     let mut out = Vec::new();
     for groupby in [
@@ -393,18 +393,11 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
         assert_eq!(vt, vs);
         assert!((t - s).abs() <= 1e-12, "vid {vt}: {t} folded by address, {s} merged");
     }
-    let merged = PlanConfig {
-        groupby: GroupByStrategy::SortMerged,
-        ..plan
-    };
-    let (_, merged_values) = run(PageRank::new(3), "sf-tight-m", &records, merged, ram);
-    assert_eq!(tight_values, merged_values, "same sorters, same receiver fold");
     let sort_counters = |s: &JobSummary| {
         (
             s.stats.sort_runs_spilled,
             s.stats.sort_bytes_spilled,
             s.stats.radix_sort_entries,
-            s.stats.radix_passes_skipped,
             s.stats.sort_comparison_fallbacks,
             s.stats.arena_frames_allocated,
             s.stats.messages_combined,
@@ -412,6 +405,25 @@ fn a_table_over_budget_means_the_sort_path_exactly() {
             s.stats.disk_write_bytes,
         )
     };
+    let with = |groupby| PlanConfig { groupby, ..plan };
+    let (merged, merged_values) = run(
+        PageRank::new(3),
+        "sf-tight-m",
+        &records,
+        with(GroupByStrategy::SortMerged),
+        ram,
+    );
+    assert_eq!(tight_values, merged_values, "same sorters, same receiver fold");
+    // A HashSort name picks its connector and nothing else: the same
+    // sorter, spilling the same runs, to the bit.
+    for (name, groupby, twin) in [
+        ("sf-tight-h", GroupByStrategy::HashSortUnmerged, &tight),
+        ("sf-tight-hm", GroupByStrategy::HashSortMerged, &merged),
+    ] {
+        let (hashed, values) = run(PageRank::new(3), name, &records, with(groupby), ram);
+        assert_eq!(values, tight_values, "{name}");
+        assert_eq!(sort_counters(&hashed), sort_counters(twin), "{name}");
+    }
     assert_eq!(sort_counters(&tight), sort_counters(&sorted));
 
     // The same job with room for the table: no sender-side spill at all.
