@@ -6,16 +6,16 @@
 //! * `foj_full_scan`      — the full-outer baseline: scan all 1M rows.
 //! * `loj_probe_search`   — the old left-outer path: one root-to-leaf
 //!                          descent per live vid (`BTree::search`).
-//! * `loj_probe_cursor`   — the new path: one [`ProbeCursor`] answering
-//!                          the ascending live-vid sequence from its
-//!                          pinned root-to-leaf path, descending only
-//!                          from the lowest pinned page covering a key.
+//! * `loj_probe_cursor`   — the new path: one row cursor `seek`ing the
+//!                          ascending live-vid sequence from its pinned
+//!                          root-to-leaf path, descending only from the
+//!                          lowest pinned page covering a key.
 //!
 //! Before timing, `pin_study` prints the deterministic page-pin counts
 //! for search vs cursor at each fraction (the ≥2× reduction acceptance
 //! metric is a counter fact, not a timing fact). The LSM section builds
 //! three disjoint-range disk components and shows `bloom_negatives`
-//! climbing while the multi-component cursor stays correct.
+//! climbing while the cursor's per-component seeks stay correct.
 
 use criterion::{black_box, Criterion};
 use pregelix::common::stats::{ClusterCounters, StatsSnapshot};
@@ -55,7 +55,7 @@ fn pins(s: &StatsSnapshot) -> u64 {
 
 /// The acceptance metric, printed once: total buffer-cache pins for a full
 /// pass of live-vid probes, search vs cursor, per live fraction.
-fn pin_study(tree: &BTree, counters: &ClusterCounters) {
+fn pin_study(tree: &mut BTree, counters: &ClusterCounters) {
     println!("probe_sparse pin study: {N} vertices, height {}", tree.height());
     println!(
         "{:<8} {:>10} {:>14} {:>14} {:>10} {:>10} {:>8}",
@@ -68,9 +68,9 @@ fn pin_study(tree: &BTree, counters: &ClusterCounters) {
             black_box(tree.search(&vid.to_be_bytes()).unwrap());
         }
         let mid = counters.snapshot();
-        let mut cursor = tree.probe_cursor();
+        let mut cursor = tree.cursor();
         for vid in (0..N).step_by(stride as usize) {
-            black_box(cursor.probe(&vid.to_be_bytes()).unwrap());
+            black_box(cursor.seek(&vid.to_be_bytes()).unwrap());
         }
         let after = counters.snapshot();
         let search = mid.delta_since(&before);
@@ -103,15 +103,14 @@ fn lsm_three_components() -> (LsmBTree, ClusterCounters, TempDir) {
     (lsm, counters, dir)
 }
 
-fn bloom_study(lsm: &LsmBTree, counters: &ClusterCounters) {
+fn bloom_study(lsm: &mut LsmBTree, counters: &ClusterCounters) {
     let before = counters.snapshot();
-    let mut cursor = lsm.probe_cursor();
+    let mut cursor = lsm.cursor();
     let mut found = 0u64;
     for vid in (0..N).step_by(10) {
-        if cursor.probe(&vid.to_be_bytes()).unwrap().is_some() {
-            found += 1;
-        }
+        found += u64::from(cursor.seek(&vid.to_be_bytes()).unwrap());
     }
+    drop(cursor);
     let d = counters.snapshot().delta_since(&before);
     println!(
         "lsm bloom study: components={} probes={} found={found} \
@@ -124,17 +123,17 @@ fn bloom_study(lsm: &LsmBTree, counters: &ClusterCounters) {
 }
 
 fn bench_probe_sparse(c: &mut Criterion) {
-    let (tree, counters, _dir) = vertex_tree();
-    pin_study(&tree, &counters);
+    let (mut tree, counters, _dir) = vertex_tree();
+    pin_study(&mut tree, &counters);
 
     let mut group = c.benchmark_group("probe_sparse");
     group.sample_size(10);
 
     group.bench_function("foj_full_scan_1m", |b| {
         b.iter(|| {
-            let mut scan = tree.scan().unwrap();
+            let mut cursor = tree.cursor();
             let mut n = 0u64;
-            while scan.next_entry().unwrap().is_some() {
+            while cursor.next().unwrap() {
                 n += 1;
             }
             black_box(n);
@@ -155,12 +154,10 @@ fn bench_probe_sparse(c: &mut Criterion) {
         });
         group.bench_function(format!("loj_probe_cursor_{label}"), |b| {
             b.iter(|| {
-                let mut cursor = tree.probe_cursor();
+                let mut cursor = tree.cursor();
                 let mut n = 0u64;
                 for vid in (0..N).step_by(stride as usize) {
-                    if cursor.probe(&vid.to_be_bytes()).unwrap().is_some() {
-                        n += 1;
-                    }
+                    n += u64::from(cursor.seek(&vid.to_be_bytes()).unwrap());
                 }
                 black_box(n);
             });
@@ -168,18 +165,16 @@ fn bench_probe_sparse(c: &mut Criterion) {
     }
     group.finish();
 
-    let (lsm, counters, _dir2) = lsm_three_components();
-    bloom_study(&lsm, &counters);
+    let (mut lsm, counters, _dir2) = lsm_three_components();
+    bloom_study(&mut lsm, &counters);
     let mut group = c.benchmark_group("probe_sparse_lsm");
     group.sample_size(10);
     group.bench_function("lsm_probe_cursor_3comp_10pct", |b| {
         b.iter(|| {
-            let mut cursor = lsm.probe_cursor();
+            let mut cursor = lsm.cursor();
             let mut n = 0u64;
             for vid in (0..N).step_by(10) {
-                if cursor.probe(&vid.to_be_bytes()).unwrap().is_some() {
-                    n += 1;
-                }
+                n += u64::from(cursor.seek(&vid.to_be_bytes()).unwrap());
             }
             black_box(n);
         });

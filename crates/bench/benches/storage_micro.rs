@@ -64,9 +64,9 @@ fn bench_btree(c: &mut Criterion) {
     });
     group.bench_function("full_scan_100k", |b| {
         b.iter(|| {
-            let mut scan = tree.scan().unwrap();
+            let mut cursor = tree.cursor();
             let mut n = 0u64;
-            while scan.next_entry().unwrap().is_some() {
+            while cursor.next().unwrap() {
                 n += 1;
             }
             black_box(n);

@@ -199,14 +199,27 @@ fn validate_manifest(
     Ok(())
 }
 
-fn encode_entries(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    (entries.len() as u64).write(&mut out);
-    for (k, v) in entries {
-        k.write(&mut out);
-        v.write(&mut out);
+/// Append one `(key, value)` entry as [`decode_entries`] reads it: each a
+/// `Vec<u8>` (a `u32` length, then the bytes).
+fn put_entry(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    for bytes in [key, value] {
+        (bytes.len() as u32).write(out);
+        out.extend_from_slice(bytes);
     }
-    out
+}
+
+/// A partition's rows as an entry stream, straight from its row cursor: the
+/// `u64` count goes in as a placeholder and is patched once the rows are.
+fn encode_rows(store: &mut VertexStore) -> Result<Vec<u8>> {
+    let mut out = 0u64.to_bytes();
+    let mut rows = 0u64;
+    let mut cur = store.cursor();
+    while cur.next()? {
+        put_entry(&mut out, cur.key(), cur.value());
+        rows += 1;
+    }
+    out[..8].copy_from_slice(&rows.to_bytes());
+    Ok(out)
 }
 
 fn decode_entries(mut bytes: &[u8]) -> Result<Vec<(Vec<u8>, Vec<u8>)>> {
@@ -243,14 +256,8 @@ pub fn write_checkpoint(
         let dir = dir.clone();
         tasks.push(Task::new(format!("ckpt[{p}]"), sticky[p], move |w| {
             w.check_alive()?;
-            let st = state.lock();
-            // Vertex entries.
-            let mut entries = Vec::new();
-            let mut scan = st.store.scan()?;
-            while let Some(e) = scan.next_entry()? {
-                entries.push(e);
-            }
-            dfs.write(&format!("{dir}/vertex-p{p}"), &encode_entries(&entries))?;
+            let mut st = state.lock();
+            dfs.write(&format!("{dir}/vertex-p{p}"), &encode_rows(&mut st.store)?)?;
             // Vid (LOJ) and Msg run bytes, verbatim (works for both
             // in-memory and file-backed runs). A Vid run is written even
             // when empty: the manifest promises one per partition.
@@ -509,6 +516,14 @@ mod tests {
         assert_eq!(back, m);
         assert!(back.logs_enabled);
         assert_eq!(back.log_watermark, 9);
+    }
+
+    fn encode_entries(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+        let mut out = (entries.len() as u64).to_bytes();
+        for (k, v) in entries {
+            put_entry(&mut out, k, v);
+        }
+        out
     }
 
     #[test]

@@ -356,13 +356,13 @@ pub fn dump_partitions<P: VertexProgram>(
         let dfs = dfs.clone();
         let out = format!("{}/part-{p:05}", job.output_path);
         tasks.push(Task::new(format!("dump[{p}]"), sticky[p], move |_w| {
-            let st = state.lock();
+            let mut st = state.lock();
             let mut text = String::new();
             let mut edges = Vec::new();
-            let mut scan = st.store.scan()?;
-            while let Some((key, stored)) = scan.next_entry()? {
-                let vid = pregelix_common::frame::tuple_vid(&key)?;
-                let (_, value, _) = decode_into::<P>(&stored, &mut edges)?;
+            let mut cur = st.store.cursor();
+            while cur.next()? {
+                let vid = pregelix_common::frame::tuple_vid(cur.key())?;
+                let (_, value, _) = decode_into::<P>(cur.value(), &mut edges)?;
                 text.push_str(&program.format_vertex(vid, &value));
                 text.push('\n');
             }

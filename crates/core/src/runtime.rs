@@ -24,7 +24,7 @@
 //! Failure *detection* is heartbeat-based (§5.5): every successful
 //! `check_alive` bumps the worker's beat counter, and the driver runs a
 //! [`FailureDetector`] observation at each superstep barrier. Workers that
-//! stop beating are declared dead after `missed_beat_threshold` silent
+//! stop beating are declared dead after `MISSED_BEAT_THRESHOLD` silent
 //! observations (immediately, if their failure flag is tripped) and
 //! blacklisted; the sticky assignment is then *re-planned* onto the
 //! survivors — surviving pins keep their partitions — before checkpoint
@@ -410,10 +410,9 @@ impl LoadedGraph {
         load::dump_partitions(cluster, program, job, &self.partitions, &self.sticky)
     }
 
-    /// Point read: fetch one vertex by vid through the partition's
-    /// sorted-probe cursor, without materialising anything else. This is
-    /// the job service's `query` path over a finished job's resident
-    /// vertex store.
+    /// Point read: one vertex by vid, through a seek of its partition's row
+    /// cursor, without materialising anything else. This is the job
+    /// service's `query` path over a finished job's resident vertex store.
     pub fn probe_vertex<P: VertexProgram>(
         &self,
         vid: Vid,
@@ -422,18 +421,18 @@ impl LoadedGraph {
             return Ok(None);
         }
         let p = hash_partition(vid, self.partitions.len());
-        let st = self.partitions[p].lock();
-        let mut cursor = st.store.probe_cursor();
-        match cursor.probe(&vid_to_key(vid))? {
-            Some(bytes) => Ok(Some(crate::vertex::VertexData::decode(vid, &bytes)?)),
-            None => Ok(None),
+        let mut st = self.partitions[p].lock();
+        let mut cur = st.store.cursor();
+        if !cur.seek(&vid_to_key(vid))? {
+            return Ok(None);
         }
+        Ok(Some(crate::vertex::VertexData::decode(vid, cur.value())?))
     }
 
     /// Range read: all vertices with `lo <= vid <= hi`, ascending. Each
-    /// partition is scanned from `lo` (a single descent, then leaf-order
-    /// iteration) and cut off past `hi`; results merge across partitions
-    /// by vid.
+    /// partition's row cursor seeks `lo` (a single descent), walks on in
+    /// key order and stops past `hi`; results merge across partitions by
+    /// vid.
     pub fn range_vertices<P: VertexProgram>(
         &self,
         lo: Vid,
@@ -441,14 +440,16 @@ impl LoadedGraph {
     ) -> Result<Vec<crate::vertex::VertexData<P>>> {
         let mut out = Vec::new();
         for state in &self.partitions {
-            let st = state.lock();
-            let mut scan = st.store.scan_from(&vid_to_key(lo))?;
-            while let Some((k, v)) = scan.next_entry()? {
-                let vid = tuple_vid(&k)?;
+            let mut st = state.lock();
+            let mut cur = st.store.cursor();
+            let mut on_row = cur.seek(&vid_to_key(lo))? || cur.next()?;
+            while on_row {
+                let vid = tuple_vid(cur.key())?;
                 if vid > hi {
                     break;
                 }
-                out.push(crate::vertex::VertexData::<P>::decode(vid, &v)?);
+                out.push(crate::vertex::VertexData::<P>::decode(vid, cur.value())?);
+                on_row = cur.next()?;
             }
         }
         out.sort_by_key(|v| v.vid);
@@ -462,11 +463,11 @@ impl LoadedGraph {
     ) -> Result<Vec<crate::vertex::VertexData<P>>> {
         let mut out = Vec::new();
         for state in &self.partitions {
-            let st = state.lock();
-            let mut scan = st.store.scan()?;
-            while let Some((k, v)) = scan.next_entry()? {
-                let vid = tuple_vid(&k)?;
-                out.push(crate::vertex::VertexData::<P>::decode(vid, &v)?);
+            let mut st = state.lock();
+            let mut cur = st.store.cursor();
+            while cur.next()? {
+                let vid = tuple_vid(cur.key())?;
+                out.push(crate::vertex::VertexData::<P>::decode(vid, cur.value())?);
             }
         }
         out.sort_by_key(|v| v.vid);

@@ -30,11 +30,10 @@
 //! reports the scope's delta — work this job did, not work that happened
 //! while this job was resident.
 //!
-//! Fair-share placement: with [`ServiceConfig::fair_spread`] on, the
-//! k-th submission loads its partitions with sticky offset k, rotating
-//! each tenant's partition-0 hot spot onto a different worker. Offsets
-//! never affect values, only load balance; offset 0 reproduces the
-//! single-job layout exactly.
+//! Fair-share placement: the k-th submission loads its partitions with
+//! sticky offset k, rotating each tenant's partition-0 hot spot onto a
+//! different worker. Offsets never affect values, only load balance; offset
+//! 0 (the first submission) reproduces the single-job layout exactly.
 //!
 //! Name reuse: submitting a second job under an already-retained name
 //! gets the next free [`JobId`] instance (`"pagerank.1"`, ...), keeping
@@ -45,8 +44,8 @@
 //!
 //! A finished job's graph stays resident until the service drops, so
 //! [`JobHandle::query_vertex`] / [`JobHandle::query_range`] can serve
-//! point and range reads through the partitions' sorted-probe cursors
-//! (§5.2) without re-loading anything.
+//! point and range reads through the partitions' row cursors — a seek, and
+//! for a range a walk on from it (§5.2) — without re-loading anything.
 
 use crate::api::VertexProgram;
 use crate::checkpoint;
@@ -68,9 +67,6 @@ pub struct ServiceConfig {
     pub total_pages: usize,
     /// Reservation for jobs that set no [`PregelixJob::with_page_budget`].
     pub default_job_pages: usize,
-    /// Rotate each submission's sticky assignment by its submission index
-    /// so tenants' hot partitions land on different workers.
-    pub fair_spread: bool,
 }
 
 impl Default for ServiceConfig {
@@ -78,7 +74,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             total_pages: 1024,
             default_job_pages: 128,
-            fair_spread: true,
         }
     }
 }
@@ -468,11 +463,7 @@ impl<'c> JobService<'c> {
             job.id = JobId::with_instance(&name, instance);
         }
         let id = job.id().clone();
-        let offset = if inner.config.fair_spread {
-            inner.submissions
-        } else {
-            0
-        };
+        let offset = inner.submissions;
         inner.submissions += 1;
         let driver: Box<dyn JobDriver> = Box::new(TypedJob {
             stages,

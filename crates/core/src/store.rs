@@ -1,12 +1,18 @@
 //! The `Vertex` partition access method: B-tree or LSM B-tree behind one
 //! interface (§5.2). The choice is workload-dependent and user-selectable
 //! via [`crate::plan::VertexStorageKind`].
+//!
+//! Apart from [`VertexStore::bulk_load`], every read and write of a
+//! partition goes through its [`RowCursor`]: the full-outer scan and the
+//! dump and checkpoint writers walk it with `next`, the left-outer probe,
+//! `mutate[p]` and the service's point and range reads move it with `seek`,
+//! and results go back at the cursor.
 
 use crate::plan::VertexStorageKind;
 use pregelix_common::error::Result;
 use pregelix_dataflow::cluster::WorkerHandle;
-use pregelix_storage::btree::{self, BTree, BTreeScanner, ProbeCursor};
-use pregelix_storage::lsm::{LsmBTree, LsmProbeCursor, LsmRowCursor, LsmScanner};
+use pregelix_storage::btree::{self, BTree};
+use pregelix_storage::lsm::{LsmBTree, LsmRowCursor};
 
 /// One partition of the `Vertex` relation.
 pub enum VertexStore {
@@ -43,65 +49,6 @@ impl VertexStore {
         }
     }
 
-    /// Point lookup.
-    pub fn search(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self {
-            VertexStore::B(t) => t.search(key),
-            VertexStore::L(t) => t.search(key),
-        }
-    }
-
-    /// Insert-or-replace.
-    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        match self {
-            VertexStore::B(t) => t.upsert(key, value),
-            VertexStore::L(t) => t.upsert(key, value),
-        }
-    }
-
-    /// Delete; absent keys are a no-op.
-    pub fn delete(&mut self, key: &[u8]) -> Result<()> {
-        match self {
-            VertexStore::B(t) => {
-                t.delete(key)?;
-                Ok(())
-            }
-            VertexStore::L(t) => t.delete(key),
-        }
-    }
-
-    /// Whether a key exists.
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        match self {
-            VertexStore::B(t) => t.contains(key),
-            VertexStore::L(t) => t.contains(key),
-        }
-    }
-
-    /// Live entry count (full scan).
-    pub fn count(&self) -> Result<u64> {
-        match self {
-            VertexStore::B(t) => t.count(),
-            VertexStore::L(t) => t.count(),
-        }
-    }
-
-    /// Ordered scan over live entries.
-    pub fn scan(&self) -> Result<VertexScan<'_>> {
-        match self {
-            VertexStore::B(t) => Ok(VertexScan::B(t.scan()?)),
-            VertexStore::L(t) => Ok(VertexScan::L(t.scan()?)),
-        }
-    }
-
-    /// Ordered scan over live entries with key `>= from`.
-    pub fn scan_from(&self, from: &[u8]) -> Result<VertexScan<'_>> {
-        match self {
-            VertexStore::B(t) => Ok(VertexScan::B(t.scan_from(from)?)),
-            VertexStore::L(t) => Ok(VertexScan::L(t.scan_from(from)?)),
-        }
-    }
-
     /// The B-trees holding the store's pages: the one tree, or every LSM
     /// disk component.
     pub(crate) fn trees(&self) -> Vec<&BTree> {
@@ -120,8 +67,8 @@ impl VertexStore {
         }
     }
 
-    /// Forward-only read-write row cursor: the access path of the fused
-    /// scan/compute/update operator (§5.3.2) under both join plans.
+    /// Forward-only read-write row cursor: the one access path to the rows
+    /// (see the module docs).
     pub fn cursor(&mut self) -> RowCursor<'_> {
         match self {
             VertexStore::B(t) => RowCursor::B(t.cursor()),
@@ -129,14 +76,22 @@ impl VertexStore {
         }
     }
 
-    /// Sorted-probe cursor: point lookups for monotonically non-decreasing
-    /// keys with amortised O(1) page pins per probe. Read-only — the shared
-    /// borrow freezes the store for the cursor's lifetime.
-    pub fn probe_cursor(&self) -> VertexProbe<'_> {
-        match self {
-            VertexStore::B(t) => VertexProbe::B(t.probe_cursor()),
-            VertexStore::L(t) => VertexProbe::L(t.probe_cursor()),
-        }
+    /// Insert or replace the row under `key`.
+    // pinned: benchmark/src/replay.rs
+    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.cursor().insert(key, value)
+    }
+
+    /// A cursor before the first row, read with [`RowCursor::next_entry`].
+    // pinned: benchmark/src/replay.rs
+    pub fn scan(&mut self) -> Result<RowCursor<'_>> {
+        Ok(self.cursor())
+    }
+
+    /// A cursor for sorted point reads with [`RowCursor::probe`].
+    // pinned: benchmark/src/replay.rs
+    pub fn probe_cursor(&mut self) -> RowCursor<'_> {
+        self.cursor()
     }
 }
 
@@ -226,52 +181,19 @@ impl RowCursor<'_> {
             RowCursor::L(c) => c.delete(),
         }
     }
-}
 
-/// Sorted-probe cursor over a [`VertexStore`] (see
-/// [`VertexStore::probe_cursor`]).
-pub enum VertexProbe<'a> {
-    /// B-tree probe cursor.
-    B(ProbeCursor<'a>),
-    /// LSM multi-component probe cursor.
-    L(LsmProbeCursor<'a>),
-}
-
-impl VertexProbe<'_> {
-    /// Point lookup; equivalent to [`VertexStore::search`] for
-    /// non-decreasing keys.
-    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        match self {
-            VertexProbe::B(c) => c.probe(key),
-            VertexProbe::L(c) => c.probe(key),
-        }
-    }
-
-    /// Membership probe; equivalent to [`VertexStore::contains`] for
-    /// non-decreasing keys.
-    pub fn probe_contains(&mut self, key: &[u8]) -> Result<bool> {
-        match self {
-            VertexProbe::B(c) => c.probe_contains(key),
-            VertexProbe::L(c) => c.probe_contains(key),
-        }
-    }
-}
-
-/// Ordered scanner over a [`VertexStore`].
-pub enum VertexScan<'a> {
-    /// B-tree scanner.
-    B(BTreeScanner<'a>),
-    /// LSM scanner.
-    L(LsmScanner<'a>),
-}
-
-impl VertexScan<'_> {
-    /// Next `(key, value)` in key order.
+    /// Move to the next row and copy it out; `None` at the end.
+    // pinned: benchmark/src/replay.rs
     pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        match self {
-            VertexScan::B(s) => s.next_entry(),
-            VertexScan::L(s) => s.next_entry(),
-        }
+        Ok(self
+            .next()?
+            .then(|| (self.key().to_vec(), self.value().to_vec())))
+    }
+
+    /// Seek `key` and copy out its value, if a row is there.
+    // pinned: benchmark/src/replay.rs
+    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        Ok(self.seek(key)?.then(|| self.value().to_vec()))
     }
 }
 
@@ -290,6 +212,24 @@ mod tests {
         v.to_be_bytes().to_vec()
     }
 
+    /// Every row, in cursor order.
+    fn rows(s: &mut VertexStore) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut cur = s.cursor();
+        let mut out = Vec::new();
+        while cur.next().unwrap() {
+            out.push((cur.key().to_vec(), cur.value().to_vec()));
+        }
+        out
+    }
+
+    /// The by-key lookup of the store's own kind, for comparison.
+    fn search(s: &VertexStore, key: &[u8]) -> Option<Vec<u8>> {
+        match s {
+            VertexStore::B(t) => t.search(key).unwrap(),
+            VertexStore::L(t) => t.search(key).unwrap(),
+        }
+    }
+
     #[test]
     fn both_kinds_behave_identically() {
         let (_c, w) = worker();
@@ -297,28 +237,24 @@ mod tests {
             let mut s = VertexStore::create(kind, &w).unwrap();
             s.bulk_load((0..100u64).map(|v| (k(v), v.to_le_bytes().to_vec())))
                 .unwrap();
-            assert_eq!(s.count().unwrap(), 100);
-            s.upsert(&k(5), b"changed").unwrap();
-            s.upsert(&k(200), b"new").unwrap();
-            s.delete(&k(7)).unwrap();
-            s.delete(&k(999)).unwrap(); // absent: no-op
-            assert_eq!(s.search(&k(5)).unwrap().unwrap(), b"changed");
-            assert_eq!(s.search(&k(200)).unwrap().unwrap(), b"new");
-            assert_eq!(s.search(&k(7)).unwrap(), None);
-            assert!(s.contains(&k(0)).unwrap());
-            assert_eq!(s.count().unwrap(), 100, "{kind:?}"); // -1 +1
-            // Ordered scan.
-            let mut scan = s.scan().unwrap();
-            let mut prev = None;
-            let mut n = 0;
-            while let Some((key, _)) = scan.next_entry().unwrap() {
-                if let Some(p) = &prev {
-                    assert!(*p < key);
-                }
-                prev = Some(key);
-                n += 1;
-            }
-            assert_eq!(n, 100);
+            assert_eq!(rows(&mut s).len(), 100);
+            let mut cur = s.cursor();
+            assert!(cur.seek(&k(5)).unwrap());
+            cur.write(b"changed").unwrap();
+            assert!(cur.seek(&k(7)).unwrap());
+            cur.delete().unwrap();
+            assert!(!cur.seek(&k(200)).unwrap());
+            cur.insert(&k(200), b"new").unwrap();
+            assert!(!cur.seek(&k(999)).unwrap());
+            assert!(cur.delete().is_err(), "{kind:?}: no row to delete");
+            drop(cur);
+            assert_eq!(search(&s, &k(5)).unwrap(), b"changed");
+            assert_eq!(search(&s, &k(200)).unwrap(), b"new");
+            assert_eq!(search(&s, &k(7)), None);
+            // Ordered, -1 +1 rows.
+            let keys: Vec<_> = rows(&mut s).into_iter().map(|(key, _)| key).collect();
+            assert!(keys.windows(2).all(|p| p[0] < p[1]), "{kind:?}");
+            assert_eq!(keys.len(), 100, "{kind:?}");
         }
     }
 
@@ -329,25 +265,22 @@ mod tests {
             let mut s = VertexStore::create(kind, &w).unwrap();
             s.bulk_load((0..500u64).map(|v| (k(v * 2), v.to_le_bytes().to_vec())))
                 .unwrap();
-            s.delete(&k(100)).unwrap();
-            s.upsert(&k(101), b"odd").unwrap();
-            let mut probe = s.probe_cursor();
-            for key in 0..1100u64 {
-                assert_eq!(
-                    probe.probe(&k(key)).unwrap(),
-                    s.search(&k(key)).unwrap(),
-                    "{kind:?} key {key}"
-                );
-                // probe_contains agrees with contains (checked on a second
-                // cursor so this cursor's position is undisturbed).
-            }
-            let mut probe = s.probe_cursor();
-            for key in (0..1100u64).step_by(7) {
-                assert_eq!(
-                    probe.probe_contains(&k(key)).unwrap(),
-                    s.contains(&k(key)).unwrap(),
-                    "{kind:?} key {key}"
-                );
+            let mut cur = s.cursor();
+            assert!(cur.seek(&k(100)).unwrap());
+            cur.delete().unwrap();
+            cur.insert(&k(101), b"odd").unwrap();
+            drop(cur);
+            for step in [1, 7] {
+                let keys: Vec<u64> = (0..1100u64).step_by(step).collect();
+                let expect: Vec<_> = keys.iter().map(|&key| search(&s, &k(key))).collect();
+                let mut cur = s.cursor();
+                for (key, want) in keys.iter().zip(&expect) {
+                    let found = cur.seek(&k(*key)).unwrap();
+                    assert_eq!(found, want.is_some(), "{kind:?} key {key}");
+                    if found {
+                        assert_eq!(cur.value(), want.as_deref().unwrap(), "{kind:?} key {key}");
+                    }
+                }
             }
         }
     }
@@ -357,9 +290,9 @@ mod tests {
         let (_c, w) = worker();
         for kind in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
             let mut s = VertexStore::create(kind, &w).unwrap();
-            s.upsert(&k(1), b"v").unwrap();
+            s.cursor().insert(&k(1), b"v").unwrap();
             s.flush().unwrap();
-            assert_eq!(s.search(&k(1)).unwrap().unwrap(), b"v");
+            assert_eq!(rows(&mut s), vec![(k(1), b"v".to_vec())]);
         }
     }
 }

@@ -1591,29 +1591,20 @@ fn mutate_task<P: VertexProgram>(
     if !groups.is_empty() {
         let mut st = exec.partitions[p].lock();
         let st = &mut *st;
-        // Membership checks go through a sorted-probe cursor: `groups` is a
-        // BTreeMap, so its keys come out ascending and the whole pass costs
-        // ~O(leaves touched) page pins instead of a root-to-leaf descent
-        // per vid. Probing everything up front is safe because each
-        // mutation only touches its own (distinct) key, so applying an
-        // earlier key's mutation cannot change a later key's membership.
-        let mut in_store: Vec<bool> = Vec::with_capacity(groups.len());
-        {
-            let mut cursor = st.store.probe_cursor();
-            for &vid in groups.keys() {
-                in_store.push(cursor.probe_contains(&vid_to_key(vid))?);
-            }
-        }
         // What changes in the `Vid` run, ascending: a live insert adds its
         // vid (`true`), a delete drops it.
         let mut vid_changes: Vec<(Vid, bool)> = Vec::new();
-        for (i, (vid, muts)) in groups.into_iter().enumerate() {
+        // `groups` is a BTreeMap: one cursor seeks its vids in ascending
+        // order, and each resolution is written at the cursor.
+        let mut cur = st.store.cursor();
+        for (vid, muts) in groups {
             w.check_alive()?;
             let key = vid_to_key(vid);
+            let in_store = cur.seek(&key)?;
             match exec.program.resolve(vid, muts) {
                 Resolution::Insert(v) => {
-                    st.store.upsert(&key, &v.encode_value())?;
-                    if !in_store[i] {
+                    cur.insert(&key, &v.encode_value())?;
+                    if !in_store {
                         report.added += 1;
                     }
                     if !v.halt {
@@ -1622,8 +1613,8 @@ fn mutate_task<P: VertexProgram>(
                     }
                 }
                 Resolution::Delete => {
-                    if in_store[i] {
-                        st.store.delete(&key)?;
+                    if in_store {
+                        cur.delete()?;
                         report.deleted += 1;
                     }
                     vid_changes.push((vid, false));

@@ -2,8 +2,8 @@
 //!
 //! A [`Cluster`] stands in for the paper's 32-node IBM x3650 testbed. Each
 //! worker "machine" owns a local-disk directory, a buffer cache sized from
-//! its simulated RAM (by default ¼ of RAM, the paper's default for access
-//! methods, §7.1), and a failure flag for fault-injection experiments. A
+//! its simulated RAM (¼ of RAM, the paper's default for access methods,
+//! §7.1), and a failure flag for fault-injection experiments. A
 //! *job* is a set of per-partition tasks; [`Cluster::execute`] spawns each
 //! task as a thread pinned to its assigned worker and joins them all,
 //! propagating the most meaningful error (application errors over OOM over
@@ -13,7 +13,7 @@
 //! worker's beat counter, and the [`FailureDetector`] compares beat counts
 //! across observation points (superstep barriers — progress granularity,
 //! never wall-clock timers). A worker whose beats stall is *slow*; one that
-//! stays stalled for `missed_beat_threshold` consecutive observations — or
+//! stays stalled for `MISSED_BEAT_THRESHOLD` (3) consecutive observations — or
 //! whose failure flag is set — is *declared dead*, blacklisted from
 //! scheduling, and counted in `workers_declared_dead` (§5.5: the failure
 //! manager re-plans sticky partitions onto survivors).
@@ -33,6 +33,18 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Fraction of worker RAM given to the buffer cache (the paper's default
+/// for access methods, §7.1).
+pub(crate) const CACHE_FRACTION: f64 = 0.25;
+
+/// Fraction of worker RAM given to each group-by/sort operator instance.
+pub(crate) const GROUPBY_FRACTION: f64 = 0.125;
+
+/// Consecutive missed-beat observations before the [`FailureDetector`]
+/// declares a worker dead. Measured in observation points (superstep
+/// barriers), never in wall-clock time.
+pub(crate) const MISSED_BEAT_THRESHOLD: u32 = 3;
+
 /// Sizing knobs for a simulated cluster.
 #[derive(Clone, Debug)]
 pub struct ClusterConfig {
@@ -44,10 +56,6 @@ pub struct ClusterConfig {
     pub page_size: usize,
     /// Frame capacity for connector channels.
     pub frame_bytes: usize,
-    /// Fraction of worker RAM given to the buffer cache (paper default ¼).
-    pub cache_fraction: f64,
-    /// Fraction of worker RAM given to each group-by/sort operator instance.
-    pub groupby_fraction: f64,
     /// Root directory for worker-local storage; `None` = fresh temp dir.
     pub root: Option<PathBuf>,
     /// Sequential-timed simulation mode: tasks run one at a time on the
@@ -59,38 +67,25 @@ pub struct ClusterConfig {
     /// Connector channels are unbounded in this mode (no backpressure
     /// without concurrency).
     pub sequential_timed: bool,
-    /// Consecutive missed-beat observations before the [`FailureDetector`]
-    /// declares a worker dead. Measured in observation points (superstep
-    /// barriers), never in wall-clock time.
-    pub missed_beat_threshold: u32,
 }
 
 impl ClusterConfig {
     /// A cluster of `workers` machines with `worker_ram` bytes of simulated
-    /// RAM each and paper-default fractions.
+    /// RAM each.
     pub fn new(workers: usize, worker_ram: usize) -> Self {
         ClusterConfig {
             workers,
             worker_ram,
             page_size: 4096,
             frame_bytes: 16 * 1024,
-            cache_fraction: 0.25,
-            groupby_fraction: 0.125,
             root: None,
             sequential_timed: false,
-            missed_beat_threshold: 3,
         }
     }
 
     /// Switch on sequential-timed simulation (see the field docs).
     pub fn sequential_timed(mut self) -> Self {
         self.sequential_timed = true;
-        self
-    }
-
-    /// Override the failure detector's missed-beat threshold.
-    pub fn missed_beat_threshold(mut self, beats: u32) -> Self {
-        self.missed_beat_threshold = beats.max(1);
         self
     }
 
@@ -347,7 +342,7 @@ impl Cluster {
                 config.page_size,
                 counters.clone(),
             )?;
-            let cache_bytes = (config.worker_ram as f64 * config.cache_fraction) as usize;
+            let cache_bytes = (config.worker_ram as f64 * CACHE_FRACTION) as usize;
             let cache = BufferCache::with_byte_budget(fm.clone(), cache_bytes);
             workers.push(Arc::new(WorkerNode {
                 id,
@@ -356,7 +351,7 @@ impl Cluster {
                 failed: AtomicBool::new(false),
                 beats: AtomicU64::new(0),
                 heap: MemoryAccountant::new(format!("worker-{id} heap"), config.worker_ram),
-                groupby_budget: (config.worker_ram as f64 * config.groupby_fraction) as usize,
+                groupby_budget: (config.worker_ram as f64 * GROUPBY_FRACTION) as usize,
                 frame_bytes: config.frame_bytes,
                 slab: slab.clone(),
                 pool: WorkerPool::new(),
@@ -611,13 +606,12 @@ pub enum WorkerHealth {
 /// [`FailureDetector::observe`] at superstep barriers and frame-batch
 /// drains, passing the set of workers that were expected to make progress.
 /// A worker whose beat counter did not advance across an observation missed
-/// a beat; `missed_beat_threshold` consecutive misses (or a tripped failure
+/// a beat; `MISSED_BEAT_THRESHOLD` (3) consecutive misses (or a tripped failure
 /// flag — powered-off machines never beat again) means *dead*: the worker
 /// is blacklisted via [`Cluster::fail_worker`] and counted in
 /// `workers_declared_dead`. No wall-clock timers anywhere, so chaos
 /// schedules replay deterministically.
 pub struct FailureDetector {
-    threshold: u32,
     /// Beat count seen for each worker at the previous observation.
     seen: Vec<u64>,
     /// Consecutive observations without progress, per worker.
@@ -630,7 +624,6 @@ impl FailureDetector {
     /// A detector for `cluster`, seeded with current beat counts.
     pub fn new(cluster: &Cluster) -> FailureDetector {
         FailureDetector {
-            threshold: cluster.config.missed_beat_threshold,
             seen: cluster.workers.iter().map(|w| w.beats.load(Ordering::Relaxed)).collect(),
             misses: vec![0; cluster.workers.len()],
             dead: vec![false; cluster.workers.len()],
@@ -659,7 +652,7 @@ impl FailureDetector {
             // A tripped failure flag plus one missed beat is conclusive —
             // the machine is off, waiting out the threshold only delays
             // recovery. Without the flag, silence must persist.
-            if failed || self.misses[id] >= self.threshold {
+            if failed || self.misses[id] >= MISSED_BEAT_THRESHOLD {
                 self.dead[id] = true;
                 cluster.fail_worker(id);
                 cluster.counters.add_workers_declared_dead(1);
@@ -973,7 +966,7 @@ mod tests {
 
     #[test]
     fn detector_declares_dead_after_threshold_missed_beats() {
-        let c = Cluster::new(ClusterConfig::new(2, 1 << 20).missed_beat_threshold(3)).unwrap();
+        let c = Cluster::new(ClusterConfig::new(2, 1 << 20)).unwrap();
         let mut det = FailureDetector::new(&c);
         let w0 = c.worker(0);
         // Worker 0 beats every round; worker 1 is expected but silent
@@ -1021,7 +1014,7 @@ mod tests {
 
     #[test]
     fn slow_worker_recovers_without_eviction() {
-        let c = Cluster::new(ClusterConfig::new(1, 1 << 20).missed_beat_threshold(3)).unwrap();
+        let c = Cluster::new(ClusterConfig::new(1, 1 << 20)).unwrap();
         let mut det = FailureDetector::new(&c);
         let w = c.worker(0);
         w.check_alive().unwrap();

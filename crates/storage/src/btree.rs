@@ -8,10 +8,11 @@
 //! to chained overflow pages.
 //!
 //! Supported operations: [`BTree::bulk_load`] (the initial graph load and
-//! checkpoint recovery path), point [`BTree::search`], ordered full scans
-//! ([`BTree::scan`]) used by the index full-outer join, point probes used by
-//! the index left-outer join, and [`BTree::insert`] / [`BTree::update`] /
-//! [`BTree::delete`] used by in-place vertex updates and graph mutations.
+//! checkpoint recovery path), the [`RowCursor`] — the one path that reads
+//! and writes rows for the index full-outer join (`next`), the index
+//! left-outer join (`seek`), graph mutations, checkpoints and dumps — and
+//! the by-key [`BTree::search`] / [`BTree::insert`] / [`BTree::update`] /
+//! [`BTree::delete`] the cursor and the LSM store's components build on.
 //!
 //! Deletion does not rebalance (underfull pages persist until the next bulk
 //! rebuild); graph-mutation-heavy workloads are steered to the LSM B-tree
@@ -389,23 +390,6 @@ impl BTree {
         }
     }
 
-    /// Whether `key` is present. Presence is decided entirely from the leaf
-    /// entry: the key and the value (or, for spilled values, the 17-byte
-    /// overflow pointer) both live inline in the leaf, so overflow chains
-    /// are never touched and a key whose value spilled is still reported
-    /// present. Shares the sorted-probe access path ([`ProbeCursor`]) as a
-    /// one-shot probe; callers checking many ascending keys should hold a
-    /// [`BTree::probe_cursor`] instead to amortise the descent.
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        self.probe_cursor().probe_contains(key)
-    }
-
-    /// Sorted-probe cursor over this tree — the left-outer join's point
-    /// access path. Keys must be probed in non-decreasing order.
-    pub fn probe_cursor(&self) -> ProbeCursor<'_> {
-        ProbeCursor::new(self)
-    }
-
     /// Pin the leftmost leaf: descend always taking child 0.
     fn pin_leftmost_leaf(&self) -> Result<PageGuard> {
         let mut page = self.root;
@@ -432,7 +416,7 @@ impl BTree {
     }
 
     /// Ordered scan over the whole tree.
-    pub fn scan(&self) -> Result<BTreeScanner<'_>> {
+    pub(crate) fn scan(&self) -> Result<BTreeScanner<'_>> {
         let leaf = self.pin_leftmost_leaf()?.page_id();
         BTreeScanner::start(self, leaf, None)
     }
@@ -452,19 +436,9 @@ impl BTree {
     }
 
     /// Ordered scan starting at the first key `>= from`.
-    pub fn scan_from(&self, from: &[u8]) -> Result<BTreeScanner<'_>> {
+    pub(crate) fn scan_from(&self, from: &[u8]) -> Result<BTreeScanner<'_>> {
         let leaf = self.find_leaf(from)?;
         BTreeScanner::start(self, leaf, Some(from.to_vec()))
-    }
-
-    /// Total number of live entries (walks every leaf).
-    pub fn count(&self) -> Result<u64> {
-        let mut n = 0u64;
-        let mut scan = self.scan()?;
-        while scan.next_entry()?.is_some() {
-            n += 1;
-        }
-        Ok(n)
     }
 
     // ------------------------------------------------------------------
@@ -1101,40 +1075,6 @@ impl LeafPos {
     }
 }
 
-/// Sorted-probe cursor: point lookups for monotonically non-decreasing keys
-/// with amortised O(1) page pins per probe (§5.2 left-outer join, the
-/// `mutate` membership checks) — a [`LeafPos`] behind a shared borrow, so
-/// the tree cannot change under it.
-pub struct ProbeCursor<'a> {
-    tree: &'a BTree,
-    pos: LeafPos,
-}
-
-impl<'a> ProbeCursor<'a> {
-    fn new(tree: &'a BTree) -> ProbeCursor<'a> {
-        ProbeCursor {
-            tree,
-            pos: LeafPos::default(),
-        }
-    }
-
-    /// Point lookup with the value materialised (overflow chains resolved),
-    /// equivalent to [`BTree::search`] for non-decreasing keys.
-    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut value = Vec::new();
-        Ok(self
-            .pos
-            .probe_into(self.tree, key, &mut value)?
-            .then_some(value))
-    }
-
-    /// Membership-only probe; like [`BTree::contains`], overflow chains are
-    /// never touched because presence is decided from the leaf entry alone.
-    pub fn probe_contains(&mut self, key: &[u8]) -> Result<bool> {
-        self.pos.locate(self.tree, key, |_, at| Ok(at.is_ok()))
-    }
-}
-
 /// Forward-only read-write cursor over a B-tree's rows: the access path of
 /// the fused scan/compute/update operator (§5.3.2, flow D2).
 ///
@@ -1334,7 +1274,7 @@ impl RowCursor<'_> {
 
 /// Ordered scanner over a B-tree's live entries, batching one leaf at a
 /// time. Values are fully materialised (overflow chains resolved).
-pub struct BTreeScanner<'a> {
+pub(crate) struct BTreeScanner<'a> {
     tree: &'a BTree,
     batch: Vec<(Vec<u8>, Vec<u8>)>,
     idx: usize,
@@ -1385,7 +1325,7 @@ impl<'a> BTreeScanner<'a> {
     }
 
     /// The next `(key, value)` in key order, or `None` at the end.
-    pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    pub(crate) fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         if self.idx >= self.batch.len() && !self.load_next_leaf(None)? {
             return Ok(None);
         }
@@ -1413,12 +1353,18 @@ mod tests {
         v.to_be_bytes().to_vec()
     }
 
+    /// Live entries, by a full scan.
+    fn count(t: &BTree) -> u64 {
+        let mut scan = t.scan().unwrap();
+        std::iter::from_fn(|| scan.next_entry().unwrap()).count() as u64
+    }
+
     #[test]
     fn empty_tree_behaviour() {
         let (cache, _d) = make_cache(64, 512);
         let t = BTree::create(cache).unwrap();
         assert_eq!(t.search(&k(1)).unwrap(), None);
-        assert_eq!(t.count().unwrap(), 0);
+        assert_eq!(count(&t), 0);
         let mut s = t.scan().unwrap();
         assert!(s.next_entry().unwrap().is_none());
     }
@@ -1432,8 +1378,8 @@ mod tests {
         }
         assert_eq!(t.search(&k(9)).unwrap().unwrap(), b"val9");
         assert_eq!(t.search(&k(4)).unwrap(), None);
-        assert!(t.contains(&k(1)).unwrap());
-        assert_eq!(t.count().unwrap(), 4);
+        assert!(t.search(&k(1)).unwrap().is_some());
+        assert_eq!(count(&t), 4);
     }
 
     #[test]
@@ -1491,7 +1437,7 @@ mod tests {
         for v in (0..500u64).step_by(37) {
             assert_eq!(t.search(&k(v)).unwrap().unwrap(), vec![v as u8; 40]);
         }
-        assert_eq!(t.count().unwrap(), 500);
+        assert_eq!(count(&t), 500);
         assert!(!t.update(&k(10_000), b"x").unwrap());
     }
 
@@ -1843,7 +1789,7 @@ mod tests {
             assert!(t.delete(&k(v)).unwrap());
         }
         assert!(!t.delete(&k(0)).unwrap(), "double delete is a no-op");
-        assert_eq!(t.count().unwrap(), 150);
+        assert_eq!(count(&t), 150);
         let mut scan = t.scan().unwrap();
         while let Some((key, _)) = scan.next_entry().unwrap() {
             let v = u64::from_be_bytes(key.try_into().unwrap());
@@ -1858,7 +1804,7 @@ mod tests {
         let entries: Vec<_> = (0..5000u64).map(|v| (k(v), v.to_le_bytes().to_vec())).collect();
         t.bulk_load(entries, 0.9).unwrap();
         assert!(t.height() >= 3, "5000 entries on 256B pages needs 3+ levels");
-        assert_eq!(t.count().unwrap(), 5000);
+        assert_eq!(count(&t), 5000);
         for v in [0u64, 1, 2499, 4999] {
             assert_eq!(t.search(&k(v)).unwrap().unwrap(), v.to_le_bytes());
         }
@@ -1919,7 +1865,7 @@ mod tests {
         for v in 0..1000u64 {
             t.insert(&k(v * 2 + 1), &[1u8; 8]).unwrap();
         }
-        assert_eq!(t.count().unwrap(), 2000);
+        assert_eq!(count(&t), 2000);
         let mut scan = t.scan().unwrap();
         let mut prev: Option<Vec<u8>> = None;
         while let Some((key, _)) = scan.next_entry().unwrap() {
@@ -1964,7 +1910,7 @@ mod tests {
         }
         cache.purge_file(file, true).unwrap();
         let t = BTree::open(cache, file).unwrap();
-        assert_eq!(t.count().unwrap(), 800);
+        assert_eq!(count(&t), 800);
         assert_eq!(t.search(&k(321)).unwrap().unwrap(), 321u64.to_le_bytes());
     }
 
@@ -1984,7 +1930,7 @@ mod tests {
         for (key, val) in &reference {
             assert_eq!(t.search(&k(*key)).unwrap().unwrap(), *val);
         }
-        assert_eq!(t.count().unwrap() as usize, reference.len());
+        assert_eq!(count(&t) as usize, reference.len());
         assert!(
             cache.file_manager().counters().cache_evictions() > 0,
             "tiny cache must have evicted"
@@ -1998,17 +1944,16 @@ mod tests {
         // Keys 0, 3, 6, ... — probes hit entries, gaps and the far end.
         let entries: Vec<_> = (0..2000u64).map(|v| (k(v * 3), (v * 3).to_le_bytes().to_vec())).collect();
         t.bulk_load(entries, 0.9).unwrap();
-        let mut cursor = t.probe_cursor();
-        for probe in 0..6100u64 {
-            assert_eq!(
-                cursor.probe(&k(probe)).unwrap(),
-                t.search(&k(probe)).unwrap(),
-                "probe {probe} diverged from search"
-            );
+        let expect: Vec<_> = (0..6100u64).map(|v| t.search(&k(v)).unwrap()).collect();
+        let mut cursor = t.cursor();
+        for (probe, want) in (0..6100u64).zip(&expect) {
+            let found = cursor.seek(&k(probe)).unwrap();
+            let got = found.then(|| cursor.value().to_vec());
+            assert_eq!(&got, want, "probe {probe} diverged from search");
         }
         // Duplicate (repeated) probe keys are allowed.
-        assert_eq!(cursor.probe(&k(6100)).unwrap(), None);
-        assert_eq!(cursor.probe(&k(6100)).unwrap(), None);
+        assert!(!cursor.seek(&k(6100)).unwrap());
+        assert!(!cursor.seek(&k(6100)).unwrap());
     }
 
     #[test]
@@ -2020,12 +1965,13 @@ mod tests {
         t.bulk_load(entries, 0.9).unwrap();
         assert!(t.height() >= 3);
         let before = c.snapshot();
-        let mut cursor = t.probe_cursor();
+        let mut cursor = t.cursor();
         let probes = 1000u64;
         for v in 0..probes {
             // Every 4th vid "live": a dense sorted probe run with gaps.
-            assert!(cursor.probe(&k(v * 4)).unwrap().is_some());
+            assert!(cursor.seek(&k(v * 4)).unwrap());
         }
+        drop(cursor);
         let d = c.snapshot().delta_since(&before);
         assert_eq!(d.probe_leaf_hits + d.probe_redescents, probes);
         assert!(
@@ -2052,50 +1998,23 @@ mod tests {
         for v in 200..400u64 {
             t.delete(&k(v)).unwrap();
         }
-        let mut cursor = t.probe_cursor();
+        let mut cursor = t.cursor();
         for v in 0..700u64 {
-            assert_eq!(cursor.probe(&k(v)).unwrap(), t.search(&k(v)).unwrap());
+            let want = (v < 200 || (400..600).contains(&v)).then(|| v.to_le_bytes().to_vec());
+            let found = cursor.seek(&k(v)).unwrap();
+            assert_eq!(found.then(|| cursor.value().to_vec()), want, "key {v}");
         }
     }
 
     #[test]
     fn probe_cursor_on_empty_tree() {
         let (cache, _d) = make_cache(64, 512);
-        let t = BTree::create(cache).unwrap();
-        let mut cursor = t.probe_cursor();
+        let mut t = BTree::create(cache).unwrap();
+        let mut cursor = t.cursor();
         for v in 0..10u64 {
-            assert_eq!(cursor.probe(&k(v)).unwrap(), None);
+            assert!(!cursor.seek(&k(v)).unwrap());
         }
-    }
-
-    /// Regression: a key whose value spilled to an overflow chain must still
-    /// be reported present by `contains` — presence is decided from the leaf
-    /// entry (key + overflow pointer), never by walking the chain.
-    #[test]
-    fn contains_sees_overflow_keys_without_touching_chains() {
-        let (cache, _d) = make_cache(256, 256);
-        let c = cache.counters().clone();
-        let mut t = BTree::create(cache.clone()).unwrap();
-        let big = vec![0xAB; 20_000]; // ~90 overflow pages at 256B
-        t.insert(&k(7), &big).unwrap();
-        assert!(t.contains(&k(7)).unwrap());
-        assert!(!t.contains(&k(8)).unwrap());
-        // Cold-cache proof that the chain is not walked: after a purge, a
-        // `contains` must only fault in the descent path, not ~90 chain pages.
-        t.flush().unwrap();
-        let file = t.file();
-        cache.purge_file(file, true).unwrap();
-        let t = BTree::open(cache, file).unwrap();
-        let before = c.snapshot();
-        assert!(t.contains(&k(7)).unwrap());
-        let d = c.snapshot().delta_since(&before);
-        assert!(
-            d.cache_misses <= t.height() as u64 + 2,
-            "contains must not fault in the overflow chain: {} misses",
-            d.cache_misses
-        );
-        // The value itself is intact.
-        assert_eq!(t.search(&k(7)).unwrap().unwrap(), big);
+        assert!(!cursor.next().unwrap());
     }
 
     #[test]
@@ -2125,7 +2044,7 @@ mod tests {
         cache.purge_file(file, true).unwrap();
         let mut t = BTree::open(cache, file).unwrap();
         assert_eq!(t.read_sidecar().unwrap().unwrap(), vec![0x5A; 100]);
-        assert_eq!(t.count().unwrap(), 1500);
+        assert_eq!(count(&t), 1500);
         // Clearing removes it durably.
         t.write_sidecar(&[]).unwrap();
         assert_eq!(t.read_sidecar().unwrap(), None);

@@ -20,8 +20,8 @@
 //! Every disk component carries a [`BloomFilter`] over its keys, built while
 //! the component is bulk-loaded and persisted in the component's own file as
 //! a meta-page sidecar ([`BTree::write_sidecar`]), so point lookups — and the
-//! sorted-probe [`LsmProbeCursor`] — can skip components that provably do
-//! not contain the key. Point lookups always stop at the first component
+//! row cursor's sorted seeks — can skip components that provably do not
+//! contain the key. Point lookups always stop at the first component
 //! (newest first) that stores the key, whether the entry is a live value or
 //! a tombstone: older components can only hold shadowed versions.
 
@@ -185,7 +185,7 @@ impl LsmBTree {
         self.components.iter().map(|_| LeafPos::default()).collect()
     }
 
-    /// [`LsmBTree::search`] for the sorted-probe cursors: decode the live
+    /// [`LsmBTree::search`] for the row cursor's seeks: decode the live
     /// value under `key` into `out` and report whether there is one, with
     /// the same newest-first early exit and bloom gating. `probes` holds one
     /// pinned-path position per disk component (same order as `components`);
@@ -224,20 +224,6 @@ impl LsmBTree {
         Ok(false)
     }
 
-    /// Whether `key` currently has a live value.
-    pub fn contains(&self, key: &[u8]) -> Result<bool> {
-        Ok(self.search(key)?.is_some())
-    }
-
-    /// Sorted-probe cursor across all components — the left-outer join's
-    /// point access path. Keys must be probed in non-decreasing order.
-    pub fn probe_cursor(&self) -> LsmProbeCursor<'_> {
-        LsmProbeCursor {
-            lsm: self,
-            probes: self.new_probes(),
-        }
-    }
-
     /// Forward-only read-write cursor over the live rows (see
     /// [`LsmRowCursor`]).
     pub fn cursor(&mut self) -> LsmRowCursor<'_> {
@@ -251,16 +237,6 @@ impl LsmBTree {
             found: false,
             started: false,
         }
-    }
-
-    /// Count live entries (full scan).
-    pub fn count(&self) -> Result<u64> {
-        let mut scan = self.scan()?;
-        let mut n = 0;
-        while scan.next_entry()?.is_some() {
-            n += 1;
-        }
-        Ok(n)
     }
 
     fn maybe_flush(&mut self) -> Result<()> {
@@ -347,7 +323,7 @@ impl LsmBTree {
     }
 
     /// Ordered scan over live entries across all components.
-    pub fn scan(&self) -> Result<LsmScanner<'_>> {
+    pub(crate) fn scan(&self) -> Result<LsmScanner<'_>> {
         let mut scanners = Vec::with_capacity(self.components.len());
         let mut heads = Vec::with_capacity(self.components.len());
         for c in &self.components {
@@ -365,7 +341,7 @@ impl LsmBTree {
     }
 
     /// Ordered scan over live entries with key `>= from`.
-    pub fn scan_from(&self, from: &[u8]) -> Result<LsmScanner<'_>> {
+    pub(crate) fn scan_from(&self, from: &[u8]) -> Result<LsmScanner<'_>> {
         let mut scanners = Vec::with_capacity(self.components.len());
         let mut heads = Vec::with_capacity(self.components.len());
         for c in &self.components {
@@ -404,7 +380,7 @@ fn decode(stored: &[u8]) -> Result<Option<Vec<u8>>> {
 }
 
 /// Ordered merged scanner over an [`LsmBTree`]'s live entries.
-pub struct LsmScanner<'a> {
+pub(crate) struct LsmScanner<'a> {
     mem: std::collections::btree_map::Range<'a, Vec<u8>, Option<Vec<u8>>>,
     mem_head: Option<(&'a Vec<u8>, &'a Option<Vec<u8>>)>,
     scanners: Vec<BTreeScanner<'a>>,
@@ -414,7 +390,7 @@ pub struct LsmScanner<'a> {
 
 impl LsmScanner<'_> {
     /// The next live `(key, value)`, or `None` at the end.
-    pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+    pub(crate) fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
         if !self.primed {
             self.mem_head = self.mem.next();
             self.primed = true;
@@ -454,39 +430,6 @@ impl LsmScanner<'_> {
                 None => continue, // tombstoned: skip
             }
         }
-    }
-}
-
-/// Sorted-probe cursor over an [`LsmBTree`]: the multi-component analogue
-/// of [`crate::btree::ProbeCursor`], for monotonically non-decreasing probe
-/// keys.
-///
-/// Each probe consults the in-memory component first, then disk components
-/// newest-to-oldest with the same early-exit rule as [`LsmBTree::search`].
-/// Components whose bloom filter rejects the key are skipped without being
-/// descended (`bloom_negatives`). Each disk component that *is* consulted
-/// keeps its root-to-leaf path pinned across probes, so a later probe into
-/// the same component starts from the lowest pinned page covering its key.
-pub struct LsmProbeCursor<'a> {
-    lsm: &'a LsmBTree,
-    /// Per-disk-component positions, same order as `lsm.components`.
-    probes: Vec<LeafPos>,
-}
-
-impl LsmProbeCursor<'_> {
-    /// Point lookup: the live value under `key`, if any. Equivalent to
-    /// [`LsmBTree::search`] for non-decreasing keys.
-    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let mut value = Vec::new();
-        Ok(self
-            .lsm
-            .lookup(&mut self.probes, key, &mut value)?
-            .then_some(value))
-    }
-
-    /// Whether `key` currently has a live value.
-    pub fn probe_contains(&mut self, key: &[u8]) -> Result<bool> {
-        Ok(self.probe(key)?.is_some())
     }
 }
 
@@ -680,6 +623,12 @@ mod tests {
         v.to_be_bytes().to_vec()
     }
 
+    /// Live entries, by a full scan.
+    fn count(t: &LsmBTree) -> usize {
+        let mut scan = t.scan().unwrap();
+        std::iter::from_fn(|| scan.next_entry().unwrap()).count()
+    }
+
     #[test]
     fn mem_only_upsert_search_delete() {
         let (mut t, _d) = make(1 << 20);
@@ -689,7 +638,7 @@ mod tests {
         assert_eq!(t.search(&k(1)).unwrap().unwrap(), b"a2");
         t.delete(&k(1)).unwrap();
         assert_eq!(t.search(&k(1)).unwrap(), None);
-        assert!(t.contains(&k(2)).unwrap());
+        assert!(t.search(&k(2)).unwrap().is_some());
         assert_eq!(t.disk_components(), 0);
     }
 
@@ -703,7 +652,7 @@ mod tests {
         assert_eq!(t.disk_components(), 1);
         assert_eq!(t.mem_bytes(), 0);
         assert_eq!(t.search(&k(42)).unwrap().unwrap(), 42u64.to_le_bytes());
-        assert_eq!(t.count().unwrap(), 100);
+        assert_eq!(count(&t), 100);
     }
 
     #[test]
@@ -715,7 +664,7 @@ mod tests {
         t.flush_mem().unwrap();
         assert_eq!(t.disk_components(), 2);
         assert_eq!(t.search(&k(7)).unwrap(), None, "tombstone must shadow");
-        assert_eq!(t.count().unwrap(), 0);
+        assert_eq!(count(&t), 0);
         // After a full merge the tombstone is dropped entirely.
         t.merge_all().unwrap();
         assert_eq!(t.disk_components(), 1);
@@ -746,7 +695,7 @@ mod tests {
         }
         // Budget forces flushes; threshold forces merges.
         assert!(t.disk_components() <= 4, "merges must bound components");
-        assert_eq!(t.count().unwrap(), 3000);
+        assert_eq!(count(&t), 3000);
         assert_eq!(t.search(&k(2999)).unwrap().unwrap(), vec![7u8; 16]);
     }
 
@@ -861,13 +810,12 @@ mod tests {
         t.flush_mem().unwrap();
         t.upsert(&k(999), b"in-mem").unwrap();
         assert_eq!(t.disk_components(), 3);
-        let mut cursor = t.probe_cursor();
-        for probe in 0..1100u64 {
-            assert_eq!(
-                cursor.probe(&k(probe)).unwrap(),
-                t.search(&k(probe)).unwrap(),
-                "probe {probe} diverged"
-            );
+        let expect: Vec<_> = (0..1100u64).map(|v| t.search(&k(v)).unwrap()).collect();
+        let mut cursor = t.cursor();
+        for (probe, want) in (0..1100u64).zip(&expect) {
+            let found = cursor.seek(&k(probe)).unwrap();
+            let got = found.then(|| cursor.value().to_vec());
+            assert_eq!(&got, want, "probe {probe} diverged");
         }
     }
 
@@ -889,9 +837,10 @@ mod tests {
         assert_eq!(t.disk_components(), 3);
         let c = t.cache.counters().clone();
         let before = c.snapshot();
-        let mut cursor = t.probe_cursor();
+        let mut cursor = t.cursor();
         for v in 0..1000u64 {
-            assert!(cursor.probe(&k(v)).unwrap().is_some());
+            assert!(cursor.seek(&k(v)).unwrap());
+            assert_eq!(cursor.value(), v.to_le_bytes());
         }
         let d = c.snapshot().delta_since(&before);
         assert!(d.bloom_negatives > 0, "newer components must be skipped");

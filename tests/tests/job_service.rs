@@ -269,7 +269,7 @@ fn concurrent_mixed_jobs_bit_identical_to_serial() {
         .collect();
 
     // Concurrent: all 8 through one service over one shared cluster. The
-    // k-th submission runs with sticky offset k (fair_spread), so
+    // k-th submission runs with sticky offset k (fair-share placement), so
     // placement differs from serial on purpose — results must not.
     let cluster = fresh_cluster();
     stage_inputs(&cluster, &inputs);
@@ -396,7 +396,6 @@ fn over_budget_submissions_queue_and_complete() {
         ServiceConfig {
             total_pages: 256,
             default_job_pages: 128,
-            fair_spread: true,
         },
     );
     let handles: Vec<JobHandle<'_>> = (0..5)
@@ -452,7 +451,7 @@ proptest! {
         graphgen::text::write_to_dfs(cluster.dfs(), "in/p", &records).unwrap();
         let service = JobService::new(
             &cluster,
-            ServiceConfig { total_pages: total, default_job_pages: 16, fair_spread: true },
+            ServiceConfig { total_pages: total, default_job_pages: 16 },
         );
         let mut handles = Vec::new();
         for (i, pages) in budgets.iter().enumerate() {

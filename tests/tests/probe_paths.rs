@@ -1,10 +1,10 @@
-//! Property tests for the sorted-probe access path (§5.2/§7.5): a
-//! [`ProbeCursor`] answering a monotonically non-decreasing key sequence
-//! must be indistinguishable from repeated point `search`es — and from a
+//! Property tests for the sorted-probe access path (§5.2/§7.5): a row
+//! cursor's `seek`s of a monotonically non-decreasing key sequence must be
+//! indistinguishable from repeated point `search`es — and from a
 //! `BTreeMap` reference model — across hits, misses in gaps, duplicate
 //! probe keys, deleted keys, and probes past the last leaf. The LSM sweep
 //! additionally forces multi-component layouts (explicit flush points in
-//! the op stream) so the bloom-gated multi-component cursor is exercised
+//! the op stream) so the bloom-gated per-component seeks are exercised
 //! with tombstones shadowing older components.
 //!
 //! The row-cursor sweep drives a random program of moves and writes through
@@ -218,13 +218,66 @@ fn check_cursor_program(
     }
     prop_assert!(!cur.next().unwrap());
     drop(cur);
-    let mut scan = store.scan().unwrap();
+    let mut cur = store.cursor();
     for (key, value) in &model {
-        let got = scan.next_entry().unwrap();
-        prop_assert_eq!(got, Some((k(*key), value.clone())));
+        prop_assert!(cur.next().unwrap());
+        prop_assert_eq!(
+            (cur.key(), cur.value()),
+            (k(*key).as_slice(), value.as_slice())
+        );
     }
-    prop_assert_eq!(scan.next_entry().unwrap(), None);
+    prop_assert!(!cur.next().unwrap());
     Ok(())
+}
+
+/// Apply `workload` through the store's own by-key API (split history on
+/// the B-tree; components and tombstones on the LSM store) and the model.
+fn apply(store: &mut VertexStore, model: &mut BTreeMap<u64, Vec<u8>>, workload: &[Op]) {
+    for (i, op) in workload.iter().enumerate() {
+        match *op {
+            Op::Upsert(key) => {
+                let v = value_for(key, i as u64);
+                match store {
+                    VertexStore::B(t) => t.upsert(&k(key), &v).unwrap(),
+                    VertexStore::L(t) => t.upsert(&k(key), &v).unwrap(),
+                }
+                model.insert(key, v);
+            }
+            Op::Delete(key) => {
+                match store {
+                    VertexStore::B(t) => {
+                        t.delete(&k(key)).unwrap();
+                    }
+                    VertexStore::L(t) => t.delete(&k(key)).unwrap(),
+                }
+                model.remove(&key);
+            }
+            Op::Flush => store.flush().unwrap(),
+        }
+    }
+}
+
+/// What point `search`es of `keys` return, one descent each.
+fn search_all(store: &VertexStore, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
+    keys.iter()
+        .map(|&key| match store {
+            VertexStore::B(t) => t.search(&k(key)).unwrap(),
+            VertexStore::L(t) => t.search(&k(key)).unwrap(),
+        })
+        .collect()
+}
+
+/// What one row cursor's sorted `seek`s of `keys` find.
+fn seek_all(store: &mut VertexStore, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
+    let mut cur = store.cursor();
+    keys.iter()
+        .map(|&key| cur.seek(&k(key)).unwrap().then(|| cur.value().to_vec()))
+        .collect()
+}
+
+/// The model's answers for `keys`.
+fn expect_all(model: &BTreeMap<u64, Vec<u8>>, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
+    keys.iter().map(|key| model.get(key).cloned()).collect()
 }
 
 proptest! {
@@ -238,8 +291,7 @@ proptest! {
         program in cursor_program(160),
     ) {
         // Rows of 8..=40 bytes (all inline) at `stride`-spaced keys, then a
-        // little churn through the by-key API: split history on the B-tree,
-        // several components and tombstones on the LSM store.
+        // little churn through the by-key API.
         let rows: BTreeMap<u64, Vec<u8>> = (0..n)
             .map(|i| (i * stride, filler(i as usize, 8 + (i as usize * 7) % 33)))
             .collect();
@@ -254,20 +306,7 @@ proptest! {
         for mut store in stores {
             let mut model = rows.clone();
             store.bulk_load(rows.iter().map(|(key, v)| (k(*key), v.clone()))).unwrap();
-            for (i, op) in churn.iter().enumerate() {
-                match *op {
-                    Op::Upsert(key) => {
-                        let v = value_for(key, i as u64);
-                        store.upsert(&k(key), &v).unwrap();
-                        model.insert(key, v);
-                    }
-                    Op::Delete(key) => {
-                        store.delete(&k(key)).unwrap();
-                        model.remove(&key);
-                    }
-                    Op::Flush => store.flush().unwrap(),
-                }
-            }
+            apply(&mut store, &mut model, &churn);
             check_cursor_program(store, model, &program)?;
         }
     }
@@ -278,37 +317,13 @@ proptest! {
         probe_keys in probes(400, 150),
     ) {
         let (cache, _dir) = cache("probe-btree");
-        let mut tree = BTree::create(cache).unwrap();
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for (i, op) in workload.iter().enumerate() {
-            match *op {
-                Op::Upsert(key) => {
-                    let v = value_for(key, i as u64);
-                    tree.upsert(&k(key), &v).unwrap();
-                    model.insert(key, v);
-                }
-                Op::Delete(key) => {
-                    tree.delete(&k(key)).unwrap();
-                    model.remove(&key);
-                }
-                Op::Flush => {} // no-op for the plain B-tree
-            }
-        }
-        let mut cursor = tree.probe_cursor();
-        for &key in &probe_keys {
-            let got = cursor.probe(&k(key)).unwrap();
-            prop_assert_eq!(&got, &tree.search(&k(key)).unwrap(), "key {}", key);
-            prop_assert_eq!(got, model.get(&key).cloned(), "key {}", key);
-        }
-        // Membership path on a fresh cursor (its pinned leaf starts cold).
-        let mut cursor = tree.probe_cursor();
-        for &key in &probe_keys {
-            prop_assert_eq!(
-                cursor.probe_contains(&k(key)).unwrap(),
-                model.contains_key(&key),
-                "contains key {}", key
-            );
-        }
+        let mut store = VertexStore::B(BTree::create(cache).unwrap());
+        let mut model = BTreeMap::new();
+        apply(&mut store, &mut model, &workload);
+        let searched = search_all(&store, &probe_keys);
+        let sought = seek_all(&mut store, &probe_keys);
+        prop_assert_eq!(&sought, &searched);
+        prop_assert_eq!(sought, expect_all(&model, &probe_keys));
     }
 
     #[test]
@@ -320,19 +335,12 @@ proptest! {
         // Bulk-loaded trees have a distinct leaf layout (fill-factor slack,
         // no split history); the cursor must not care.
         let (cache, _dir) = cache("probe-bulk");
-        let mut tree = BTree::create(cache).unwrap();
+        let mut store = VertexStore::B(BTree::create(cache).unwrap());
         let model: BTreeMap<u64, Vec<u8>> =
             (0..n).map(|i| (i * stride, value_for(i * stride, 0))).collect();
-        tree.bulk_load(model.iter().map(|(key, v)| (k(*key), v.clone())), 0.9)
-            .unwrap();
-        let mut cursor = tree.probe_cursor();
-        for &key in &probe_keys {
-            prop_assert_eq!(
-                cursor.probe(&k(key)).unwrap(),
-                model.get(&key).cloned(),
-                "stride {} key {}", stride, key
-            );
-        }
+        store.bulk_load(model.iter().map(|(key, v)| (k(*key), v.clone()))).unwrap();
+        prop_assert_eq!(seek_all(&mut store, &probe_keys), expect_all(&model, &probe_keys),
+            "stride {}", stride);
     }
 
     #[test]
@@ -344,36 +352,13 @@ proptest! {
         // Tiny mem budget: upserts spill into disk components on their own
         // even without explicit Flush ops, so multi-component layouts (and
         // tombstones shadowing older components) are the common case.
-        let mut lsm = LsmBTree::create(cache, 512, 16);
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for (i, op) in workload.iter().enumerate() {
-            match *op {
-                Op::Upsert(key) => {
-                    let v = value_for(key, i as u64);
-                    lsm.upsert(&k(key), &v).unwrap();
-                    model.insert(key, v);
-                }
-                Op::Delete(key) => {
-                    lsm.delete(&k(key)).unwrap();
-                    model.remove(&key);
-                }
-                Op::Flush => lsm.flush_mem().unwrap(),
-            }
-        }
-        let mut cursor = lsm.probe_cursor();
-        for &key in &probe_keys {
-            let got = cursor.probe(&k(key)).unwrap();
-            prop_assert_eq!(&got, &lsm.search(&k(key)).unwrap(), "key {}", key);
-            prop_assert_eq!(got, model.get(&key).cloned(), "key {}", key);
-        }
-        let mut cursor = lsm.probe_cursor();
-        for &key in &probe_keys {
-            prop_assert_eq!(
-                cursor.probe_contains(&k(key)).unwrap(),
-                model.contains_key(&key),
-                "contains key {}", key
-            );
-        }
+        let mut store = VertexStore::L(LsmBTree::create(cache, 512, 16));
+        let mut model = BTreeMap::new();
+        apply(&mut store, &mut model, &workload);
+        let searched = search_all(&store, &probe_keys);
+        let sought = seek_all(&mut store, &probe_keys);
+        prop_assert_eq!(&sought, &searched);
+        prop_assert_eq!(sought, expect_all(&model, &probe_keys));
     }
 
     #[test]
@@ -382,32 +367,14 @@ proptest! {
         probe_keys in probes(300, 100),
     ) {
         // merge_all rebuilds every bloom filter and collapses tombstones;
-        // probe answers before and after must agree with the model.
+        // seek answers after it must agree with the model.
         let (cache, _dir) = cache("probe-merge");
-        let mut lsm = LsmBTree::create(cache, 512, 16);
-        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
-        for (i, op) in workload.iter().enumerate() {
-            match *op {
-                Op::Upsert(key) => {
-                    let v = value_for(key, i as u64);
-                    lsm.upsert(&k(key), &v).unwrap();
-                    model.insert(key, v);
-                }
-                Op::Delete(key) => {
-                    lsm.delete(&k(key)).unwrap();
-                    model.remove(&key);
-                }
-                Op::Flush => lsm.flush_mem().unwrap(),
-            }
+        let mut store = VertexStore::L(LsmBTree::create(cache, 512, 16));
+        let mut model = BTreeMap::new();
+        apply(&mut store, &mut model, &workload);
+        if let VertexStore::L(lsm) = &mut store {
+            lsm.merge_all().unwrap();
         }
-        lsm.merge_all().unwrap();
-        let mut cursor = lsm.probe_cursor();
-        for &key in &probe_keys {
-            prop_assert_eq!(
-                cursor.probe(&k(key)).unwrap(),
-                model.get(&key).cloned(),
-                "key {}", key
-            );
-        }
+        prop_assert_eq!(seek_all(&mut store, &probe_keys), expect_all(&model, &probe_keys));
     }
 }

@@ -10,8 +10,9 @@
 //! same allocator shows that the fold table is allocated per job and
 //! partition, not per task, and shared by both ends of the message edge,
 //! that a run reader past its first frame decodes every further one into
-//! the buffers it already has, and that a row cursor's sorted seeks past
-//! its first allocate nothing.
+//! the buffers it already has, that a row cursor's sorted seeks past its
+//! first allocate nothing, and that a checkpoint write streams its rows from
+//! the row cursor without an allocation per row.
 
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
@@ -177,4 +178,36 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(found, 20_000 / 37);
     assert_eq!(allocations, 0, "{found} sorted sparse seeks");
+
+    // A checkpoint write encodes each `Vertex` row straight from the row
+    // cursor's buffers into the partition's entry stream, so doubling the
+    // graph adds no allocation per row (a copy of each row as a key and a
+    // value vector cost two).
+    let (small_allocs, small_rows) = checkpoint_write(webmap::webmap(14, 6.0, 7));
+    let (large_allocs, large_rows) = checkpoint_write(webmap::webmap(15, 6.0, 7));
+    assert_eq!((small_rows, large_rows), (1 << 14, 1 << 15));
+    let per_row =
+        large_allocs.saturating_sub(small_allocs) as f64 / (large_rows - small_rows) as f64;
+    assert!(
+        per_row < 0.5,
+        "{small_allocs} allocations for {small_rows} rows, {large_allocs} for {large_rows}: \
+         {per_row:.2} per extra row"
+    );
+}
+
+/// Heap allocations of one checkpoint write of freshly loaded `records`
+/// (two partitions), and the rows it wrote.
+fn checkpoint_write(records: Vec<(Vid, Vec<(Vid, f64)>)>) -> (u64, u64) {
+    use pregelix::core::checkpoint::write_checkpoint;
+    use pregelix::core::load::load_partitions;
+    let cluster = Cluster::new(ClusterConfig::new(2, 32 << 20).sequential_timed()).unwrap();
+    let job = PregelixJob::new(format!("ckpt-allocs-{}", records.len()));
+    let program = Arc::new(PageRank::new(3));
+    let sticky = [0, 1];
+    let (partitions, rows, _) =
+        load_partitions(&cluster, &program, &job, &sticky, Some(records)).unwrap();
+    let gs = GlobalState::initial(rows, Vec::new());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    write_checkpoint(&cluster, &job, &partitions, &sticky, &gs).unwrap();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, rows)
 }
