@@ -8,7 +8,7 @@
 //! BFS spanning tree and list ranking (pointer jumping) from the
 //! graph-connectivity group, and a De-Bruijn-style path-merging program
 //! from the genome-assembly case study (the mutation-heavy workload that
-//! motivates LSM vertex storage and vertex addition/removal).
+//! motivates vertex addition/removal).
 //!
 //! Every algorithm is an ordinary [`pregelix_core::VertexProgram`]; the
 //! plan hints each one favours (Figure 9, §7.5) are documented per module.

@@ -3,9 +3,11 @@
 //! all vertices can be merged to a single (gigantic) genome sequence".
 //!
 //! This is the workload that exercises Pregelix's graph-mutation support
-//! (`add_vertex`/`delete_vertex` + the `resolve` UDF) and motivates the
-//! LSM B-tree vertex storage: vertex values (sequences) grow drastically
-//! from superstep to superstep and vertices are deleted in bulk (§5.2).
+//! (`add_vertex`/`delete_vertex` + the `resolve` UDF) and that §5.2 gives
+//! an LSM B-tree for: vertex values (sequences) grow drastically from
+//! superstep to superstep and vertices are deleted in bulk. Here it runs on
+//! the B-tree, which beat the LSM B-tree on it (EXPERIMENTS.md §"One vertex
+//! store").
 //!
 //! Protocol: rounds of three supersteps.
 //!

@@ -404,7 +404,7 @@ fn adaptive_join_matches_fixed_plans_exactly() {
 }
 
 #[test]
-fn pagerank_agrees_across_all_sixteen_physical_plans() {
+fn pagerank_agrees_across_all_eight_physical_plans() {
     use pregelix_core::plan::PlanConfig;
     let records = random_directed(120, 3.0, 11);
     let mut baseline: Option<Vec<(Vid, f64)>> = None;

@@ -1,9 +1,8 @@
 //! Ablations of the design choices DESIGN.md calls out (no figure in the
 //! paper; each corresponds to a section):
 //!
-//! * §5.2 vertex storage: B-tree vs LSM B-tree on an update-heavy
-//!   workload (PageRank, fixed-size in-place updates → B-tree should win)
-//!   and a mutation-heavy one (path merging → LSM should win or tie).
+//! * The paper's §9 future work: adaptive per-superstep join selection
+//!   against the two fixed join plans.
 //! * §5.5 checkpointing: overhead of checkpointing every superstep vs
 //!   none.
 //! * §5.6 job pipelining: chained jobs over a resident graph vs dump +
@@ -19,7 +18,6 @@ const WORKERS: usize = 4;
 const WORKER_RAM: usize = 4 << 20;
 
 fn main() {
-    storage_ablation();
     adaptive_join_ablation();
     checkpoint_ablation();
     pipelining_ablation();
@@ -50,55 +48,6 @@ fn adaptive_join_ablation() {
             print!(" {join:?}={}", r.avg_cell().trim());
         }
         println!();
-    }
-}
-
-fn storage_ablation() {
-    header(
-        "Ablation §5.2 — vertex storage: B-tree vs LSM B-tree",
-        "PageRank = in-place updates (B-tree's case); path merging = bulk mutations (LSM's case)",
-    );
-    let records = webmap::webmap(14, 8.0, 3);
-    for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-        let plan = PlanConfig {
-            storage,
-            ..PlanConfig::default()
-        };
-        let r = run_pregelix(
-            &records,
-            Workload::PageRank(5),
-            plan,
-            WORKERS,
-            WORKER_RAM,
-            None,
-        );
-        println!("PageRank   {storage:?}: {}", r.avg_cell());
-    }
-    // Mutation-heavy: chains merged via delete_vertex.
-    let mut chains: Vec<(Vid, Vec<(Vid, f64)>)> = Vec::new();
-    for c in 0..400u64 {
-        let base = c * 16;
-        for i in 0..16 {
-            let v = base + i;
-            let e = if i < 15 { vec![(v + 1, 1.0)] } else { vec![] };
-            chains.push((v, e));
-        }
-    }
-    for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-        let cluster = Cluster::new(ClusterConfig::new(WORKERS, WORKER_RAM)).unwrap();
-        let job = PregelixJob::new("ablate-merge")
-            .with_storage(storage)
-            .with_max_supersteps(200);
-        let program = Arc::new(PathMerge::default());
-        let t = Instant::now();
-        let (summary, _g) =
-            run_job_from_records(&cluster, &program, &job, chains.clone()).unwrap();
-        println!(
-            "PathMerge  {storage:?}: total {:?} over {} supersteps, final vertex count {}",
-            t.elapsed(),
-            summary.supersteps,
-            summary.final_gs.vertex_count
-        );
     }
 }
 

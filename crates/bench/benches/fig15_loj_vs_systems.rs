@@ -33,7 +33,6 @@ fn sweep(workers: usize) {
         let plan = PlanConfig {
             join: JoinStrategy::LeftOuter,
             groupby: GroupByStrategy::HashSortUnmerged,
-            ..PlanConfig::default()
         };
         let p = run_pregelix(
             &records,

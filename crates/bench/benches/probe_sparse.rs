@@ -13,16 +13,13 @@
 //!
 //! Before timing, `pin_study` prints the deterministic page-pin counts
 //! for search vs cursor at each fraction (the ≥2× reduction acceptance
-//! metric is a counter fact, not a timing fact). The LSM section builds
-//! three disjoint-range disk components and shows `bloom_negatives`
-//! climbing while the cursor's per-component seeks stay correct.
+//! metric is a counter fact, not a timing fact).
 
 use criterion::{black_box, Criterion};
 use pregelix::common::stats::{ClusterCounters, StatsSnapshot};
 use pregelix::storage::btree::BTree;
 use pregelix::storage::cache::BufferCache;
 use pregelix::storage::file::{FileManager, TempDir};
-use pregelix::storage::lsm::LsmBTree;
 
 const N: u64 = 1_000_000;
 const VALUE_LEN: usize = 24;
@@ -88,40 +85,6 @@ fn pin_study(tree: &mut BTree, counters: &ClusterCounters) {
     }
 }
 
-/// Three disjoint-range disk components; probes over the full key range hit
-/// exactly one component each, so two of three blooms reject every probe.
-fn lsm_three_components() -> (LsmBTree, ClusterCounters, TempDir) {
-    let (cache, counters, dir) = make_cache(16_384);
-    let mut lsm = LsmBTree::create(cache, 1 << 30, 64);
-    let third = N / 3;
-    for lo in [0, third, 2 * third] {
-        for v in lo..(lo + third) {
-            lsm.upsert(&v.to_be_bytes(), &[7u8; VALUE_LEN]).unwrap();
-        }
-        lsm.flush_mem().unwrap();
-    }
-    (lsm, counters, dir)
-}
-
-fn bloom_study(lsm: &mut LsmBTree, counters: &ClusterCounters) {
-    let before = counters.snapshot();
-    let mut cursor = lsm.cursor();
-    let mut found = 0u64;
-    for vid in (0..N).step_by(10) {
-        found += u64::from(cursor.seek(&vid.to_be_bytes()).unwrap());
-    }
-    drop(cursor);
-    let d = counters.snapshot().delta_since(&before);
-    println!(
-        "lsm bloom study: components={} probes={} found={found} \
-         bloom_negatives={} bloom_false_positives={}",
-        lsm.disk_components(),
-        N / 10,
-        d.bloom_negatives,
-        d.bloom_false_positives,
-    );
-}
-
 fn bench_probe_sparse(c: &mut Criterion) {
     let (mut tree, counters, _dir) = vertex_tree();
     pin_study(&mut tree, &counters);
@@ -163,33 +126,6 @@ fn bench_probe_sparse(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-
-    let (mut lsm, counters, _dir2) = lsm_three_components();
-    bloom_study(&mut lsm, &counters);
-    let mut group = c.benchmark_group("probe_sparse_lsm");
-    group.sample_size(10);
-    group.bench_function("lsm_probe_cursor_3comp_10pct", |b| {
-        b.iter(|| {
-            let mut cursor = lsm.cursor();
-            let mut n = 0u64;
-            for vid in (0..N).step_by(10) {
-                n += u64::from(cursor.seek(&vid.to_be_bytes()).unwrap());
-            }
-            black_box(n);
-        });
-    });
-    group.bench_function("lsm_search_3comp_10pct", |b| {
-        b.iter(|| {
-            let mut n = 0u64;
-            for vid in (0..N).step_by(10) {
-                if lsm.search(&vid.to_be_bytes()).unwrap().is_some() {
-                    n += 1;
-                }
-            }
-            black_box(n);
-        });
-    });
     group.finish();
 }
 

@@ -175,13 +175,6 @@ macro_rules! stats_table {
             /// (the pages below where each descent starts; answering from the
             /// pinned leaf is free).
             counter probe_page_pins, add_probe_page_pins;
-            /// LSM point probes that skipped a disk component because its bloom
-            /// filter proved the key absent.
-            counter bloom_negatives, add_bloom_negatives;
-            /// LSM point probes where a bloom filter said "maybe" but the
-            /// component B-tree did not contain the key (wasted descent;
-            /// measures filter quality).
-            counter bloom_false_positives, add_bloom_false_positives;
             /// Confined recoveries completed: worker deaths healed by reloading
             /// and replaying *only* the dead worker's partitions from
             /// survivors' message logs, leaving survivors' state hot (§5.5

@@ -24,7 +24,7 @@
 //! restarts from the checkpointed superstep rather than the latest one.
 
 use crate::gs::GlobalState;
-use crate::plan::PregelixJob;
+use crate::plan::{PregelixJob, VertexStorageKind};
 use crate::store::VertexStore;
 use crate::superstep::{msg_run_path, vid_run_writer, PartitionState};
 use parking_lot::Mutex;
@@ -315,7 +315,6 @@ pub fn reload_partitions(
     }
     let dfs = cluster.dfs().clone();
     let dir = ckpt_dir(&job.id, superstep);
-    let storage = job.plan.storage;
     let has_vid = manifest.has_vid;
     let slots: Vec<Arc<Mutex<Option<PartitionState>>>> =
         targets.iter().map(|_| Arc::new(Mutex::new(None))).collect();
@@ -330,7 +329,7 @@ pub fn reload_partitions(
             // from the checkpoint into a fresh index; re-seal the Vid run
             // the way `compute[p]` holds it.
             let entries = decode_entries(&dfs.read(&format!("{dir}/vertex-p{p}"))?)?;
-            let mut store = VertexStore::create(storage, &w)?;
+            let mut store = VertexStore::create(VertexStorageKind::BTree, &w)?;
             store.bulk_load(entries)?;
             let vid_index = if has_vid {
                 let bytes = dfs.read(&format!("{dir}/vid-p{p}"))?;

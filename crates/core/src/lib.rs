@@ -23,10 +23,10 @@
 //! * [`vertex`] — the `Vertex` relation's record: [`vertex::VertexData`]
 //!   (halt, value, edges) and its byte codec.
 //! * [`plan`] — physical plan space (§5.3): join strategy × group-by
-//!   strategy × vertex storage, sixteen tailored executions in all, plus
-//!   the [`plan::PregelixJob`] builder mirroring Figure 9's hints.
-//! * [`store`] — the `Vertex` partition access method: B-tree or LSM B-tree
-//!   behind one interface (§5.2).
+//!   strategy, eight tailored executions in all, plus the
+//!   [`plan::PregelixJob`] builder mirroring Figure 9's hints.
+//! * [`store`] — the `Vertex` partition access method: a B-tree and its
+//!   row cursor (§5.2).
 //! * [`gs`] — the global-state tuple, persisted in the DFS (§5.2).
 //! * [`superstep`] — the superstep as one dataflow plan, built once per
 //!   job and executed every superstep and by confined replay (Figures

@@ -250,10 +250,10 @@ pub fn load_partitions<P: VertexProgram>(
         }));
     }
     for (p, ins) in rxs.into_iter().enumerate() {
-        let (slot, storage) = (Arc::clone(&slots[p]), job.plan.storage);
+        let slot = Arc::clone(&slots[p]);
         tasks.push(Task::new(format!("load[{p}]"), sticky[p], move |w| {
             let queues = drain_streams(&w, ins)?;
-            *slot.lock() = Some(load_task(&w, storage, &queues)?);
+            *slot.lock() = Some(load_task(&w, &queues)?);
             Ok(())
         }));
     }
@@ -313,11 +313,7 @@ fn scan_task<P: VertexProgram>(
 /// in the order its split held them, so vid-ordered input is one ascending
 /// run per source and the sort merges runs. Equal adjacent vids are a
 /// duplicate vertex.
-fn load_task(
-    w: &WorkerHandle,
-    storage: VertexStorageKind,
-    queues: &[Vec<SharedFrame>],
-) -> Result<Loaded> {
+fn load_task(w: &WorkerHandle, queues: &[Vec<SharedFrame>]) -> Result<Loaded> {
     // Every tuple was keyed by its sender, so each is a vid key long at least.
     let mut rows: Vec<&[u8]> = queues.iter().flatten().flat_map(SharedFrame::iter).collect();
     rows.sort_by_key(|t| key_prefix(t));
@@ -327,7 +323,7 @@ fn load_task(
             key_prefix(pair[0])
         )));
     }
-    let mut store = VertexStore::create(storage, w)?;
+    let mut store = VertexStore::create(VertexStorageKind::BTree, w)?;
     store.bulk_load(rows.iter().map(|t| t.split_at(8)))?;
     let hi = rows.last().map_or(0, |t| key_prefix(t).saturating_add(1));
     let st = PartitionState {

@@ -1,9 +1,12 @@
 //! The physical plan space and the job descriptor.
 //!
-//! From one logical plan (Figures 3–5) Pregelix derives sixteen tailored
+//! From one logical plan (Figures 3–5) Pregelix derives tailored
 //! executions (§5.8): two message-delivery join strategies (Figure 8) ×
-//! four message-combination group-by strategies (Figure 7) × two vertex
-//! storage structures (§5.2). [`PregelixJob`] mirrors the Java job builder
+//! four message-combination group-by strategies (Figure 7), eight in all,
+//! over one vertex storage structure, the B-tree (§5.2; the paper's LSM
+//! B-tree alternative was slower on its own path-merge workload,
+//! EXPERIMENTS.md §"One vertex store").
+//! [`PregelixJob`] mirrors the Java job builder
 //! of Figure 9, where the `main` function sets the plan-generator *hints*
 //! (`setMessageVertexJoin`, `setMessageGroupBy`,
 //! `setMessageGroupByConnector`).
@@ -122,61 +125,50 @@ impl JoinStrategy {
     }
 }
 
-/// Which index structure stores `Vertex` partitions (§5.2).
+/// Which index structure stores `Vertex` partitions (§5.2): the B-tree,
+/// the one store.
+// pinned: benchmark/src/replay.rs
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VertexStorageKind {
-    /// B-tree: best for frequent in-place value updates (PageRank).
+    /// B-tree: in-place value updates, by-key inserts and deletes.
     BTree,
-    /// LSM B-tree: best when vertex sizes change drastically or the
-    /// algorithm mutates the graph frequently (genome-assembly path
-    /// merging).
-    Lsm,
 }
 
-/// One point in the 2 × 4 × 2 physical plan space (the group-by strategy
-/// picks only the message connector, so two of its names repeat a plan).
+/// One point in the 2 × 4 physical plan space (the group-by strategy picks
+/// only the message connector, so two of its names repeat a plan).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Message-delivery join strategy.
     pub join: JoinStrategy,
     /// Message-combination group-by strategy.
     pub groupby: GroupByStrategy,
-    /// Vertex storage structure.
-    pub storage: VertexStorageKind,
 }
 
 impl Default for PlanConfig {
     /// The Pregelix default plan used throughout §7.2–§7.4: index
     /// full-outer join, sort-based group-by, m-to-n hash partitioning
-    /// connector, B-tree vertex storage.
+    /// connector.
     fn default() -> Self {
         PlanConfig {
             join: JoinStrategy::FullOuter,
             groupby: GroupByStrategy::SortUnmerged,
-            storage: VertexStorageKind::BTree,
         }
     }
 }
 
 impl PlanConfig {
-    /// Enumerate all sixteen physical plans (§5.8).
+    /// Enumerate all eight physical plans (§5.8).
     pub fn all() -> Vec<PlanConfig> {
-        let mut out = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(8);
         for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
             for groupby in GroupByStrategy::all() {
-                for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-                    out.push(PlanConfig {
-                        join,
-                        groupby,
-                        storage,
-                    });
-                }
+                out.push(PlanConfig { join, groupby });
             }
         }
         out
     }
 
-    /// Short label for reports, e.g. `"loj-hashsort-unmerged-btree"`.
+    /// Short label for reports, e.g. `"loj-hashsort-unmerged"`.
     pub fn label(&self) -> String {
         let join = match self.join {
             JoinStrategy::FullOuter => "foj",
@@ -189,11 +181,7 @@ impl PlanConfig {
             GroupByStrategy::SortMerged => "sort-merged",
             GroupByStrategy::HashSortMerged => "hashsort-merged",
         };
-        let st = match self.storage {
-            VertexStorageKind::BTree => "btree",
-            VertexStorageKind::Lsm => "lsm",
-        };
-        format!("{join}-{gb}-{st}")
+        format!("{join}-{gb}")
     }
 }
 
@@ -337,12 +325,6 @@ impl PregelixJob {
         self
     }
 
-    /// Set the vertex storage structure.
-    pub fn with_storage(mut self, storage: VertexStorageKind) -> Self {
-        self.plan.storage = storage;
-        self
-    }
-
     /// Set the full plan at once.
     pub fn with_plan(mut self, plan: PlanConfig) -> Self {
         self.plan = plan;
@@ -401,12 +383,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sixteen_distinct_plans() {
+    fn eight_distinct_plans() {
         let all = PlanConfig::all();
-        assert_eq!(all.len(), 16);
+        assert_eq!(all.len(), 8);
         let labels: std::collections::HashSet<String> =
             all.iter().map(|p| p.label()).collect();
-        assert_eq!(labels.len(), 16, "labels must be unique");
+        assert_eq!(labels.len(), 8, "labels must be unique");
     }
 
     #[test]
@@ -414,8 +396,7 @@ mod tests {
         let p = PlanConfig::default();
         assert_eq!(p.join, JoinStrategy::FullOuter);
         assert_eq!(p.groupby, GroupByStrategy::SortUnmerged);
-        assert_eq!(p.storage, VertexStorageKind::BTree);
-        assert_eq!(p.label(), "foj-sort-unmerged-btree");
+        assert_eq!(p.label(), "foj-sort-unmerged");
     }
 
     #[test]
@@ -485,7 +466,6 @@ mod tests {
         let job = PregelixJob::new("sssp")
             .with_join(JoinStrategy::LeftOuter)
             .with_groupby(GroupByStrategy::HashSortUnmerged)
-            .with_storage(VertexStorageKind::Lsm)
             .with_checkpoint_interval(5)
             .with_max_supersteps(30)
             .with_partitions_per_worker(2)
@@ -493,7 +473,6 @@ mod tests {
             .with_io("in/graph", "out/sssp");
         assert_eq!(job.plan().join, JoinStrategy::LeftOuter);
         assert_eq!(job.plan().groupby, GroupByStrategy::HashSortUnmerged);
-        assert_eq!(job.plan().storage, VertexStorageKind::Lsm);
         assert_eq!(job.checkpoint_interval(), Some(5));
         assert_eq!(job.max_supersteps(), Some(30));
         assert_eq!(job.partitions_per_worker(), 2);

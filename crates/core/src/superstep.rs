@@ -86,16 +86,15 @@ pub struct PartitionState {
 }
 
 /// A partition's files go with its state: the graph of a finished,
-/// cancelled or failed job, or a partition that recovery replaced. Every
-/// page file of the store is purged from the cache without write-back and
+/// cancelled or failed job, or a partition that recovery replaced. The
+/// store's page file is purged from the cache without write-back and
 /// deleted, and so are the `Vid` and `Msg` runs. Best effort and counted
 /// nowhere, like [`TempRun`].
 impl Drop for PartitionState {
     fn drop(&mut self) {
-        for tree in self.store.trees() {
-            let _ = tree.cache().purge_file(tree.file(), false);
-            let _ = tree.cache().file_manager().delete(tree.file());
-        }
+        let tree = self.store.tree();
+        let _ = tree.cache().purge_file(tree.file(), false);
+        let _ = tree.cache().file_manager().delete(tree.file());
         for run in [self.vid_index.take(), self.msg_run.take()].into_iter().flatten() {
             let _ = run.delete();
         }

@@ -12,11 +12,11 @@
 //! and writes rows for the index full-outer join (`next`), the index
 //! left-outer join (`seek`), graph mutations, checkpoints and dumps — and
 //! the by-key [`BTree::search`] / [`BTree::insert`] / [`BTree::update`] /
-//! [`BTree::delete`] the cursor and the LSM store's components build on.
+//! [`BTree::delete`] the cursor builds on.
 //!
-//! Deletion does not rebalance (underfull pages persist until the next bulk
-//! rebuild); graph-mutation-heavy workloads are steered to the LSM B-tree
-//! instead, exactly as §5.2 advises.
+//! Deletion does not rebalance: underfull pages persist until the next bulk
+//! rebuild, and leaves emptied by deletes stay in the sibling chain, where
+//! the cursor walks over them.
 
 use crate::cache::{BufferCache, PageGuard};
 use crate::file::{FileId, PageId};
@@ -39,10 +39,6 @@ pub struct BTree {
     height: u8,
     /// Recycled overflow pages (in-memory only; see module docs).
     free_overflow: Vec<PageId>,
-    /// First page of the sidecar blob chain ([`NO_PAGE`] when absent).
-    sidecar_head: PageId,
-    /// Byte length of the sidecar blob.
-    sidecar_len: u64,
     /// The leaf the last [`BTree::update`] descended to, with the first and
     /// last key it held then (in-memory only). Any key in that range lives
     /// on that leaf or nowhere, so the ascending upserts of a scan-ordered
@@ -77,8 +73,6 @@ impl BTree {
             root: root_id,
             height: 1,
             free_overflow: Vec::new(),
-            sidecar_head: NO_PAGE,
-            sidecar_len: 0,
             last_leaf: None,
         };
         {
@@ -89,18 +83,15 @@ impl BTree {
         Ok(tree)
     }
 
-    /// Re-open a tree persisted in `file` (used by checkpoint recovery and
-    /// LSM disk components).
+    /// Re-open a tree persisted in `file` by [`BTree::flush`].
     pub fn open(cache: BufferCache, file: FileId) -> Result<BTree> {
         let meta = cache.pin(file, 0)?;
         let buf = meta.read();
-        if buf.len() < 33 || u64::from_le_bytes(buf[0..8].try_into().expect("8")) != META_MAGIC {
+        if buf.len() < 17 || u64::from_le_bytes(buf[0..8].try_into().expect("8")) != META_MAGIC {
             return Err(PregelixError::corrupt("bad B-tree meta page"));
         }
         let root = u64::from_le_bytes(buf[8..16].try_into().expect("8"));
         let height = buf[16];
-        let sidecar_head = u64::from_le_bytes(buf[17..25].try_into().expect("8"));
-        let sidecar_len = u64::from_le_bytes(buf[25..33].try_into().expect("8"));
         drop(buf);
         Ok(BTree {
             cache,
@@ -108,20 +99,15 @@ impl BTree {
             root,
             height,
             free_overflow: Vec::new(),
-            sidecar_head,
-            sidecar_len,
             last_leaf: None,
         })
     }
 
-    /// Meta-page layout: magic (0..8), root (8..16), height (16),
-    /// sidecar head page (17..25), sidecar byte length (25..33).
+    /// Meta-page layout: magic (0..8), root (8..16), height (16).
     fn write_meta(&self, buf: &mut [u8]) {
         buf[0..8].copy_from_slice(&META_MAGIC.to_le_bytes());
         buf[8..16].copy_from_slice(&self.root.to_le_bytes());
         buf[16] = self.height;
-        buf[17..25].copy_from_slice(&self.sidecar_head.to_le_bytes());
-        buf[25..33].copy_from_slice(&self.sidecar_len.to_le_bytes());
     }
 
     fn sync_meta(&self) -> Result<()> {
@@ -320,39 +306,7 @@ impl BTree {
     }
 
     // ------------------------------------------------------------------
-    // Sidecar blob
-    // ------------------------------------------------------------------
-
-    /// Attach an opaque blob to the tree's file, recorded on the meta page
-    /// and stored in a chain of overflow pages. Used by LSM disk components
-    /// to persist their bloom filter next to the data it describes, so a
-    /// component is always a single self-contained file. Replaces any
-    /// previous sidecar (its pages are recycled); an empty blob clears it.
-    pub fn write_sidecar(&mut self, bytes: &[u8]) -> Result<()> {
-        let old = self.sidecar_head;
-        self.free_overflow_chain(old)?;
-        if bytes.is_empty() {
-            self.sidecar_head = NO_PAGE;
-            self.sidecar_len = 0;
-        } else {
-            self.sidecar_head = self.write_overflow_chain(bytes)?;
-            self.sidecar_len = bytes.len() as u64;
-        }
-        self.sync_meta()
-    }
-
-    /// Read back the sidecar blob, or `None` when the tree has none.
-    pub fn read_sidecar(&self) -> Result<Option<Vec<u8>>> {
-        if self.sidecar_head == NO_PAGE {
-            return Ok(None);
-        }
-        let mut blob = Vec::new();
-        self.read_overflow_chain_into(self.sidecar_head, self.sidecar_len as usize, &mut blob)?;
-        Ok(Some(blob))
-    }
-
-    // ------------------------------------------------------------------
-    // Search and scan
+    // Search and the row cursor
     // ------------------------------------------------------------------
 
     /// Descend to the leaf that would contain `key`.
@@ -415,12 +369,6 @@ impl BTree {
         }
     }
 
-    /// Ordered scan over the whole tree.
-    pub(crate) fn scan(&self) -> Result<BTreeScanner<'_>> {
-        let leaf = self.pin_leftmost_leaf()?.page_id();
-        BTreeScanner::start(self, leaf, None)
-    }
-
     /// Forward-only read-write cursor over the rows (see [`RowCursor`]).
     pub fn cursor(&mut self) -> RowCursor<'_> {
         RowCursor {
@@ -433,12 +381,6 @@ impl BTree {
             inline: false,
             started: false,
         }
-    }
-
-    /// Ordered scan starting at the first key `>= from`.
-    pub(crate) fn scan_from(&self, from: &[u8]) -> Result<BTreeScanner<'_>> {
-        let leaf = self.find_leaf(from)?;
-        BTreeScanner::start(self, leaf, Some(from.to_vec()))
     }
 
     // ------------------------------------------------------------------
@@ -869,8 +811,8 @@ impl Fence {
 }
 
 /// The pinned root-to-leaf path of a sorted probe sequence, detached from
-/// the tree's borrow so a cursor that also writes ([`RowCursor`]) and the
-/// LSM store's per-component probes can hold one.
+/// the tree's borrow so a cursor that also writes ([`RowCursor`]) can hold
+/// one.
 ///
 /// Every page of the last descent stays pinned — the interior pages root
 /// first, then the leaf — each with the exclusive upper fence of its key
@@ -906,7 +848,7 @@ impl Fence {
 /// root with nothing remembered); `probe_page_pins` counts the pages each
 /// descent pins — pinned-leaf answers are free.
 #[derive(Default)]
-pub(crate) struct LeafPos {
+struct LeafPos {
     /// The pinned interior pages of the last descent, root first.
     path: Vec<PageGuard>,
     /// The pinned current leaf; `None` until the first key descends.
@@ -1011,7 +953,7 @@ impl LeafPos {
     /// Pin the leaf that decides `key` and hand `read` that page with the
     /// result of searching it: `Ok(slot)` of the entry, or `Err(slot)` where
     /// the key would sit in that leaf.
-    pub(crate) fn locate<T>(
+    fn locate<T>(
         &mut self,
         tree: &BTree,
         key: &[u8],
@@ -1058,20 +1000,6 @@ impl LeafPos {
         let buf = guard.read();
         let r = PageRef::new(&buf);
         read(r, r.search(key))
-    }
-
-    /// Point lookup: decode the value stored under `key` into `out`
-    /// (overflow chains resolved). Returns whether the key is present.
-    pub(crate) fn probe_into(
-        &mut self,
-        tree: &BTree,
-        key: &[u8],
-        out: &mut Vec<u8>,
-    ) -> Result<bool> {
-        self.locate(tree, key, |r, at| match at {
-            Ok(i) => tree.decode_value_into(r.value(i), out).map(|()| true),
-            Err(_) => Ok(false),
-        })
     }
 }
 
@@ -1270,68 +1198,19 @@ impl RowCursor<'_> {
         self.found = false;
         Ok(())
     }
-}
 
-/// Ordered scanner over a B-tree's live entries, batching one leaf at a
-/// time. Values are fully materialised (overflow chains resolved).
-pub(crate) struct BTreeScanner<'a> {
-    tree: &'a BTree,
-    batch: Vec<(Vec<u8>, Vec<u8>)>,
-    idx: usize,
-    next_leaf: u64,
-}
-
-impl<'a> BTreeScanner<'a> {
-    fn start(tree: &'a BTree, leaf: PageId, from: Option<Vec<u8>>) -> Result<Self> {
-        let mut s = BTreeScanner {
-            tree,
-            batch: Vec::new(),
-            idx: 0,
-            next_leaf: leaf,
-        };
-        s.load_next_leaf(from.as_deref())?;
-        Ok(s)
+    /// Move to the next row and copy it out; `None` at the end.
+    // pinned: benchmark/src/replay.rs
+    pub fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
+        Ok(self
+            .next()?
+            .then(|| (self.key().to_vec(), self.value().to_vec())))
     }
 
-    fn load_next_leaf(&mut self, from: Option<&[u8]>) -> Result<bool> {
-        loop {
-            self.batch.clear();
-            self.idx = 0;
-            if self.next_leaf == NO_PAGE {
-                return Ok(false);
-            }
-            let guard = self.tree.cache.pin(self.tree.file, self.next_leaf)?;
-            let buf = guard.read();
-            let r = PageRef::new(&buf);
-            self.next_leaf = r.next_page();
-            let start = match from {
-                Some(k) => r.search(k).unwrap_or_else(|i| i),
-                None => 0,
-            };
-            // Each value is copied once, straight out of the pinned page (or
-            // its overflow chain).
-            for i in start..r.len() {
-                let (k, stored) = r.entry(i);
-                let mut value = Vec::new();
-                self.tree.decode_value_into(stored, &mut value)?;
-                self.batch.push((k.to_vec(), value));
-            }
-            if !self.batch.is_empty() {
-                return Ok(true);
-            }
-            // Empty leaf (all entries deleted): keep walking the chain, and
-            // `from` only applies to the first leaf.
-        }
-    }
-
-    /// The next `(key, value)` in key order, or `None` at the end.
-    pub(crate) fn next_entry(&mut self) -> Result<Option<(Vec<u8>, Vec<u8>)>> {
-        if self.idx >= self.batch.len() && !self.load_next_leaf(None)? {
-            return Ok(None);
-        }
-        let item = std::mem::take(&mut self.batch[self.idx]);
-        self.idx += 1;
-        Ok(Some(item))
+    /// Seek `key` and copy out its value, if a row is there.
+    // pinned: benchmark/src/replay.rs
+    pub fn probe(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        Ok(self.seek(key)?.then(|| self.value().to_vec()))
     }
 }
 
@@ -1353,20 +1232,42 @@ mod tests {
         v.to_be_bytes().to_vec()
     }
 
-    /// Live entries, by a full scan.
-    fn count(t: &BTree) -> u64 {
-        let mut scan = t.scan().unwrap();
-        std::iter::from_fn(|| scan.next_entry().unwrap()).count() as u64
+    type Rows = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// Every row in key order, walked with the row cursor.
+    fn rows(t: &mut BTree) -> Rows {
+        let mut cur = t.cursor();
+        let mut out = Vec::new();
+        while cur.next().unwrap() {
+            out.push((cur.key().to_vec(), cur.value().to_vec()));
+        }
+        out
+    }
+
+    /// Every row from the first key `>= from`: a seek, then the walk.
+    fn rows_from(t: &mut BTree, from: &[u8]) -> Rows {
+        let mut cur = t.cursor();
+        let mut out = Vec::new();
+        let mut on_row = cur.seek(from).unwrap() || cur.next().unwrap();
+        while on_row {
+            out.push((cur.key().to_vec(), cur.value().to_vec()));
+            on_row = cur.next().unwrap();
+        }
+        out
+    }
+
+    /// Live entries, by a full walk.
+    fn count(t: &mut BTree) -> u64 {
+        rows(t).len() as u64
     }
 
     #[test]
     fn empty_tree_behaviour() {
         let (cache, _d) = make_cache(64, 512);
-        let t = BTree::create(cache).unwrap();
+        let mut t = BTree::create(cache).unwrap();
         assert_eq!(t.search(&k(1)).unwrap(), None);
-        assert_eq!(count(&t), 0);
-        let mut s = t.scan().unwrap();
-        assert!(s.next_entry().unwrap().is_none());
+        assert_eq!(count(&mut t), 0);
+        assert!(!t.cursor().next().unwrap());
     }
 
     #[test]
@@ -1379,7 +1280,7 @@ mod tests {
         assert_eq!(t.search(&k(9)).unwrap().unwrap(), b"val9");
         assert_eq!(t.search(&k(4)).unwrap(), None);
         assert!(t.search(&k(1)).unwrap().is_some());
-        assert_eq!(count(&t), 4);
+        assert_eq!(count(&mut t), 4);
     }
 
     #[test]
@@ -1402,10 +1303,9 @@ mod tests {
             t.insert(&k(*v), &v.to_le_bytes()).unwrap();
         }
         assert!(t.height() > 1, "tree must have split");
-        // Full ordered scan.
-        let mut scan = t.scan().unwrap();
+        // Full ordered walk.
         let mut expect = 0u64;
-        while let Some((key, val)) = scan.next_entry().unwrap() {
+        for (key, val) in rows(&mut t) {
             assert_eq!(key, k(expect));
             assert_eq!(val, expect.to_le_bytes());
             expect += 1;
@@ -1437,7 +1337,7 @@ mod tests {
         for v in (0..500u64).step_by(37) {
             assert_eq!(t.search(&k(v)).unwrap().unwrap(), vec![v as u8; 40]);
         }
-        assert_eq!(count(&t), 500);
+        assert_eq!(count(&mut t), 500);
         assert!(!t.update(&k(10_000), b"x").unwrap());
     }
 
@@ -1451,13 +1351,9 @@ mod tests {
         (t, model, d)
     }
 
-    fn assert_matches(t: &BTree, model: &BTreeMap<u64, Vec<u8>>) {
-        let mut scan = t.scan().unwrap();
-        for (v, val) in model {
-            let (key, got) = scan.next_entry().unwrap().expect("scan ended early");
-            assert_eq!((key, &got), (k(*v), val));
-        }
-        assert!(scan.next_entry().unwrap().is_none());
+    fn assert_matches(t: &mut BTree, model: &BTreeMap<u64, Vec<u8>>) {
+        let want: Rows = model.iter().map(|(v, val)| (k(*v), val.clone())).collect();
+        assert_eq!(rows(t), want);
     }
 
     #[test]
@@ -1482,7 +1378,7 @@ mod tests {
         // A miss inside the remembered range costs its one leaf pin; a miss
         // outside it descends — neither finds the key, neither dirties state.
         assert!(!t.update(&k(10_000), &[0; 8]).unwrap());
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     #[test]
@@ -1498,7 +1394,7 @@ mod tests {
                 }
             }
         }
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     #[test]
@@ -1516,14 +1412,14 @@ mod tests {
             assert!(t.update(&k(v), &val).unwrap());
             model.insert(v, val);
         }
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
         // And back to one width, in place again.
         for v in 0..600u64 {
             let val = vec![7; model[&v].len()];
             assert!(t.update(&k(v), &val).unwrap());
             model.insert(v, val);
         }
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     #[test]
@@ -1541,7 +1437,7 @@ mod tests {
             model.insert(v, val);
             assert_eq!(t.search(&k(v)).unwrap().as_ref(), Some(&model[&v]));
         }
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     #[test]
@@ -1578,7 +1474,7 @@ mod tests {
             model.insert(v, vec![v as u8; 60]);
             assert!(t.update(&k(v + 1), &model[&(v + 1)].clone()).unwrap());
         }
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     fn leaf_count(t: &BTree) -> u64 {
@@ -1621,7 +1517,7 @@ mod tests {
             spent <= leaves + height + 1,
             "600 rows over {leaves} leaves at height {height} pinned {spent} pages"
         );
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     #[test]
@@ -1653,7 +1549,7 @@ mod tests {
             "writes must reuse the probe's pin: {d:?}"
         );
         assert_eq!(d.probe_page_pins, pages, "each page on the sought paths pinned once");
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     /// The distinct pages on the root-to-leaf paths of `keys`.
@@ -1762,7 +1658,7 @@ mod tests {
         assert_eq!(t.search(&[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap().unwrap(), [6; 8]);
         t.delete(&[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap();
         model.insert(2_000_000, vec![8; 8]);
-        assert_matches(&t, &model);
+        assert_matches(&mut t, &model);
     }
 
     #[test]
@@ -1772,10 +1668,10 @@ mod tests {
             t.upsert(&k(v), &vec![v as u8; 3_000]).unwrap();
             model.insert(v, vec![v as u8; 3_000]);
         }
-        assert_matches(&t, &model);
-        let mut from = t.scan_from(&k(40)).unwrap();
-        assert_eq!(from.next_entry().unwrap().unwrap(), (k(40), vec![40; 3_000]));
-        assert_eq!(from.next_entry().unwrap().unwrap(), (k(41), vec![41; 8]));
+        assert_matches(&mut t, &model);
+        let from = rows_from(&mut t, &k(40));
+        assert_eq!(from[0], (k(40), vec![40; 3_000]));
+        assert_eq!(from[1], (k(41), vec![41; 8]));
     }
 
     #[test]
@@ -1789,9 +1685,8 @@ mod tests {
             assert!(t.delete(&k(v)).unwrap());
         }
         assert!(!t.delete(&k(0)).unwrap(), "double delete is a no-op");
-        assert_eq!(count(&t), 150);
-        let mut scan = t.scan().unwrap();
-        while let Some((key, _)) = scan.next_entry().unwrap() {
+        assert_eq!(count(&mut t), 150);
+        for (key, _) in rows(&mut t) {
             let v = u64::from_be_bytes(key.try_into().unwrap());
             assert_eq!(v % 2, 1);
         }
@@ -1804,18 +1699,13 @@ mod tests {
         let entries: Vec<_> = (0..5000u64).map(|v| (k(v), v.to_le_bytes().to_vec())).collect();
         t.bulk_load(entries, 0.9).unwrap();
         assert!(t.height() >= 3, "5000 entries on 256B pages needs 3+ levels");
-        assert_eq!(count(&t), 5000);
+        assert_eq!(count(&mut t), 5000);
         for v in [0u64, 1, 2499, 4999] {
             assert_eq!(t.search(&k(v)).unwrap().unwrap(), v.to_le_bytes());
         }
         assert_eq!(t.search(&k(5000)).unwrap(), None);
-        // scan_from starts mid-tree.
-        let mut s = t.scan_from(&k(4990)).unwrap();
-        let mut seen = 0;
-        while s.next_entry().unwrap().is_some() {
-            seen += 1;
-        }
-        assert_eq!(seen, 10);
+        // A seek starts mid-tree.
+        assert_eq!(rows_from(&mut t, &k(4990)).len(), 10);
     }
 
     #[test]
@@ -1865,15 +1755,9 @@ mod tests {
         for v in 0..1000u64 {
             t.insert(&k(v * 2 + 1), &[1u8; 8]).unwrap();
         }
-        assert_eq!(count(&t), 2000);
-        let mut scan = t.scan().unwrap();
-        let mut prev: Option<Vec<u8>> = None;
-        while let Some((key, _)) = scan.next_entry().unwrap() {
-            if let Some(p) = &prev {
-                assert!(*p < key);
-            }
-            prev = Some(key);
-        }
+        assert_eq!(count(&mut t), 2000);
+        let all = rows(&mut t);
+        assert!(all.windows(2).all(|p| p[0].0 < p[1].0));
     }
 
     #[test]
@@ -1889,9 +1773,8 @@ mod tests {
         let bigger = vec![0xCD; 20_000];
         assert!(t.update(&k(7), &bigger).unwrap());
         assert_eq!(t.search(&k(7)).unwrap().unwrap(), bigger);
-        // Scan resolves overflow too.
-        let mut scan = t.scan().unwrap();
-        let (key, val) = scan.next_entry().unwrap().unwrap();
+        // The cursor resolves overflow too.
+        let (key, val) = rows(&mut t).swap_remove(0);
         assert_eq!(key, k(7));
         assert_eq!(val.len(), 20_000);
     }
@@ -1909,8 +1792,8 @@ mod tests {
             t.flush().unwrap();
         }
         cache.purge_file(file, true).unwrap();
-        let t = BTree::open(cache, file).unwrap();
-        assert_eq!(count(&t), 800);
+        let mut t = BTree::open(cache, file).unwrap();
+        assert_eq!(count(&mut t), 800);
         assert_eq!(t.search(&k(321)).unwrap().unwrap(), 321u64.to_le_bytes());
     }
 
@@ -1930,7 +1813,7 @@ mod tests {
         for (key, val) in &reference {
             assert_eq!(t.search(&k(*key)).unwrap().unwrap(), *val);
         }
-        assert_eq!(count(&t) as usize, reference.len());
+        assert_eq!(count(&mut t) as usize, reference.len());
         assert!(
             cache.file_manager().counters().cache_evictions() > 0,
             "tiny cache must have evicted"
@@ -2018,39 +1901,6 @@ mod tests {
     }
 
     #[test]
-    fn sidecar_roundtrip_and_persistence() {
-        let (cache, _d) = make_cache(256, 256);
-        let file;
-        {
-            let mut t = BTree::create(cache.clone()).unwrap();
-            file = t.file();
-            for v in 0..500u64 {
-                t.insert(&k(v), &v.to_le_bytes()).unwrap();
-            }
-            assert_eq!(t.read_sidecar().unwrap(), None);
-            // Multi-page blob (1000 bytes on 256B pages).
-            let blob: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
-            t.write_sidecar(&blob).unwrap();
-            assert_eq!(t.read_sidecar().unwrap().unwrap(), blob);
-            // Replacing recycles the old chain and survives tree growth.
-            let blob2 = vec![0x5A; 100];
-            t.write_sidecar(&blob2).unwrap();
-            for v in 500..1500u64 {
-                t.insert(&k(v), &v.to_le_bytes()).unwrap();
-            }
-            assert_eq!(t.read_sidecar().unwrap().unwrap(), blob2);
-            t.flush().unwrap();
-        }
-        cache.purge_file(file, true).unwrap();
-        let mut t = BTree::open(cache, file).unwrap();
-        assert_eq!(t.read_sidecar().unwrap().unwrap(), vec![0x5A; 100]);
-        assert_eq!(count(&t), 1500);
-        // Clearing removes it durably.
-        t.write_sidecar(&[]).unwrap();
-        assert_eq!(t.read_sidecar().unwrap(), None);
-    }
-
-    #[test]
     fn randomised_against_reference_model() {
         let (cache, _d) = make_cache(128, 256);
         let mut t = BTree::create(cache).unwrap();
@@ -2073,14 +1923,7 @@ mod tests {
                 }
             }
         }
-        // Final full comparison via scan.
-        let mut scan = t.scan().unwrap();
-        let mut model_iter = model.iter();
-        while let Some((key, val)) = scan.next_entry().unwrap() {
-            let (mk, mv) = model_iter.next().expect("model shorter than tree");
-            assert_eq!(key, k(*mk));
-            assert_eq!(&val, mv);
-        }
-        assert!(model_iter.next().is_none(), "tree shorter than model");
+        // Final full comparison via the cursor.
+        assert_matches(&mut t, &model);
     }
 }

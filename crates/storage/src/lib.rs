@@ -12,32 +12,24 @@
 //! * [`page`] — the slotted-page layout shared by B-tree leaf and interior
 //!   pages.
 //! * [`btree`] — a B-tree keyed by arbitrary byte strings (Pregelix keys are
-//!   8-byte big-endian vids): bulk load, search, ordered scans, in-place
-//!   update, insert with splits, delete.
-//! * [`lsm`] — an LSM B-tree: an in-memory component plus immutable on-disk
-//!   B-tree components with tombstones and merges, for mutation-heavy
-//!   workloads such as the genome-assembly path merging (§5.2).
-//! * [`bloom`] — per-disk-component bloom filters so LSM point probes skip
-//!   components that provably do not contain the key.
+//!   8-byte big-endian vids): bulk load, search, the row cursor (ordered
+//!   walks and sorted seeks with writes at the cursor), in-place update,
+//!   insert with splits, delete.
 //! * [`runfile`] — sequential frame-structured temporary files, used for
 //!   sort runs, materialized connector channels, and the `Msg` relation.
 //! * [`sort`] — an external sort with bounded memory, optional
 //!   aggregation-during-sort (the heart of the sort-based group-by), and a
 //!   k-way merge over spilled runs.
 
-pub mod bloom;
 pub mod btree;
 pub mod cache;
 pub mod file;
-pub mod lsm;
 pub mod page;
 pub mod runfile;
 pub mod sort;
 
-pub use bloom::BloomFilter;
 pub use btree::BTree;
 pub use cache::BufferCache;
 pub use file::{FileId, FileManager};
-pub use lsm::LsmBTree;
 pub use runfile::{RunReader, RunWriter};
 pub use sort::ExternalSorter;

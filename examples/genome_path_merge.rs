@@ -1,5 +1,5 @@
 //! The Genomix scenario (§6): De-Bruijn-style path merging with graph
-//! mutations, on LSM B-tree vertex storage.
+//! mutations, on the B-tree vertex store.
 //!
 //! ```text
 //! cargo run --release --example genome_path_merge
@@ -9,10 +9,11 @@
 //! paths ("contigs-to-be") whose vertices carry sequence fragments. The
 //! `PathMerge` program repeatedly merges each path into its head vertex
 //! using `delete_vertex` mutations — the workload for which §5.2
-//! recommends the LSM B-tree, since vertex values grow drastically and
-//! vertices are removed in bulk. The example also demonstrates job
-//! pipelining (§5.6): a connected-components pass runs over the *merged*
-//! graph without re-loading it.
+//! recommends an LSM B-tree, since vertex values grow drastically and
+//! vertices are removed in bulk. Here the B-tree beat the LSM B-tree on
+//! this job at every RAM size tried (EXPERIMENTS.md §"One vertex store":
+//! 2 000 chains, 4 workers, 16 / 4 / 1 MiB a worker), so the LSM store was
+//! removed and the B-tree is the one store.
 
 use pregelix::prelude::*;
 use std::sync::Arc;
@@ -50,7 +51,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cluster = Cluster::new(ClusterConfig::new(4, 16 << 20))?;
     let job = PregelixJob::new("genome-merge")
-        .with_storage(VertexStorageKind::Lsm)
         .with_max_supersteps(400);
     let program = Arc::new(PathMerge::default());
     let (summary, graph) = run_job_from_records(&cluster, &program, &job, records)?;

@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             PlanConfig {
                 join: JoinStrategy::LeftOuter,
                 groupby: GroupByStrategy::HashSortUnmerged,
-                storage: VertexStorageKind::BTree,
             },
         ),
     ] {

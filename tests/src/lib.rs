@@ -1,6 +1,6 @@
 //! Host crate for the cross-crate integration tests in `tests/tests/`:
 //!
-//! * `plan_equivalence` — all sixteen physical plans, every worker/partition
+//! * `plan_equivalence` — all eight physical plans, every worker/partition
 //!   shape, one answer.
 //! * `fault_tolerance` — checkpoint/recovery under injected worker failures
 //!   (§5.5).
@@ -30,11 +30,32 @@
 //! `transport_reliability`, `recovery_confinement`, `job_service`) share:
 //! the digest line CI's double runs diff, the hash that stands in for a
 //! job's final values in it, and the check that a recovery left no
-//! temporary file behind.
+//! temporary file behind. `plan_equivalence` and `page_files` share the
+//! path-merge input, [`directed_chains`].
 
 use pregelix::prelude::{Cluster, JobSummary};
 use std::fmt::Write as _;
 use std::io::Write as _;
+
+/// Disjoint directed chains of the given lengths, numbered from 0, each
+/// vertex pointing at the next: the input `PathMerge` folds into one vertex
+/// a chain, deleting the rest.
+pub fn directed_chains(lengths: impl IntoIterator<Item = u64>) -> Vec<(u64, Vec<(u64, f64)>)> {
+    let mut records = Vec::new();
+    let mut next = 0;
+    for len in lengths {
+        for v in next..next + len {
+            let edges = if v + 1 < next + len {
+                vec![(v + 1, 1.0)]
+            } else {
+                vec![]
+            };
+            records.push((v, edges));
+        }
+        next += len;
+    }
+    records
+}
 
 /// FNV-1a: the digest's compact stand-in for "bit-identical final state".
 pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
@@ -97,8 +118,6 @@ pub fn chaos_digest(
             "dead" => s.workers_declared_dead,
             "probes" => s.probe_leaf_hits,
             "redesc" => s.probe_redescents,
-            "bloomneg" => s.bloom_negatives,
-            "bloomfp" => s.bloom_false_positives,
             "radixn" => s.radix_sort_entries,
             "conf" => s.confined_recoveries,
             "cfb" => s.confined_fallbacks,

@@ -97,7 +97,7 @@ fn no_fault_reference(
 fn chaos_digest(scenario: &str, summary: &JobSummary, injected: u64, values: &[(u64, u64)]) {
     integration_tests::chaos_digest(
         scenario,
-        "recoveries retries supersteps injected probes redesc bloomneg bloomfp radixn conf cfb \
+        "recoveries retries supersteps injected probes redesc radixn conf cfb \
          logw logr ckret slaba slabr fcopy fold fspill stray jcmp jmsgs jcomb",
         summary,
         injected,

@@ -23,39 +23,36 @@ fn rows(g: &LoadedGraph) -> Vec<(Vid, Vec<u8>)> {
 }
 
 /// Load the text `write` puts at the job's input path and, beside it,
-/// `records` through the in-memory path, on both vertex stores; the two
-/// must hold the same rows before and after SSSP from vertex 0.
+/// `records` through the in-memory path; the two must hold the same rows
+/// before and after SSSP from vertex 0.
 fn text_loads_its_records(
     config: ClusterConfig,
     partitions_per_worker: usize,
     write: impl Fn(&SimDfs, &str),
     records: &[Record],
 ) {
-    for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-        let cluster = Cluster::new(config.clone()).unwrap();
-        write(cluster.dfs(), "input/g");
-        let job = |name: &str| {
-            PregelixJob::new(name)
-                .with_io("input/g", format!("output/{name}"))
-                .with_partitions_per_worker(partitions_per_worker)
-                .with_storage(storage)
-        };
-        let (text_job, records_job) = (job("lt-text"), job("lt-records"));
-        let program = Arc::new(ShortestPaths::new(0));
-        let mut from_text = LoadedGraph::load(&cluster, &program, &text_job).unwrap();
-        let mut from_records =
-            LoadedGraph::load_from_records(&cluster, &program, &records_job, records.to_vec())
-                .unwrap();
-        assert_eq!(from_text.vertex_count(), records.len() as u64, "{storage:?}");
-        assert_eq!(from_records.vertex_count(), records.len() as u64, "{storage:?}");
-        assert_eq!(rows(&from_text), rows(&from_records), "{storage:?}: loaded rows");
-        for &(vid, _) in records.iter().take(8) {
-            assert!(from_text.probe_vertex::<ShortestPaths>(vid).unwrap().is_some());
-        }
-        from_text.run(&cluster, &program, &text_job).unwrap();
-        from_records.run(&cluster, &program, &records_job).unwrap();
-        assert_eq!(rows(&from_text), rows(&from_records), "{storage:?}: values");
+    let cluster = Cluster::new(config).unwrap();
+    write(cluster.dfs(), "input/g");
+    let job = |name: &str| {
+        PregelixJob::new(name)
+            .with_io("input/g", format!("output/{name}"))
+            .with_partitions_per_worker(partitions_per_worker)
+    };
+    let (text_job, records_job) = (job("lt-text"), job("lt-records"));
+    let program = Arc::new(ShortestPaths::new(0));
+    let mut from_text = LoadedGraph::load(&cluster, &program, &text_job).unwrap();
+    let mut from_records =
+        LoadedGraph::load_from_records(&cluster, &program, &records_job, records.to_vec())
+            .unwrap();
+    assert_eq!(from_text.vertex_count(), records.len() as u64);
+    assert_eq!(from_records.vertex_count(), records.len() as u64);
+    assert_eq!(rows(&from_text), rows(&from_records), "loaded rows");
+    for &(vid, _) in records.iter().take(8) {
+        assert!(from_text.probe_vertex::<ShortestPaths>(vid).unwrap().is_some());
     }
+    from_text.run(&cluster, &program, &text_job).unwrap();
+    from_records.run(&cluster, &program, &records_job).unwrap();
+    assert_eq!(rows(&from_text), rows(&from_records), "values");
 }
 
 fn write_text(records: &[Record]) -> impl Fn(&SimDfs, &str) + '_ {

@@ -1,7 +1,7 @@
 //! A partition's files live exactly as long as its state. Once a job's
 //! graph is gone — the job finished, was cancelled or failed, or recovery
 //! replaced the partition — no worker root holds its page files
-//! (`pf-*.dat`: the `Vertex` store, every LSM component), its `Msg` runs
+//! (`pf-*.dat`: the `Vertex` store), its `Msg` runs
 //! (`msg-*.run`) or its `Vid` runs (`vid-*.run`), whichever way the job
 //! was run.
 //!
@@ -66,6 +66,23 @@ fn chain(len: u64) -> Vec<(u64, Vec<(u64, f64)>)> {
         .collect()
 }
 
+/// Run `job` on `records`, cut off after three supersteps, and return the
+/// partition files its live graph held and its vertex count; then drop the
+/// graph and require every one of those files gone.
+fn held_until_dropped<P: VertexProgram>(
+    cluster: &Cluster,
+    program: P,
+    job: PregelixJob,
+    records: Vec<(u64, Vec<(u64, f64)>)>,
+) -> (Vec<String>, u64) {
+    let job = job.with_max_supersteps(3);
+    let (_, graph) = run_job_from_records(cluster, &Arc::new(program), &job, records).unwrap();
+    let held = (partition_files(cluster), graph.vertex_count());
+    drop(graph);
+    assert_released(cluster, job.id().tag());
+    held
+}
+
 /// Floods its vid along every edge and fails its job with a user error in
 /// superstep 3: a tenant that dies holding files.
 struct FailsInSuperstep3;
@@ -95,39 +112,43 @@ fn dropped_graphs_leave_no_partition_files() {
     let _guard = fault::exclusive();
     let cluster = small_frame_cluster();
     let records = graphgen::webmap::webmap(10, 4.0, 5);
-    let program = Arc::new(PageRank::new(10));
-    // The B-tree store under both join plans (the left-outer one adds the
-    // `Vid` run, which spills too), then the LSM store. Cut off after three
-    // supersteps, each graph still holds the `Msg` run feeding the fourth.
-    let jobs = [
-        PregelixJob::new("pf-foj"),
-        PregelixJob::new("pf-loj").with_join(JoinStrategy::LeftOuter),
-        PregelixJob::new("pf-lsm").with_storage(VertexStorageKind::Lsm),
-    ];
-    for job in jobs {
-        let job = job.with_max_supersteps(3);
-        let (_, graph) = run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
-        let held = partition_files(&cluster);
+    // PageRank under both join plans (the left-outer one adds the `Vid` run,
+    // which spills too). Cut off after three supersteps, each graph still
+    // holds the `Msg` run feeding the fourth.
+    for (name, join) in [
+        ("pf-foj", JoinStrategy::FullOuter),
+        ("pf-loj", JoinStrategy::LeftOuter),
+    ] {
+        let job = PregelixJob::new(name).with_join(join);
+        let (held, _) = held_until_dropped(&cluster, PageRank::new(10), job, records.clone());
         assert!(
             held.iter().any(|f| f.contains("/pf-")) && held.iter().any(|f| f.contains("/msg-")),
-            "{}: a live graph holds page files and a spilled Msg run: {held:?}",
-            job.id()
+            "{name}: a live graph holds page files and a spilled Msg run: {held:?}"
         );
-        let loj = job.plan().join == JoinStrategy::LeftOuter;
         assert_eq!(
             held.iter().any(|f| f.contains("/vid-")),
-            loj,
-            "{}: only the left-outer graph holds a spilled Vid run: {held:?}",
-            job.id()
+            join == JoinStrategy::LeftOuter,
+            "{name}: only the left-outer graph holds a spilled Vid run: {held:?}"
         );
-        drop(graph);
-        assert_released(&cluster, job.id().tag());
     }
+    // A mutating job: the first merge round of `PathMerge` deletes vertices
+    // from the store and grows their heads' values before the cut-off.
+    let chains = integration_tests::directed_chains((0..200).map(|c| 2 + c % 8));
+    let job = PregelixJob::new("pf-merge");
+    let (held, live) = held_until_dropped(&cluster, PathMerge::default(), job, chains.clone());
+    assert!(
+        held.iter().any(|f| f.contains("/pf-")),
+        "pf-merge holds page files: {held:?}"
+    );
+    assert!(
+        live < chains.len() as u64,
+        "pf-merge deleted no vertex ({live} left)"
+    );
 
     // Through `run_job`, which loads from and dumps to the DFS.
     graphgen::text::write_to_dfs(cluster.dfs(), "in/pf-dfs", &records).unwrap();
     let job = PregelixJob::new("pf-dfs").with_io("in/pf-dfs", "out/pf-dfs");
-    run_job(&cluster, &program, &job).unwrap();
+    run_job(&cluster, &Arc::new(PageRank::new(10)), &job).unwrap();
     assert_released(&cluster, "run_job");
 }
 

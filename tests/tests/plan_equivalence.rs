@@ -1,12 +1,15 @@
 //! Cross-crate invariant: every physical plan computes the same answer.
 //!
-//! §5.8 promises sixteen tailored executions of one logical plan; they
-//! must be observationally identical. The e2e suite in
-//! `pregelix-algorithms` checks PageRank; here SSSP and CC sweep all
-//! sixteen plans, plus partition-count and worker-count variations.
+//! §5.8 promises tailored executions of one logical plan — here eight: two
+//! joins × four group-by strategies — and they must be observationally
+//! identical. The e2e suite in `pregelix-algorithms` checks PageRank; here
+//! SSSP and path merging sweep all eight plans, CC and triangle counting a
+//! few, plus partition-count and worker-count variations.
 
+use integration_tests::directed_chains;
 use pregelix::graphgen::btc;
 use pregelix::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::sync::Arc;
 
 fn result_sssp(
@@ -30,7 +33,7 @@ fn result_sssp(
 }
 
 #[test]
-fn sixteen_plans_agree_on_sssp() {
+fn every_plan_agrees_on_sssp() {
     let records = btc::btc(2_000, 6.0, 42);
     let mut baseline = None;
     for plan in PlanConfig::all() {
@@ -38,6 +41,42 @@ fn sixteen_plans_agree_on_sssp() {
         match &baseline {
             None => baseline = Some(got),
             Some(b) => assert_eq!(b, &got, "plan {} diverged", plan.label()),
+        }
+    }
+}
+
+/// The §5.2 mutation workload on every plan: `PathMerge` grows the head of
+/// each chain past the inline limit of a 512-byte page and deletes every
+/// other vertex. The merged values (on the sort path: the program has no
+/// combiner) and the vertex count kept in `GS` must be the same on all.
+#[test]
+fn every_plan_merges_paths_alike() {
+    let mut rng = StdRng::seed_from_u64(46);
+    let records = directed_chains((0..120).map(|_| rng.gen_range(2..=40u64)));
+    let mut baseline = None;
+    for plan in PlanConfig::all() {
+        let mut config = ClusterConfig::new(3, 4 << 20);
+        config.page_size = 512;
+        let cluster = Cluster::new(config).unwrap();
+        let job = PregelixJob::new(format!("pe-pm-{}", plan.label()))
+            .with_plan(plan)
+            .with_max_supersteps(400);
+        let program = Arc::new(PathMerge::default());
+        let (summary, graph) =
+            run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
+        let merged: Vec<(u64, String, usize)> = graph
+            .collect_vertices::<PathMerge>()
+            .unwrap()
+            .into_iter()
+            .map(|v| (v.vid, v.value, v.edges.len()))
+            .collect();
+        assert!(summary.final_gs.halt, "plan {}", plan.label());
+        assert_eq!(merged.len(), 120, "plan {}: a vertex a chain", plan.label());
+        let count = summary.final_gs.vertex_count;
+        assert_eq!(count, merged.len() as u64, "plan {}", plan.label());
+        match &baseline {
+            None => baseline = Some(merged),
+            Some(b) => assert_eq!(b, &merged, "plan {} diverged", plan.label()),
         }
     }
 }
@@ -66,12 +105,10 @@ fn cc_agrees_across_plans_and_matches_union_find() {
         PlanConfig {
             join: JoinStrategy::LeftOuter,
             groupby: GroupByStrategy::HashSortMerged,
-            storage: VertexStorageKind::Lsm,
         },
         PlanConfig {
             join: JoinStrategy::FullOuter,
             groupby: GroupByStrategy::SortMerged,
-            storage: VertexStorageKind::Lsm,
         },
     ] {
         let cluster = Cluster::new(ClusterConfig::new(4, 8 << 20)).unwrap();

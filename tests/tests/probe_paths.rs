@@ -2,13 +2,10 @@
 //! cursor's `seek`s of a monotonically non-decreasing key sequence must be
 //! indistinguishable from repeated point `search`es — and from a
 //! `BTreeMap` reference model — across hits, misses in gaps, duplicate
-//! probe keys, deleted keys, and probes past the last leaf. The LSM sweep
-//! additionally forces multi-component layouts (explicit flush points in
-//! the op stream) so the bloom-gated per-component seeks are exercised
-//! with tombstones shadowing older components.
+//! probe keys, deleted keys, and probes past the last leaf.
 //!
 //! The row-cursor sweep drives a random program of moves and writes through
-//! `VertexStore::cursor` on both store kinds against the same model: `next`
+//! `VertexStore::cursor` against the same model: `next`
 //! must yield the smallest key after the position in the store *as it is
 //! now*, whatever the writes in between did to the tree.
 //!
@@ -20,7 +17,6 @@ use pregelix::core::store::VertexStore;
 use pregelix::storage::btree::BTree;
 use pregelix::storage::cache::BufferCache;
 use pregelix::storage::file::{FileManager, TempDir};
-use pregelix::storage::lsm::LsmBTree;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -43,9 +39,8 @@ fn cases() -> u32 {
         .unwrap_or(24)
 }
 
-/// One mutation in the randomised workload. `Flush` is meaningful only
-/// for the LSM store, where it seals the in-memory component into a new
-/// bloom-guarded disk component.
+/// One mutation in the randomised workload. `Flush` writes the tree's
+/// dirty pages back mid-workload.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     Upsert(u64),
@@ -230,26 +225,19 @@ fn check_cursor_program(
     Ok(())
 }
 
-/// Apply `workload` through the store's own by-key API (split history on
-/// the B-tree; components and tombstones on the LSM store) and the model.
+/// Apply `workload` through the tree's by-key API (a split history) and
+/// the model.
 fn apply(store: &mut VertexStore, model: &mut BTreeMap<u64, Vec<u8>>, workload: &[Op]) {
     for (i, op) in workload.iter().enumerate() {
+        let VertexStore::B(t) = store;
         match *op {
             Op::Upsert(key) => {
                 let v = value_for(key, i as u64);
-                match store {
-                    VertexStore::B(t) => t.upsert(&k(key), &v).unwrap(),
-                    VertexStore::L(t) => t.upsert(&k(key), &v).unwrap(),
-                }
+                t.upsert(&k(key), &v).unwrap();
                 model.insert(key, v);
             }
             Op::Delete(key) => {
-                match store {
-                    VertexStore::B(t) => {
-                        t.delete(&k(key)).unwrap();
-                    }
-                    VertexStore::L(t) => t.delete(&k(key)).unwrap(),
-                }
+                t.delete(&k(key)).unwrap();
                 model.remove(&key);
             }
             Op::Flush => store.flush().unwrap(),
@@ -259,12 +247,8 @@ fn apply(store: &mut VertexStore, model: &mut BTreeMap<u64, Vec<u8>>, workload: 
 
 /// What point `search`es of `keys` return, one descent each.
 fn search_all(store: &VertexStore, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
-    keys.iter()
-        .map(|&key| match store {
-            VertexStore::B(t) => t.search(&k(key)).unwrap(),
-            VertexStore::L(t) => t.search(&k(key)).unwrap(),
-        })
-        .collect()
+    let VertexStore::B(t) = store;
+    keys.iter().map(|&key| t.search(&k(key)).unwrap()).collect()
 }
 
 /// What one row cursor's sorted `seek`s of `keys` find.
@@ -284,7 +268,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: cases(), ..ProptestConfig::default() })]
 
     #[test]
-    fn prop_row_cursor_program_matches_model_on_both_stores(
+    fn prop_row_cursor_program_matches_model(
         stride in 1u64..5,
         n in 0u64..120,
         churn in ops(400, 40),
@@ -295,20 +279,12 @@ proptest! {
         let rows: BTreeMap<u64, Vec<u8>> = (0..n)
             .map(|i| (i * stride, filler(i as usize, 8 + (i as usize * 7) % 33)))
             .collect();
-        let (cache_b, _dir_b) = cache("cursor-btree");
-        let (cache_l, _dir_l) = cache("cursor-lsm");
-        let stores = [
-            VertexStore::B(BTree::create(cache_b).unwrap()),
-            // The smallest memtable and merge threshold the store allows, so
-            // programs flush (and merge) under the cursor.
-            VertexStore::L(LsmBTree::create(cache_l, 0, 2)),
-        ];
-        for mut store in stores {
-            let mut model = rows.clone();
-            store.bulk_load(rows.iter().map(|(key, v)| (k(*key), v.clone()))).unwrap();
-            apply(&mut store, &mut model, &churn);
-            check_cursor_program(store, model, &program)?;
-        }
+        let (cache, _dir) = cache("cursor-btree");
+        let mut store = VertexStore::B(BTree::create(cache).unwrap());
+        let mut model = rows.clone();
+        store.bulk_load(rows.iter().map(|(key, v)| (k(*key), v.clone()))).unwrap();
+        apply(&mut store, &mut model, &churn);
+        check_cursor_program(store, model, &program)?;
     }
 
     #[test]
@@ -341,40 +317,5 @@ proptest! {
         store.bulk_load(model.iter().map(|(key, v)| (k(*key), v.clone()))).unwrap();
         prop_assert_eq!(seek_all(&mut store, &probe_keys), expect_all(&model, &probe_keys),
             "stride {}", stride);
-    }
-
-    #[test]
-    fn prop_lsm_probe_cursor_matches_search_and_model(
-        workload in ops(400, 160),
-        probe_keys in probes(400, 150),
-    ) {
-        let (cache, _dir) = cache("probe-lsm");
-        // Tiny mem budget: upserts spill into disk components on their own
-        // even without explicit Flush ops, so multi-component layouts (and
-        // tombstones shadowing older components) are the common case.
-        let mut store = VertexStore::L(LsmBTree::create(cache, 512, 16));
-        let mut model = BTreeMap::new();
-        apply(&mut store, &mut model, &workload);
-        let searched = search_all(&store, &probe_keys);
-        let sought = seek_all(&mut store, &probe_keys);
-        prop_assert_eq!(&sought, &searched);
-        prop_assert_eq!(sought, expect_all(&model, &probe_keys));
-    }
-
-    #[test]
-    fn prop_lsm_merge_preserves_probe_answers(
-        workload in ops(300, 120),
-        probe_keys in probes(300, 100),
-    ) {
-        // merge_all rebuilds every bloom filter and collapses tombstones;
-        // seek answers after it must agree with the model.
-        let (cache, _dir) = cache("probe-merge");
-        let mut store = VertexStore::L(LsmBTree::create(cache, 512, 16));
-        let mut model = BTreeMap::new();
-        apply(&mut store, &mut model, &workload);
-        if let VertexStore::L(lsm) = &mut store {
-            lsm.merge_all().unwrap();
-        }
-        prop_assert_eq!(seek_all(&mut store, &probe_keys), expect_all(&model, &probe_keys));
     }
 }

@@ -33,7 +33,7 @@ fn graph(n: u64, edges: u64, seed: u64) -> Vec<(u64, Vec<(u64, f64)>)> {
 }
 
 fn arbitrary_plan() -> impl Strategy<Value = PlanConfig> {
-    (0usize..16).prop_map(|i| PlanConfig::all()[i])
+    (0..PlanConfig::all().len()).prop_map(|i| PlanConfig::all()[i])
 }
 
 proptest! {

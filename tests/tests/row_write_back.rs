@@ -3,7 +3,7 @@
 //! of update — edge list rewritten (`edges_dirty`), head resized under an
 //! untouched edge list, rows growing across the B-tree's inline limit into
 //! overflow chains and shrinking back — falls back to a whole-row write and
-//! stays correct, on both stores under both joins.
+//! stays correct, under both joins.
 
 use pregelix::common::error::Result;
 use pregelix::common::Vid;
@@ -86,27 +86,24 @@ fn resized_rows_and_dirty_edge_lists_take_the_fallback_and_stay_correct() {
             && expected.iter().any(|(_, _, e)| e.is_empty()),
         "the schedule must leave both overflowing and emptied rows"
     );
-    for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-        for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
-            let mut config = ClusterConfig::new(2, 8 << 20);
-            config.page_size = 512;
-            let cluster = Cluster::new(config).unwrap();
-            let plan = PlanConfig {
-                join,
-                storage,
-                ..PlanConfig::default()
-            };
-            let job = PregelixJob::new(format!("churn-{}", plan.label())).with_plan(plan);
-            let (summary, graph) =
-                run_job_from_records(&cluster, &Arc::new(Churn), &job, records.clone()).unwrap();
-            assert_eq!(summary.supersteps, SUPERSTEPS, "{}", plan.label());
-            let got: Vec<(Vid, String, Vec<Vid>)> = graph
-                .collect_vertices::<Churn>()
-                .unwrap()
-                .into_iter()
-                .map(|v| (v.vid, v.value, v.edges.iter().map(|e| e.dest).collect()))
-                .collect();
-            assert_eq!(got, expected, "{}", plan.label());
-        }
+    for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
+        let mut config = ClusterConfig::new(2, 8 << 20);
+        config.page_size = 512;
+        let cluster = Cluster::new(config).unwrap();
+        let plan = PlanConfig {
+            join,
+            ..PlanConfig::default()
+        };
+        let job = PregelixJob::new(format!("churn-{}", plan.label())).with_plan(plan);
+        let (summary, graph) =
+            run_job_from_records(&cluster, &Arc::new(Churn), &job, records.clone()).unwrap();
+        assert_eq!(summary.supersteps, SUPERSTEPS, "{}", plan.label());
+        let got: Vec<(Vid, String, Vec<Vid>)> = graph
+            .collect_vertices::<Churn>()
+            .unwrap()
+            .into_iter()
+            .map(|v| (v.vid, v.value, v.edges.iter().map(|e| e.dest).collect()))
+            .collect();
+        assert_eq!(got, expected, "{}", plan.label());
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 type Records = Vec<(Vid, Vec<(Vid, f64)>)>;
 
-/// Both connectors (under both group-by names), both joins, both stores.
+/// Both connectors (under both group-by names), both joins.
 fn lattice() -> Vec<PlanConfig> {
     let mut out = Vec::new();
     for groupby in [
@@ -33,13 +33,7 @@ fn lattice() -> Vec<PlanConfig> {
         GroupByStrategy::HashSortMerged,
     ] {
         for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
-            for storage in [VertexStorageKind::BTree, VertexStorageKind::Lsm] {
-                out.push(PlanConfig {
-                    join,
-                    groupby,
-                    storage,
-                });
-            }
+            out.push(PlanConfig { join, groupby });
         }
     }
     out

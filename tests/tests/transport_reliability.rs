@@ -80,7 +80,7 @@ fn no_fault_reference(
 
 /// The fields of this suite's lines in `$CHAOS_DIGEST`.
 const FIELDS: &str = "recoveries retries supersteps injected retx dedup corrupt dead probes redesc \
-    bloomneg bloomfp radixn conf cfb logw logr ckret slaba slabr fcopy fold fspill stray jcmp \
+    radixn conf cfb logw logr ckret slaba slabr fcopy fold fspill stray jcmp \
     jmsgs jcomb";
 
 /// This suite's line in `$CHAOS_DIGEST` (see [`integration_tests::chaos_digest`]).
