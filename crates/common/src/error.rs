@@ -57,10 +57,6 @@ pub enum PregelixError {
     /// internally and reloads every partition instead, so it never escapes
     /// the recovery ladder.
     ConfinedRecoveryUnavailable(String),
-    /// The job was cancelled through its service handle before it could
-    /// finish. Carries the job's display tag. Never retried: cancellation
-    /// is a user decision, not a fault.
-    Cancelled(String),
     /// The failure manager hit the job's recovery cap (the
     /// `PregelixJob::max_recoveries` knob) and gave up.
     /// Carries the cap and the display form of the last recoverable fault so
@@ -118,11 +114,6 @@ impl PregelixError {
     pub fn confined_unavailable(msg: impl Into<String>) -> Self {
         PregelixError::ConfinedRecoveryUnavailable(msg.into())
     }
-
-    /// Shorthand constructor for job-cancellation errors.
-    pub fn cancelled(job: impl Into<String>) -> Self {
-        PregelixError::Cancelled(job.into())
-    }
 }
 
 impl fmt::Display for PregelixError {
@@ -146,7 +137,6 @@ impl fmt::Display for PregelixError {
             PregelixError::ConfinedRecoveryUnavailable(m) => {
                 write!(f, "confined recovery unavailable: {m}")
             }
-            PregelixError::Cancelled(job) => write!(f, "job {job} cancelled"),
             PregelixError::RecoveriesExhausted { cap, last_error } => write!(
                 f,
                 "recovery cap exhausted: {cap} recoveries attempted (max_recoveries = {cap}); \
@@ -214,9 +204,8 @@ mod tests {
                 // Confined-recovery unavailability is an internal routing
                 // signal (reload every partition instead), not a transient
                 // fault to retry; recovery exhaustion is terminal by
-                // definition; cancellation is a user decision.
+                // definition.
                 PregelixError::ConfinedRecoveryUnavailable(_) => false,
-                PregelixError::Cancelled(_) => false,
                 PregelixError::RecoveriesExhausted { .. } => false,
                 PregelixError::Internal(_) => false,
             }
@@ -235,7 +224,6 @@ mod tests {
             PregelixError::user("u"),
             PregelixError::NoCheckpoint,
             PregelixError::confined_unavailable("hole in msg log"),
-            PregelixError::cancelled("pagerank.2"),
             PregelixError::RecoveriesExhausted {
                 cap: 32,
                 last_error: "worker 2 declared dead".into(),

@@ -1,78 +1,34 @@
 //! Job identity: the [`JobId`] newtype that names a job's state on the DFS.
 //!
-//! Historically every checkpoint, message-log, and global-state path was
-//! keyed by the job's *name* string, so two jobs submitted under the same
-//! name would silently share (and corrupt) each other's
-//! `jobs/<name>/...` subtree. A [`JobId`] pairs the human-chosen name with
-//! an *instance* number assigned by the job service at admission time:
-//! instance 0 keeps the historical `jobs/<name>/...` layout byte-for-byte
-//! (so every existing on-DFS artifact, fault-site context string, and chaos
-//! digest stays valid), while a collision with a live or retained job gets
-//! instance *n* > 0 and the disambiguated tag `<name>.<n>`.
-//!
-//! The `tag` is the single canonical DFS-facing spelling; [`JobId`]
-//! implements [`std::fmt::Display`] as the tag so path formatting
+//! Every checkpoint, message-log, and global-state path is keyed by the
+//! job's tag (`jobs/<tag>/...`), and so are its run-file names and fault-site
+//! contexts. The tag is the job's name; jobs that run at the same time on
+//! one cluster need distinct names. [`JobId`] implements
+//! [`std::fmt::Display`] as the tag so path formatting
 //! (`format!("jobs/{job}/gs")`) goes through one choke point.
 
 use std::fmt;
 
-/// Unique identity of one submitted job.
-///
-/// Equality and hashing cover `(name, instance)`; the `tag` is derived and
-/// cached so hot paths (per-superstep run-file names, fault-site contexts)
-/// never re-format it.
+/// Identity of one job: its name, which is also its DFS-facing tag.
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JobId {
-    name: String,
-    instance: u64,
     tag: String,
 }
 
 impl JobId {
-    /// Identity for `name` at instance 0: the tag equals the bare name, so
-    /// all DFS paths match the historical stringly-named layout.
+    /// Identity for `name`.
     pub fn new(name: impl Into<String>) -> JobId {
-        JobId::with_instance(name, 0)
+        JobId { tag: name.into() }
     }
 
-    /// Identity for `name` at an explicit `instance` (assigned by the job
-    /// service when `name` collides with a live or retained job).
-    pub fn with_instance(name: impl Into<String>, instance: u64) -> JobId {
-        let name = name.into();
-        let tag = if instance == 0 {
-            name.clone()
-        } else {
-            format!("{name}.{instance}")
-        };
-        JobId {
-            name,
-            instance,
-            tag,
-        }
-    }
-
-    /// The human-chosen job name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The service-assigned instance number (0 outside the service or for
-    /// the first job admitted under a name).
-    pub fn instance(&self) -> u64 {
-        self.instance
-    }
-
-    /// The canonical DFS-facing spelling: `name` at instance 0,
-    /// `name.instance` otherwise.
+    /// The canonical DFS-facing spelling: the job's name.
     pub fn tag(&self) -> &str {
         &self.tag
     }
 
-    /// Identity of a derived sub-job (a pipeline stage): `<name>-<suffix>`
-    /// at the same instance, so every stage of one submission shares the
-    /// submission's collision-avoidance instance.
+    /// Identity of a derived sub-job (a pipeline stage): `<name>-<suffix>`.
     pub fn derive(&self, suffix: &str) -> JobId {
-        JobId::with_instance(format!("{}-{suffix}", self.name), self.instance)
+        JobId::new(format!("{}-{suffix}", self.tag))
     }
 }
 
@@ -99,47 +55,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn instance_zero_tag_is_the_bare_name() {
+    fn the_tag_is_the_name() {
         let id = JobId::new("pagerank");
-        assert_eq!(id.name(), "pagerank");
-        assert_eq!(id.instance(), 0);
         assert_eq!(id.tag(), "pagerank");
         assert_eq!(id.to_string(), "pagerank");
         assert_eq!(format!("jobs/{id}/gs"), "jobs/pagerank/gs");
     }
 
     #[test]
-    fn nonzero_instances_disambiguate_the_tag() {
-        let a = JobId::with_instance("pagerank", 0);
-        let b = JobId::with_instance("pagerank", 1);
-        let c = JobId::with_instance("pagerank", 2);
-        assert_eq!(b.tag(), "pagerank.1");
-        assert_eq!(c.tag(), "pagerank.2");
-        assert_ne!(a, b);
-        assert_ne!(b, c);
-        assert_eq!(b.name(), c.name());
-        // Tags never collide across instances, so neither do DFS subtrees.
-        let tags = [a.tag(), b.tag(), c.tag()];
-        let unique: std::collections::HashSet<_> = tags.iter().collect();
-        assert_eq!(unique.len(), tags.len());
+    fn derive_appends_the_suffix() {
+        let stage = JobId::new("pipe").derive("stage1");
+        assert_eq!(stage.tag(), "pipe-stage1");
+        assert_ne!(stage, JobId::new("pipe"));
     }
 
     #[test]
-    fn derive_keeps_the_instance() {
-        let id = JobId::with_instance("pipe", 3);
-        let stage = id.derive("stage1");
-        assert_eq!(stage.name(), "pipe-stage1");
-        assert_eq!(stage.instance(), 3);
-        assert_eq!(stage.tag(), "pipe-stage1.3");
-        let plain = JobId::new("pipe").derive("stage1");
-        assert_eq!(plain.tag(), "pipe-stage1");
-    }
-
-    #[test]
-    fn string_conversions_yield_instance_zero() {
+    fn string_conversions_agree() {
         let a: JobId = "cc".into();
         let b: JobId = String::from("cc").into();
         assert_eq!(a, b);
-        assert_eq!(a.instance(), 0);
+        assert_eq!(a, JobId::new("cc"));
     }
 }

@@ -23,8 +23,7 @@
 //! * [`dfs`] — a directory-backed stand-in for HDFS used for graph
 //!   input/output, the global-state primary copy, and checkpoints.
 //! * [`job`] — the [`job::JobId`] newtype naming a job's DFS state
-//!   (`name` + service-assigned `instance`), so identically-named jobs can
-//!   never collide on checkpoints, message logs, or global state.
+//!   (checkpoints, message logs, global state) by its tag.
 //! * [`memory`] — a byte-granular memory accountant used to enforce simulated
 //!   per-worker RAM budgets (this is how the out-of-core experiments scale the
 //!   paper's 8 GB nodes down to laptop-size).

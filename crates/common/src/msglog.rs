@@ -507,11 +507,11 @@ mod tests {
         let dfs = SimDfs::open(dir.path()).unwrap();
         let counters = ClusterCounters::new();
         let a = JobId::new("j");
-        let b = JobId::with_instance("j", 1);
+        let b = JobId::new("k");
         assert_ne!(log_path(&a, 3, 1), log_path(&b, 3, 1));
         write_log(&dfs, &counters, &a, &sample()).unwrap();
-        // Instance 1 sees no log at its own path even though instance 0
-        // wrote one under the same human name.
+        // Job `k` sees no log at its own path although `j` wrote one at
+        // the same coordinates.
         assert!(read_log(&dfs, &counters, &b, 3, 1).is_err());
         let mut other = MsgLogWriter::new(3, 1, 4);
         other.add_msg(1, b"omega");

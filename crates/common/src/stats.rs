@@ -9,16 +9,15 @@
 
 //! ## Per-job counter scopes
 //!
-//! A long-running multi-tenant service shares one [`ClusterCounters`] across
-//! every admitted job, so the cluster totals alone cannot attribute work to
-//! the job that did it. A *scope* is a second `ClusterCounters` installed
-//! thread-locally via [`enter_job_scope`]: while the guard lives, every
-//! increment on any counter set is tee'd into the scope as well. The job
-//! service installs one scope per job — on the driver thread around each
-//! scheduling quantum, and (via the cluster executor) on every worker thread
-//! running that job's tasks — which works precisely because supersteps of
-//! different jobs are serialized, never interleaved, so at any instant all
-//! running tasks belong to one job.
+//! Concurrent jobs on one cluster share one [`ClusterCounters`], so the
+//! cluster totals alone cannot attribute work to the job that did it. A
+//! *scope* is a second `ClusterCounters` installed thread-locally via
+//! [`enter_job_scope`]: while the guard lives, every increment on any
+//! counter set is tee'd into the scope as well. `run_job` installs one
+//! scope per job on the thread that drives it, and the cluster executor
+//! hands the submitting thread's scope ([`current_job_scope`]) to every
+//! task of a batch, so jobs driven from different threads at once each
+//! count only their own work.
 
 use serde::Serialize;
 use std::cell::RefCell;
@@ -165,14 +164,14 @@ macro_rules! stats_table {
             /// Workers declared dead by the missed-beat failure detector and
             /// blacklisted from scheduling.
             counter workers_declared_dead, add_workers_declared_dead;
-            /// Sorted-probe cursor lookups answered from the pinned leaf, or
-            /// by a descent from a pinned interior page covering the key.
+            /// Row-cursor seeks answered from the pinned leaf, or by a
+            /// descent from a pinned interior page covering the key.
             counter probe_leaf_hits, add_probe_leaf_hits;
-            /// Sorted-probe cursor lookups that descended from the root with
-            /// no pinned path: a position's first, or the first after an unpin.
+            /// Row-cursor seeks that descended from the root with no pinned
+            /// path: a cursor's first seek, or the first after an unpin.
             counter probe_redescents, add_probe_redescents;
-            /// Buffer-cache page pins performed on behalf of probe cursors
-            /// (the pages below where each descent starts; answering from the
+            /// Buffer-cache page pins the row cursor's seeks perform (the
+            /// pages below where each descent starts; answering from the
             /// pinned leaf is free).
             counter probe_page_pins, add_probe_page_pins;
             /// Confined recoveries completed: worker deaths healed by reloading

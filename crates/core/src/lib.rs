@@ -37,10 +37,9 @@
 //! * [`recovery`] — the one recovery ladder: reload the lost partitions,
 //!   then replay them from sender-side message logs or rewind (§5.5).
 //! * [`runtime`] — the driver: superstep loop, failure manager, job
-//!   pipelining (§5.6), statistics collection.
-//! * [`service`] — the multi-tenant job service: concurrent job admission
-//!   over the shared cluster behind the submission API ([`JobService`]),
-//!   with per-job page budgets, counter scopes, and fair-share placement.
+//!   pipelining (§5.6), statistics collection. Concurrent jobs are threads
+//!   calling [`run_job`] on one shared cluster, each under its own counter
+//!   scope.
 
 pub mod api;
 pub mod checkpoint;
@@ -49,7 +48,6 @@ pub mod load;
 pub mod plan;
 pub mod recovery;
 pub mod runtime;
-pub mod service;
 pub mod store;
 pub mod superstep;
 pub mod vertex;
@@ -58,5 +56,4 @@ pub use api::{ComputeContext, MessageCombiner, Mutation, VertexProgram};
 pub use gs::GlobalState;
 pub use plan::{JoinStrategy, PlanConfig, PregelixJob, VertexStorageKind};
 pub use runtime::{run_job, run_pipeline, JobSummary, LoadedGraph, SenderFold};
-pub use service::{JobHandle, JobService, JobStatus, ServiceConfig};
 pub use vertex::{Edge, VertexData};

@@ -21,8 +21,8 @@ use pregelix_common::JobId;
 ///
 /// The original hard-coded threshold assumed every probe pays a full
 /// root-to-leaf descent (≈5× the cost of one sequential scan touch →
-/// probe wins under 1/5 liveness). The sorted-probe cursors keep their
-/// root-to-leaf path pinned: a probe is answered from the pinned leaf or
+/// probe wins under 1/5 liveness). The row cursor keeps its root-to-leaf
+/// path pinned between seeks: a seek is answered from the pinned leaf or
 /// descends from the lowest pinned page covering its key, so the real
 /// cost per probe is `1 + pins_per_probe × PIN_COST` scan-touch units, where
 /// `pins_per_probe` is measured (`probe_page_pins / probes`) on the most
@@ -220,10 +220,6 @@ pub struct PregelixJob {
     /// typed `RecoveriesExhausted` error naming this cap. Previously a
     /// hard-coded 32 inside the runtime.
     pub(crate) max_recoveries: u32,
-    /// Buffer-cache pages the job service reserves for this job at
-    /// admission (`None` = the service's default share). Ignored outside
-    /// the service.
-    pub(crate) page_budget: Option<u64>,
 }
 
 impl PregelixJob {
@@ -240,18 +236,17 @@ impl PregelixJob {
             max_supersteps: None,
             io_retries: 2,
             max_recoveries: 32,
-            page_budget: None,
         }
     }
 
-    /// The job's identity (name + service-assigned instance).
+    /// The job's identity.
     pub fn id(&self) -> &JobId {
         &self.id
     }
 
     /// The human-chosen job name.
     pub fn name(&self) -> &str {
-        self.id.name()
+        self.id.tag()
     }
 
     /// DFS path of the input adjacency text.
@@ -294,17 +289,9 @@ impl PregelixJob {
         self.max_recoveries
     }
 
-    /// Buffer-cache pages requested from the job service at admission
-    /// (`None` = the service default).
-    pub fn page_budget(&self) -> Option<u64> {
-        self.page_budget
-    }
-
     /// Derive the descriptor of pipeline stage `i`: identical settings
-    /// under the stage identity `<name>-stage<i>` (same service instance),
-    /// so consecutive stages of one submission share I/O paths but never
-    /// collide on per-job DFS state. Replaces the struct-literal clone the
-    /// pipeline runner historically performed.
+    /// under the stage identity `<name>-stage<i>`, so consecutive stages of
+    /// one pipeline share I/O paths but never collide on per-job DFS state.
     pub fn derive_stage(&self, i: usize) -> PregelixJob {
         let mut stage = self.clone();
         stage.id = self.id.derive(&format!("stage{i}"));
@@ -367,13 +354,6 @@ impl PregelixJob {
     /// `RecoveriesExhausted` error.
     pub fn with_max_recoveries(mut self, n: u32) -> Self {
         self.max_recoveries = n;
-        self
-    }
-
-    /// Buffer-cache pages the job service should reserve for this job at
-    /// admission (overrides the service's default per-job share).
-    pub fn with_page_budget(mut self, pages: u64) -> Self {
-        self.page_budget = Some(pages);
         self
     }
 }
@@ -483,11 +463,6 @@ mod tests {
         // Fresh jobs carry the documented recovery defaults.
         let fresh = PregelixJob::new("defaults");
         assert_eq!(fresh.max_recoveries(), 32);
-        assert_eq!(fresh.page_budget(), None);
-        assert_eq!(
-            fresh.with_page_budget(128).page_budget(),
-            Some(128)
-        );
     }
 
     #[test]
@@ -501,9 +476,5 @@ mod tests {
         assert_eq!(stage.input_path(), "in/g");
         assert_eq!(stage.output_path(), "out/g");
         assert_eq!(stage.checkpoint_interval(), Some(3));
-        // Stages of an instanced submission inherit the instance.
-        let mut instanced = job.clone();
-        instanced.id = JobId::with_instance("pipe", 2);
-        assert_eq!(instanced.derive_stage(0).id().tag(), "pipe-stage0.2");
     }
 }

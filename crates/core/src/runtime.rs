@@ -2,9 +2,10 @@
 //!
 //! [`run_job`] is the top-level entry point mirroring `Client.run` from
 //! Figure 9: load the graph, iterate supersteps until the global halt,
-//! dump the result. Since the job-service redesign it is a thin wrapper
-//! over a single-job [`crate::service::JobService`] — the submission API
-//! that also admits *concurrent* jobs against the shared cluster (§7.4).
+//! dump the result, under a counter scope of its own. Concurrent jobs are
+//! threads calling [`run_job`] on one shared [`Cluster`]: each batch of
+//! tasks runs under the scope of the thread that submitted it, so every
+//! job's [`JobSummary::job_stats`] counts its own work (§7.4).
 //! [`LoadedGraph`] keeps the partitioned `Vertex` relation resident
 //! between jobs, which is what makes job pipelining (§5.6) possible:
 //! compatible contiguous jobs run back-to-back "without HDFS writes/reads
@@ -18,8 +19,7 @@
 //! job prologue, each `step` executes one superstep (including any
 //! recovery it needs), and `finish` folds the counters into a
 //! [`JobSummary`]. [`LoadedGraph::run`] drives it to completion in a
-//! plain loop; the job service interleaves `step` calls of many jobs for
-//! fair-share scheduling.
+//! plain loop.
 //!
 //! Failure *detection* is heartbeat-based (§5.5): every successful
 //! `check_alive` bumps the worker's beat counter, and the driver runs a
@@ -42,11 +42,11 @@ use parking_lot::Mutex;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
 use pregelix_common::frame::{tuple_vid, vid_to_key};
-use pregelix_common::stats::{current_job_scope, StatsSnapshot};
+use pregelix_common::stats::{current_job_scope, enter_job_scope, ClusterCounters, StatsSnapshot};
 use pregelix_common::writable::Writable;
-use pregelix_common::{hash_partition, Superstep, Vid};
+use pregelix_common::{hash_partition, Vid};
 use pregelix_dataflow::cluster::{Cluster, FailureDetector};
-use pregelix_dataflow::scheduler::sticky_assignment_offset;
+use pregelix_dataflow::scheduler::sticky_assignment;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -58,8 +58,7 @@ const RETRY_BACKOFF: Duration = Duration::from_millis(1);
 /// What a finished job reports (feeds the experiment harnesses).
 #[derive(Clone, Debug)]
 pub struct JobSummary {
-    /// Display tag of the job (the [`pregelix_common::JobId`] tag, which
-    /// carries the service instance suffix when the name was reused).
+    /// Display tag of the job (its [`pregelix_common::JobId`]).
     pub name: String,
     /// Supersteps actually executed.
     pub supersteps: u64,
@@ -73,19 +72,19 @@ pub struct JobSummary {
     pub elapsed: Duration,
     /// Final global state.
     pub final_gs: GlobalState,
-    /// Cluster counter delta over the run. Under concurrent service
-    /// execution this includes work other admitted jobs did while this
-    /// job's supersteps ran — use [`JobSummary::job_stats`] for the
-    /// per-job attribution.
+    /// Cluster counter delta over the run. With concurrent jobs on the
+    /// cluster this includes work the others did meanwhile — use
+    /// [`JobSummary::job_stats`] for the per-job attribution.
     pub stats: StatsSnapshot,
     /// Counter deltas per superstep (the statistics collector's
     /// per-superstep view, §5.7), same order as `superstep_times`.
     pub superstep_stats: Vec<StatsSnapshot>,
     /// Counters attributed to *this job only*: the delta of the job's
     /// counter scope (`pregelix_common::stats::enter_job_scope`) over the
-    /// run when one is installed — the service installs one per job —
-    /// falling back to the cluster delta (== `stats`) when the job ran
-    /// without a scope. This is what multi-tenant chaos digests compare.
+    /// run when one is installed — [`run_job`] and [`run_pipeline`]
+    /// install one per job — falling back to the cluster delta (==
+    /// `stats`) when the job ran without a scope. This is what
+    /// multi-tenant chaos digests compare.
     pub job_stats: StatsSnapshot,
     /// Number of checkpoint recoveries performed.
     pub recoveries: u32,
@@ -331,21 +330,7 @@ impl LoadedGraph {
         program: &Arc<P>,
         job: &PregelixJob,
     ) -> Result<LoadedGraph> {
-        Self::load_with_offset(cluster, program, job, 0)
-    }
-
-    /// Load with the sticky assignment rotated by `offset` worker slots.
-    /// The job service hands each admitted job a distinct offset so their
-    /// partition-0 hot spots land on different machines (fair-share
-    /// spread); placement never affects values, only load balance.
-    /// `offset == 0` is exactly [`LoadedGraph::load`].
-    pub fn load_with_offset<P: VertexProgram>(
-        cluster: &Cluster,
-        program: &Arc<P>,
-        job: &PregelixJob,
-        offset: usize,
-    ) -> Result<LoadedGraph> {
-        Self::load_at(cluster, program, job, offset, None)
+        Self::load_at(cluster, program, job, None)
     }
 
     /// Load from pre-parsed `(vid, edges)` records (bench/test path).
@@ -355,19 +340,18 @@ impl LoadedGraph {
         job: &PregelixJob,
         records: Vec<(Vid, Vec<(Vid, f64)>)>,
     ) -> Result<LoadedGraph> {
-        Self::load_at(cluster, program, job, 0, Some(records))
+        Self::load_at(cluster, program, job, Some(records))
     }
 
     fn load_at<P: VertexProgram>(
         cluster: &Cluster,
         program: &Arc<P>,
         job: &PregelixJob,
-        offset: usize,
         records: Option<Vec<load::Record>>,
     ) -> Result<LoadedGraph> {
         let alive = cluster.alive_workers();
         let p_count = alive.len() * job.partitions_per_worker;
-        let sticky = sticky_assignment_offset(p_count, &alive, offset);
+        let sticky = sticky_assignment(p_count, &alive);
         let (partitions, vertex_count, hi) =
             load::load_partitions(cluster, program, job, &sticky, records)?;
         Ok(LoadedGraph {
@@ -411,8 +395,7 @@ impl LoadedGraph {
     }
 
     /// Point read: one vertex by vid, through a seek of its partition's row
-    /// cursor, without materialising anything else. This is the job
-    /// service's `query` path over a finished job's resident vertex store.
+    /// cursor, without materialising anything else.
     pub fn probe_vertex<P: VertexProgram>(
         &self,
         vid: Vid,
@@ -478,10 +461,8 @@ impl LoadedGraph {
 /// The resumable superstep loop of one job: the old monolithic
 /// `LoadedGraph::run` split into `begin` (prologue) / `step` (one
 /// superstep, with its failure handling) / `finish` (summary).
-/// The job service interleaves `step` calls of many admitted jobs over
-/// the shared cluster; [`LoadedGraph::run`] is the degenerate single-job
-/// driver. State lives here rather than across a call stack so a job can
-/// be parked between supersteps indefinitely.
+/// [`LoadedGraph::run`] drives it. State lives here rather than across a
+/// call stack so a job can be parked between supersteps.
 pub(crate) struct RunLoop<P: VertexProgram> {
     /// The superstep plan, built here once for the whole job.
     plan: SuperstepPlan<P>,
@@ -582,11 +563,6 @@ impl<P: VertexProgram> RunLoop<P> {
             cost_model: None,
             sender_fold,
         })
-    }
-
-    /// Superstep the job is about to run (monotone across `step` calls).
-    pub(crate) fn superstep(&self) -> Superstep {
-        self.gs.superstep
     }
 
     /// Execute one superstep (one attempt plus whatever recovery it
@@ -756,7 +732,7 @@ impl<P: VertexProgram> RunLoop<P> {
     pub(crate) fn finish(&mut self, cluster: &Cluster) -> JobSummary {
         let stats = cluster.counters().snapshot().delta_since(&self.stats_before);
         // Per-job attribution: the job scope's delta when one is
-        // installed (the service's per-job tee), else the cluster delta —
+        // installed (`run_job`'s per-job tee), else the cluster delta —
         // which for a lone job is the same thing.
         let job_stats = match current_job_scope() {
             Some(scope) => {
@@ -789,16 +765,16 @@ impl<P: VertexProgram> RunLoop<P> {
 }
 
 /// Run a complete job: load → superstep loop → dump. The Figure 9
-/// `Client.run` path, expressed as a single-job submission to the
-/// [`crate::service::JobService`] — identical behaviour, one tenant.
+/// `Client.run` path. Concurrent jobs are threads calling this on one
+/// shared cluster; each runs under a counter scope of its own.
 pub fn run_job<P: VertexProgram>(
     cluster: &Cluster,
     program: &Arc<P>,
     job: &PregelixJob,
 ) -> Result<JobSummary> {
-    let service = crate::service::JobService::new(cluster, crate::service::ServiceConfig::default());
-    let handle = service.submit(Arc::clone(program), job.clone())?;
-    handle.wait()
+    let stages = [(Arc::clone(program), job.clone())];
+    let mut summaries = run_stages(cluster, &stages, job)?;
+    Ok(summaries.pop().expect("one stage, one summary"))
 }
 
 /// Job pipelining (§5.6): run a sequence of compatible jobs (same vertex
@@ -807,18 +783,51 @@ pub fn run_job<P: VertexProgram>(
 ///
 /// "A user can choose to enable this option to get improved performance
 /// with reduced fault-tolerance" — checkpoints are per-stage; a failure in
-/// stage k restarts that stage's superstep loop only. Stage identities
-/// come from [`PregelixJob::derive_stage`], and the service teardown
-/// clears every stage's checkpoints, logs, and GS history on success —
-/// the old direct pipeline leaked them.
+/// stage k restarts that stage's superstep loop only. Stage `i` runs under
+/// [`PregelixJob::derive_stage`]`(i)`.
 pub fn run_pipeline<P: VertexProgram>(
     cluster: &Cluster,
     stages: &[Arc<P>],
     job: &PregelixJob,
 ) -> Result<Vec<JobSummary>> {
-    let service = crate::service::JobService::new(cluster, crate::service::ServiceConfig::default());
-    let handle = service.submit_pipeline(stages.to_vec(), job.clone())?;
-    handle.wait_all()
+    let stages: Vec<_> = stages
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(i, program)| (program, job.derive_stage(i)))
+        .collect();
+    run_stages(cluster, &stages, job)
+}
+
+/// Load under the first stage, run every stage over the resident graph,
+/// dump under `job`, all inside a fresh counter scope. Then, whether the
+/// job succeeded or failed, clear every stage's checkpoints, message logs
+/// and GS history; on failure that clear is best-effort and the job's own
+/// error is what returns.
+fn run_stages<P: VertexProgram>(
+    cluster: &Cluster,
+    stages: &[(Arc<P>, PregelixJob)],
+    job: &PregelixJob,
+) -> Result<Vec<JobSummary>> {
+    let (Some((first, first_job)), Some((last, _))) = (stages.first(), stages.last()) else {
+        return Err(PregelixError::plan("empty pipeline"));
+    };
+    let _scope = enter_job_scope(&ClusterCounters::new());
+    let outcome = (|| -> Result<Vec<JobSummary>> {
+        let mut graph = LoadedGraph::load(cluster, first, first_job)?;
+        let summaries = stages
+            .iter()
+            .map(|(program, stage)| graph.run(cluster, program, stage))
+            .collect::<Result<Vec<_>>>()?;
+        graph.dump(cluster, last, job)?;
+        Ok(summaries)
+    })();
+    let cleared = stages
+        .iter()
+        .try_for_each(|(_, stage)| checkpoint::clear_checkpoints(cluster.dfs(), &stage.id));
+    let summaries = outcome?;
+    cleared?;
+    Ok(summaries)
 }
 
 /// Convenience used by tests and benches: run a job over in-memory records
@@ -896,8 +905,8 @@ mod tests {
             let (at, manifest) = checkpoint::walk_valid(&cluster, &job, |ss, m| Ok((ss, m)))
                 .unwrap()
                 .expect("the initial checkpoint at least");
-            assert_eq!(primary(), manifest.gs, "superstep {}", lp.superstep());
-            assert_eq!(primary() == lp.gs, at == lp.superstep());
+            assert_eq!(primary(), manifest.gs, "superstep {}", lp.gs.superstep);
+            assert_eq!(primary() == lp.gs, at == lp.gs.superstep);
             checkpointed.push(at);
         }
         assert_eq!(checkpointed, [1, 3, 3, 5]);

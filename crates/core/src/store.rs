@@ -3,7 +3,7 @@
 //! Apart from [`VertexStore::bulk_load`], every read and write of a
 //! partition goes through its [`RowCursor`]: the full-outer scan and the
 //! dump and checkpoint writers walk it with `next`, the left-outer probe,
-//! `mutate[p]` and the service's point and range reads move it with `seek`,
+//! `mutate[p]` and `LoadedGraph`'s point and range reads move it with `seek`,
 //! and results go back at the cursor.
 
 use crate::plan::VertexStorageKind;

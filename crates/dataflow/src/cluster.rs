@@ -303,12 +303,6 @@ pub struct Cluster {
     counters: ClusterCounters,
     dfs: SimDfs,
     slab: BytesSlab,
-    /// Per-job counter scope the multi-tenant job service installs around
-    /// each quantum: task bodies run under it so worker-side counter
-    /// updates tee into the owning job's scope (see
-    /// `pregelix_common::stats::enter_job_scope`). `None` outside service
-    /// quanta — the common case — costs one mutex lock per `execute`.
-    job_scope: std::sync::Mutex<Option<ClusterCounters>>,
     _tempdir: Option<TempDir>,
 }
 
@@ -363,7 +357,6 @@ impl Cluster {
             counters,
             dfs,
             slab,
-            job_scope: std::sync::Mutex::new(None),
             _tempdir: tempdir,
         })
     }
@@ -381,14 +374,6 @@ impl Cluster {
     /// Shared cluster counters.
     pub fn counters(&self) -> &ClusterCounters {
         &self.counters
-    }
-
-    /// Install (or clear) the per-job counter scope task bodies run under.
-    /// The job service sets this for the length of one quantum; each
-    /// `execute` batch captures the scope once at submission, so a batch
-    /// already in flight is unaffected by a scope change.
-    pub fn set_job_scope(&self, scope: Option<ClusterCounters>) {
-        *self.job_scope.lock().unwrap() = scope;
     }
 
     /// The simulated DFS shared by all workers.
@@ -448,6 +433,10 @@ impl Cluster {
     /// Run a job and return its duration: wall-clock in parallel mode, the
     /// per-worker-busy-time *makespan* in sequential-timed mode.
     ///
+    /// Every task runs under the submitting thread's per-job counter scope
+    /// (`pregelix_common::stats::current_job_scope`), so jobs submitted
+    /// from different threads count their own work.
+    ///
     /// Error priority: application ([`PregelixError::User`]) errors first —
     /// they must never be masked by the secondary plumbing errors they
     /// cause — then [`PregelixError::OutOfMemory`], then recoverable
@@ -466,9 +455,7 @@ impl Cluster {
             return self.execute_sequential(tasks);
         }
         let started = std::time::Instant::now();
-        // Capture the job scope once per batch: every task of this batch
-        // tees its counters into the scope active at submission.
-        let scope = self.job_scope.lock().unwrap().clone();
+        let scope = pregelix_common::stats::current_job_scope();
         let mut errors: Vec<(String, PregelixError)> = Vec::new();
         let mut pending = Vec::with_capacity(tasks.len());
         // How many tasks of this batch each worker has been handed so far:
@@ -563,12 +550,9 @@ impl Cluster {
     /// returned duration is `max` over workers — what a truly parallel
     /// cluster would take. Requires the task list to be topologically
     /// ordered (producers before consumers), which the superstep builder
-    /// guarantees by emitting tasks phase-major.
+    /// guarantees by emitting tasks phase-major. Running on the submitting
+    /// thread, the tasks are under its job scope already.
     fn execute_sequential(&self, tasks: Vec<Task>) -> Result<std::time::Duration> {
-        let scope = self.job_scope.lock().unwrap().clone();
-        let _scope_guard = scope
-            .as_ref()
-            .map(pregelix_common::stats::enter_job_scope);
         let mut per_worker = vec![std::time::Duration::ZERO; self.workers.len()];
         for task in tasks {
             let handle = self.worker(task.worker);
@@ -857,6 +841,46 @@ mod tests {
         })])
         .unwrap();
         assert_eq!(ran.load(Ordering::Relaxed), 1);
+    }
+
+    /// Two threads, each in its own job scope, run batches on one cluster at
+    /// once: every task counts into its submitter's scope, never the other's.
+    #[test]
+    fn tasks_count_into_the_job_scope_of_the_thread_that_submitted_them() {
+        let threaded = ClusterConfig::new(4, 1 << 20);
+        for config in [threaded.clone(), threaded.sequential_timed()] {
+            let c = Cluster::new(config).unwrap();
+            let together = std::sync::Barrier::new(2);
+            let per_job: Vec<u64> = std::thread::scope(|s| {
+                let jobs: Vec<_> = [1u64, 2]
+                    .into_iter()
+                    .map(|bump| {
+                        let (c, together) = (&c, &together);
+                        s.spawn(move || {
+                            let scope = ClusterCounters::new();
+                            let _guard = pregelix_common::stats::enter_job_scope(&scope);
+                            together.wait();
+                            for batch in 0..20 {
+                                let tasks = (0..4)
+                                    .map(|w| {
+                                        let counters = c.counters().clone();
+                                        Task::new(format!("b{batch}w{w}"), w, move |_| {
+                                            counters.add_compute_calls(bump);
+                                            Ok(())
+                                        })
+                                    })
+                                    .collect();
+                                c.execute(tasks).unwrap();
+                            }
+                            scope.compute_calls()
+                        })
+                    })
+                    .collect();
+                jobs.into_iter().map(|j| j.join().unwrap()).collect()
+            });
+            assert_eq!(per_job, [80, 160]);
+            assert_eq!(c.counters().compute_calls(), 240);
+        }
     }
 
     #[test]

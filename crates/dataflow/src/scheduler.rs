@@ -126,22 +126,8 @@ fn round_robin(n: usize, alive: &[usize], rr: &mut usize) -> Vec<usize> {
 /// operators: partition `p` of every relation lives on `alive[p % alive.len()]`
 /// for the lifetime of the loaded graph.
 pub fn sticky_assignment(partitions: usize, alive_workers: &[usize]) -> Vec<usize> {
-    sticky_assignment_offset(partitions, alive_workers, 0)
-}
-
-/// [`sticky_assignment`] rotated by `offset` worker slots: partition `p`
-/// lives on `alive[(p + offset) % alive.len()]`. The job service hands
-/// each admitted tenant a distinct offset so their partition-0 hot spots
-/// land on different machines (fair-share spread); `offset == 0` is the
-/// classic single-job layout. Rotation permutes placement only — which
-/// partitions exist and what they hold is unaffected.
-pub fn sticky_assignment_offset(
-    partitions: usize,
-    alive_workers: &[usize],
-    offset: usize,
-) -> Vec<usize> {
     (0..partitions)
-        .map(|p| alive_workers[(p + offset) % alive_workers.len()])
+        .map(|p| alive_workers[p % alive_workers.len()])
         .collect()
 }
 
@@ -275,36 +261,6 @@ mod tests {
         assert_eq!(sticky_assignment(5, &[0, 1, 2]), vec![0, 1, 2, 0, 1]);
         // After worker 1 fails, recovery remaps onto the survivors.
         assert_eq!(sticky_assignment(5, &[0, 2]), vec![0, 2, 0, 2, 0]);
-    }
-
-    #[test]
-    fn sticky_offset_rotates_placement_only() {
-        // Offset 0 is the classic layout.
-        assert_eq!(
-            sticky_assignment_offset(5, &[0, 1, 2], 0),
-            sticky_assignment(5, &[0, 1, 2])
-        );
-        // Offset k rotates every pin by k slots; partition 0 moves off
-        // worker 0.
-        assert_eq!(sticky_assignment_offset(5, &[0, 1, 2], 1), vec![1, 2, 0, 1, 2]);
-        assert_eq!(sticky_assignment_offset(5, &[0, 1, 2], 2), vec![2, 0, 1, 2, 0]);
-        // Rotation wraps past the worker count.
-        assert_eq!(
-            sticky_assignment_offset(5, &[0, 1, 2], 3),
-            sticky_assignment_offset(5, &[0, 1, 2], 0)
-        );
-        // Every offset assigns each worker the same partition *count* as
-        // offset 0 — fairness is preserved, only identity rotates.
-        for off in 0..4 {
-            let a = sticky_assignment_offset(7, &[0, 1, 2], off);
-            let mut counts = [0usize; 3];
-            for w in a {
-                counts[w] += 1;
-            }
-            let mut sorted = counts;
-            sorted.sort_unstable();
-            assert_eq!(sorted, [2, 2, 3]);
-        }
     }
 
     #[test]

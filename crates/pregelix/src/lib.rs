@@ -27,7 +27,6 @@ pub mod prelude {
     pub use pregelix_core::runtime::{
         run_job, run_job_from_records, run_pipeline, JobSummary, LoadedGraph, SenderFold,
     };
-    pub use pregelix_core::service::{JobHandle, JobService, JobStatus, ServiceConfig};
     pub use pregelix_core::vertex::{Edge, VertexData};
     pub use pregelix_dataflow::cluster::{Cluster, ClusterConfig};
 }

@@ -1,22 +1,39 @@
 //! Quickstart: rank the pages of a small synthetic web graph — and run a
-//! second analysis concurrently through the multi-tenant job service.
+//! second analysis at the same time on the same cluster.
 //!
 //! ```text
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! The flow mirrors Figure 9's `Client.run` path end to end, behind the
-//! job-service submission API: generate a Webmap-like graph, write it to
-//! the (simulated) DFS as text, submit PageRank *and* single-source
-//! shortest paths to one `JobService` over a 4-machine simulated cluster,
-//! wait for both, and query results straight out of the finished jobs'
-//! resident vertex stores — no re-load, no output parsing.
+//! The flow mirrors Figure 9's `Client.run` path end to end: generate a
+//! Webmap-like graph, write it to the (simulated) DFS as text, then run
+//! PageRank *and* single-source shortest paths as two threads over one
+//! 4-machine simulated cluster. Each thread loads, runs and dumps its job
+//! the way `run_job` does, and keeps its graph resident, so the results
+//! can be queried straight out of the vertex stores — no re-load, no
+//! output parsing.
 
+use pregelix::common::error::Result;
+use pregelix::common::stats::{enter_job_scope, ClusterCounters};
 use pregelix::graphgen;
 use pregelix::prelude::*;
 use std::sync::Arc;
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// One tenant: load, run and dump `job` under a counter scope of its own
+/// (so its `job_stats` count only its work), keeping the graph for queries.
+fn tenant<P: VertexProgram>(
+    cluster: &Cluster,
+    program: &Arc<P>,
+    job: &PregelixJob,
+) -> Result<(JobSummary, LoadedGraph)> {
+    let _scope = enter_job_scope(&ClusterCounters::new());
+    let mut graph = LoadedGraph::load(cluster, program, job)?;
+    let summary = graph.run(cluster, program, job)?;
+    graph.dump(cluster, program, job)?;
+    Ok((summary, graph))
+}
+
+fn main() -> std::result::Result<(), Box<dyn std::error::Error>> {
     // A 4-machine cluster, 16 MB simulated RAM each.
     let cluster = Cluster::new(ClusterConfig::new(4, 16 << 20))?;
 
@@ -28,26 +45,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Stage the input in the DFS as adjacency text (the HDFS load path).
     graphgen::text::write_to_dfs(cluster.dfs(), "input/web", &records)?;
 
-    // One service, two tenants: each job reserves pages from the shared
-    // admission budget and interleaves supersteps fairly with the
-    // other — per-job results stay bit-identical to running alone.
-    let service = JobService::new(&cluster, ServiceConfig::default());
-
-    let ranks = service.submit(
-        Arc::new(PageRank::new(10)),
-        PregelixJob::new("quickstart-pagerank")
-            .with_io("input/web", "output/ranks")
-            .with_page_budget(256),
-    )?;
-    let paths = service.submit(
-        Arc::new(ShortestPaths::new(0)),
-        PregelixJob::new("quickstart-sssp")
-            .with_io("input/web", "output/paths")
-            .with_page_budget(256),
-    )?;
-
-    let rank_summary = ranks.wait()?;
-    let path_summary = paths.wait()?;
+    // Two tenants, two threads, one cluster: their supersteps overlap, and
+    // each job's results stay bit-identical to running it alone.
+    let pagerank = Arc::new(PageRank::new(10));
+    let sssp = Arc::new(ShortestPaths::new(0));
+    let rank_job = PregelixJob::new("quickstart-pagerank").with_io("input/web", "output/ranks");
+    let path_job = PregelixJob::new("quickstart-sssp").with_io("input/web", "output/paths");
+    let (ranks, paths) = std::thread::scope(|s| {
+        let ranks = s.spawn(|| tenant(&cluster, &pagerank, &rank_job));
+        let paths = s.spawn(|| tenant(&cluster, &sssp, &path_job));
+        (ranks.join().unwrap(), paths.join().unwrap())
+    });
+    let ((rank_summary, ranks), (path_summary, paths)) = (ranks?, paths?);
     for summary in [&rank_summary, &path_summary] {
         println!(
             "{}: {} supersteps in {:?} ({:?}/superstep)",
@@ -78,15 +87,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Query the finished jobs in place: point + range reads through the
-    // partitions' sorted-probe cursors, formatted by each program.
-    assert_eq!(ranks.status(), JobStatus::Done);
-    if let Some(line) = ranks.query_vertex(0)? {
-        println!("page 0 rank line: {line}");
+    // Query the finished graphs in place: point + range reads through the
+    // partitions' row cursors, formatted by each program.
+    if let Some(page) = ranks.probe_vertex::<PageRank>(0)? {
+        println!("page 0 rank line: {}", pagerank.format_vertex(page.vid, &page.value));
     }
     println!("pages 0..8 by shortest path from page 0:");
-    for (vid, line) in paths.query_range(0, 7)? {
-        println!("  page {vid}: {}", line.split_whitespace().nth(1).unwrap_or("?"));
+    for page in paths.range_vertices::<ShortestPaths>(0, 7)? {
+        println!("  page {}: {}", page.vid, page.value);
     }
 
     // The dumped DFS output is still written, exactly as before: show the

@@ -23,11 +23,11 @@
 //!   whole-row writes and stay correct; a steady-state `compute` call
 //!   allocates nothing (counting global allocator, a suite of its own).
 //! * `page_files` — a partition's page files and `Msg` runs go with its
-//!   state: after every finished, cancelled or failed job and every
+//!   state: after every finished or failed job and every
 //!   partition recovery replaced, no worker root still holds them.
 //!
 //! The crate's own items are what the chaos suites (`fault_tolerance`,
-//! `transport_reliability`, `recovery_confinement`, `job_service`) share:
+//! `transport_reliability`, `recovery_confinement`, `tenancy`) share:
 //! the digest line CI's double runs diff, the hash that stands in for a
 //! job's final values in it, and the check that a recovery left no
 //! temporary file behind. `plan_equivalence` and `page_files` share the
@@ -89,6 +89,19 @@ pub fn assert_no_temp_files(cluster: &Cluster) {
             .collect();
         assert!(left.is_empty(), "worker {id} still holds {left:?}");
     }
+}
+
+/// The recovery state a job keeps on the DFS under `jobs/<tag>/`: its
+/// checkpoint ladder and manifests, message logs and GS history.
+pub fn recovery_state(cluster: &Cluster, tag: &str) -> Vec<String> {
+    let kept = ["ckpt", "msglog", "gs-hist"];
+    cluster
+        .dfs()
+        .list_dirs(&format!("jobs/{tag}"))
+        .unwrap()
+        .into_iter()
+        .filter(|dir| kept.iter().any(|k| dir.contains(k)))
+        .collect()
 }
 
 /// Append `scenario label=value … values=<hash>` to `$CHAOS_DIGEST`, if

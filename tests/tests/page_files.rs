@@ -1,5 +1,5 @@
 //! A partition's files live exactly as long as its state. Once a job's
-//! graph is gone — the job finished, was cancelled or failed, or recovery
+//! graph is gone — the job finished or failed, or recovery
 //! replaced the partition — no worker root holds its page files
 //! (`pf-*.dat`: the `Vertex` store), its `Msg` runs
 //! (`msg-*.run`) or its `Vid` runs (`vid-*.run`), whichever way the job
@@ -153,12 +153,11 @@ fn dropped_graphs_leave_no_partition_files() {
 }
 
 #[test]
-fn service_tenants_leave_no_partition_files_done_cancelled_or_failed() {
+fn tenants_leave_no_partition_files_done_or_failed() {
     let _guard = fault::exclusive();
     let cluster = small_frame_cluster();
     let inputs = [
         ("pf-done", graphgen::webmap::webmap(10, 4.0, 7)),
-        ("pf-cancel", chain(200)),
         ("pf-fail", graphgen::webmap::webmap(9, 4.0, 8)),
     ];
     for (name, records) in &inputs {
@@ -166,29 +165,33 @@ fn service_tenants_leave_no_partition_files_done_cancelled_or_failed() {
     }
     let job =
         |name: &str| PregelixJob::new(name).with_io(format!("in/{name}"), format!("out/{name}"));
-    let service = JobService::new(&cluster, ServiceConfig::default());
-    let done = service
-        .submit(Arc::new(PageRank::new(5)), job("pf-done"))
-        .unwrap();
-    let cancelled = service
-        .submit(Arc::new(ConnectedComponents), job("pf-cancel"))
-        .unwrap();
-    let failed = service
-        .submit(Arc::new(FailsInSuperstep3), job("pf-fail"))
-        .unwrap();
+    // Two tenants as threads on one cluster: one finishes, one fails.
+    std::thread::scope(|s| {
+        let done = s.spawn(|| run_job(&cluster, &Arc::new(PageRank::new(5)), &job("pf-done")));
+        let failed = s.spawn(|| run_job(&cluster, &Arc::new(FailsInSuperstep3), &job("pf-fail")));
+        done.join().unwrap().unwrap();
+        assert!(matches!(failed.join().unwrap(), Err(PregelixError::User(_))));
+    });
+    assert_released(&cluster, "tenants");
+}
 
-    // Quanta round-robin over the tenants: by the time PageRank is done the
-    // failing tenant has failed, and CC over a 200-chain is mid-job.
-    done.wait().unwrap();
-    assert!(matches!(failed.wait(), Err(PregelixError::User(_))));
-    assert!(matches!(cancelled.status(), JobStatus::Running { .. }));
-    cancelled.cancel().unwrap();
-    // The finished tenant's graph stays resident for queries.
-    assert!(done.query_vertex(0).unwrap().is_some());
-    assert!(!partition_files(&cluster).is_empty());
-
-    drop((done, cancelled, failed, service));
-    assert_released(&cluster, "service");
+/// A job that fails clears its recovery state as a finished one does: its
+/// checkpoint ladder, message logs and GS history go, and the job's own
+/// error is what the caller sees.
+#[test]
+fn a_failed_job_leaves_no_recovery_state() {
+    let _guard = fault::exclusive();
+    let cluster = small_frame_cluster();
+    let records = graphgen::webmap::webmap(9, 4.0, 8);
+    graphgen::text::write_to_dfs(cluster.dfs(), "in/pf-fail-ckpt", &records).unwrap();
+    let job = PregelixJob::new("pf-fail-ckpt")
+        .with_io("in/pf-fail-ckpt", "out/pf-fail-ckpt")
+        .with_checkpoint_interval(1);
+    let err = run_job(&cluster, &Arc::new(FailsInSuperstep3), &job).unwrap_err();
+    assert!(matches!(err, PregelixError::User(_)), "{err}");
+    let left = integration_tests::recovery_state(&cluster, "pf-fail-ckpt");
+    assert!(left.is_empty(), "the failed job leaked recovery state: {left:?}");
+    assert_released(&cluster, "failed job");
 }
 
 #[test]

@@ -1,5 +1,5 @@
-//! Property tests for the sorted-probe access path (§5.2/§7.5): a row
-//! cursor's `seek`s of a monotonically non-decreasing key sequence must be
+//! Tests of the row cursor's seek path (§5.2/§7.5): a row cursor's
+//! `seek`s of a monotonically non-decreasing key sequence must be
 //! indistinguishable from repeated point `search`es — and from a
 //! `BTreeMap` reference model — across hits, misses in gaps, duplicate
 //! probe keys, deleted keys, and probes past the last leaf.
@@ -8,6 +8,9 @@
 //! `VertexStore::cursor` against the same model: `next`
 //! must yield the smallest key after the position in the store *as it is
 //! now*, whatever the writes in between did to the tree.
+//!
+//! `LoadedGraph`'s point and range reads are the same seeks over a
+//! finished job's graph.
 //!
 //! The case count honours `PROPTEST_CASES` so CI's storage-proptest job
 //! can raise it without a code change.
@@ -318,4 +321,61 @@ proptest! {
         prop_assert_eq!(seek_all(&mut store, &probe_keys), expect_all(&model, &probe_keys),
             "stride {}", stride);
     }
+}
+
+/// Point and range reads over a finished job's resident graph: a seek of
+/// the vid's partition cursor, and for a range a seek and a walk on in
+/// every partition, merged by vid and formatted by the program.
+#[test]
+fn loaded_graph_serves_point_and_range_reads() {
+    use pregelix::prelude::*;
+    use std::sync::Arc;
+    // Two symmetric chains, 0..8 and 100..106, on three partitions.
+    let chain = |start: u64, len: u64| {
+        (start..start + len).map(move |v| {
+            let edges = [v.checked_sub(1).filter(|&u| u >= start), Some(v + 1)];
+            let edges = edges.into_iter().flatten().filter(|&u| u < start + len);
+            (v, edges.map(|u| (u, 1.0)).collect::<Vec<_>>())
+        })
+    };
+    let records = chain(0, 8).chain(chain(100, 6)).collect();
+    let cluster = Cluster::new(ClusterConfig::new(3, 8 << 20)).unwrap();
+    let program = Arc::new(ConnectedComponents);
+    let job = PregelixJob::new("query");
+    let (summary, graph) = run_job_from_records(&cluster, &program, &job, records).unwrap();
+    assert!(summary.final_gs.halt);
+
+    let point = |vid| {
+        let vertex = graph.probe_vertex::<ConnectedComponents>(vid).unwrap();
+        vertex.map(|v| program.format_vertex(v.vid, &v.value))
+    };
+    assert_eq!(point(5).as_deref(), Some("5\t0"));
+    assert_eq!(point(103).as_deref(), Some("103\t100"));
+    // Absent: in the gap between the chains, and past the last vid.
+    assert_eq!(point(50), None);
+    assert_eq!(point(999), None);
+
+    let range = |lo, hi| -> Vec<(u64, String)> {
+        let vertices = graph.range_vertices::<ConnectedComponents>(lo, hi).unwrap();
+        vertices
+            .into_iter()
+            .map(|v| (v.vid, program.format_vertex(v.vid, &v.value)))
+            .collect()
+    };
+    let across = range(4, 102);
+    let vids: Vec<u64> = across.iter().map(|(v, _)| *v).collect();
+    assert_eq!(vids, [4, 5, 6, 7, 100, 101, 102]);
+    for (vid, line) in &across {
+        let component = if *vid < 100 { 0 } else { 100 };
+        assert_eq!(*line, format!("{vid}\t{component}"));
+    }
+    let partitions: std::collections::BTreeSet<usize> = vids
+        .iter()
+        .map(|&v| pregelix::common::hash_partition(v, 3))
+        .collect();
+    assert!(partitions.len() > 1, "the range spans partitions: {partitions:?}");
+    // Empty: a range between the chains, and one with `hi < lo`.
+    assert!(range(8, 99).is_empty());
+    assert!(range(5, 4).is_empty());
+    assert_eq!(range(0, u64::MAX).len(), 14);
 }
