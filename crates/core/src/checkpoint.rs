@@ -33,7 +33,9 @@ use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::frame::Frame;
 use pregelix_common::writable::Writable;
 use pregelix_common::{JobId, Superstep};
-use pregelix_dataflow::cluster::{Cluster, Task};
+use pregelix_dataflow::cluster::Cluster;
+use pregelix_dataflow::graph::JobGraph;
+use pregelix_dataflow::scheduler::LocationConstraint;
 use pregelix_storage::runfile::{RunHandle, RunWriter};
 use std::sync::Arc;
 
@@ -242,35 +244,31 @@ pub fn write_checkpoint(
     sticky: &[usize],
     gs: &GlobalState,
 ) -> Result<()> {
-    let dfs = cluster.dfs().clone();
     let dir = ckpt_dir(&job.id, gs.superstep);
-    dfs.delete_dir(&dir)?;
+    cluster.dfs().delete_dir(&dir)?;
     let has_vid = partitions
         .first()
         .map(|p| p.lock().vid_index.is_some())
         .unwrap_or(false);
-    let mut tasks = Vec::with_capacity(partitions.len());
-    for (p, state) in partitions.iter().enumerate() {
-        let state = Arc::clone(state);
-        let dfs = dfs.clone();
-        let dir = dir.clone();
-        tasks.push(Task::new(format!("ckpt[{p}]"), sticky[p], move |w| {
-            w.check_alive()?;
-            let mut st = state.lock();
-            dfs.write(&format!("{dir}/vertex-p{p}"), &encode_rows(&mut st.store)?)?;
-            // Vid (LOJ) and Msg run bytes, verbatim (works for both
-            // in-memory and file-backed runs). A Vid run is written even
-            // when empty: the manifest promises one per partition.
-            if let Some(run) = &st.vid_index {
-                dfs.write(&format!("{dir}/vid-p{p}"), &run.read_all()?)?;
-            }
-            if let Some(run) = &st.msg_run {
-                dfs.write(&format!("{dir}/msg-p{p}"), &run.read_all()?)?;
-            }
-            Ok(())
-        }));
-    }
-    cluster.execute(tasks)?;
+    let (dfs, states) = (cluster.dfs().clone(), partitions.to_vec());
+    let mut g = JobGraph::new("");
+    let parts: Vec<usize> = (0..partitions.len()).collect();
+    g.node("ckpt", &parts, LocationConstraint::Absolute(sticky.to_vec()), move |w, p, _| {
+        w.check_alive()?;
+        let mut st = states[p].lock();
+        dfs.write(&format!("{dir}/vertex-p{p}"), &encode_rows(&mut st.store)?)?;
+        // Vid (LOJ) and Msg run bytes, verbatim (works for both in-memory
+        // and file-backed runs). A Vid run is written even when empty: the
+        // manifest promises one per partition.
+        if let Some(run) = &st.vid_index {
+            dfs.write(&format!("{dir}/vid-p{p}"), &run.read_all()?)?;
+        }
+        if let Some(run) = &st.msg_run {
+            dfs.write(&format!("{dir}/msg-p{p}"), &run.read_all()?)?;
+        }
+        Ok(())
+    });
+    g.run(cluster)?;
     // Checkpoints happen only at superstep barriers, where every partition
     // has reached the same superstep — the vector the manifest persists
     // (and recovery re-validates). Message logging is on whenever
@@ -286,15 +284,13 @@ pub fn write_checkpoint(
         logs_enabled: true,
         log_watermark: gs.superstep,
     };
-    dfs.write(
-        &manifest_path(&job.id, gs.superstep),
-        &encode_manifest(&manifest),
-    )
+    cluster.dfs().write(&manifest_path(&job.id, gs.superstep), &encode_manifest(&manifest))
 }
 
 /// Reload `targets` (partition indices) from the checkpoint at `superstep`,
-/// each as a task pinned to `sticky[p]` — the lost partitions of a §5.5
-/// recovery, which the caller splices into the existing partition set.
+/// each as a task `recover[p]` pinned to `sticky[p]` — the lost partitions
+/// of a §5.5 recovery, which the caller splices into the existing
+/// partition set. Returns `(p, state)` in `targets` order.
 ///
 /// The caller has already decoded and validated `manifest` (via
 /// [`walk_valid`]); this function re-checks only the shape it depends on.
@@ -316,54 +312,39 @@ pub fn reload_partitions(
     let dfs = cluster.dfs().clone();
     let dir = ckpt_dir(&job.id, superstep);
     let has_vid = manifest.has_vid;
-    let slots: Vec<Arc<Mutex<Option<PartitionState>>>> =
-        targets.iter().map(|_| Arc::new(Mutex::new(None))).collect();
-    let mut tasks = Vec::with_capacity(targets.len());
-    for (i, &p) in targets.iter().enumerate() {
-        let slot = Arc::clone(&slots[i]);
-        let dfs = dfs.clone();
-        let dir = dir.clone();
-        let job_tag = job.id.tag().to_string();
-        tasks.push(Task::new(format!("recover[{p}]"), sticky[p], move |w| {
-            // Step one (§5.5): scan, partition, sort and bulk load Vertex
-            // from the checkpoint into a fresh index; re-seal the Vid run
-            // the way `compute[p]` holds it.
-            let entries = decode_entries(&dfs.read(&format!("{dir}/vertex-p{p}"))?)?;
-            let mut store = VertexStore::create(VertexStorageKind::BTree, &w)?;
-            store.bulk_load(entries)?;
-            let vid_index = if has_vid {
-                let bytes = dfs.read(&format!("{dir}/vid-p{p}"))?;
-                Some(restore_run(&bytes, vid_run_writer(&w, &job_tag, p, None))?)
-            } else {
-                None
-            };
-            // Step two: write the checkpointed Msg data to a local file —
-            // the one the live `msgwrite[p]` would have written it to.
-            let msg_path = format!("{dir}/msg-p{p}");
-            let msg_run = if dfs.exists(&msg_path) {
-                let bytes = dfs.read(&msg_path)?;
-                let path = msg_run_path(w.file_manager().root(), &job_tag, p, superstep);
-                Some(restore_run(&bytes, RunWriter::create(path, w.counters().clone())?)?)
-            } else {
-                None
-            };
-            *slot.lock() = Some(PartitionState {
-                store,
-                vid_index,
-                msg_run,
-            });
-            Ok(())
-        }));
-    }
-    cluster.execute(tasks)?;
-    Ok(targets
-        .iter()
-        .zip(slots)
-        .map(|(&p, s)| {
-            let st = s.lock().take().expect("recover task filled the slot");
-            (p, st)
+    let job_tag = job.id.tag().to_string();
+    let mut g = JobGraph::new("");
+    g.node("recover", targets, LocationConstraint::Absolute(sticky.to_vec()), move |w, p, _| {
+        // Step one (§5.5): scan, partition, sort and bulk load Vertex from
+        // the checkpoint into a fresh index; re-seal the Vid run the way
+        // `compute[p]` holds it.
+        let entries = decode_entries(&dfs.read(&format!("{dir}/vertex-p{p}"))?)?;
+        let mut store = VertexStore::create(VertexStorageKind::BTree, w)?;
+        store.bulk_load(entries)?;
+        let vid_index = if has_vid {
+            let bytes = dfs.read(&format!("{dir}/vid-p{p}"))?;
+            Some(restore_run(&bytes, vid_run_writer(w, &job_tag, p, None))?)
+        } else {
+            None
+        };
+        // Step two: write the checkpointed Msg data to a local file — the
+        // one the live `msgwrite[p]` would have written it to.
+        let msg_path = format!("{dir}/msg-p{p}");
+        let msg_run = if dfs.exists(&msg_path) {
+            let bytes = dfs.read(&msg_path)?;
+            let path = msg_run_path(w.file_manager().root(), &job_tag, p, superstep);
+            Some(restore_run(&bytes, RunWriter::create(path, w.counters().clone())?)?)
+        } else {
+            None
+        };
+        Ok(PartitionState {
+            store,
+            vid_index,
+            msg_run,
         })
-        .collect())
+    });
+    let (mut done, _) = g.run(cluster)?;
+    Ok(done.remove(0))
 }
 
 /// The recovery walk: offer the job's checkpoints, newest → oldest, to

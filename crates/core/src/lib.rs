@@ -23,15 +23,15 @@
 //! * [`vertex`] — the `Vertex` relation's record: [`vertex::VertexData`]
 //!   (halt, value, edges) and its byte codec.
 //! * [`plan`] — physical plan space (§5.3): join strategy × group-by
-//!   strategy, eight tailored executions in all, plus the
+//!   strategy, four distinct tailored executions, plus the
 //!   [`plan::PregelixJob`] builder mirroring Figure 9's hints.
 //! * [`store`] — the `Vertex` partition access method: a B-tree and its
-//!   row cursor (§5.2).
+//!   row cursor (§5.2), and `LoadedGraph`'s point and range reads.
 //! * [`gs`] — the global-state tuple, persisted in the DFS (§5.2).
-//! * [`superstep`] — the superstep as one dataflow plan, built once per
-//!   job and executed every superstep and by confined replay (Figures
-//!   3–5, 7, 8).
-//! * [`load`] — graph load from / dump to the DFS (§5.2).
+//! * [`superstep`] — the superstep as one job graph: the plan built once
+//!   per job, its four nodes and five edges declared for every superstep
+//!   and for confined replay (Figures 3–5, 7, 8).
+//! * [`load`] — `LoadedGraph`'s load from and dump to the DFS (§5.2).
 //! * [`checkpoint`] — checkpoint write, manifest walk and partition reload
 //!   (§5.5).
 //! * [`recovery`] — the one recovery ladder: reload the lost partitions,

@@ -19,7 +19,7 @@
 //! program's vertex/edge value types (the `VertexInputFormat` role of the
 //! Java API, Figure 9).
 //!
-//! The load is a dataflow of two nodes over one pipelined edge, labelled
+//! The load is a job graph of two nodes over one pipelined edge, labelled
 //! `"load"`. **`scan[i]`** (on partition `i`'s sticky worker) parses one
 //! line-aligned split of the input straight into keyed vertex tuples,
 //! `vid key | halt | value | edges`, and hash-partitions them by vid.
@@ -29,8 +29,9 @@
 
 use crate::api::VertexProgram;
 use crate::plan::{PregelixJob, VertexStorageKind};
+use crate::runtime::LoadedGraph;
 use crate::store::VertexStore;
-use crate::superstep::{drain_streams, PartitionState};
+use crate::superstep::PartitionState;
 use crate::vertex::{decode_into, encode_edges, encode_head};
 use parking_lot::Mutex;
 use pregelix_common::bytes::BytesSlab;
@@ -38,8 +39,9 @@ use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::frame::{key_prefix, vid_to_key, SharedFrame};
 use pregelix_common::Vid;
-use pregelix_dataflow::cluster::{Cluster, Task, WorkerHandle};
-use pregelix_dataflow::connector::{partition_channels_cap, PartitioningSender};
+use pregelix_dataflow::cluster::{Cluster, WorkerHandle};
+use pregelix_dataflow::graph::{Edge, EdgeSender, JobGraph};
+use pregelix_dataflow::scheduler::{sticky_assignment, LocationConstraint};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -205,11 +207,11 @@ type Loaded = (PartitionState, u64, Vid);
 
 /// Load a graph — the job's input text, or `records` when given (the
 /// in-memory path tests and harnesses take to skip text) — through the
-/// load plan: `scan[i]` reads split `i` and feeds every `load[p]` over one
-/// pipelined edge labelled `"load"`, both nodes on the partition's sticky
-/// worker. Records are cut in order into one split per partition. Returns
-/// the partition states, the vertex count and `hi`, one past the largest
-/// vid loaded (0 when there is none).
+/// load's job graph: `scan[i]` reads split `i` and feeds every `load[p]`
+/// over one pipelined edge labelled `"load"`, both nodes on the
+/// partition's sticky worker. Records are cut in order into one split per
+/// partition. Returns the partition states, the vertex count and `hi`, one
+/// past the largest vid loaded (0 when there is none).
 #[allow(clippy::type_complexity)]
 pub fn load_partitions<P: VertexProgram>(
     cluster: &Cluster,
@@ -228,41 +230,34 @@ pub fn load_partitions<P: VertexProgram>(
             (0..p_count).map(|_| split()).collect()
         }
     };
-    let (txs, rxs) = partition_channels_cap(p_count, p_count, cluster.channel_capacity());
     // `load[p]` holds every frame of the edge until its bulk load, so none
     // could be recycled: the frames take exact-size buffers of a slab of
     // their own, and the cluster slab's stock stays a function of the
     // supersteps alone.
     let slab = BytesSlab::with_counters(0, cluster.counters().clone());
-    let slots: Vec<Arc<Mutex<Option<Loaded>>>> =
-        (0..p_count).map(|_| Arc::new(Mutex::new(None))).collect();
-    // Senders before receivers: sequential-timed mode runs the tasks one at
-    // a time in this order, so no receiver starts on an open stream.
-    let mut tasks = Vec::with_capacity(2 * p_count);
-    for (i, (split, out)) in splits.into_iter().zip(txs).enumerate() {
-        let (program, dfs) = (Arc::clone(program), cluster.dfs().clone());
-        let (receivers, slab) = (sticky.to_vec(), slab.clone());
-        tasks.push(Task::new(format!("scan[{i}]"), sticky[i], move |w| {
-            let counters = w.counters().clone();
-            let sender =
-                PartitioningSender::new(out, w.frame_bytes(), slab, w.id(), receivers, counters);
-            scan_task(&w, &*program, &dfs, split, sender.with_label("load"))
-        }));
-    }
-    for (p, ins) in rxs.into_iter().enumerate() {
-        let slot = Arc::clone(&slots[p]);
-        tasks.push(Task::new(format!("load[{p}]"), sticky[p], move |w| {
-            let queues = drain_streams(&w, ins)?;
-            *slot.lock() = Some(load_task(&w, &queues)?);
-            Ok(())
-        }));
-    }
-    cluster.execute(tasks)?;
+    let (splits, dfs) = (Arc::new(splits), cluster.dfs().clone());
+    let program = Arc::clone(program);
+    let parts: Vec<usize> = (0..p_count).collect();
+    let mut g = JobGraph::new("");
+    let pinned = LocationConstraint::Absolute(sticky.to_vec());
+    let scan = g.node("scan", &parts, pinned, move |w, i, ends| {
+        let ([], [out]) = ends.take()?;
+        let sender = out.open(w)?.ok_or_else(|| PregelixError::plan("scan feeds load"))?;
+        scan_task(w, &*program, &dfs, &splits[i], sender)?;
+        Ok(None)
+    });
+    let load = g.node("load", &parts, LocationConstraint::SameAs(scan), |w, _, ends| {
+        let ([inbound], []) = ends.take()?;
+        load_task(w, &inbound.queues(w)?).map(Some)
+    });
+    let slab = Some(slab);
+    g.connect(scan, load, Edge::Partitioning { label: "load", slab });
+    let (mut done, _) = g.run(cluster)?;
     let (mut count, mut hi) = (0, 0);
-    let partitions = slots
-        .iter()
-        .map(|slot| {
-            let (st, n, top) = slot.lock().take().expect("load task filled the slot");
+    let partitions = std::mem::take(&mut done[load])
+        .into_iter()
+        .filter_map(|(_, loaded)| loaded)
+        .map(|(st, n, top)| {
             count += n;
             hi = hi.max(top);
             Arc::new(Mutex::new(st))
@@ -278,8 +273,8 @@ fn scan_task<P: VertexProgram>(
     w: &WorkerHandle,
     program: &P,
     dfs: &SimDfs,
-    split: Split,
-    mut sender: PartitioningSender,
+    split: &Split,
+    mut sender: EdgeSender,
 ) -> Result<()> {
     let mut tuple = Vec::new();
     let mut send = |vid, edges| {
@@ -293,7 +288,7 @@ fn scan_task<P: VertexProgram>(
     match split {
         Split::Text(pieces) => {
             let mut edges = Vec::new();
-            for piece in &pieces {
+            for piece in pieces {
                 w.check_alive()?;
                 let text = read_lines(dfs, piece)?;
                 parse_lines(&text, &mut edges, |vid, edges| send(vid, edges.to_vec()))?;
@@ -301,7 +296,7 @@ fn scan_task<P: VertexProgram>(
         }
         Split::Records(records) => {
             for (vid, edges) in records {
-                send(vid, edges)?;
+                send(*vid, edges.clone())?;
             }
         }
     }
@@ -334,25 +329,63 @@ fn load_task(w: &WorkerHandle, queues: &[Vec<SharedFrame>]) -> Result<Loaded> {
     Ok((st, rows.len() as u64, hi))
 }
 
-/// Dump the partitioned `Vertex` relation back to the DFS as one part file
-/// per partition, formatted by the program's `format_vertex`.
-pub fn dump_partitions<P: VertexProgram>(
-    cluster: &Cluster,
-    program: &Arc<P>,
-    job: &PregelixJob,
-    partitions: &[Arc<Mutex<PartitionState>>],
-    sticky: &[usize],
-) -> Result<()> {
-    let dfs = cluster.dfs().clone();
-    dfs.delete_dir(&job.output_path)?;
-    let mut tasks = Vec::with_capacity(partitions.len());
-    for (p, state) in partitions.iter().enumerate() {
-        let state = Arc::clone(state);
-        let program = Arc::clone(program);
-        let dfs = dfs.clone();
-        let out = format!("{}/part-{p:05}", job.output_path);
-        tasks.push(Task::new(format!("dump[{p}]"), sticky[p], move |_w| {
-            let mut st = state.lock();
+impl LoadedGraph {
+    /// Load a job's input graph from the DFS.
+    pub fn load<P: VertexProgram>(
+        cluster: &Cluster,
+        program: &Arc<P>,
+        job: &PregelixJob,
+    ) -> Result<LoadedGraph> {
+        Self::load_at(cluster, program, job, None)
+    }
+
+    /// Load from pre-parsed `(vid, edges)` records (bench/test path).
+    pub fn load_from_records<P: VertexProgram>(
+        cluster: &Cluster,
+        program: &Arc<P>,
+        job: &PregelixJob,
+        records: Vec<Record>,
+    ) -> Result<LoadedGraph> {
+        Self::load_at(cluster, program, job, Some(records))
+    }
+
+    fn load_at<P: VertexProgram>(
+        cluster: &Cluster,
+        program: &Arc<P>,
+        job: &PregelixJob,
+        records: Option<Vec<Record>>,
+    ) -> Result<LoadedGraph> {
+        let alive = cluster.alive_workers();
+        let sticky = sticky_assignment(alive.len() * job.partitions_per_worker, &alive);
+        let (partitions, vertex_count, hi) =
+            load_partitions(cluster, program, job, &sticky, records)?;
+        Ok(LoadedGraph {
+            partitions,
+            sticky,
+            vertex_count,
+            hi,
+            intact: true,
+        })
+    }
+
+    /// Dump the partitioned `Vertex` relation to the job's DFS output path,
+    /// one part file per partition written by `dump[p]`, each row formatted
+    /// by the program's `format_vertex`.
+    pub fn dump<P: VertexProgram>(
+        &self,
+        cluster: &Cluster,
+        program: &Arc<P>,
+        job: &PregelixJob,
+    ) -> Result<()> {
+        let dfs = cluster.dfs().clone();
+        dfs.delete_dir(&job.output_path)?;
+        let (program, partitions) = (Arc::clone(program), self.partitions.clone());
+        let output = job.output_path.clone();
+        let parts: Vec<usize> = (0..partitions.len()).collect();
+        let mut g = JobGraph::new("");
+        let pinned = LocationConstraint::Absolute(self.sticky.clone());
+        g.node("dump", &parts, pinned, move |_, p, _| {
+            let mut st = partitions[p].lock();
             let mut text = String::new();
             let mut edges = Vec::new();
             let mut cur = st.store.cursor();
@@ -362,11 +395,11 @@ pub fn dump_partitions<P: VertexProgram>(
                 text.push_str(&program.format_vertex(vid, &value));
                 text.push('\n');
             }
-            dfs.write(&out, text.as_bytes())
-        }));
+            dfs.write(&format!("{output}/part-{p:05}"), text.as_bytes())
+        });
+        g.run(cluster)?;
+        Ok(())
     }
-    cluster.execute(tasks)?;
-    Ok(())
 }
 
 /// Read a dumped output directory back as `(vid, line)` pairs, sorted by

@@ -2,8 +2,9 @@
 //!
 //! From one logical plan (Figures 3–5) Pregelix derives tailored
 //! executions (§5.8): two message-delivery join strategies (Figure 8) ×
-//! four message-combination group-by strategies (Figure 7), eight in all,
-//! over one vertex storage structure, the B-tree (§5.2; the paper's LSM
+//! four message-combination group-by strategies (Figure 7), four of them
+//! distinct (a HashSort strategy is its Sort twin), over one vertex
+//! storage structure, the B-tree (§5.2; the paper's LSM
 //! B-tree alternative was slower on its own path-merge workload,
 //! EXPERIMENTS.md §"One vertex store").
 //! [`PregelixJob`] mirrors the Java job builder
@@ -13,6 +14,7 @@
 
 pub use pregelix_dataflow::groupby::GroupByStrategy;
 
+use crate::gs::GlobalState;
 use pregelix_common::stats::StatsSnapshot;
 use pregelix_common::JobId;
 
@@ -157,15 +159,48 @@ impl Default for PlanConfig {
 }
 
 impl PlanConfig {
-    /// Enumerate all eight physical plans (§5.8).
+    /// Enumerate the four distinct physical plans (§5.8): each join under
+    /// each connector. The HashSort strategies run the same plans as their
+    /// Sort twins, so they are left out.
     pub fn all() -> Vec<PlanConfig> {
-        let mut out = Vec::with_capacity(8);
+        let mut out = Vec::with_capacity(4);
         for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
-            for groupby in GroupByStrategy::all() {
+            for groupby in [GroupByStrategy::SortUnmerged, GroupByStrategy::SortMerged] {
                 out.push(PlanConfig { join, groupby });
             }
         }
         out
+    }
+
+    /// Resolve the join for superstep `gs.superstep`, live or replayed, and
+    /// say whether the `Vid` live-vertex run must be maintained.
+    ///
+    /// Superstep 1 is the full-outer scan for every plan: it activates every
+    /// vertex anyway, and under a left-outer or Adaptive plan its live vids
+    /// make the first `Vid` run. Later, Adaptive plans pick the join per
+    /// superstep from the previous superstep's live-vertex fraction (the
+    /// paper's future-work optimizer, §9), with the run written every
+    /// superstep so a sparse superstep can switch to probing at zero notice.
+    /// The probe-vs-scan threshold is re-derived from the costs measured on
+    /// earlier supersteps of this job when available (`cost_model`), instead
+    /// of the hard-coded default (§7.5).
+    pub(crate) fn for_superstep(
+        self,
+        gs: &GlobalState,
+        cost_model: Option<ProbeCostModel>,
+    ) -> (PlanConfig, bool) {
+        let live_fraction = if gs.vertex_count == 0 {
+            1.0
+        } else {
+            gs.live_vertices as f64 / gs.vertex_count as f64
+        };
+        let join = if gs.superstep == 1 {
+            JoinStrategy::FullOuter
+        } else {
+            self.join.resolve_with(live_fraction, cost_model)
+        };
+        let track_live = self.join != JoinStrategy::FullOuter;
+        (PlanConfig { join, ..self }, track_live)
     }
 
     /// Short label for reports, e.g. `"loj-hashsort-unmerged"`.
@@ -363,12 +398,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn eight_distinct_plans() {
+    fn four_distinct_plans() {
         let all = PlanConfig::all();
-        assert_eq!(all.len(), 8);
+        assert_eq!(all.len(), 4);
         let labels: std::collections::HashSet<String> =
             all.iter().map(|p| p.label()).collect();
-        assert_eq!(labels.len(), 8, "labels must be unique");
+        assert_eq!(labels.len(), 4, "labels must be unique");
+        // Every join under both connectors.
+        let merged = all.iter().filter(|p| p.groupby.merged()).count();
+        assert_eq!(merged, 2);
     }
 
     #[test]

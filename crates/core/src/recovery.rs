@@ -35,6 +35,7 @@ use pregelix_common::msglog::{self, MsgLog};
 use pregelix_common::Superstep;
 use pregelix_dataflow::cluster::Cluster;
 use pregelix_dataflow::scheduler::{dead_partitions, replan_sticky};
+use std::sync::Arc;
 
 /// Recover the current failure from the newest usable checkpoint. On
 /// success the lost partitions have been reloaded in place (inside their
@@ -45,11 +46,11 @@ use pregelix_dataflow::scheduler::{dead_partitions, replan_sticky};
 /// `Ok(false)`: no checkpoint was usable, and the caller surfaces the
 /// original failure. A recoverable error (a flaky manifest read, another
 /// worker lost mid-reload) means the caller retries through the failure
-/// manager. Replay executes the job's own superstep `plan`, fed from the
+/// manager. Replay runs the job's own superstep `plan`, fed from the
 /// message logs.
 pub(crate) fn recover<P: VertexProgram>(
     cluster: &Cluster,
-    plan: &mut SuperstepPlan<P>,
+    plan: &Arc<SuperstepPlan<P>>,
     job: &PregelixJob,
     graph: &mut LoadedGraph,
     gs: &mut GlobalState,
@@ -96,12 +97,11 @@ pub(crate) fn recover<P: VertexProgram>(
         }
         match replay {
             Some(inputs) => {
-                // One execution per lost superstep: superstep s+1's compute
+                // One run per lost superstep: superstep s+1's compute
                 // consumes the Msg run superstep s's replay installs.
-                plan.place(&sticky, &alive)?;
                 for (gs, logs) in &inputs {
                     let source = Source::Logged { lost: &dead, logs };
-                    plan.execute(cluster, &graph.partitions, gs, source)?;
+                    plan.run(cluster, &graph.partitions, &sticky, gs, source)?;
                 }
                 cluster.counters().add_confined_recoveries(1);
             }

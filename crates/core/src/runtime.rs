@@ -11,42 +11,27 @@
 //! compatible contiguous jobs run back-to-back "without HDFS writes/reads
 //! nor index bulk-loads".
 //!
-//! The failure manager (§5.7) lives in [`RunLoop::step`]: recoverable
-//! infrastructure failures (worker powered off, I/O errors) trigger
-//! recovery from the latest checkpoint onto the remaining alive workers;
-//! application exceptions are forwarded to the caller. [`RunLoop`] is the
-//! resumable form of the old monolithic superstep loop: `begin` runs the
-//! job prologue, each `step` executes one superstep (including any
-//! recovery it needs), and `finish` folds the counters into a
-//! [`JobSummary`]. [`LoadedGraph::run`] drives it to completion in a
-//! plain loop.
-//!
-//! Failure *detection* is heartbeat-based (§5.5): every successful
-//! `check_alive` bumps the worker's beat counter, and the driver runs a
-//! [`FailureDetector`] observation at each superstep barrier. Workers that
-//! stop beating are declared dead after `MISSED_BEAT_THRESHOLD` silent
-//! observations (immediately, if their failure flag is tripped) and
-//! blacklisted; the sticky assignment is then *re-planned* onto the
-//! survivors — surviving pins keep their partitions — before checkpoint
-//! recovery reloads the lost state. Beat counts are event-driven, never
-//! wall-clock, so fault-injection schedules replay deterministically.
+//! [`RunLoop`] runs one job: `begin` is the prologue, each `step` one
+//! superstep with the recovery it needs, `finish` the [`JobSummary`]. The
+//! failure manager (§5.7) lives in `step`: a recoverable infrastructure
+//! failure (worker powered off, I/O error) recovers from the latest
+//! checkpoint onto the alive workers, an application error goes to the
+//! caller. Failure detection is the heartbeat [`FailureDetector`] (§5.5),
+//! observed at each superstep barrier.
 
 use crate::api::VertexProgram;
 use crate::checkpoint;
 use crate::gs::GlobalState;
-use crate::load;
 use crate::plan::{PregelixJob, ProbeCostModel};
 use crate::recovery;
 use crate::superstep::{FoldSlot, FoldTable, PartitionState, Source, SuperstepPlan};
 use parking_lot::Mutex;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
-use pregelix_common::frame::{tuple_vid, vid_to_key};
 use pregelix_common::stats::{current_job_scope, enter_job_scope, ClusterCounters, StatsSnapshot};
 use pregelix_common::writable::Writable;
-use pregelix_common::{hash_partition, Vid};
+use pregelix_common::Vid;
 use pregelix_dataflow::cluster::{Cluster, FailureDetector};
-use pregelix_dataflow::scheduler::sticky_assignment;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -294,7 +279,8 @@ fn checkpoint_with_gs(
 
 /// A graph loaded into the cluster: the partitioned `Vertex` relation plus
 /// per-partition `Msg`/`Vid` state, resident across supersteps and across
-/// pipelined jobs. Dropping it releases every partition's files.
+/// pipelined jobs. Dropping it releases every partition's files. It is
+/// loaded and dumped by [`crate::load`] and read back by [`crate::store`].
 pub struct LoadedGraph {
     pub(crate) partitions: Vec<Arc<Mutex<PartitionState>>>,
     pub(crate) sticky: Vec<usize>,
@@ -302,7 +288,7 @@ pub struct LoadedGraph {
     /// One past the largest vid the loader saw (0 for an empty graph).
     /// Sizes the sender-side fold tables; vertices created later may lie
     /// above it, and nothing but that sizing depends on it.
-    hi: Vid,
+    pub(crate) hi: Vid,
     /// Whether every partition on a live worker holds exactly the state
     /// that feeds the running job's next superstep — what recovery must
     /// know before it leaves survivors alone. A superstep attempt that
@@ -324,45 +310,6 @@ impl std::fmt::Debug for LoadedGraph {
 }
 
 impl LoadedGraph {
-    /// Load a job's input graph from the DFS.
-    pub fn load<P: VertexProgram>(
-        cluster: &Cluster,
-        program: &Arc<P>,
-        job: &PregelixJob,
-    ) -> Result<LoadedGraph> {
-        Self::load_at(cluster, program, job, None)
-    }
-
-    /// Load from pre-parsed `(vid, edges)` records (bench/test path).
-    pub fn load_from_records<P: VertexProgram>(
-        cluster: &Cluster,
-        program: &Arc<P>,
-        job: &PregelixJob,
-        records: Vec<(Vid, Vec<(Vid, f64)>)>,
-    ) -> Result<LoadedGraph> {
-        Self::load_at(cluster, program, job, Some(records))
-    }
-
-    fn load_at<P: VertexProgram>(
-        cluster: &Cluster,
-        program: &Arc<P>,
-        job: &PregelixJob,
-        records: Option<Vec<load::Record>>,
-    ) -> Result<LoadedGraph> {
-        let alive = cluster.alive_workers();
-        let p_count = alive.len() * job.partitions_per_worker;
-        let sticky = sticky_assignment(p_count, &alive);
-        let (partitions, vertex_count, hi) =
-            load::load_partitions(cluster, program, job, &sticky, records)?;
-        Ok(LoadedGraph {
-            partitions,
-            sticky,
-            vertex_count,
-            hi,
-            intact: true,
-        })
-    }
-
     /// Total vertices currently in the graph.
     pub fn vertex_count(&self) -> u64 {
         self.vertex_count
@@ -383,89 +330,14 @@ impl LoadedGraph {
         while !lp.step(cluster, self)? {}
         Ok(lp.finish(cluster))
     }
-
-    /// Dump the final `Vertex` relation to the job's DFS output path.
-    pub fn dump<P: VertexProgram>(
-        &self,
-        cluster: &Cluster,
-        program: &Arc<P>,
-        job: &PregelixJob,
-    ) -> Result<()> {
-        load::dump_partitions(cluster, program, job, &self.partitions, &self.sticky)
-    }
-
-    /// Point read: one vertex by vid, through a seek of its partition's row
-    /// cursor, without materialising anything else.
-    pub fn probe_vertex<P: VertexProgram>(
-        &self,
-        vid: Vid,
-    ) -> Result<Option<crate::vertex::VertexData<P>>> {
-        if self.partitions.is_empty() {
-            return Ok(None);
-        }
-        let p = hash_partition(vid, self.partitions.len());
-        let mut st = self.partitions[p].lock();
-        let mut cur = st.store.cursor();
-        if !cur.seek(&vid_to_key(vid))? {
-            return Ok(None);
-        }
-        Ok(Some(crate::vertex::VertexData::decode(vid, cur.value())?))
-    }
-
-    /// Range read: all vertices with `lo <= vid <= hi`, ascending. Each
-    /// partition's row cursor seeks `lo` (a single descent), walks on in
-    /// key order and stops past `hi`; results merge across partitions by
-    /// vid.
-    pub fn range_vertices<P: VertexProgram>(
-        &self,
-        lo: Vid,
-        hi: Vid,
-    ) -> Result<Vec<crate::vertex::VertexData<P>>> {
-        let mut out = Vec::new();
-        for state in &self.partitions {
-            let mut st = state.lock();
-            let mut cur = st.store.cursor();
-            let mut on_row = cur.seek(&vid_to_key(lo))? || cur.next()?;
-            while on_row {
-                let vid = tuple_vid(cur.key())?;
-                if vid > hi {
-                    break;
-                }
-                out.push(crate::vertex::VertexData::<P>::decode(vid, cur.value())?);
-                on_row = cur.next()?;
-            }
-        }
-        out.sort_by_key(|v| v.vid);
-        Ok(out)
-    }
-
-    /// Read back all vertices as decoded data, sorted by vid (test/bench
-    /// convenience; materialises the whole graph).
-    pub fn collect_vertices<P: VertexProgram>(
-        &self,
-    ) -> Result<Vec<crate::vertex::VertexData<P>>> {
-        let mut out = Vec::new();
-        for state in &self.partitions {
-            let mut st = state.lock();
-            let mut cur = st.store.cursor();
-            while cur.next()? {
-                let vid = tuple_vid(cur.key())?;
-                out.push(crate::vertex::VertexData::<P>::decode(vid, cur.value())?);
-            }
-        }
-        out.sort_by_key(|v| v.vid);
-        Ok(out)
-    }
 }
 
-/// The resumable superstep loop of one job: the old monolithic
-/// `LoadedGraph::run` split into `begin` (prologue) / `step` (one
-/// superstep, with its failure handling) / `finish` (summary).
-/// [`LoadedGraph::run`] drives it. State lives here rather than across a
-/// call stack so a job can be parked between supersteps.
+/// The superstep loop of one job, driven by [`LoadedGraph::run`]: `begin`
+/// (prologue), `step` (one superstep, with its failure handling), `finish`
+/// (summary).
 pub(crate) struct RunLoop<P: VertexProgram> {
     /// The superstep plan, built here once for the whole job.
-    plan: SuperstepPlan<P>,
+    plan: Arc<SuperstepPlan<P>>,
     job: PregelixJob,
     gs: GlobalState,
     stats_before: StatsSnapshot,
@@ -540,7 +412,7 @@ impl<P: VertexProgram> RunLoop<P> {
             _ => Vec::new(),
         };
         Ok(RunLoop {
-            plan: SuperstepPlan::new(program, job, fold_slots),
+            plan: Arc::new(SuperstepPlan::new(program, job, fold_slots)),
             job: job.clone(),
             gs,
             stats_before: cluster.counters().snapshot(),
@@ -574,7 +446,7 @@ impl<P: VertexProgram> RunLoop<P> {
         graph: &mut LoadedGraph,
     ) -> Result<bool> {
         let job = &self.job;
-        let plan = &mut self.plan;
+        let plan = &self.plan;
         // Set when the attempt failed on the *pre-flight* aliveness check —
         // i.e. the death was detected at the barrier, before any task of
         // the attempt ran. Only then are the survivors guaranteed to sit
@@ -609,16 +481,13 @@ impl<P: VertexProgram> RunLoop<P> {
             // caught here is "clean" — every surviving partition of an
             // intact graph is still exactly at `gs.superstep` with its Msg
             // run intact — so recovery may reload only the dead partitions.
-            // It is the attempt's one aliveness check: the plan is placed
-            // on the same alive set.
             let alive = cluster.alive_workers();
             if let Some(&dead) = graph.sticky.iter().find(|wk| !alive.contains(wk)) {
                 clean_death = true;
                 return Err(PregelixError::WorkerDead { id: dead });
             }
-            plan.place(&graph.sticky, &alive)?;
-            let (new_gs, duration) =
-                plan.execute(cluster, &graph.partitions, gs, Source::Live(cost_model))?;
+            let live = Source::Live(cost_model);
+            let (new_gs, duration) = plan.run(cluster, &graph.partitions, &graph.sticky, gs, live)?;
             let new_gs =
                 new_gs.ok_or_else(|| PregelixError::internal("gs task produced no outcome"))?;
             // Pin this superstep's GS history entry whenever the job
@@ -700,7 +569,7 @@ impl<P: VertexProgram> RunLoop<P> {
                     );
                     match recovery::recover(
                         cluster,
-                        &mut self.plan,
+                        &self.plan,
                         &self.job,
                         graph,
                         &mut self.gs,

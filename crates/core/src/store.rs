@@ -6,8 +6,13 @@
 //! `mutate[p]` and `LoadedGraph`'s point and range reads move it with `seek`,
 //! and results go back at the cursor.
 
+use crate::api::VertexProgram;
 use crate::plan::VertexStorageKind;
+use crate::runtime::LoadedGraph;
+use crate::vertex::VertexData;
 use pregelix_common::error::Result;
+use pregelix_common::frame::{tuple_vid, vid_to_key};
+use pregelix_common::{hash_partition, Vid};
 use pregelix_dataflow::cluster::WorkerHandle;
 use pregelix_storage::btree::BTree;
 
@@ -76,6 +81,52 @@ impl VertexStore {
     // pinned: benchmark/src/replay.rs
     pub fn probe_cursor(&mut self) -> RowCursor<'_> {
         self.cursor()
+    }
+}
+
+impl LoadedGraph {
+    /// Point read: one vertex by vid, through a seek of its partition's row
+    /// cursor, without materialising anything else.
+    pub fn probe_vertex<P: VertexProgram>(&self, vid: Vid) -> Result<Option<VertexData<P>>> {
+        if self.partitions.is_empty() {
+            return Ok(None);
+        }
+        let p = hash_partition(vid, self.partitions.len());
+        let mut st = self.partitions[p].lock();
+        let mut cur = st.store.cursor();
+        if !cur.seek(&vid_to_key(vid))? {
+            return Ok(None);
+        }
+        Ok(Some(VertexData::decode(vid, cur.value())?))
+    }
+
+    /// Range read: all vertices with `lo <= vid <= hi`, ascending. Each
+    /// partition's row cursor seeks `lo` (a single descent), walks on in
+    /// key order and stops past `hi`; results merge across partitions by
+    /// vid.
+    pub fn range_vertices<P: VertexProgram>(&self, lo: Vid, hi: Vid) -> Result<Vec<VertexData<P>>> {
+        let mut out = Vec::new();
+        for state in &self.partitions {
+            let mut st = state.lock();
+            let mut cur = st.store.cursor();
+            let mut on_row = cur.seek(&vid_to_key(lo))? || cur.next()?;
+            while on_row {
+                let vid = tuple_vid(cur.key())?;
+                if vid > hi {
+                    break;
+                }
+                out.push(VertexData::<P>::decode(vid, cur.value())?);
+                on_row = cur.next()?;
+            }
+        }
+        out.sort_by_key(|v| v.vid);
+        Ok(out)
+    }
+
+    /// Read back all vertices as decoded data, sorted by vid (test/bench
+    /// convenience; materialises the whole graph).
+    pub fn collect_vertices<P: VertexProgram>(&self) -> Result<Vec<VertexData<P>>> {
+        self.range_vertices(0, Vid::MAX)
     }
 }
 
@@ -173,3 +224,4 @@ mod tests {
         assert_eq!(rows(&mut s), vec![(k(1), b"v".to_vec())]);
     }
 }
+

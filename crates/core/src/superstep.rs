@@ -1,8 +1,6 @@
-//! One superstep = one dataflow plan (Figures 3–5), built once per job.
-//!
-//! [`SuperstepPlan`] holds four typed operator nodes, placed by the
-//! scheduler's constraints (§5.3.4), and the edges between them
-//! ([`SuperstepPlan::edges`]). Per vertex partition `p`:
+//! One superstep = one job graph (Figures 3–5) that `pregelix_dataflow`'s
+//! executor places, wires and runs: four nodes and five edges, declared by
+//! [`SuperstepPlan::run`]. Per vertex partition `p`:
 //!
 //! * **`compute[p]`** — the fused join/compute/update pipeline of §5.3.2:
 //!   reads the sorted `Msg_i` run, joins it with the `Vertex` index (full
@@ -30,12 +28,8 @@
 //! writes `GS` to the DFS where it is durable state (job start, each
 //! checkpoint, job end), not once per superstep.
 //!
-//! A superstep resolves the join, wires fresh channels and executes the
-//! plan ([`Source::Live`]). Confined replay executes the same plan and the
-//! same three task bodies ([`Source::Logged`]): only the lost partitions
-//! run, `msgwrite` and `mutate` read the logged sections, `compute`'s
-//! outbound edges discard, and there is no `gs` node. One commit step
-//! serves both.
+//! Confined replay runs the same three task bodies ([`Source::Logged`]),
+//! and one commit step serves both.
 
 use crate::api::{
     ComputeContext, MessageCombiner, Mutation, OutputBuffers, Resolution, VertexProgram,
@@ -50,24 +44,20 @@ use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Site};
-use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key, SharedFrame};
+use pregelix_common::frame::{keyed_tuple, tuple_payload, tuple_vid, vid_to_key, Frame};
 use pregelix_common::msglog::{self, MsgLog, MsgLogWriter};
 use pregelix_common::stats::ClusterCounters;
 use pregelix_common::writable::Writable;
 use pregelix_common::{hash_partition, JobId, Superstep, Vid};
-use pregelix_dataflow::cluster::{Cluster, Task, WorkerHandle};
-use pregelix_dataflow::connector::{
-    merging_channels, partition_channels_cap, AggregatorReceiver, MaterializedPartitioner,
-    MergeRx, MergeTx, MergingReceiver, PartitionReceiver, PartitioningSender,
-};
-use pregelix_dataflow::transport::{ReliableReceiver, StreamRx, StreamTx};
-use pregelix_dataflow::scheduler::{self, LocationConstraint, OperatorSpec, Schedule};
+use pregelix_dataflow::cluster::{Cluster, WorkerHandle};
+use pregelix_dataflow::connector::MergingReceiver;
+use pregelix_dataflow::graph::{self, EdgeSender, Ends, Inbound, JobGraph, Outbound};
+use pregelix_dataflow::scheduler::LocationConstraint;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunHandle, RunReader, RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, ExternalSorter, SortedInput, SortedStream};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -548,63 +538,11 @@ impl Writable for Report {
 }
 
 // ---------------------------------------------------------------------
-// The plan: nodes, edges, placement, one execution, its commit
+// The plan: four nodes, five edges, one commit
 // ---------------------------------------------------------------------
 
-/// An operator node of the superstep plan. A node, a partition and a
-/// superstep name one task: `msgwrite[3]@7`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Node {
-    /// Scan or probe `Vertex` ⋈ `Msg_s`, `compute`, sender-side combine.
-    Compute,
-    /// Receiver-side combine into the `Msg_{s+1}` run.
-    MsgWrite,
-    /// Mutation requests grouped by vid through `resolve`.
-    Mutate,
-    /// Stage two of the global aggregation: the next `GS`.
-    Gs,
-}
-
-impl Node {
-    const ALL: [Node; 4] = [Node::Compute, Node::MsgWrite, Node::Mutate, Node::Gs];
-
-    fn name(self) -> &'static str {
-        match self {
-            Node::Compute => "compute",
-            Node::MsgWrite => "msgwrite",
-            Node::Mutate => "mutate",
-            Node::Gs => "gs",
-        }
-    }
-}
-
-/// How an edge moves tuples from its source node's partitions to its
-/// target's.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EdgeKind {
-    /// m-to-n partitioning connector: frames as they arrive, each named by
-    /// its stream.
-    Pipelined,
-    /// m-to-n partitioning merging connector: one sorted run per pair.
-    Merged,
-    /// m-to-1 aggregator connector.
-    Aggregator,
-}
-
-/// One edge of the plan.
-#[derive(Clone, Copy, Debug)]
-struct PlanEdge {
-    from: Node,
-    to: Node,
-    kind: EdgeKind,
-    /// Stream label: the context `Site::FrameSend` faults are scoped by.
-    label: &'static str,
-}
-
-/// One superstep as a dataflow plan, built once per job (§5, Figures 3–5).
-/// Every superstep resolves the join, wires fresh channels for the edges
-/// (streams are single-use) and executes it; confined replay executes the
-/// same plan fed from the message logs ([`Source::Logged`]).
+/// What is Pregel's in a superstep, built once per job: the program, the
+/// fold slots, the log tee and the commit.
 pub(crate) struct SuperstepPlan<P: VertexProgram> {
     program: Arc<P>,
     job: JobId,
@@ -613,14 +551,12 @@ pub(crate) struct SuperstepPlan<P: VertexProgram> {
     /// One pooled [`FoldTable`] slot per partition when the program's
     /// messages can fold by address (a combiner, a fixed width), empty
     /// otherwise.
-    fold_slots: Arc<[FoldSlot<P::Message>]>,
+    fold_slots: Vec<FoldSlot<P::Message>>,
     /// Whether `compute` tees its outbound edges into the message log.
     logged: bool,
-    /// `(sticky, alive, schedule)` of the last [`place`](Self::place).
-    placement: Option<(Vec<usize>, Vec<usize>, Arc<Schedule>)>,
 }
 
-/// What feeds one execution of the plan.
+/// What feeds one run of the plan.
 pub(crate) enum Source<'a> {
     /// A live superstep: every partition runs, every edge is a fresh
     /// connector, and an Adaptive join may follow the measured probe costs.
@@ -632,53 +568,32 @@ pub(crate) enum Source<'a> {
     Logged { lost: &'a [usize], logs: &'a [MsgLog] },
 }
 
-/// One execution of the plan as its tasks share it.
+/// One run of the plan as its tasks share it.
 struct Exec<P: VertexProgram> {
-    program: Arc<P>,
-    job: JobId,
+    plan: Arc<SuperstepPlan<P>>,
     /// The global state feeding the superstep.
     gs: GlobalState,
     /// The resolved plan: `join` is never Adaptive here.
     config: PlanConfig,
     track_live: bool,
     partitions: Vec<Arc<Mutex<PartitionState>>>,
-    fold_slots: Arc<[FoldSlot<P::Message>]>,
-    schedule: Arc<Schedule>,
-    /// Where `compute` persists its message log, and the bytes written.
-    log: Option<(SimDfs, AtomicU64)>,
-    /// Per partition, the `Msg_{s+1}` run `msgwrite` sealed and its tuple
-    /// count, owned here until the commit installs the run.
-    next_msgs: Vec<Mutex<(Option<TempRun>, u64)>>,
-    /// The `gs` node's revised global state.
-    outcome: Mutex<Option<GlobalState>>,
+    /// Where `compute` persists its message log.
+    log: Option<SimDfs>,
 }
 
-/// The sending end of one edge, as a task finds it.
-enum Outbound {
-    Pipelined(Vec<StreamTx>, PlanEdge),
-    Merged(Vec<MergeTx>, PlanEdge),
-    Discard,
-}
-
-/// The receiving end of one edge, as a task finds it.
-enum Inbound {
-    Pipelined(Vec<StreamRx>),
-    Merged(Vec<MergeRx>),
-    /// The logged sections bound for this partition, in ascending source
-    /// order, empty ones left out.
-    Logged(Vec<SharedFrame>),
-}
-
-/// One task's ends, one per edge at its node, in [`SuperstepPlan::edges`]
-/// order.
-#[derive(Default)]
-struct Ends {
-    ins: Vec<Inbound>,
-    outs: Vec<Outbound>,
+/// What a task hands the commit.
+enum Done {
+    /// `compute`: the message-log bytes it wrote.
+    Computed(u64),
+    /// `msgwrite`: the `Msg_{s+1}` run it sealed and its tuple count.
+    Written(Option<TempRun>, u64),
+    Mutated,
+    /// `gs`: the revised global state.
+    Revised(GlobalState),
 }
 
 /// Every task body: the same four arguments for every node.
-type Body<P> = fn(&WorkerHandle, &Exec<P>, usize, Ends) -> Result<()>;
+type Body<P> = fn(&WorkerHandle, &Exec<P>, usize, Ends) -> Result<Done>;
 
 impl<P: VertexProgram> SuperstepPlan<P> {
     pub(crate) fn new(
@@ -690,314 +605,135 @@ impl<P: VertexProgram> SuperstepPlan<P> {
             program: Arc::clone(program),
             job: job.id.clone(),
             config: job.plan,
-            fold_slots: fold_slots.into(),
+            fold_slots,
             logged: job.checkpoint_interval.is_some(),
-            placement: None,
         }
     }
 
-    /// The plan's edges. Only the message edge's kind is the job's: merged
-    /// under a merging group-by strategy (Figure 7).
-    fn edges(&self) -> [PlanEdge; 5] {
-        let edge = |from, to, kind, label| PlanEdge {
-            from,
-            to,
-            kind,
-            label,
-        };
-        let msg = if self.config.groupby.merged() {
-            EdgeKind::Merged
-        } else {
-            EdgeKind::Pipelined
-        };
-        [
-            edge(Node::Compute, Node::MsgWrite, msg, "msg"),
-            edge(Node::Compute, Node::Mutate, EdgeKind::Pipelined, "mut"),
-            edge(Node::Compute, Node::Gs, EdgeKind::Aggregator, "gs"),
-            edge(Node::MsgWrite, Node::Gs, EdgeKind::Aggregator, "gs"),
-            edge(Node::Mutate, Node::Gs, EdgeKind::Aggregator, "gs"),
-        ]
-    }
-
-    /// Place the nodes (§5.3.4): `compute` pinned absolutely to the workers
-    /// holding the `Vertex` partitions, `msgwrite` and `mutate` co-located
-    /// with it, one `gs` anywhere. Solved again only when `sticky` or the
-    /// alive set changed, that is, after a recovery. The caller has checked
-    /// that every sticky worker is alive.
-    pub(crate) fn place(&mut self, sticky: &[usize], alive: &[usize]) -> Result<()> {
-        if let Some((s, a, _)) = &self.placement {
-            if s == sticky && a == alive {
-                return Ok(());
-            }
-        }
-        let specs = Node::ALL.map(|node| {
-            let constraint = match node {
-                Node::Compute => LocationConstraint::Absolute(sticky.to_vec()),
-                Node::Gs => LocationConstraint::Count(1),
-                _ => LocationConstraint::SameAs(Node::Compute as usize),
-            };
-            OperatorSpec::new(node.name(), sticky.len(), constraint)
-        });
-        let schedule = Arc::new(scheduler::solve(&specs, alive)?);
-        self.placement = Some((sticky.to_vec(), alive.to_vec(), schedule));
-        Ok(())
-    }
-
-    /// Execute superstep `gs.superstep` on the placed plan, live or
-    /// replayed, and commit it. Returns the revised global state (`None`
-    /// for a replay, which has no `gs` node) and the execution's duration.
-    pub(crate) fn execute(
-        &self,
+    /// Run superstep `gs.superstep`, live or replayed, over the partitions
+    /// `sticky` places, and commit it. Returns the revised global state
+    /// (`None` for a replay, which has no `gs` node) and the run's duration.
+    ///
+    /// `compute` is pinned to the workers holding the `Vertex` partitions
+    /// (§5.3.4), `msgwrite` and `mutate` beside it, one `gs` anywhere. Live,
+    /// five edges: messages (merging under a merging group-by strategy,
+    /// Figure 7), mutations, and the three m-to-1 reports to `gs`. A replay
+    /// runs the lost partitions: their message and mutation edges carry the
+    /// logged sections, every outbound edge discards, and `mutate` waits
+    /// behind a blocking edge until `compute` is done with the partition.
+    pub(crate) fn run(
+        self: &Arc<Self>,
         cluster: &Cluster,
         partitions: &[Arc<Mutex<PartitionState>>],
+        sticky: &[usize],
         gs: &GlobalState,
         source: Source<'_>,
     ) -> Result<(Option<GlobalState>, Duration)> {
-        let (_, _, schedule) = self
-            .placement
-            .as_ref()
-            .ok_or_else(|| PregelixError::plan("superstep plan executed before it was placed"))?;
         // The measured cost model is not replayed: it only biases the
         // Adaptive choice, and both joins produce identical state.
         let cost_model = if let Source::Live(model) = source { model } else { None };
-        let (config, track_live) = resolve_join(self.config, gs, cost_model);
-        let p_count = partitions.len();
+        let (config, track_live) = self.config.for_superstep(gs, cost_model);
+        let live = matches!(source, Source::Live(_));
         let exec = Arc::new(Exec {
-            program: Arc::clone(&self.program),
-            job: self.job.clone(),
+            plan: Arc::clone(self),
             gs: gs.clone(),
             config,
             track_live,
             partitions: partitions.to_vec(),
-            fold_slots: Arc::clone(&self.fold_slots),
-            schedule: Arc::clone(schedule),
-            log: (self.logged && matches!(source, Source::Live(_)))
-                .then(|| (cluster.dfs().clone(), AtomicU64::new(0))),
-            next_msgs: (0..p_count).map(|_| Mutex::default()).collect(),
-            outcome: Mutex::new(None),
+            log: (self.logged && live).then(|| cluster.dfs().clone()),
         });
-        let mut wired = self.wire(p_count, cluster.channel_capacity(), &source);
-        let bodies: [Body<P>; 4] = [compute_task, msgwrite_task, mutate_task, gs_task];
-        // Tasks are emitted node-major, senders before the receivers they
-        // feed: sequential-timed mode runs them one at a time in this
-        // order, so no receiver starts on a stream that is still open. A
-        // log-fed `mutate[p]` waits on no stream of `compute[p]`'s, so it
-        // runs as a second stage: it must not lock the partition before
-        // `compute[p]` is done with it.
-        let stages: &[&[Node]] = match source {
-            Source::Live(_) => &[&Node::ALL],
-            Source::Logged { .. } => &[&[Node::Compute, Node::MsgWrite], &[Node::Mutate]],
-        };
-        let mut duration = Duration::ZERO;
-        for stage in stages {
-            let mut tasks = Vec::new();
-            for &node in *stage {
-                for (p, ends) in std::mem::take(&mut wired[node as usize]) {
-                    let (exec, body) = (Arc::clone(&exec), bodies[node as usize]);
-                    tasks.push(Task::new(
-                        format!("{}[{p}]@{}", node.name(), gs.superstep),
-                        schedule.worker(node as usize, p),
-                        move |w| body(&w, &exec, p, ends),
-                    ));
-                }
-            }
-            duration += match source {
-                Source::Live(_) => cluster.execute(tasks)?,
-                // Replay splices into live state: no task runs unless every
-                // worker it names is alive.
-                Source::Logged { .. } => cluster.execute_partial(tasks)?,
-            };
-        }
-        Ok((self.commit(cluster, &exec), duration))
-    }
-
-    /// Fresh ends for every edge of one execution: per node, `(partition,
-    /// ends)` for each of its partitions that runs.
-    fn wire(
-        &self,
-        p_count: usize,
-        cap: Option<usize>,
-        source: &Source<'_>,
-    ) -> [Vec<(usize, Ends)>; 4] {
         let parts: Vec<usize> = match source {
-            Source::Live(_) => (0..p_count).collect(),
+            Source::Live(_) => (0..partitions.len()).collect(),
             Source::Logged { lost, .. } => lost.to_vec(),
         };
-        let mut wired = Node::ALL.map(|node| {
-            let parts: &[usize] = if node == Node::Gs { &[0] } else { &parts };
-            parts.iter().map(|&p| (p, Ends::default())).collect::<Vec<_>>()
-        });
-        for edge in self.edges() {
-            let (from, to) = (edge.from as usize, edge.to as usize);
-            let Source::Logged { logs, .. } = source else {
-                let n = if edge.kind == EdgeKind::Aggregator { 1 } else { p_count };
-                let (txs, rxs): (Vec<_>, Vec<_>) = if edge.kind == EdgeKind::Merged {
-                    let (txs, rxs) = merging_channels(p_count, n);
-                    let txs = txs.into_iter().map(|tx| Outbound::Merged(tx, edge));
-                    (txs.collect(), rxs.into_iter().map(Inbound::Merged).collect())
+        let on = |body: Body<P>| {
+            let exec = Arc::clone(&exec);
+            move |w: &WorkerHandle, p, ends| body(w, &exec, p, ends)
+        };
+        let mut g = JobGraph::new(format!("@{}", gs.superstep));
+        let pinned = LocationConstraint::Absolute(sticky.to_vec());
+        let compute = g.node("compute", &parts, pinned, on(compute_task));
+        let beside = LocationConstraint::SameAs(compute);
+        let msgwrite = g.node("msgwrite", &parts, beside.clone(), on(msgwrite_task));
+        let mutate = g.node("mutate", &parts, beside, on(mutate_task));
+        match source {
+            Source::Live(_) => {
+                let gs = g.node("gs", &[0], LocationConstraint::Count(1), on(gs_task));
+                let msg = if config.groupby.merged() {
+                    graph::Edge::Merging
                 } else {
-                    let (txs, rxs) = partition_channels_cap(p_count, n, cap);
-                    let txs = txs.into_iter().map(|tx| Outbound::Pipelined(tx, edge));
-                    (txs.collect(), rxs.into_iter().map(Inbound::Pipelined).collect())
+                    graph::Edge::Partitioning { label: "msg", slab: None }
                 };
-                wired[from].iter_mut().zip(txs).for_each(|((_, e), tx)| e.outs.push(tx));
-                wired[to].iter_mut().zip(rxs).for_each(|((_, e), rx)| e.ins.push(rx));
-                continue;
-            };
-            wired[from].iter_mut().for_each(|(_, e)| e.outs.push(Outbound::Discard));
-            for (p, e) in wired[to].iter_mut().filter(|_| edge.to != Node::Gs) {
-                let section = |log: &MsgLog| match edge.to {
-                    Node::MsgWrite => log.messages(*p).freeze_standalone(),
-                    _ => log.mutations(*p).freeze_standalone(),
+                g.connect(compute, msgwrite, msg);
+                g.connect(compute, mutate, graph::Edge::Partitioning { label: "mut", slab: None });
+                for from in [compute, msgwrite, mutate] {
+                    g.connect(from, gs, graph::Edge::Partitioning { label: "gs", slab: None });
+                }
+            }
+            Source::Logged { lost, logs } => {
+                // Per partition, the sections bound for it if it is lost.
+                let logged = |section: fn(&MsgLog, usize) -> &Frame| {
+                    let bound_for = |p| {
+                        let sections = logs.iter().map(|log| section(log, p).freeze_standalone());
+                        sections.filter(|s| !s.is_empty()).collect()
+                    };
+                    let lists = (0..partitions.len()).map(|p| match lost.contains(&p) {
+                        true => bound_for(p),
+                        false => Vec::new(),
+                    });
+                    graph::Edge::Frames(lists.collect())
                 };
-                let sections = logs.iter().map(section).filter(|s| !s.is_empty());
-                e.ins.push(Inbound::Logged(sections.collect()));
+                g.connect(compute, msgwrite, logged(MsgLog::messages));
+                g.connect(compute, mutate, logged(MsgLog::mutations));
+                g.connect(compute, mutate, graph::Edge::Blocking);
+                for from in [compute, msgwrite, mutate] {
+                    g.discard(from);
+                }
             }
         }
-        wired
+        let (done, duration) = g.run(cluster)?;
+        Ok((Self::commit(cluster, &exec, done), duration))
     }
 
-    /// The one commit step, after every task of an execution succeeded:
-    /// install the `Msg_{s+1}` runs of the partitions that ran, count the
-    /// combined messages and the log bytes, and restock the frame slab.
-    /// Counting only here keeps both independent of which tasks raced
-    /// ahead of a fault that aborted the execution (an aborted superstep
-    /// re-executes after recovery). Harvesting only here — single-threaded,
-    /// after every task joined — keeps `slab_recycled` and the next
-    /// superstep's fresh-alloc counts independent of how tasks interleaved.
-    /// On failure nothing is committed, and dropping the execution deletes
-    /// the runs it sealed.
-    fn commit(&self, cluster: &Cluster, exec: &Exec<P>) -> Option<GlobalState> {
+    /// The one commit step, after every task of a run succeeded: install
+    /// the `Msg_{s+1}` runs, count the combined messages and the log bytes,
+    /// and restock the frame slab. Counting only here keeps both independent
+    /// of which tasks raced ahead of a fault that aborted the run.
+    /// Harvesting only here — single-threaded, after every task joined —
+    /// keeps `slab_recycled` and the next superstep's fresh-alloc counts
+    /// independent of how tasks interleaved. On failure nothing is
+    /// committed: the executor drops the runs the tasks sealed, which
+    /// deletes them.
+    fn commit(
+        cluster: &Cluster,
+        exec: &Exec<P>,
+        done: Vec<Vec<(usize, Done)>>,
+    ) -> Option<GlobalState> {
         let counters = cluster.counters();
-        let mut combined = 0;
-        for (p, slot) in exec.next_msgs.iter().enumerate() {
-            let (run, n) = std::mem::take(&mut *slot.lock());
-            combined += n;
-            if let Some(run) = run {
-                exec.partitions[p].lock().msg_run = Some(run.keep());
+        let (mut combined, mut logged, mut new_gs) = (0, 0, None);
+        for (p, done) in done.into_iter().flatten() {
+            match done {
+                Done::Computed(bytes) => logged += bytes,
+                Done::Written(run, n) => {
+                    combined += n;
+                    if let Some(run) = run {
+                        exec.partitions[p].lock().msg_run = Some(run.keep());
+                    }
+                }
+                Done::Mutated => {}
+                Done::Revised(gs) => new_gs = Some(gs),
             }
         }
-        if let Some((_, tally)) = &exec.log {
-            counters.add_log_bytes_written(tally.load(Ordering::Relaxed));
+        if exec.log.is_some() {
+            counters.add_log_bytes_written(logged);
         }
         counters.add_messages_combined(combined);
         cluster.slab().harvest();
-        let new_gs = exec.outcome.lock().take();
         if let Some(gs) = &new_gs {
             counters.set_live_vertices(gs.live_vertices);
         }
         new_gs
     }
-}
-
-impl Outbound {
-    /// Open the edge on worker `w`: `None` for a discard sink.
-    fn open(self, w: &WorkerHandle, schedule: &Schedule) -> Result<Option<EdgeSender>> {
-        Ok(match self {
-            Outbound::Pipelined(ends, edge) => Some(EdgeSender::Pipelined(
-                PartitioningSender::new(
-                    ends,
-                    w.frame_bytes(),
-                    w.slab().clone(),
-                    w.id(),
-                    schedule.op_assignment(edge.to as usize).to_vec(),
-                    w.counters().clone(),
-                )
-                .with_label(edge.label),
-            )),
-            Outbound::Merged(ends, edge) => Some(EdgeSender::Merged(MaterializedPartitioner::new(
-                w.file_manager(),
-                ends,
-                w.id(),
-                schedule.op_assignment(edge.to as usize).to_vec(),
-            )?)),
-            Outbound::Discard => None,
-        })
-    }
-}
-
-impl Inbound {
-    /// Feed the edge's tuples to `each` in arrival order, for a node that
-    /// groups what it reads (`mutate`): off a pipelined edge's streams, or
-    /// out of the logged sections, section by section.
-    fn for_each(self, w: &WorkerHandle, mut each: impl FnMut(&[u8]) -> Result<()>) -> Result<()> {
-        match self {
-            Inbound::Pipelined(ins) => {
-                let mut rx = PartitionReceiver::new(ins, w.counters().clone());
-                while let Some(t) = rx.next_tuple()? {
-                    each(t)?;
-                }
-                Ok(())
-            }
-            Inbound::Logged(sections) => {
-                sections.iter().flat_map(SharedFrame::iter).try_for_each(each)
-            }
-            Inbound::Merged(_) => Err(PregelixError::plan("a merged edge is read by merging")),
-        }
-    }
-}
-
-impl Ends {
-    /// The ends as a node's body takes them: `I` inbound and `O` outbound.
-    fn take<const I: usize, const O: usize>(self) -> Result<([Inbound; I], [Outbound; O])> {
-        match (self.ins.try_into(), self.outs.try_into()) {
-            (Ok(ins), Ok(outs)) => Ok((ins, outs)),
-            _ => Err(PregelixError::plan("a task's ends do not match its node's edges")),
-        }
-    }
-}
-
-/// An open outbound edge.
-enum EdgeSender {
-    Pipelined(PartitioningSender),
-    Merged(MaterializedPartitioner),
-}
-
-impl EdgeSender {
-    fn send(&mut self, tuple: &[u8]) -> Result<()> {
-        match self {
-            EdgeSender::Pipelined(s) => s.send(tuple),
-            EdgeSender::Merged(s) => s.send(tuple),
-        }
-    }
-
-    fn finish(self) -> Result<()> {
-        match self {
-            EdgeSender::Pipelined(s) => s.finish(),
-            EdgeSender::Merged(s) => s.finish(),
-        }
-    }
-}
-
-/// Resolve `plan`'s join for superstep `gs.superstep`, live or replayed, and
-/// say whether the `Vid` live-vertex run must be maintained.
-///
-/// Superstep 1 is the full-outer scan for every plan: it activates every
-/// vertex anyway, and under a left-outer or Adaptive plan its live vids
-/// make the first `Vid` run. Later, Adaptive plans pick the join per
-/// superstep from the previous superstep's live-vertex fraction (the
-/// paper's future-work optimizer, §9), with the run written every
-/// superstep so a sparse superstep can switch to probing at zero notice.
-/// The probe-vs-scan threshold is re-derived from the costs measured on
-/// earlier supersteps of this job when available (`cost_model`), instead
-/// of the hard-coded default (§7.5).
-pub(crate) fn resolve_join(
-    plan: PlanConfig,
-    gs: &GlobalState,
-    cost_model: Option<ProbeCostModel>,
-) -> (PlanConfig, bool) {
-    let live_fraction = if gs.vertex_count == 0 {
-        1.0
-    } else {
-        gs.live_vertices as f64 / gs.vertex_count as f64
-    };
-    let join = if gs.superstep == 1 {
-        JoinStrategy::FullOuter
-    } else {
-        plan.join.resolve_with(live_fraction, cost_model)
-    };
-    let track_live = plan.join != JoinStrategy::FullOuter;
-    (PlanConfig { join, ..plan }, track_live)
 }
 
 // ---------------------------------------------------------------------
@@ -1197,13 +933,13 @@ impl<P: VertexProgram> ComputeSide<P> {
 }
 
 /// `compute[p]`: its outbound edges are messages, mutations and its report
-/// to `gs`, in [`SuperstepPlan::edges`] order.
+/// to `gs`, in the order [`SuperstepPlan::run`] declares them.
 fn compute_task<P: VertexProgram>(
     w: &WorkerHandle,
     exec: &Exec<P>,
     p: usize,
     ends: Ends,
-) -> Result<()> {
+) -> Result<Done> {
     let ([], [msg_out, mut_out, gs_out]) = ends.take()?;
     let mut st = exec.partitions[p].lock();
     let st = &mut *st;
@@ -1219,27 +955,27 @@ fn compute_task<P: VertexProgram>(
     let vid_run = st.vid_index.take().map(TempRun::from);
     let mut msgs = MsgStream::<P>::open(msg_run.as_deref(), w)?;
     let p_count = exec.partitions.len();
-    let msg_tx = msg_out.open(w, &exec.schedule)?;
+    let msg_tx = msg_out.open(w)?;
     let fold = msg_tx.as_ref().map(|_| {
         MsgFold::new(
-            exec.fold_slots.get(p).filter(|s| s.sender).map(FoldSlot::take),
+            exec.plan.fold_slots.get(p).filter(|s| s.sender).map(FoldSlot::take),
             w.file_manager(),
             w.groupby_budget(),
-            msg_tuple_combiner(&exec.program),
+            msg_tuple_combiner(&exec.plan.program),
         )
     });
     let mut side = ComputeSide {
-        program: Arc::clone(&exec.program),
+        program: Arc::clone(&exec.plan.program),
         superstep: gs.superstep,
         vertex_count: gs.vertex_count,
         agg_prev,
         fold,
-        mutations: mut_out.open(w, &exec.schedule)?,
+        mutations: mut_out.open(w)?,
         report: Report::default(),
         agg_partial: None,
         next_vids: exec
             .track_live
-            .then(|| vid_run_writer(w, exec.job.tag(), p, vid_run.as_deref())),
+            .then(|| vid_run_writer(w, exec.plan.job.tag(), p, vid_run.as_deref())),
         counters: w.counters().clone(),
         log: exec
             .log
@@ -1276,7 +1012,7 @@ fn compute_task<P: VertexProgram>(
             }
             tx.send(t)
         })?;
-        if let (Some(slot), Some(table)) = (exec.fold_slots.get(p), table) {
+        if let (Some(slot), Some(table)) = (exec.plan.fold_slots.get(p), table) {
             slot.put_back(table);
         }
         tx.finish()?;
@@ -1292,28 +1028,25 @@ fn compute_task<P: VertexProgram>(
     // either exists complete at the superstep boundary or not at all.
     // Best-effort: a lost log makes a future recovery reload every
     // partition, it never fails the superstep.
-    if let (Some((dfs, tally)), Some(log)) = (&exec.log, side.log.take()) {
-        if let Ok(bytes) = msglog::write_log(dfs, w.counters(), &exec.job, &log) {
-            tally.fetch_add(bytes, Ordering::Relaxed);
-        }
+    let mut logged = 0;
+    if let (Some(dfs), Some(log)) = (&exec.log, side.log.take()) {
+        logged = msglog::write_log(dfs, w.counters(), &exec.plan.job, &log).unwrap_or(0);
     }
 
     // Stage-one aggregation result + counters to the gs task.
     side.report.agg = side.agg_partial.take().map_or_else(Vec::new, |a| a.to_bytes());
-    report_to_gs(w, &exec.schedule, gs_out, &side.report.to_bytes())
+    report_to_gs(w, gs_out, &side.report.to_bytes())?;
+    Ok(Done::Computed(logged))
 }
 
 /// Send one task's report on its edge to `gs`, and close it. A replay has
 /// no `gs` node: the edge discards.
-fn report_to_gs(w: &WorkerHandle, schedule: &Schedule, out: Outbound, report: &[u8]) -> Result<()> {
-    match out.open(w, schedule)? {
-        Some(EdgeSender::Pipelined(mut tx)) => {
-            tx.send_to(0, report)?;
-            tx.finish()
-        }
-        Some(EdgeSender::Merged(_)) => Err(PregelixError::plan("the gs edges are aggregators")),
-        None => Ok(()),
-    }
+fn report_to_gs(w: &WorkerHandle, out: Outbound, report: &[u8]) -> Result<()> {
+    let Some(EdgeSender::Partitioning(mut tx)) = out.open(w)? else {
+        return Ok(());
+    };
+    tx.send_to(0, report)?;
+    tx.finish()
 }
 
 /// The fused join/compute/update loop of §5.3.2: merge `Msg` with the
@@ -1453,25 +1186,6 @@ fn partition_run(w: &WorkerHandle, path: impl Into<PathBuf>) -> RunWriter {
     RunWriter::create_buffered(path, w.counters().clone(), 8 * w.frame_bytes())
 }
 
-/// Drain a pipelined edge's streams into one frame queue per source, in
-/// source-index order, each frame queued by refcount. The blocking rule:
-/// frames are taken from whichever stream has one, and every stream is
-/// drained to its `Fin` before any is read, so the reader never waits on
-/// one sender while another is held up on a full bounded channel — the
-/// merge deadlock §5.3.1's materializing connector exists to avoid. Under
-/// sequential-timed execution every frame is already queued on an
-/// unbounded channel before the reader runs, so holding them here adds no
-/// bytes. `msgwrite[p]` and `load[p]` read their edges this way.
-pub(crate) fn drain_streams(w: &WorkerHandle, ins: Vec<StreamRx>) -> Result<Vec<Vec<SharedFrame>>> {
-    let mut queues = vec![Vec::new(); ins.len()];
-    let mut rx = ReliableReceiver::new(ins, w.counters().clone());
-    while let Some((stream, frame)) = rx.next_stream_frame()? {
-        w.check_alive()?;
-        queues[stream].push(frame);
-    }
-    Ok(queues)
-}
-
 /// `msgwrite[p]`: folds its inbound message edge into the `Msg_{s+1}` run,
 /// which the commit step installs. Every source of that edge — a stream of
 /// the pipelined connector, a run of the merging one, a logged section in
@@ -1490,13 +1204,14 @@ fn msgwrite_task<P: VertexProgram>(
     exec: &Exec<P>,
     p: usize,
     ends: Ends,
-) -> Result<()> {
+) -> Result<Done> {
     let ([inbound], [gs_out]) = ends.take()?;
-    let (superstep, job_tag) = (exec.gs.superstep, exec.job.tag());
+    let (superstep, job_tag) = (exec.gs.superstep, exec.plan.job.tag());
     // Fault point keyed by job, superstep and partition (Site::Stall): the
     // one site a multi-tenant chaos test can aim at a single tenant's task.
     // A replay passes it no event, so a fault plan's counts do not shift.
-    if !matches!(inbound, Inbound::Logged(_)) && fault::active() {
+    let replay = matches!(inbound, Inbound::Frames(_));
+    if !replay && fault::active() {
         let ctx = format!("{job_tag}:s{superstep}:p{p}");
         if fault::hit(Site::Stall, &ctx).is_some() {
             w.counters().add_faults_injected(1);
@@ -1506,22 +1221,20 @@ fn msgwrite_task<P: VertexProgram>(
     // The edge's sources in source-index order, and the runs behind them.
     let (mut inputs, runs) = match inbound {
         // The merging connector: one sealed run per sender.
-        Inbound::Merged(ins) => {
+        Inbound::Merging(ins) => {
             let runs = MergingReceiver::new(ins, w.counters().clone()).into_runs()?;
             let inputs = runs.iter().map(|run| SortedInput::run(run, w.counters().clone()));
             (inputs.collect::<Result<Vec<_>>>()?, runs)
         }
         // The pipelined connector: every frame queued by refcount on its
-        // stream.
-        Inbound::Pipelined(ins) => {
-            let queues = drain_streams(w, ins)?;
+        // stream. Replay: each source's logged section is its stream,
+        // whole.
+        inbound => {
+            let queues = inbound.queues(w)?;
+            if replay {
+                w.counters().add_log_runs_replayed(queues.len() as u64);
+            }
             (queues.into_iter().map(SortedInput::frames).collect(), Vec::new())
-        }
-        // Replay: each source's logged section is its stream, whole.
-        Inbound::Logged(sections) => {
-            w.counters().add_log_runs_replayed(sections.len() as u64);
-            let inputs = sections.into_iter().map(|s| SortedInput::frames(vec![s]));
-            (inputs.collect(), Vec::new())
         }
     };
     let path = msg_run_path(w.file_manager().root(), job_tag, p, superstep + 1);
@@ -1534,7 +1247,7 @@ fn msgwrite_task<P: VertexProgram>(
         run.get_or_insert_with(|| partition_run(w, &path)).write_tuple(t)
     };
     // A table over an empty graph has no slot to fold into.
-    match exec.fold_slots.get(p).filter(|slot| slot.window > 0) {
+    match exec.plan.fold_slots.get(p).filter(|slot| slot.window > 0) {
         Some(slot) => {
             let mut table = slot.take();
             let mut scratch = Vec::new();
@@ -1546,7 +1259,7 @@ fn msgwrite_task<P: VertexProgram>(
             w.counters().add_msgs_folded_inbound(folded);
         }
         None => {
-            let combiner = Some(msg_tuple_combiner(&exec.program));
+            let combiner = Some(msg_tuple_combiner(&exec.plan.program));
             let mut stream = SortedStream::from_inputs(inputs, runs, combiner);
             while let Some(t) = stream.next_tuple()? {
                 write(t)?;
@@ -1554,12 +1267,12 @@ fn msgwrite_task<P: VertexProgram>(
         }
     }
     let run = run.map(|run| run.finish().map(TempRun::from)).transpose()?;
-    *exec.next_msgs[p].lock() = (run, combined);
     let report = Report {
         combined,
         ..Report::default()
     };
-    report_to_gs(w, &exec.schedule, gs_out, &report.to_bytes())
+    report_to_gs(w, gs_out, &report.to_bytes())?;
+    Ok(Done::Written(run, combined))
 }
 
 // ---------------------------------------------------------------------
@@ -1574,7 +1287,7 @@ fn mutate_task<P: VertexProgram>(
     exec: &Exec<P>,
     p: usize,
     ends: Ends,
-) -> Result<()> {
+) -> Result<Done> {
     let ([inbound], [gs_out]) = ends.take()?;
     let mut groups: BTreeMap<Vid, Vec<Mutation<P>>> = BTreeMap::new();
     inbound.for_each(w, |t| {
@@ -1583,7 +1296,7 @@ fn mutate_task<P: VertexProgram>(
         Ok(())
     })?;
     // Every compute has passed its mutation flush (live: all mutation
-    // streams are closed; replay: this is the second stage), so the
+    // streams are closed; replay: a blocking edge), so the
     // partition lock is (or will soon be) free, and mutations apply
     // strictly after compute — the "take effect in superstep S+1" rule.
     let mut report = Report::default();
@@ -1600,7 +1313,7 @@ fn mutate_task<P: VertexProgram>(
             w.check_alive()?;
             let key = vid_to_key(vid);
             let in_store = cur.seek(&key)?;
-            match exec.program.resolve(vid, muts) {
+            match exec.plan.program.resolve(vid, muts) {
                 Resolution::Insert(v) => {
                     cur.insert(&key, &v.encode_value())?;
                     if !in_store {
@@ -1624,14 +1337,15 @@ fn mutate_task<P: VertexProgram>(
         // A tracked plan's `Vid` run is rewritten in one merge with the
         // changes; the old run goes only once the new one is sealed.
         if let Some(current) = st.vid_index.as_ref().filter(|_| !vid_changes.is_empty()) {
-            let out = vid_run_writer(w, exec.job.tag(), p, Some(current));
+            let out = vid_run_writer(w, exec.plan.job.tag(), p, Some(current));
             let merged = merge_vids(current, &vid_changes, out, w.counters())?;
             if let Some(old) = st.vid_index.replace(merged) {
                 let _ = old.delete();
             }
         }
     }
-    report_to_gs(w, &exec.schedule, gs_out, &report.to_bytes())
+    report_to_gs(w, gs_out, &report.to_bytes())?;
+    Ok(Done::Mutated)
 }
 
 /// Merge `changes` — ascending vids, each added (`true`) or dropped — into
@@ -1667,19 +1381,15 @@ fn merge_vids(
 // gs (stage two)
 // ---------------------------------------------------------------------
 
-/// `gs`: its three inbound edges, one report per partition of `compute`,
-/// `msgwrite` and `mutate`, are read as one aggregator stream set.
-fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: Ends) -> Result<()> {
+/// `gs`: its three inbound edges carry one report per partition of
+/// `compute`, `msgwrite` and `mutate`.
+fn gs_task<P: VertexProgram>(
+    w: &WorkerHandle,
+    exec: &Exec<P>,
+    _: usize,
+    ends: Ends,
+) -> Result<Done> {
     let (ins, []) = ends.take::<3, 0>()?;
-    let mut streams = Vec::new();
-    for inbound in ins {
-        match inbound {
-            Inbound::Pipelined(ends) => streams.extend(ends),
-            _ => return Err(PregelixError::plan("the gs edges are aggregators")),
-        }
-    }
-    let expected = streams.len() as u64;
-    let mut rx = AggregatorReceiver::new(streams, w.counters().clone());
     let mut sum = Report::default();
     // Partition partials arrive in transport order, which the scheduler
     // does not fix — but f64 aggregate combination is not associative
@@ -1688,18 +1398,23 @@ fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: E
     // across runs.
     let mut partials: Vec<Vec<u8>> = Vec::new();
     let mut received = 0u64;
-    while let Some(t) = rx.next_tuple()? {
-        w.check_alive()?;
-        received += 1;
-        let report = Report::from_bytes(t)?;
-        sum.live += report.live;
-        sum.added += report.added;
-        sum.deleted += report.deleted;
-        sum.combined += report.combined;
-        if !report.agg.is_empty() {
-            partials.push(report.agg);
-        }
+    for inbound in ins {
+        inbound.for_each(w, |t| {
+            w.check_alive()?;
+            received += 1;
+            let report = Report::from_bytes(t)?;
+            sum.live += report.live;
+            sum.added += report.added;
+            sum.deleted += report.deleted;
+            sum.combined += report.combined;
+            if !report.agg.is_empty() {
+                partials.push(report.agg);
+            }
+            Ok(())
+        })?;
     }
+    // One report from every partition of `compute`, `msgwrite` and `mutate`.
+    let expected = 3 * exec.partitions.len() as u64;
     if received != expected {
         // A partition task died mid-superstep; the partial stats must not
         // become the job's global state.
@@ -1713,7 +1428,7 @@ fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: E
         let partial = P::Aggregate::from_bytes(pb)?;
         agg = Some(match agg.take() {
             None => partial,
-            Some(acc) => exec.program.combine_aggregates(acc, partial),
+            Some(acc) => exec.plan.program.combine_aggregates(acc, partial),
         });
     }
     let gs = &exec.gs;
@@ -1728,8 +1443,7 @@ fn gs_task<P: VertexProgram>(w: &WorkerHandle, exec: &Exec<P>, _: usize, ends: E
         live_vertices: sum.live,
         messages: sum.combined,
     };
-    *exec.outcome.lock() = Some(new_gs);
-    Ok(())
+    Ok(Done::Revised(new_gs))
 }
 
 #[cfg(test)]

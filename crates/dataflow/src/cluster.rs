@@ -25,7 +25,6 @@
 use pregelix_common::bytes::BytesSlab;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
-use pregelix_common::memory::MemoryAccountant;
 use pregelix_common::stats::ClusterCounters;
 use pregelix_storage::cache::BufferCache;
 use pregelix_storage::file::{FileManager, TempDir};
@@ -106,7 +105,6 @@ pub struct WorkerNode {
     /// failure detector reads it at observation points; a live worker
     /// executing tasks always advances it, a powered-off one never does.
     beats: AtomicU64,
-    heap: MemoryAccountant,
     groupby_budget: usize,
     frame_bytes: usize,
     /// Cluster-shared frame slab (every worker holds the same pool).
@@ -246,12 +244,6 @@ impl WorkerHandle {
         &self.node.slab
     }
 
-    /// The worker's simulated heap (used by process-centric baselines; the
-    /// Pregelix data path does not allocate per-vertex objects on it).
-    pub fn heap(&self) -> &MemoryAccountant {
-        &self.node.heap
-    }
-
     /// Fails with [`PregelixError::WorkerDead`] if this machine has been
     /// powered off by failure injection or blacklisted by the failure
     /// detector. Tasks call this at frame boundaries so a failure surfaces
@@ -307,8 +299,8 @@ pub struct Cluster {
 }
 
 impl Cluster {
-    /// Materialise a cluster: one storage directory, buffer cache and heap
-    /// accountant per worker.
+    /// Materialise a cluster: one storage directory and buffer cache per
+    /// worker.
     pub fn new(config: ClusterConfig) -> Result<Cluster> {
         if config.workers == 0 {
             return Err(PregelixError::plan("cluster needs at least one worker"));
@@ -344,7 +336,6 @@ impl Cluster {
                 cache,
                 failed: AtomicBool::new(false),
                 beats: AtomicU64::new(0),
-                heap: MemoryAccountant::new(format!("worker-{id} heap"), config.worker_ram),
                 groupby_budget: (config.worker_ram as f64 * GROUPBY_FRACTION) as usize,
                 frame_bytes: config.frame_bytes,
                 slab: slab.clone(),
@@ -522,35 +513,12 @@ impl Cluster {
         })
     }
 
-    /// Partial-job execution: run `tasks` (typically covering only a subset
-    /// of a job's partitions, e.g. a confined-recovery replay of the dead
-    /// worker's partitions), first verifying that every worker the task
-    /// list names is currently alive. A dead worker fails fast with
-    /// [`PregelixError::WorkerDead`] *before* any task runs — partial jobs
-    /// splice their results into live state, so a half-executed batch is
-    /// worth preventing cheaply even though per-task `check_alive` would
-    /// catch it anyway.
-    pub fn execute_partial(&self, tasks: Vec<Task>) -> Result<std::time::Duration> {
-        for t in &tasks {
-            if t.worker >= self.workers.len() {
-                return Err(PregelixError::plan(format!(
-                    "task {} scheduled on nonexistent worker {}",
-                    t.name, t.worker
-                )));
-            }
-            if self.workers[t.worker].failed.load(Ordering::Relaxed) {
-                return Err(PregelixError::WorkerDead { id: t.worker });
-            }
-        }
-        self.execute(tasks)
-    }
-
     /// Sequential-timed execution: tasks run in submission order on the
     /// calling thread; each task's wall time accrues to its worker; the
     /// returned duration is `max` over workers — what a truly parallel
     /// cluster would take. Requires the task list to be topologically
-    /// ordered (producers before consumers), which the superstep builder
-    /// guarantees by emitting tasks phase-major. Running on the submitting
+    /// ordered (producers before consumers), which the job-graph executor
+    /// guarantees by emitting senders first. Running on the submitting
     /// thread, the tasks are under its job scope already.
     fn execute_sequential(&self, tasks: Vec<Task>) -> Result<std::time::Duration> {
         let mut per_worker = vec![std::time::Duration::ZERO; self.workers.len()];
@@ -815,32 +783,6 @@ mod tests {
         assert!(matches!(err, PregelixError::WorkerDead { id: 2 }), "{err}");
         c.heal_worker(2);
         c.execute(vec![Task::new("x", 2, |_| Ok(()))]).unwrap();
-    }
-
-    #[test]
-    fn execute_partial_fails_fast_before_any_task_runs() {
-        let c = small();
-        c.fail_worker(1);
-        let ran = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let mut tasks = Vec::new();
-        for p in [0usize, 1, 3] {
-            let ran = Arc::clone(&ran);
-            tasks.push(Task::new(format!("part{p}"), p, move |_| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }));
-        }
-        let err = c.execute_partial(tasks).unwrap_err();
-        assert!(matches!(err, PregelixError::WorkerDead { id: 1 }), "{err}");
-        assert_eq!(ran.load(Ordering::Relaxed), 0, "pre-check runs before any task");
-        // With only alive workers named, partial execution proceeds.
-        let ran2 = Arc::clone(&ran);
-        c.execute_partial(vec![Task::new("ok", 3, move |_| {
-            ran2.fetch_add(1, Ordering::Relaxed);
-            Ok(())
-        })])
-        .unwrap();
-        assert_eq!(ran.load(Ordering::Relaxed), 1);
     }
 
     /// Two threads, each in its own job scope, run batches on one cluster at

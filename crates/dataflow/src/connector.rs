@@ -22,9 +22,9 @@
 //!   strategies of Figure 7). The receiver-side coordination across all
 //!   senders is exactly the cost that makes this connector lose on larger
 //!   clusters (§7.5 / TR \[13\]).
-//! * **aggregator connector** ([`aggregator_channels_cap`] /
-//!   [`AggregatorReceiver`]): reduces all sender streams to one receiver,
-//!   used by the two-stage global aggregation of Figure 4.
+//! * **aggregator connector**: the partitioning connector into a single
+//!   receiver (`partition_channels_cap(m, 1, ..)`), reducing all sender
+//!   streams to one, used by the two-stage global aggregation of Figure 4.
 //!
 //! All frame traffic rides the reliable transport in [`crate::transport`]:
 //! sequenced in-memory messages carrying refcounted frames on FIFO streams,
@@ -72,17 +72,6 @@ pub fn partition_channels_cap(
     cap: Option<usize>,
 ) -> (Vec<Vec<StreamTx>>, Vec<Vec<StreamRx>>) {
     reliable_channels(m, n, cap)
-}
-
-/// Build the m-to-1 stream set for an aggregator connector. Returns the m
-/// sender endpoints and the single receiver's endpoints; `cap` as for
-/// [`partition_channels_cap`].
-pub fn aggregator_channels_cap(m: usize, cap: Option<usize>) -> (Vec<StreamTx>, Vec<StreamRx>) {
-    let (mut senders, mut receivers) = partition_channels_cap(m, 1, cap);
-    (
-        senders.drain(..).map(|mut v| v.remove(0)).collect(),
-        receivers.remove(0),
-    )
 }
 
 /// Sender side of the fully pipelined m-to-n partitioning connector:
@@ -190,12 +179,6 @@ impl PartitionReceiver {
         }
     }
 
-    /// Next frame from any sender, or `None` once every sender finished.
-    /// The frame is the sender's own slab slice, delivered by refcount.
-    pub fn next_frame(&mut self) -> Result<Option<SharedFrame>> {
-        self.rx.next_frame()
-    }
-
     /// Next tuple across all senders (frame boundaries hidden). The slice
     /// borrows the receiver's pending frame — valid until the next call —
     /// so draining a stream costs zero per-tuple allocations.
@@ -216,9 +199,6 @@ impl PartitionReceiver {
         }
     }
 }
-
-/// The aggregator connector's receiver: all senders reduced to one stream.
-pub type AggregatorReceiver = PartitionReceiver;
 
 // ---------------------------------------------------------------------
 // m-to-n partitioning merging connector
@@ -764,12 +744,13 @@ mod tests {
     #[test]
     fn aggregator_reduces_to_single_partition() {
         let c = cluster(3);
-        let (sends, recv) = aggregator_channels_cap(3, Some(CHANNEL_FRAMES));
+        let (sends, mut recv) = partition_channels_cap(3, 1, Some(CHANNEL_FRAMES));
+        let recv = recv.remove(0);
         let mut tasks = Vec::new();
-        for (s, tx_chan) in sends.into_iter().enumerate() {
+        for (s, outs) in sends.into_iter().enumerate() {
             tasks.push(Task::new(format!("send{s}"), s, move |w| {
                 let mut tx = PartitioningSender::new(
-                    vec![tx_chan],
+                    outs,
                     w.frame_bytes(),
                     w.slab().clone(),
                     w.id(),
@@ -781,7 +762,7 @@ mod tests {
             }));
         }
         tasks.push(Task::new("agg", 0, move |w| {
-            let mut rx = AggregatorReceiver::new(recv, w.counters().clone());
+            let mut rx = PartitionReceiver::new(recv, w.counters().clone());
             let mut sum = 0u64;
             let mut n = 0;
             while let Some(t) = rx.next_tuple()? {

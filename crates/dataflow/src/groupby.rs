@@ -88,16 +88,6 @@ impl GroupByStrategy {
             GroupByStrategy::SortMerged | GroupByStrategy::HashSortMerged
         )
     }
-
-    /// All four strategies, for sweeps.
-    pub fn all() -> [GroupByStrategy; 4] {
-        [
-            GroupByStrategy::SortUnmerged,
-            GroupByStrategy::HashSortUnmerged,
-            GroupByStrategy::SortMerged,
-            GroupByStrategy::HashSortMerged,
-        ]
-    }
 }
 
 /// A local group-by of either name: an [`ExternalSorter`] around a
@@ -297,7 +287,6 @@ mod tests {
             GroupByKind::HashSort
         );
         assert!(GroupByStrategy::HashSortMerged.merged());
-        assert_eq!(GroupByStrategy::all().len(), 4);
     }
 
     #[test]

@@ -14,8 +14,6 @@ use pregelix_common::error::{PregelixError, Result};
 /// A scheduling constraint for one operator's partitions.
 #[derive(Clone, Debug)]
 pub enum LocationConstraint {
-    /// No preference: partitions are spread round-robin over alive workers.
-    Any,
     /// Exactly this many partitions, placed round-robin (count constraint).
     Count(usize),
     /// Partition `i` must run on worker `absolute[i]` (absolute location
@@ -32,22 +30,15 @@ pub enum LocationConstraint {
 pub struct OperatorSpec {
     /// Diagnostic name.
     pub name: String,
-    /// Number of partitions (ignored for `Absolute`, which fixes it).
-    pub partitions: usize,
-    /// Placement constraint.
+    /// Placement constraint; it fixes the partition count too.
     pub constraint: LocationConstraint,
 }
 
 impl OperatorSpec {
     /// Convenience constructor.
-    pub fn new(
-        name: impl Into<String>,
-        partitions: usize,
-        constraint: LocationConstraint,
-    ) -> OperatorSpec {
+    pub fn new(name: impl Into<String>, constraint: LocationConstraint) -> OperatorSpec {
         OperatorSpec {
             name: name.into(),
-            partitions,
             constraint,
         }
     }
@@ -84,7 +75,6 @@ pub fn solve(ops: &[OperatorSpec], alive_workers: &[usize]) -> Result<Schedule> 
     let mut rr = 0usize;
     for (i, op) in ops.iter().enumerate() {
         let assignment = match &op.constraint {
-            LocationConstraint::Any => round_robin(op.partitions, alive_workers, &mut rr),
             LocationConstraint::Count(n) => round_robin(*n, alive_workers, &mut rr),
             LocationConstraint::Absolute(workers) => {
                 for w in workers {
@@ -208,19 +198,8 @@ mod tests {
     }
 
     #[test]
-    fn any_spreads_round_robin() {
-        let ops = vec![OperatorSpec::new("scan", 4, LocationConstraint::Any)];
-        let s = solve(&ops, &[0, 1]).unwrap();
-        assert_eq!(s.op_assignment(0), &[0, 1, 0, 1]);
-    }
-
-    #[test]
     fn absolute_is_respected_and_validated() {
-        let ops = vec![OperatorSpec::new(
-            "join",
-            3,
-            LocationConstraint::Absolute(vec![2, 0, 1]),
-        )];
+        let ops = vec![OperatorSpec::new("join", LocationConstraint::Absolute(vec![2, 0, 1]))];
         let s = solve(&ops, &[0, 1, 2]).unwrap();
         assert_eq!(s.op_assignment(0), &[2, 0, 1]);
         assert_eq!(s.worker(0, 0), 2);
@@ -231,8 +210,8 @@ mod tests {
     #[test]
     fn same_as_coschedules() {
         let ops = vec![
-            OperatorSpec::new("join", 4, LocationConstraint::Absolute(vec![3, 2, 1, 0])),
-            OperatorSpec::new("groupby", 4, LocationConstraint::SameAs(0)),
+            OperatorSpec::new("join", LocationConstraint::Absolute(vec![3, 2, 1, 0])),
+            OperatorSpec::new("groupby", LocationConstraint::SameAs(0)),
         ];
         let s = solve(&ops, &[0, 1, 2, 3]).unwrap();
         assert_eq!(s.op_assignment(1), s.op_assignment(0));
@@ -240,13 +219,13 @@ mod tests {
 
     #[test]
     fn same_as_forward_reference_rejected() {
-        let ops = vec![OperatorSpec::new("g", 2, LocationConstraint::SameAs(0))];
+        let ops = vec![OperatorSpec::new("g", LocationConstraint::SameAs(0))];
         assert!(solve(&ops, &[0]).is_err());
     }
 
     #[test]
     fn count_constraint_controls_partitions() {
-        let ops = vec![OperatorSpec::new("agg", 0, LocationConstraint::Count(1))];
+        let ops = vec![OperatorSpec::new("agg", LocationConstraint::Count(1))];
         let s = solve(&ops, &[5, 7]).unwrap();
         assert_eq!(s.op_assignment(0).len(), 1);
     }

@@ -1,7 +1,7 @@
 //! Host crate for the cross-crate integration tests in `tests/tests/`:
 //!
-//! * `plan_equivalence` — all eight physical plans, every worker/partition
-//!   shape, one answer.
+//! * `plan_equivalence` — the four distinct physical plans, every
+//!   worker/partition shape, one answer.
 //! * `fault_tolerance` — checkpoint/recovery under injected worker failures
 //!   (§5.5).
 //! * `out_of_core` — in-memory vs spilled runs are bit-identical (§5.4) and

@@ -1,10 +1,11 @@
 //! Cross-crate invariant: every physical plan computes the same answer.
 //!
-//! §5.8 promises tailored executions of one logical plan — here eight: two
-//! joins × four group-by strategies — and they must be observationally
-//! identical. The e2e suite in `pregelix-algorithms` checks PageRank; here
-//! SSSP and path merging sweep all eight plans, CC and triangle counting a
-//! few, plus partition-count and worker-count variations.
+//! §5.8 promises tailored executions of one logical plan — here two joins ×
+//! four group-by strategies, four of them distinct (`PlanConfig::all()`) —
+//! and they must be observationally identical. The e2e suite in
+//! `pregelix-algorithms` checks PageRank; here SSSP and path merging sweep
+//! the four distinct plans, CC and triangle counting a few, plus
+//! partition-count and worker-count variations.
 
 use integration_tests::directed_chains;
 use pregelix::graphgen::btc;
