@@ -111,18 +111,17 @@ pub enum Fault {
     /// the driver (which owns the cluster handle); elsewhere behaves like
     /// [`Fault::IoError`].
     FailWorker(usize),
-    /// The wire loses this frame or `Fin` ([`Site::FrameSend`]): the sender
-    /// parks the pristine message on the stream's control plane and a
-    /// payload-free probe takes its seq; the receiver lifts the parked
-    /// message off when the probe arrives (`frames_retransmitted`).
+    /// The wire loses this frame, `Fin` or run handle ([`Site::FrameSend`]):
+    /// the sender counts a retransmission (`frames_retransmitted`) and sends
+    /// the message once.
     DropFrame,
-    /// The wire delivers this frame or `Fin` twice ([`Site::FrameSend`]);
-    /// the receiver discards the echo by seq (`frames_deduped`).
+    /// The wire delivers this frame, `Fin` or run handle twice
+    /// ([`Site::FrameSend`]): the sender counts the duplicate
+    /// (`frames_deduped`) and sends the message once.
     DuplicateFrame,
-    /// The wire tears this frame or `Fin` mid-flight — the send a partial
-    /// network write would produce ([`Site::FrameSend`]). Handled like
-    /// [`Fault::DropFrame`], with a torn notice in place of the probe, also
-    /// counted in `frames_corrupted`.
+    /// The wire tears this frame, `Fin` or run handle mid-flight — the send
+    /// a partial network write would produce ([`Site::FrameSend`]). Counted
+    /// like [`Fault::DropFrame`], and also in `frames_corrupted`.
     CorruptFrame,
 }
 

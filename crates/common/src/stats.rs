@@ -150,15 +150,15 @@ macro_rules! stats_table {
             /// retry-with-backoff path (§5.7).
             counter fault_retries, add_fault_retries;
             /// Connector messages (data frames, `Fin`s, run handles) the wire
-            /// dropped or tore and the receiver lifted off the stream's
-            /// control plane: one per such fault, 0 on a clean wire.
+            /// dropped or tore, counted by the sender where the fault fired:
+            /// one per such fault, 0 on a clean wire.
             counter frames_retransmitted, add_frames_retransmitted;
-            /// Duplicated connector messages the receiver discarded by seq
-            /// (or by the one-handle-per-stream rule): one per duplication.
+            /// Connector messages the wire duplicated, counted by the sender
+            /// where the fault fired: one per duplication.
             counter frames_deduped, add_frames_deduped;
-            /// Frames or `Fin`s the wire tore
-            /// ([`crate::fault::Fault::CorruptFrame`]): the receiver got a
-            /// torn notice in their place. Each is also one
+            /// Connector messages the wire tore
+            /// ([`crate::fault::Fault::CorruptFrame`]), counted by the sender
+            /// where the fault fired. Each is also one
             /// `frames_retransmitted`.
             counter frames_corrupted, add_frames_corrupted;
             /// Workers declared dead by the missed-beat failure detector and

@@ -64,7 +64,9 @@ pub struct ClusterConfig {
     /// machines. This is how the scalability experiments measure N-worker
     /// behaviour on a host with fewer physical cores (see DESIGN.md).
     /// Connector channels are unbounded in this mode (no backpressure
-    /// without concurrency).
+    /// without concurrency). A batch stops at its first failed task, in
+    /// task order: running the rest would move every later task's fault
+    /// events, so a fault plan would fire at other points than on threads.
     pub sequential_timed: bool,
 }
 
@@ -82,7 +84,8 @@ impl ClusterConfig {
         }
     }
 
-    /// Switch on sequential-timed simulation (see the field docs).
+    /// Switch on sequential-timed simulation (see the field docs, and why a
+    /// batch stops at its first failure there).
     pub fn sequential_timed(mut self) -> Self {
         self.sequential_timed = true;
         self
@@ -381,8 +384,9 @@ impl Cluster {
         &self.slab
     }
 
-    /// Bounded-channel capacity for connectors (`None` = unbounded, used
-    /// by sequential-timed mode where backpressure would deadlock).
+    /// Bounded-channel capacity for connectors, in frames per sender
+    /// (`None` = unbounded, used by sequential-timed mode where
+    /// backpressure would deadlock).
     pub fn channel_capacity(&self) -> Option<usize> {
         if self.config.sequential_timed {
             None
@@ -432,7 +436,10 @@ impl Cluster {
     /// they must never be masked by the secondary plumbing errors they
     /// cause — then [`PregelixError::OutOfMemory`], then recoverable
     /// infrastructure failures, then anything else, anonymous
-    /// ([`PregelixError::Internal`]) errors last.
+    /// ([`PregelixError::Internal`]) errors last. Sequential-timed, the
+    /// first failure in task order is the error. In both modes a panic is
+    /// contained as an anonymous error, and an anonymous error names its
+    /// task.
     pub fn execute(&self, tasks: Vec<Task>) -> Result<std::time::Duration> {
         for t in &tasks {
             if t.worker >= self.workers.len() {
@@ -447,7 +454,7 @@ impl Cluster {
         }
         let started = std::time::Instant::now();
         let scope = pregelix_common::stats::current_job_scope();
-        let mut errors: Vec<(String, PregelixError)> = Vec::new();
+        let mut errors: Vec<PregelixError> = Vec::new();
         let mut pending = Vec::with_capacity(tasks.len());
         // How many tasks of this batch each worker has been handed so far:
         // the next one's position in its pool.
@@ -462,18 +469,7 @@ impl Cluster {
             submitted[task.worker] += 1;
             let run = move || {
                 let _scope_guard = scope.as_ref().map(pregelix_common::stats::enter_job_scope);
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || -> Result<()> {
-                    handle.check_alive()?;
-                    body(handle)
-                }))
-                .unwrap_or_else(|panic| {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "opaque panic payload".to_string());
-                    Err(PregelixError::internal(format!("task panicked: {msg}")))
-                })
+                run_task(handle, body)
             };
             self.workers[task.worker]
                 .pool
@@ -483,10 +479,10 @@ impl Cluster {
         for (name, done_rx) in pending {
             match done_rx.recv() {
                 Ok(Ok(())) => {}
-                Ok(Err(e)) => errors.push((name, e)),
-                Err(_) => errors.push((
-                    name,
-                    PregelixError::internal("task vanished without reporting"),
+                Ok(Err(e)) => errors.push(named(&name, e)),
+                Err(_) => errors.push(named(
+                    &name,
+                    PregelixError::internal("vanished without reporting"),
                 )),
             }
         }
@@ -502,15 +498,8 @@ impl Cluster {
             PregelixError::Internal(_) => 5,
             _ => 4,
         };
-        errors.sort_by_key(|(_, e)| rank(e));
-        let (name, err) = errors.remove(0);
-        Err(match err {
-            // Keep typed errors intact; annotate only the anonymous ones.
-            PregelixError::Internal(m) => {
-                PregelixError::Internal(format!("task {name}: {m}"))
-            }
-            e => e,
-        })
+        errors.sort_by_key(rank);
+        Err(errors.remove(0))
     }
 
     /// Sequential-timed execution: tasks run in submission order on the
@@ -519,21 +508,46 @@ impl Cluster {
     /// cluster would take. Requires the task list to be topologically
     /// ordered (producers before consumers), which the job-graph executor
     /// guarantees by emitting senders first. Running on the submitting
-    /// thread, the tasks are under its job scope already.
+    /// thread, the tasks are under its job scope already. The first failure
+    /// ends the batch (see [`ClusterConfig::sequential_timed`]).
     fn execute_sequential(&self, tasks: Vec<Task>) -> Result<std::time::Duration> {
         let mut per_worker = vec![std::time::Duration::ZERO; self.workers.len()];
         for task in tasks {
-            let handle = self.worker(task.worker);
-            let body = task.run;
             let t0 = std::time::Instant::now();
-            let result = (|| -> Result<()> {
-                handle.check_alive()?;
-                body(self.worker(task.worker))
-            })();
+            let result = run_task(self.worker(task.worker), task.run);
             per_worker[task.worker] += t0.elapsed();
-            result?;
+            result.map_err(|e| named(&task.name, e))?;
         }
         Ok(per_worker.into_iter().max().unwrap_or_default())
+    }
+}
+
+/// One task body on its worker, in either mode: a liveness check first,
+/// and a panic contained as an [`PregelixError::Internal`] error.
+fn run_task(
+    handle: WorkerHandle,
+    body: Box<dyn FnOnce(WorkerHandle) -> Result<()> + Send>,
+) -> Result<()> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+        handle.check_alive()?;
+        body(handle)
+    }))
+    .unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "opaque panic payload".to_string());
+        Err(PregelixError::internal(format!("task panicked: {msg}")))
+    })
+}
+
+/// Name the failed task in an anonymous ([`PregelixError::Internal`])
+/// error; typed errors stay intact.
+fn named(task: &str, err: PregelixError) -> PregelixError {
+    match err {
+        PregelixError::Internal(m) => PregelixError::Internal(format!("task {task}: {m}")),
+        e => e,
     }
 }
 
@@ -576,7 +590,11 @@ impl FailureDetector {
     /// A detector for `cluster`, seeded with current beat counts.
     pub fn new(cluster: &Cluster) -> FailureDetector {
         FailureDetector {
-            seen: cluster.workers.iter().map(|w| w.beats.load(Ordering::Relaxed)).collect(),
+            seen: cluster
+                .workers
+                .iter()
+                .map(|w| w.beats.load(Ordering::Relaxed))
+                .collect(),
             misses: vec![0; cluster.workers.len()],
             dead: vec![false; cluster.workers.len()],
         }
@@ -725,7 +743,9 @@ mod tests {
             // of hanging it; the parking is forced by the channels above.
             done_rx
                 .recv_timeout(std::time::Duration::from_secs(20))
-                .unwrap_or_else(|_| panic!("round {round}: a task sat queued behind parked threads"))
+                .unwrap_or_else(|_| {
+                    panic!("round {round}: a task sat queued behind parked threads")
+                })
                 .unwrap();
             runner.join().unwrap();
         }
@@ -777,9 +797,7 @@ mod tests {
         let c = small();
         c.fail_worker(2);
         assert_eq!(c.alive_workers(), vec![0, 1, 3]);
-        let err = c
-            .execute(vec![Task::new("x", 2, |_| Ok(()))])
-            .unwrap_err();
+        let err = c.execute(vec![Task::new("x", 2, |_| Ok(()))]).unwrap_err();
         assert!(matches!(err, PregelixError::WorkerDead { id: 2 }), "{err}");
         c.heal_worker(2);
         c.execute(vec![Task::new("x", 2, |_| Ok(()))]).unwrap();
@@ -836,24 +854,30 @@ mod tests {
         assert!(matches!(err, PregelixError::User(_)), "{err}");
     }
 
+    /// A panicking task fails its batch with an anonymous error that names
+    /// it, threaded and sequential-timed alike; the panic never reaches the
+    /// caller.
     #[test]
     fn panics_are_contained() {
-        let c = small();
-        let err = c
-            .execute(vec![
-                Task::new("boom", 0, |_| panic!("kaboom")),
-                Task::new("fine", 1, |_| Ok(())),
-            ])
-            .unwrap_err();
-        assert!(err.to_string().contains("boom"), "{err}");
+        let threaded = ClusterConfig::new(4, 1 << 20);
+        for config in [threaded.clone(), threaded.sequential_timed()] {
+            let c = Cluster::new(config).unwrap();
+            let err = c
+                .execute(vec![
+                    Task::new("boom", 0, |_| panic!("kaboom")),
+                    Task::new("fine", 1, |_| Ok(())),
+                ])
+                .unwrap_err();
+            assert!(matches!(err, PregelixError::Internal(_)), "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains("task boom: task panicked: kaboom"), "{msg}");
+        }
     }
 
     #[test]
     fn scheduling_on_missing_worker_rejected() {
         let c = small();
-        let err = c
-            .execute(vec![Task::new("x", 99, |_| Ok(()))])
-            .unwrap_err();
+        let err = c.execute(vec![Task::new("x", 99, |_| Ok(()))]).unwrap_err();
         assert!(matches!(err, PregelixError::Plan(_)));
     }
 
@@ -881,7 +905,10 @@ mod tests {
             .collect();
         let d = c.execute(tasks).unwrap();
         assert!(d >= std::time::Duration::from_millis(15), "{d:?}");
-        assert!(d < std::time::Duration::from_millis(30), "sum would be 30ms: {d:?}");
+        assert!(
+            d < std::time::Duration::from_millis(30),
+            "sum would be 30ms: {d:?}"
+        );
     }
 
     #[test]

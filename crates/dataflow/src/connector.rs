@@ -4,14 +4,13 @@
 //!
 //! * **m-to-n partitioning connector** ([`PartitioningSender`] /
 //!   [`PartitionReceiver`]): every sender hash-partitions its tuples by vid
-//!   and pushes frames over reliable streams — the *fully pipelined*
-//!   materialization policy (the upper two strategies of Figure 7). Every
-//!   stream is single-producer FIFO, and a receiver takes frames from
-//!   whichever stream has one, naming it
+//!   and pushes frames to each receiver's channel — the *fully pipelined*
+//!   materialization policy (the upper two strategies of Figure 7). A
+//!   receiver takes frames in arrival order, each named by its source
 //!   ([`ReliableReceiver::next_stream_frame`]), so it sees each sender's
 //!   tuples in the order that sender emitted them. A sender that emits in
 //!   vid order leaves its receiver nothing to re-group: the receiver queues
-//!   each stream's frames and reads each queue as one sorted input
+//!   each source's frames and reads each queue as one sorted input
 //!   ([`pregelix_storage::sort::SortedInput`]).
 //! * **m-to-n partitioning merging connector** ([`MaterializedPartitioner`]
 //!   / [`MergingReceiver`]): senders emit *sorted* streams, written to
@@ -26,51 +25,41 @@
 //!   receiver (`partition_channels_cap(m, 1, ..)`), reducing all sender
 //!   streams to one, used by the two-stage global aggregation of Figure 4.
 //!
-//! All frame traffic rides the reliable transport in [`crate::transport`]:
-//! sequenced in-memory messages carrying refcounted frames on FIFO streams,
-//! a lost or torn message redelivered from the stream's control plane and a
-//! duplicate discarded by seq, so wire-level drop/duplicate/corrupt faults
-//! are absorbed *in place* (visible only as `frames_retransmitted` /
-//! `frames_deduped` / `frames_corrupted` counter movement) instead of
-//! forcing a job restart. Run-handle transfers of the merging connector use
-//! the same rule at handle granularity: a lost transfer is recovered from
-//! the pair's control plane, a duplicated one discarded by the
-//! one-handle-per-stream invariant.
+//! Every edge rides the transport in [`crate::transport`]: one FIFO channel
+//! per receiver, each message stamped with its source. A wire fault at
+//! `Site::FrameSend` — on a frame, a `Fin` or a run handle — is counted
+//! where it fires (`frames_retransmitted` / `frames_deduped` /
+//! `frames_corrupted`) and the message is sent once, so it never forces a
+//! job restart.
 //!
 //! Traffic between distinct workers is charged to the cluster's network
 //! counters; same-worker traffic is not, mirroring the paper's observation
 //! that some messages never leave a machine (Figure 1).
 
-use crate::transport::{reliable_channels, ReliableReceiver, ReliableSender, StreamRx, StreamTx};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crate::transport::{
+    channels, count_wire_fault, reliable_channels, ReliableReceiver, ReliableSender, Rx, StreamRx,
+    StreamTx, Tx,
+};
 use pregelix_common::bytes::BytesSlab;
-use pregelix_common::error::{PregelixError, Result};
-use pregelix_common::fault::{self, Fault, Site};
+use pregelix_common::error::Result;
 use pregelix_common::frame::{tuple_vid, Frame, SharedFrame};
 use pregelix_common::hash_partition;
 use pregelix_common::stats::ClusterCounters;
 use pregelix_storage::file::FileManager;
 use pregelix_storage::runfile::{RunWriter, TempRun};
 use pregelix_storage::sort::{CombineFn, SortedStream};
-use std::sync::{Arc, Mutex};
 
-/// Default bounded-channel capacity in frames. Small enough to exert
+/// Bounded-channel capacity in frames per sender. Small enough to exert
 /// back-pressure, large enough to decouple sender/receiver scheduling.
 pub const CHANNEL_FRAMES: usize = 64;
 
-/// Build the m×n reliable-stream matrix for a partitioning connector.
-///
-/// Returns `(senders, receivers)` where `senders[s]` holds sender `s`'s n
-/// per-receiver endpoints and `receivers[r]` holds receiver `r`'s m
-/// per-sender endpoints. `cap` is the channel capacity in frames
-/// ([`CHANNEL_FRAMES`] on threaded clusters); `None` = unbounded streams
-/// (required by the cluster's sequential-timed mode, where a bounded
-/// channel's backpressure would block with no concurrent consumer).
+/// The channels of a partitioning connector: [`reliable_channels`].
+// pinned: benchmark/src/replay.rs
 pub fn partition_channels_cap(
     m: usize,
     n: usize,
     cap: Option<usize>,
-) -> (Vec<Vec<StreamTx>>, Vec<Vec<StreamRx>>) {
+) -> (Vec<Vec<StreamTx>>, Vec<StreamRx>) {
     reliable_channels(m, n, cap)
 }
 
@@ -84,10 +73,10 @@ pub struct PartitioningSender {
 }
 
 impl PartitioningSender {
-    /// Wrap one sender's stream endpoints. `receiver_workers[r]` is the
-    /// machine hosting receiver partition `r` (for network accounting);
-    /// `slab` is the (cluster-owned, pooled) allocation source every flushed
-    /// frame freezes into.
+    /// Wrap one sender's ends. `receiver_workers[r]` is the machine hosting
+    /// receiver partition `r` (for network accounting); `slab` is the
+    /// (cluster-owned, pooled) allocation source every flushed frame
+    /// freezes into.
     pub fn new(
         outs: Vec<StreamTx>,
         frame_bytes: usize,
@@ -112,8 +101,7 @@ impl PartitioningSender {
     }
 
     /// Tag the stream for fault-injection targeting (`Site::FrameSend`
-    /// events carry this label as their context, and every message is
-    /// stamped with it).
+    /// events carry this label as their context).
     pub fn with_label(mut self, label: &'static str) -> PartitioningSender {
         self.tx.set_label(label);
         self
@@ -141,8 +129,8 @@ impl PartitioningSender {
         }
         // Freeze into the slab (the one assembly copy this frame will ever
         // pay) and clear-reuse the staging builder — no fresh
-        // allocation per flush on either side. Fault injection, network
-        // accounting and delivery guarantees all live in the transport.
+        // allocation per flush on either side. Fault injection and network
+        // accounting live in the transport.
         let frame = self.staging[part].freeze(&self.slab);
         self.staging[part].clear();
         self.tx.send_shared(part, frame)
@@ -158,11 +146,11 @@ impl PartitioningSender {
     }
 }
 
-/// Receiver side of the fully pipelined partitioning connector: drains m
-/// reliable sender streams, each in seq order (deduplicated by the
-/// transport), interleaved across streams in arrival order. A consumer
-/// that needs each sender's order back, such as a merge over vid-ordered
-/// senders, reads [`ReliableReceiver::next_stream_frame`] instead.
+/// Receiver side of the fully pipelined partitioning connector: every
+/// sender's frames, each sender's in the order it sent them, interleaved
+/// across senders in arrival order. A consumer that needs each sender's
+/// order back, such as a merge over vid-ordered senders, reads
+/// [`ReliableReceiver::next_stream_frame`] instead.
 pub struct PartitionReceiver {
     rx: ReliableReceiver,
     pending: SharedFrame,
@@ -170,8 +158,8 @@ pub struct PartitionReceiver {
 }
 
 impl PartitionReceiver {
-    /// Wrap one receiver's stream endpoints.
-    pub fn new(ins: Vec<StreamRx>, counters: ClusterCounters) -> PartitionReceiver {
+    /// Wrap one receiver's end.
+    pub fn new(ins: StreamRx, counters: ClusterCounters) -> PartitionReceiver {
         PartitionReceiver {
             rx: ReliableReceiver::new(ins, counters),
             pending: SharedFrame::empty(),
@@ -204,56 +192,18 @@ impl PartitionReceiver {
 // m-to-n partitioning merging connector
 // ---------------------------------------------------------------------
 
-/// A message on a merge-handle stream. Each `(sender, receiver)` pair
-/// carries exactly one [`MergeMsg::Handle`]; [`MergeMsg::Duplicate`] is the
-/// wire echo a duplication fault produces (run files are single-owner, so a
-/// "duplicated transfer" is an echo of the handle, not a second handle —
-/// the receiver discards it by the one-handle-per-stream invariant, the
-/// handle-granularity analogue of seq-number dedup). The handle travels as a
-/// [`TempRun`]: one no receiver ever takes is deleted with the channel.
-pub enum MergeMsg {
-    /// The sealed run for this pair.
-    Handle(TempRun),
-    /// A wire-duplicated echo of the handle.
-    Duplicate,
-}
+/// A sender's end on a merging edge: it carries one sealed run. The run
+/// travels as a [`TempRun`], so one no receiver ever takes is deleted with
+/// the channel.
+pub type MergeTx = Tx<TempRun>;
 
-/// Control plane of one merge-handle stream: a wire-lost handle is parked
-/// here by the sender and recovered by the receiver at disconnect, exactly
-/// like the frame transport's [`crate::transport::StreamCtrl`].
-type MergeCtrl = Arc<Mutex<Option<TempRun>>>;
+/// A receiver's end on a merging edge.
+pub type MergeRx = Rx<TempRun>;
 
-/// Sender endpoint of one merge-handle stream.
-pub struct MergeTx {
-    tx: Sender<MergeMsg>,
-    ctrl: MergeCtrl,
-}
-
-/// Receiver endpoint of one merge-handle stream.
-pub struct MergeRx {
-    rx: Receiver<MergeMsg>,
-    ctrl: MergeCtrl,
-}
-
-/// Build the m×n run-handle stream matrix for a merging connector. Each
-/// `(sender, receiver)` pair carries exactly one sealed run handle; the
-/// channel holds two slots so a duplication fault can never block the
-/// sender against a receiver that consumes only once.
-pub fn merging_channels(m: usize, n: usize) -> (Vec<Vec<MergeTx>>, Vec<Vec<MergeRx>>) {
-    let mut senders: Vec<Vec<MergeTx>> = (0..m).map(|_| Vec::with_capacity(n)).collect();
-    let mut receivers: Vec<Vec<MergeRx>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
-    for receiver in &mut receivers {
-        for sender_list in senders.iter_mut().take(m) {
-            let (tx, rx) = bounded(2);
-            let ctrl: MergeCtrl = Arc::new(Mutex::new(None));
-            sender_list.push(MergeTx {
-                tx,
-                ctrl: ctrl.clone(),
-            });
-            receiver.push(MergeRx { rx, ctrl });
-        }
-    }
-    (senders, receivers)
+/// One channel per receiver for a merging connector, unbounded: each
+/// sender puts exactly one run on each, so no send ever blocks.
+pub fn merging_channels(m: usize, n: usize) -> (Vec<Vec<MergeTx>>, Vec<MergeRx>) {
+    channels(m, n, None)
 }
 
 /// Sender side of the merging connector under the sender-side materializing
@@ -315,113 +265,56 @@ impl MaterializedPartitioner {
         self.writers[part].write_tuple(tuple)
     }
 
-    /// Seal every run and ship the handles ("the data transfer"). A handle
-    /// the wire loses (drop or corruption) is parked on the pair's control
-    /// plane; the receiver recovers it at disconnect and counts a
-    /// retransmission, so the transfer is never silently lost *and* never
-    /// forces a restart.
+    /// Seal every run and ship each once ("the data transfer"), counting a
+    /// wire fault on the handle where it fires (`"merge"`).
     pub fn finish(self) -> Result<()> {
         for (r, (writer, tx)) in self.writers.into_iter().zip(self.handle_txs).enumerate() {
-            let handle = TempRun::from(writer.finish()?);
-            let mut duplicate = false;
-            if let Some(f) = fault::hit(Site::FrameSend, "merge") {
-                self.counters.add_faults_injected(1);
-                match f {
-                    // A run handle has no payload bytes on this wire, so a
-                    // corrupted transfer loses it just like a dropped one:
-                    // park the pristine handle for control-plane recovery.
-                    Fault::DropFrame | Fault::CorruptFrame => {
-                        *lock_merge(&tx.ctrl) = Some(handle);
-                        continue;
-                    }
-                    Fault::DuplicateFrame => duplicate = true,
-                    _ => return Err(fault::injected_error(Site::FrameSend, "merge")),
-                }
-            }
+            let run = TempRun::from(writer.finish()?);
+            count_wire_fault(&self.counters, "merge")?;
             if self.receiver_workers[r] != self.my_worker {
-                self.counters.add_network_bytes(handle.bytes());
-                self.counters.add_network_frames(handle.frames());
+                self.counters.add_network_bytes(run.bytes());
+                self.counters.add_network_frames(run.frames());
             }
-            tx.tx
-                .send(MergeMsg::Handle(handle))
-                .map_err(|_| PregelixError::internal("merge receiver hung up"))?;
-            if duplicate {
-                tx.tx
-                    .send(MergeMsg::Duplicate)
-                    .map_err(|_| PregelixError::internal("merge receiver hung up"))?;
-            }
-            // `tx` drops here: the receiver's duplicate drain sees a prompt
-            // disconnect for this pair.
+            tx.send(run)?;
         }
         Ok(())
     }
-}
-
-fn lock_merge(ctrl: &Mutex<Option<TempRun>>) -> std::sync::MutexGuard<'_, Option<TempRun>> {
-    ctrl.lock().unwrap_or_else(|p| p.into_inner())
 }
 
 /// Receiver side of the merging connector: waits for all m sender runs,
 /// then k-way merges them into a vid-ordered stream. The wait-for-all
 /// coordination is inherent to receiver-side merging.
 pub struct MergingReceiver {
-    ins: Vec<MergeRx>,
+    ins: MergeRx,
     counters: ClusterCounters,
 }
 
 impl MergingReceiver {
-    /// Wrap one receiver's handle streams.
-    pub fn new(ins: Vec<MergeRx>, counters: ClusterCounters) -> MergingReceiver {
+    /// Wrap one receiver's end.
+    pub fn new(ins: MergeRx, counters: ClusterCounters) -> MergingReceiver {
         MergingReceiver { ins, counters }
     }
 
     /// Block until every sender delivers its run, then merge. An optional
     /// combiner collapses equal-vid tuples during the merge (the
     /// preclustered group-by of the lower Figure 7 strategies).
+    // pinned: benchmark/src/replay.rs
     pub fn into_stream(self, combiner: Option<CombineFn>) -> Result<SortedStream> {
         let counters = self.counters.clone();
         SortedStream::from_runs(self.into_runs()?, combiner, counters)
     }
 
     /// Block until every sender delivers its run, and hand the runs over in
-    /// sender order, for a receiver that reads them itself.
-    ///
-    /// A handle the wire lost is recovered from the pair's control plane
-    /// (counted as a retransmission); a wire-duplicated echo is discarded
-    /// (counted as a dedup). Only a sender that disconnects *without*
-    /// delivering by either path — a genuine task failure — surfaces as an
-    /// error.
+    /// sender order, for a receiver that reads them itself. A sender that
+    /// disconnects without delivering — a task failure — is a truncation
+    /// error naming it.
     pub fn into_runs(self) -> Result<Vec<TempRun>> {
-        let mut runs = Vec::with_capacity(self.ins.len());
-        for pair in &self.ins {
-            let handle = match pair.rx.recv() {
-                Ok(MergeMsg::Handle(h)) => h,
-                Ok(MergeMsg::Duplicate) => {
-                    return Err(PregelixError::internal(
-                        "merge stream delivered an echo before its handle",
-                    ))
-                }
-                Err(_) => match lock_merge(&pair.ctrl).take() {
-                    Some(h) => {
-                        self.counters.add_frames_retransmitted(1);
-                        h
-                    }
-                    None => {
-                        return Err(PregelixError::internal(
-                            "merge sender died before delivering",
-                        ))
-                    }
-                },
-            };
-            // Drain to disconnect: the sender drops this pair's endpoint
-            // right after shipping, so this never blocks on unrelated work
-            // and duplicate echoes are counted deterministically.
-            while pair.rx.recv().is_ok() {
-                self.counters.add_frames_deduped(1);
-            }
-            runs.push(handle);
+        let mut runs: Vec<Option<TempRun>> = (0..self.ins.sources).map(|_| None).collect();
+        for _ in 0..self.ins.sources {
+            let (source, run) = self.ins.recv(runs.iter().map(Option::is_some))?;
+            runs[source] = Some(run);
         }
-        Ok(runs)
+        Ok(runs.into_iter().flatten().collect())
     }
 }
 
@@ -429,7 +322,7 @@ impl MergingReceiver {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig, Task};
-    use pregelix_common::fault::FaultPlan;
+    use pregelix_common::fault::{self, Fault, FaultPlan, Site};
     use pregelix_common::frame::keyed_tuple;
     use std::collections::HashMap;
     use std::sync::Mutex;
@@ -443,7 +336,7 @@ mod tests {
         let c = cluster(4);
         let m = 3;
         let n = 4;
-        let (mut sends, mut recvs) = partition_channels_cap(m, n, Some(CHANNEL_FRAMES));
+        let (mut sends, recvs) = partition_channels_cap(m, n, Some(CHANNEL_FRAMES));
         let recv_workers: Vec<usize> = (0..n).collect();
         let received: std::sync::Arc<Mutex<HashMap<usize, Vec<u64>>>> = Default::default();
         let mut tasks = Vec::new();
@@ -466,8 +359,7 @@ mod tests {
                 tx.finish()
             }));
         }
-        for r in 0..n {
-            let ins = std::mem::take(&mut recvs[r]);
+        for (r, ins) in recvs.into_iter().enumerate() {
             let received = received.clone();
             tasks.push(Task::new(format!("recv{r}"), r, move |w| {
                 let mut rx = PartitionReceiver::new(ins, w.counters().clone());
@@ -490,7 +382,10 @@ mod tests {
         }
         all.sort_unstable();
         assert_eq!(all, (0..3000u64).collect::<Vec<_>>());
-        assert!(c.counters().network_bytes() > 0, "cross-worker traffic counted");
+        assert!(
+            c.counters().network_bytes() > 0,
+            "cross-worker traffic counted"
+        );
         // A clean wire moves no reliability counters.
         assert_eq!(c.counters().frames_retransmitted(), 0);
         assert_eq!(c.counters().frames_deduped(), 0);
@@ -502,7 +397,7 @@ mod tests {
         let c = cluster(1);
         let (mut sends, mut recvs) = partition_channels_cap(1, 1, Some(CHANNEL_FRAMES));
         let outs = std::mem::take(&mut sends[0]);
-        let ins = std::mem::take(&mut recvs[0]);
+        let ins = recvs.remove(0);
         c.execute(vec![
             Task::new("send", 0, move |w| {
                 let mut tx = PartitioningSender::new(
@@ -540,17 +435,13 @@ mod tests {
         let c = cluster(2);
         let m = 2;
         let n = 2;
-        let (mut sends, mut recvs) = merging_channels(m, n);
+        let (mut sends, recvs) = merging_channels(m, n);
         let mut tasks = Vec::new();
         for s in 0..m {
             let txs = std::mem::take(&mut sends[s]);
             tasks.push(Task::new(format!("send{s}"), s, move |w| {
-                let mut tx = MaterializedPartitioner::new(
-                    w.file_manager(),
-                    txs,
-                    w.id(),
-                    vec![0, 1],
-                )?;
+                let mut tx =
+                    MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0, 1])?;
                 // Sender s emits sorted vids s, s+2, s+4, ...
                 for i in 0..500u64 {
                     tx.send(&keyed_tuple(s as u64 + 2 * i, b"x"))?;
@@ -560,8 +451,7 @@ mod tests {
         }
         let results: std::sync::Arc<Mutex<Vec<Vec<u64>>>> =
             std::sync::Arc::new(Mutex::new(vec![Vec::new(), Vec::new()]));
-        for r in 0..n {
-            let ins = std::mem::take(&mut recvs[r]);
+        for (r, ins) in recvs.into_iter().enumerate() {
             let results = results.clone();
             tasks.push(Task::new(format!("recv{r}"), r, move |w| {
                 let rx = MergingReceiver::new(ins, w.counters().clone());
@@ -578,7 +468,10 @@ mod tests {
         let results = results.lock().unwrap();
         let mut total = 0;
         for (r, vids) in results.iter().enumerate() {
-            assert!(vids.windows(2).all(|w| w[0] <= w[1]), "receiver {r} unsorted");
+            assert!(
+                vids.windows(2).all(|w| w[0] <= w[1]),
+                "receiver {r} unsorted"
+            );
             for &v in vids {
                 assert_eq!(hash_partition(v, n), r);
             }
@@ -596,15 +489,14 @@ mod tests {
         for s in 0..2 {
             let txs = std::mem::take(&mut sends[s]);
             tasks.push(Task::new(format!("send{s}"), 0, move |w| {
-                let mut tx =
-                    MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
+                let mut tx = MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
                 for vid in 0..100u64 {
                     tx.send(&keyed_tuple(vid, &1u64.to_le_bytes()))?;
                 }
                 tx.finish()
             }));
         }
-        let ins = std::mem::take(&mut recvs[0]);
+        let ins = recvs.remove(0);
         tasks.push(Task::new("recv", 0, move |w| {
             let rx = MergingReceiver::new(ins, w.counters().clone());
             let combine: CombineFn = Box::new(|acc, t| {
@@ -666,23 +558,20 @@ mod tests {
         assert_eq!(files(), 0);
     }
 
+    /// A dropped run handle is counted where the fault fires and the run
+    /// is sent once: the receiver merges it whole.
     #[test]
-    fn dropped_merge_handle_recovered_from_control_plane() {
+    fn a_dropped_merge_handle_is_counted_and_delivered_once() {
         let _guard = fault::exclusive();
-        let plan = _guard.install(FaultPlan::new().on(
-            Site::FrameSend,
-            "merge",
-            1,
-            Fault::DropFrame,
-        ));
+        let plan =
+            _guard.install(FaultPlan::new().on(Site::FrameSend, "merge", 1, Fault::DropFrame));
         let c = cluster(1);
         let (mut sends, mut recvs) = merging_channels(1, 1);
         let txs = std::mem::take(&mut sends[0]);
-        let ins = std::mem::take(&mut recvs[0]);
+        let ins = recvs.remove(0);
         c.execute(vec![
             Task::new("send", 0, move |w| {
-                let mut tx =
-                    MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
+                let mut tx = MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
                 for vid in 0..50u64 {
                     tx.send(&keyed_tuple(vid, b"x"))?;
                 }
@@ -695,7 +584,7 @@ mod tests {
                 while stream.next_tuple()?.is_some() {
                     count += 1;
                 }
-                assert_eq!(count, 50, "lost transfer recovered losslessly");
+                assert_eq!(count, 50, "the run arrives whole");
                 Ok(())
             }),
         ])
@@ -707,20 +596,14 @@ mod tests {
     #[test]
     fn duplicated_merge_handle_discarded() {
         let _guard = fault::exclusive();
-        _guard.install(FaultPlan::new().on(
-            Site::FrameSend,
-            "merge",
-            1,
-            Fault::DuplicateFrame,
-        ));
+        _guard.install(FaultPlan::new().on(Site::FrameSend, "merge", 1, Fault::DuplicateFrame));
         let c = cluster(1);
         let (mut sends, mut recvs) = merging_channels(1, 1);
         let txs = std::mem::take(&mut sends[0]);
-        let ins = std::mem::take(&mut recvs[0]);
+        let ins = recvs.remove(0);
         c.execute(vec![
             Task::new("send", 0, move |w| {
-                let mut tx =
-                    MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
+                let mut tx = MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
                 for vid in 0..50u64 {
                     tx.send(&keyed_tuple(vid, b"x"))?;
                 }
@@ -733,7 +616,7 @@ mod tests {
                 while stream.next_tuple()?.is_some() {
                     count += 1;
                 }
-                assert_eq!(count, 50, "echo must not double the stream");
+                assert_eq!(count, 50, "a duplicate must not double the stream");
                 Ok(())
             }),
         ])
@@ -783,7 +666,7 @@ mod tests {
         let c = cluster(2);
         let (mut sends, mut recvs) = partition_channels_cap(1, 1, Some(CHANNEL_FRAMES));
         let outs = std::mem::take(&mut sends[0]);
-        let ins = std::mem::take(&mut recvs[0]);
+        let ins = recvs.remove(0);
         c.execute(vec![
             Task::new("send", 0, move |w| {
                 let mut tx = PartitioningSender::new(

@@ -11,11 +11,11 @@
 
 use crate::cluster::{Cluster, Task, WorkerHandle};
 use crate::connector::{
-    merging_channels, partition_channels_cap, MaterializedPartitioner, MergeRx, MergeTx,
-    PartitionReceiver, PartitioningSender,
+    merging_channels, MaterializedPartitioner, MergeRx, MergeTx, PartitionReceiver,
+    PartitioningSender,
 };
 use crate::scheduler::{self, LocationConstraint, OperatorSpec};
-use crate::transport::{ReliableReceiver, StreamRx, StreamTx};
+use crate::transport::{reliable_channels, ReliableReceiver, StreamRx, StreamTx};
 use pregelix_common::bytes::BytesSlab;
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::frame::SharedFrame;
@@ -47,14 +47,14 @@ pub enum Edge {
 
 /// The sending end of one edge, as a task gets it.
 pub enum Outbound {
-    /// This sender's streams, one per receiver, on `receivers`' workers.
+    /// This sender's ends, one per receiver, on `receivers`' workers.
     Partitioning {
         ends: Vec<StreamTx>,
         receivers: Vec<usize>,
         label: &'static str,
         slab: Option<BytesSlab>,
     },
-    /// This sender's run-handle streams, one per receiver.
+    /// This sender's run-handle ends, one per receiver.
     Merging {
         ends: Vec<MergeTx>,
         receivers: Vec<usize>,
@@ -65,10 +65,10 @@ pub enum Outbound {
 
 /// The receiving end of one edge, as a task gets it.
 pub enum Inbound {
-    /// One stream per sender.
-    Partitioning(Vec<StreamRx>),
-    /// One run-handle stream per sender.
-    Merging(Vec<MergeRx>),
+    /// The receiver's channel, which every sender shares.
+    Partitioning(StreamRx),
+    /// The receiver's run-handle channel, which every sender shares.
+    Merging(MergeRx),
     /// The frames materialised for this partition, one per source.
     Frames(Vec<SharedFrame>),
 }
@@ -155,21 +155,21 @@ impl Inbound {
 
     /// Every frame of the edge, queued by refcount, one queue per source in
     /// source order. A partitioning edge is drained this way: frames are
-    /// taken from whichever stream has one, and every stream is drained to
-    /// its `Fin` before any is read, so the reader never waits on one
-    /// sender while another is held up on a full bounded channel — the
-    /// merge deadlock §5.3.1's materializing connector exists to avoid.
-    /// Under sequential-timed execution every frame is already queued on an
-    /// unbounded channel before the reader runs, so holding them here adds
-    /// no bytes.
+    /// taken in arrival order and filed by source, and every source is
+    /// drained to its `Fin` before any queue is read, so the reader never
+    /// waits on one sender while another is held up on a full bounded
+    /// channel — the merge deadlock §5.3.1's materializing connector exists
+    /// to avoid. Under sequential-timed execution every frame is already
+    /// queued on an unbounded channel before the reader runs, so holding
+    /// them here adds no bytes.
     pub fn queues(self, w: &WorkerHandle) -> Result<Vec<Vec<SharedFrame>>> {
         match self {
             Inbound::Partitioning(ins) => {
-                let mut queues = vec![Vec::new(); ins.len()];
+                let mut queues = vec![Vec::new(); ins.sources];
                 let mut rx = ReliableReceiver::new(ins, w.counters().clone());
-                while let Some((stream, frame)) = rx.next_stream_frame()? {
+                while let Some((source, frame)) = rx.next_stream_frame()? {
                     w.check_alive()?;
-                    queues[stream].push(frame);
+                    queues[source].push(frame);
                 }
                 Ok(queues)
             }
@@ -283,7 +283,7 @@ impl<R: Send + 'static> JobGraph<R> {
             let discard = || (0..width(from)).map(|_| Outbound::Discard).collect();
             let (outs, ins): (Vec<Outbound>, Vec<Inbound>) = match edge {
                 Edge::Partitioning { label, slab } => {
-                    let (txs, rxs) = partition_channels_cap(width(from), receivers.len(), cap);
+                    let (txs, rxs) = reliable_channels(width(from), receivers.len(), cap);
                     let outs = txs.into_iter().map(|ends| Outbound::Partitioning {
                         ends,
                         receivers: receivers.clone(),
@@ -455,8 +455,8 @@ mod tests {
     /// application, the others succeed. The run fails as `Cluster::execute`
     /// fails the batch — threaded, with the application's error, ranked
     /// first; sequential-timed, with the first failure in task order — and
-    /// the results that were made are dropped, not returned. Threaded, an
-    /// anonymous error is annotated with its task's name.
+    /// the results that were made are dropped, not returned. In both modes
+    /// an anonymous error is annotated with its task's name.
     #[test]
     fn a_failed_body_fails_the_run_with_the_cluster_ranking_and_no_results() {
         let _guard = fault::exclusive();
@@ -479,14 +479,16 @@ mod tests {
             }
             assert_eq!(dropped.load(Ordering::Relaxed), made, "every result made is dropped");
         }
-        let cluster = Cluster::new(threaded).unwrap();
-        let mut g: JobGraph<()> = JobGraph::new("@9");
-        g.node("part", &[0, 1], LocationConstraint::Count(2), |_, p, _| match p {
-            1 => Err(PregelixError::internal("lost")),
-            _ => Ok(()),
-        });
-        let err = g.run(&cluster).unwrap_err().to_string();
-        assert!(err.contains("part[1]@9"), "{err}");
+        for config in [threaded.clone(), threaded.sequential_timed()] {
+            let cluster = Cluster::new(config).unwrap();
+            let mut g: JobGraph<()> = JobGraph::new("@9");
+            g.node("part", &[0, 1], LocationConstraint::Count(2), |_, p, _| match p {
+                1 => Err(PregelixError::internal("lost")),
+                _ => Ok(()),
+            });
+            let err = g.run(&cluster).unwrap_err().to_string();
+            assert!(err.contains("part[1]@9: lost"), "{err}");
+        }
     }
 
     /// A run that names a partition placed on a dead worker fails before

@@ -16,12 +16,11 @@
 //! * [`graph`] — the job graph and its one executor: nodes with placement
 //!   constraints and task bodies, edges that name a connector, placed,
 //!   wired and run on the cluster. Every phase of a Pregelix job is one.
-//! * [`transport`] — the reliable stream transport every frame connector
-//!   rides on: sequenced in-memory messages carrying refcounted frames on
-//!   FIFO streams, a lost or torn message redelivered from the stream's
-//!   control plane and a duplicate discarded by seq, so wire-level
-//!   drop/duplicate/corrupt faults are absorbed in place instead of
-//!   restarting the job.
+//! * [`transport`] — the channels every connector rides on: one FIFO
+//!   channel per receiver, each message a refcounted frame, a `Fin` or a
+//!   run handle stamped with its source; a wire-level drop, duplicate or
+//!   tear is counted where it fires and the message sent once, so it never
+//!   restarts the job.
 //! * [`connector`] — the three data-exchange patterns: the m-to-n
 //!   partitioning connector (fully pipelined, stream-based), the m-to-n
 //!   partitioning **merging** connector (sender-side materializing pipelined

@@ -1,127 +1,135 @@
-//! Reliable stream transport underneath the partitioning connectors.
+//! The stream transport underneath the connectors (§4).
 //!
-//! Every sender→receiver channel pair is a *stream*: one producer, one
-//! consumer, first in first out. A message on it is a plain in-memory value
-//! — the stream label, a 1-based seq and a payload: a frozen frame (a
-//! refcounted [`SharedFrame`], never re-encoded) or the `Fin` that closes
-//! the stream at seq `last + 1`. Nothing on a stream is ever reordered, so
-//! nothing is acknowledged or resent. One rule covers every loss:
+//! An edge has one channel per receiver, shared by all m of its senders.
+//! A message on it is `(source index, payload)`: on a partitioning edge a
+//! frozen frame (a refcounted [`SharedFrame`], never re-encoded) or the
+//! `Fin` that closes that source; on a merging edge a sealed run. The
+//! channel is an in-process FIFO that can neither lose, reorder nor
+//! duplicate a message, so the transport adds no sequence numbers, no
+//! acknowledgements and no copies of its own. A receiver reads until every
+//! source has finished; a disconnect before that (a sender that died
+//! mid-stream) is a truncation error naming the source. It is internal,
+//! not recoverable: the dead sender's own error is the cause and decides
+//! whether the job is replayed.
 //!
-//! * a message the wire drops or tears — a data frame or the `Fin` — is
-//!   parked pristine on the stream's control plane ([`StreamCtrl`]), and a
-//!   payload-free notice takes its seq on the wire: a `Probe` for a drop, a
-//!   `Torn` for a corruption. The receiver lifts the parked message off when
-//!   the notice arrives (`frames_retransmitted`; a torn one also counts in
-//!   `frames_corrupted`);
-//! * a duplicate is discarded by seq (`frames_deduped`);
-//! * the receiver reads each stream until its sender disconnects, so a
-//!   duplicated `Fin` is counted too, and a disconnect without a `Fin` (the
-//!   sender died mid-stream) is a non-recoverable truncation error, so the
-//!   sender's own error decides whether the job is replayed.
+//! **A wire fault is counted where it fires.** The sender probes
+//! [`Site::FrameSend`] once per message and sends the message once,
+//! whatever fires: a drop counts `frames_retransmitted`, a tear
+//! `frames_corrupted` and `frames_retransmitted`, a duplicate
+//! `frames_deduped`; any other fault fails the send (a broken wire). Each
+//! counter is therefore the number of injected faults of its kind, whatever
+//! kind of message a fault hits and however threads interleave, so chaos
+//! digests pin all three. Every fault fires at an event count; there are no
+//! timers and no checksums (a message never leaves the process).
 //!
-//! Each counter is therefore a count of injected faults — drops plus
-//! corruptions, duplications, corruptions — whatever kind of message a fault
-//! hits and however threads interleave, so chaos digests pin all three.
-//!
-//! **No checksums, no timers.** A message never leaves the process, so
-//! nothing on this path is hashed; guarding bytes in transit is the network
-//! layer's job, as in the paper. Every fault fires at an event count.
-//!
-//! **Back-pressure** is the data channel's bound, the one number
-//! `ClusterConfig::channel_capacity` reports: bounded on threaded clusters,
-//! unbounded under sequential-timed simulation, where a sender runs to
+//! **Back-pressure** is the channel's bound: m × the per-sender capacity
+//! `ClusterConfig::channel_capacity` reports on threaded clusters, so a
+//! receiver queues as many frames per sender as one channel per pair did;
+//! unbounded under sequential-timed simulation, where every sender runs to
 //! completion before its receiver starts.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Select, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Fault, Site};
 use pregelix_common::frame::SharedFrame;
 use pregelix_common::stats::ClusterCounters;
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex, MutexGuard};
 
-/// What one message on a stream carries.
-#[derive(Clone, Debug)]
-enum Payload {
-    /// One frozen data frame; `seq` runs `1..=last`. Shared, not copied.
-    Data(SharedFrame),
-    /// End of stream; its `seq` is `last + 1`.
-    Fin,
-    /// The wire lost the message with this seq; it is parked.
-    Probe,
-    /// The wire tore the message with this seq: none of its bytes travel,
-    /// the pristine message is parked.
-    Torn,
+/// One sender's end of one receiver's channel: it stamps every message
+/// with the sender's source index.
+pub struct Tx<T> {
+    tx: Sender<(usize, T)>,
+    source: usize,
 }
 
-/// One message on a stream's data channel.
-#[derive(Debug)]
-struct Message {
-    /// Stream label (`"msg"`, `"mut"`, `"gs"`, ...). Shared so per-message
-    /// cost is a refcount, not an allocation.
-    stream: Arc<str>,
-    /// 1-based sequence number (see `Payload` for what it names).
-    seq: u64,
-    payload: Payload,
+impl<T> Tx<T> {
+    pub(crate) fn send(&self, msg: T) -> Result<()> {
+        self.tx
+            .send((self.source, msg))
+            .map_err(|_| PregelixError::internal("receiver hung up mid-stream"))
+    }
 }
 
-/// Control plane of one stream: the stand-in for what a real network keeps
-/// outside the lossy data path. The sender parks here every message the
-/// wire lost (sized by the number of injected faults — empty in
-/// production); the receiver lifts each one off when its notice arrives.
-#[derive(Debug, Default)]
-pub struct StreamCtrl {
-    /// Pristine data frames (views of the sender's slab slices, not copies)
-    /// and `Fin`s, keyed by seq.
-    parked: BTreeMap<u64, Payload>,
+/// A receiver's end of its channel, which `sources` senders share.
+pub struct Rx<T> {
+    rx: Receiver<(usize, T)>,
+    pub(crate) sources: usize,
 }
 
-fn lock_ctrl(ctrl: &Mutex<StreamCtrl>) -> MutexGuard<'_, StreamCtrl> {
-    ctrl.lock().unwrap_or_else(|p| p.into_inner())
+impl<T> Rx<T> {
+    /// The next message, or, once every sender is gone, the truncation
+    /// error naming the first source whose entry in `finished` is false.
+    pub(crate) fn recv(&self, finished: impl IntoIterator<Item = bool>) -> Result<(usize, T)> {
+        self.rx.recv().map_err(|_| {
+            let source = finished.into_iter().position(|done| !done).unwrap_or(0);
+            PregelixError::internal(format!(
+                "source {source} of {} gone before it finished: stream truncated",
+                self.sources
+            ))
+        })
+    }
 }
 
-/// Sender endpoint of one reliable stream.
-pub struct StreamTx {
-    data: Sender<Message>,
-    ctrl: Arc<Mutex<StreamCtrl>>,
+/// One channel per receiver for `m` senders and `n` receivers:
+/// `senders[s]` holds sender `s`'s n ends, `receivers[r]` is receiver
+/// `r`'s end. `cap` is the capacity per sender; the channel holds
+/// `m × cap` messages, `None` any number.
+pub(crate) fn channels<T>(m: usize, n: usize, cap: Option<usize>) -> (Vec<Vec<Tx<T>>>, Vec<Rx<T>>) {
+    let mut senders: Vec<Vec<Tx<T>>> = (0..m).map(|_| Vec::with_capacity(n)).collect();
+    let receivers = (0..n)
+        .map(|_| {
+            let (tx, rx) = match cap {
+                Some(c) => bounded(m * c),
+                None => unbounded(),
+            };
+            for (source, ends) in senders.iter_mut().enumerate() {
+                ends.push(Tx {
+                    tx: tx.clone(),
+                    source,
+                });
+            }
+            Rx { rx, sources: m }
+        })
+        .collect();
+    (senders, receivers)
 }
 
-/// Receiver endpoint of one reliable stream.
-pub struct StreamRx {
-    data: Receiver<Message>,
-    ctrl: Arc<Mutex<StreamCtrl>>,
-}
+/// A sender's end on a partitioning edge: a frame, or `None` for `Fin`.
+pub type StreamTx = Tx<Option<SharedFrame>>;
 
-/// Build the m×n reliable-stream matrix for a partitioning connector.
-///
-/// `cap` is the data-channel capacity in frames; `None` builds unbounded
-/// streams (required by sequential-timed mode, where a bounded channel's
-/// back-pressure would block with no concurrent peer).
+/// A receiver's end on a partitioning edge.
+pub type StreamRx = Rx<Option<SharedFrame>>;
+
+/// The channels of a partitioning edge (see `channels`): `cap` frames
+/// per sender ([`crate::connector::CHANNEL_FRAMES`] on threaded clusters),
+/// `None` unbounded (sequential-timed mode, where a bounded channel's
+/// back-pressure would block with no concurrent receiver).
 pub fn reliable_channels(
     m: usize,
     n: usize,
     cap: Option<usize>,
-) -> (Vec<Vec<StreamTx>>, Vec<Vec<StreamRx>>) {
-    let mut senders: Vec<Vec<StreamTx>> = (0..m).map(|_| Vec::with_capacity(n)).collect();
-    let mut receivers: Vec<Vec<StreamRx>> = (0..n).map(|_| Vec::with_capacity(m)).collect();
-    for receiver in &mut receivers {
-        for sender_list in senders.iter_mut() {
-            let (data_tx, data_rx) = match cap {
-                Some(c) => bounded(c),
-                None => unbounded(),
-            };
-            let ctrl = Arc::new(Mutex::new(StreamCtrl::default()));
-            sender_list.push(StreamTx {
-                data: data_tx,
-                ctrl: ctrl.clone(),
-            });
-            receiver.push(StreamRx {
-                data: data_rx,
-                ctrl,
-            });
+) -> (Vec<Vec<StreamTx>>, Vec<StreamRx>) {
+    channels(m, n, cap)
+}
+
+/// Probe [`Site::FrameSend`] for one message labelled `label` and count
+/// what fires, where it fires: a drop as a retransmission, a tear as a
+/// corruption and a retransmission, a duplicate as a dedup. Any other
+/// fault is a broken wire and fails the send.
+pub(crate) fn count_wire_fault(counters: &ClusterCounters, label: &str) -> Result<()> {
+    let Some(f) = fault::hit(Site::FrameSend, label) else {
+        return Ok(());
+    };
+    counters.add_faults_injected(1);
+    match f {
+        Fault::DropFrame => counters.add_frames_retransmitted(1),
+        Fault::CorruptFrame => {
+            counters.add_frames_corrupted(1);
+            counters.add_frames_retransmitted(1);
         }
+        Fault::DuplicateFrame => counters.add_frames_deduped(1),
+        _ => return Err(fault::injected_error(Site::FrameSend, label)),
     }
-    (senders, receivers)
+    Ok(())
 }
 
 /// Connector-level accounting size of a frozen frame: tuple data plus the
@@ -132,28 +140,21 @@ fn footprint(frame: &SharedFrame) -> usize {
     frame.wire_len() - 4
 }
 
-struct OutStream {
-    tx: StreamTx,
-    /// Data frames sent so far (the last data seq).
-    sent: u64,
-}
-
-/// Sender half of the reliable transport: one instance per sending task,
-/// fanning out to n receiver streams.
+/// Sender half of the transport: one instance per sending task, with one
+/// end per receiver.
 pub struct ReliableSender {
-    outs: Vec<OutStream>,
-    label: Arc<str>,
+    outs: Vec<StreamTx>,
+    label: String,
     counters: ClusterCounters,
     my_worker: usize,
     receiver_workers: Vec<usize>,
 }
 
 impl ReliableSender {
-    /// Wrap one sender's stream endpoints. `receiver_workers[r]` is the
-    /// machine hosting receiver `r` (network accounting). `_sender_id` is
-    /// unused: the channel topology already separates streams. It stays in
-    /// the signature because `benchmark/src/replay.rs` calls this
-    /// constructor, until that replay is retired (ROADMAP item 2A).
+    /// Wrap one sender's ends. `receiver_workers[r]` is the machine hosting
+    /// receiver `r` (network accounting). `_sender_id` is unused: each end
+    /// carries its source index.
+    // pinned: benchmark/src/replay.rs
     pub fn new(
         outs: Vec<StreamTx>,
         label: &str,
@@ -164,208 +165,82 @@ impl ReliableSender {
     ) -> ReliableSender {
         debug_assert_eq!(outs.len(), receiver_workers.len());
         ReliableSender {
-            outs: outs
-                .into_iter()
-                .map(|tx| OutStream { tx, sent: 0 })
-                .collect(),
-            label: label.into(),
+            outs,
+            label: label.to_string(),
             counters,
             my_worker,
             receiver_workers,
         }
     }
 
-    /// Re-tag the stream (fault-injection context and message label). Only
-    /// meaningful before the first send — seqs already on the wire keep the
-    /// label they were stamped with.
+    /// Re-tag the stream: the context its `Site::FrameSend` events carry.
     pub fn set_label(&mut self, label: &str) {
-        self.label = label.into();
+        self.label = label.to_string();
     }
 
-    /// Ship a frozen frame as the next seq of stream `part`, charging it to
-    /// the network counters when it crosses machines. Blocks only while a
-    /// bounded data channel is full.
+    /// Ship a frozen frame to receiver `part`, charging it to the network
+    /// counters when it crosses machines. Blocks only while a bounded
+    /// channel is full.
     pub fn send_shared(&mut self, part: usize, frame: SharedFrame) -> Result<()> {
         if self.receiver_workers[part] != self.my_worker {
             self.counters.add_network_bytes(footprint(&frame) as u64);
             self.counters.add_network_frames(1);
         }
-        self.outs[part].sent += 1;
-        self.transmit(part, self.outs[part].sent, Payload::Data(frame))
+        self.transmit(part, Some(frame))
     }
 
-    /// Push one data frame or `Fin` through the (possibly faulty) wire at
-    /// [`Site::FrameSend`].
-    fn transmit(&mut self, part: usize, seq: u64, payload: Payload) -> Result<()> {
-        let Some(f) = fault::hit(Site::FrameSend, &self.label) else {
-            return self.push(part, seq, payload);
-        };
-        self.counters.add_faults_injected(1);
-        let notice = match f {
-            Fault::DropFrame => Payload::Probe,
-            Fault::CorruptFrame => Payload::Torn,
-            Fault::DuplicateFrame => {
-                self.push(part, seq, payload.clone())?;
-                return self.push(part, seq, payload);
-            }
-            _ => return Err(fault::injected_error(Site::FrameSend, &self.label)),
-        };
-        // Park before the notice travels, so the receiver always finds it.
-        lock_ctrl(&self.outs[part].tx.ctrl)
-            .parked
-            .insert(seq, payload);
-        self.push(part, seq, notice)
+    fn transmit(&self, part: usize, msg: Option<SharedFrame>) -> Result<()> {
+        count_wire_fault(&self.counters, &self.label)?;
+        self.outs[part].send(msg)
     }
 
-    fn push(&self, part: usize, seq: u64, payload: Payload) -> Result<()> {
-        let msg = Message {
-            stream: self.label.clone(),
-            seq,
-            payload,
-        };
-        self.outs[part]
-            .tx
-            .data
-            .send(msg)
-            .map_err(|_| PregelixError::internal("receiver hung up mid-stream"))
-    }
-
-    /// Close every stream with a `Fin`; the endpoints drop on return, which
-    /// is the disconnect each receiver reads up to.
-    pub fn finish(mut self) -> Result<()> {
-        for part in 0..self.outs.len() {
-            let fin_seq = self.outs[part].sent + 1;
-            self.transmit(part, fin_seq, Payload::Fin)?;
-        }
-        Ok(())
+    /// Close this source on every receiver with a `Fin`.
+    pub fn finish(self) -> Result<()> {
+        (0..self.outs.len()).try_for_each(|part| self.transmit(part, None))
     }
 }
 
-struct InStream {
-    rx: StreamRx,
-    /// Data frames delivered so far (the last delivered seq).
-    delivered: u64,
-    /// Whether the `Fin` arrived.
-    fin: bool,
-    /// Stream label as observed from messages (diagnostics).
-    label: Arc<str>,
-    /// Cleared once the sender disconnected.
-    open: bool,
-}
-
-/// Receiver half of the reliable transport: delivers every stream's frames
-/// exactly once, in per-stream seq order, interleaved across streams in
-/// arrival order.
+/// Receiver half of the transport: every source's frames in the order
+/// that source sent them, interleaved across sources in arrival order.
 pub struct ReliableReceiver {
-    ins: Vec<InStream>,
-    counters: ClusterCounters,
+    ins: StreamRx,
+    /// Per source, whether its `Fin` arrived.
+    finished: Vec<bool>,
+    /// Sources whose `Fin` has not arrived.
+    open: usize,
 }
 
 impl ReliableReceiver {
-    /// Wrap one receiver's stream endpoints.
-    pub fn new(ins: Vec<StreamRx>, counters: ClusterCounters) -> ReliableReceiver {
+    /// Wrap one receiver's end. `_counters` is unused: a wire fault is
+    /// counted by the sender it fires at.
+    pub fn new(ins: StreamRx, _counters: ClusterCounters) -> ReliableReceiver {
+        let open = ins.sources;
         ReliableReceiver {
-            ins: ins
-                .into_iter()
-                .map(|rx| InStream {
-                    rx,
-                    delivered: 0,
-                    fin: false,
-                    label: "".into(),
-                    open: true,
-                })
-                .collect(),
-            counters,
+            ins,
+            finished: vec![false; open],
+            open,
         }
     }
 
-    /// Next frame from any stream, or `None` once every sender closed its
-    /// stream and disconnected. The returned frame is the same slab slice
-    /// the sender froze — delivery hands over a view, never a copy.
+    /// Next frame from any source, or `None` once every source sent its
+    /// `Fin`. The frame is the same slab slice the sender froze: delivery
+    /// hands over a view, never a copy.
     pub fn next_frame(&mut self) -> Result<Option<SharedFrame>> {
         Ok(self.next_stream_frame()?.map(|(_, frame)| frame))
     }
 
-    /// [`next_frame`](Self::next_frame) naming the stream it came from: the
-    /// index of its endpoint in the list this receiver was built from. It
-    /// takes whichever stream has a message, never waiting on one stream
-    /// while another has one.
+    /// [`next_frame`](Self::next_frame) naming the source it came from.
     pub fn next_stream_frame(&mut self) -> Result<Option<(usize, SharedFrame)>> {
-        loop {
-            let live: Vec<usize> = (0..self.ins.len()).filter(|&i| self.ins[i].open).collect();
-            if live.is_empty() {
-                return Ok(None);
-            }
-            let mut sel = Select::new();
-            for &i in &live {
-                sel.recv(&self.ins[i].rx.data);
-            }
-            let op = sel.select();
-            let i = live[op.index()];
-            match op.recv(&self.ins[i].rx.data) {
-                Ok(msg) => {
-                    if let Some(frame) = self.on_message(i, msg)? {
-                        return Ok(Some((i, frame)));
-                    }
+        while self.open > 0 {
+            match self.ins.recv(self.finished.iter().copied())? {
+                (source, Some(frame)) => return Ok(Some((source, frame))),
+                (source, None) => {
+                    self.finished[source] = true;
+                    self.open -= 1;
                 }
-                Err(_) => self.on_disconnect(i)?,
             }
         }
-    }
-
-    /// Apply the loss rule to one message: a notice lifts its parked
-    /// message off the control plane, which is then taken like any other;
-    /// a data frame or `Fin` already taken is an echo.
-    fn on_message(&mut self, i: usize, msg: Message) -> Result<Option<SharedFrame>> {
-        let s = &mut self.ins[i];
-        s.label = msg.stream;
-        let payload = match msg.payload {
-            notice @ (Payload::Probe | Payload::Torn) => {
-                if matches!(notice, Payload::Torn) {
-                    self.counters.add_frames_corrupted(1);
-                }
-                self.counters.add_frames_retransmitted(1);
-                let parked = lock_ctrl(&s.rx.ctrl).parked.remove(&msg.seq);
-                parked.ok_or_else(|| {
-                    PregelixError::internal(format!(
-                        "stream {:?}: notice for seq {} with nothing parked",
-                        s.label, msg.seq
-                    ))
-                })?
-            }
-            taken => taken,
-        };
-        match payload {
-            Payload::Data(frame) if msg.seq == s.delivered + 1 => {
-                s.delivered = msg.seq;
-                Ok(Some(frame))
-            }
-            Payload::Fin if !s.fin => {
-                s.fin = true;
-                Ok(None)
-            }
-            _ => {
-                self.counters.add_frames_deduped(1);
-                Ok(None)
-            }
-        }
-    }
-
-    /// The sender's endpoint dropped: end of stream if its `Fin` arrived,
-    /// otherwise the sender died mid-stream. That sender's task fails with
-    /// the cause, so the truncation is an internal error: it ranks last in
-    /// `Cluster::execute` (a tie goes to the sender, submitted first), so it
-    /// never masks the cause nor makes a deterministic failure replayable.
-    fn on_disconnect(&mut self, i: usize) -> Result<()> {
-        let s = &mut self.ins[i];
-        s.open = false;
-        if s.fin {
-            return Ok(());
-        }
-        Err(PregelixError::internal(format!(
-            "stream {:?} truncated: sender gone after {} frames without a Fin",
-            s.label, s.delivered
-        )))
+        Ok(None)
     }
 }
 
@@ -373,7 +248,7 @@ impl ReliableReceiver {
 mod tests {
     use super::*;
     use pregelix_common::fault::FaultPlan;
-    use pregelix_common::frame::{keyed_tuple, Frame};
+    use pregelix_common::frame::{keyed_tuple, tuple_vid, Frame};
 
     fn frame_with(vids: &[u64]) -> SharedFrame {
         let mut f = Frame::with_capacity(1 << 16);
@@ -383,12 +258,12 @@ mod tests {
         f.freeze_standalone()
     }
 
-    fn drain(ins: Vec<StreamRx>, counters: &ClusterCounters) -> Result<Vec<u64>> {
+    fn drain(ins: StreamRx, counters: &ClusterCounters) -> Result<Vec<u64>> {
         let mut rx = ReliableReceiver::new(ins, counters.clone());
         let mut got = Vec::new();
         while let Some(f) = rx.next_frame()? {
             for t in f.iter() {
-                got.push(pregelix_common::frame::tuple_vid(t)?);
+                got.push(tuple_vid(t)?);
             }
         }
         Ok(got)
@@ -479,27 +354,63 @@ mod tests {
         assert_eq!(got, (0..50).collect::<Vec<_>>());
     }
 
-    /// A sender that returns mid-stream without `finish` leaves its
-    /// receiver a truncation error after the frames it did send. It is not
-    /// recoverable: the sender's own error carries the cause.
+    /// Three senders share one receiver's channel, and source 1 returns
+    /// after three frames without `finish`. The receiver delivers every
+    /// frame each source sent, in that source's order, then fails with a
+    /// truncation error naming source 1 — on a bounded channel smaller
+    /// than what the senders send, and on an unbounded one filled before
+    /// the receiver starts. It is not recoverable: the sender's own error
+    /// carries the cause.
     #[test]
     fn a_sender_gone_without_finish_truncates_the_stream() {
         let _guard = fault::exclusive();
         for cap in [Some(4), None] {
             let counters = ClusterCounters::new();
-            let (mut txs, mut rxs) = reliable_channels(1, 1, cap);
-            let mut tx = ReliableSender::new(txs.remove(0), "msg", 0, 0, vec![1], counters.clone());
-            for v in 0..3 {
-                tx.send_shared(0, frame_with(&[v])).unwrap();
-            }
-            drop(tx);
+            let (txs, mut rxs) = reliable_channels(3, 1, cap);
+            let senders = txs.into_iter().enumerate().map(|(s, outs)| {
+                let mut tx = ReliableSender::new(outs, "msg", 0, 0, vec![1], counters.clone());
+                move || -> Result<()> {
+                    let frames = if s == 1 { 3 } else { 20 };
+                    for v in 0..frames {
+                        tx.send_shared(0, frame_with(&[100 * s as u64 + v]))?;
+                    }
+                    if s == 1 {
+                        drop(tx);
+                        return Ok(());
+                    }
+                    tx.finish()
+                }
+            });
+            let threads: Vec<_> = match cap {
+                Some(_) => senders.map(std::thread::spawn).collect(),
+                None => {
+                    senders
+                        .map(|send| send())
+                        .collect::<Result<Vec<_>>>()
+                        .unwrap();
+                    Vec::new()
+                }
+            };
             let mut rx = ReliableReceiver::new(rxs.remove(0), counters);
-            for _ in 0..3 {
-                assert!(rx.next_frame().unwrap().is_some(), "cap {cap:?}");
+            let mut got = vec![Vec::new(); 3];
+            let err = loop {
+                match rx.next_stream_frame() {
+                    Ok(Some((s, f))) => got[s].push(tuple_vid(f.tuple(0)).unwrap()),
+                    Ok(None) => panic!("cap {cap:?}: a truncated stream ended cleanly"),
+                    Err(e) => break e,
+                }
+            };
+            for t in threads {
+                t.join().unwrap().unwrap();
             }
-            let err = rx.next_frame().unwrap_err();
+            let sent = |s: u64, n: u64| (100 * s..100 * s + n).collect::<Vec<_>>();
+            assert_eq!(got, [sent(0, 20), sent(1, 3), sent(2, 20)], "cap {cap:?}");
             assert!(!err.is_recoverable(), "cap {cap:?}: {err}");
-            assert!(err.to_string().contains("truncated"), "cap {cap:?}: {err}");
+            let msg = err.to_string();
+            assert!(
+                msg.contains("source 1 ") && msg.contains("truncated"),
+                "cap {cap:?}: {msg}"
+            );
         }
     }
 
@@ -545,26 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn dropped_frames_recovered_from_control_plane_open_loop() {
-        let guard = fault::exclusive();
-        let plan = FaultPlan::new()
-            .on(Site::FrameSend, "msg", 2, Fault::DropFrame)
-            .on(Site::FrameSend, "msg", 9, Fault::DropFrame);
-        let (got, counts) = run_with(&guard, Some(plan), None, 30);
-        assert_eq!(got, (0..30).collect::<Vec<_>>());
-        assert_eq!(counts, (2, 0, 0));
-    }
-
-    #[test]
-    fn duplicates_are_discarded_by_seq() {
-        let guard = fault::exclusive();
-        let plan = FaultPlan::new().on(Site::FrameSend, "msg", 5, Fault::DuplicateFrame);
-        let (got, counts) = run_with(&guard, Some(plan), Some(8), 20);
-        assert_eq!(got, (0..20).collect::<Vec<_>>());
-        assert_eq!(counts, (0, 1, 0));
-    }
-
-    #[test]
     fn corrupt_frames_are_rejected_and_retransmitted() {
         let guard = fault::exclusive();
         let plan = FaultPlan::new().on(Site::FrameSend, "msg", 4, Fault::CorruptFrame);
@@ -576,8 +467,7 @@ mod tests {
     #[test]
     fn lost_fin_still_closes_stream() {
         let guard = fault::exclusive();
-        // The 11th frame-send event on a 10-frame stream is the Fin: it is
-        // parked, and its probe lifts it off exactly once.
+        // The 11th frame-send event on a 10-frame stream is the Fin.
         let plan = FaultPlan::new().on(Site::FrameSend, "msg", 11, Fault::DropFrame);
         let (got, counts) = run_with(&guard, Some(plan), Some(4), 10);
         assert_eq!(got, (0..10).collect::<Vec<_>>());
@@ -616,33 +506,25 @@ mod tests {
         assert_eq!(counts(&counters), (0, 0, 0));
     }
 
+    /// A dropped, torn or duplicated send still delivers the sender's slab
+    /// slice, once: the fault is counted, nothing is re-encoded or copied.
     #[test]
     fn retransmission_resends_the_identical_slab_slice() {
         let guard = fault::exclusive();
-        guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, Fault::DropFrame));
-        let counters = ClusterCounters::new();
-        let frame = frame_with(&[42]);
-        let got = roundtrip_shared(&counters, frame.clone());
-        assert_eq!(counts(&counters), (1, 0, 0));
-        assert_eq!(got.len(), 1);
-        // The redelivery came off the control plane: the slab slice the
-        // sender parked, no re-encode, no copy.
-        assert!(got[0].aliases(&frame));
-    }
-
-    #[test]
-    fn corruption_is_a_torn_notice_and_recovery_delivers_the_pristine_slice() {
-        let guard = fault::exclusive();
-        guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, Fault::CorruptFrame));
-        let counters = ClusterCounters::new();
-        let frame = frame_with(&[42]);
-        let got = roundtrip_shared(&counters, frame.clone());
-        assert_eq!(counts(&counters), (1, 0, 1));
-        assert_eq!(got.len(), 1);
-        // The wire carried only a torn notice; what finally arrived is the
-        // pristine view the sender parked, the very same backing.
-        assert!(got[0].aliases(&frame));
-        assert_eq!(got[0], frame);
+        for (fault, expected) in [
+            (Fault::DropFrame, (1, 0, 0)),
+            (Fault::CorruptFrame, (1, 0, 1)),
+            (Fault::DuplicateFrame, (0, 1, 0)),
+        ] {
+            guard.install(FaultPlan::new().on(Site::FrameSend, "msg", 1, fault));
+            let counters = ClusterCounters::new();
+            let frame = frame_with(&[42]);
+            let got = roundtrip_shared(&counters, frame.clone());
+            assert_eq!(counts(&counters), expected, "{fault:?}");
+            assert_eq!(got.len(), 1, "{fault:?}");
+            assert!(got[0].aliases(&frame), "{fault:?}");
+            guard.clear();
+        }
     }
 
     #[test]

@@ -346,9 +346,9 @@ fn failed_recovery_after_a_mid_superstep_failure_recovers_before_rerunning() {
     assert_no_temp_files(&cluster);
 }
 
-/// A dropped global-state frame is *absorbed by the transport*: the
-/// receiver lifts the parked frame off the stream's control plane exactly
-/// once, the job completes with zero recoveries, and the global halt
+/// A dropped global-state frame is *absorbed by the transport*: the drop
+/// is counted where it fires and the frame sent once, the job completes
+/// with zero recoveries, and the global halt
 /// decision is computed from complete reports — bit-identical to the
 /// no-fault run.
 #[test]
@@ -367,7 +367,7 @@ fn dropped_gs_frame_is_retransmitted_not_fatal() {
     assert_eq!(plan.injected(), 1);
     assert_eq!(
         summary.stats.frames_retransmitted, 1,
-        "the dropped report frame was redelivered"
+        "the dropped report frame was counted once"
     );
     assert_eq!(summary.supersteps, reference.supersteps);
     assert_eq!(cc_values(&graph), expected);
@@ -375,8 +375,8 @@ fn dropped_gs_frame_is_retransmitted_not_fatal() {
 }
 
 /// A dropped run-handle in the materialized (merging) connector is
-/// recovered from the connector's control plane at sender disconnect:
-/// zero recoveries, one logical retransmission, identical values.
+/// counted where it fires and the run sent once: zero recoveries, one
+/// retransmission counted, identical values.
 #[test]
 fn dropped_merge_handle_is_recovered_in_place() {
     let guard = fault::exclusive();
@@ -391,14 +391,15 @@ fn dropped_merge_handle_is_recovered_in_place() {
         run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
     assert_eq!(summary.recoveries, 0);
     assert_eq!(plan.injected(), 1);
-    assert_eq!(summary.stats.frames_retransmitted, 1, "handle redelivered");
+    assert_eq!(summary.stats.frames_retransmitted, 1, "the handle's drop counted");
     assert_eq!(cc_values(&graph), expected);
     chaos_digest("drop-merge-handle", &summary, plan.injected(), &expected);
 }
 
-/// A duplicated message frame is discarded by the receiver's sequence-number
-/// dedup — combiner or not, delivery stays exactly-once: no recovery, the
-/// dedup counter moves, values and superstep count are bit-identical.
+/// A duplicated message frame is counted as a dedup where it fires and the
+/// frame sent once — combiner or not, delivery stays exactly-once: no
+/// recovery, the dedup counter moves, values and superstep count are
+/// bit-identical.
 #[test]
 fn duplicated_msg_frame_is_deduplicated_by_seq() {
     let guard = fault::exclusive();
@@ -414,7 +415,7 @@ fn duplicated_msg_frame_is_deduplicated_by_seq() {
         run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
     assert_eq!(summary.recoveries, 0);
     assert_eq!(plan.injected(), 1);
-    assert_eq!(summary.stats.frames_deduped, 1, "the echo was discarded by seq");
+    assert_eq!(summary.stats.frames_deduped, 1, "the duplicate was counted");
     assert_eq!(summary.supersteps, reference.supersteps);
     assert_eq!(cc_values(&graph), expected);
     chaos_digest("dup-msg-frame", &summary, plan.injected(), &expected);

@@ -234,9 +234,10 @@ fn small_frame_pagerank(records: &[(Vid, Vec<(Vid, f64)>)], threaded: bool) -> (
     (bits, summary.stats.network_frames)
 }
 
-/// Every stream of the message edge carries more frames than a bounded
-/// channel holds, so a receiver that waited on one sender while another
-/// filled its channel would hang here. The run must finish, and compute
+/// Every sender sends every receiver more frames than its share of a
+/// bounded channel (`CHANNEL_FRAMES` per sender), so every receiver's
+/// channel fills, and a receiver that waited on one sender while another
+/// filled the channel would hang here. The run must finish, and compute
 /// the sequential run's values to the bit.
 #[test]
 fn bounded_channels_cannot_deadlock_the_receiver_merge() {

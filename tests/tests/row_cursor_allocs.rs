@@ -11,8 +11,9 @@
 //! partition, not per task, and shared by both ends of the message edge,
 //! that a run reader past its first frame decodes every further one into
 //! the buffers it already has, that a row cursor's sorted seeks past its
-//! first allocate nothing, and that a checkpoint write streams its rows from
-//! the row cursor without an allocation per row.
+//! first allocate nothing, that a checkpoint write streams its rows from
+//! the row cursor without an allocation per row, and that a receiver drains
+//! its channel without an allocation per frame.
 
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
@@ -193,6 +194,63 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
         "{small_allocs} allocations for {small_rows} rows, {large_allocs} for {large_rows}: \
          {per_row:.2} per extra row"
     );
+
+    // A receiver drains its channel without an allocation per frame: four
+    // senders share it, and taking 2 048 frames off it costs what taking
+    // 1 024 does, through `PartitionReceiver` and through `Inbound::queues`.
+    // The queues are the one thing that grows, and they are the output:
+    // four vectors of as many frames, whose doubling growth is reproduced
+    // and subtracted.
+    for queued in [false, true] {
+        let counts = [256, 512].map(|per_source| receive_side(per_source, queued));
+        assert_eq!(counts[0], counts[1], "1 024 and 2 048 frames, queued: {queued}");
+    }
+}
+
+/// Heap allocations of one receiver draining `per_source` one-tuple frames
+/// from each of four senders, queued by source (`Inbound::queues`, less
+/// the queues' own growth) or tuple by tuple (`PartitionReceiver`).
+fn receive_side(per_source: usize, queued: bool) -> u64 {
+    use pregelix::common::frame::{keyed_tuple, Frame, SharedFrame};
+    use pregelix::dataflow::connector::PartitionReceiver;
+    use pregelix::dataflow::graph::Inbound;
+    use pregelix::dataflow::transport::{reliable_channels, ReliableSender};
+    let cluster = Cluster::new(ClusterConfig::new(1, 32 << 20).sequential_timed()).unwrap();
+    let w = cluster.worker(0);
+    let mut frame = Frame::with_capacity(64);
+    assert!(frame.try_append(&keyed_tuple(7, b"x")));
+    let frame = frame.freeze_standalone();
+    let (txs, mut rxs) = reliable_channels(4, 1, cluster.channel_capacity());
+    for outs in txs {
+        let mut tx = ReliableSender::new(outs, "allocs", 0, 0, vec![0], w.counters().clone());
+        for _ in 0..per_source {
+            tx.send_shared(0, frame.clone()).unwrap();
+        }
+        tx.finish().unwrap();
+    }
+    let rx = rxs.remove(0);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    if !queued {
+        let mut rx = PartitionReceiver::new(rx, w.counters().clone());
+        let mut tuples = 0;
+        while rx.next_tuple().unwrap().is_some() {
+            tuples += 1;
+        }
+        assert_eq!(tuples, 4 * per_source);
+        return ALLOCATIONS.load(Ordering::Relaxed) - before;
+    }
+    let queues = Inbound::Partitioning(rx).queues(&w).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(queues.iter().all(|q| q.len() == per_source));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let mut growth: Vec<Vec<SharedFrame>> = vec![Vec::new(); 4];
+    for q in &mut growth {
+        for _ in 0..per_source {
+            q.push(frame.clone());
+        }
+    }
+    std::hint::black_box(&growth);
+    allocations - (ALLOCATIONS.load(Ordering::Relaxed) - before)
 }
 
 /// Heap allocations of one checkpoint write of freshly loaded `records`

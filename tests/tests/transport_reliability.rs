@@ -1,9 +1,8 @@
-//! Reliable connector transport, end to end (§4, §5.5): wire-level frame
-//! faults — drops, duplicates, corruption — injected into live Pregel jobs
-//! must be absorbed *in place* by the transport's one loss rule (a lost or
-//! torn message is redelivered from its stream's control plane, an echo is
-//! discarded by seq): zero checkpoint recoveries, bit-identical final
-//! values, and only the `frames_retransmitted` / `frames_deduped` /
+//! Connector transport, end to end (§4, §5.5): wire-level frame faults —
+//! drops, duplicates, corruption — injected into live Pregel jobs are
+//! counted where they fire and each message is sent once on the receiver's
+//! FIFO channel: zero checkpoint recoveries, bit-identical final values,
+//! and only the `frames_retransmitted` / `frames_deduped` /
 //! `frames_corrupted` counters moving. Only a broken wire (a send that
 //! fails outright) is allowed to degrade to the §5.5 checkpoint-recovery
 //! path.
@@ -135,7 +134,7 @@ fn run_absorbed(
 // ---------------------------------------------------------------------------
 
 /// Drop the nth `msg`-stream send, for a sweep of n: every run must
-/// complete with zero recoveries and one redelivery per injected drop.
+/// complete with zero recoveries and one retransmission counted per drop.
 #[test]
 fn msg_frame_drop_at_every_nth_send_is_absorbed() {
     let guard = fault::exclusive();
@@ -158,14 +157,13 @@ fn msg_frame_drop_at_every_nth_send_is_absorbed() {
             &expected,
         );
         injected_any |= injected > 0;
-        assert_eq!(wire_counts(&summary), (injected, 0, 0), "n={n}: one redelivery per drop");
+        assert_eq!(wire_counts(&summary), (injected, 0, 0), "n={n}: one count per drop");
     }
     assert!(injected_any, "the sweep must actually inject faults");
 }
 
-/// Duplicate the nth `msg`-stream send: the receiver's seq dedup discards
-/// the echo, of a data frame or a `Fin` — exactly-once delivery without
-/// combiner help.
+/// Duplicate the nth `msg`-stream send, a data frame or a `Fin`: counted
+/// as a dedup, sent once — exactly-once delivery without combiner help.
 #[test]
 fn msg_frame_duplicate_at_every_nth_send_is_deduplicated() {
     let guard = fault::exclusive();
@@ -187,12 +185,12 @@ fn msg_frame_duplicate_at_every_nth_send_is_deduplicated() {
             &expected,
         );
         assert_eq!(injected, 1, "n={n}");
-        assert_eq!(wire_counts(&summary), (0, 1, 0), "n={n}: echo discarded by seq");
+        assert_eq!(wire_counts(&summary), (0, 1, 0), "n={n}: duplicate counted");
     }
 }
 
-/// Tear the nth `msg` send on the wire: the receiver gets a torn notice in
-/// its place, the pristine message is redelivered, and the corruption never
+/// Tear the nth `msg` send on the wire: counted as a corruption and a
+/// retransmission, the pristine message sent once, and the corruption never
 /// reaches the application.
 #[test]
 fn msg_frame_corruption_is_reported_and_retransmitted() {
@@ -215,7 +213,7 @@ fn msg_frame_corruption_is_reported_and_retransmitted() {
             &expected,
         );
         assert_eq!(injected, 1, "n={n}");
-        assert_eq!(wire_counts(&summary), (1, 0, 1), "n={n}: torn, counted, redelivered");
+        assert_eq!(wire_counts(&summary), (1, 0, 1), "n={n}: tear counted");
     }
 }
 
@@ -224,8 +222,8 @@ fn msg_frame_corruption_is_reported_and_retransmitted() {
 // ---------------------------------------------------------------------------
 
 /// CC sends no mutations, so the `mut` streams carry only Fin messages —
-/// dropping one exercises the lost-Fin redelivery inside a live job (the
-/// stream must still close, or mutate tasks hang the superstep).
+/// dropping one exercises a lost `Fin` inside a live job (the stream must
+/// still close, or mutate tasks hang the superstep).
 #[test]
 fn mut_stream_fin_drop_is_retransmitted() {
     let guard = fault::exclusive();
@@ -246,7 +244,7 @@ fn mut_stream_fin_drop_is_retransmitted() {
         &expected,
     );
     assert_eq!(injected, 1);
-    assert_eq!(wire_counts(&summary), (1, 0, 0), "Fin redelivered");
+    assert_eq!(wire_counts(&summary), (1, 0, 0), "the Fin's drop counted");
 }
 
 /// Drop and duplicate `gs` report frames in the same run: the two-stage
@@ -282,8 +280,8 @@ fn gs_stream_drop_plus_duplicate_is_absorbed() {
 // ---------------------------------------------------------------------------
 
 /// In sequential-timed mode every sender runs to completion before its
-/// receiver starts; the one loss rule needs no concurrent peer — same
-/// zero-recovery contract, same values, same counts.
+/// receiver starts; counting a fault where it fires needs no concurrent
+/// peer — same zero-recovery contract, same values, same counts.
 #[test]
 fn sequential_timed_mode_recovers_wire_loss_open_loop() {
     let guard = fault::exclusive();
@@ -309,7 +307,7 @@ fn sequential_timed_mode_recovers_wire_loss_open_loop() {
     assert_eq!(
         wire_counts(&summary),
         (1, 1, 0),
-        "parked frame redelivered, echo discarded"
+        "a drop and a duplicate counted"
     );
     assert_eq!(cc_values(&graph), expected);
     chaos_digest("seq-open-loop", &summary, plan.injected(), &expected);
@@ -359,7 +357,7 @@ fn broken_wire_falls_back_to_checkpoint_recovery() {
     assert_eq!(summary.recoveries, 1, "a broken wire consumes exactly one recovery");
     assert_eq!(summary.stats.workers_declared_dead, 0, "no machine was lost");
     assert_eq!(plan.injected(), 1);
-    assert_eq!(wire_counts(&summary), (0, 0, 0), "nothing was parked or echoed");
+    assert_eq!(wire_counts(&summary), (0, 0, 0), "a broken wire is no drop, tear or duplicate");
     assert_eq!(cc_values(&graph), expected);
     // No `slaba` / `slabr` on this line: the aborted threaded superstep
     // seals however many frames its other tasks got to before the failure
@@ -405,5 +403,5 @@ fn mixed_wire_chaos_converges_bit_identically() {
         &expected,
     );
     assert_eq!(injected, 5, "every rule of the mixed plan fires");
-    assert_eq!(wire_counts(&summary), (4, 1, 1), "three drops and a tear, one echo");
+    assert_eq!(wire_counts(&summary), (4, 1, 1), "three drops and a tear, one duplicate");
 }

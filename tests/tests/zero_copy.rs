@@ -1,9 +1,9 @@
 //! The zero-copy shared-slab frame path, end to end: the slab-backed wire
 //! form must be bit-identical to the legacy `[n][ends…][data]` encoding
 //! (run files, checkpoints and message logs stay readable), delivery must
-//! hand over the sender's slab slice, redelivery must hand over the
-//! *identical* slab slice, and `frame_bytes_copied` must stay structurally
-//! zero on the transport path — clean or faulted. Slab counter
+//! hand over the sender's slab slice — also when a wire fault is counted
+//! on the send — and `frame_bytes_copied` must stay structurally zero on
+//! the transport path, clean or faulted. Slab counter
 //! accounting (`slab_allocations` / `slab_recycled`) is pinned exactly at
 //! the slab level and pinned deterministic (double-run equality) at the
 //! job level, mirroring CI's chaos-digest run-twice-and-diff check.
@@ -147,9 +147,10 @@ fn clean_hop_delivers_the_senders_slice_and_copies_nothing() {
     assert_eq!(counters.frames_retransmitted(), 0);
 }
 
-/// Drop the first transmit: the redelivery from the control plane hands
-/// over the *identical* slab slice (provable because the delivered frame
-/// still aliases the clone we kept), and still nothing is copied.
+/// Drop the first transmit: the drop is counted where it fires and the
+/// frame is sent once, so the receiver gets the *identical* slab slice
+/// (provable because the delivered frame still aliases the clone we kept),
+/// and still nothing is copied.
 #[test]
 fn retransmission_resends_the_identical_slab_slice() {
     let guard = fault::exclusive();
@@ -163,15 +164,15 @@ fn retransmission_resends_the_identical_slab_slice() {
     assert_eq!(got.len(), 1);
     assert!(
         got[0].aliases(&frame),
-        "the redelivered frame must be the same slab slice, not a re-encode"
+        "the delivered frame must be the same slab slice, not a re-encode"
     );
     assert_eq!(counters.frames_retransmitted(), 1);
-    assert_eq!(counters.frame_bytes_copied(), 0, "redelivery copies nothing");
+    assert_eq!(counters.frame_bytes_copied(), 0, "a counted drop copies nothing");
 }
 
-/// Corrupt the first transmit: the wire delivers a torn notice in its
-/// place, recovery delivers the pristine slice the sender parked, and zero
-/// bytes are copied end to end.
+/// Corrupt the first transmit: the tear is counted as a corruption and a
+/// retransmission where it fires, the receiver gets the pristine slice,
+/// and zero bytes are copied end to end.
 #[test]
 fn corruption_recovery_delivers_the_pristine_slice_without_copying() {
     let guard = fault::exclusive();
