@@ -1,19 +1,17 @@
 //! `probe_sparse`: the left-outer probe path at paper scale (§7.5).
 //!
-//! A 1M-vertex B-tree `Vertex` partition is probed at 1%, 10%, and 50%
-//! live-vertex fractions three ways:
+//! A 1M-vertex B-tree `Vertex` partition is read at 1%, 10%, and 50%
+//! live-vertex fractions two ways:
 //!
-//! * `foj_full_scan`      — the full-outer baseline: scan all 1M rows.
-//! * `loj_probe_search`   — the old left-outer path: one root-to-leaf
-//!                          descent per live vid (`BTree::search`).
-//! * `loj_probe_cursor`   — the new path: one row cursor `seek`ing the
-//!                          ascending live-vid sequence from its pinned
-//!                          root-to-leaf path, descending only from the
-//!                          lowest pinned page covering a key.
+//! * `foj_full_scan`: the full-outer baseline, a scan of all 1M rows.
+//! * `loj_probe_cursor`: the left-outer path, one row cursor `seek`ing the
+//!   ascending live-vid sequence from its pinned root-to-leaf path,
+//!   descending only from the lowest pinned page covering a key.
 //!
-//! Before timing, `pin_study` prints the deterministic page-pin counts
-//! for search vs cursor at each fraction (the ≥2× reduction acceptance
-//! metric is a counter fact, not a timing fact).
+//! Before timing, `pin_study` prints the deterministic page-pin counts of
+//! the cursor at each fraction against `height` pins per probe, what a
+//! descent from the root per live vid would cost (the ≥2× reduction is a
+//! counter fact, not a timing fact).
 
 use criterion::{black_box, Criterion};
 use pregelix::common::stats::{ClusterCounters, StatsSnapshot};
@@ -51,36 +49,31 @@ fn pins(s: &StatsSnapshot) -> u64 {
 }
 
 /// The acceptance metric, printed once: total buffer-cache pins for a full
-/// pass of live-vid probes, search vs cursor, per live fraction.
+/// pass of live-vid probes per live fraction, against `height` per probe.
 fn pin_study(tree: &mut BTree, counters: &ClusterCounters) {
-    println!("probe_sparse pin study: {N} vertices, height {}", tree.height());
+    let height = tree.height() as u64;
+    println!("probe_sparse pin study: {N} vertices, height {height}");
     println!(
         "{:<8} {:>10} {:>14} {:>14} {:>10} {:>10} {:>8}",
-        "live", "probes", "search_pins", "cursor_pins", "leaf_hits", "redescent", "ratio"
+        "live", "probes", "descent_pins", "cursor_pins", "leaf_hits", "redescent", "ratio"
     );
     for (stride, label) in STRIDES {
         let probes = N / stride;
         let before = counters.snapshot();
-        for vid in (0..N).step_by(stride as usize) {
-            black_box(tree.search(&vid.to_be_bytes()).unwrap());
-        }
-        let mid = counters.snapshot();
         let mut cursor = tree.cursor();
         for vid in (0..N).step_by(stride as usize) {
             black_box(cursor.seek(&vid.to_be_bytes()).unwrap());
         }
-        let after = counters.snapshot();
-        let search = mid.delta_since(&before);
-        let cursored = after.delta_since(&mid);
+        let cursored = counters.snapshot().delta_since(&before);
         println!(
             "{:<8} {:>10} {:>14} {:>14} {:>10} {:>10} {:>7.2}x",
             label,
             probes,
-            pins(&search),
+            probes * height,
             pins(&cursored),
             cursored.probe_leaf_hits,
             cursored.probe_redescents,
-            pins(&search) as f64 / pins(&cursored).max(1) as f64,
+            (probes * height) as f64 / pins(&cursored).max(1) as f64,
         );
     }
 }
@@ -104,17 +97,6 @@ fn bench_probe_sparse(c: &mut Criterion) {
     });
 
     for (stride, label) in STRIDES {
-        group.bench_function(format!("loj_probe_search_{label}"), |b| {
-            b.iter(|| {
-                let mut n = 0u64;
-                for vid in (0..N).step_by(stride as usize) {
-                    if tree.search(&vid.to_be_bytes()).unwrap().is_some() {
-                        n += 1;
-                    }
-                }
-                black_box(n);
-            });
-        });
         group.bench_function(format!("loj_probe_cursor_{label}"), |b| {
             b.iter(|| {
                 let mut cursor = tree.cursor();

@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks for the storage and dataflow primitives
-//! that the superstep plan is built from: B-tree point ops and scans,
+//! that the superstep plan is built from: B-tree point reads and writes at
+//! a cursor and scans,
 //! external sort with combining, frame encode/decode, the arena-backed
 //! message sort hot path (`sort_1m_msgs`), and striped buffer-cache
 //! contention (`cache_concurrent_probe`).
@@ -50,16 +51,20 @@ fn bench_btree(c: &mut Criterion) {
     )
     .unwrap();
     let mut rng = StdRng::seed_from_u64(1);
+    // A point read or write is a fresh cursor's seek: one descent.
     group.bench_function("point_search_hot", |b| {
         b.iter(|| {
             let key = rng.gen_range(0..100_000u64).to_be_bytes();
-            black_box(tree.search(&key).unwrap());
+            let mut cursor = tree.cursor();
+            black_box(cursor.seek(&key).unwrap());
         });
     });
     group.bench_function("in_place_update", |b| {
         b.iter(|| {
             let key = rng.gen_range(0..100_000u64).to_be_bytes();
-            tree.update(&key, &[9u8; 24]).unwrap();
+            let mut cursor = tree.cursor();
+            assert!(cursor.seek(&key).unwrap());
+            cursor.write(&[9u8; 24]).unwrap();
         });
     });
     group.bench_function("full_scan_100k", |b| {

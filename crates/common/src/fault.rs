@@ -47,8 +47,8 @@ pub enum Site {
     PageRead,
     /// Buffer-cache eviction under memory pressure; ctx = `""`.
     CacheEvict,
-    /// B-tree entry points; ctx = operation name (`"insert"`, `"search"`,
-    /// `"bulk_load"`).
+    /// B-tree structural writes; ctx = `"insert"` (the put from the root)
+    /// or `"bulk_load"`.
     BtreeOp,
     /// Connector delivery of a data frame, a `Fin` or a run handle; ctx =
     /// sender label (`"msg"`, `"mut"`, `"gs"`, `"merge"`). An

@@ -132,7 +132,7 @@ impl JoinStrategy {
 // pinned: benchmark/src/replay.rs
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VertexStorageKind {
-    /// B-tree: in-place value updates, by-key inserts and deletes.
+    /// B-tree: rows read and written in place through its row cursor.
     BTree,
 }
 

@@ -4,7 +4,9 @@
 //! partition goes through its [`RowCursor`]: the full-outer scan and the
 //! dump and checkpoint writers walk it with `next`, the left-outer probe,
 //! `mutate[p]` and `LoadedGraph`'s point and range reads move it with `seek`,
-//! and results go back at the cursor.
+//! and results go back at the cursor: into the slot the row holds, or
+//! through the tree's one put from the root for a row that no longer fits
+//! its leaf or a key the cursor is not on.
 
 use crate::api::VertexProgram;
 use crate::plan::VertexStorageKind;
@@ -65,7 +67,8 @@ impl VertexStore {
         t.cursor()
     }
 
-    /// Insert or replace the row under `key`.
+    /// Insert or replace the row under `key` through a fresh cursor, which
+    /// is on no row: the tree's put, one descent from the root per call.
     // pinned: benchmark/src/replay.rs
     pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
         self.cursor().insert(key, value)
@@ -159,9 +162,10 @@ mod tests {
         out
     }
 
-    /// The tree's by-key lookup, for comparison.
-    fn search(s: &VertexStore, key: &[u8]) -> Option<Vec<u8>> {
-        s.tree().search(key).unwrap()
+    /// A point lookup: a fresh cursor's seek, one descent from the root.
+    fn search(s: &mut VertexStore, key: &[u8]) -> Option<Vec<u8>> {
+        let mut cur = s.cursor();
+        cur.seek(key).unwrap().then(|| cur.value().to_vec())
     }
 
     #[test]
@@ -181,9 +185,9 @@ mod tests {
         assert!(!cur.seek(&k(999)).unwrap());
         assert!(cur.delete().is_err(), "no row to delete");
         drop(cur);
-        assert_eq!(search(&s, &k(5)).unwrap(), b"changed");
-        assert_eq!(search(&s, &k(200)).unwrap(), b"new");
-        assert_eq!(search(&s, &k(7)), None);
+        assert_eq!(search(&mut s, &k(5)).unwrap(), b"changed");
+        assert_eq!(search(&mut s, &k(200)).unwrap(), b"new");
+        assert_eq!(search(&mut s, &k(7)), None);
         // Ordered, -1 +1 rows.
         let keys: Vec<_> = rows(&mut s).into_iter().map(|(key, _)| key).collect();
         assert!(keys.windows(2).all(|p| p[0] < p[1]));
@@ -196,16 +200,21 @@ mod tests {
         let mut s = store(&w);
         s.bulk_load((0..500u64).map(|v| (k(v * 2), v.to_le_bytes().to_vec())))
             .unwrap();
+        let mut model: std::collections::BTreeMap<u64, Vec<u8>> =
+            (0..500u64).map(|v| (v * 2, v.to_le_bytes().to_vec())).collect();
         let mut cur = s.cursor();
         assert!(cur.seek(&k(100)).unwrap());
         cur.delete().unwrap();
         cur.insert(&k(101), b"odd").unwrap();
         drop(cur);
+        model.remove(&100);
+        model.insert(101, b"odd".to_vec());
         for step in [1, 7] {
             let keys: Vec<u64> = (0..1100u64).step_by(step).collect();
-            let expect: Vec<_> = keys.iter().map(|&key| search(&s, &k(key))).collect();
+            let expect: Vec<_> = keys.iter().map(|&key| search(&mut s, &k(key))).collect();
             let mut cur = s.cursor();
             for (key, want) in keys.iter().zip(&expect) {
+                assert_eq!(want.as_ref(), model.get(key), "key {key}");
                 let found = cur.seek(&k(*key)).unwrap();
                 assert_eq!(found, want.is_some(), "key {key}");
                 if found {

@@ -409,12 +409,6 @@ impl Cluster {
         self.workers[id].failed.store(true, Ordering::Relaxed);
     }
 
-    /// Bring a failed worker back (recovery uses fresh failure-free workers;
-    /// healing exists for tests and long-running scenarios).
-    pub fn heal_worker(&self, id: usize) {
-        self.workers[id].failed.store(false, Ordering::Relaxed);
-    }
-
     /// Ids of workers not currently failed (the failure manager's
     /// "blacklist" complement, §5.5).
     pub fn alive_workers(&self) -> Vec<usize> {
@@ -551,21 +545,6 @@ fn named(task: &str, err: PregelixError) -> PregelixError {
     }
 }
 
-/// Health of one worker as judged by the [`FailureDetector`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkerHealth {
-    /// Beats advanced since the last observation (or the worker was not
-    /// expected to do any work, so silence is not evidence).
-    Healthy,
-    /// Expected to beat but didn't, for this many consecutive observations
-    /// (still below the death threshold). Slow workers are *not* evicted:
-    /// transient stalls recover on their own, and evicting them would turn
-    /// every hiccup into a re-plan.
-    Slow(u32),
-    /// Declared dead: blacklisted from scheduling.
-    Dead,
-}
-
 /// Missed-beat failure detector (§5.5).
 ///
 /// Observed at *progress* granularity — the driver calls
@@ -575,8 +554,10 @@ pub enum WorkerHealth {
 /// a beat; `MISSED_BEAT_THRESHOLD` (3) consecutive misses (or a tripped failure
 /// flag — powered-off machines never beat again) means *dead*: the worker
 /// is blacklisted via [`Cluster::fail_worker`] and counted in
-/// `workers_declared_dead`. No wall-clock timers anywhere, so chaos
-/// schedules replay deterministically.
+/// `workers_declared_dead`. Fewer misses make a worker slow, not dead: it
+/// is not evicted, since transient stalls recover on their own and
+/// evicting them would turn every hiccup into a re-plan. No wall-clock
+/// timers anywhere, so chaos schedules replay deterministically.
 pub struct FailureDetector {
     /// Beat count seen for each worker at the previous observation.
     seen: Vec<u64>,
@@ -630,22 +611,6 @@ impl FailureDetector {
             }
         }
         newly_dead
-    }
-
-    /// Current judgement for worker `id`.
-    pub fn health(&self, id: usize) -> WorkerHealth {
-        if self.dead[id] {
-            WorkerHealth::Dead
-        } else if self.misses[id] > 0 {
-            WorkerHealth::Slow(self.misses[id])
-        } else {
-            WorkerHealth::Healthy
-        }
-    }
-
-    /// Workers declared dead so far.
-    pub fn blacklist(&self) -> Vec<usize> {
-        (0..self.dead.len()).filter(|&i| self.dead[i]).collect()
     }
 }
 
@@ -799,8 +764,6 @@ mod tests {
         assert_eq!(c.alive_workers(), vec![0, 1, 3]);
         let err = c.execute(vec![Task::new("x", 2, |_| Ok(()))]).unwrap_err();
         assert!(matches!(err, PregelixError::WorkerDead { id: 2 }), "{err}");
-        c.heal_worker(2);
-        c.execute(vec![Task::new("x", 2, |_| Ok(()))]).unwrap();
     }
 
     /// Two threads, each in its own job scope, run batches on one cluster at
@@ -964,17 +927,13 @@ mod tests {
         let w0 = c.worker(0);
         // Worker 0 beats every round; worker 1 is expected but silent
         // (wedged, not flagged). It takes 3 observations to die.
-        w0.check_alive().unwrap();
-        assert!(det.observe(&c, &[0, 1]).is_empty());
-        assert_eq!(det.health(1), WorkerHealth::Slow(1));
-        w0.check_alive().unwrap();
-        assert!(det.observe(&c, &[0, 1]).is_empty());
-        assert_eq!(det.health(1), WorkerHealth::Slow(2));
+        for _ in 0..2 {
+            w0.check_alive().unwrap();
+            assert!(det.observe(&c, &[0, 1]).is_empty());
+            assert_eq!(c.alive_workers(), vec![0, 1], "a slow worker stays");
+        }
         w0.check_alive().unwrap();
         assert_eq!(det.observe(&c, &[0, 1]), vec![1]);
-        assert_eq!(det.health(0), WorkerHealth::Healthy);
-        assert_eq!(det.health(1), WorkerHealth::Dead);
-        assert_eq!(det.blacklist(), vec![1]);
         assert_eq!(c.alive_workers(), vec![0], "dead worker blacklisted");
         assert_eq!(c.counters().workers_declared_dead(), 1);
         // Already-dead workers are not re-declared.
@@ -988,7 +947,7 @@ mod tests {
         let mut det = FailureDetector::new(&c);
         c.fail_worker(3);
         assert_eq!(det.observe(&c, &[3]), vec![3]);
-        assert_eq!(det.health(3), WorkerHealth::Dead);
+        assert_eq!(c.counters().workers_declared_dead(), 1);
     }
 
     #[test]
@@ -1000,9 +959,8 @@ mod tests {
             c.worker(0).check_alive().unwrap();
             assert!(det.observe(&c, &[0]).is_empty());
         }
-        for id in 1..4 {
-            assert_eq!(det.health(id), WorkerHealth::Healthy);
-        }
+        assert_eq!(c.alive_workers(), vec![0, 1, 2, 3]);
+        assert_eq!(c.counters().workers_declared_dead(), 0);
     }
 
     #[test]
@@ -1015,11 +973,14 @@ mod tests {
         // Two silent observations (below threshold) ...
         assert!(det.observe(&c, &[0]).is_empty());
         assert!(det.observe(&c, &[0]).is_empty());
-        assert_eq!(det.health(0), WorkerHealth::Slow(2));
-        // ... then progress resumes: the miss streak resets.
+        // ... then progress resumes: the miss streak resets, so two more
+        // silent observations still leave the worker alive.
         w.check_alive().unwrap();
         assert!(det.observe(&c, &[0]).is_empty());
-        assert_eq!(det.health(0), WorkerHealth::Healthy);
+        assert!(det.observe(&c, &[0]).is_empty());
+        assert!(det.observe(&c, &[0]).is_empty());
+        assert_eq!(c.alive_workers(), vec![0]);
+        assert_eq!(c.counters().workers_declared_dead(), 0);
     }
 
     #[test]

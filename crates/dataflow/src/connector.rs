@@ -336,12 +336,11 @@ mod tests {
         let c = cluster(4);
         let m = 3;
         let n = 4;
-        let (mut sends, recvs) = partition_channels_cap(m, n, Some(CHANNEL_FRAMES));
+        let (sends, recvs) = partition_channels_cap(m, n, Some(CHANNEL_FRAMES));
         let recv_workers: Vec<usize> = (0..n).collect();
         let received: std::sync::Arc<Mutex<HashMap<usize, Vec<u64>>>> = Default::default();
         let mut tasks = Vec::new();
-        for s in 0..m {
-            let outs = std::mem::take(&mut sends[s]);
+        for (s, outs) in sends.into_iter().enumerate() {
             let rw = recv_workers.clone();
             tasks.push(Task::new(format!("send{s}"), s % 4, move |w| {
                 let mut tx = PartitioningSender::new(
@@ -435,10 +434,9 @@ mod tests {
         let c = cluster(2);
         let m = 2;
         let n = 2;
-        let (mut sends, recvs) = merging_channels(m, n);
+        let (sends, recvs) = merging_channels(m, n);
         let mut tasks = Vec::new();
-        for s in 0..m {
-            let txs = std::mem::take(&mut sends[s]);
+        for (s, txs) in sends.into_iter().enumerate() {
             tasks.push(Task::new(format!("send{s}"), s, move |w| {
                 let mut tx =
                     MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0, 1])?;
@@ -484,10 +482,9 @@ mod tests {
     fn merging_connector_combiner_collapses_duplicates() {
         let _guard = fault::exclusive();
         let c = cluster(1);
-        let (mut sends, mut recvs) = merging_channels(2, 1);
+        let (sends, mut recvs) = merging_channels(2, 1);
         let mut tasks = Vec::new();
-        for s in 0..2 {
-            let txs = std::mem::take(&mut sends[s]);
+        for (s, txs) in sends.into_iter().enumerate() {
             tasks.push(Task::new(format!("send{s}"), 0, move |w| {
                 let mut tx = MaterializedPartitioner::new(w.file_manager(), txs, w.id(), vec![0])?;
                 for vid in 0..100u64 {
@@ -653,7 +650,7 @@ mod tests {
                 n += 1;
             }
             assert_eq!(n, 3);
-            assert_eq!(sum, 0 + 1 + 2);
+            assert_eq!(sum, 3, "vids 0, 1 and 2");
             Ok(())
         }));
         c.execute(tasks).unwrap();

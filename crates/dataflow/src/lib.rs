@@ -37,7 +37,7 @@ pub mod groupby;
 pub mod scheduler;
 pub mod transport;
 
-pub use cluster::{Cluster, ClusterConfig, FailureDetector, WorkerHandle, WorkerHealth};
+pub use cluster::{Cluster, ClusterConfig, FailureDetector, WorkerHandle};
 pub use connector::{
     MaterializedPartitioner, MergingReceiver, PartitionReceiver, PartitioningSender,
 };

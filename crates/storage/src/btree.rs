@@ -8,11 +8,12 @@
 //! to chained overflow pages.
 //!
 //! Supported operations: [`BTree::bulk_load`] (the initial graph load and
-//! checkpoint recovery path), the [`RowCursor`] — the one path that reads
-//! and writes rows for the index full-outer join (`next`), the index
-//! left-outer join (`seek`), graph mutations, checkpoints and dumps — and
-//! the by-key [`BTree::search`] / [`BTree::insert`] / [`BTree::update`] /
-//! [`BTree::delete`] the cursor builds on.
+//! checkpoint recovery path) and the [`RowCursor`], the one path that reads
+//! and writes rows: for the index full-outer join (`next`), the index
+//! left-outer join (`seek`), graph mutations, checkpoints and dumps. The
+//! cursor changes a row in the slot it holds; only an entry that no longer
+//! fits its leaf, and an insert of a key other than the current row, go
+//! through the tree's one split-capable put from the root.
 //!
 //! Deletion does not rebalance: underfull pages persist until the next bulk
 //! rebuild, and leaves emptied by deletes stay in the sibling chain, where
@@ -39,19 +40,6 @@ pub struct BTree {
     height: u8,
     /// Recycled overflow pages (in-memory only; see module docs).
     free_overflow: Vec<PageId>,
-    /// The leaf the last [`BTree::update`] descended to, with the first and
-    /// last key it held then (in-memory only). Any key in that range lives
-    /// on that leaf or nowhere, so the ascending upserts of a scan-ordered
-    /// pass skip the descent, and a key outside the range is recognised
-    /// without pinning anything. Valid only while the leaf's key set is
-    /// unchanged: cleared by insert, delete, split and bulk load.
-    last_leaf: Option<LeafMemo>,
-}
-
-struct LeafMemo {
-    page: PageId,
-    first: Vec<u8>,
-    last: Vec<u8>,
 }
 
 impl BTree {
@@ -73,7 +61,6 @@ impl BTree {
             root: root_id,
             height: 1,
             free_overflow: Vec::new(),
-            last_leaf: None,
         };
         {
             let mut buf = meta.write();
@@ -99,7 +86,6 @@ impl BTree {
             root,
             height,
             free_overflow: Vec::new(),
-            last_leaf: None,
         })
     }
 
@@ -306,43 +292,8 @@ impl BTree {
     }
 
     // ------------------------------------------------------------------
-    // Search and the row cursor
+    // The row cursor
     // ------------------------------------------------------------------
-
-    /// Descend to the leaf that would contain `key`.
-    fn find_leaf(&self, key: &[u8]) -> Result<PageId> {
-        let mut page = self.root;
-        loop {
-            let guard = self.cache.pin(self.file, page)?;
-            let buf = guard.read();
-            let r = PageRef::new(&buf);
-            match r.page_type()? {
-                PageType::Leaf => return Ok(page),
-                PageType::Interior => page = child_of(&r, key)?.1,
-                t => return Err(PregelixError::corrupt(format!("unexpected page type {t:?}"))),
-            }
-        }
-    }
-
-    /// Point lookup: the value stored under `key`, if present.
-    pub fn search(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        if fault::active() && fault::hit(Site::BtreeOp, "search").is_some() {
-            self.cache.counters().add_faults_injected(1);
-            return Err(fault::injected_error(Site::BtreeOp, "search"));
-        }
-        let leaf = self.find_leaf(key)?;
-        let guard = self.cache.pin(self.file, leaf)?;
-        let buf = guard.read();
-        let r = PageRef::new(&buf);
-        match r.search(key) {
-            Ok(i) => {
-                let mut value = Vec::new();
-                self.decode_value_into(r.value(i), &mut value)?;
-                Ok(Some(value))
-            }
-            Err(_) => Ok(None),
-        }
-    }
 
     /// Pin the leftmost leaf: descend always taking child 0.
     fn pin_leftmost_leaf(&self) -> Result<PageGuard> {
@@ -387,9 +338,12 @@ impl BTree {
     // Mutation
     // ------------------------------------------------------------------
 
-    /// Insert a new key. Fails with a storage error if the key exists (use
-    /// [`BTree::upsert`] for replace-or-insert semantics).
-    pub fn insert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
+    /// Insert `key` with the already-encoded `stored` value from the root,
+    /// splitting pages as needed; a row already under `key` is replaced and
+    /// its overflow chain recycled. The [`RowCursor`] calls it, with its
+    /// path unpinned, only for an entry that no longer fits its leaf and for
+    /// an insert of a key other than its current row.
+    fn put(&mut self, key: &[u8], stored: &[u8]) -> Result<()> {
         if fault::active() && fault::hit(Site::BtreeOp, "insert").is_some() {
             self.cache.counters().add_faults_injected(1);
             return Err(fault::injected_error(Site::BtreeOp, "insert"));
@@ -397,109 +351,14 @@ impl BTree {
         if key.len() + 8 > self.max_inline_entry() {
             return Err(PregelixError::storage("key too large for page"));
         }
-        self.last_leaf = None;
-        let stored = self.encode_value(key.len(), value)?;
-        if let Some((sep, right)) = self.insert_rec(self.root, key, &stored)? {
+        if let Some((sep, right)) = self.insert_rec(self.root, key, stored)? {
             self.grow_root(sep, right)?;
         }
         Ok(())
     }
 
-    /// Insert or replace.
-    pub fn upsert(&mut self, key: &[u8], value: &[u8]) -> Result<()> {
-        if self.update(key, value)? {
-            return Ok(());
-        }
-        self.insert(key, value)
-    }
-
-    /// Replace the value of an existing key. Returns `false` when absent.
-    ///
-    /// One descent (none when the key falls in the remembered leaf's range)
-    /// and one pin; an inline value of unchanged length — every update of a
-    /// fixed-width vertex value, §5.2 — is overwritten in place without a
-    /// copy. Only a value that grows, shrinks or spills takes the
-    /// split-capable path.
-    pub fn update(&mut self, key: &[u8], value: &[u8]) -> Result<bool> {
-        let remembered = self
-            .last_leaf
-            .as_ref()
-            .filter(|m| m.first.as_slice() <= key && key <= m.last.as_slice())
-            .map(|m| m.page);
-        let leaf = match remembered {
-            Some(page) => page,
-            None => self.find_leaf(key)?,
-        };
-        let guard = self.cache.pin(self.file, leaf)?;
-        // Looked up under the read lock, so a miss does not dirty the page.
-        // `resized` is the old stored value when it cannot be overwritten in
-        // place (copied out so its overflow chain can be recycled).
-        let (i, resized) = {
-            let buf = guard.read();
-            let r = PageRef::new(&buf);
-            let Ok(i) = r.search(key) else {
-                return Ok(false);
-            };
-            if remembered.is_none() {
-                self.last_leaf = Some(LeafMemo {
-                    page: leaf,
-                    first: r.key(0).to_vec(),
-                    last: r.key(r.len() - 1).to_vec(),
-                });
-            }
-            let old = r.value(i);
-            let in_place = old.first() == Some(&TAG_INLINE) && old.len() == 1 + value.len();
-            (i, (!in_place).then(|| old.to_vec()))
-        };
-        let Some(old_stored) = resized else {
-            let mut buf = guard.write();
-            PageMut::new(&mut buf).value_mut(i)[1..].copy_from_slice(value);
-            return Ok(true);
-        };
-        // Neither call touches this leaf (overflow pages only), so slot `i`
-        // still names the entry.
-        self.free_value(&old_stored)?;
-        let stored = self.encode_value(key.len(), value)?;
-        let replaced = {
-            let mut buf = guard.write();
-            PageMut::new(&mut buf).replace_value(i, &stored)
-        };
-        drop(guard);
-        if !replaced {
-            // The entry was removed inside `replace_value`; re-insert via
-            // the split-capable path. `stored` is already encoded, so use
-            // the raw insertion routine.
-            self.last_leaf = None;
-            if let Some((sep, right)) = self.insert_rec(self.root, key, &stored)? {
-                self.grow_root(sep, right)?;
-            }
-        }
-        Ok(true)
-    }
-
-    /// Remove a key. Returns `false` when absent. Pages are never merged;
-    /// empty leaves remain in the sibling chain and scans skip them.
-    pub fn delete(&mut self, key: &[u8]) -> Result<bool> {
-        self.last_leaf = None;
-        let leaf = self.find_leaf(key)?;
-        let old_stored = {
-            let guard = self.cache.pin(self.file, leaf)?;
-            let mut buf = guard.write();
-            let mut p = PageMut::new(&mut buf);
-            match p.as_ref().search(key) {
-                Ok(i) => {
-                    let stored = p.as_ref().value(i).to_vec();
-                    p.remove(i);
-                    stored
-                }
-                Err(_) => return Ok(false),
-            }
-        };
-        self.free_value(&old_stored)?;
-        Ok(true)
-    }
-
-    /// Recursive insert of an already-encoded value.
+    /// The put's descent: insert into the leaf that owns `key`, then the
+    /// separators of any split into the pages above it.
     fn insert_rec(
         &mut self,
         page: PageId,
@@ -535,24 +394,27 @@ impl BTree {
         key: &[u8],
         stored: &[u8],
     ) -> Result<Option<(Vec<u8>, PageId)>> {
-        // Fast path: fits in place.
-        {
+        // Fast path: fits in place. A replaced entry's old value is copied
+        // out so its overflow chain can be recycled; when the new one does
+        // not fit, `replace_value` has removed the entry and the split below
+        // inserts the key afresh.
+        let (old, placed) = {
             let guard = self.cache.pin(self.file, page)?;
             let mut buf = guard.write();
             let mut p = PageMut::new(&mut buf);
             match p.as_ref().search(key) {
-                Ok(_) => {
-                    return Err(PregelixError::storage(format!(
-                        "duplicate key insert ({} bytes)",
-                        key.len()
-                    )))
+                Ok(i) => {
+                    let old = p.as_ref().value(i).to_vec();
+                    (Some(old), p.replace_value(i, stored))
                 }
-                Err(pos) => {
-                    if p.insert_at(pos, key, stored) {
-                        return Ok(None);
-                    }
-                }
+                Err(pos) => (None, p.insert_at(pos, key, stored)),
             }
+        };
+        if let Some(old) = old {
+            self.free_value(&old)?;
+        }
+        if placed {
+            return Ok(None);
         }
         // Split. Allocate the right sibling, move the upper half, then
         // insert into whichever side owns the key.
@@ -680,7 +542,6 @@ impl BTree {
             self.cache.counters().add_faults_injected(1);
             return Err(fault::injected_error(Site::BtreeOp, "bulk_load"));
         }
-        self.last_leaf = None;
         let fill = fill.clamp(0.1, 1.0);
         let budget = ((self.cache.page_size() - HEADER_LEN) as f64 * fill) as usize;
         // Current leaf being filled = the initial empty root leaf.
@@ -836,9 +697,11 @@ impl Fence {
 /// Invariants the holder keeps:
 /// * Keys are non-decreasing (checked with a debug assertion); out-of-order
 ///   keys would be answered from a stale leaf.
-/// * The tree's key set does not change while a path is pinned: whoever
-///   inserts, deletes or resizes an entry calls [`LeafPos::unpin`] first,
-///   which drops the whole path, so no fence can go stale.
+/// * Only the holder changes the tree while a path is pinned, and it drops
+///   the whole path with [`LeafPos::unpin`] after every change other than
+///   an overwrite in place: right after replacing or removing an entry in
+///   the pinned leaf, and before a put from the root, which may split
+///   pages. No fence can go stale.
 /// * At most `height` pages are pinned at a time, respecting the buffer
 ///   cache's pin discipline (pinned pages are exempt from eviction).
 ///
@@ -1016,20 +879,21 @@ impl LeafPos {
 /// key and value from its own buffers (overflow chains resolved into the
 /// same buffer), so reading a row allocates nothing.
 ///
-/// A result is written back *at the cursor*: [`RowCursor::write_head`] and a
-/// [`RowCursor::write`] of unchanged length overwrite an inline value in its
-/// slot under the pin already held — no descent, no second pin, no search.
-/// Everything that can move entries — a value that grows, shrinks or lives
-/// in an overflow chain, [`RowCursor::insert`] of another key,
-/// [`RowCursor::delete`] — goes through the tree's by-key API after the pin
-/// is dropped, and the cursor finds its place again by key on the next move
-/// or write. `next` therefore always yields the smallest key greater than
-/// the position in the tree *as it is now*.
+/// A result is written back *at the cursor*, in the slot the current row
+/// holds under the pin already held — no descent, no second pin, no search.
+/// [`RowCursor::write_head`] and a [`RowCursor::write`] of unchanged length
+/// overwrite an inline value; a value that grows, shrinks or lives in an
+/// overflow chain replaces the entry in its leaf; [`RowCursor::delete`]
+/// removes it. Only an entry that no longer fits its leaf, and
+/// [`RowCursor::insert`] of a key other than the current row, go through
+/// the tree's split-capable put from the root. Every change but an
+/// overwrite drops the pinned path, and the cursor finds its place again by
+/// key on the next move or write. `next` therefore always yields the
+/// smallest key greater than the position in the tree *as it is now*.
 pub struct RowCursor<'a> {
     tree: &'a mut BTree,
     /// The pinned path to the leaf the position lives on; unpinned before
-    /// the first move and by every change made through the tree's by-key
-    /// API.
+    /// the first move and after every change but an overwrite.
     pos: LeafPos,
     /// While pinned: slot of the current row (`found`), else of the first
     /// entry after the position.
@@ -1128,28 +992,29 @@ impl RowCursor<'_> {
         &self.value
     }
 
-    fn require_row(&self) -> Result<()> {
-        if self.found {
-            Ok(())
-        } else {
-            Err(PregelixError::internal("row cursor is not on a row"))
+    /// Pin the current row's leaf, by key when a change dropped the path
+    /// (not a probe: no counters move), and point `slot` at the row.
+    fn pin_row(&mut self) -> Result<()> {
+        if !self.found {
+            return Err(PregelixError::internal("row cursor is not on a row"));
         }
+        if self.pos.leaf.is_none() {
+            let at = self.pos.repin(self.tree, &self.key)?;
+            self.slot = at.map_err(|_| PregelixError::internal("row cursor lost its row"))?;
+        }
+        Ok(())
     }
 
     /// Overwrite the first `head.len()` bytes of the current row's value,
     /// leaving the rest (and the length) as stored.
     pub fn write_head(&mut self, head: &[u8]) -> Result<()> {
-        self.require_row()?;
+        self.pin_row()?;
         if head.len() > self.value.len() {
             return Err(PregelixError::internal("row head longer than the row"));
         }
         self.value[..head.len()].copy_from_slice(head);
         if !self.inline {
             return self.rewrite();
-        }
-        if self.pos.leaf.is_none() {
-            let at = self.pos.repin(self.tree, &self.key)?;
-            self.slot = at.map_err(|_| PregelixError::internal("row cursor lost its row"))?;
         }
         let guard = self.pos.leaf.as_ref().expect("pinned above");
         let mut buf = guard.write();
@@ -1159,21 +1024,37 @@ impl RowCursor<'_> {
 
     /// Replace the current row's value.
     pub fn write(&mut self, value: &[u8]) -> Result<()> {
-        self.require_row()?;
         if self.inline && value.len() == self.value.len() {
             return self.write_head(value);
         }
+        self.pin_row()?;
         self.value.clear();
         self.value.extend_from_slice(value);
         self.rewrite()
     }
 
-    /// Store the buffered value under the current key through the by-key
-    /// path, which may move entries: the pin goes first.
+    /// Store the buffered value in the pinned row's slot. The old overflow
+    /// chain is recycled and the new value encoded with the leaf pinned but
+    /// unlocked (overflow pages only, so `slot` still names the row); an
+    /// entry that no longer fits its leaf leaves it for the tree's put.
     fn rewrite(&mut self) -> Result<()> {
-        self.pos.unpin();
-        if !self.tree.update(&self.key, &self.value)? {
-            return Err(PregelixError::internal("row cursor lost its row"));
+        let Self {
+            tree,
+            pos,
+            slot,
+            key,
+            value,
+            ..
+        } = self;
+        let guard = pos.leaf.as_ref().expect("pinned by the caller");
+        let old = PageRef::new(&guard.read()).value(*slot).to_vec();
+        tree.free_value(&old)?;
+        let stored = tree.encode_value(key.len(), value)?;
+        let fits = PageMut::new(&mut guard.write()).replace_value(*slot, &stored);
+        pos.unpin();
+        if !fits {
+            // `replace_value` removed the entry.
+            tree.put(key, &stored)?;
         }
         self.inline = self.tree.inlines(self.key.len(), self.value.len());
         Ok(())
@@ -1187,16 +1068,25 @@ impl RowCursor<'_> {
             return self.write(value);
         }
         self.pos.unpin();
-        self.tree.upsert(key, value)
+        let stored = self.tree.encode_value(key.len(), value)?;
+        self.tree.put(key, &stored)
     }
 
-    /// Delete the current row; the cursor stays at its key, between rows.
+    /// Delete the current row from its slot; the cursor stays at its key,
+    /// between rows.
     pub fn delete(&mut self) -> Result<()> {
-        self.require_row()?;
+        self.pin_row()?;
+        let guard = self.pos.leaf.as_ref().expect("pinned above");
+        let old = {
+            let mut buf = guard.write();
+            let mut p = PageMut::new(&mut buf);
+            let old = p.as_ref().value(self.slot).to_vec();
+            p.remove(self.slot);
+            old
+        };
         self.pos.unpin();
-        self.tree.delete(&self.key)?;
         self.found = false;
-        Ok(())
+        self.tree.free_value(&old)
     }
 
     /// Move to the next row and copy it out; `None` at the end.
@@ -1256,6 +1146,41 @@ mod tests {
         out
     }
 
+    /// The row under `key`, by a fresh cursor's seek: one descent from the
+    /// root, a point lookup.
+    fn get(t: &mut BTree, key: &[u8]) -> Option<Vec<u8>> {
+        let mut cur = t.cursor();
+        cur.seek(key).unwrap().then(|| cur.value().to_vec())
+    }
+
+    /// Insert or replace through a fresh cursor, which has no current row:
+    /// the put from the root.
+    fn put(t: &mut BTree, key: &[u8], value: &[u8]) {
+        t.cursor().insert(key, value).unwrap();
+    }
+
+    /// Replace the row under `key` at the cursor that seeks it; `false`
+    /// when there is none.
+    fn write(t: &mut BTree, key: &[u8], value: &[u8]) -> bool {
+        let mut cur = t.cursor();
+        let found = cur.seek(key).unwrap();
+        if found {
+            cur.write(value).unwrap();
+        }
+        found
+    }
+
+    /// Delete the row under `key` at the cursor that seeks it; `false` when
+    /// there is none.
+    fn delete(t: &mut BTree, key: &[u8]) -> bool {
+        let mut cur = t.cursor();
+        let found = cur.seek(key).unwrap();
+        if found {
+            cur.delete().unwrap();
+        }
+        found
+    }
+
     /// Live entries, by a full walk.
     fn count(t: &mut BTree) -> u64 {
         rows(t).len() as u64
@@ -1265,7 +1190,7 @@ mod tests {
     fn empty_tree_behaviour() {
         let (cache, _d) = make_cache(64, 512);
         let mut t = BTree::create(cache).unwrap();
-        assert_eq!(t.search(&k(1)).unwrap(), None);
+        assert_eq!(get(&mut t, &k(1)), None);
         assert_eq!(count(&mut t), 0);
         assert!(!t.cursor().next().unwrap());
     }
@@ -1275,22 +1200,12 @@ mod tests {
         let (cache, _d) = make_cache(64, 512);
         let mut t = BTree::create(cache).unwrap();
         for v in [5u64, 1, 9, 3] {
-            t.insert(&k(v), format!("val{v}").as_bytes()).unwrap();
+            put(&mut t, &k(v), format!("val{v}").as_bytes());
         }
-        assert_eq!(t.search(&k(9)).unwrap().unwrap(), b"val9");
-        assert_eq!(t.search(&k(4)).unwrap(), None);
-        assert!(t.search(&k(1)).unwrap().is_some());
+        assert_eq!(get(&mut t, &k(9)).unwrap(), b"val9");
+        assert_eq!(get(&mut t, &k(4)), None);
+        assert!(get(&mut t, &k(1)).is_some());
         assert_eq!(count(&mut t), 4);
-    }
-
-    #[test]
-    fn duplicate_insert_rejected() {
-        let (cache, _d) = make_cache(64, 512);
-        let mut t = BTree::create(cache).unwrap();
-        t.insert(&k(1), b"a").unwrap();
-        assert!(t.insert(&k(1), b"b").is_err());
-        t.upsert(&k(1), b"b").unwrap();
-        assert_eq!(t.search(&k(1)).unwrap().unwrap(), b"b");
     }
 
     #[test]
@@ -1300,7 +1215,7 @@ mod tests {
         let mut vids: Vec<u64> = (0..2000).collect();
         vids.shuffle(&mut StdRng::seed_from_u64(7));
         for v in &vids {
-            t.insert(&k(*v), &v.to_le_bytes()).unwrap();
+            put(&mut t, &k(*v), &v.to_le_bytes());
         }
         assert!(t.height() > 1, "tree must have split");
         // Full ordered walk.
@@ -1313,7 +1228,7 @@ mod tests {
         assert_eq!(expect, 2000);
         // Point lookups.
         for v in [0u64, 1, 999, 1999] {
-            assert_eq!(t.search(&k(v)).unwrap().unwrap(), v.to_le_bytes());
+            assert_eq!(get(&mut t, &k(v)).unwrap(), v.to_le_bytes());
         }
     }
 
@@ -1322,23 +1237,23 @@ mod tests {
         let (cache, _d) = make_cache(256, 256);
         let mut t = BTree::create(cache).unwrap();
         for v in 0..500u64 {
-            t.insert(&k(v), &[1u8; 8]).unwrap();
+            put(&mut t, &k(v), &[1u8; 8]);
         }
         // Same-size updates (PageRank-style).
         for v in 0..500u64 {
-            assert!(t.update(&k(v), &v.to_le_bytes()).unwrap());
+            assert!(write(&mut t, &k(v), &v.to_le_bytes()));
         }
-        assert_eq!(t.search(&k(123)).unwrap().unwrap(), 123u64.to_le_bytes());
+        assert_eq!(get(&mut t, &k(123)).unwrap(), 123u64.to_le_bytes());
         // Growing updates force removes/reinserts and possibly splits.
         for v in 0..500u64 {
             let grown = vec![v as u8; 40];
-            assert!(t.update(&k(v), &grown).unwrap());
+            assert!(write(&mut t, &k(v), &grown));
         }
         for v in (0..500u64).step_by(37) {
-            assert_eq!(t.search(&k(v)).unwrap().unwrap(), vec![v as u8; 40]);
+            assert_eq!(get(&mut t, &k(v)).unwrap(), vec![v as u8; 40]);
         }
         assert_eq!(count(&mut t), 500);
-        assert!(!t.update(&k(10_000), b"x").unwrap());
+        assert!(!write(&mut t, &k(10_000), b"x"));
     }
 
     /// A bulk-loaded multi-leaf tree of fixed-width values, plus the model.
@@ -1357,66 +1272,22 @@ mod tests {
     }
 
     #[test]
-    fn same_length_update_pins_once_and_skips_the_descent_within_a_leaf() {
-        let (mut t, mut model, _d) = loaded(600, 8);
-        assert!(t.height() >= 2);
-        let counters = t.cache().counters().clone();
-        let pins = |c: &ClusterCounters| c.cache_hits() + c.cache_misses();
-        // Ascending pass, the full-outer scan order: one pin per update plus
-        // one descent per leaf, not per key.
-        let before = pins(&counters);
-        for v in 0..600u64 {
-            let val = vec![(v + 1) as u8; 8];
-            assert!(t.update(&k(v), &val).unwrap());
-            model.insert(v, val);
-        }
-        let spent = pins(&counters) - before;
-        assert!(
-            spent < 600 + 600 / 2,
-            "ascending updates must amortise the descent, pinned {spent} pages"
-        );
-        // A miss inside the remembered range costs its one leaf pin; a miss
-        // outside it descends — neither finds the key, neither dirties state.
-        assert!(!t.update(&k(10_000), &[0; 8]).unwrap());
-        assert_matches(&mut t, &model);
-    }
-
-    #[test]
-    fn updates_alternating_between_leaves_stay_correct() {
-        let (mut t, mut model, _d) = loaded(600, 8);
-        // Every update lands on another leaf than the one remembered.
-        for round in 0..3u8 {
-            for i in 0..300u64 {
-                for v in [i, 599 - i] {
-                    let val = vec![round ^ v as u8; 8];
-                    assert!(t.update(&k(v), &val).unwrap());
-                    model.insert(v, val);
-                }
-            }
-        }
-        assert_matches(&mut t, &model);
-    }
-
-    #[test]
     fn grown_and_shrunk_values_take_the_split_capable_path() {
         let (mut t, mut model, _d) = loaded(600, 8);
         for v in 0..600u64 {
-            // Remember the leaf through an in-place update first, so the
-            // resize below runs against a live memo.
-            assert!(t.update(&k(v), &[1; 8]).unwrap());
             let val = if v % 2 == 0 {
                 vec![v as u8; 40]
             } else {
                 vec![v as u8; 3]
             };
-            assert!(t.update(&k(v), &val).unwrap());
+            assert!(write(&mut t, &k(v), &val));
             model.insert(v, val);
         }
         assert_matches(&mut t, &model);
         // And back to one width, in place again.
         for v in 0..600u64 {
             let val = vec![7; model[&v].len()];
-            assert!(t.update(&k(v), &val).unwrap());
+            assert!(write(&mut t, &k(v), &val));
             model.insert(v, val);
         }
         assert_matches(&mut t, &model);
@@ -1433,46 +1304,9 @@ mod tests {
             (6, big(4, 8)),        // neighbour on the same leaf, in place
             (5, big(5, 8)),        // overflow -> inline
         ] {
-            assert!(t.update(&k(v), &val).unwrap());
+            assert!(write(&mut t, &k(v), &val));
             model.insert(v, val);
-            assert_eq!(t.search(&k(v)).unwrap().as_ref(), Some(&model[&v]));
-        }
-        assert_matches(&mut t, &model);
-    }
-
-    #[test]
-    fn leaf_memo_is_dropped_when_the_leaf_splits_or_loses_keys() {
-        let (mut t, mut model, _d) = loaded(300, 8);
-        // Remember the leaf of key 10 000 in a tree of spaced-out keys, then
-        // split that leaf with inserts that land inside its range.
-        let (cache, _d2) = make_cache(256, 256);
-        let mut sparse = BTree::create(cache).unwrap();
-        sparse
-            .bulk_load((0..300u64).map(|v| (k(v * 100), vec![0u8; 8])), 1.0)
-            .unwrap();
-        assert!(sparse.update(&k(10_000), &[1; 8]).unwrap());
-        for v in 10_001..10_060u64 {
-            sparse.insert(&k(v), &[2; 8]).unwrap();
-        }
-        // The remembered page now holds only part of the old range; a stale
-        // memo would miss the keys that moved to the new sibling.
-        for v in 10_001..10_060u64 {
-            assert!(sparse.update(&k(v), &[3; 8]).unwrap(), "key {v} lost");
-            assert_eq!(sparse.search(&k(v)).unwrap().unwrap(), vec![3; 8]);
-        }
-        assert!(sparse.update(&k(10_100), &[4; 8]).unwrap());
-
-        // Delete inside the remembered range, then upsert the key back.
-        assert!(t.update(&k(50), &[9; 8]).unwrap());
-        assert!(t.delete(&k(50)).unwrap());
-        assert!(!t.update(&k(50), &[8; 8]).unwrap(), "deleted key must miss");
-        t.upsert(&k(50), &[8; 8]).unwrap();
-        model.insert(50, vec![8; 8]);
-        // A growing update that splits its own leaf.
-        for v in 40..60u64 {
-            assert!(t.update(&k(v), &[v as u8; 60]).unwrap());
-            model.insert(v, vec![v as u8; 60]);
-            assert!(t.update(&k(v + 1), &model[&(v + 1)].clone()).unwrap());
+            assert_eq!(get(&mut t, &k(v)).as_ref(), Some(&model[&v]));
         }
         assert_matches(&mut t, &model);
     }
@@ -1517,6 +1351,44 @@ mod tests {
             spent <= leaves + height + 1,
             "600 rows over {leaves} leaves at height {height} pinned {spent} pages"
         );
+        assert_matches(&mut t, &model);
+    }
+
+    #[test]
+    fn resized_and_overflow_rewrites_replace_in_the_held_slot() {
+        // Odd keys hold overflow chains, rewritten by head; even keys hold
+        // inline values that shrink, so every entry still fits its leaf.
+        let (cache, _d) = make_cache(512, 256);
+        let mut t = BTree::create(cache).unwrap();
+        let value = |v: u64| vec![v as u8; if v % 2 == 1 { 600 } else { 8 }];
+        let n = 200u64;
+        t.bulk_load((0..n).map(|v| (k(v), value(v))), 0.7).unwrap();
+        let mut model: BTreeMap<u64, Vec<u8>> = (0..n).map(|v| (v, value(v))).collect();
+        let (leaves, height) = (leaf_count(&t), t.height() as u64);
+        assert!(leaves > 10 && height >= 2);
+        let chain = 600u64.div_ceil((256 - HEADER_LEN) as u64);
+        let counters = t.cache().counters().clone();
+        let pins = |c: &ClusterCounters| c.cache_hits() + c.cache_misses();
+        let before = pins(&counters);
+        let mut cur = t.cursor();
+        while cur.next().unwrap() {
+            let v = u64::from_be_bytes(cur.key().try_into().unwrap());
+            if v % 2 == 1 {
+                cur.write_head(&[0xEE; 3]).unwrap();
+                model.get_mut(&v).unwrap()[..3].fill(0xEE);
+            } else {
+                cur.write(&[!(v as u8); 5]).unwrap();
+                model.insert(v, vec![!(v as u8); 5]);
+            }
+            assert_eq!(cur.value(), model[&v].as_slice());
+        }
+        drop(cur);
+        // The first descent, one re-descent per row (each rewrite drops the
+        // path), at most one sibling hop per leaf, and each overflow row's
+        // chain read, recycled and written again: no further leaf pin.
+        let spent = pins(&counters) - before;
+        let bound = height * (n + 1) + leaves + n / 2 * 3 * chain;
+        assert!(spent <= bound, "{n} rewrites pinned {spent} pages, bound {bound}");
         assert_matches(&mut t, &model);
     }
 
@@ -1583,7 +1455,7 @@ mod tests {
         let height = t.height() as u64;
         assert!(height >= 3, "height {height}");
         let keys: Vec<Vec<u8>> = (0..40_000u64).step_by(37).chain([1 << 40]).map(k).collect();
-        let expect: Vec<Option<Vec<u8>>> = keys.iter().map(|key| t.search(key).unwrap()).collect();
+        let expect: Vec<Option<Vec<u8>>> = keys.iter().map(|key| get(&mut t, key)).collect();
         let pages = path_pages(&t, &keys);
         let seeks = keys.len() as u64;
         let before = c.snapshot();
@@ -1655,8 +1527,8 @@ mod tests {
         let mut expect: Vec<u64> = (0..300).collect();
         expect.push(1_000_050);
         assert_eq!(seen, expect, "every row once, in order, splits or not");
-        assert_eq!(t.search(&[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap().unwrap(), [6; 8]);
-        t.delete(&[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap();
+        assert_eq!(get(&mut t, &[0, 0, 0, 0, 0, 0, 0, 50, 1]).unwrap(), [6; 8]);
+        assert!(delete(&mut t, &[0, 0, 0, 0, 0, 0, 0, 50, 1]));
         model.insert(2_000_000, vec![8; 8]);
         assert_matches(&mut t, &model);
     }
@@ -1665,7 +1537,7 @@ mod tests {
     fn scanner_resolves_inline_and_overflow_values() {
         let (mut t, mut model, _d) = loaded(50, 8);
         for v in [3u64, 4, 40] {
-            t.upsert(&k(v), &vec![v as u8; 3_000]).unwrap();
+            put(&mut t, &k(v), &vec![v as u8; 3_000]);
             model.insert(v, vec![v as u8; 3_000]);
         }
         assert_matches(&mut t, &model);
@@ -1679,12 +1551,12 @@ mod tests {
         let (cache, _d) = make_cache(256, 256);
         let mut t = BTree::create(cache).unwrap();
         for v in 0..300u64 {
-            t.insert(&k(v), b"v").unwrap();
+            put(&mut t, &k(v), b"v");
         }
         for v in (0..300u64).filter(|v| v % 2 == 0) {
-            assert!(t.delete(&k(v)).unwrap());
+            assert!(delete(&mut t, &k(v)));
         }
-        assert!(!t.delete(&k(0)).unwrap(), "double delete is a no-op");
+        assert!(!delete(&mut t, &k(0)), "double delete is a no-op");
         assert_eq!(count(&mut t), 150);
         for (key, _) in rows(&mut t) {
             let v = u64::from_be_bytes(key.try_into().unwrap());
@@ -1701,9 +1573,9 @@ mod tests {
         assert!(t.height() >= 3, "5000 entries on 256B pages needs 3+ levels");
         assert_eq!(count(&mut t), 5000);
         for v in [0u64, 1, 2499, 4999] {
-            assert_eq!(t.search(&k(v)).unwrap().unwrap(), v.to_le_bytes());
+            assert_eq!(get(&mut t, &k(v)).unwrap(), v.to_le_bytes());
         }
-        assert_eq!(t.search(&k(5000)).unwrap(), None);
+        assert_eq!(get(&mut t, &k(5000)), None);
         // A seek starts mid-tree.
         assert_eq!(rows_from(&mut t, &k(4990)).len(), 10);
     }
@@ -1735,7 +1607,7 @@ mod tests {
             "a bulk load pins per page, not per entry: {spent} pins for {pages} pages"
         );
         for v in [0u64, 1, 2499, 4999] {
-            assert_eq!(t.search(&k(v)).unwrap().unwrap(), k(v)[4..]);
+            assert_eq!(get(&mut t, &k(v)).unwrap(), k(v)[4..]);
         }
         // Unsorted and repeated keys still fail with the one error.
         for bad in [[k(2), k(1)], [k(1), k(1)]] {
@@ -1753,7 +1625,7 @@ mod tests {
         let entries: Vec<_> = (0..1000u64).map(|v| (k(v * 2), vec![0u8; 8])).collect();
         t.bulk_load(entries, 0.8).unwrap();
         for v in 0..1000u64 {
-            t.insert(&k(v * 2 + 1), &[1u8; 8]).unwrap();
+            put(&mut t, &k(v * 2 + 1), &[1u8; 8]);
         }
         assert_eq!(count(&mut t), 2000);
         let all = rows(&mut t);
@@ -1765,14 +1637,20 @@ mod tests {
         let (cache, _d) = make_cache(64, 256);
         let mut t = BTree::create(cache).unwrap();
         let big = (0..10_000u32).map(|i| i as u8).collect::<Vec<_>>();
-        t.insert(&k(7), &big).unwrap();
-        t.insert(&k(8), b"small").unwrap();
-        assert_eq!(t.search(&k(7)).unwrap().unwrap(), big);
-        assert_eq!(t.search(&k(8)).unwrap().unwrap(), b"small");
-        // Update the big value: old chain recycled, new content visible.
-        let bigger = vec![0xCD; 20_000];
-        assert!(t.update(&k(7), &bigger).unwrap());
-        assert_eq!(t.search(&k(7)).unwrap().unwrap(), bigger);
+        put(&mut t, &k(7), &big);
+        put(&mut t, &k(8), b"small");
+        assert_eq!(get(&mut t, &k(7)).unwrap(), big);
+        assert_eq!(get(&mut t, &k(8)).unwrap(), b"small");
+        // Replace the big value through the put, then at the cursor: there
+        // the old chain is recycled before the new one is written, so a
+        // value of the same length takes no new page.
+        put(&mut t, &k(7), &[0xCD; 20_000]);
+        assert_eq!(get(&mut t, &k(7)).unwrap(), [0xCD; 20_000]);
+        let pages = |t: &BTree| t.cache().file_manager().page_count(t.file()).unwrap();
+        let before = pages(&t);
+        assert!(write(&mut t, &k(7), &[0xEF; 20_000]));
+        assert_eq!(get(&mut t, &k(7)).unwrap(), [0xEF; 20_000]);
+        assert_eq!(pages(&t), before);
         // The cursor resolves overflow too.
         let (key, val) = rows(&mut t).swap_remove(0);
         assert_eq!(key, k(7));
@@ -1787,14 +1665,14 @@ mod tests {
             let mut t = BTree::create(cache.clone()).unwrap();
             file = t.file();
             for v in 0..800u64 {
-                t.insert(&k(v), &v.to_le_bytes()).unwrap();
+                put(&mut t, &k(v), &v.to_le_bytes());
             }
             t.flush().unwrap();
         }
         cache.purge_file(file, true).unwrap();
         let mut t = BTree::open(cache, file).unwrap();
         assert_eq!(count(&mut t), 800);
-        assert_eq!(t.search(&k(321)).unwrap().unwrap(), 321u64.to_le_bytes());
+        assert_eq!(get(&mut t, &k(321)).unwrap(), 321u64.to_le_bytes());
     }
 
     #[test]
@@ -1807,11 +1685,11 @@ mod tests {
         for _ in 0..3000 {
             let key = rng.gen_range(0..1500u64);
             let val = vec![rng.gen::<u8>(); rng.gen_range(1..30)];
-            t.upsert(&k(key), &val).unwrap();
+            put(&mut t, &k(key), &val);
             reference.insert(key, val);
         }
         for (key, val) in &reference {
-            assert_eq!(t.search(&k(*key)).unwrap().unwrap(), *val);
+            assert_eq!(get(&mut t, &k(*key)).unwrap(), *val);
         }
         assert_eq!(count(&mut t) as usize, reference.len());
         assert!(
@@ -1825,14 +1703,16 @@ mod tests {
         let (cache, _d) = make_cache(256, 256);
         let mut t = BTree::create(cache).unwrap();
         // Keys 0, 3, 6, ... — probes hit entries, gaps and the far end.
-        let entries: Vec<_> = (0..2000u64).map(|v| (k(v * 3), (v * 3).to_le_bytes().to_vec())).collect();
-        t.bulk_load(entries, 0.9).unwrap();
-        let expect: Vec<_> = (0..6100u64).map(|v| t.search(&k(v)).unwrap()).collect();
+        let model: BTreeMap<u64, Vec<u8>> =
+            (0..2000u64).map(|v| (v * 3, (v * 3).to_le_bytes().to_vec())).collect();
+        t.bulk_load(model.iter().map(|(v, val)| (k(*v), val)), 0.9).unwrap();
+        let expect: Vec<_> = (0..6100u64).map(|v| get(&mut t, &k(v))).collect();
         let mut cursor = t.cursor();
         for (probe, want) in (0..6100u64).zip(&expect) {
             let found = cursor.seek(&k(probe)).unwrap();
             let got = found.then(|| cursor.value().to_vec());
-            assert_eq!(&got, want, "probe {probe} diverged from search");
+            assert_eq!(&got, want, "probe {probe} diverged from the point lookup");
+            assert_eq!(got.as_ref(), model.get(&probe), "probe {probe}");
         }
         // Duplicate (repeated) probe keys are allowed.
         assert!(!cursor.seek(&k(6100)).unwrap());
@@ -1875,11 +1755,11 @@ mod tests {
         let (cache, _d) = make_cache(256, 256);
         let mut t = BTree::create(cache).unwrap();
         for v in 0..600u64 {
-            t.insert(&k(v), &v.to_le_bytes()).unwrap();
+            put(&mut t, &k(v), &v.to_le_bytes());
         }
         // Carve an empty-leaf region in the middle of the sibling chain.
         for v in 200..400u64 {
-            t.delete(&k(v)).unwrap();
+            assert!(delete(&mut t, &k(v)));
         }
         let mut cursor = t.cursor();
         for v in 0..700u64 {
@@ -1911,15 +1791,15 @@ mod tests {
             match rng.gen_range(0..10) {
                 0..=5 => {
                     let val = vec![(step % 251) as u8; rng.gen_range(0..20)];
-                    t.upsert(&k(key), &val).unwrap();
+                    put(&mut t, &k(key), &val);
                     model.insert(key, val);
                 }
                 6..=7 => {
                     let expected = model.remove(&key).is_some();
-                    assert_eq!(t.delete(&k(key)).unwrap(), expected);
+                    assert_eq!(delete(&mut t, &k(key)), expected);
                 }
                 _ => {
-                    assert_eq!(t.search(&k(key)).unwrap(), model.get(&key).cloned());
+                    assert_eq!(get(&mut t, &k(key)), model.get(&key).cloned());
                 }
             }
         }

@@ -360,11 +360,6 @@ impl PageGuard {
         self.slot.key
     }
 
-    /// The page id within its file.
-    pub fn page_id(&self) -> PageId {
-        self.slot.key.1
-    }
-
     /// Read access to the page bytes.
     pub fn read(&self) -> RwLockReadGuard<'_, Vec<u8>> {
         self.slot.data.read()
@@ -437,7 +432,7 @@ mod tests {
             drop(h);
         }
         assert_eq!(g.read()[0], 0x77);
-        assert_eq!(g.page_id(), pid);
+        assert_eq!(g.key(), (f, pid));
     }
 
     #[test]

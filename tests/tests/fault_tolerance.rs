@@ -524,7 +524,8 @@ fn user_error_mid_superstep_is_forwarded_not_replayed() {
 fn non_recoverable_task_failure_outranks_the_streams_it_truncates() {
     let guard = fault::exclusive();
     guard.install(FaultPlan::new());
-    let cases: [(fn() -> Result<()>, &str); 2] = [
+    type Case = (fn() -> Result<()>, &'static str);
+    let cases: [Case; 2] = [
         (
             || Err(PregelixError::corrupt("deliberate corrupt bytes")),
             "corrupt data: deliberate corrupt bytes",

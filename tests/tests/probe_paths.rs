@@ -1,8 +1,8 @@
-//! Tests of the row cursor's seek path (§5.2/§7.5): a row cursor's
+//! Tests of the row cursor's seek path (§5.2/§7.5): one row cursor's
 //! `seek`s of a monotonically non-decreasing key sequence must be
-//! indistinguishable from repeated point `search`es — and from a
-//! `BTreeMap` reference model — across hits, misses in gaps, duplicate
-//! probe keys, deleted keys, and probes past the last leaf.
+//! indistinguishable from point lookups (a fresh cursor's seek per key) —
+//! and from a `BTreeMap` reference model — across hits, misses in gaps,
+//! duplicate probe keys, deleted keys, and probes past the last leaf.
 //!
 //! The row-cursor sweep drives a random program of moves and writes through
 //! `VertexStore::cursor` against the same model: `next`
@@ -228,30 +228,39 @@ fn check_cursor_program(
     Ok(())
 }
 
-/// Apply `workload` through the tree's by-key API (a split history) and
-/// the model.
+/// Apply `workload` through fresh cursors (a split history) and the model:
+/// an upsert is an insert on no row, the tree's put from the root; a delete
+/// seeks its key and removes the row the seek finds.
 fn apply(store: &mut VertexStore, model: &mut BTreeMap<u64, Vec<u8>>, workload: &[Op]) {
     for (i, op) in workload.iter().enumerate() {
-        let VertexStore::B(t) = store;
         match *op {
             Op::Upsert(key) => {
                 let v = value_for(key, i as u64);
-                t.upsert(&k(key), &v).unwrap();
+                store.cursor().insert(&k(key), &v).unwrap();
                 model.insert(key, v);
             }
             Op::Delete(key) => {
-                t.delete(&k(key)).unwrap();
-                model.remove(&key);
+                let mut cur = store.cursor();
+                let found = cur.seek(&k(key)).unwrap();
+                assert_eq!(found, model.remove(&key).is_some(), "delete of {key}");
+                if found {
+                    cur.delete().unwrap();
+                }
             }
             Op::Flush => store.flush().unwrap(),
         }
     }
 }
 
-/// What point `search`es of `keys` return, one descent each.
-fn search_all(store: &VertexStore, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
-    let VertexStore::B(t) = store;
-    keys.iter().map(|&key| t.search(&k(key)).unwrap()).collect()
+/// What point lookups of `keys` return: a fresh cursor's seek each, one
+/// descent from the root.
+fn search_all(store: &mut VertexStore, keys: &[u64]) -> Vec<Option<Vec<u8>>> {
+    keys.iter()
+        .map(|&key| {
+            let mut cur = store.cursor();
+            cur.seek(&k(key)).unwrap().then(|| cur.value().to_vec())
+        })
+        .collect()
 }
 
 /// What one row cursor's sorted `seek`s of `keys` find.
@@ -278,7 +287,7 @@ proptest! {
         program in cursor_program(160),
     ) {
         // Rows of 8..=40 bytes (all inline) at `stride`-spaced keys, then a
-        // little churn through the by-key API.
+        // little churn through fresh cursors.
         let rows: BTreeMap<u64, Vec<u8>> = (0..n)
             .map(|i| (i * stride, filler(i as usize, 8 + (i as usize * 7) % 33)))
             .collect();
@@ -299,7 +308,7 @@ proptest! {
         let mut store = VertexStore::B(BTree::create(cache).unwrap());
         let mut model = BTreeMap::new();
         apply(&mut store, &mut model, &workload);
-        let searched = search_all(&store, &probe_keys);
+        let searched = search_all(&mut store, &probe_keys);
         let sought = seek_all(&mut store, &probe_keys);
         prop_assert_eq!(&sought, &searched);
         prop_assert_eq!(sought, expect_all(&model, &probe_keys));

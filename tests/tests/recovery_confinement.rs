@@ -130,7 +130,7 @@ fn assert_confined_matches_global<P, F>(
     P: VertexProgram,
     F: Fn(&P::VertexValue) -> u64,
 {
-    let base_job = PregelixJob::new(&format!("rc-{tag}")).with_checkpoint_interval(ckpt_interval);
+    let base_job = PregelixJob::new(format!("rc-{tag}")).with_checkpoint_interval(ckpt_interval);
 
     // 1. Fault-free reference. Logging is on (checkpointing is on), so the
     // tee must be writing logs even though nobody ever replays them.

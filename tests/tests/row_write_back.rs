@@ -23,7 +23,7 @@ fn step(vid: Vid, s: u64, value: &mut String, edges: &mut Vec<Vid>) {
         // Drop it: an overflowing row shrinks back inline.
         1 => edges.clear(),
         // Resize the head (longer or shorter), leave the edges alone.
-        2 if s % 2 == 0 => value.push_str(&"x".repeat(s as usize)),
+        2 if s.is_multiple_of(2) => value.push_str(&"x".repeat(s as usize)),
         2 => value.truncate(1),
         // Same-length head: the in-slot overwrite.
         _ => *value = value.chars().rev().collect(),

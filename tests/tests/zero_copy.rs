@@ -303,7 +303,7 @@ fn faulted_jobs_stay_zero_copy_with_deterministic_slab_counters() {
         let mut seen = Vec::new();
         for _ in 0..2 {
             let plan = guard
-                .install(FaultPlan::new().on(Site::FrameSend, "msg", 2, fault.clone()));
+                .install(FaultPlan::new().on(Site::FrameSend, "msg", 2, fault));
             let (summary, values) = run_cc(&job, &records);
             let injected = plan.injected();
             guard.clear();
