@@ -23,10 +23,11 @@
 //! part of the per-partition state; the manifest snapshots it so recovery
 //! restarts from the checkpointed superstep rather than the latest one.
 
+use crate::api::VertexProgram;
 use crate::gs::GlobalState;
 use crate::plan::{PregelixJob, VertexStorageKind};
 use crate::store::VertexStore;
-use crate::superstep::{msg_run_path, vid_run_writer, PartitionState};
+use crate::superstep::{msg_run_path, PartitionState, SuperstepPlan};
 use parking_lot::Mutex;
 use pregelix_common::dfs::SimDfs;
 use pregelix_common::error::{PregelixError, Result};
@@ -290,12 +291,16 @@ pub fn write_checkpoint(
 /// Reload `targets` (partition indices) from the checkpoint at `superstep`,
 /// each as a task `recover[p]` pinned to `sticky[p]` — the lost partitions
 /// of a §5.5 recovery, which the caller splices into the existing
-/// partition set. Returns `(p, state)` in `targets` order.
+/// partition set. Returns `(p, state)` in `targets` order. The reloaded
+/// `Msg` and `Vid` runs are held as the job's `plan` holds live ones
+/// ([`SuperstepPlan::partition_run`]): in memory while they fit what the
+/// worker's budget leaves them, in their files past it.
 ///
 /// The caller has already decoded and validated `manifest` (via
 /// [`walk_valid`]); this function re-checks only the shape it depends on.
-pub fn reload_partitions(
+pub(crate) fn reload_partitions<P: VertexProgram>(
     cluster: &Cluster,
+    plan: &Arc<SuperstepPlan<P>>,
     job: &PregelixJob,
     superstep: Superstep,
     manifest: &Manifest,
@@ -313,6 +318,7 @@ pub fn reload_partitions(
     let dir = ckpt_dir(&job.id, superstep);
     let has_vid = manifest.has_vid;
     let job_tag = job.id.tag().to_string();
+    let plan = Arc::clone(plan);
     let mut g = JobGraph::new("");
     g.node("recover", targets, LocationConstraint::Absolute(sticky.to_vec()), move |w, p, _| {
         // Step one (§5.5): scan, partition, sort and bulk load Vertex from
@@ -323,17 +329,18 @@ pub fn reload_partitions(
         store.bulk_load(entries)?;
         let vid_index = if has_vid {
             let bytes = dfs.read(&format!("{dir}/vid-p{p}"))?;
-            Some(restore_run(&bytes, vid_run_writer(w, &job_tag, p, None))?)
+            Some(restore_run(&bytes, plan.vid_run_writer(w, p, None))?)
         } else {
             None
         };
-        // Step two: write the checkpointed Msg data to a local file — the
-        // one the live `msgwrite[p]` would have written it to.
+        // Step two: put the checkpointed Msg data back where the live
+        // `msgwrite[p]` would have: in memory, or past the threshold in the
+        // file it would have spilled to.
         let msg_path = format!("{dir}/msg-p{p}");
         let msg_run = if dfs.exists(&msg_path) {
             let bytes = dfs.read(&msg_path)?;
             let path = msg_run_path(w.file_manager().root(), &job_tag, p, superstep);
-            Some(restore_run(&bytes, RunWriter::create(path, w.counters().clone())?)?)
+            Some(restore_run(&bytes, plan.partition_run(w, p, path))?)
         } else {
             None
         };
@@ -403,7 +410,7 @@ fn restore_run(mut raw: &[u8], mut writer: RunWriter) -> Result<RunHandle> {
         let Some(mut record) = raw.get(4..4 + len) else {
             return Err(PregelixError::corrupt("truncated checkpointed run frame"));
         };
-        writer.write_frame(&Frame::deserialize(&mut record)?)?;
+        writer.write_frame(Frame::deserialize(&mut record)?)?;
         raw = &raw[4 + len..];
     }
     writer.finish()

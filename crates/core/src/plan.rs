@@ -199,8 +199,13 @@ impl PlanConfig {
         } else {
             self.join.resolve_with(live_fraction, cost_model)
         };
-        let track_live = self.join != JoinStrategy::FullOuter;
-        (PlanConfig { join, ..self }, track_live)
+        (PlanConfig { join, ..self }, self.tracks_live())
+    }
+
+    /// Whether the plan maintains the `Vid` live-vertex run: every plan
+    /// that may probe, left-outer or Adaptive.
+    pub(crate) fn tracks_live(self) -> bool {
+        self.join != JoinStrategy::FullOuter
     }
 
     /// Short label for reports, e.g. `"loj-hashsort-unmerged"`.

@@ -91,7 +91,7 @@ pub(crate) fn recover<P: VertexProgram>(
             }
         }
         let reloaded =
-            checkpoint::reload_partitions(cluster, job, base, &manifest, &sticky, &lost)?;
+            checkpoint::reload_partitions(cluster, plan, job, base, &manifest, &sticky, &lost)?;
         for (p, st) in reloaded {
             *graph.partitions[p].lock() = st;
         }

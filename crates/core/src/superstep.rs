@@ -199,7 +199,7 @@ impl<M: Clone> FoldTable<M> {
 
     /// Windows it takes to cover `hi` (one for an empty table).
     fn windows(&self) -> usize {
-        self.hi.div_ceil(self.window.max(1)).max(1)
+        windows(self.hi, self.window)
     }
 
     fn fold(&mut self, slot: usize, m: M) {
@@ -321,6 +321,22 @@ impl<M: Clone> FoldSlot<M> {
     }
 }
 
+/// Windows of `window` slots it takes to cover `hi` (one for an empty
+/// table).
+fn windows(hi: usize, window: usize) -> usize {
+    hi.div_ceil(window.max(1)).max(1)
+}
+
+/// What a sender's fold holds of the group-by budget: its resident window
+/// of `window` slots and one storage page of staged spill records for each
+/// of its other `windows - 1` windows — [`SenderFold::Direct`]'s
+/// `table_bytes + spill_buffer_bytes`.
+///
+/// [`SenderFold::Direct`]: crate::runtime::SenderFold::Direct
+fn fold_bytes<M: Clone>(window: usize, windows: usize, page_size: usize) -> usize {
+    FoldTable::<M>::bytes(window as Vid) as usize + (windows - 1) * page_size
+}
+
 fn encode_msg_tuple<M: Writable>(out: &mut Vec<u8>, dest: Vid, m: &M) {
     out.clear();
     out.extend_from_slice(&vid_to_key(dest));
@@ -366,11 +382,11 @@ impl<P: VertexProgram> MsgFold<P> {
         budget: usize,
         combiner: CombineFn,
     ) -> Self {
-        let (table_bytes, spill_files) = table.as_ref().map_or((0, 0), |t| {
-            let resident = FoldTable::<P::Message>::bytes(t.window as Vid) as usize;
-            (resident, t.windows() - 1)
+        let (reserved, spill_files) = table.as_ref().map_or((0, 0), |t| {
+            let windows = t.windows();
+            (fold_bytes::<P::Message>(t.window, windows, fm.page_size()), windows - 1)
         });
-        let sorter_budget = budget.saturating_sub(table_bytes + spill_files * fm.page_size());
+        let sorter_budget = budget.saturating_sub(reserved);
         MsgFold {
             table,
             spills: (0..spill_files).map(|_| None).collect(),
@@ -608,6 +624,55 @@ impl<P: VertexProgram> SuperstepPlan<P> {
             fold_slots,
             logged: job.checkpoint_interval.is_some(),
         }
+    }
+
+    /// What each of partition `p`'s `Msg` and `Vid` runs holds in memory on
+    /// `w` before it spills (§5.4: only when necessary). The worker's
+    /// group-by budget, less what `compute[p]`'s sender-side combine
+    /// reserves of it — a fold table's resident window and spill pages, or
+    /// on the sort paths the sorter, whose budget is all of it — is split
+    /// across the runs the partition holds at once: `Msg_i` and `Msg_{i+1}`,
+    /// plus `Vid_i` and `Vid_{i+1}` under a plan that tracks live vids.
+    fn run_threshold(&self, w: &WorkerHandle, p: usize) -> usize {
+        let budget = w.groupby_budget();
+        let combine = match self.fold_slots.get(p).filter(|slot| slot.sender) {
+            Some(slot) => {
+                let page_size = w.file_manager().page_size();
+                fold_bytes::<P::Message>(slot.window, windows(slot.hi, slot.window), page_size)
+            }
+            None => budget,
+        };
+        let runs = if self.config.tracks_live() { 4 } else { 2 };
+        budget.saturating_sub(combine) / runs
+    }
+
+    /// A writer for partition `p`'s `Msg` or `Vid` run on `w`: held in
+    /// memory, as its frames, up to [`run_threshold`](Self::run_threshold)
+    /// bytes of records, so a run that fits what the worker's budget leaves
+    /// costs no file I/O, and spilled to `path` past that.
+    pub(crate) fn partition_run(
+        &self,
+        w: &WorkerHandle,
+        p: usize,
+        path: impl Into<PathBuf>,
+    ) -> RunWriter {
+        RunWriter::create_buffered(path, w.counters().clone(), self.run_threshold(w, p))
+    }
+
+    /// A writer for partition `p`'s next `Vid` run. It takes whichever of
+    /// the job's two names for the run the `current` one does not hold, so
+    /// a task never writes over the run it reads. Not a `tmp-` file: a
+    /// resident graph holds its run between jobs.
+    pub(crate) fn vid_run_writer(
+        &self,
+        w: &WorkerHandle,
+        p: usize,
+        current: Option<&RunHandle>,
+    ) -> RunWriter {
+        let job_tag = self.job.tag();
+        let name = |k: u8| w.file_manager().root().join(format!("vid-{job_tag}-p{p}-{k}.run"));
+        let holds_first = current.and_then(RunHandle::path) == Some(name(0).as_path());
+        self.partition_run(w, p, name(u8::from(holds_first)))
     }
 
     /// Run superstep `gs.superstep`, live or replayed, over the partitions
@@ -975,7 +1040,7 @@ fn compute_task<P: VertexProgram>(
         agg_partial: None,
         next_vids: exec
             .track_live
-            .then(|| vid_run_writer(w, exec.plan.job.tag(), p, vid_run.as_deref())),
+            .then(|| exec.plan.vid_run_writer(w, p, vid_run.as_deref())),
         counters: w.counters().clone(),
         log: exec
             .log
@@ -1164,28 +1229,6 @@ pub(crate) fn msg_run_path(root: &Path, job_tag: &str, p: usize, fed: Superstep)
     root.join(format!("msg-{job_tag}-p{p}-{}.run", fed % 2))
 }
 
-/// A writer for partition `p`'s next `Vid` run. It takes whichever of the
-/// job's two names for the run the `current` one does not hold, so a task
-/// never writes over the run it reads. Not a `tmp-` file: a resident graph
-/// holds its run between jobs.
-pub(crate) fn vid_run_writer(
-    w: &WorkerHandle,
-    job_tag: &str,
-    p: usize,
-    current: Option<&RunHandle>,
-) -> RunWriter {
-    let name = |k: u8| w.file_manager().root().join(format!("vid-{job_tag}-p{p}-{k}.run"));
-    let holds_first = current.and_then(RunHandle::path) == Some(name(0).as_path());
-    partition_run(w, name(u8::from(holds_first)))
-}
-
-/// A writer for a partition's `Msg` or `Vid` run: held in memory up to
-/// eight frames, so a sparse superstep's runs cost no file I/O, and spilled
-/// to `path` past that.
-fn partition_run(w: &WorkerHandle, path: impl Into<PathBuf>) -> RunWriter {
-    RunWriter::create_buffered(path, w.counters().clone(), 8 * w.frame_bytes())
-}
-
 /// `msgwrite[p]`: folds its inbound message edge into the `Msg_{s+1}` run,
 /// which the commit step installs. Every source of that edge — a stream of
 /// the pipelined connector, a run of the merging one, a logged section in
@@ -1197,8 +1240,9 @@ fn partition_run(w: &WorkerHandle, path: impl Into<PathBuf>) -> RunWriter {
 /// every edge kind, live or replayed, at every RAM size. Otherwise one
 /// merge ([`SortedStream`]) folds them in (vid, tuple bytes, source) order.
 /// The run is created on the first message, so message-free supersteps
-/// (common near convergence) cost no file I/O, and buffered, so small
-/// message sets never touch disk.
+/// (common near convergence) cost no file I/O, and held in memory up to
+/// what the worker's budget leaves it ([`SuperstepPlan::partition_run`]),
+/// so a message set that fits never touches disk.
 fn msgwrite_task<P: VertexProgram>(
     w: &WorkerHandle,
     exec: &Exec<P>,
@@ -1244,7 +1288,7 @@ fn msgwrite_task<P: VertexProgram>(
             w.check_alive()?;
         }
         combined += 1;
-        run.get_or_insert_with(|| partition_run(w, &path)).write_tuple(t)
+        run.get_or_insert_with(|| exec.plan.partition_run(w, p, &path)).write_tuple(t)
     };
     // A table over an empty graph has no slot to fold into.
     match exec.plan.fold_slots.get(p).filter(|slot| slot.window > 0) {
@@ -1337,7 +1381,7 @@ fn mutate_task<P: VertexProgram>(
         // A tracked plan's `Vid` run is rewritten in one merge with the
         // changes; the old run goes only once the new one is sealed.
         if let Some(current) = st.vid_index.as_ref().filter(|_| !vid_changes.is_empty()) {
-            let out = vid_run_writer(w, exec.plan.job.tag(), p, Some(current));
+            let out = exec.plan.vid_run_writer(w, p, Some(current));
             let merged = merge_vids(current, &vid_changes, out, w.counters())?;
             if let Some(old) = st.vid_index.replace(merged) {
                 let _ = old.delete();

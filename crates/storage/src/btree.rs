@@ -358,39 +358,40 @@ impl BTree {
     }
 
     /// The put's descent: insert into the leaf that owns `key`, then the
-    /// separators of any split into the pages above it.
+    /// separators of any split into the pages above it. A page's type, level
+    /// and (interior) child for `key` are read under the one pin the
+    /// descent takes of it, and a leaf is changed under that pin, so a put
+    /// that splits nothing pins each page on its path once.
     fn insert_rec(
         &mut self,
         page: PageId,
         key: &[u8],
         stored: &[u8],
     ) -> Result<Option<(Vec<u8>, PageId)>> {
-        let (ptype, level) = {
-            let guard = self.cache.pin(self.file, page)?;
+        let guard = self.cache.pin(self.file, page)?;
+        let (level, child) = {
             let buf = guard.read();
             let r = PageRef::new(&buf);
-            (r.page_type()?, r.level())
-        };
-        match ptype {
-            PageType::Leaf => self.leaf_insert(page, key, stored),
-            PageType::Interior => {
-                let child = {
-                    let guard = self.cache.pin(self.file, page)?;
-                    let buf = guard.read();
-                    child_of(&PageRef::new(&buf), key)?.1
-                };
-                if let Some((sep, right)) = self.insert_rec(child, key, stored)? {
-                    return self.interior_insert(page, level, &sep, right);
-                }
-                Ok(None)
+            match r.page_type()? {
+                PageType::Leaf => (r.level(), None),
+                PageType::Interior => (r.level(), Some(child_of(&r, key)?.1)),
+                t => return Err(PregelixError::corrupt(format!("unexpected page type {t:?}"))),
             }
-            t => Err(PregelixError::corrupt(format!("unexpected page type {t:?}"))),
+        };
+        let Some(child) = child else {
+            return self.leaf_insert(guard, key, stored);
+        };
+        drop(guard);
+        if let Some((sep, right)) = self.insert_rec(child, key, stored)? {
+            return self.interior_insert(page, level, &sep, right);
         }
+        Ok(None)
     }
 
+    /// Insert into the leaf `guard` pins.
     fn leaf_insert(
         &mut self,
-        page: PageId,
+        guard: PageGuard,
         key: &[u8],
         stored: &[u8],
     ) -> Result<Option<(Vec<u8>, PageId)>> {
@@ -399,7 +400,6 @@ impl BTree {
         // not fit, `replace_value` has removed the entry and the split below
         // inserts the key afresh.
         let (old, placed) = {
-            let guard = self.cache.pin(self.file, page)?;
             let mut buf = guard.write();
             let mut p = PageMut::new(&mut buf);
             match p.as_ref().search(key) {
@@ -419,9 +419,8 @@ impl BTree {
         // Split. Allocate the right sibling, move the upper half, then
         // insert into whichever side owns the key.
         let (right_id, right_guard) = self.cache.new_page(self.file)?;
-        let left_guard = self.cache.pin(self.file, page)?;
         let sep = {
-            let mut lbuf = left_guard.write();
+            let mut lbuf = guard.write();
             let mut rbuf = right_guard.write();
             let mut left = PageMut::new(&mut lbuf);
             let mut right = PageMut::init(&mut rbuf, PageType::Leaf, 0);
@@ -697,11 +696,10 @@ impl Fence {
 /// Invariants the holder keeps:
 /// * Keys are non-decreasing (checked with a debug assertion); out-of-order
 ///   keys would be answered from a stale leaf.
-/// * Only the holder changes the tree while a path is pinned, and it drops
-///   the whole path with [`LeafPos::unpin`] after every change other than
-///   an overwrite in place: right after replacing or removing an entry in
-///   the pinned leaf, and before a put from the root, which may split
-///   pages. No fence can go stale.
+/// * Only the holder changes the tree while a path is pinned. Replacing or
+///   removing an entry in the pinned leaf moves no separator, so the path
+///   stays; the holder drops it with [`LeafPos::unpin`] before a put from
+///   the root, which may split pages. No fence can go stale.
 /// * At most `height` pages are pinned at a time, respecting the buffer
 ///   cache's pin discipline (pinned pages are exempt from eviction).
 ///
@@ -886,14 +884,15 @@ impl LeafPos {
 /// overflow chain replaces the entry in its leaf; [`RowCursor::delete`]
 /// removes it. Only an entry that no longer fits its leaf, and
 /// [`RowCursor::insert`] of a key other than the current row, go through
-/// the tree's split-capable put from the root. Every change but an
-/// overwrite drops the pinned path, and the cursor finds its place again by
-/// key on the next move or write. `next` therefore always yields the
-/// smallest key greater than the position in the tree *as it is now*.
+/// the tree's split-capable put from the root. Only that put drops the
+/// pinned path, and the cursor finds its place again by key on the next
+/// move or write; a change in the held slot keeps it. `next` therefore
+/// always yields the smallest key greater than the position in the tree *as
+/// it is now*.
 pub struct RowCursor<'a> {
     tree: &'a mut BTree,
     /// The pinned path to the leaf the position lives on; unpinned before
-    /// the first move and after every change but an overwrite.
+    /// the first move and by a put from the root.
     pos: LeafPos,
     /// While pinned: slot of the current row (`found`), else of the first
     /// entry after the position.
@@ -1035,8 +1034,9 @@ impl RowCursor<'_> {
 
     /// Store the buffered value in the pinned row's slot. The old overflow
     /// chain is recycled and the new value encoded with the leaf pinned but
-    /// unlocked (overflow pages only, so `slot` still names the row); an
-    /// entry that no longer fits its leaf leaves it for the tree's put.
+    /// unlocked (overflow pages only, so `slot` still names the row); the
+    /// path stays pinned, as no separator moved. An entry that no longer
+    /// fits its leaf leaves it for the tree's put, which drops the path.
     fn rewrite(&mut self) -> Result<()> {
         let Self {
             tree,
@@ -1050,10 +1050,10 @@ impl RowCursor<'_> {
         let old = PageRef::new(&guard.read()).value(*slot).to_vec();
         tree.free_value(&old)?;
         let stored = tree.encode_value(key.len(), value)?;
-        let fits = PageMut::new(&mut guard.write()).replace_value(*slot, &stored);
-        pos.unpin();
-        if !fits {
-            // `replace_value` removed the entry.
+        if !PageMut::new(&mut guard.write()).replace_value(*slot, &stored) {
+            // `replace_value` removed the entry; the put from the root may
+            // split the pinned pages.
+            pos.unpin();
             tree.put(key, &stored)?;
         }
         self.inline = self.tree.inlines(self.key.len(), self.value.len());
@@ -1073,7 +1073,7 @@ impl RowCursor<'_> {
     }
 
     /// Delete the current row from its slot; the cursor stays at its key,
-    /// between rows.
+    /// between rows, on the pinned path: `slot` now names the row after it.
     pub fn delete(&mut self) -> Result<()> {
         self.pin_row()?;
         let guard = self.pos.leaf.as_ref().expect("pinned above");
@@ -1084,7 +1084,6 @@ impl RowCursor<'_> {
             p.remove(self.slot);
             old
         };
-        self.pos.unpin();
         self.found = false;
         self.tree.free_value(&old)
     }
@@ -1321,6 +1320,55 @@ mod tests {
         leaves
     }
 
+    /// A put from the root that splits nothing reads each page's type,
+    /// level and child under one pin and changes the leaf under that pin:
+    /// `height` pins.
+    #[test]
+    fn a_put_from_the_root_pins_each_page_on_its_path_once() {
+        // Even keys only, 70 % full: an odd key lands in a leaf with room.
+        let (cache, _d) = make_cache(256, 256);
+        let mut t = BTree::create(cache).unwrap();
+        t.bulk_load((0..3_000u64).map(|v| (k(2 * v), vec![v as u8; 8])), 0.7)
+            .unwrap();
+        let height = t.height() as u64;
+        assert!(height >= 3, "height {height}");
+        let counters = t.cache().counters().clone();
+        let pins = |c: &ClusterCounters| c.cache_hits() + c.cache_misses();
+        for (key, what) in [(k(2_001), "insert"), (k(4_000), "replace")] {
+            let before = pins(&counters);
+            put(&mut t, &key, &[7; 8]);
+            assert_eq!(pins(&counters) - before, height, "{what}");
+            assert_eq!(get(&mut t, &key), Some(vec![7; 8]));
+        }
+    }
+
+    /// A delete keeps the pinned path: the cursor sits between rows at the
+    /// deleted slot, and the scan goes on from the row after it without a
+    /// descent.
+    #[test]
+    fn cursor_scan_that_deletes_pins_each_leaf_once() {
+        let (mut t, mut model, _d) = loaded(600, 8);
+        let (leaves, height) = (leaf_count(&t), t.height() as u64);
+        let counters = t.cache().counters().clone();
+        let pins = |c: &ClusterCounters| c.cache_hits() + c.cache_misses();
+        let before = pins(&counters);
+        let mut cur = t.cursor();
+        let mut seen = Vec::new();
+        while cur.next().unwrap() {
+            let v = u64::from_be_bytes(cur.key().try_into().unwrap());
+            seen.push(v);
+            if v % 3 != 1 {
+                cur.delete().unwrap();
+                model.remove(&v);
+            }
+        }
+        drop(cur);
+        assert_eq!(seen, (0..600).collect::<Vec<_>>(), "every row visited once");
+        let spent = pins(&counters) - before;
+        assert!(spent <= leaves + height, "{leaves} leaves, height {height}: {spent} pins");
+        assert_matches(&mut t, &model);
+    }
+
     #[test]
     fn cursor_scan_and_rewrite_pins_each_leaf_once() {
         let (mut t, mut model, _d) = loaded(600, 8);
@@ -1383,11 +1431,12 @@ mod tests {
             assert_eq!(cur.value(), model[&v].as_slice());
         }
         drop(cur);
-        // The first descent, one re-descent per row (each rewrite drops the
-        // path), at most one sibling hop per leaf, and each overflow row's
-        // chain read, recycled and written again: no further leaf pin.
+        // The first descent, one sibling hop per further leaf, and each
+        // overflow row's chain read, recycled and written again: a rewrite
+        // in the held slot keeps the path, so no row re-descends and no
+        // leaf is pinned twice.
         let spent = pins(&counters) - before;
-        let bound = height * (n + 1) + leaves + n / 2 * 3 * chain;
+        let bound = height + (leaves - 1) + n / 2 * 3 * chain;
         assert!(spent <= bound, "{n} rewrites pinned {spent} pages, bound {bound}");
         assert_matches(&mut t, &model);
     }

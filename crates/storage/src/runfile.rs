@@ -7,10 +7,15 @@
 //! combined messages and live vids from one superstep to the next (§5.2).
 //!
 //! On disk a run is a sequence of `[u32 len][serialized frame]` records.
-//! A run may be *buffered*: it stays in a memory buffer until a byte
-//! threshold and only then spills to its backing file — small runs (a
-//! sparse superstep's messages) then cost no file I/O at all, which is the
-//! behaviour a warm OS page cache would give on faster file systems.
+//! A run may be *buffered*: it spills to its backing file only when its
+//! records would pass a byte threshold, the share of the worker's memory
+//! budget its owner gives it (§5.4: spill "only when necessary"). The `Msg`
+//! and `Vid` partition runs get what the worker's group-by budget leaves
+//! after the job's sender-side fold, split across the runs a partition
+//! holds at once. Until then the run *is* its frames: the sealed frames are
+//! held as they are, a reader lends tuples straight from them, and nothing
+//! is encoded, copied or decoded. [`RunHandle::read_all`] serializes such a
+//! run on demand into exactly the bytes its spill would have written.
 //! Disk-traffic counters only see bytes that actually hit the file.
 //!
 //! Who deletes a run's file follows from its type. A [`RunWriter`] dropped
@@ -25,16 +30,28 @@ use pregelix_common::error::{PregelixError, Result};
 use pregelix_common::fault::{self, Site};
 use pregelix_common::frame::Frame;
 use pregelix_common::stats::ClusterCounters;
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 enum Sink {
-    /// Buffering in memory until `threshold` bytes.
-    Mem { buf: Vec<u8>, threshold: usize },
+    /// Holding its sealed frames in memory while their records come to at
+    /// most `threshold` bytes.
+    Mem { frames: Vec<Frame>, threshold: usize },
     /// Spilled (or created unbuffered) file.
     File(BufWriter<File>),
+}
+
+/// Append `frame` to `out` as one `[u32 len][serialized frame]` record,
+/// assembled in `scratch` first so a record is one write.
+fn write_record(out: &mut impl Write, frame: &Frame, scratch: &mut Vec<u8>) -> Result<()> {
+    scratch.clear();
+    scratch.extend_from_slice(&(frame.wire_len() as u32).to_le_bytes());
+    frame.serialize(scratch);
+    out.write_all(scratch)?;
+    Ok(())
 }
 
 /// Writes frames to a run.
@@ -85,24 +102,31 @@ impl RunWriter {
         Ok(RunWriter::new(path, sink, counters, staging))
     }
 
-    /// Create a buffered run: data stays in memory until it exceeds
-    /// `threshold` bytes, then transparently spills to `path`. The file is
-    /// not created (and nothing is disk-accounted) unless the spill
-    /// happens.
+    /// Create a buffered run: its frames stay in memory while their records
+    /// come to at most `threshold` bytes; the frame that takes them past it
+    /// spills every record so far to `path`, and the rest follow. The file
+    /// is not created (and nothing is disk-accounted) unless the spill
+    /// happens. Nothing is reserved up front: the run grows frame by frame.
     pub fn create_buffered(
         path: impl Into<PathBuf>,
         counters: ClusterCounters,
         threshold: usize,
     ) -> RunWriter {
         let sink = Sink::Mem {
-            buf: Vec::new(),
+            frames: Vec::new(),
             threshold,
         };
         RunWriter::new(path.into(), sink, counters, Frame::new())
     }
 
-    /// Append a whole frame.
-    pub fn write_frame(&mut self, frame: &Frame) -> Result<()> {
+    /// Append a whole frame: held as it is while the run is in memory.
+    pub fn write_frame(&mut self, frame: Frame) -> Result<()> {
+        self.append(Cow::Owned(frame))
+    }
+
+    /// Append `frame` as one record: held while the run is in memory (only
+    /// ever owned there), serialized to the file otherwise.
+    fn append(&mut self, frame: Cow<'_, Frame>) -> Result<()> {
         if fault::active() {
             let ctx = self.path.to_string_lossy();
             if fault::hit(Site::RunWrite, &ctx).is_some() {
@@ -110,26 +134,22 @@ impl RunWriter {
                 return Err(fault::injected_error(Site::RunWrite, &ctx));
             }
         }
-        // `[u32 len][frame]` assembled once, so a record is one write.
-        self.scratch.clear();
-        self.scratch.extend_from_slice(&[0; 4]);
-        frame.serialize(&mut self.scratch);
-        let len = (self.scratch.len() - 4) as u32;
-        self.scratch[..4].copy_from_slice(&len.to_le_bytes());
-        let rec_len = self.scratch.len() as u64;
+        let rec_len = 4 + frame.wire_len() as u64;
         match &mut self.sink {
-            Sink::Mem { buf, threshold } => {
-                buf.extend_from_slice(&self.scratch);
-                if buf.len() > *threshold {
-                    // Spill: everything buffered so far hits the disk now.
+            Sink::Mem { frames, threshold } => {
+                frames.push(frame.into_owned());
+                if self.bytes + rec_len > *threshold as u64 {
+                    // Spill: every record held so far hits the disk now.
                     let mut file = BufWriter::new(File::create(&self.path)?);
-                    file.write_all(buf)?;
-                    self.counters.add_disk_write(buf.len() as u64);
+                    for held in frames.iter() {
+                        write_record(&mut file, held, &mut self.scratch)?;
+                    }
+                    self.counters.add_disk_write(self.bytes + rec_len);
                     self.sink = Sink::File(file);
                 }
             }
             Sink::File(out) => {
-                out.write_all(&self.scratch)?;
+                write_record(out, &frame, &mut self.scratch)?;
                 self.counters.add_disk_write(rec_len);
             }
         }
@@ -141,11 +161,18 @@ impl RunWriter {
     /// Append a single tuple, buffering into an internal staging frame.
     pub fn write_tuple(&mut self, tuple: &[u8]) -> Result<()> {
         if !self.staging.try_append(tuple) {
-            let mut full = std::mem::take(&mut self.staging);
-            let written = self.write_frame(&full);
-            full.clear();
-            self.staging = full;
-            written?;
+            if matches!(self.sink, Sink::Mem { .. }) {
+                // The full frame is held as it is; only buffered writers
+                // hold frames, and theirs stage in default-sized ones.
+                let full = std::mem::replace(&mut self.staging, Frame::new());
+                self.append(Cow::Owned(full))?;
+            } else {
+                let mut full = std::mem::take(&mut self.staging);
+                let written = self.append(Cow::Borrowed(&full));
+                full.clear();
+                self.staging = full;
+                written?;
+            }
             let ok = self.staging.try_append(tuple);
             debug_assert!(ok, "empty frame accepts any tuple");
         }
@@ -156,7 +183,7 @@ impl RunWriter {
     pub fn finish(mut self) -> Result<RunHandle> {
         if !self.staging.is_empty() {
             let last = std::mem::take(&mut self.staging);
-            self.write_frame(&last)?;
+            self.append(Cow::Owned(last))?;
         }
         if let Sink::File(out) = &mut self.sink {
             out.flush()?;
@@ -164,11 +191,11 @@ impl RunWriter {
         // Sealed: an empty memory sink is what `drop` finds, so the file
         // stays.
         let sealed = Sink::Mem {
-            buf: Vec::new(),
+            frames: Vec::new(),
             threshold: 0,
         };
         let backing = match std::mem::replace(&mut self.sink, sealed) {
-            Sink::Mem { buf, .. } => Backing::Mem(Arc::new(buf)),
+            Sink::Mem { frames, .. } => Backing::Mem(Arc::new(frames)),
             Sink::File(_) => Backing::File(std::mem::take(&mut self.path)),
         };
         Ok(RunHandle {
@@ -191,7 +218,7 @@ impl Drop for RunWriter {
 
 #[derive(Clone, Debug)]
 enum Backing {
-    Mem(Arc<Vec<u8>>),
+    Mem(Arc<Vec<Frame>>),
     File(PathBuf),
 }
 
@@ -227,10 +254,19 @@ impl RunHandle {
         }
     }
 
-    /// The complete serialized record stream (checkpointing support).
+    /// The complete serialized record stream (checkpointing support): the
+    /// bytes a spill of the run writes, serialized here for a run that
+    /// never spilled.
     pub fn read_all(&self) -> Result<Vec<u8>> {
         match &self.backing {
-            Backing::Mem(buf) => Ok(buf.as_ref().clone()),
+            Backing::Mem(frames) => {
+                let mut out = Vec::with_capacity(self.bytes as usize);
+                let mut scratch = Vec::new();
+                for frame in frames.iter() {
+                    write_record(&mut out, frame, &mut scratch)?;
+                }
+                Ok(out)
+            }
             Backing::File(p) => Ok(std::fs::read(p)?),
         }
     }
@@ -238,11 +274,15 @@ impl RunHandle {
     /// Open the run for sequential reading.
     pub fn open(&self, counters: ClusterCounters) -> Result<RunReader> {
         let input = match &self.backing {
-            Backing::Mem(buf) => Input::Mem {
-                buf: Arc::clone(buf),
-                pos: 0,
+            Backing::Mem(frames) => Input::Mem {
+                frames: Arc::clone(frames),
+                next: 0,
             },
-            Backing::File(p) => Input::File(BufReader::new(File::open(p)?)),
+            Backing::File(p) => Input::File {
+                file: BufReader::new(File::open(p)?),
+                record: Vec::new(),
+                frame: Frame::default(),
+            },
         };
         let ctx = if fault::active() {
             match &self.backing {
@@ -256,9 +296,7 @@ impl RunHandle {
             input,
             counters,
             ctx,
-            record: Vec::new(),
-            pending: Frame::default(),
-            pending_idx: 0,
+            idx: 0,
             done: false,
         })
     }
@@ -319,28 +357,26 @@ impl Drop for TempRun {
 }
 
 enum Input {
-    Mem { buf: Arc<Vec<u8>>, pos: usize },
-    File(BufReader<File>),
+    /// An in-memory run's frames, lent in place: `next` is the index of
+    /// the frame after the current one.
+    Mem { frames: Arc<Vec<Frame>>, next: usize },
+    /// A file, each record read into `record` and decoded into `frame`.
+    /// Both are reused from record to record: past its first frame a reader
+    /// allocates only when a record is larger than any before it.
+    File {
+        file: BufReader<File>,
+        record: Vec<u8>,
+        frame: Frame,
+    },
 }
 
 impl Input {
-    fn read_exact(&mut self, out: &mut [u8]) -> std::io::Result<()> {
+    /// The current frame, if a record has been read.
+    fn frame(&self) -> Option<&Frame> {
         match self {
-            Input::Mem { buf, pos } => {
-                if buf.len() - *pos < out.len() {
-                    // Every run ends here: an error that allocates nothing.
-                    return Err(std::io::ErrorKind::UnexpectedEof.into());
-                }
-                out.copy_from_slice(&buf[*pos..*pos + out.len()]);
-                *pos += out.len();
-                Ok(())
-            }
-            Input::File(f) => f.read_exact(out),
+            Input::Mem { frames, next } => frames.get(next.checked_sub(1)?),
+            Input::File { frame, .. } => Some(frame),
         }
-    }
-
-    fn is_file(&self) -> bool {
-        matches!(self, Input::File(_))
     }
 }
 
@@ -351,64 +387,83 @@ pub struct RunReader {
     /// Fault-injection context (run path); only populated while a plan is
     /// installed, so production readers never allocate for it.
     ctx: String,
-    /// The bytes of the record `pending` was decoded from. Like `pending`
-    /// it is reused from record to record: past its first frame a reader
-    /// allocates only when a record is larger than any before it.
-    record: Vec<u8>,
-    pending: Frame,
-    pending_idx: usize,
+    /// Index of the lending cursor's tuple in the current frame.
+    idx: usize,
     done: bool,
 }
 
 impl RunReader {
-    /// Read the next frame, or `None` at end of run. The frame is the
-    /// reader's own decode buffer, handed over: callers that only look at
-    /// tuples use [`advance`](Self::advance), which keeps it.
+    /// Read the next frame, or `None` at end of run: a file's is the
+    /// reader's own decode buffer, handed over; an in-memory run's is a
+    /// copy. Callers that only look at tuples use
+    /// [`advance`](Self::advance), which copies nothing.
     pub fn next_frame(&mut self) -> Result<Option<Frame>> {
-        Ok(self
-            .fill_pending()?
-            .then(|| std::mem::take(&mut self.pending)))
+        if !self.next_record()? {
+            return Ok(None);
+        }
+        if let Input::File { frame, .. } = &mut self.input {
+            return Ok(Some(std::mem::take(frame)));
+        }
+        Ok(self.input.frame().cloned())
     }
 
-    /// Decode the next record into `pending`; `false` at end of run.
-    fn fill_pending(&mut self) -> Result<bool> {
+    /// Move to the next record: lend the next held frame, or read and
+    /// decode the next file record. `false` at end of run.
+    fn next_record(&mut self) -> Result<bool> {
         if fault::active() && fault::hit(Site::RunRead, &self.ctx).is_some() {
             self.counters.add_faults_injected(1);
             return Err(fault::injected_error(Site::RunRead, &self.ctx));
         }
+        let (file, record, frame) = match &mut self.input {
+            Input::Mem { frames, next } => {
+                if *next == frames.len() {
+                    return Ok(false);
+                }
+                *next += 1;
+                return Ok(true);
+            }
+            Input::File {
+                file,
+                record,
+                frame,
+            } => (file, record, frame),
+        };
         let mut len_buf = [0u8; 4];
-        match self.input.read_exact(&mut len_buf) {
+        match file.read_exact(&mut len_buf) {
             Ok(()) => {}
             Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(false),
             Err(e) => return Err(e.into()),
         }
         let len = u32::from_le_bytes(len_buf) as usize;
-        self.record.resize(len, 0);
-        self.input.read_exact(&mut self.record)?;
-        if self.input.is_file() {
-            self.counters.add_disk_read(4 + len as u64);
-        }
-        let mut rest = &self.record[..];
-        self.pending.deserialize_into(&mut rest)?;
+        record.resize(len, 0);
+        file.read_exact(record)?;
+        self.counters.add_disk_read(4 + len as u64);
+        let mut rest = &record[..];
+        frame.deserialize_into(&mut rest)?;
         if !rest.is_empty() {
             return Err(PregelixError::corrupt("trailing bytes in run record"));
         }
         Ok(true)
     }
 
+    /// Tuples in the current frame (0 before the first record).
+    fn frame_len(&self) -> usize {
+        self.input.frame().map_or(0, Frame::len)
+    }
+
     /// Read the next tuple (frame boundaries hidden), or `None` at the end.
     pub fn next_tuple(&mut self) -> Result<Option<Vec<u8>>> {
         loop {
-            if self.pending_idx < self.pending.len() {
-                let t = self.pending.tuple(self.pending_idx).to_vec();
-                self.pending_idx += 1;
+            if let Some(frame) = self.input.frame().filter(|f| self.idx < f.len()) {
+                let t = frame.tuple(self.idx).to_vec();
+                self.idx += 1;
                 return Ok(Some(t));
             }
             if self.done {
                 return Ok(None);
             }
-            if self.fill_pending()? {
-                self.pending_idx = 0;
+            if self.next_record()? {
+                self.idx = 0;
             } else {
                 self.done = true;
             }
@@ -418,23 +473,24 @@ impl RunReader {
     /// Advance the lending cursor to the next tuple. Returns `true` when a
     /// tuple is available via [`current`](Self::current). This is the
     /// allocation-free counterpart of [`next_tuple`](Self::next_tuple): the
-    /// cursor borrows tuples in place from the reader's current frame. Do
-    /// not mix the two styles on one reader.
+    /// cursor borrows tuples in place from the current frame — the held
+    /// frame itself for an in-memory run. Do not mix the two styles on one
+    /// reader.
     pub fn advance(&mut self) -> Result<bool> {
         loop {
-            let next = self.pending_idx.wrapping_add(1);
-            if next < self.pending.len() {
-                self.pending_idx = next;
+            let next = self.idx.wrapping_add(1);
+            if next < self.frame_len() {
+                self.idx = next;
                 return Ok(true);
             }
             if self.done {
-                self.pending_idx = self.pending.len();
+                self.idx = self.frame_len();
                 return Ok(false);
             }
-            if self.fill_pending()? {
+            if self.next_record()? {
                 // One less than the first index, so the wrapping
                 // increment above lands on tuple 0.
-                self.pending_idx = usize::MAX;
+                self.idx = usize::MAX;
             } else {
                 self.done = true;
             }
@@ -444,11 +500,8 @@ impl RunReader {
     /// The tuple under the lending cursor, or `None` before the first
     /// [`advance`](Self::advance) / after exhaustion.
     pub fn current(&self) -> Option<&[u8]> {
-        if self.pending_idx < self.pending.len() {
-            Some(self.pending.tuple(self.pending_idx))
-        } else {
-            None
-        }
+        let frame = self.input.frame()?;
+        (self.idx < frame.len()).then(|| frame.tuple(self.idx))
     }
 }
 
@@ -472,8 +525,8 @@ mod tests {
         f1.try_append(b"two");
         let mut f2 = Frame::new();
         f2.try_append(b"three");
-        w.write_frame(&f1).unwrap();
-        w.write_frame(&f2).unwrap();
+        w.write_frame(f1).unwrap();
+        w.write_frame(f2).unwrap();
         let h = w.finish().unwrap();
         assert_eq!(h.frames(), 2);
         assert!(!h.in_memory());
@@ -629,6 +682,55 @@ mod tests {
         h.delete().unwrap(); // no-op
     }
 
+    /// A run that fits its threshold is its frames: read back tuple for
+    /// tuple with no disk traffic, and serialized on demand into exactly the
+    /// file the same frames spill to past a smaller threshold — a record is
+    /// `4 + wire_len` bytes either way, so a run of exactly the threshold
+    /// stays in memory and one byte less spills.
+    #[test]
+    fn in_memory_run_reads_back_its_frames_and_serializes_as_its_spill() {
+        let dir = TempDir::new("run").unwrap();
+        let write = |threshold: usize, c: &ClusterCounters| {
+            let path = dir.path().join(format!("f-{threshold}.run"));
+            let mut w = RunWriter::create_buffered(&path, c.clone(), threshold);
+            for vid in 0..3_000u64 {
+                w.write_tuple(&keyed_tuple(vid, &[vid as u8; 12])).unwrap();
+            }
+            w.finish().unwrap()
+        };
+        let probe = write(usize::MAX, &counters());
+        assert!(probe.frames() > 2);
+        let (mem_c, file_c) = (counters(), counters());
+        let mem = write(probe.bytes() as usize, &mem_c);
+        let file = write(probe.bytes() as usize - 1, &file_c);
+        assert!(mem.in_memory() && !file.in_memory());
+        assert_eq!((mem.frames(), mem.bytes()), (file.frames(), file.bytes()));
+        assert_eq!(file_c.disk_write_bytes(), file.bytes());
+        let tuples = |run: &RunHandle, c: &ClusterCounters| {
+            let mut r = run.open(c.clone()).unwrap();
+            let mut out = Vec::new();
+            while r.advance().unwrap() {
+                out.push(r.current().unwrap().to_vec());
+            }
+            out
+        };
+        assert_eq!(tuples(&mem, &mem_c), tuples(&file, &file_c));
+        assert_eq!(mem_c.snapshot().disk_write_bytes + mem_c.snapshot().disk_read_bytes, 0);
+        assert_eq!(file_c.disk_read_bytes(), file.bytes());
+        let on_disk = std::fs::read(file.path().unwrap()).unwrap();
+        assert_eq!(mem.read_all().unwrap(), on_disk);
+        // Frame by frame too: the held frames are the spilled records.
+        let (mut a, mut b) = (mem.open(counters()).unwrap(), file.open(counters()).unwrap());
+        let mut frames = 0;
+        while let Some(fa) = a.next_frame().unwrap() {
+            let fb = b.next_frame().unwrap().unwrap();
+            assert_eq!(fa.iter().collect::<Vec<_>>(), fb.iter().collect::<Vec<_>>());
+            frames += 1;
+        }
+        assert!(b.next_frame().unwrap().is_none());
+        assert_eq!(frames, mem.frames());
+    }
+
     #[test]
     fn buffered_run_spills_past_threshold() {
         let dir = TempDir::new("run").unwrap();
@@ -681,7 +783,7 @@ mod tests {
         let mut w = RunWriter::create(&path, counters()).unwrap();
         let mut f = Frame::new();
         f.try_append(&[1u8; 64]);
-        w.write_frame(&f).unwrap();
+        w.write_frame(f).unwrap();
         let h = w.finish().unwrap();
         // Chop the file mid-record.
         let bytes = std::fs::read(&path).unwrap();

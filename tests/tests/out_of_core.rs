@@ -146,3 +146,35 @@ fn groupby_spills_when_message_volume_exceeds_budget() {
         "message combination should have spilled: {stats:?}"
     );
 }
+
+/// §5.4: a `Msg` run spills only when what the worker's group-by budget
+/// leaves cannot hold it. PageRank on 16 384 vertices in one partition, cut
+/// off after three supersteps so the graph still holds the run feeding the
+/// fourth: about 270 KB, larger than any fixed threshold of a few frames
+/// (eight 16 KiB frames is 128 KiB). At 16 MiB the cache holds the graph
+/// and every run fits, so the run phase writes no byte to disk and no
+/// `msg-*.run` file exists. At 1 MiB (a windowed fold table) and 192 KiB
+/// (the sort path) the held run is a file.
+#[test]
+fn msg_runs_spill_only_past_what_the_budget_leaves() {
+    let records = webmap::webmap(14, 6.0, 63);
+    for (ram, spills) in [(16 << 20, false), (1 << 20, true), (192 << 10, true)] {
+        let cluster = Cluster::new(ClusterConfig::new(1, ram)).unwrap();
+        let job = PregelixJob::new("ooc-spill").with_max_supersteps(3);
+        let program = Arc::new(PageRank::new(10));
+        let (summary, graph) =
+            run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
+        let root = cluster.worker(0).file_manager().root().to_path_buf();
+        let held: Vec<String> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("msg-") && name.ends_with(".run"))
+            .collect();
+        assert_eq!(held.len(), usize::from(spills), "{ram}: {held:?}");
+        if !spills {
+            assert_eq!(summary.stats.cache_evictions, 0, "{ram}");
+            assert_eq!(summary.stats.disk_write_bytes, 0, "{ram}: no run-file byte");
+        }
+        drop(graph);
+    }
+}

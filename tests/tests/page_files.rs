@@ -39,15 +39,11 @@ fn assert_released(cluster: &Cluster, what: &str) {
     assert!(left.is_empty(), "{what}: still on disk: {left:?}");
 }
 
-/// Two workers whose frames are small enough that a 1 024-vertex
-/// PageRank's `Msg` and `Vid` runs spill to files instead of staying in
-/// memory.
-fn small_frame_cluster() -> Cluster {
-    Cluster::new(ClusterConfig {
-        frame_bytes: 512,
-        ..ClusterConfig::new(2, 8 << 20)
-    })
-    .unwrap()
+/// Two workers whose group-by budget (16 KiB) leaves a 1 024-vertex
+/// PageRank's `Msg` and `Vid` runs less room than they take once its fold
+/// table is sized, so they spill to files instead of staying in memory.
+fn small_budget_cluster() -> Cluster {
+    Cluster::new(ClusterConfig::new(2, 128 << 10)).unwrap()
 }
 
 /// A chain component `0 — 1 — … — len-1` (symmetric edges).
@@ -110,7 +106,7 @@ impl VertexProgram for FailsInSuperstep3 {
 #[test]
 fn dropped_graphs_leave_no_partition_files() {
     let _guard = fault::exclusive();
-    let cluster = small_frame_cluster();
+    let cluster = small_budget_cluster();
     let records = graphgen::webmap::webmap(10, 4.0, 5);
     // PageRank under both join plans (the left-outer one adds the `Vid` run,
     // which spills too). Cut off after three supersteps, each graph still
@@ -155,7 +151,7 @@ fn dropped_graphs_leave_no_partition_files() {
 #[test]
 fn tenants_leave_no_partition_files_done_or_failed() {
     let _guard = fault::exclusive();
-    let cluster = small_frame_cluster();
+    let cluster = small_budget_cluster();
     let inputs = [
         ("pf-done", graphgen::webmap::webmap(10, 4.0, 7)),
         ("pf-fail", graphgen::webmap::webmap(9, 4.0, 8)),
@@ -181,7 +177,7 @@ fn tenants_leave_no_partition_files_done_or_failed() {
 #[test]
 fn a_failed_job_leaves_no_recovery_state() {
     let _guard = fault::exclusive();
-    let cluster = small_frame_cluster();
+    let cluster = small_budget_cluster();
     let records = graphgen::webmap::webmap(9, 4.0, 8);
     graphgen::text::write_to_dfs(cluster.dfs(), "in/pf-fail-ckpt", &records).unwrap();
     let job = PregelixJob::new("pf-fail-ckpt")
@@ -260,7 +256,7 @@ fn a_reload_onto_the_path_of_a_lost_msg_run_keeps_the_reloaded_run() {
     // hold (paths alternate on superstep parity).
     let job = PregelixJob::new("pf-reload").with_checkpoint_interval(3);
     let run = || {
-        let cluster = small_frame_cluster();
+        let cluster = small_budget_cluster();
         let (summary, graph) =
             run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
         let values: Vec<(u64, u64)> = graph

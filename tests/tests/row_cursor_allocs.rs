@@ -121,9 +121,10 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
 
     // A run reader — every merge input, every `Msg` partition, every fold
     // window read back — allocates for its first frame and never again, the
-    // end of the run included: each record lands in the reader's one record
-    // buffer and is decoded into its one frame. 64 frames, on disk and in
-    // memory.
+    // end of the run included: each record of a file lands in the reader's
+    // one record buffer and is decoded into its one frame. An in-memory run
+    // is its frames, lent in place: opening and reading it allocates
+    // nothing at all. 64 frames, on disk and in memory.
     use pregelix::common::stats::ClusterCounters;
     use pregelix::storage::file::TempDir;
     use pregelix::storage::runfile::RunWriter;
@@ -139,9 +140,14 @@ fn doubling_the_graph_adds_no_allocation_per_compute_call() {
         }
         let run = writer.finish().unwrap();
         assert_eq!((run.frames(), run.in_memory()), (64, threshold != 0));
-        let mut reader = run.open(ClusterCounters::new()).unwrap();
+        let counters = ClusterCounters::new();
+        let opened = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut reader = run.open(counters).unwrap();
         assert!(reader.advance().unwrap());
         let before = ALLOCATIONS.load(Ordering::Relaxed);
+        if run.in_memory() {
+            assert_eq!(before, opened, "opening an in-memory run and lending its first tuple");
+        }
         let mut read = 1;
         while reader.advance().unwrap() {
             read += 1;
