@@ -340,7 +340,7 @@ pub(crate) fn reload_partitions<P: VertexProgram>(
         let msg_run = if dfs.exists(&msg_path) {
             let bytes = dfs.read(&msg_path)?;
             let path = msg_run_path(w.file_manager().root(), &job_tag, p, superstep);
-            Some(restore_run(&bytes, plan.partition_run(w, p, path))?)
+            Some(restore_run(&bytes, plan.partition_run(w, path))?)
         } else {
             None
         };

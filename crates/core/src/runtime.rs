@@ -411,8 +411,26 @@ impl<P: VertexProgram> RunLoop<P> {
                 .collect(),
             _ => Vec::new(),
         };
+        // §5.4: spill only when necessary. A partition's `Msg` and `Vid`
+        // runs share what the group-by budget leaves after the sender's
+        // fold (a sorter is budgeted all of it), split over the runs it
+        // holds at once: `Msg_i` and `Msg_{i+1}`, plus `Vid_i` and
+        // `Vid_{i+1}` under a plan that tracks live vids. A run always
+        // holds eight frames, so a sparse superstep's runs cost no file I/O.
+        let budget = worker.groupby_budget();
+        let fold_bytes = match sender_fold {
+            SenderFold::Direct {
+                table_bytes,
+                spill_buffer_bytes,
+                ..
+            } => (table_bytes + spill_buffer_bytes) as usize,
+            _ => budget,
+        };
+        let runs = if job.plan.tracks_live() { 4 } else { 2 };
+        let run_threshold =
+            (budget.saturating_sub(fold_bytes) / runs).max(8 * worker.frame_bytes());
         Ok(RunLoop {
-            plan: Arc::new(SuperstepPlan::new(program, job, fold_slots)),
+            plan: Arc::new(SuperstepPlan::new(program, job, fold_slots, run_threshold)),
             job: job.clone(),
             gs,
             stats_before: cluster.counters().snapshot(),

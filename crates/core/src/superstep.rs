@@ -199,7 +199,7 @@ impl<M: Clone> FoldTable<M> {
 
     /// Windows it takes to cover `hi` (one for an empty table).
     fn windows(&self) -> usize {
-        windows(self.hi, self.window)
+        self.hi.div_ceil(self.window.max(1)).max(1)
     }
 
     fn fold(&mut self, slot: usize, m: M) {
@@ -321,22 +321,6 @@ impl<M: Clone> FoldSlot<M> {
     }
 }
 
-/// Windows of `window` slots it takes to cover `hi` (one for an empty
-/// table).
-fn windows(hi: usize, window: usize) -> usize {
-    hi.div_ceil(window.max(1)).max(1)
-}
-
-/// What a sender's fold holds of the group-by budget: its resident window
-/// of `window` slots and one storage page of staged spill records for each
-/// of its other `windows - 1` windows — [`SenderFold::Direct`]'s
-/// `table_bytes + spill_buffer_bytes`.
-///
-/// [`SenderFold::Direct`]: crate::runtime::SenderFold::Direct
-fn fold_bytes<M: Clone>(window: usize, windows: usize, page_size: usize) -> usize {
-    FoldTable::<M>::bytes(window as Vid) as usize + (windows - 1) * page_size
-}
-
 fn encode_msg_tuple<M: Writable>(out: &mut Vec<u8>, dest: Vid, m: &M) {
     out.clear();
     out.extend_from_slice(&vid_to_key(dest));
@@ -382,11 +366,11 @@ impl<P: VertexProgram> MsgFold<P> {
         budget: usize,
         combiner: CombineFn,
     ) -> Self {
-        let (reserved, spill_files) = table.as_ref().map_or((0, 0), |t| {
-            let windows = t.windows();
-            (fold_bytes::<P::Message>(t.window, windows, fm.page_size()), windows - 1)
+        let (table_bytes, spill_files) = table.as_ref().map_or((0, 0), |t| {
+            let resident = FoldTable::<P::Message>::bytes(t.window as Vid) as usize;
+            (resident, t.windows() - 1)
         });
-        let sorter_budget = budget.saturating_sub(reserved);
+        let sorter_budget = budget.saturating_sub(table_bytes + spill_files * fm.page_size());
         MsgFold {
             table,
             spills: (0..spill_files).map(|_| None).collect(),
@@ -570,6 +554,9 @@ pub(crate) struct SuperstepPlan<P: VertexProgram> {
     fold_slots: Vec<FoldSlot<P::Message>>,
     /// Whether `compute` tees its outbound edges into the message log.
     logged: bool,
+    /// Record bytes each of a partition's `Msg` and `Vid` runs holds in
+    /// memory before it spills ([`partition_run`](Self::partition_run)).
+    run_threshold: usize,
 }
 
 /// What feeds one run of the plan.
@@ -616,6 +603,7 @@ impl<P: VertexProgram> SuperstepPlan<P> {
         program: &Arc<P>,
         job: &PregelixJob,
         fold_slots: Vec<FoldSlot<P::Message>>,
+        run_threshold: usize,
     ) -> Self {
         SuperstepPlan {
             program: Arc::clone(program),
@@ -623,40 +611,16 @@ impl<P: VertexProgram> SuperstepPlan<P> {
             config: job.plan,
             fold_slots,
             logged: job.checkpoint_interval.is_some(),
+            run_threshold,
         }
     }
 
-    /// What each of partition `p`'s `Msg` and `Vid` runs holds in memory on
-    /// `w` before it spills (§5.4: only when necessary). The worker's
-    /// group-by budget, less what `compute[p]`'s sender-side combine
-    /// reserves of it — a fold table's resident window and spill pages, or
-    /// on the sort paths the sorter, whose budget is all of it — is split
-    /// across the runs the partition holds at once: `Msg_i` and `Msg_{i+1}`,
-    /// plus `Vid_i` and `Vid_{i+1}` under a plan that tracks live vids.
-    fn run_threshold(&self, w: &WorkerHandle, p: usize) -> usize {
-        let budget = w.groupby_budget();
-        let combine = match self.fold_slots.get(p).filter(|slot| slot.sender) {
-            Some(slot) => {
-                let page_size = w.file_manager().page_size();
-                fold_bytes::<P::Message>(slot.window, windows(slot.hi, slot.window), page_size)
-            }
-            None => budget,
-        };
-        let runs = if self.config.tracks_live() { 4 } else { 2 };
-        budget.saturating_sub(combine) / runs
-    }
-
-    /// A writer for partition `p`'s `Msg` or `Vid` run on `w`: held in
-    /// memory, as its frames, up to [`run_threshold`](Self::run_threshold)
-    /// bytes of records, so a run that fits what the worker's budget leaves
-    /// costs no file I/O, and spilled to `path` past that.
-    pub(crate) fn partition_run(
-        &self,
-        w: &WorkerHandle,
-        p: usize,
-        path: impl Into<PathBuf>,
-    ) -> RunWriter {
-        RunWriter::create_buffered(path, w.counters().clone(), self.run_threshold(w, p))
+    /// A writer for a partition's `Msg` or `Vid` run on `w`: held in
+    /// memory, as its frames, up to the plan's run threshold in bytes of
+    /// records, so a run that fits what the worker's budget leaves costs no
+    /// file I/O, and spilled to `path` past that.
+    pub(crate) fn partition_run(&self, w: &WorkerHandle, path: impl Into<PathBuf>) -> RunWriter {
+        RunWriter::create_buffered(path, w.counters().clone(), self.run_threshold)
     }
 
     /// A writer for partition `p`'s next `Vid` run. It takes whichever of
@@ -672,7 +636,7 @@ impl<P: VertexProgram> SuperstepPlan<P> {
         let job_tag = self.job.tag();
         let name = |k: u8| w.file_manager().root().join(format!("vid-{job_tag}-p{p}-{k}.run"));
         let holds_first = current.and_then(RunHandle::path) == Some(name(0).as_path());
-        self.partition_run(w, p, name(u8::from(holds_first)))
+        self.partition_run(w, name(u8::from(holds_first)))
     }
 
     /// Run superstep `gs.superstep`, live or replayed, over the partitions
@@ -1288,7 +1252,7 @@ fn msgwrite_task<P: VertexProgram>(
             w.check_alive()?;
         }
         combined += 1;
-        run.get_or_insert_with(|| exec.plan.partition_run(w, p, &path)).write_tuple(t)
+        run.get_or_insert_with(|| exec.plan.partition_run(w, &path)).write_tuple(t)
     };
     // A table over an empty graph has no slot to fold into.
     match exec.plan.fold_slots.get(p).filter(|slot| slot.window > 0) {

@@ -12,7 +12,7 @@
 //! budget its owner gives it (§5.4: spill "only when necessary"). The `Msg`
 //! and `Vid` partition runs get what the worker's group-by budget leaves
 //! after the job's sender-side fold, split across the runs a partition
-//! holds at once. Until then the run *is* its frames: the sealed frames are
+//! holds at once, and never less than eight frames. Until then the run *is* its frames: the sealed frames are
 //! held as they are, a reader lends tuples straight from them, and nothing
 //! is encoded, copied or decoded. [`RunHandle::read_all`] serializes such a
 //! run on demand into exactly the bytes its spill would have written.

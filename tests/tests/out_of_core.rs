@@ -6,6 +6,8 @@
 use pregelix::baselines::{
     Algorithm, BaselineConfig, BaselineEngine, GiraphEngine, GraphLabEngine,
 };
+use pregelix::core::api::tests_support::SortPath;
+use pregelix::core::SenderFold;
 use pregelix::graphgen::webmap;
 use pregelix::prelude::*;
 use std::sync::Arc;
@@ -175,6 +177,32 @@ fn msg_runs_spill_only_past_what_the_budget_leaves() {
             assert_eq!(summary.stats.cache_evictions, 0, "{ram}");
             assert_eq!(summary.stats.disk_write_bytes, 0, "{ram}: no run-file byte");
         }
+        drop(graph);
+    }
+}
+
+/// A run holds at least eight frames, whatever the sender's fold leaves
+/// it. A sort-path job budgets its sorter the whole group-by budget, yet a
+/// 64-vertex PageRank's `Msg` runs, and the left-outer plan's `Vid` runs,
+/// stay in memory: no run file is written or held.
+#[test]
+fn sort_path_runs_hold_eight_frames_in_memory() {
+    let records = webmap::webmap(6, 4.0, 61);
+    for join in [JoinStrategy::FullOuter, JoinStrategy::LeftOuter] {
+        let cluster = Cluster::new(ClusterConfig::new(1, 16 << 20)).unwrap();
+        let job = PregelixJob::new("ooc-sort").with_join(join).with_max_supersteps(3);
+        let program = Arc::new(SortPath(PageRank::new(10)));
+        let (summary, graph) =
+            run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
+        assert_eq!(summary.sender_fold, SenderFold::SortVariableWidth, "{join:?}");
+        let root = cluster.worker(0).file_manager().root().to_path_buf();
+        let runs: Vec<String> = std::fs::read_dir(root)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".run"))
+            .collect();
+        assert!(runs.is_empty(), "{join:?}: {runs:?}");
+        assert_eq!(summary.stats.disk_write_bytes, 0, "{join:?}: no run-file byte");
         drop(graph);
     }
 }

@@ -39,11 +39,15 @@ fn assert_released(cluster: &Cluster, what: &str) {
     assert!(left.is_empty(), "{what}: still on disk: {left:?}");
 }
 
-/// Two workers whose group-by budget (16 KiB) leaves a 1 024-vertex
-/// PageRank's `Msg` and `Vid` runs less room than they take once its fold
-/// table is sized, so they spill to files instead of staying in memory.
-fn small_budget_cluster() -> Cluster {
-    Cluster::new(ClusterConfig::new(2, 128 << 10)).unwrap()
+/// Two workers on which a 1 024-vertex PageRank's `Msg` and `Vid` runs
+/// spill to files instead of staying in memory: a run holds what the
+/// group-by budget (16 KiB) leaves after the fold table, and at least eight
+/// frames, so both the budget and the frames are small.
+fn small_cluster() -> ClusterConfig {
+    ClusterConfig {
+        frame_bytes: 512,
+        ..ClusterConfig::new(2, 128 << 10)
+    }
 }
 
 /// A chain component `0 — 1 — … — len-1` (symmetric edges).
@@ -106,7 +110,7 @@ impl VertexProgram for FailsInSuperstep3 {
 #[test]
 fn dropped_graphs_leave_no_partition_files() {
     let _guard = fault::exclusive();
-    let cluster = small_budget_cluster();
+    let cluster = Cluster::new(small_cluster()).unwrap();
     let records = graphgen::webmap::webmap(10, 4.0, 5);
     // PageRank under both join plans (the left-outer one adds the `Vid` run,
     // which spills too). Cut off after three supersteps, each graph still
@@ -151,7 +155,7 @@ fn dropped_graphs_leave_no_partition_files() {
 #[test]
 fn tenants_leave_no_partition_files_done_or_failed() {
     let _guard = fault::exclusive();
-    let cluster = small_budget_cluster();
+    let cluster = Cluster::new(small_cluster()).unwrap();
     let inputs = [
         ("pf-done", graphgen::webmap::webmap(10, 4.0, 7)),
         ("pf-fail", graphgen::webmap::webmap(9, 4.0, 8)),
@@ -177,7 +181,7 @@ fn tenants_leave_no_partition_files_done_or_failed() {
 #[test]
 fn a_failed_job_leaves_no_recovery_state() {
     let _guard = fault::exclusive();
-    let cluster = small_budget_cluster();
+    let cluster = Cluster::new(small_cluster()).unwrap();
     let records = graphgen::webmap::webmap(9, 4.0, 8);
     graphgen::text::write_to_dfs(cluster.dfs(), "in/pf-fail-ckpt", &records).unwrap();
     let job = PregelixJob::new("pf-fail-ckpt")
@@ -224,18 +228,20 @@ fn recovery_releases_the_partitions_it_replaces() {
 /// A superstep that fails after some `msgwrite[p]` sealed their `Msg_{s+1}`
 /// runs: the runs were never installed into a partition, and go with the
 /// failed superstep. `msgwrite[1]@3` fails on sequential-timed workers,
-/// after `msgwrite[0]@3` spilled its run to `msg-leak-p0-0.run`.
+/// after `msgwrite[0]@3` spilled its run to `msg-leak-p0-0.run` — the file
+/// a fault-free run cut off after superstep 3 holds.
 #[test]
 fn a_failed_superstep_leaves_no_sealed_msg_run_behind() {
     let guard = fault::exclusive();
-    let cluster = Cluster::new(ClusterConfig {
-        frame_bytes: 512,
-        ..ClusterConfig::new(2, 8 << 20).sequential_timed()
-    })
-    .unwrap();
+    let cluster = Cluster::new(small_cluster().sequential_timed()).unwrap();
     let program = Arc::new(PageRank::new(10));
     let job = PregelixJob::new("leak");
     let records = graphgen::webmap::webmap(10, 4.0, 5);
+    let (held, _) = held_until_dropped(&cluster, PageRank::new(10), job.clone(), records.clone());
+    assert!(
+        held.contains(&"worker-0/msg-leak-p0-0.run".to_string()),
+        "msgwrite[0]@3 spills its run: {held:?}"
+    );
     let mut graph = LoadedGraph::load_from_records(&cluster, &program, &job, records).unwrap();
     let plan = guard.install(FaultPlan::new().on(Site::Stall, "leak:s3:p1", 1, Fault::IoError));
     assert!(graph.run(&cluster, &program, &job).is_err());
@@ -256,7 +262,7 @@ fn a_reload_onto_the_path_of_a_lost_msg_run_keeps_the_reloaded_run() {
     // hold (paths alternate on superstep parity).
     let job = PregelixJob::new("pf-reload").with_checkpoint_interval(3);
     let run = || {
-        let cluster = small_budget_cluster();
+        let cluster = Cluster::new(small_cluster()).unwrap();
         let (summary, graph) =
             run_job_from_records(&cluster, &program, &job, records.clone()).unwrap();
         let values: Vec<(u64, u64)> = graph
